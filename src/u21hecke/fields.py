@@ -2,17 +2,23 @@
 
 The residue tower is k_F = GF(q) inside k_E = GF(q^2), q = p^f with p odd.
 Coefficient field for weights is the smallest GF(p^m) containing all
-(q^2-1)-th roots of unity; the divisibility scan always lands on m = 2f, so
-the coefficient field coincides with k_E and one set of tables serves both.
+(q^2-1)-th roots of unity.  That is m = 2f by construction (the order of p
+modulo p^(2f) - 1 is 2f), so the coefficient field coincides with k_E and
+one set of tables serves both.
 
 Elements are table indices (0 = zero, 1 = one); all arithmetic is lookups.
 """
 
 import numpy as np
 
+from ._kernel import TableCtx
 from .errors import InversionOfZero, NotApplicable
 
 _TOWER_CACHE = {}
+# Largest coefficient field size Q = q^2 that Tower builds tables for: each
+# Q x Q table and the Q x Q x m intermediate of _build_tables grow with q^4,
+# so q = 243 would need about 7 GB per table.
+_MAX_Q = 1024
 
 
 def _prime_factors(n):
@@ -133,17 +139,17 @@ class Tower:
         self.p = p
         self.f = f
         self.q = p**f
-        # minimal m with (q^2 - 1) | (p^m - 1)
-        m = 1
-        while (p**m - 1) % (self.q**2 - 1) != 0:
-            m += 1
-        self.m = m
-        self.Q = p**m  # size of the coefficient field (= q^2)
-        if self.Q != self.q**2:
-            raise NotApplicable("coefficient field scan did not return GF(q^2)")
-        self.poly = _find_poly(p, m)
+        self.m = 2 * f
+        self.Q = self.q**2  # size of the coefficient field
+        if self.Q > _MAX_Q:
+            raise NotApplicable(
+                "q^2 = %d is above the field-table cap %d" % (self.Q, _MAX_Q)
+            )
+        self.poly = _find_poly(p, self.m)
+        # the one precision default: inversion windows and shift budgets
         self.default_window = 16
         self._build_tables()
+        self.ctx = TableCtx(self.add, self.neg, self.mul, self.inv, self.frob)
 
     # ---- table construction -------------------------------------------
     def _idx_to_vec(self, i):

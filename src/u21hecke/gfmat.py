@@ -111,21 +111,6 @@ def nullspace(tw, A):
     return np.stack(basis)
 
 
-def solve(tw, A, b):
-    """One solution x of A x = b, or None."""
-    A = np.asarray(A, dtype=np.uint16)
-    b = np.asarray(b, dtype=np.uint16)
-    n, m = A.shape
-    aug = np.concatenate([A, b[:, None]], axis=1)
-    R, pivots = rref(tw, aug)
-    if m in pivots:
-        return None
-    x = np.zeros(m, dtype=np.uint16)
-    for r, pc in enumerate(pivots):
-        x[pc] = R[r, m]
-    return x
-
-
 def inverse(tw, A):
     n = A.shape[0]
     aug = np.concatenate([A, eye(n)], axis=1)

@@ -240,11 +240,7 @@ class InducedFn:
     def __eq__(self, other):
         if not isinstance(other, InducedFn):
             return NotImplemented
-        return (
-            self.weight.K == other.weight.K
-            and self.weight.dim == other.weight.dim
-            and self.data == other.data
-        )
+        return self.weight is other.weight and self.data == other.data
 
     def __hash__(self):
         return hash((self.weight.K, frozenset(self.data.items())))
@@ -254,9 +250,6 @@ class InducedFn:
     def shifts(self):
         """Sorted list of occupied shift cells."""
         return sorted({t for t, _ in self.data})
-
-    def tag_count(self):
-        return len(self.data)
 
     def eval_at(self, word):
         """Value at the point of the word (zero off the support)."""
@@ -334,15 +327,15 @@ def _depth_guard(tower, n, n_max):
         raise PrecisionBudgetExceeded(
             "shift %d exceeds the configured budget n_max=%d" % (n, n_max)
         )
-    window = getattr(tower, "default_window", None)
-    if window is not None and 2 * abs(n) + 4 > window:
+    window = tower.default_window
+    if 2 * abs(n) + 4 > window:
         raise PrecisionBudgetExceeded(
             "shift %d needs precision %d > certified window %d"
             % (n, 2 * abs(n) + 4, window)
         )
 
 
-def f_basis(weight, n, n_max=DEFAULT_N_MAX, check=True, tag_cap=DEFAULT_TAG_CAP):
+def f_basis(weight, n, n_max=DEFAULT_N_MAX, tag_cap=DEFAULT_TAG_CAP):
     """The canonical invariant function of shift cell n, materialized.
 
     Every coordinate combination of the cell grid is one coset tag; all tags
@@ -367,12 +360,11 @@ def f_basis(weight, n, n_max=DEFAULT_N_MAX, check=True, tag_cap=DEFAULT_TAG_CAP)
     w = grid_value(weight, n)
     data = {tag: w for tag in grid_tags(tw, K, n)}
     f = InducedFn(weight, data)
-    if check:
-        if not is_pro_iwahori_invariant(f):
-            raise InvarianceViolated(
-                "canonical basis function of shift %d failed the sampled "
-                "invariance check" % n
-            )
+    if not is_pro_iwahori_invariant(f):
+        raise InvarianceViolated(
+            "canonical basis function of shift %d failed the sampled "
+            "invariance check" % n
+        )
     cache[n] = f
     return f
 
@@ -408,7 +400,7 @@ def pro_iwahori_sample(tower, K):
     return atoms
 
 
-def _invariance_points(f, per_shift=2):
+def _invariance_points(f):
     """Evaluation points hitting the support of f, deterministically chosen."""
     tw = f.weight.tower
     K = f.weight.K
@@ -421,7 +413,7 @@ def _invariance_points(f, per_shift=2):
         picks = [tags[0]]
         if len(tags) > 1:
             picks.append(tags[len(tags) // 2])
-        for tag in picks[:per_shift]:
+        for tag in picks:
             x = word_inverse(tw, word_from_tag(tw, K, tag))
             points.append(x)
         points.append(bw + points[-1])
@@ -619,7 +611,7 @@ class GridElement:
     def __eq__(self, other):
         if not isinstance(other, GridElement):
             return NotImplemented
-        return self.weight.K == other.weight.K and self.coeffs == other.coeffs
+        return self.weight is other.weight and self.coeffs == other.coeffs
 
     def __hash__(self):
         return hash((self.weight.K, frozenset(self.coeffs.items())))
@@ -768,7 +760,7 @@ def _sminus_window(tower, K, shifts):
     return sorted(out)
 
 
-def _op_grid(elem, suffixes, window, opname, check):
+def _op_grid(elem, suffixes, window, opname):
     """Reconstruct the image of an averaging operator from its values at the
     cell points alpha^-j of the certified window.
 
@@ -784,36 +776,33 @@ def _op_grid(elem, suffixes, window, opname, check):
         val = _avg_eval(elem, (atom_alpha(-j),), suffixes)
         if any(val):
             coeffs[j] = _match_grid_coefficient(weight, j, val)
-    out = GridElement(weight, coeffs)
-    if check:
-        atoms = pro_iwahori_sample(tw, K)
-        bw = beta_compact_word(K)
-        for j in window[: 3 if len(window) > 3 else len(window)]:
-            for x in ((atom_alpha(-j),), bw + (atom_alpha(-j),)):
-                base = _avg_eval(elem, x, suffixes)
-                for a in atoms[:4]:
-                    if _avg_eval(elem, x + (a,), suffixes) != base:
-                        raise InvarianceViolated(
-                            "%s image failed the sampled invariance check"
-                            % opname
-                        )
-    return out
+    atoms = pro_iwahori_sample(tw, K)
+    bw = beta_compact_word(K)
+    for j in window[:3]:
+        for x in ((atom_alpha(-j),), bw + (atom_alpha(-j),)):
+            base = _avg_eval(elem, x, suffixes)
+            for a in atoms[:4]:
+                if _avg_eval(elem, x + (a,), suffixes) != base:
+                    raise InvarianceViolated(
+                        "%s image failed the sampled invariance check" % opname
+                    )
+    return GridElement(weight, coeffs)
 
 
-def op_SK_grid(elem, check=True):
+def op_SK_grid(elem):
     """Upper averaging on the grid form."""
     tw = elem.weight.tower
     K = elem.weight.K
     window = _sk_window(tw, K, sorted(elem.coeffs))
-    return _op_grid(elem, _sk_suffixes(tw, K), window, "op_SK", check)
+    return _op_grid(elem, _sk_suffixes(tw, K), window, "op_SK")
 
 
-def op_Sminus_grid(elem, check=True):
+def op_Sminus_grid(elem):
     """Lower averaging on the grid form."""
     tw = elem.weight.tower
     K = elem.weight.K
     window = _sminus_window(tw, K, sorted(elem.coeffs))
-    return _op_grid(elem, _sminus_suffixes(tw, K), window, "op_Sminus", check)
+    return _op_grid(elem, _sminus_suffixes(tw, K), window, "op_Sminus")
 
 
 # ---------------------------------------------------------------------------

@@ -9,10 +9,8 @@ coefficients all vanish is a "zero window": it represents every element of
 valuation >= prec, which is what support certificates quantify over.
 """
 
-from ._kernel import INF, make_ctx
-from .errors import InsufficientPrecision, InversionOfZero, NotApplicable
-
-DEFAULT_WINDOW = 16
+from ._kernel import INF
+from .errors import InsufficientPrecision, InversionOfZero
 
 
 class Series:
@@ -83,10 +81,6 @@ class Series:
     def is_zero_window(self):
         return not self.trip[2]
 
-    def is_unit_certified(self):
-        """True iff valuation is certifiably 0."""
-        return bool(self.trip[2]) and self.trip[0] == 0
-
     def val_exact(self):
         if not self.trip[2]:
             raise InsufficientPrecision("valuation of a zero window")
@@ -112,28 +106,25 @@ class Series:
         return self.coeff_at(0)
 
     # ---- arithmetic ------------------------------------------------------
-    def _ctx(self):
-        return make_ctx(self.tower)
-
     def __add__(self, other):
-        return Series(self.tower, self._ctx().ser_add(self.trip, other.trip))
+        return Series(self.tower, self.tower.ctx.ser_add(self.trip, other.trip))
 
     def __sub__(self, other):
-        return Series(self.tower, self._ctx().ser_sub(self.trip, other.trip))
+        return Series(self.tower, self.tower.ctx.ser_sub(self.trip, other.trip))
 
     def __neg__(self):
-        return Series(self.tower, self._ctx().ser_neg(self.trip))
+        return Series(self.tower, self.tower.ctx.ser_neg(self.trip))
 
     def __mul__(self, other):
-        return Series(self.tower, self._ctx().ser_mul(self.trip, other.trip))
+        return Series(self.tower, self.tower.ctx.ser_mul(self.trip, other.trip))
 
     def conj(self):
-        return Series(self.tower, self._ctx().ser_conj(self.trip))
+        return Series(self.tower, self.tower.ctx.ser_conj(self.trip))
 
     def inverse(self, window=None):
         w = window if window is not None else self.tower.default_window
         try:
-            trip = self._ctx().ser_inv(self.trip, w)
+            trip = self.tower.ctx.ser_inv(self.trip, w)
         except ZeroDivisionError:
             raise InversionOfZero("series inverse of zero")
         except ArithmeticError:
@@ -202,29 +193,3 @@ class Series:
 def trace_zero_unit(tower):
     """The fixed trace-zero unit of k_E, as an exact constant series."""
     return Series.const(tower, tower.trace_zero_unit_idx())
-
-
-def conj(a):
-    return a.conj()
-
-
-def valuation(a):
-    return a.val_exact()
-
-
-def arith(a, b, op):
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a * b.inverse()
-    raise NotApplicable("unknown op %r" % (op,))
-
-
-def ensure_default_window(tower, window=DEFAULT_WINDOW):
-    if not hasattr(tower, "default_window"):
-        tower.default_window = window
-    return tower

@@ -1,7 +1,7 @@
 """3x3 matrices over the Laurent field, stored as row-major tuples of raw
 kernel triples for speed. Series objects only at the boundaries."""
 
-from ._kernel import INF, make_ctx
+from ._kernel import INF
 from .errors import IndeterminateMembership, InsufficientPrecision
 from .laurent import Series
 
@@ -21,19 +21,14 @@ class Mat3:
         z, o = EXACT_ZERO, EXACT_ONE
         return cls(tower, (o, z, z, z, o, z, z, z, o))
 
-    @classmethod
-    def from_series(cls, tower, rows):
-        return cls(tower, tuple(s.trip for row in rows for s in row))
-
     def entry(self, i, j):
         return Series(self.tower, self.e[3 * i + j])
 
     def __mul__(self, other):
-        ctx = make_ctx(self.tower)
-        return Mat3(self.tower, ctx.mat3_mul(self.e, other.e))
+        return Mat3(self.tower, self.tower.ctx.mat3_mul(self.e, other.e))
 
     def conj(self):
-        ctx = make_ctx(self.tower)
+        ctx = self.tower.ctx
         return Mat3(self.tower, tuple(ctx.ser_conj(t) for t in self.e))
 
     def transpose(self):
@@ -43,21 +38,16 @@ class Mat3:
         )
 
     def conj_transpose(self):
-        ctx = make_ctx(self.tower)
-        return Mat3(self.tower, ctx.mat3_conj_t(self.e))
+        return Mat3(self.tower, self.tower.ctx.mat3_conj_t(self.e))
 
     def __sub__(self, other):
-        ctx = make_ctx(self.tower)
+        ctx = self.tower.ctx
         return Mat3(
             self.tower,
             tuple(
                 ctx.ser_sub(a, b) for a, b in zip(self.e, other.e)
             ),
         )
-
-    def scale(self, s):
-        ctx = make_ctx(self.tower)
-        return Mat3(self.tower, tuple(ctx.ser_mul(s.trip, t) for t in self.e))
 
     def decide_zero(self, min_prec=1):
         """Certified zero matrix (to window >= min_prec per entry)."""

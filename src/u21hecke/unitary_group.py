@@ -55,31 +55,28 @@ def _check_unipotent_relation(x, y):
     return r.prec
 
 
-def atom_n(tower, x, y, check=True):
+def atom_n(tower, x, y):
     """Upper unipotent with rows (1, x, y), (0, 1, -conj(x)), (0, 0, 1)."""
     x, y = _series(tower, x), _series(tower, y)
-    if check:
-        _check_unipotent_relation(x, y)
+    _check_unipotent_relation(x, y)
     return ("n", x.trip, y.trip)
 
 
-def atom_np(tower, x, y, check=True):
+def atom_np(tower, x, y):
     """Lower unipotent, mirror image of atom_n."""
     x, y = _series(tower, x), _series(tower, y)
-    if check:
-        _check_unipotent_relation(x, y)
+    _check_unipotent_relation(x, y)
     return ("np", x.trip, y.trip)
 
 
-def atom_d(tower, d1, d2, d3, check=True):
+def atom_d(tower, d1, d2, d3):
     """Diagonal group element diag(d1, d2, d3); needs d3 = conj(d1)^-1 and
     d2 * conj(d2) = 1."""
     d1, d2, d3 = _series(tower, d1), _series(tower, d2), _series(tower, d3)
-    if check:
-        r1 = d1.conj() * d3 - Series.const(tower, 1)
-        r2 = d2 * d2.conj() - Series.const(tower, 1)
-        if r1.coeffs or r2.coeffs:
-            raise RelationViolated("diagonal entries violate unitarity")
+    r1 = d1.conj() * d3 - Series.const(tower, 1)
+    r2 = d2 * d2.conj() - Series.const(tower, 1)
+    if r1.coeffs or r2.coeffs:
+        raise RelationViolated("diagonal entries violate unitarity")
     return ("d", d1.trip, d2.trip, d3.trip)
 
 
@@ -249,10 +246,6 @@ def word_inverse(tower, word):
     return tuple(atom_inv(tower, a) for a in reversed(word))
 
 
-def alpha_pow_matrix(tower, e):
-    return atom_matrix(tower, atom_alpha(e))
-
-
 # ---------------------------------------------------------------------------
 # residue quotients of the compacts
 
@@ -406,7 +399,7 @@ def in_compact(tower, K, g):
     return decide_entry_val_ge(g, _K_PATTERN[K])
 
 
-def reduce_to_gamma(tower, K, g, check=True):
+def reduce_to_gamma(tower, K, g):
     """Reduce a compact element to the residue quotient."""
     if not in_compact(tower, K, g):
         raise MembershipViolated("matrix is not in the compact %s" % K)
@@ -421,7 +414,7 @@ def reduce_to_gamma(tower, K, g, check=True):
             g.entry(2, 2).coeff_at(0),
         )
         gamma = GammaElem(tower, K1, m, g.entry(1, 1).coeff_at(0))
-    if check and not gamma.is_form_compatible():
+    if not gamma.is_form_compatible():
         raise MembershipViolated("reduction is not residue-unitary")
     return gamma
 

@@ -47,8 +47,6 @@ PRINCIPAL_SERIES = "principal_series"
 STEINBERG = "steinberg"
 PS_SUB_QUOTIENT = "ps_sub_quotient"
 
-KINDS = (TRIVIAL, DET_TWIST, PRINCIPAL_SERIES, STEINBERG, PS_SUB_QUOTIENT)
-
 
 # ---------------------------------------------------------------------------
 # reduced-group element inventories
@@ -144,11 +142,6 @@ def gamma_generators(tower, K):
         gens.append(gamma_beta(tw, K))
         cache[key] = gens
     return cache[key]
-
-
-def borel_generators(tower, K):
-    """Generators of the Borel: torus generators plus the upper unipotents."""
-    return gamma_generators(tower, K)[:-1]
 
 
 # ---------------------------------------------------------------------------

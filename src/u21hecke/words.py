@@ -18,12 +18,7 @@ coset tags: finitely many filtration-layer coordinates that classify the
 left coset of the element modulo the compact.
 """
 
-from .errors import (
-    CrossCheckFailed,
-    IndeterminateMembership,
-    InsufficientPrecision,
-    NormalFormFailure,
-)
+from .errors import CrossCheckFailed, NormalFormFailure
 from .laurent import Series
 from .mat3 import Mat3
 from .unitary_group import (
@@ -50,6 +45,7 @@ from .unitary_group import (
 )
 
 DEFAULT_FUEL = 400
+SORT_FUEL = 2000
 
 
 class NormalForm:
@@ -198,7 +194,7 @@ def _cleanup(tower, w):
     return changed
 
 
-def nf_uak(tower, K, word, fuel=DEFAULT_FUEL, verify=True):
+def nf_uak(tower, K, word):
     """Normal form u * shift^T * k of a generator word."""
     cache = getattr(tower, "_nf_cache", None)
     if cache is None:
@@ -215,9 +211,9 @@ def nf_uak(tower, K, word, fuel=DEFAULT_FUEL, verify=True):
     steps = 0
     while True:
         steps += 1
-        if steps > fuel:
+        if steps > DEFAULT_FUEL:
             raise NormalFormFailure(
-                "rewriting fuel exhausted after %d steps" % fuel
+                "rewriting fuel exhausted after %d steps" % DEFAULT_FUEL
             )
         if _cleanup(tower, w):
             continue
@@ -272,28 +268,27 @@ def nf_uak(tower, K, word, fuel=DEFAULT_FUEL, verify=True):
             continue
         break
     nf = NormalForm(tower, K, u_list, T, k_mat)
-    if verify:
-        lhs = word_matrix(tower, tuple(word))
-        rhs = (
-            word_matrix(tower, nf.u)
-            * atom_matrix(tower, atom_alpha(nf.t))
-            * nf.k
-        )
-        same = (lhs - rhs).decide_zero(1)
-        if same is False:
-            raise CrossCheckFailed("normal form failed to reassemble")
+    lhs = word_matrix(tower, tuple(word))
+    rhs = (
+        word_matrix(tower, nf.u)
+        * atom_matrix(tower, atom_alpha(nf.t))
+        * nf.k
+    )
+    same = (lhs - rhs).decide_zero(1)
+    if same is False:
+        raise CrossCheckFailed("normal form failed to reassemble")
     cache[key] = nf
     return nf
 
 
-def nf_kau(tower, K, word, fuel=DEFAULT_FUEL, verify=True):
+def nf_kau(tower, K, word):
     """Mirrored normal form word = k * shift^T * u.
 
     Returns (k matrix, T, u atoms); computed by rewriting the inverted word
     and inverting the result."""
     from .mat3 import unitary_inverse
 
-    nf = nf_uak(tower, K, word_inverse(tower, tuple(word)), fuel, verify)
+    nf = nf_uak(tower, K, word_inverse(tower, tuple(word)))
     k_inv = unitary_inverse(nf.k)
     u_inv = word_inverse(tower, nf.u)
     return (k_inv, -nf.t, u_inv)
@@ -303,7 +298,7 @@ def nf_kau(tower, K, word, fuel=DEFAULT_FUEL, verify=True):
 # sorting a pro-unipotent word into lower * diagonal * upper
 
 
-def sort_unipotent_mix(tower, atoms, lower_first=True, fuel=2000, verify=True):
+def sort_unipotent_mix(tower, atoms, lower_first=True):
     """Sort a product of unipotent/diagonal atoms into a triple product.
 
     With lower_first the target shape is np * d * n, otherwise n * d * np.
@@ -319,7 +314,7 @@ def sort_unipotent_mix(tower, atoms, lower_first=True, fuel=2000, verify=True):
         i = 0
         while i + 1 <= len(items) - 1:
             steps += 1
-            if steps > fuel:
+            if steps > SORT_FUEL:
                 raise NormalFormFailure("sorting fuel exhausted")
             a, b = items[i], items[i + 1]
             if a[0] == b[0]:
@@ -359,11 +354,10 @@ def sort_unipotent_mix(tower, atoms, lower_first=True, fuel=2000, verify=True):
     d_a = out["d"] or atom_identity(tower)
     n_a = out["n"] or atom_n(tower, 0, 0)
     triple = (np_a, d_a, n_a) if lower_first else (n_a, d_a, np_a)
-    if verify:
-        lhs = word_matrix(tower, tuple(atoms))
-        rhs = word_matrix(tower, triple)
-        if (lhs - rhs).decide_zero(1) is False:
-            raise CrossCheckFailed("unipotent sort failed to reassemble")
+    lhs = word_matrix(tower, tuple(atoms))
+    rhs = word_matrix(tower, triple)
+    if (lhs - rhs).decide_zero(1) is False:
+        raise CrossCheckFailed("unipotent sort failed to reassemble")
     return triple
 
 
@@ -419,8 +413,8 @@ def tag_of_nf(tower, K, nf):
     return (t, coords)
 
 
-def tag_of(tower, K, word, fuel=DEFAULT_FUEL):
-    return tag_of_nf(tower, K, nf_uak(tower, K, word, fuel))
+def tag_of(tower, K, word):
+    return tag_of_nf(tower, K, nf_uak(tower, K, word))
 
 
 def word_from_tag(tower, K, tag):

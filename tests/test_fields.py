@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from u21hecke.errors import InversionOfZero, NotApplicable
 from u21hecke.fields import (
     FFElem,
+    Tower,
     build_tower,
     char_s,
     characters_of_torus,
@@ -16,7 +17,7 @@ from u21hecke.fields import (
 
 def test_tower_q3_shape(tower):
     assert (tower.p, tower.f, tower.q) == (3, 1, 3)
-    # the coefficient-field scan must land exactly on the quadratic extension
+    # the coefficient field is exactly the quadratic extension: m = 2f
     assert tower.m == 2
     assert tower.Q == 9
     # deterministic modulus for GF(9): x^2 + 1
@@ -95,6 +96,12 @@ def test_even_prime_rejected():
         build_tower(2, 1)
     with pytest.raises(NotApplicable):
         build_tower(9, 1)
+
+
+def test_huge_tower_rejected_before_tables():
+    # q = 37 would need 1369 x 1369 field tables, above the cap of q^2 <= 1024
+    with pytest.raises(NotApplicable):
+        Tower(37, 1)
 
 
 def test_tower_q5_generalizes(tower5):

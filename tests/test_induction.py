@@ -173,6 +173,17 @@ def test_invariance_checker_catches_doctored(tower, catalog):
         I.GridElement.from_induced(g)
 
 
+def test_equality_never_merges_modules(catalog):
+    # trivial and det_twist^1 share the compact, the dimension and the data
+    # of these functions, but they are elements of different modules
+    triv, det1 = catalog[(K0, "trivial")], catalog[(K0, "det1")]
+    assert I.f_grid(triv, 2) == I.f_grid(triv, 2)
+    assert I.f_grid(triv, 2) != I.f_grid(det1, 2)
+    assert I.f_basis(triv, 0) != I.f_basis(det1, 0)
+    with pytest.raises(NotApplicable):
+        I.f_basis(triv, 0).add(I.f_basis(det1, 0))
+
+
 def test_weight_mismatch_rejected(tower, catalog):
     w = catalog[(K0, "trivial")]
     other = W.make_weight(tower, K0, W.TRIVIAL)

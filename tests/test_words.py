@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from u21hecke.fields import build_tower
+from u21hecke.fields import Tower
 from u21hecke.laurent import Series
 from u21hecke.mat3 import Mat3
 from u21hecke.unitary_group import (
@@ -30,7 +30,8 @@ from u21hecke.words import (
     word_from_tag,
 )
 
-TW = build_tower(3, 1)
+# A tower of this module's own, so its window does not depend on test order.
+TW = Tower(3, 1)
 TW.default_window = 26
 
 
