@@ -121,7 +121,7 @@ def coset_normalize(tower, K, word):
     of the closing factor is enforced by the residue reduction."""
     word = tuple(word)
     cache = _icache(tower)
-    key = ("cn", K, word)
+    key = ("cn", K, tower.default_window, word)
     hit = cache.get(key)
     if hit is not None:
         return hit
@@ -545,7 +545,7 @@ def op_SK(weight, f, check=True):
     return InducedFn.from_raw(weight, pairs)
 
 
-def op_Sminus(weight, f, check=True):
+def op_Sminus(weight, f):
     """Averaging to the lower-invariants: sum over the first lower layer of
     u' . beta_K . alpha^-1 . f.  Requires (sampled) upper-unipotent
     invariance."""
@@ -554,8 +554,7 @@ def op_Sminus(weight, f, check=True):
     tw = weight.tower
     K = weight.K
     n_K, m_K, _ = iwahori_constants(tw, K)
-    if check:
-        _check_precondition(f, [(n_K, False), (n_K + 1, False)], "op_Sminus")
+    _check_precondition(f, [(n_K, False), (n_K + 1, False)], "op_Sminus")
     bw = beta_compact_word(K)
     tail = bw + (atom_alpha(-1),)
     pairs = []

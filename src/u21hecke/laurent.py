@@ -13,6 +13,16 @@ from ._kernel import INF
 from .errors import InsufficientPrecision, InversionOfZero
 
 
+def shift_trip(trip, e):
+    """The triple of t^e times a series, with no table lookups: exact zero
+    stays exact zero, and every other triple moves its valuation and its
+    (finite) window by e."""
+    val, prec, co = trip
+    if prec >= INF:
+        return (val + e, INF, co) if co else trip
+    return (val + e, prec + e, co)
+
+
 class Series:
     __slots__ = ("tower", "trip")
 
@@ -134,12 +144,7 @@ class Series:
         return Series(self.tower, trip)
 
     def shift(self, e):
-        val, prec, co = self.trip
-        if not co:
-            if prec >= INF:
-                return self
-            return Series(self.tower, (prec + e, prec + e, ()))
-        return Series(self.tower, (val + e, prec if prec >= INF else prec + e, co))
+        return Series(self.tower, shift_trip(self.trip, e))
 
     def truncate(self, prec):
         """Forget coefficients at or beyond t^prec."""

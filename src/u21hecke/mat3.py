@@ -95,9 +95,11 @@ def unitarity_defect(g):
 
 
 def unitary_inverse(g):
-    """Inverse of a unitary-group element: J * conj(g)^T * J."""
-    J = form_matrix(g.tower)
-    return J * g.conj_transpose() * J
+    """Inverse of a unitary-group element: J * conj(g)^T * J.  Multiplying
+    by the antidiagonal J on both sides reverses the row-major entry order,
+    and the entries are canonical triples, so this equals the two generic
+    products triple for triple."""
+    return Mat3(g.tower, g.conj_transpose().e[::-1])
 
 
 def in_unitary_group(g, min_prec=1):

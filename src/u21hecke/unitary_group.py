@@ -22,7 +22,8 @@ from .errors import (
     NotApplicable,
     RelationViolated,
 )
-from .laurent import Series
+from ._kernel import INF
+from .laurent import Series, shift_trip
 from .mat3 import EXACT_ONE, EXACT_ZERO, Mat3, form_matrix
 
 K0 = "K0"
@@ -116,12 +117,10 @@ def atom_matrix(tower, atom):
     kind = atom[0]
     z, o = EXACT_ZERO, EXACT_ONE
     if kind == "n":
-        x, y = Series(tower, atom[1]), Series(tower, atom[2])
-        mxb = (-x.conj()).trip
+        mxb = (-Series(tower, atom[1]).conj()).trip
         return Mat3(tower, (o, atom[1], atom[2], z, o, mxb, z, z, o))
     if kind == "np":
-        x, y = Series(tower, atom[1]), Series(tower, atom[2])
-        mxb = (-x.conj()).trip
+        mxb = (-Series(tower, atom[1]).conj()).trip
         return Mat3(tower, (o, z, z, atom[1], o, z, atom[2], mxb, o))
     if kind == "d":
         return Mat3(tower, (atom[1], z, z, z, atom[2], z, z, z, atom[3]))
@@ -133,6 +132,99 @@ def atom_matrix(tower, atom):
     if kind == "b":
         return form_matrix(tower)
     raise ValueError("unknown atom kind %r" % (kind,))
+
+
+# Products with one atom factor.  Every entry is a canonical triple (leading
+# coefficient nonzero, exact tails stripped), so in the generic product
+# mat3_mul a factor of exact one returns the other factor, a factor t^k is
+# shift_trip by k, a factor of exact zero gives exact zero, and ser_add
+# returns the other summand of an exact zero.  The operations below skip
+# exactly those calls, so each result equals Mat3.__mul__ triple for triple,
+# with the same ser_mul calls for every other entry and the sums in
+# mat3_mul's order.  (ser_mul is symmetric in its two arguments, so the row
+# operations may pass the atom entry second.)
+
+
+def _unipotent_data(ctx, atom):
+    """(x, y, -conj(x)) of an "n" or "np" atom, None for an exact zero."""
+    x, y = atom[1], atom[2]
+    if not x[2] and x[1] >= INF:
+        x = mxb = None
+    else:
+        mxb = ctx.ser_neg(ctx.ser_conj(x))
+    if not y[2] and y[1] >= INF:
+        y = None
+    return x, y, mxb
+
+
+def _lower_op(ctx, a0, a1, a2, x, y, mxb):
+    """(a0, a0 x + a1, a0 y + a1 mxb + a2): one row times an "n" matrix."""
+    mul, add = ctx.ser_mul, ctx.ser_add
+    b1 = a1 if x is None else add(mul(a0, x), a1)
+    if y is None:
+        b2 = a2 if x is None else add(mul(a1, mxb), a2)
+    elif x is None:
+        b2 = add(mul(a0, y), a2)
+    else:
+        b2 = add(add(mul(a0, y), mul(a1, mxb)), a2)
+    return a0, b1, b2
+
+
+def _upper_op(ctx, a0, a1, a2, x, y, mxb):
+    """(a0 + a1 x + a2 y, a1 + a2 mxb, a2): one row times an "np" matrix."""
+    mul, add = ctx.ser_mul, ctx.ser_add
+    if x is None:
+        b0 = a0 if y is None else add(a0, mul(a2, y))
+        return b0, a1, a2
+    b0 = add(a0, mul(a1, x))
+    if y is not None:
+        b0 = add(b0, mul(a2, y))
+    return b0, add(a1, mul(a2, mxb)), a2
+
+
+def times_atom(tower, e, atom):
+    """Entries of M * atom_matrix(atom), for M with row-major entries e, by
+    column operations: "a" shifts the outer columns, "b" reverses them, "d"
+    scales them (9 ser_mul) and "n"/"np" add multiples of one column to the
+    others (at most 9 ser_mul, fewer when x or y is exact zero).  Equal
+    triple for triple to the generic product; see the comment above."""
+    kind = atom[0]
+    if kind == "a":
+        k = (-atom[1], 0, atom[1])
+        return tuple(shift_trip(t, k[i % 3]) for i, t in enumerate(e))
+    if kind == "b":
+        return (e[2], e[1], e[0], e[5], e[4], e[3], e[8], e[7], e[6])
+    ctx = tower.ctx
+    if kind == "d":
+        mul, d = ctx.ser_mul, atom[1:]
+        return tuple(mul(e[i], d[i % 3]) for i in range(9))
+    if kind == "n":
+        op = _lower_op
+    elif kind == "np":
+        op = _upper_op
+    else:
+        raise ValueError("unknown atom kind %r" % (kind,))
+    x, y, mxb = _unipotent_data(ctx, atom)
+    return (
+        op(ctx, e[0], e[1], e[2], x, y, mxb)
+        + op(ctx, e[3], e[4], e[5], x, y, mxb)
+        + op(ctx, e[6], e[7], e[8], x, y, mxb)
+    )
+
+
+def _transposed(e):
+    return (e[0], e[3], e[6], e[1], e[4], e[7], e[2], e[5], e[8])
+
+
+def atom_times(tower, atom, e):
+    """Entries of atom_matrix(atom) * M, for M with row-major entries e, by
+    row operations: (M^T * atom^T)^T.  The transpose of an atom's matrix is
+    the matrix of the atom itself for "a", "b" and "d", and n(x, y)^T is
+    np(x, y), so this costs what times_atom costs and agrees with the
+    generic product in the same way."""
+    if atom[0] in ("n", "np"):
+        atom = ("np" if atom[0] == "n" else "n",) + atom[1:]
+    return _transposed(times_atom(tower, _transposed(e), atom))
 
 
 def atom_inv(tower, atom):
@@ -236,10 +328,16 @@ def merge_atoms(tower, a, b):
 
 
 def word_matrix(tower, word):
-    m = Mat3.identity(tower)
-    for atom in word:
-        m = m * atom_matrix(tower, atom)
-    return m
+    """Product of the atom matrices of a word: the first atom's matrix, then
+    one column operation (times_atom) per further atom."""
+    atoms = iter(word)
+    first = next(atoms, None)
+    if first is None:
+        return Mat3.identity(tower)
+    e = atom_matrix(tower, first).e
+    for atom in atoms:
+        e = times_atom(tower, e, atom)
+    return Mat3(tower, e)
 
 
 def word_inverse(tower, word):
@@ -594,12 +692,8 @@ def exchange(tower, uprime, u, verify=True):
     d_new = atom_d(tower, d1i, d1 * d2i, d2)
     np_new = atom_np(tower, (x - (x1 * y).conj()) * d1i, y * d2i)
     if verify:
-        lhs = atom_matrix(tower, uprime) * atom_matrix(tower, u)
-        rhs = (
-            atom_matrix(tower, n_new)
-            * atom_matrix(tower, d_new)
-            * atom_matrix(tower, np_new)
-        )
+        lhs = word_matrix(tower, (uprime, u))
+        rhs = word_matrix(tower, (n_new, d_new, np_new))
         if (lhs - rhs).decide_zero(1) is False:
             raise CrossCheckFailed("exchange closed form failed to reassemble")
     return (n_new, d_new, np_new)

@@ -31,8 +31,8 @@ from .unitary_group import (
     atom_identity,
     atom_inv,
     atom_is_identity,
-    atom_matrix,
     atom_np,
+    atom_times,
     beta_times_n,
     exchange,
     exchange2,
@@ -199,7 +199,8 @@ def nf_uak(tower, K, word):
     cache = getattr(tower, "_nf_cache", None)
     if cache is None:
         cache = tower._nf_cache = {}
-    key = (K, tuple(word))
+    # The window fixes the precision of every inverse taken below.
+    key = (K, tower.default_window, tuple(word))
     hit = cache.get(key)
     if hit is not None:
         return hit
@@ -207,7 +208,7 @@ def nf_uak(tower, K, word):
     w = [a for a in word if not atom_is_identity(a)]
     u_list = []
     T = 0
-    k_mat = Mat3.identity(tower)
+    k_e = Mat3.identity(tower).e  # entries of k, built by row operations
     steps = 0
     while True:
         steps += 1
@@ -229,21 +230,18 @@ def nf_uak(tower, K, word):
                 w.pop()
                 continue
             if c[0] == "b":
+                k_e = atom_times(tower, c, k_e)
                 if K == K0:
                     T = -T
-                    k_mat = atom_matrix(tower, c) * k_mat
                 else:
                     T = -T - 1
-                    ab = atom_matrix(tower, atom_alpha(1)) * atom_matrix(
-                        tower, c
-                    )
-                    k_mat = ab * k_mat
+                    k_e = atom_times(tower, atom_alpha(1), k_e)
                 w.pop()
                 continue
             eff = atom_conj_alpha(tower, c, -T)
             ok = _atom_in_compact(tower, K, eff, consts)
             if ok is True:
-                k_mat = atom_matrix(tower, eff) * k_mat
+                k_e = atom_times(tower, eff, k_e)
                 w.pop()
                 continue
             if c[0] not in ("n", "np"):
@@ -267,13 +265,9 @@ def nf_uak(tower, K, word):
             w[-1:] = _expand_shallow(tower, c)
             continue
         break
-    nf = NormalForm(tower, K, u_list, T, k_mat)
+    nf = NormalForm(tower, K, u_list, T, Mat3(tower, k_e))
     lhs = word_matrix(tower, tuple(word))
-    rhs = (
-        word_matrix(tower, nf.u)
-        * atom_matrix(tower, atom_alpha(nf.t))
-        * nf.k
-    )
+    rhs = word_matrix(tower, nf.u + (atom_alpha(nf.t),)) * nf.k
     same = (lhs - rhs).decide_zero(1)
     if same is False:
         raise CrossCheckFailed("normal form failed to reassemble")

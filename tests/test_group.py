@@ -11,6 +11,7 @@ from u21hecke.errors import (
     NotApplicable,
     RelationViolated,
 )
+from u21hecke._kernel import INF
 from u21hecke.fields import Tower
 from u21hecke.laurent import Series
 from u21hecke.mat3 import (
@@ -27,13 +28,13 @@ from u21hecke.unitary_group import (
     atom_conj_alpha,
     atom_conj_beta,
     atom_conj_diag,
-    atom_d,
     atom_h,
     atom_identity,
     atom_inv,
     atom_matrix,
     atom_n,
     atom_np,
+    atom_times,
     beta_times_n,
     exchange,
     exchange2,
@@ -47,8 +48,8 @@ from u21hecke.unitary_group import (
     merge_atoms,
     np_factorization,
     reduce_to_gamma,
+    times_atom,
     torus_unit_atoms,
-    word_inverse,
     word_matrix,
 )
 
@@ -304,3 +305,59 @@ def test_torus_unit_atoms_cover_all_pairs():
         assert r.in_borel()
         pairs.add(r.torus_pair())
     assert len(pairs) == 32
+
+
+# ---------------------------------------------------------------------------
+# structure-aware products against the generic 3x3 product
+
+
+@st.composite
+def raw_series(draw):
+    """Any canonical triple: exact zero, a zero window, an exact polynomial
+    or a finite-precision series, at valuations of both signs."""
+    v = draw(st.integers(-3, 3))
+    shape = draw(st.sampled_from(["zero", "window", "exact", "finite"]))
+    if shape == "zero":
+        return Series.zero(TW).trip
+    if shape == "window":
+        return Series.zero_window(TW, v).trip
+    co = draw(st.lists(st.integers(0, 8), min_size=1, max_size=4))
+    prec = INF if shape == "exact" else v + draw(st.integers(-1, 5))
+    return Series.from_coeffs(TW, v, co, prec=prec).trip
+
+
+@st.composite
+def raw_atom(draw):
+    """An atom of any of the five kinds with arbitrary entries (the
+    unitarity relations do not matter to a matrix product)."""
+    kind = draw(st.sampled_from(["n", "np", "d", "a", "b"]))
+    if kind in ("n", "np"):
+        return (kind, draw(raw_series()), draw(raw_series()))
+    if kind == "d":
+        return ("d",) + tuple(draw(raw_series()) for _ in range(3))
+    if kind == "a":
+        return ("a", draw(st.integers(-3, 3)))
+    return ("b",)
+
+
+raw_matrix = st.lists(raw_series(), min_size=9, max_size=9).map(
+    lambda e: Mat3(TW, e)
+)
+
+
+def generic_word_matrix(word):
+    m = Mat3.identity(TW)
+    for atom in word:
+        m = m * atom_matrix(TW, atom)
+    return m
+
+
+@settings(max_examples=150, deadline=None)
+@given(word=st.lists(raw_atom(), max_size=6), m=raw_matrix, atom=raw_atom())
+def test_atom_operations_match_generic_products(word, m, atom):
+    assert word_matrix(TW, word).e == generic_word_matrix(word).e
+    g = atom_matrix(TW, atom)
+    assert times_atom(TW, m.e, atom) == (m * g).e
+    assert atom_times(TW, atom, m.e) == (g * m).e
+    J = form_matrix(TW)
+    assert unitary_inverse(m).e == (J * m.conj_transpose() * J).e

@@ -17,10 +17,12 @@ from u21hecke.errors import (
     NotApplicable,
     PrecisionBudgetExceeded,
 )
-from u21hecke.fields import char_s, characters_of_torus, is_regular
+from u21hecke.fields import Tower, char_s, characters_of_torus, is_regular
+from u21hecke.laurent import Series
 from u21hecke.unitary_group import (
     K0,
     K1,
+    atom_n,
     beta_compact_word,
     iwahori_constants,
     layer_transversal,
@@ -182,6 +184,25 @@ def test_equality_never_merges_modules(catalog):
     assert I.f_basis(triv, 0) != I.f_basis(det1, 0)
     with pytest.raises(NotApplicable):
         I.f_basis(triv, 0).add(I.f_basis(det1, 0))
+
+
+def test_coset_cache_respects_window(monkeypatch):
+    # a coset normalized at one window is normalized again at another
+    tw = Tower(3, 1)
+    tz = tw.trace_zero_unit_idx()
+    word = (atom_n(tw, Series.zero(tw), Series.from_coeffs(tw, -3, [tz, tz])),)
+    seen = []
+    real = I.nf_uak
+
+    def counted(tower, K, w):
+        seen.append(tower.default_window)
+        return real(tower, K, w)
+
+    monkeypatch.setattr(I, "nf_uak", counted)
+    for window in (16, 24, 16):
+        tw.default_window = window
+        I.coset_normalize(tw, K0, word)
+    assert seen == [16, 24]
 
 
 def test_weight_mismatch_rejected(tower, catalog):

@@ -2,17 +2,16 @@
 
 import random
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from u21hecke.fields import Tower
 from u21hecke.laurent import Series
 from u21hecke.mat3 import Mat3
 from u21hecke.unitary_group import (
+    K0,
     atom_alpha,
     atom_beta,
     atom_d,
-    atom_matrix,
     atom_n,
     atom_np,
     iwahori_constants,
@@ -202,3 +201,25 @@ def test_sort_unipotent_mix_roundtrip():
                 assert kinds == ["n", "d", "np"]
             lhs = word_matrix(TW, tuple(atoms))
             assert lhs.eq_to_prec(word_matrix(TW, triple), min_prec=1)
+
+
+def shallow_word(tw):
+    """An upper unipotent of depth -3: its normal form inverts series, so
+    the entries of k carry windows set by tw.default_window."""
+    tz = tw.trace_zero_unit_idx()
+    y = Series.from_coeffs(tw, -3, [tz, tz])
+    return (atom_n(tw, Series.zero(tw), y),)
+
+
+def test_normal_form_cache_respects_window():
+    tw = Tower(3, 1)
+    tw.default_window = 16
+    low = nf_uak(tw, K0, shallow_word(tw))
+    assert min(t[1] for t in low.k.e) == 16
+    tw.default_window = 24
+    raised = nf_uak(tw, K0, shallow_word(tw))
+    fresh_tw = Tower(3, 1)
+    fresh_tw.default_window = 24
+    fresh = nf_uak(fresh_tw, K0, shallow_word(fresh_tw))
+    assert min(t[1] for t in fresh.k.e) == 24
+    assert (raised.t, raised.u, raised.k) == (fresh.t, fresh.u, fresh.k)
