@@ -1,10 +1,15 @@
 """Dense linear algebra over the coefficient field, on table indices.
 
 Matrices are numpy arrays of dtype uint16 whose entries are element indices
-of a Tower's coefficient field. Everything is exact (table lookups only).
+of a Tower's coefficient field. Everything is exact (table lookups only),
+and each step is one whole-array lookup in the tower's tables: a product
+looks up every entry product at once and sums them by pairwise halving, and
+elimination clears a pivot column in all rows at once.
 """
 
 import numpy as np
+
+from .errors import InversionOfZero, NotApplicable
 
 
 def zeros(shape):
@@ -12,10 +17,7 @@ def zeros(shape):
 
 
 def eye(n):
-    m = np.zeros((n, n), dtype=np.uint16)
-    for i in range(n):
-        m[i, i] = 1
-    return m
+    return np.eye(n, dtype=np.uint16)
 
 
 def add(tw, A, B):
@@ -35,16 +37,27 @@ def smul(tw, s, A):
 
 
 def matmul(tw, A, B):
-    """A (n,k) @ B (k,m) by fold over the inner axis."""
+    """A (n,k) @ B (k,m): one lookup forms the (n, k, m) entry products,
+    then the inner axis is summed by pairwise halving, ceil(log2 k)
+    lookups."""
     A = np.asarray(A, dtype=np.uint16)
     B = np.asarray(B, dtype=np.uint16)
     n, k = A.shape
     k2, m = B.shape
-    assert k == k2
-    acc = np.zeros((n, m), dtype=np.uint16)
-    for i in range(k):
-        acc = tw.add[acc, tw.mul[A[:, i][:, None], B[i][None, :]]]
-    return acc
+    if k != k2:
+        raise NotApplicable(
+            "matmul of shapes %s and %s" % (A.shape, B.shape)
+        )
+    if k == 0:
+        return np.zeros((n, m), dtype=np.uint16)
+    P = tw.mul[A[:, :, None], B[None, :, :]]
+    while k > 1:
+        h = k // 2
+        head = tw.add[P[:, :h], P[:, h : 2 * h]]
+        if k % 2:
+            head[:, 0] = tw.add[head[:, 0], P[:, 2 * h]]
+        P, k = head, h
+    return P[:, 0]
 
 
 def matvec(tw, A, v):
@@ -61,21 +74,21 @@ def rref(tw, A):
     for col in range(m):
         if row >= n:
             break
-        sel = None
-        for r in range(row, n):
-            if R[r, col] != 0:
-                sel = r
-                break
-        if sel is None:
+        nz = np.flatnonzero(R[row:, col])
+        if nz.size == 0:
             continue
+        sel = row + int(nz[0])
         if sel != row:
             R[[row, sel]] = R[[sel, row]]
-        inv = tw.i_(int(R[row, col]))
-        R[row] = tw.mul[inv, R[row]]
-        for r in range(n):
-            if r != row and R[r, col] != 0:
-                f = tw.neg[R[r, col]]
-                R[r] = tw.add[R[r], tw.mul[f, R[row]]]
+        # columns left of col are zero in this row and all rows below it
+        R[row, col:] = tw.mul[tw.i_(int(R[row, col])), R[row, col:]]
+        f = tw.neg[R[:, col]]
+        f[row] = 0
+        hit = np.flatnonzero(f)
+        if hit.size:
+            R[hit, col:] = tw.add[
+                R[hit, col:], tw.mul[f[hit, None], R[row, col:]]
+            ]
         pivots.append(col)
         row += 1
     return R, pivots
@@ -96,27 +109,22 @@ def row_space(tw, A):
 def nullspace(tw, A):
     """Basis of {x : A x = 0}, one row per basis vector."""
     A = np.asarray(A, dtype=np.uint16)
-    n, m = A.shape
+    m = A.shape[1]
     R, pivots = rref(tw, A)
     free = [c for c in range(m) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = np.zeros(m, dtype=np.uint16)
-        v[fc] = 1
-        for r, pc in enumerate(pivots):
-            v[pc] = tw.neg[R[r, fc]]
-        basis.append(v)
-    if not basis:
-        return np.zeros((0, m), dtype=np.uint16)
-    return np.stack(basis)
+    basis = np.zeros((len(free), m), dtype=np.uint16)
+    basis[np.arange(len(free)), free] = 1
+    basis[:, pivots] = tw.neg[R[: len(pivots), free]].T
+    return basis
 
 
 def inverse(tw, A):
+    """Inverse of a square matrix; raises InversionOfZero if singular."""
     n = A.shape[0]
     aug = np.concatenate([A, eye(n)], axis=1)
     R, pivots = rref(tw, aug)
     if pivots != list(range(n)):
-        return None
+        raise InversionOfZero("matrix is singular")
     return R[:, n:].copy()
 
 
@@ -135,9 +143,18 @@ class Basis:
         self.tw = tw
         self.width = width
         self.rows = []  # list of (pivot, np row), sorted by pivot
+
     def reduce(self, v):
+        """v modulo the span; v is one vector or a matrix of row vectors."""
         tw = self.tw
         v = np.array(v, dtype=np.uint16, copy=True)
+        if v.ndim == 2:
+            for p, row in self.rows:
+                f = tw.neg[v[:, p]]
+                hit = np.flatnonzero(f)
+                if hit.size:
+                    v[hit] = tw.add[v[hit], tw.mul[f[hit, None], row]]
+            return v
         for p, row in self.rows:
             c = v[p]
             if c:

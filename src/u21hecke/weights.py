@@ -199,6 +199,15 @@ def classify_coset(tower, K, gamma):
 # the weight class
 
 
+def _joint_row_space(tw, dim, blocks):
+    """Rref basis of the joint row space of the blocks, each folded into the
+    running basis in turn, so the blocks are never stacked whole."""
+    span = gfmat.zeros((0, dim))
+    for b in blocks:
+        span = gfmat.row_space(tw, np.concatenate([span, b], axis=0))
+    return span
+
+
 def _pow_idx(tower, x_idx, k):
     """x^k for a unit index."""
     if x_idx == 0:
@@ -257,12 +266,12 @@ class Weight:
         """Rref basis (rows) of the upper-unipotent invariant subspace."""
         if not hasattr(self, "_uinv"):
             tw = self.tower
-            blocks = []
             ident = gfmat.eye(self.dim)
-            for u in gamma_upper(tw, self.K):
-                blocks.append(gfmat.sub(tw, self.matrix(u), ident))
-            stacked = np.concatenate(blocks, axis=0)
-            ns = gfmat.nullspace(tw, stacked)
+            span = _joint_row_space(tw, self.dim, (
+                gfmat.sub(tw, self.matrix(u), ident)
+                for u in gamma_upper(tw, self.K)
+            ))
+            ns = gfmat.nullspace(tw, span)
             self._uinv = gfmat.row_space(tw, ns) if ns.shape[0] else ns
         return self._uinv
 
@@ -271,12 +280,14 @@ class Weight:
         (the kernel of the coinvariant projection)."""
         if not hasattr(self, "_cospan"):
             tw = self.tower
-            basis = gfmat.Basis(tw, self.dim)
             ident = gfmat.eye(self.dim)
-            for u in gamma_lower(tw, self.K):
-                d = gfmat.sub(tw, self.matrix(u), ident)
-                for col in range(self.dim):
-                    basis.add(d[:, col])
+            span = _joint_row_space(tw, self.dim, (
+                gfmat.sub(tw, self.matrix(u), ident).T
+                for u in gamma_lower(tw, self.K)
+            ))
+            basis = gfmat.Basis(tw, self.dim)
+            for row in span:
+                basis.add(row)
             self._cospan = basis
         return self._cospan
 
@@ -313,13 +324,7 @@ class Weight:
             # functional ell(v) = (v reduced mod span)[c] / (resid)[c];
             # j = v0 * ell picks ell via the residual of each basis vector.
             scale = tw.i_(int(resid[c]))
-            cols = []
-            for i in range(self.dim):
-                e = np.zeros(self.dim, dtype=np.uint16)
-                e[i] = 1
-                r = span.reduce(e)
-                cols.append(tw.m_(scale, int(r[c])))
-            ell = np.array(cols, dtype=np.uint16)
+            ell = tw.mul[scale, span.reduce(gfmat.eye(self.dim))[:, c]]
             j = tw.mul[v0[:, None], ell[None, :]]
             jj = gfmat.matmul(tw, j, j)
             if not np.array_equal(jj, j):
@@ -435,24 +440,16 @@ class _SubSpec:
         self.mat = self.basis.matrix()
         self.pivots = self.basis.pivots()
 
-    def coords(self, v):
-        tw = self.base.tower
-        resid = self.basis.reduce(v)
-        if resid.any():
-            raise CrossCheckFailed("vector escapes the subspace")
-        # rref rows: coordinates are read at the pivot positions
-        return np.array([v[p] for p in self.pivots], dtype=np.uint16)
-
     def builder(self):
         tw = self.base.tower
 
         def build(gamma):
-            m = self.base.matrix(gamma)
-            cols = []
-            for row in self.mat:
-                y = gfmat.matvec(tw, m, row)
-                cols.append(self.coords(y))
-            return np.stack(cols, axis=1)
+            # row i of images is sigma(gamma) applied to basis row i
+            images = gfmat.matmul(tw, self.mat, self.base.matrix(gamma).T)
+            if self.basis.reduce(images).any():
+                raise CrossCheckFailed("vector escapes the subspace")
+            # rref rows: coordinates are read at the pivot positions
+            return images[:, self.pivots].T
 
         return build
 
@@ -469,26 +466,11 @@ class _QuotientSpec:
         piv = set(self.sub.pivots())
         self.free = [i for i in range(base.dim) if i not in piv]
 
-    def project(self, v):
-        resid = self.sub.reduce(v)
-        return resid[self.free]
-
-    def lift(self, coords):
-        z = np.zeros(self.base.dim, dtype=np.uint16)
-        z[self.free] = coords
-        return z
-
     def builder(self):
-        tw = self.base.tower
-
         def build(gamma):
-            m = self.base.matrix(gamma)
-            cols = []
-            for f in self.free:
-                e = np.zeros(self.base.dim, dtype=np.uint16)
-                e[f] = 1
-                cols.append(self.project(gfmat.matvec(tw, m, e)))
-            return np.stack(cols, axis=1)
+            # sigma(gamma) e_f is the column f of its matrix
+            cols = self.base.matrix(gamma)[:, self.free]
+            return self.sub.reduce(cols.T)[:, self.free].T
 
         return build
 
@@ -613,15 +595,12 @@ def borel_eigenvectors(weight, chi):
         m = weight.matrix(t)
         # restriction of m to the invariant space, minus chi(t)
         val = chi.value(*t.torus_pair())
-        cols = []
-        for row in inv:
-            y = gfmat.matvec(tw, m, row)
-            if checker.reduce(y).any():
-                raise CrossCheckFailed(
-                    "torus does not preserve the invariant space"
-                )
-            cols.append(np.array([y[p] for p in piv], dtype=np.uint16))
-        mres = np.stack(cols, axis=1)
+        images = gfmat.matmul(tw, inv, m.T)
+        if checker.reduce(images).any():
+            raise CrossCheckFailed(
+                "torus does not preserve the invariant space"
+            )
+        mres = images[:, piv].T
         blocks.append(gfmat.sub(tw, mres, gfmat.smul(tw, val, gfmat.eye(r))))
     ns = gfmat.nullspace(tw, np.concatenate(blocks, axis=0))
     if ns.shape[0] == 0:

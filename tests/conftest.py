@@ -1,15 +1,17 @@
 import pytest
 
-from u21hecke.fields import build_tower
+from u21hecke.fields import Tower
 
 
 @pytest.fixture(scope="session")
 def tower():
-    tw = build_tower(3, 1)
+    """The tests' own q = 3 tower at window 24; the process-wide
+    build_tower(3, 1) is left untouched."""
+    tw = Tower(3, 1)
     tw.default_window = 24
     return tw
 
 
 @pytest.fixture(scope="session")
 def tower5():
-    return build_tower(5, 1)
+    return Tower(5, 1)

@@ -121,6 +121,21 @@ def test_j_map(tower):
             ps0.j_matrix()
 
 
+def test_q5_steinberg_lines(tower5):
+    """The q = 5 mirror of the invariant-line, character and collapse checks
+    above, on the two Steinberg weights (dimensions q^3 and q)."""
+    for K, d in ((K0, 125), (K1, 5)):
+        st_w = W.make_weight(tower5, K, W.STEINBERG)
+        assert st_w.dim == d
+        assert st_w.u_invariants().shape[0] == 1
+        assert st_w.chi_of() == Character(tower5, 0, 0)
+        j = st_w.j_matrix()
+        assert gfmat.rank(tower5, j) == 1
+        assert np.array_equal(gfmat.matmul(tower5, j, j), j)
+        v0 = st_w.v0()
+        assert np.array_equal(gfmat.matvec(tower5, j, v0), v0)
+
+
 def test_weight_s_identity(tower):
     chi = regular_chis(tower)[0]
     catalog = []
