@@ -18,10 +18,6 @@ class IndeterminateMembership(U21Error):
     """A membership/equality test could not be decided at this precision."""
 
 
-class NormalFormFailure(IndeterminateMembership):
-    """The word rewriter ran out of fuel or hit an undecidable branch."""
-
-
 class RelationViolated(U21Error):
     """Constructor arguments do not satisfy the defining relation."""
 

@@ -63,7 +63,7 @@ from .weights import (
     reduce_word,
     torus_atom,
 )
-from .words import nf_kau, nf_uak, tag_of_nf, word_from_tag
+from .words import grid_layer_span, nf_kau, nf_uak, tag_of_nf, word_from_tag
 
 _CACHE_CAP = 150000
 DEFAULT_N_MAX = 5
@@ -116,27 +116,25 @@ def _icache(tower):
 def coset_normalize(tower, K, word):
     """Canonical tag of the coset word*K plus the compact transport residue.
 
-    word = rep(tag) * k with k in the compact; returns (tag, red(k)), so the
-    generator [word, v] normalizes to [rep(tag), sigma(red k) v].  Membership
-    of the closing factor is enforced by the residue reduction."""
+    The normal form reads word = rep(tag) * k off the matrix of the word,
+    with rep(tag) = word_from_tag(tag) and k certified in the compact;
+    returns (tag, red(k)), so the generator [word, v] normalizes to
+    [rep(tag), sigma(red k) v]."""
     word = tuple(word)
     cache = _icache(tower)
-    key = ("cn", K, tower.default_window, word)
+    key = ("cn", K, word)
     hit = cache.get(key)
     if hit is not None:
         return hit
     nf = nf_uak(tower, K, word)
-    tag = tag_of_nf(tower, K, nf)
-    rep_inv = word_inverse(tower, word_from_tag(tower, K, tag))
-    m = word_matrix(tower, rep_inv + tuple(nf.u) + (atom_alpha(nf.t),)) * nf.k
-    gamma = reduce_to_gamma(tower, K, m)
+    out = (tag_of_nf(tower, K, nf), reduce_to_gamma(tower, K, nf.k))
     if len(cache) > _CACHE_CAP:
         cache.clear()
     nfc = getattr(tower, "_nf_cache", None)
     if nfc is not None and len(nfc) > _CACHE_CAP:
         nfc.clear()
-    cache[key] = (tag, gamma)
-    return (tag, gamma)
+    cache[key] = out
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -271,16 +269,6 @@ class InducedFn:
 
 # ---------------------------------------------------------------------------
 # the canonical invariant grid
-
-
-def grid_layer_span(tower, K, n):
-    """(layer, prime) pairs indexing the tag coordinates of shift cell n."""
-    n_K, m_K, _ = iwahori_constants(tower, K)
-    if n == 0:
-        return ()
-    if n >= 1:
-        return tuple((k, True) for k in range(m_K, m_K + 2 * n - 1))
-    return tuple((k, False) for k in range(n_K, n_K + 2 * (-n)))
 
 
 def grid_count(tower, K, n):

@@ -91,11 +91,6 @@ class Series:
     def is_zero_window(self):
         return not self.trip[2]
 
-    def val_exact(self):
-        if not self.trip[2]:
-            raise InsufficientPrecision("valuation of a zero window")
-        return self.trip[0]
-
     def val_lower_bound(self):
         """Certified lower bound for the valuation (prec for zero windows)."""
         return self.trip[0]

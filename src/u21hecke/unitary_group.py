@@ -9,14 +9,12 @@ Group elements are handled in two layers:
 
 Also here: the two standard maximal compact subgroups (stabilizer of the
 standard lattice, and of a shifted lattice), reduction to their reductive
-quotients over the residue field, the scan that finds the unipotent depth
-constants of each compact, and the closed-form exchange identities used to
-reorder unipotent products.
+quotients over the residue field, and the scan that finds the unipotent
+depth constants of each compact.
 """
 
 from .errors import (
     CrossCheckFailed,
-    IndeterminateMembership,
     InsufficientPrecision,
     MembershipViolated,
     NotApplicable,
@@ -81,14 +79,6 @@ def atom_d(tower, d1, d2, d3):
     return ("d", d1.trip, d2.trip, d3.trip)
 
 
-def atom_h(tower, x):
-    """The standard torus element diag(x, -conj(x)/x, conj(x)^-1)."""
-    x = _series(tower, x)
-    xb = x.conj()
-    xinv = x.inverse()
-    return ("d", x.trip, (-(xb * xinv)).trip, xb.inverse().trip)
-
-
 def atom_alpha(e):
     """e-th power of the diagonal shift diag(t^-1, 1, t)."""
     return ("a", int(e))
@@ -97,20 +87,6 @@ def atom_alpha(e):
 def atom_beta():
     """The antidiagonal form matrix; an involution in the group."""
     return ("b",)
-
-
-def atom_identity(tower):
-    return ("d", EXACT_ONE, EXACT_ONE, EXACT_ONE)
-
-
-def atom_is_identity(atom):
-    if atom[0] == "d":
-        return all(t == EXACT_ONE for t in atom[1:])
-    if atom[0] == "a":
-        return atom[1] == 0
-    if atom[0] in ("n", "np"):
-        return atom[1] == EXACT_ZERO and atom[2] == EXACT_ZERO
-    return False
 
 
 def atom_matrix(tower, atom):
@@ -243,88 +219,6 @@ def atom_inv(tower, atom):
     if kind == "b":
         return atom
     raise ValueError("unknown atom kind %r" % (kind,))
-
-
-def atom_conj_beta(tower, atom):
-    """beta * A * beta for an atom A (beta is an involution)."""
-    kind = atom[0]
-    if kind == "n":
-        x = Series(tower, atom[1])
-        return ("np", (-x.conj()).trip, atom[2])
-    if kind == "np":
-        x = Series(tower, atom[1])
-        return ("n", (-x.conj()).trip, atom[2])
-    if kind == "d":
-        return ("d", atom[3], atom[2], atom[1])
-    if kind == "a":
-        return ("a", -atom[1])
-    if kind == "b":
-        return ("d", EXACT_ONE, EXACT_ONE, EXACT_ONE)
-    raise ValueError("unknown atom kind %r" % (kind,))
-
-
-def atom_conj_alpha(tower, atom, e):
-    """alpha^e * A * alpha^-e for an atom A (never called on the form atom)."""
-    if e == 0:
-        return atom
-    kind = atom[0]
-    if kind == "n":
-        x, y = Series(tower, atom[1]), Series(tower, atom[2])
-        return ("n", x.shift(-e).trip, y.shift(-2 * e).trip)
-    if kind == "np":
-        x, y = Series(tower, atom[1]), Series(tower, atom[2])
-        return ("np", x.shift(e).trip, y.shift(2 * e).trip)
-    if kind == "d":
-        return atom
-    if kind == "a":
-        return atom
-    raise NotApplicable("cannot conjugate atom kind %r by the shift" % kind)
-
-
-def atom_conj_diag(tower, datom, atom):
-    """d * A * d^-1 for a diagonal d and a unipotent or diagonal A."""
-    d1, d2, d3 = (Series(tower, t) for t in datom[1:])
-    kind = atom[0]
-    if kind == "n":
-        x, y = Series(tower, atom[1]), Series(tower, atom[2])
-        return ("n", (d1 * x * d2.inverse()).trip, (d1 * y * d3.inverse()).trip)
-    if kind == "np":
-        x, y = Series(tower, atom[1]), Series(tower, atom[2])
-        return (
-            "np",
-            (d2 * x * d1.inverse()).trip,
-            (d3 * y * d1.inverse()).trip,
-        )
-    if kind == "d":
-        return atom
-    if kind == "a":
-        return atom
-    raise NotApplicable("cannot conjugate atom kind %r by a diagonal" % kind)
-
-
-def merge_atoms(tower, a, b):
-    """Product of two adjacent same-kind atoms, or None if not mergeable."""
-    ka, kb = a[0], b[0]
-    if ka != kb:
-        return None
-    if ka == "n":
-        x1, y1 = Series(tower, a[1]), Series(tower, a[2])
-        x2, y2 = Series(tower, b[1]), Series(tower, b[2])
-        return ("n", (x1 + x2).trip, (y1 + y2 - x1 * x2.conj()).trip)
-    if ka == "np":
-        x1, y1 = Series(tower, a[1]), Series(tower, a[2])
-        x2, y2 = Series(tower, b[1]), Series(tower, b[2])
-        return ("np", (x1 + x2).trip, (y1 + y2 - x2 * x1.conj()).trip)
-    if ka == "d":
-        out = []
-        for i in (1, 2, 3):
-            out.append((Series(tower, a[i]) * Series(tower, b[i])).trip)
-        return ("d",) + tuple(out)
-    if ka == "a":
-        return ("a", a[1] + b[1])
-    if ka == "b":
-        return atom_identity(tower)
-    return None
 
 
 def word_matrix(tower, word):
@@ -519,11 +413,7 @@ def reduce_to_gamma(tower, K, g):
 
 def in_iwahori_unipotent(tower, K, g):
     """Membership in the pro-unipotent radical: in K with unipotent image."""
-    try:
-        ok = in_compact(tower, K, g)
-    except IndeterminateMembership:
-        raise
-    if not ok:
+    if not in_compact(tower, K, g):
         return False
     return reduce_to_gamma(tower, K, g).in_unipotent()
 
@@ -641,39 +531,13 @@ def beta_compact_word(K):
     return (atom_beta(), atom_alpha(-1))
 
 
-def beta_times_n(tower, x, y):
-    """Factor beta * n(x, y), y invertible, as n * h * np.
-
-    Returns the three atoms (upper, diagonal, lower); the product of the
-    returned word equals beta * n(x, y)."""
-    x, y = _series(tower, x), _series(tower, y)
-    yi = y.inverse()
-    ybi = y.conj().inverse()
-    n1 = atom_n(tower, ybi * x, yi)
-    h = atom_h(tower, ybi)
-    np1 = atom_np(tower, -(ybi * x.conj()), yi)
-    return (n1, h, np1)
-
-
-def np_factorization(tower, x, y):
-    """Factor np(x, y), y invertible, as n * h * np * beta.
-
-    Returns the first three atoms; the caller appends the form atom."""
-    x, y = _series(tower, x), _series(tower, y)
-    yi = y.inverse()
-    ybi = y.conj().inverse()
-    n1 = atom_n(tower, -(ybi * x.conj()), yi)
-    h = atom_h(tower, ybi)
-    np1 = atom_np(tower, ybi * x, yi)
-    return (n1, h, np1)
-
-
 def exchange(tower, uprime, u, verify=True):
     """Rewrite np(x, y) * n(x1, y1) as n * d * np.
 
     Closed form; requires the correction terms 1 + x*x1 + conj(y*y1) to be
     invertible (automatic when the product lands in the pro-unipotent
-    radical).  Returns (n-atom, d-atom, np-atom)."""
+    radical).  Returns (n-atom, d-atom, np-atom).  No normalization uses it
+    any more; the benchmark's tracer (perfbench/tracer.py) still wraps it."""
     if uprime[0] != "np" or u[0] != "n":
         raise NotApplicable("exchange wants a lower then an upper unipotent")
     x, y = Series(tower, uprime[1]), Series(tower, uprime[2])
@@ -697,21 +561,6 @@ def exchange(tower, uprime, u, verify=True):
         if (lhs - rhs).decide_zero(1) is False:
             raise CrossCheckFailed("exchange closed form failed to reassemble")
     return (n_new, d_new, np_new)
-
-
-def exchange2(tower, u, uprime, verify=True):
-    """Rewrite n(x1, y1) * np(x, y) as np * d * n (mirror of exchange)."""
-    a, h, b = exchange(
-        tower,
-        atom_inv(tower, uprime),
-        atom_inv(tower, u),
-        verify=verify,
-    )
-    return (
-        atom_inv(tower, b),
-        atom_inv(tower, h),
-        atom_inv(tower, a),
-    )
 
 
 def torus_unit_atoms(tower):

@@ -25,19 +25,13 @@ from u21hecke.unitary_group import (
     GammaElem,
     atom_alpha,
     atom_beta,
-    atom_conj_alpha,
-    atom_conj_beta,
-    atom_conj_diag,
-    atom_h,
-    atom_identity,
+    atom_d,
     atom_inv,
     atom_matrix,
     atom_n,
     atom_np,
     atom_times,
-    beta_times_n,
     exchange,
-    exchange2,
     in_compact,
     in_iwahori_unipotent,
     iwahori_constants,
@@ -45,8 +39,6 @@ from u21hecke.unitary_group import (
     layer_coords,
     layer_size,
     layer_transversal,
-    merge_atoms,
-    np_factorization,
     reduce_to_gamma,
     times_atom,
     torus_unit_atoms,
@@ -62,31 +54,11 @@ def scalar(v, coeffs):
     return Series.from_coeffs(TW, v, coeffs)
 
 
-def pair_strategy(min_val=-2, max_val=2):
-    """Random (x, y) with x*conj(x) + y + conj(y) = 0."""
-
-    @st.composite
-    def build(draw):
-        v = draw(st.integers(min_val, max_val))
-        co = draw(st.lists(st.integers(0, 8), min_size=1, max_size=3))
-        if not any(co):
-            co[0] = 1
-        x = scalar(v, co)
-        half = TW.i_(TW.from_int(2))
-        y = (-(x * x.conj())).scale(half)
-        if draw(st.booleans()):
-            k = draw(st.integers(2 * min_val, 2 * max_val))
-            y = y + Series.from_coeffs(TW, k, [TW.trace_zero_unit_idx()])
-        return x, y
-
-    return build()
-
-
-unit_strategy = st.builds(
-    lambda i, co: scalar(0, [i] + co),
-    st.integers(1, 8),
-    st.lists(st.integers(0, 8), max_size=2),
-)
+def torus_h(x):
+    """The torus element diag(x, -conj(x)/x, conj(x)^-1); its entries carry
+    finite windows when x is not a monomial."""
+    xb = x.conj()
+    return atom_d(TW, x, -(xb * x.inverse()), xb.inverse())
 
 
 def test_atoms_are_unitary():
@@ -94,10 +66,10 @@ def test_atoms_are_unitary():
     atoms = [
         atom_n(TW, x, y),
         atom_np(TW, x, y),
-        atom_h(TW, scalar(1, [2, 1])),
+        torus_h(scalar(1, [2, 1])),
         atom_alpha(-3),
         atom_beta(),
-        atom_identity(TW),
+        atom_d(TW, 1, 1, 1),
     ]
     for a in atoms:
         g = atom_matrix(TW, a)
@@ -113,70 +85,6 @@ def test_unipotent_relation_enforced():
         atom_np(TW, Series.zero(TW), scalar(0, [1]))
     # trace-zero y with x = 0 is fine
     atom_n(TW, Series.zero(TW), scalar(0, [TW.trace_zero_unit_idx()]))
-
-
-@settings(max_examples=40, deadline=None)
-@given(p1=pair_strategy(), p2=pair_strategy())
-def test_unipotent_group_laws(p1, p2):
-    (a, b), (c, d) = p1, p2
-    lhs = atom_matrix(TW, atom_n(TW, a, b)) * (atom_matrix(TW, atom_n(TW, c, d)))
-    merged = merge_atoms(TW, atom_n(TW, a, b), atom_n(TW, c, d))
-    assert merged is not None
-    assert lhs.eq_to_prec(atom_matrix(TW, merged), min_prec=6)
-    lhs2 = atom_matrix(TW, atom_np(TW, a, b)) * (atom_matrix(TW, atom_np(TW, c, d)))
-    merged2 = merge_atoms(TW, atom_np(TW, a, b), atom_np(TW, c, d))
-    assert lhs2.eq_to_prec(atom_matrix(TW, merged2), min_prec=6)
-
-
-@settings(max_examples=40, deadline=None)
-@given(p=pair_strategy(), e=st.integers(-3, 3))
-def test_conjugation_identities(p, e):
-    x, y = p
-    n = atom_n(TW, x, y)
-    # by the Weyl atom: upper becomes lower with twisted arguments
-    g = atom_matrix(TW, n)
-    b = atom_matrix(TW, atom_beta())
-    conj_b = atom_matrix(TW, atom_conj_beta(TW, n))
-    assert (b * g * b).eq_to_prec(conj_b, min_prec=6)
-    # by powers of the shift: arguments scale by t^{-e}, t^{-2e}
-    aa = atom_matrix(TW, atom_alpha(e))
-    ai = atom_matrix(TW, atom_alpha(-e))
-    conj_a = atom_matrix(TW, atom_conj_alpha(TW, n, e))
-    assert (aa * g * ai).eq_to_prec(conj_a, min_prec=6)
-
-
-@settings(max_examples=30, deadline=None)
-@given(p=pair_strategy(), u=unit_strategy)
-def test_diag_conjugation(p, u):
-    x, y = p
-    d = atom_h(TW, u)
-    for atom in (atom_n(TW, x, y), atom_np(TW, x, y)):
-        dm = atom_matrix(TW, d)
-        dmi = atom_matrix(TW, atom_inv(TW, d))
-        got = atom_matrix(TW, atom_conj_diag(TW, d, atom))
-        assert (dm * atom_matrix(TW, atom) * dmi).eq_to_prec(got, min_prec=6)
-
-
-@settings(max_examples=40, deadline=None)
-@given(p=pair_strategy())
-def test_bruhat_cell_decomposition(p):
-    x, y = p
-    if y.is_exact_zero():
-        return
-    word = beta_times_n(TW, x, y)
-    lhs = atom_matrix(TW, atom_beta()) * (atom_matrix(TW, atom_n(TW, x, y)))
-    assert lhs.eq_to_prec(word_matrix(TW, word), min_prec=6)
-    word2 = np_factorization(TW, x, y) + (atom_beta(),)
-    assert atom_matrix(TW, atom_np(TW, x, y)).eq_to_prec(
-        word_matrix(TW, word2), min_prec=6
-    )
-
-
-def iwahori_pair(K, prime):
-    """A random-ish unipotent atom lying in the standard Iwahori."""
-    nK, mK, tK = iwahori_constants(TW, K)
-    k = mK if prime else nK
-    return layer_atom(TW, k, next(iter(layer_coords(TW, k))), prime=prime)
 
 
 @settings(max_examples=50, deadline=None)
@@ -197,11 +105,6 @@ def test_exchange_reassembles(c1, c2, deep1, deep2):
     lhs = atom_matrix(TW, unp) * (atom_matrix(TW, un))
     rhs = atom_matrix(TW, n2) * (atom_matrix(TW, d2)) * (atom_matrix(TW, np2))
     assert lhs.eq_to_prec(rhs, min_prec=6)
-    # mirrored direction
-    np3, d3, n3 = exchange2(TW, un, unp, verify=True)
-    lhs2 = atom_matrix(TW, un) * (atom_matrix(TW, unp))
-    rhs2 = atom_matrix(TW, np3) * (atom_matrix(TW, d3)) * (atom_matrix(TW, n3))
-    assert lhs2.eq_to_prec(rhs2, min_prec=6)
 
 
 def test_exchange_rejects_singular_correction():

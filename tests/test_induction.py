@@ -186,23 +186,30 @@ def test_equality_never_merges_modules(catalog):
         I.f_basis(triv, 0).add(I.f_basis(det1, 0))
 
 
-def test_coset_cache_respects_window(monkeypatch):
-    # a coset normalized at one window is normalized again at another
+def test_coset_normalize_inverts_no_series(monkeypatch):
+    # the coset is read off the matrix of the word: no series is inverted,
+    # so neither the normal form nor the coset depends on the window
+    from u21hecke import _kernel
+    from u21hecke.unitary_group import atom_alpha, atom_beta
+
     tw = Tower(3, 1)
     tz = tw.trace_zero_unit_idx()
-    word = (atom_n(tw, Series.zero(tw), Series.from_coeffs(tw, -3, [tz, tz])),)
-    seen = []
-    real = I.nf_uak
+    shallow = atom_n(tw, Series.zero(tw), Series.from_coeffs(tw, -3, [tz, tz]))
+    words = [(shallow,), (atom_beta(),), (atom_alpha(2), shallow),
+             (shallow, atom_alpha(-1), atom_beta())]
+    real = _kernel.TableCtx.ser_inv
+    calls = []
 
-    def counted(tower, K, w):
-        seen.append(tower.default_window)
-        return real(tower, K, w)
+    def counted(self, a, window):
+        calls.append(window)
+        return real(self, a, window)
 
-    monkeypatch.setattr(I, "nf_uak", counted)
-    for window in (16, 24, 16):
-        tw.default_window = window
-        I.coset_normalize(tw, K0, word)
-    assert seen == [16, 24]
+    monkeypatch.setattr(_kernel.TableCtx, "ser_inv", counted)
+    for K in BOTH:
+        for word in words:
+            I.nf_uak(tw, K, word)
+            I.coset_normalize(tw, K, word)
+    assert calls == []
 
 
 def test_weight_mismatch_rejected(tower, catalog):

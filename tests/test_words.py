@@ -2,21 +2,27 @@
 
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from u21hecke import induction as I
+from u21hecke.errors import InsufficientPrecision
 from u21hecke.fields import Tower
 from u21hecke.laurent import Series
-from u21hecke.mat3 import Mat3
+from u21hecke.mat3 import EXACT_ONE, Mat3
 from u21hecke.unitary_group import (
     K0,
+    K1,
     atom_alpha,
     atom_beta,
     atom_d,
+    atom_matrix,
     atom_n,
     atom_np,
     iwahori_constants,
     layer_atom,
     layer_coords,
+    reduce_to_gamma,
     torus_unit_atoms,
     word_inverse,
     word_matrix,
@@ -26,6 +32,7 @@ from u21hecke.words import (
     nf_uak,
     sort_unipotent_mix,
     tag_of,
+    tag_of_nf,
     word_from_tag,
 )
 
@@ -84,14 +91,18 @@ def check_nf(K, word):
     return tg
 
 
-def test_randomized_battery():
+def battery_words():
     rng = random.Random(9011)
-    spread = {"K0": set(), "K1": set()}
     for K in ("K0", "K1"):
         for _ in range(40):
-            word = tuple(rand_atom(rng) for _ in range(rng.randint(1, 5)))
-            tg = check_nf(K, word)
-            spread[K].add(tg[0])
+            yield K, tuple(rand_atom(rng) for _ in range(rng.randint(1, 5)))
+
+
+def test_randomized_battery():
+    spread = {"K0": set(), "K1": set()}
+    for K, word in battery_words():
+        tg = check_nf(K, word)
+        spread[K].add(tg[0])
     # the battery must reach well beyond the compact (|t| >= 3 both sides)
     assert max(spread["K0"]) >= 3 and min(spread["K0"]) <= -3
     assert max(spread["K1"]) >= 3 and min(spread["K1"]) <= -3
@@ -204,22 +215,49 @@ def test_sort_unipotent_mix_roundtrip():
 
 
 def shallow_word(tw):
-    """An upper unipotent of depth -3: its normal form inverts series, so
-    the entries of k carry windows set by tw.default_window."""
+    """An upper unipotent of depth -3, far outside both compacts."""
     tz = tw.trace_zero_unit_idx()
     y = Series.from_coeffs(tw, -3, [tz, tz])
     return (atom_n(tw, Series.zero(tw), y),)
 
 
-def test_normal_form_cache_respects_window():
-    tw = Tower(3, 1)
-    tw.default_window = 16
-    low = nf_uak(tw, K0, shallow_word(tw))
-    assert min(t[1] for t in low.k.e) == 16
-    tw.default_window = 24
-    raised = nf_uak(tw, K0, shallow_word(tw))
-    fresh_tw = Tower(3, 1)
-    fresh_tw.default_window = 24
-    fresh = nf_uak(fresh_tw, K0, shallow_word(fresh_tw))
-    assert min(t[1] for t in fresh.k.e) == 24
-    assert (raised.t, raised.u, raised.k) == (fresh.t, fresh.u, fresh.k)
+def test_normal_form_independent_of_window():
+    forms = []
+    for window in (16, 24):
+        tw = Tower(3, 1)
+        tw.default_window = window
+        nf = nf_uak(tw, K0, shallow_word(tw))
+        forms.append((nf.u, nf.t, nf.k, tag_of(tw, K0, shallow_word(tw))))
+    assert forms[0] == forms[1]
+
+
+def test_hidden_row_minimum_is_indeterminate():
+    # a zero window in row 0, with no certified entry beside it, can hide
+    # the row minimum that fixes the shift
+    hidden = ("d", Series.zero_window(TW, -5).trip, EXACT_ONE, EXACT_ONE)
+    with pytest.raises(InsufficientPrecision):
+        nf_uak(TW, K0, (hidden,))
+
+
+def test_tags_self_certify(tower5):
+    """Every canonical representative reads back its own tag, and its
+    normal form's unipotent part is the representative's layer atoms."""
+    for tw, cells in ((TW, (0, 1, -1, 2, -2)), (tower5, (0, 1, -1))):
+        for K in (K0, K1):
+            for n in cells:
+                for tag in I.grid_tags(tw, K, n):
+                    rep = word_from_tag(tw, K, tag)
+                    nf = nf_uak(tw, K, rep)
+                    assert tag_of_nf(tw, K, nf) == tag
+                    assert nf.u == rep[:-1]
+
+
+def test_transport_residue_matches_generic_product():
+    """coset_normalize(word) = (tag, red(rep(tag)^-1 * word)), with the
+    product formed here by the generic 3x3 product of atom matrices."""
+    for K, word in battery_words():
+        tag, gamma = I.coset_normalize(TW, K, word)
+        g = Mat3.identity(TW)
+        for atom in word_inverse(TW, word_from_tag(TW, K, tag)) + word:
+            g = g * atom_matrix(TW, atom)
+        assert gamma == reduce_to_gamma(TW, K, g)
