@@ -9,16 +9,43 @@ one set of tables serves both.
 Elements are table indices (0 = zero, 1 = one); all arithmetic is lookups.
 """
 
+from collections import OrderedDict
+from functools import wraps
+
 import numpy as np
 
 from ._kernel import TableCtx
 from .errors import InversionOfZero, NotApplicable
 
-_TOWER_CACHE = {}
+# Entries per memo table; a full table drops its oldest entry.
+_MEMO_CAP = 150000
+_MISS = object()
 # Largest coefficient field size Q = q^2 that Tower builds tables for: each
 # Q x Q table and the Q x Q x m intermediate of _build_tables grow with q^4,
 # so q = 243 would need about 7 GB per table.
 _MAX_Q = 1024
+
+
+def memo(fn):
+    """Memoize fn(owner, *args) in owner._memo, the dict a Tower or a Weight
+    allocates in __init__, one table per function, keyed by the (hashable)
+    arguments after the owner.  A hit returns the stored object; a miss at
+    _MEMO_CAP entries drops the table's oldest entry before storing."""
+
+    @wraps(fn)
+    def cached(owner, *args):
+        table = owner._memo.get(fn)
+        if table is None:
+            table = owner._memo[fn] = OrderedDict()
+        out = table.get(args, _MISS)
+        if out is _MISS:
+            out = fn(owner, *args)
+            if len(table) >= _MEMO_CAP:
+                table.popitem(last=False)
+            table[args] = out
+        return out
+
+    return cached
 
 
 def _prime_factors(n):
@@ -150,6 +177,7 @@ class Tower:
         self.default_window = 16
         self._build_tables()
         self.ctx = TableCtx(self.add, self.neg, self.mul, self.inv, self.frob)
+        self._memo = {}
 
     # ---- table construction -------------------------------------------
     def _idx_to_vec(self, i):
@@ -328,14 +356,6 @@ class FFElem:
 
     def __repr__(self):
         return "FF(%d)" % self.idx
-
-
-def build_tower(p, f=1):
-    """Residue tower for q = p^f; cached per (p, f)."""
-    key = (p, f)
-    if key not in _TOWER_CACHE:
-        _TOWER_CACHE[key] = Tower(p, f)
-    return _TOWER_CACHE[key]
 
 
 class Character:

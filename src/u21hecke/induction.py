@@ -39,6 +39,7 @@ from .errors import (
     NotApplicable,
     PrecisionBudgetExceeded,
 )
+from .fields import memo
 from .laurent import Series
 from .unitary_group import (
     atom_alpha,
@@ -65,7 +66,6 @@ from .weights import (
 )
 from .words import grid_layer_span, nf_kau, nf_uak, tag_of_nf, word_from_tag
 
-_CACHE_CAP = 150000
 DEFAULT_N_MAX = 5
 DEFAULT_TAG_CAP = 30000
 SPIN_BUDGET = 128
@@ -106,13 +106,7 @@ def _vmat(tw, M, v):
 # coset normalization
 
 
-def _icache(tower):
-    cache = getattr(tower, "_induction_cache", None)
-    if cache is None:
-        cache = tower._induction_cache = {}
-    return cache
-
-
+@memo
 def coset_normalize(tower, K, word):
     """Canonical tag of the coset word*K plus the compact transport residue.
 
@@ -120,21 +114,8 @@ def coset_normalize(tower, K, word):
     with rep(tag) = word_from_tag(tag) and k certified in the compact;
     returns (tag, red(k)), so the generator [word, v] normalizes to
     [rep(tag), sigma(red k) v]."""
-    word = tuple(word)
-    cache = _icache(tower)
-    key = ("cn", K, word)
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
     nf = nf_uak(tower, K, word)
-    out = (tag_of_nf(tower, K, nf), reduce_to_gamma(tower, K, nf.k))
-    if len(cache) > _CACHE_CAP:
-        cache.clear()
-    nfc = getattr(tower, "_nf_cache", None)
-    if nfc is not None and len(nfc) > _CACHE_CAP:
-        nfc.clear()
-    cache[key] = out
-    return out
+    return (tag_of_nf(tower, K, nf), reduce_to_gamma(tower, K, nf.k))
 
 
 # ---------------------------------------------------------------------------
@@ -294,20 +275,16 @@ def grid_tags(tower, K, n):
 def grid_value(weight, n):
     """The canonical value at the cell point: v0 for n <= 0, the involution
     translate of v0 for n >= 1."""
-    cache = getattr(weight, "_grid_vals", None)
-    if cache is None:
-        cache = weight._grid_vals = {}
-    key = n >= 1
-    v = cache.get(key)
-    if v is None:
-        tw = weight.tower
-        v0 = tuple(int(x) for x in weight.v0())
-        if key:
-            v = _vmat(tw, weight.matrix(gamma_beta(tw, weight.K)), v0)
-        else:
-            v = v0
-        cache[key] = v
-    return v
+    return _grid_value(weight, n >= 1)
+
+
+@memo
+def _grid_value(weight, positive):
+    v0 = tuple(int(x) for x in weight.v0())
+    if not positive:
+        return v0
+    tw = weight.tower
+    return _vmat(tw, weight.matrix(gamma_beta(tw, weight.K)), v0)
 
 
 def _depth_guard(tower, n, n_max):
@@ -328,32 +305,30 @@ def f_basis(weight, n, n_max=DEFAULT_N_MAX, tag_cap=DEFAULT_TAG_CAP):
 
     Every coordinate combination of the cell grid is one coset tag; all tags
     carry the same canonical value, so the function is assembled without any
-    normalization work.  Post-conditions (support exactness by construction,
-    sampled pro-unipotent invariance) are enforced on first build."""
+    normalization work.  The depth and cap checks run on every call; the
+    post-conditions (support exactness by construction, sampled
+    pro-unipotent invariance) on first build."""
     tw = weight.tower
-    K = weight.K
     _depth_guard(tw, n, n_max)
-    cache = getattr(weight, "_fbasis", None)
-    if cache is None:
-        cache = weight._fbasis = {}
-    hit = cache.get(n)
-    if hit is not None:
-        return hit
-    cnt = grid_count(tw, K, n)
+    cnt = grid_count(tw, weight.K, n)
     if cnt > tag_cap:
         raise ClosureBudgetExceeded(
             "shift %d grid has %d cosets, above the materialization cap %d; "
             "use the grid form" % (n, cnt, tag_cap)
         )
+    return _f_basis(weight, n)
+
+
+@memo
+def _f_basis(weight, n):
     w = grid_value(weight, n)
-    data = {tag: w for tag in grid_tags(tw, K, n)}
-    f = InducedFn(weight, data)
+    tags = grid_tags(weight.tower, weight.K, n)
+    f = InducedFn(weight, dict.fromkeys(tags, w))
     if not is_pro_iwahori_invariant(f):
         raise InvarianceViolated(
             "canonical basis function of shift %d failed the sampled "
             "invariance check" % n
         )
-    cache[n] = f
     return f
 
 
@@ -361,14 +336,10 @@ def f_basis(weight, n, n_max=DEFAULT_N_MAX, tag_cap=DEFAULT_TAG_CAP):
 # sampled pro-unipotent invariance
 
 
+@memo
 def pro_iwahori_sample(tower, K):
     """Deterministic sample of the pro-unipotent radical: one nontrivial atom
     in each shallow layer on both sides, plus two depth-one torus units."""
-    cache = _icache(tower)
-    key = ("pisample", K)
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
     n_K, m_K, _ = iwahori_constants(tower, K)
     atoms = [
         layer_transversal(tower, n_K)[1],
@@ -384,7 +355,6 @@ def pro_iwahori_sample(tower, K):
     atoms.append(
         atom_d(tower, Series.const(tower, 1), num * den.inverse(), Series.const(tower, 1))
     )
-    cache[key] = atoms
     return atoms
 
 
@@ -429,15 +399,11 @@ def is_pro_iwahori_invariant(f, atoms=None, points=None):
 # the spherical operator (explicit coset expansion)
 
 
+@memo
 def _t_stencil(tower, K):
     """Suffix words and compact residues of the two-sum expansion of T[1, v]:
     the N_{n_K}/N_{n_K+2} sum of [u alpha^-1, j sigma(u)^-1 v] and the
     N_{n_K+1}/N_{n_K+2} sum of [beta_K u alpha^-1, j sigma(beta_K) v]."""
-    cache = _icache(tower)
-    key = ("tstencil", K)
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
     n_K, _, _ = iwahori_constants(tower, K)
     al = (atom_alpha(-1),)
     items = []
@@ -449,21 +415,17 @@ def _t_stencil(tower, K):
     gb = reduce_word(tower, K, bw)
     for ub in layer_transversal(tower, n_K + 1):
         items.append((bw + (ub,) + al, gb))
-    cache[key] = items
     return items
 
 
+@memo
 def _t_matrices(weight):
-    mats = getattr(weight, "_t_mats", None)
-    if mats is None:
-        tw = weight.tower
-        j = weight.j_matrix()
-        mats = [
-            (suffix, gfmat.matmul(tw, j, weight.matrix(g)))
-            for suffix, g in _t_stencil(tw, weight.K)
-        ]
-        weight._t_mats = mats
-    return mats
+    tw = weight.tower
+    j = weight.j_matrix()
+    return [
+        (suffix, gfmat.matmul(tw, j, weight.matrix(g)))
+        for suffix, g in _t_stencil(tw, weight.K)
+    ]
 
 
 def op_T(weight, f):
@@ -607,19 +569,10 @@ class GridElement:
         return "GridElement(%s, %r)" % (self.weight.label, self.coeffs)
 
     def to_induced(self, n_max=DEFAULT_N_MAX, tag_cap=DEFAULT_TAG_CAP):
-        tw = self.weight.tower
-        K = self.weight.K
-        data = {}
+        out = InducedFn.zero(self.weight)
         for n, c in sorted(self.coeffs.items()):
-            _depth_guard(tw, n, n_max)
-            if grid_count(tw, K, n) > tag_cap:
-                raise ClosureBudgetExceeded(
-                    "shift %d grid above the materialization cap" % n
-                )
-            w = _vscale(tw, c, grid_value(self.weight, n))
-            for tag in grid_tags(tw, K, n):
-                data[tag] = w
-        return InducedFn(self.weight, data)
+            out = out.add(f_basis(self.weight, n, n_max, tag_cap).scale(c))
+        return out
 
     @classmethod
     def from_induced(cls, f):
@@ -674,40 +627,29 @@ def _match_grid_coefficient(weight, n, val):
 # averaging operators, grid route
 
 
+@memo
 def _sk_suffixes(tower, K):
-    cache = _icache(tower)
-    key = ("sksuf", K)
-    if key not in cache:
-        n_K, _, _ = iwahori_constants(tower, K)
-        bw = beta_compact_word(K)
-        cache[key] = [(u,) + bw for u in layer_transversal(tower, n_K)]
-    return cache[key]
+    n_K, _, _ = iwahori_constants(tower, K)
+    bw = beta_compact_word(K)
+    return [(u,) + bw for u in layer_transversal(tower, n_K)]
 
 
+@memo
 def _sminus_suffixes(tower, K):
-    cache = _icache(tower)
-    key = ("smsuf", K)
-    if key not in cache:
-        _, m_K, _ = iwahori_constants(tower, K)
-        tail = beta_compact_word(K) + (atom_alpha(-1),)
-        cache[key] = [
-            (u,) + tail for u in layer_transversal(tower, m_K, prime=True)
-        ]
-    return cache[key]
+    _, m_K, _ = iwahori_constants(tower, K)
+    tail = beta_compact_word(K) + (atom_alpha(-1),)
+    return [(u,) + tail for u in layer_transversal(tower, m_K, prime=True)]
 
 
+@memo
 def _delta_words(tower, K):
     """Right-coset transversal of the basic double cell over the compact:
     the unit group times alpha covers it with one coset per shallow lower
     class, because conjugating lower atoms toward the cell shifts them out
     of the compact exactly at the first layer (all deeper layers, the upper
     side, and the torus are absorbed)."""
-    cache = _icache(tower)
-    key = ("deltas", K)
-    if key not in cache:
-        _, m_K, _ = iwahori_constants(tower, K)
-        cache[key] = [(u,) for u in layer_transversal(tower, m_K, prime=True)]
-    return cache[key]
+    _, m_K, _ = iwahori_constants(tower, K)
+    return [(u,) for u in layer_transversal(tower, m_K, prime=True)]
 
 
 def _avg_eval(elem, word, suffixes):
@@ -1093,12 +1035,8 @@ def constants(weight, n_top=3, check=True):
 # generated compact-translate span
 
 
+@memo
 def _torus_gen_atoms(tower):
-    cache = _icache(tower)
-    key = ("torusgens",)
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
     a_gen = int(tower.exp[1])
     c_gen = None
     target = tower.q + 1
@@ -1116,25 +1054,18 @@ def _torus_gen_atoms(tower):
             break
     if c_gen is None:
         raise CrossCheckFailed("no generator of the norm-one circle found")
-    out = [torus_atom(tower, a_gen, 1), torus_atom(tower, 1, c_gen)]
-    cache[key] = out
-    return out
+    return [torus_atom(tower, a_gen, 1), torus_atom(tower, 1, c_gen)]
 
 
+@memo
 def _k_generator_words(tower, K):
     """Words generating the residue group: all nontrivial atoms of the first
     upper and lower layers, torus generators, and the involution."""
-    cache = _icache(tower)
-    key = ("kgens", K)
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
     n_K, m_K, _ = iwahori_constants(tower, K)
     words = [(a,) for a in layer_transversal(tower, n_K)[1:]]
     words += [(a,) for a in layer_transversal(tower, m_K - 1, prime=True)[1:]]
     words += [(a,) for a in _torus_gen_atoms(tower)]
     words.append(beta_compact_word(K))
-    cache[key] = words
     return words
 
 

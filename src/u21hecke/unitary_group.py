@@ -21,6 +21,7 @@ from .errors import (
     RelationViolated,
 )
 from ._kernel import INF
+from .fields import memo
 from .laurent import Series, shift_trip
 from .mat3 import EXACT_ONE, EXACT_ZERO, Mat3, form_matrix
 
@@ -483,6 +484,7 @@ def _layer_inside(tower, K, k, prime, pro_unipotent):
     return True
 
 
+@memo
 def iwahori_constants(tower, K):
     """Scan for the unipotent depth constants of the compact.
 
@@ -491,11 +493,6 @@ def iwahori_constants(tower, K):
     radical), the least k with the lower filtration group at depth k inside
     the pro-unipotent radical, and the residue size exponent of the
     depth-n_K upper layer."""
-    cache = getattr(tower, "_iwahori_cache", None)
-    if cache is None:
-        cache = tower._iwahori_cache = {}
-    if K in cache:
-        return cache[K]
     lo, hi = -4, 5
 
     def scan(prime, pro_unipotent):
@@ -512,8 +509,7 @@ def iwahori_constants(tower, K):
     n_K = scan(False, False)
     m_K = scan(True, True)
     t_K = 3 if n_K % 2 == 0 else 1
-    cache[K] = (n_K, m_K, t_K)
-    return cache[K]
+    return (n_K, m_K, t_K)
 
 
 # ---------------------------------------------------------------------------

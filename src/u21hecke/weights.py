@@ -25,7 +25,7 @@ from .errors import (
     InconclusiveLattice,
     NotApplicable,
 )
-from .fields import Character, char_s, characters_of_torus, is_regular
+from .fields import Character, char_s, characters_of_torus, is_regular, memo
 from .laurent import Series
 from .unitary_group import (
     K0,
@@ -52,13 +52,6 @@ PS_SUB_QUOTIENT = "ps_sub_quotient"
 # reduced-group element inventories
 
 
-def _wcache(tower):
-    cache = getattr(tower, "_weights_cache", None)
-    if cache is None:
-        cache = tower._weights_cache = {}
-    return cache
-
-
 def reduce_word(tower, K, word):
     return reduce_to_gamma(tower, K, word_matrix(tower, word))
 
@@ -67,40 +60,29 @@ def reduce_atom(tower, K, atom):
     return reduce_to_gamma(tower, K, atom_matrix(tower, atom))
 
 
+@memo
 def gamma_beta(tower, K):
     """Image of the distinguished form involution in the residue quotient."""
-    cache = _wcache(tower)
-    key = ("beta", K)
-    if key not in cache:
-        cache[key] = reduce_word(tower, K, beta_compact_word(K))
-    return cache[key]
+    return reduce_word(tower, K, beta_compact_word(K))
 
 
+@memo
 def gamma_upper(tower, K):
     """The full reduced upper-unipotent subgroup (one element per coset of
     the first filtration layer inside the compact; deeper layers reduce to
     the identity)."""
-    cache = _wcache(tower)
-    key = ("upper", K)
-    if key not in cache:
-        n_K, _, _ = iwahori_constants(tower, K)
-        cache[key] = [
-            reduce_atom(tower, K, a) for a in layer_transversal(tower, n_K)
-        ]
-    return cache[key]
+    n_K, _, _ = iwahori_constants(tower, K)
+    return [reduce_atom(tower, K, a) for a in layer_transversal(tower, n_K)]
 
 
+@memo
 def gamma_lower(tower, K):
     """The full reduced lower-unipotent subgroup."""
-    cache = _wcache(tower)
-    key = ("lower", K)
-    if key not in cache:
-        _, m_K, _ = iwahori_constants(tower, K)
-        cache[key] = [
-            reduce_atom(tower, K, a)
-            for a in layer_transversal(tower, m_K - 1, prime=True)
-        ]
-    return cache[key]
+    _, m_K, _ = iwahori_constants(tower, K)
+    return [
+        reduce_atom(tower, K, a)
+        for a in layer_transversal(tower, m_K - 1, prime=True)
+    ]
 
 
 def torus_atom(tower, a_idx, c_idx):
@@ -113,35 +95,27 @@ def torus_atom(tower, a_idx, c_idx):
     )
 
 
+@memo
 def gamma_torus(tower, K):
     """The reduced torus: (q^2 - 1)(q + 1) elements, deterministic order."""
-    cache = _wcache(tower)
-    key = ("torus", K)
-    if key not in cache:
-        cache[key] = [
-            reduce_atom(tower, K, a) for a in torus_unit_atoms(tower)
-        ]
-    return cache[key]
+    return [reduce_atom(tower, K, a) for a in torus_unit_atoms(tower)]
 
 
+@memo
 def gamma_generators(tower, K):
     """A deterministic generating set of the reduced group: the two torus
     generators, the whole upper unipotent group, and the form involution
     (which conjugates upper to lower)."""
-    cache = _wcache(tower)
-    key = ("gens", K)
-    if key not in cache:
-        tw = tower
-        a_gen = int(tw.exp[1])
-        c_gen = tw.norm_one[1]
-        gens = [
-            reduce_atom(tw, K, torus_atom(tw, a_gen, 1)),
-            reduce_atom(tw, K, torus_atom(tw, 1, c_gen)),
-        ]
-        gens.extend(gamma_upper(tw, K))
-        gens.append(gamma_beta(tw, K))
-        cache[key] = gens
-    return cache[key]
+    tw = tower
+    a_gen = int(tw.exp[1])
+    c_gen = tw.norm_one[1]
+    gens = [
+        reduce_atom(tw, K, torus_atom(tw, a_gen, 1)),
+        reduce_atom(tw, K, torus_atom(tw, 1, c_gen)),
+    ]
+    gens.extend(gamma_upper(tw, K))
+    gens.append(gamma_beta(tw, K))
+    return gens
 
 
 # ---------------------------------------------------------------------------
@@ -163,24 +137,21 @@ def _coset_label(tower, K, gamma):
     raise CrossCheckFailed("reduced element has a zero bottom row")
 
 
+@memo
 def borel_coset_reps(tower, K):
     """Coset representatives for Borel\\Gamma: the identity plus the form
     involution times each upper unipotent.  1 + q^t_K cosets."""
-    cache = _wcache(tower)
-    key = ("reps", K)
-    if key not in cache:
-        reps = [GammaElem.identity(tower, K)]
-        b = gamma_beta(tower, K)
-        for u in gamma_upper(tower, K):
-            reps.append(b * u)
-        label_map = {}
-        for i, r in enumerate(reps):
-            lab = _coset_label(tower, K, r)
-            if lab in label_map:
-                raise CrossCheckFailed("coset representatives collide")
-            label_map[lab] = i
-        cache[key] = (reps, label_map)
-    return cache[key]
+    reps = [GammaElem.identity(tower, K)]
+    b = gamma_beta(tower, K)
+    for u in gamma_upper(tower, K):
+        reps.append(b * u)
+    label_map = {}
+    for i, r in enumerate(reps):
+        lab = _coset_label(tower, K, r)
+        if lab in label_map:
+            raise CrossCheckFailed("coset representatives collide")
+        label_map[lab] = i
+    return reps, label_map
 
 
 def classify_coset(tower, K, gamma):
@@ -234,6 +205,7 @@ class Weight:
         self.label = label or kind
         self._builder = builder
         self._mats = {}
+        self._memo = {}
 
     def __repr__(self):
         return "Weight(%s, %s, dim=%d)" % (self.label, self.K, self.dim)
@@ -262,34 +234,32 @@ class Weight:
 
     # -- unipotent invariants / coinvariants --------------------------------
 
+    @memo
     def u_invariants(self):
         """Rref basis (rows) of the upper-unipotent invariant subspace."""
-        if not hasattr(self, "_uinv"):
-            tw = self.tower
-            ident = gfmat.eye(self.dim)
-            span = _joint_row_space(tw, self.dim, (
-                gfmat.sub(tw, self.matrix(u), ident)
-                for u in gamma_upper(tw, self.K)
-            ))
-            ns = gfmat.nullspace(tw, span)
-            self._uinv = gfmat.row_space(tw, ns) if ns.shape[0] else ns
-        return self._uinv
+        tw = self.tower
+        ident = gfmat.eye(self.dim)
+        span = _joint_row_space(tw, self.dim, (
+            gfmat.sub(tw, self.matrix(u), ident)
+            for u in gamma_upper(tw, self.K)
+        ))
+        ns = gfmat.nullspace(tw, span)
+        return gfmat.row_space(tw, ns) if ns.shape[0] else ns
 
+    @memo
     def lower_coinvariant_span(self):
         """Rref basis of the span of (sigma(u') - 1)V over lower unipotents
         (the kernel of the coinvariant projection)."""
-        if not hasattr(self, "_cospan"):
-            tw = self.tower
-            ident = gfmat.eye(self.dim)
-            span = _joint_row_space(tw, self.dim, (
-                gfmat.sub(tw, self.matrix(u), ident).T
-                for u in gamma_lower(tw, self.K)
-            ))
-            basis = gfmat.Basis(tw, self.dim)
-            for row in span:
-                basis.add(row)
-            self._cospan = basis
-        return self._cospan
+        tw = self.tower
+        ident = gfmat.eye(self.dim)
+        span = _joint_row_space(tw, self.dim, (
+            gfmat.sub(tw, self.matrix(u), ident).T
+            for u in gamma_lower(tw, self.K)
+        ))
+        basis = gfmat.Basis(tw, self.dim)
+        for row in span:
+            basis.add(row)
+        return basis
 
     def v0(self):
         """The canonical invariant vector; requires a one-dimensional
@@ -301,60 +271,53 @@ class Weight:
             )
         return inv[0].copy()
 
+    @memo
     def j_matrix(self):
         """The rank-one idempotent: inverse of the composite of the
         invariant-line inclusion with the lower-coinvariant projection,
         viewed as an endomorphism killing the augmentation span."""
-        if not hasattr(self, "_jmat"):
-            tw = self.tower
-            v0 = self.v0()
-            span = self.lower_coinvariant_span()
-            if span.dim != self.dim - 1:
-                raise DegenerateWeight(
-                    "coinvariant space has dimension %d"
-                    % (self.dim - span.dim)
-                )
-            resid = span.reduce(v0)
-            nz = np.nonzero(resid)[0]
-            if nz.size == 0:
-                raise DegenerateWeight(
-                    "invariant line dies in the coinvariants"
-                )
-            c = int(nz[0])
-            # functional ell(v) = (v reduced mod span)[c] / (resid)[c];
-            # j = v0 * ell picks ell via the residual of each basis vector.
-            scale = tw.i_(int(resid[c]))
-            ell = tw.mul[scale, span.reduce(gfmat.eye(self.dim))[:, c]]
-            j = tw.mul[v0[:, None], ell[None, :]]
-            jj = gfmat.matmul(tw, j, j)
-            if not np.array_equal(jj, j):
-                raise CrossCheckFailed("collapse endomorphism is not idempotent")
-            if not np.array_equal(gfmat.matvec(tw, j, v0), v0):
-                raise CrossCheckFailed("collapse endomorphism moves the seed")
-            self._jmat = j
-        return self._jmat
+        tw = self.tower
+        v0 = self.v0()
+        span = self.lower_coinvariant_span()
+        if span.dim != self.dim - 1:
+            raise DegenerateWeight(
+                "coinvariant space has dimension %d" % (self.dim - span.dim)
+            )
+        resid = span.reduce(v0)
+        nz = np.nonzero(resid)[0]
+        if nz.size == 0:
+            raise DegenerateWeight("invariant line dies in the coinvariants")
+        c = int(nz[0])
+        # functional ell(v) = (v reduced mod span)[c] / (resid)[c];
+        # j = v0 * ell picks ell via the residual of each basis vector.
+        scale = tw.i_(int(resid[c]))
+        ell = tw.mul[scale, span.reduce(gfmat.eye(self.dim))[:, c]]
+        j = tw.mul[v0[:, None], ell[None, :]]
+        jj = gfmat.matmul(tw, j, j)
+        if not np.array_equal(jj, j):
+            raise CrossCheckFailed("collapse endomorphism is not idempotent")
+        if not np.array_equal(gfmat.matvec(tw, j, v0), v0):
+            raise CrossCheckFailed("collapse endomorphism moves the seed")
+        return j
 
+    @memo
     def chi_of(self):
         """Character of the torus on the invariant line."""
-        if not hasattr(self, "_chi_of"):
-            tw = self.tower
-            v0 = self.v0()
-            p = int(np.nonzero(v0)[0][0])
-            scale = tw.i_(int(v0[p]))
-            vals = {}
-            for t in gamma_torus(tw, self.K):
-                y = self.act(t, v0)
-                c = tw.m_(int(y[p]), scale)
-                if not np.array_equal(y, tw.mul[c, v0]):
-                    raise DegenerateWeight("invariant line is not torus-stable")
-                vals[t.torus_pair()] = c
-            for chi in characters_of_torus(tw):
-                if all(chi.value(*pair) == v for pair, v in vals.items()):
-                    self._chi_of = chi
-                    break
-            else:
-                raise CrossCheckFailed("no torus character matches the line")
-        return self._chi_of
+        tw = self.tower
+        v0 = self.v0()
+        p = int(np.nonzero(v0)[0][0])
+        scale = tw.i_(int(v0[p]))
+        vals = {}
+        for t in gamma_torus(tw, self.K):
+            y = self.act(t, v0)
+            c = tw.m_(int(y[p]), scale)
+            if not np.array_equal(y, tw.mul[c, v0]):
+                raise DegenerateWeight("invariant line is not torus-stable")
+            vals[t.torus_pair()] = c
+        for chi in characters_of_torus(tw):
+            if all(chi.value(*pair) == v for pair, v in vals.items()):
+                return chi
+        raise CrossCheckFailed("no torus character matches the line")
 
     def fingerprint(self):
         """(dimension, character exponents or None, trace list) on the fixed
@@ -669,29 +632,29 @@ def quotient_weight(base, rows, label=None):
     )
 
 
+@memo
+def _upper_words(tower, K):
+    """One-atom word of each reduced upper unipotent, by element key."""
+    n_K, _, _ = iwahori_constants(tower, K)
+    return {
+        reduce_atom(tower, K, a).key(): (a,)
+        for a in layer_transversal(tower, n_K)
+    }
+
+
 def gamma_lift_word(tower, K, gamma):
     """A compact word reducing to the given residue element.
 
     Decomposes gamma as torus * upper * coset-rep and assembles the word
     from unit-diagonal, first-layer, and involution atoms.  The round trip
     through the residue map is asserted, so a wrong lift cannot escape."""
-    cache = _wcache(tower)
-    key = ("upper_word", K)
-    if key not in cache:
-        n_K, _, _ = iwahori_constants(tower, K)
-        table = {}
-        for a in layer_transversal(tower, n_K):
-            table[reduce_atom(tower, K, a).key()] = (a,)
-        cache[key] = table
-    upper_words = cache[key]
-
     idx, b = classify_coset(tower, K, gamma)
     a_idx, c_idx = b.torus_pair()
     t_word = (torus_atom(tower, a_idx, c_idx),)
     u_g = reduce_word(tower, K, t_word).inverse() * b
     if not u_g.in_unipotent():
         raise CrossCheckFailed("Borel part did not split as torus * unipotent")
-    u_word = upper_words.get(u_g.key())
+    u_word = _upper_words(tower, K).get(u_g.key())
     if u_word is None:
         raise CrossCheckFailed("unipotent part missing from the layer table")
     if idx == 0:
@@ -711,22 +674,19 @@ def gamma_lift_word(tower, K, gamma):
 # fingerprints, hom spaces, reciprocity intertwiners
 
 
+@memo
 def fingerprint_elements(tower, K):
     """Fixed deterministic element list used for trace fingerprints."""
-    cache = _wcache(tower)
-    key = ("fp", K)
-    if key not in cache:
-        tw = tower
-        a_gen = int(tw.exp[1])
-        c_gen = tw.norm_one[1]
-        t1 = reduce_atom(tw, K, torus_atom(tw, a_gen, 1))
-        t2 = reduce_atom(tw, K, torus_atom(tw, 1, c_gen))
-        u1 = gamma_upper(tw, K)[1]
-        l1 = gamma_lower(tw, K)[1]
-        b = gamma_beta(tw, K)
-        ident = GammaElem.identity(tw, K)
-        cache[key] = [ident, t1, t2, t1 * t2, u1, l1, b, u1 * b, t1 * u1]
-    return cache[key]
+    tw = tower
+    a_gen = int(tw.exp[1])
+    c_gen = tw.norm_one[1]
+    t1 = reduce_atom(tw, K, torus_atom(tw, a_gen, 1))
+    t2 = reduce_atom(tw, K, torus_atom(tw, 1, c_gen))
+    u1 = gamma_upper(tw, K)[1]
+    l1 = gamma_lower(tw, K)[1]
+    b = gamma_beta(tw, K)
+    ident = GammaElem.identity(tw, K)
+    return [ident, t1, t2, t1 * t2, u1, l1, b, u1 * b, t1 * u1]
 
 
 def hom_space(wsrc, wdst, gens=None):

@@ -22,6 +22,7 @@ word_from_tag builds its canonical representative u * shift^T.
 
 from ._kernel import INF
 from .errors import CrossCheckFailed, InsufficientPrecision
+from .fields import memo
 from .laurent import Series
 from .mat3 import Mat3, unitary_inverse
 from .unitary_group import (
@@ -54,7 +55,7 @@ class NormalForm:
     t is the shift, k the closing factor (a Mat3 certified in the compact)
     and coords the tag's (layer, x, depth) coordinates, zero layers
     included.  u, the nonzero layer atoms, is rebuilt from the tag when
-    asked for rather than kept, since the normal-form cache holds one
+    asked for rather than kept, since the nf_uak memo holds one
     instance per normalized word."""
 
     __slots__ = ("tower", "K", "t", "k", "coords")
@@ -101,8 +102,10 @@ def _row_min(e, i, lat):
     return best, pivot
 
 
+@memo
 def nf_uak(tower, K, word):
-    """Normal form word = u * shift^T * k, read off g = word_matrix(word).
+    """Normal form word = u * shift^T * k, read off g = word_matrix(word)
+    for a tuple of atoms.
 
     With v_i the certified row minima of g against the lattice of K, the
     shift is T = -v_0 if v_0 < min(v_2, 0), else T = v_2 if v_2 < 0, else 0.
@@ -113,15 +116,8 @@ def nf_uak(tower, K, word):
     e_j, x = conj(-g[1][j] / c) and the depth is read from row 0.  Each
     layer atom is removed on the left before the next layer is read (x is 0
     on odd layers); the remainder, shifted by alpha^-T, is k."""
-    cache = getattr(tower, "_nf_cache", None)
-    if cache is None:
-        cache = tower._nf_cache = {}
-    key = (K, tuple(word))
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
     tw, lat = tower, _LATTICE[K]
-    e = word_matrix(tw, tuple(word)).e
+    e = word_matrix(tw, word).e
     v0, j0 = _row_min(e, 0, lat)
     v2, j2 = _row_min(e, 2, lat)
     t = -v0 if v0 < min(v2, 0) else min(v2, 0)
@@ -146,9 +142,7 @@ def nf_uak(tower, K, word):
     k = Mat3(tw, atom_times(tw, atom_alpha(-t), e))
     if not in_compact(tw, K, k):
         raise CrossCheckFailed("coset read left a factor outside the compact")
-    nf = NormalForm(tw, K, t, k, coords)
-    cache[key] = nf
-    return nf
+    return NormalForm(tw, K, t, k, coords)
 
 
 def nf_kau(tower, K, word):

@@ -5,8 +5,7 @@ from u21hecke.fields import Tower
 
 @pytest.fixture(scope="session")
 def tower():
-    """The tests' own q = 3 tower at window 24; the process-wide
-    build_tower(3, 1) is left untouched."""
+    """The tests' shared q = 3 tower at window 24."""
     tw = Tower(3, 1)
     tw.default_window = 24
     return tw

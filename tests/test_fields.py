@@ -7,7 +7,6 @@ from u21hecke.errors import InversionOfZero, NotApplicable
 from u21hecke.fields import (
     FFElem,
     Tower,
-    build_tower,
     char_s,
     characters_of_torus,
     Character,
@@ -93,9 +92,9 @@ def test_ffelem_tags_and_pow(tower):
 
 def test_even_prime_rejected():
     with pytest.raises(NotApplicable):
-        build_tower(2, 1)
+        Tower(2, 1)
     with pytest.raises(NotApplicable):
-        build_tower(9, 1)
+        Tower(9, 1)
 
 
 def test_huge_tower_rejected_before_tables():
@@ -173,7 +172,7 @@ def test_det_twists_frozen(tower):
 @settings(max_examples=60, deadline=None)
 @given(i1=st.integers(0, 7), j1=st.integers(0, 3), i2=st.integers(0, 7), j2=st.integers(0, 3))
 def test_character_group_law(i1, j1, i2, j2):
-    tw = build_tower(3, 1)
+    tw = Tower(3, 1)
     c1, c2 = Character(tw, i1, j1), Character(tw, i2, j2)
     prod = c1 * c2
     for a in (1, 2, tw.gen):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from u21hecke import gfmat
+from u21hecke import fields, gfmat
 from u21hecke import induction as I
 from u21hecke import weights as W
 from u21hecke.errors import (
@@ -28,7 +28,7 @@ from u21hecke.unitary_group import (
     layer_transversal,
     word_inverse,
 )
-from u21hecke.words import word_from_tag
+from u21hecke.words import nf_uak, tag_of, word_from_tag
 
 BOTH = (K0, K1)
 
@@ -97,6 +97,43 @@ def test_basis_cap_and_depth_guard(tower, catalog):
         I.f_basis(w, 6)
     with pytest.raises(PrecisionBudgetExceeded):
         I.f_grid(w, 11, n_max=12)
+    # a built cell is stored, but the cap and the depth budget still hold
+    assert len(I.f_basis(w, 2).data) == 243
+    with pytest.raises(ClosureBudgetExceeded):
+        I.f_basis(w, 2, tag_cap=100)
+    with pytest.raises(PrecisionBudgetExceeded):
+        I.f_basis(w, 2, n_max=1)
+
+
+def _memo_run(tw):
+    """Recursion, grid averaging and tag reads on a fresh tower; returns
+    the results, the largest memo table after each step, and the tower's
+    tables."""
+    w = W.make_weight(tw, K0, W.TRIVIAL)
+    out, largest = [], []
+    for step in (
+        lambda: I.translation_recursion_check(w, 1, 1),
+        lambda: I.op_Sminus_grid(I.f_grid(w, 1)).coeffs,
+        lambda: [
+            tag_of(tw, K, word_from_tag(tw, K, tag))
+            for K in BOTH for n in (0, 1, -1) for tag in I.grid_tags(tw, K, n)
+        ],
+    ):
+        out.append(step())
+        tables = [*tw._memo.values(), *w._memo.values()]
+        largest.append(max(len(t) for t in tables))
+    return out, largest, tw._memo
+
+
+def test_memo_eviction_leaves_results_unchanged(monkeypatch):
+    expected, _, _ = _memo_run(Tower(3, 1))
+    monkeypatch.setattr(fields, "_MEMO_CAP", 3)
+    got, largest, tables = _memo_run(Tower(3, 1))
+    assert got == expected
+    assert largest == [3, 3, 3]
+    # one bounded nf_uak table serves coset_normalize, tag_of and the
+    # nf_kau reads of the grid averaging
+    assert len(tables[nf_uak.__wrapped__]) == 3
 
 
 def test_zero_and_linearity(tower, catalog):

@@ -1,12 +1,15 @@
-"""Packaging metadata: every declared console script resolves, and every
-name the benchmark's tracer wraps exists."""
+"""Packaging metadata: every declared console script resolves, every name
+the benchmark's tracer wraps exists, and the package keeps its derived
+tables only in owned memo tables."""
 
+import ast
 import importlib
 import sys
 import tomllib
 from pathlib import Path
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
+PACKAGE = PYPROJECT.parent / "src" / "u21hecke"
 
 
 def test_console_scripts_resolve():
@@ -34,3 +37,40 @@ def test_benchmark_tracer_targets_resolve():
         trace.install()
     finally:
         trace.uninstall()
+
+
+def _dict_valued(node):
+    if isinstance(node, (ast.Dict, ast.DictComp)):
+        return True
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in ("dict", "OrderedDict", "defaultdict"))
+
+
+def test_no_hand_rolled_caches():
+    """No getattr/hasattr on a private attribute name (a lazily created
+    cache) and no module-level cache dict: derived tables go through
+    fields.memo, owned by a Tower or a Weight."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)
+                    and node.func.id in ("getattr", "hasattr")
+                    and len(node.args) >= 2
+                    and isinstance(node.args[1], ast.Constant)
+                    and str(node.args[1].value).startswith("_")):
+                found.append("%s:%d %s" % (path.name, node.lineno,
+                                           node.func.id))
+        for node in tree.body:
+            if isinstance(node, ast.Assign):
+                targets, value = node.targets, node.value
+            elif isinstance(node, ast.AnnAssign):
+                targets, value = [node.target], node.value
+            else:
+                continue
+            for t in targets:
+                if (isinstance(t, ast.Name) and "CACHE" in t.id
+                        and value is not None and _dict_valued(value)):
+                    found.append("%s:%d %s" % (path.name, node.lineno, t.id))
+    assert found == []
