@@ -276,9 +276,6 @@ class Tower:
     def c(self, i):
         return int(self.frob[i])
 
-    def elem(self, i, tag="kE"):
-        return FFElem(self, int(i), tag)
-
     def from_int(self, n):
         """Image of the rational integer n (prime-field element)."""
         n %= self.p
@@ -301,61 +298,6 @@ class Tower:
             self.q,
             self.Q,
         )
-
-
-class FFElem:
-    """Element of the residue tower; tag records the declared subfield."""
-
-    __slots__ = ("tower", "idx", "tag")
-
-    def __init__(self, tower, idx, tag="kE"):
-        if tag == "kF" and not tower.in_base[idx]:
-            raise NotApplicable("element is not in k_F")
-        self.tower = tower
-        self.idx = int(idx)
-        self.tag = tag
-
-    def _join(self, other):
-        return "kF" if self.tag == other.tag == "kF" else "kE"
-
-    def __add__(self, other):
-        return FFElem(self.tower, self.tower.a(self.idx, other.idx), self._join(other))
-
-    def __sub__(self, other):
-        return FFElem(self.tower, self.tower.s(self.idx, other.idx), self._join(other))
-
-    def __mul__(self, other):
-        return FFElem(self.tower, self.tower.m_(self.idx, other.idx), self._join(other))
-
-    def __neg__(self):
-        return FFElem(self.tower, self.tower.n(self.idx), self.tag)
-
-    def inverse(self):
-        return FFElem(self.tower, self.tower.i_(self.idx), self.tag)
-
-    def conj(self):
-        return FFElem(self.tower, self.tower.c(self.idx), self.tag)
-
-    def __pow__(self, e):
-        if self.idx == 0:
-            if e <= 0:
-                raise InversionOfZero("0**nonpositive")
-            return FFElem(self.tower, 0, self.tag)
-        t = self.tower
-        k = int(np.mod(t.log[self.idx] * e, t.Q - 1))
-        return FFElem(t, int(t.exp[k]), self.tag)
-
-    def in_base_field(self):
-        return bool(self.tower.in_base[self.idx])
-
-    def __eq__(self, other):
-        return isinstance(other, FFElem) and self.idx == other.idx
-
-    def __hash__(self):
-        return hash(("FF", self.idx))
-
-    def __repr__(self):
-        return "FF(%d)" % self.idx
 
 
 class Character:

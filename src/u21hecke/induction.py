@@ -62,13 +62,14 @@ from .weights import (
     gamma_beta,
     gamma_lift_word,
     reduce_word,
-    torus_atom,
+    torus_generator_atoms,
 )
 from .words import grid_layer_span, nf_kau, nf_uak, tag_of_nf, word_from_tag
 
 DEFAULT_N_MAX = 5
 DEFAULT_TAG_CAP = 30000
 SPIN_BUDGET = 128
+CONSTANTS_N_TOP = 3
 
 
 # ---------------------------------------------------------------------------
@@ -443,16 +444,6 @@ def op_T(weight, f):
     return InducedFn.from_raw(weight, pairs)
 
 
-def op_T_single(weight, vec):
-    """T applied to the identity-supported generator [1, vec]."""
-    tw = weight.tower
-    pairs = [
-        (suffix, _vmat(tw, M, tuple(int(x) for x in vec)))
-        for suffix, M in _t_matrices(weight)
-    ]
-    return InducedFn.from_raw(weight, pairs)
-
-
 def op_T_sigma(weight, f):
     """The normalized spherical operator: T + 1 on determinant-type weights,
     T on everything else."""
@@ -568,10 +559,10 @@ class GridElement:
     def __repr__(self):
         return "GridElement(%s, %r)" % (self.weight.label, self.coeffs)
 
-    def to_induced(self, n_max=DEFAULT_N_MAX, tag_cap=DEFAULT_TAG_CAP):
+    def to_induced(self):
         out = InducedFn.zero(self.weight)
         for n, c in sorted(self.coeffs.items()):
-            out = out.add(f_basis(self.weight, n, n_max, tag_cap).scale(c))
+            out = out.add(f_basis(self.weight, n).scale(c))
         return out
 
     @classmethod
@@ -772,7 +763,6 @@ def translation_recursion_check(
     weight,
     n_from,
     direction,
-    n_max=DEFAULT_N_MAX,
     tag_cap=DEFAULT_TAG_CAP,
     sample=64,
     seed=2026,
@@ -791,7 +781,7 @@ def translation_recursion_check(
     tw = weight.tower
     K = weight.K
     target = n_from + direction
-    _depth_guard(tw, target, n_max)
+    _depth_guard(tw, target, DEFAULT_N_MAX)
     prefixes = translation_prefixes(tw, K, n_from, direction)
     cnt_from = grid_count(tw, K, n_from)
     cnt_target = grid_count(tw, K, target)
@@ -804,13 +794,13 @@ def translation_recursion_check(
         "target_cosets": cnt_target,
     }
     if cnt_target <= tag_cap:
-        f_from = f_basis(weight, n_from, n_max=n_max, tag_cap=tag_cap)
+        f_from = f_basis(weight, n_from, tag_cap=tag_cap)
         pairs = []
         for prefix in prefixes:
             for tag, v in f_from.data.items():
                 pairs.append((prefix + word_from_tag(tw, K, tag), v))
         lhs = InducedFn.from_raw(weight, pairs)
-        if lhs != f_basis(weight, target, n_max=n_max, tag_cap=tag_cap):
+        if lhs != f_basis(weight, target, tag_cap=tag_cap):
             raise CrossCheckFailed(
                 "translation recursion %d -> %d failed exhaustively"
                 % (n_from, target)
@@ -867,20 +857,18 @@ def translation_recursion_check(
     return evidence
 
 
-def equivariance_spot_check(weight, words=None):
+def equivariance_spot_check(weight):
     """op_T commutes with left translation: checked exactly on small
     functions against a deterministic sample of translations."""
     tw = weight.tower
     K = weight.K
-    if words is None:
-        bw = beta_compact_word(K)
-        words = [
-            (atom_alpha(1),),
-            (atom_alpha(-1),),
-            bw,
-            translation_prefixes(tw, K, 1, 1)[1],
-            translation_prefixes(tw, K, -1, -1)[1],
-        ]
+    words = [
+        (atom_alpha(1),),
+        (atom_alpha(-1),),
+        beta_compact_word(K),
+        translation_prefixes(tw, K, 1, 1)[1],
+        translation_prefixes(tw, K, -1, -1)[1],
+    ]
     fns = [f_basis(weight, 0), f_basis(weight, 1)]
     for w in words:
         for f in fns:
@@ -942,7 +930,7 @@ def _l_sum(tower, K, chi, exponent):
     return acc
 
 
-def constants(weight, n_top=3, check=True):
+def constants(weight, check=True):
     """Structure constants, every one cross-checked two ways:
 
     lam and c are read off the exact two-sum expansions of T on the cells
@@ -950,7 +938,7 @@ def constants(weight, n_top=3, check=True):
     closed-form case split (c); c_minus and d[n] are brute-force character
     sums over the layer classes, compared against the grid-form averaging
     operators; d[0] is additionally evaluated as the direct matrix sum over
-    the first upper layer."""
+    the first upper layer.  d is given for n <= CONSTANTS_N_TOP."""
     tw = weight.tower
     K = weight.K
     chi = weight.chi_of()
@@ -1011,7 +999,7 @@ def constants(weight, n_top=3, check=True):
         raise CrossCheckFailed("d[0] direct sum differs from the closed form")
 
     d = {0: d0}
-    for n in range(1, n_top + 1):
+    for n in range(1, CONSTANTS_N_TOP + 1):
         d[n] = d_deep
 
     if check:
@@ -1021,7 +1009,7 @@ def constants(weight, n_top=3, check=True):
             raise CrossCheckFailed(
                 "grid lower averaging disagrees with c_minus"
             )
-        for n in range(0, n_top + 1):
+        for n in range(0, CONSTANTS_N_TOP + 1):
             sk = op_SK_grid(f_grid(weight, -n))
             expect = {-n: d[n]} if d[n] else {}
             if sk.coeffs != expect:
@@ -1036,35 +1024,13 @@ def constants(weight, n_top=3, check=True):
 
 
 @memo
-def _torus_gen_atoms(tower):
-    a_gen = int(tower.exp[1])
-    c_gen = None
-    target = tower.q + 1
-    for c in tower.norm_one:
-        c = int(c)
-        order = 1
-        x = c
-        while x != 1:
-            x = int(tower.mul[x, c])
-            order += 1
-            if order > target:
-                break
-        if order == target:
-            c_gen = c
-            break
-    if c_gen is None:
-        raise CrossCheckFailed("no generator of the norm-one circle found")
-    return [torus_atom(tower, a_gen, 1), torus_atom(tower, 1, c_gen)]
-
-
-@memo
 def _k_generator_words(tower, K):
     """Words generating the residue group: all nontrivial atoms of the first
     upper and lower layers, torus generators, and the involution."""
     n_K, m_K, _ = iwahori_constants(tower, K)
     words = [(a,) for a in layer_transversal(tower, n_K)[1:]]
     words += [(a,) for a in layer_transversal(tower, m_K - 1, prime=True)[1:]]
-    words += [(a,) for a in _torus_gen_atoms(tower)]
+    words += [(a,) for a in torus_generator_atoms(tower)]
     words.append(beta_compact_word(K))
     return words
 
@@ -1172,7 +1138,7 @@ class SpanModule:
         return out
 
 
-def spin_K(f, budget=SPIN_BUDGET):
+def spin_K(f):
     """Close the compact translates of f under the generator words; returns
     the SpanModule with its residue action."""
     if f.is_zero():
@@ -1181,7 +1147,7 @@ def spin_K(f, budget=SPIN_BUDGET):
     tw = weight.tower
     K = weight.K
     gens = _k_generator_words(tw, K)
-    span = _FnSpan(tw, weight.dim, budget + 1)
+    span = _FnSpan(tw, weight.dim, SPIN_BUDGET + 1)
     span.try_add(f)
     basis_fns = [f]
     words = [()]
@@ -1195,9 +1161,10 @@ def spin_K(f, budget=SPIN_BUDGET):
             if span.try_add(h):
                 basis_fns.append(h)
                 words.append(w + path)
-                if len(basis_fns) > budget:
+                if len(basis_fns) > SPIN_BUDGET:
                     raise ClosureBudgetExceeded(
-                        "translate closure exceeded the budget %d" % budget
+                        "translate closure exceeded the budget %d"
+                        % SPIN_BUDGET
                     )
 
     def builder(gamma):

@@ -243,143 +243,89 @@ def word_inverse(tower, word):
 # residue quotients of the compacts
 
 
+_IDENTITY = (1, 0, 0, 0, 1, 0, 0, 0, 1)
+
+
 class GammaElem:
-    """Element of the residue-field quotient of a maximal compact.
+    """Element of the residue quotient of a maximal compact: a 3x3 matrix of
+    residue indices, row-major, tagged with its compact.
 
-    For the standard lattice the quotient is the full unitary group of the
-    hermitian form over the quadratic residue extension (a 3x3 matrix of
-    residue indices).  For the shifted lattice it is the product of a
-    two-variable unitary group (2x2 matrix) with the norm-one circle (one
-    scalar)."""
+    At K0 the quotient is the unitary group U(3) of the antidiagonal form over
+    the residue extension.  At K1 it is U(1,1) x U(1), embedded block
+    diagonally in the same U(3): U(1,1) on rows and columns {0, 2}, the
+    norm-one circle at entry (1, 1).  The embedding is a homomorphism that
+    keeps the form, so one formula serves both compacts for every operation
+    below."""
 
-    __slots__ = ("tower", "kind", "m", "s")
+    __slots__ = ("tower", "kind", "m")
 
-    def __init__(self, tower, kind, m, s=None):
+    def __init__(self, tower, kind, m):
         self.tower = tower
         self.kind = kind
         self.m = tuple(m)
-        self.s = s
 
     @classmethod
     def identity(cls, tower, kind):
-        if kind == K0:
-            return cls(tower, kind, (1, 0, 0, 0, 1, 0, 0, 0, 1))
-        return cls(tower, kind, (1, 0, 0, 1), 1)
-
-    def _n(self):
-        return 3 if self.kind == K0 else 2
+        return cls(tower, kind, _IDENTITY)
 
     def __mul__(self, other):
-        tw, n = self.tower, self._n()
+        ctx = self.tower.ctx
+        add, mul = ctx.add, ctx.mul
         a, b = self.m, other.m
-        out = []
-        for i in range(n):
-            for j in range(n):
-                acc = 0
-                for k in range(n):
-                    acc = tw.a(acc, tw.m_(a[i * n + k], b[k * n + j]))
-                out.append(acc)
-        if self.kind == K0:
-            return GammaElem(tw, self.kind, out)
-        return GammaElem(tw, self.kind, out, tw.m_(self.s, other.s))
+        out = tuple(
+            add[add[mul[a[i]][b[j]]][mul[a[i + 1]][b[j + 3]]]][
+                mul[a[i + 2]][b[j + 6]]
+            ]
+            for i in (0, 3, 6)
+            for j in (0, 1, 2)
+        )
+        return GammaElem(self.tower, self.kind, out)
 
     def inverse(self):
-        tw = self.tower
-        if self.kind == K0:
-            a = self.m
-            # J * conj(a)^T * J with J the antidiagonal: reverse both indices.
-            out = [
-                tw.c(a[(2 - j) * 3 + (2 - i)]) for i in range(3) for j in range(3)
-            ]
-            return GammaElem(tw, self.kind, out)
-        a = self.m
-        out = [tw.c(a[3]), tw.c(a[1]), tw.c(a[2]), tw.c(a[0])]
-        return GammaElem(tw, self.kind, out, tw.i_(self.s))
+        """J * conj(m)^T * J with J the antidiagonal: reverse both indices."""
+        frob, a = self.tower.ctx.frob, self.m
+        out = tuple(frob[a[8 - i - 3 * j]] for i in range(3) for j in range(3))
+        return GammaElem(self.tower, self.kind, out)
 
     def det(self):
-        tw = self.tower
+        ctx = self.tower.ctx
+        add, neg, mul = ctx.add, ctx.neg, ctx.mul
         a = self.m
-        if self.kind == K0:
-            d = 0
-            for (i, j, k), sgn in (
-                ((0, 1, 2), 1),
-                ((1, 2, 0), 1),
-                ((2, 0, 1), 1),
-                ((0, 2, 1), -1),
-                ((1, 0, 2), -1),
-                ((2, 1, 0), -1),
-            ):
-                term = tw.m_(tw.m_(a[i], a[3 + j]), a[6 + k])
-                d = tw.a(d, term if sgn == 1 else tw.n(term))
-            return d
-        d2 = tw.s(tw.m_(a[0], a[3]), tw.m_(a[1], a[2]))
-        return tw.m_(d2, self.s)
+
+        def minor(i, j, k, l):
+            return add[mul[a[i]][a[j]]][neg[mul[a[k]][a[l]]]]
+
+        d = add[mul[a[0]][minor(4, 8, 5, 7)]][neg[mul[a[1]][minor(3, 8, 5, 6)]]]
+        return add[d][mul[a[2]][minor(3, 7, 4, 6)]]
 
     def in_borel(self):
-        if self.kind == K0:
-            return self.m[3] == 0 and self.m[6] == 0 and self.m[7] == 0
-        return self.m[2] == 0
+        return self.m[3] == self.m[6] == self.m[7] == 0
 
     def in_unipotent(self):
-        if not self.in_borel():
-            return False
-        if self.kind == K0:
-            return self.m[0] == 1 and self.m[4] == 1 and self.m[8] == 1
-        return self.m[0] == 1 and self.m[3] == 1 and self.s == 1
+        return self.in_borel() and self.m[0] == self.m[4] == self.m[8] == 1
 
     def torus_pair(self):
-        """(first diagonal residue, circle residue) of a Borel element; the
-        pair that torus characters are evaluated on."""
+        """(first diagonal residue, middle diagonal residue) of a Borel
+        element; the pair that torus characters are evaluated on."""
         if not self.in_borel():
             raise NotApplicable("torus data of a non-Borel element")
-        if self.kind == K0:
-            return (self.m[0], self.m[4])
-        return (self.m[0], self.s)
+        return (self.m[0], self.m[4])
 
     def is_form_compatible(self):
-        """Check the residue unitarity relation."""
-        tw = self.tower
-        a = self.m
-        if self.kind == K0:
-            for i in range(3):
-                for j in range(3):
-                    acc = 0
-                    for k in range(3):
-                        acc = tw.a(
-                            acc, tw.m_(a[k * 3 + i], tw.c(a[(2 - k) * 3 + j]))
-                        )
-                    want = 1 if i + j == 2 else 0
-                    if acc != want:
-                        return False
-            return True
-        for i in range(2):
-            for j in range(2):
-                acc = 0
-                for k in range(2):
-                    acc = tw.a(acc, tw.m_(a[k * 2 + i], tw.c(a[(1 - k) * 2 + j])))
-                want = 1 if i + j == 1 else 0
-                if acc != want:
-                    return False
-        return tw.m_(self.s, tw.c(self.s)) == 1
+        """The residue unitarity relation: the inverse formula inverts."""
+        return (self * self.inverse()).m == _IDENTITY
 
     def key(self):
-        return (self.kind, self.m, self.s)
+        return (self.kind, self.m)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, GammaElem)
-            and self.kind == other.kind
-            and self.m == other.m
-            and self.s == other.s
-        )
+        return isinstance(other, GammaElem) and self.key() == other.key()
 
     def __hash__(self):
-        return hash((self.kind, self.m, self.s))
+        return hash(self.key())
 
     def __repr__(self):
-        if self.kind == K0:
-            return "GammaElem(K0, %r)" % (self.m,)
-        return "GammaElem(K1, %r, %r)" % (self.m, self.s)
+        return "GammaElem(%s, %r)" % (self.kind, self.m)
 
 
 def in_compact(tower, K, g):
@@ -393,20 +339,23 @@ def in_compact(tower, K, g):
 
 
 def reduce_to_gamma(tower, K, g):
-    """Reduce a compact element to the residue quotient."""
+    """Reduce a compact element to its residue quotient.
+
+    With p the valuation pattern of K, entry (i, j) of the image is the
+    coefficient of t^p[i][j] in g[i][j] where the pair (i, j), (j, i) sits
+    at opposite depths, p[i][j] + p[j][i] == 0, and 0 where the pair sums to
+    a positive depth (the residue map kills those entries).  At K0 that
+    reads all nine entries at degree 0; at K1 the diagonal at degree 0,
+    (0, 2) at -1 and (2, 0) at +1, which is U(1,1) x U(1) embedded as in
+    GammaElem."""
     if not in_compact(tower, K, g):
         raise MembershipViolated("matrix is not in the compact %s" % K)
-    if K == K0:
-        m = tuple(g.entry(i, j).coeff_at(0) for i in range(3) for j in range(3))
-        gamma = GammaElem(tower, K0, m)
-    else:
-        m = (
-            g.entry(0, 0).coeff_at(0),
-            g.entry(0, 2).coeff_at(-1),
-            g.entry(2, 0).coeff_at(1),
-            g.entry(2, 2).coeff_at(0),
-        )
-        gamma = GammaElem(tower, K1, m, g.entry(1, 1).coeff_at(0))
+    pat = _K_PATTERN[K]
+    gamma = GammaElem(tower, K, (
+        g.entry(i, j).coeff_at(pat[i][j]) if pat[i][j] + pat[j][i] == 0 else 0
+        for i in range(3)
+        for j in range(3)
+    ))
     if not gamma.is_form_compatible():
         raise MembershipViolated("reduction is not residue-unitary")
     return gamma
@@ -441,7 +390,13 @@ def layer_coords(tower, k):
 
 
 def layer_atom(tower, k, coords, prime=False):
-    """Exact-constant representative of a filtration-layer coset."""
+    """Exact-constant representative of a filtration-layer coset.  Built, and
+    its unipotent relation checked, once per coordinate and tower."""
+    return _layer_atom(tower, k, coords, bool(prime))
+
+
+@memo
+def _layer_atom(tower, k, coords, prime):
     xi, ti = coords
     if k % 2 == 0:
         x = Series.from_coeffs(tower, k // 2, (xi,)) if xi else Series.zero(tower)

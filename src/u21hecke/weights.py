@@ -1,8 +1,11 @@
 """Modules of the residue quotients of the maximal compacts.
 
-The two compacts reduce to finite groups over the residue extension (a
-three-variable unitary group for the standard lattice, the product of a
-two-variable unitary group with the norm-one circle for the shifted one).
+The two compacts reduce to finite groups over the residue extension: U(3)
+for the standard lattice, U(1,1) x U(1) for the shifted one.  Both are 3x3
+residue matrices (unitary_group.GammaElem, the shifted quotient embedded
+block diagonally), so the Borel, its torus pair and the coset labels are
+read the same way at both compacts.
+
 This module builds the weight catalog over the coefficient field: the
 one-dimensional determinant twists, principal series induced from the
 Borel, the large quotient of the trivial principal series, and -- for the
@@ -46,6 +49,7 @@ DET_TWIST = "det_twist"
 PRINCIPAL_SERIES = "principal_series"
 STEINBERG = "steinberg"
 PS_SUB_QUOTIENT = "ps_sub_quotient"
+SPIN_BUDGET = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -102,19 +106,24 @@ def gamma_torus(tower, K):
 
 
 @memo
+def torus_generator_atoms(tower):
+    """Unit diagonal atoms of the two torus generators: a generator of the
+    residue extension's units (first coordinate) and one of the norm-one
+    circle (second coordinate)."""
+    return (
+        torus_atom(tower, int(tower.exp[1]), 1),
+        torus_atom(tower, 1, tower.norm_one[1]),
+    )
+
+
+@memo
 def gamma_generators(tower, K):
     """A deterministic generating set of the reduced group: the two torus
     generators, the whole upper unipotent group, and the form involution
     (which conjugates upper to lower)."""
-    tw = tower
-    a_gen = int(tw.exp[1])
-    c_gen = tw.norm_one[1]
-    gens = [
-        reduce_atom(tw, K, torus_atom(tw, a_gen, 1)),
-        reduce_atom(tw, K, torus_atom(tw, 1, c_gen)),
-    ]
-    gens.extend(gamma_upper(tw, K))
-    gens.append(gamma_beta(tw, K))
+    gens = [reduce_atom(tower, K, a) for a in torus_generator_atoms(tower)]
+    gens.extend(gamma_upper(tower, K))
+    gens.append(gamma_beta(tower, K))
     return gens
 
 
@@ -123,13 +132,11 @@ def gamma_generators(tower, K):
 
 
 def _coset_label(tower, K, gamma):
-    """Canonical label of the Borel coset B*gamma: the bottom residue row of
-    the relevant block, scaled so its first nonzero entry is one (left
-    multiplication by the Borel rescales that row by an arbitrary unit)."""
-    if K == K0:
-        row = (gamma.m[6], gamma.m[7], gamma.m[8])
-    else:
-        row = (gamma.m[2], gamma.m[3])
+    """Canonical label of the Borel coset B*gamma: the bottom residue row,
+    scaled so its first nonzero entry is one (left multiplication by the
+    Borel rescales that row by an arbitrary unit).  At K1 the row is
+    (c, 0, d), the bottom row of the embedded U(1,1) block."""
+    row = gamma.m[6:]
     for v in row:
         if v:
             inv = tower.i_(v)
@@ -521,7 +528,7 @@ def make_weight(tower, K, kind, chi=None, part=None, power=None):
 # spin, eigenvectors, socle chain
 
 
-def spin(weight, seeds, budget=4096):
+def spin(weight, seeds):
     """Rref basis of the submodule generated by the seed vectors: closure
     under the deterministic generating set."""
     tw = weight.tower
@@ -537,7 +544,7 @@ def spin(weight, seeds, budget=4096):
             y = weight.act(g, v)
             if basis.add(y) is not None:
                 queue.append(y)
-                if basis.dim > budget:
+                if basis.dim > SPIN_BUDGET:
                     raise CrossCheckFailed("spin exceeded its budget")
     return basis.matrix()
 
@@ -678,10 +685,7 @@ def gamma_lift_word(tower, K, gamma):
 def fingerprint_elements(tower, K):
     """Fixed deterministic element list used for trace fingerprints."""
     tw = tower
-    a_gen = int(tw.exp[1])
-    c_gen = tw.norm_one[1]
-    t1 = reduce_atom(tw, K, torus_atom(tw, a_gen, 1))
-    t2 = reduce_atom(tw, K, torus_atom(tw, 1, c_gen))
+    t1, t2 = (reduce_atom(tw, K, a) for a in torus_generator_atoms(tw))
     u1 = gamma_upper(tw, K)[1]
     l1 = gamma_lower(tw, K)[1]
     b = gamma_beta(tw, K)

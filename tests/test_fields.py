@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 
 from u21hecke.errors import InversionOfZero, NotApplicable
 from u21hecke.fields import (
-    FFElem,
     Tower,
     char_s,
     characters_of_torus,
@@ -76,18 +75,6 @@ def test_from_int(tower):
     assert tower.from_int(1) == 1
     assert tower.from_int(3) == 0
     assert tower.from_int(-1) == tower.n(1)
-
-
-def test_ffelem_tags_and_pow(tower):
-    a = tower.elem(tower.gen)
-    assert (a ** (tower.Q - 1)).idx == 1
-    assert (a ** 2).idx == tower.m_(a.idx, a.idx)
-    assert (-a).idx == tower.n(a.idx)
-    assert a.conj().idx == tower.c(a.idx)
-    with pytest.raises(NotApplicable):
-        FFElem(tower, tower.trace_zero_unit_idx(), tag="kF")
-    b = FFElem(tower, 2, tag="kF")
-    assert b.in_base_field()
 
 
 def test_even_prime_rejected():

@@ -3,6 +3,8 @@
 Every identity is checked by full matrix reassembly at certified precision.
 """
 
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -48,6 +50,7 @@ from u21hecke.unitary_group import (
 # A tower of this module's own, so its window does not depend on test order.
 TW = Tower(3, 1)
 TW.default_window = 24
+TW5 = Tower(5, 1)
 
 
 def scalar(v, coeffs):
@@ -153,17 +156,16 @@ def test_unitary_inverse_matches_form():
     assert (J * J).eq_to_prec(Mat3.identity(TW), min_prec=10)
 
 
-def compact_word(rng_idx, K):
+def compact_word(tw, rng_idx, K):
     """Deterministic small words lying in the compact."""
-    nK, mK, _ = iwahori_constants(TW, K)
+    nK, mK, _ = iwahori_constants(tw, K)
     words = []
-    for k in (nK, nK + 1):
-        for coords in layer_coords(TW, k)[:2]:
-            words.append((layer_atom(TW, k, coords),))
-    for k in (mK - 1, mK):
-        for coords in layer_coords(TW, k)[:2]:
-            words.append((layer_atom(TW, k, coords, prime=True),))
-    words.extend((t,) for t in torus_unit_atoms(TW)[:4])
+    # the second and the last coordinates: on even layers the last has x != 0
+    for k, prime in ((nK, False), (nK + 1, False), (mK - 1, True), (mK, True)):
+        cs = layer_coords(tw, k)
+        for coords in (cs[1], cs[-1]):
+            words.append((layer_atom(tw, k, coords, prime=prime),))
+    words.extend((t,) for t in torus_unit_atoms(tw)[:4])
     if K == "K0":
         words.append((atom_beta(),))
     else:
@@ -171,17 +173,75 @@ def compact_word(rng_idx, K):
     return words[rng_idx % len(words)]
 
 
-@settings(max_examples=60, deadline=None)
-@given(i=st.integers(0, 40), j=st.integers(0, 40), K=st.sampled_from(["K0", "K1"]))
-def test_residue_reduction_is_homomorphic(i, j, K):
-    w1, w2 = compact_word(i, K), compact_word(j, K)
-    g1, g2 = word_matrix(TW, w1), word_matrix(TW, w2)
-    r1 = reduce_to_gamma(TW, K, g1)
-    r2 = reduce_to_gamma(TW, K, g2)
-    r12 = reduce_to_gamma(TW, K, g1 * (g2))
+@settings(max_examples=80, deadline=None)
+@given(
+    ijk=st.lists(st.integers(0, 40), min_size=3, max_size=3),
+    K=st.sampled_from(["K0", "K1"]),
+    tw=st.sampled_from([TW, TW5]),
+)
+def test_residue_reduction_is_homomorphic(ijk, K, tw):
+    gs = [word_matrix(tw, compact_word(tw, i, K)) for i in ijk]
+    r1, r2, r3 = (reduce_to_gamma(tw, K, g) for g in gs)
+    r12 = reduce_to_gamma(tw, K, gs[0] * gs[1])
+    one = GammaElem.identity(tw, K)
     assert r1 * r2 == r12
+    assert r12 * r3 == r1 * (r2 * r3)
     assert r1.is_form_compatible()
-    assert (r1 * r1.inverse()) == GammaElem.identity(TW, K)
+    assert r1 * r1.inverse() == one == r1.inverse() * r1
+    assert r12.inverse() == r2.inverse() * r1.inverse()
+    assert r12.det() == tw.m_(r1.det(), r2.det())
+    if r1.in_borel() and r2.in_borel():
+        assert r12.in_borel()
+        (a1, s1), (a2, s2) = r1.torus_pair(), r2.torus_pair()
+        assert r12.torus_pair() == (tw.m_(a1, a2), tw.m_(s1, s2))
+
+
+def old_k1_reading(g):
+    """The former K1 residue reading: the 2x2 block (a, b; c, d) read at
+    degrees (0, -1; 1, 0) plus the circle s at (1, 1), embedded here as
+    (a, 0, b; 0, s, 0; c, 0, d)."""
+    a, b, c, d, s = (
+        g.entry(i, j).coeff_at(deg)
+        for i, j, deg in ((0, 0, 0), (0, 2, -1), (2, 0, 1), (2, 2, 0), (1, 1, 0))
+    )
+    return (a, 0, b, 0, s, 0, c, 0, d)
+
+
+def old_k1_unitary(tw, m):
+    """The former K1 residue unitarity check: m2^T J2 conj(m2) = J2 on the
+    2x2 block m2 with J2 antidiagonal, and s conj(s) = 1."""
+    m2 = (m[0], m[2], m[6], m[8])
+    for i in range(2):
+        for j in range(2):
+            acc = 0
+            for k in range(2):
+                acc = tw.a(acc, tw.m_(m2[k * 2 + i], tw.c(m2[(1 - k) * 2 + j])))
+            if acc != (1 if i + j == 1 else 0):
+                return False
+    return tw.m_(m[4], tw.c(m[4])) == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    idx=st.lists(st.integers(0, 40), min_size=1, max_size=4),
+    tw=st.sampled_from([TW, TW5]),
+)
+def test_k1_reduction_matches_old_reading(idx, tw):
+    word = sum((compact_word(tw, i, "K1") for i in idx), ())
+    g = word_matrix(tw, word)
+    assert reduce_to_gamma(tw, "K1", g).m == old_k1_reading(g)
+
+
+def test_k1_unitarity_matches_old_check():
+    """Every K1 block matrix over GF(9): the 3x3 relation agrees with the
+    former 2x2-plus-circle check (384 of the 9^5 blocks are unitary)."""
+    found = 0
+    for a, b, c, d, s in itertools.product(range(TW.Q), repeat=5):
+        m = (a, 0, b, 0, s, 0, c, 0, d)
+        ok = GammaElem(TW, "K1", m).is_form_compatible()
+        assert ok == old_k1_unitary(TW, m)
+        found += ok
+    assert found == 384
 
 
 def test_residue_reduction_rejects_noncompact():

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from u21hecke import fields, gfmat
+from u21hecke import fields, gfmat, words
+from u21hecke import unitary_group as U
 from u21hecke import induction as I
 from u21hecke import weights as W
 from u21hecke.errors import (
@@ -134,6 +135,30 @@ def test_memo_eviction_leaves_results_unchanged(monkeypatch):
     # one bounded nf_uak table serves coset_normalize, tag_of and the
     # nf_kau reads of the grid averaging
     assert len(tables[nf_uak.__wrapped__]) == 3
+
+
+def test_unipotent_relation_checked_once_per_layer_coordinate(monkeypatch):
+    """Layer atoms are built once per tower and coordinate: over a recursion
+    step on a fresh tower, the unipotent relation is checked at most once
+    per distinct (layer, coordinates, side) that asks for a layer atom."""
+    checks, coords = [0], set()
+    check = U._check_unipotent_relation
+
+    def counted(x, y):
+        checks[0] += 1
+        return check(x, y)
+
+    monkeypatch.setattr(U, "_check_unipotent_relation", counted)
+    for mod in (U, words, I):
+        def spy(tower, k, c, prime=False, _orig=mod.layer_atom):
+            coords.add((k, tuple(c), bool(prime)))
+            return _orig(tower, k, c, prime)
+
+        monkeypatch.setattr(mod, "layer_atom", spy)
+    tw = Tower(3, 1)
+    tw.default_window = 24
+    I.translation_recursion_check(W.make_weight(tw, K0, W.TRIVIAL), 1, 1)
+    assert 0 < checks[0] <= len(coords)
 
 
 def test_zero_and_linearity(tower, catalog):
@@ -319,7 +344,7 @@ def test_deep_cell_eigenvalue_is_twist_invariant(tower, catalog):
 def test_regular_constants_vanish(tower, regular_pairs):
     for chi, sub, quot in regular_pairs:
         for w in (sub, quot):
-            hc = I.constants(w, check=False)
+            hc = I.constants(w)
             assert (hc.lam, hc.c, hc.c_minus) == (0, 0, 0)
             assert set(hc.d.values()) == {0}
 
@@ -554,7 +579,7 @@ def test_regular_chain(tower, regular_pairs):
         coords = []
         for i in range(w.dim):
             v = tuple(1 if j == i else 0 for j in range(w.dim))
-            co = span.coords_of(I.op_T_single(w, v))
+            co = span.coords_of(I.op_T(w, I.InducedFn.generator(w, (), v)))
             assert co is not None
             coords.append(co)
         tmat = np.stack(coords)

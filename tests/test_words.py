@@ -36,6 +36,8 @@ from u21hecke.words import (
     word_from_tag,
 )
 
+from test_group import old_k1_reading
+
 # A tower of this module's own, so its window does not depend on test order.
 TW = Tower(3, 1)
 TW.default_window = 26
@@ -237,6 +239,15 @@ def test_hidden_row_minimum_is_indeterminate():
     hidden = ("d", Series.zero_window(TW, -5).trip, EXACT_ONE, EXACT_ONE)
     with pytest.raises(InsufficientPrecision):
         nf_uak(TW, K0, (hidden,))
+
+
+def test_k1_reduction_matches_old_reading_on_battery():
+    """The closing factor k of every K1 battery word reduces to what the
+    former 2x2-plus-circle reading gives."""
+    for K, word in battery_words():
+        if K == K1:
+            k = nf_uak(TW, K, word).k
+            assert reduce_to_gamma(TW, K, k).m == old_k1_reading(k)
 
 
 def test_tags_self_certify(tower5):
