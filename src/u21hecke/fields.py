@@ -30,22 +30,37 @@ def memo(fn):
     """Memoize fn(owner, *args) in owner._memo, the dict a Tower or a Weight
     allocates in __init__, one table per function, keyed by the (hashable)
     arguments after the owner.  A hit returns the stored object; a miss at
-    _MEMO_CAP entries drops the table's oldest entry before storing."""
+    _MEMO_CAP entries drops the table's oldest entry before storing.
+
+    The memoized function's table(owner) is the owner's table itself, for a
+    caller that computes many entries at once and stores them with
+    memo_store."""
+
+    def table(owner):
+        out = owner._memo.get(fn)
+        if out is None:
+            out = owner._memo[fn] = OrderedDict()
+        return out
 
     @wraps(fn)
     def cached(owner, *args):
-        table = owner._memo.get(fn)
-        if table is None:
-            table = owner._memo[fn] = OrderedDict()
-        out = table.get(args, _MISS)
+        tab = table(owner)
+        out = tab.get(args, _MISS)
         if out is _MISS:
             out = fn(owner, *args)
-            if len(table) >= _MEMO_CAP:
-                table.popitem(last=False)
-            table[args] = out
+            memo_store(tab, args, out)
         return out
 
+    cached.table = table
     return cached
+
+
+def memo_store(table, args, out):
+    """Store out under args in a memo table, dropping the oldest entry of a
+    full one."""
+    if len(table) >= _MEMO_CAP:
+        table.popitem(last=False)
+    table[args] = out
 
 
 def _prime_factors(n):

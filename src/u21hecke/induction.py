@@ -7,7 +7,11 @@ transported to it ([g k, v] = [g, sigma(k) v]).  Left translation, the
 spherical operator T (by its explicit two-sum coset expansion), and the two
 partial averaging operators S_K and S_- act by concatenating generator words
 and re-normalizing; every landing coset membership is certified by the
-residue reduction.
+residue reduction.  The words of one operation are normalized together
+(InducedFn.from_raw): those missing from coset_normalize's memo table are
+read by words.nf_uak_batch, a whole cell at a time, and stored in that
+table; a word outside the batch's form, and a single-word read (a point
+evaluation, a support window), goes through the scalar coset_normalize.
 
 The canonical invariant functions f_n (supported on the n-th shift cell,
 pro-unipotent-invariant, one per shift) come in two forms: a materialized
@@ -39,7 +43,7 @@ from .errors import (
     NotApplicable,
     PrecisionBudgetExceeded,
 )
-from .fields import memo
+from .fields import memo, memo_store
 from .laurent import Series
 from .unitary_group import (
     atom_alpha,
@@ -64,7 +68,14 @@ from .weights import (
     reduce_word,
     torus_generator_atoms,
 )
-from .words import grid_layer_span, nf_kau, nf_uak, tag_of_nf, word_from_tag
+from .words import (
+    grid_layer_span,
+    nf_kau,
+    nf_uak,
+    nf_uak_batch,
+    tag_of_nf,
+    word_from_tag,
+)
 
 DEFAULT_N_MAX = 5
 DEFAULT_TAG_CAP = 30000
@@ -119,6 +130,51 @@ def coset_normalize(tower, K, word):
     return (tag_of_nf(tower, K, nf), reduce_to_gamma(tower, K, nf.k))
 
 
+# coset_normalize's own memo table, bound at import so that the batched
+# reads below store into it even where the name coset_normalize is rebound
+# (the benchmark's tracer wraps it).
+_coset_table = coset_normalize.table
+
+# Fewer misses than this are read one word at a time, which is faster there.
+# Measured on recursion and op_T words with warm layer atoms (2-CPU host,
+# CPython 3.11): at q = 3, 24 words took 3.0-4.2 ms one by one against
+# 3.4-4.9 ms batched, and 32 words 4.0-5.5 ms against 3.9-5.5 ms; at q = 5
+# the batch is as fast from 16 words.
+_BATCH_MIN = 32
+# Misses per nf_uak_batch call, which bounds its arrays whatever the cell
+# size.  On the 19,683 words of the recursion step 2 -> 3 at q = 3, chunks of
+# 4096 took 0.32 s with a traced peak 1.9 MB above the stored results;
+# chunks of 512 took 0.87 s, and one chunk of 32768 took 0.32 s and 7.6 MB.
+_BATCH_CHUNK = 4096
+
+
+def _normalize_words(tower, K, words):
+    """coset_normalize of every word, in order.
+
+    Hits come from coset_normalize's memo table.  At _BATCH_MIN misses or
+    more, the misses are read by nf_uak_batch in chunks of _BATCH_CHUNK and
+    its results stored in that same table; a word the batch does not carry
+    goes to the scalar coset_normalize, as do all misses of a smaller
+    call."""
+    table = _coset_table(tower)
+    out = [table.get((K, w)) for w in words]
+    todo = [i for i, r in enumerate(out) if r is None]
+    if len(todo) < _BATCH_MIN:
+        for i in todo:
+            out[i] = coset_normalize(tower, K, words[i])
+        return out
+    for start in range(0, len(todo), _BATCH_CHUNK):
+        chunk = todo[start : start + _BATCH_CHUNK]
+        read = nf_uak_batch(tower, K, [words[i] for i in chunk])
+        for i, r in zip(chunk, read):
+            if r is None:
+                r = coset_normalize(tower, K, words[i])
+            else:
+                memo_store(table, (K, words[i]), r)
+            out[i] = r
+    return out
+
+
 # ---------------------------------------------------------------------------
 # induced functions
 
@@ -142,12 +198,17 @@ class InducedFn:
 
     @classmethod
     def from_raw(cls, weight, pairs):
-        """Normalize raw generators [word, value] and merge per coset."""
+        """Normalize raw generators [word, value] and merge per coset.
+
+        pairs is read once, and all its words are normalized by one
+        _normalize_words call, so the words missing from coset_normalize's
+        memo table are read together by words.nf_uak_batch."""
         tw = weight.tower
         K = weight.K
+        pairs = list(pairs)
+        normal = _normalize_words(tw, K, [word for word, _ in pairs])
         data = {}
-        for word, vec in pairs:
-            tag, gamma = coset_normalize(tw, K, word)
+        for (_, vec), (tag, gamma) in zip(pairs, normal):
             v = _vmat(tw, weight.matrix(gamma), vec)
             cur = data.get(tag)
             if cur is not None:
@@ -808,8 +869,7 @@ def translation_recursion_check(
         evidence["mode"] = "exhaustive"
         return evidence
     # certificate mode
-    for prefix in prefixes:
-        tag, _ = coset_normalize(tw, K, prefix)
+    for tag, _ in _normalize_words(tw, K, prefixes):
         if tag[0] != direction:
             raise CrossCheckFailed("prefix escapes the first shift cell")
     # conjugation-shift identity: alpha^d a(k, c) alpha^-d == a(k+2, c)
@@ -834,16 +894,16 @@ def translation_recursion_check(
     w_from = grid_value(weight, n_from)
     rng = random.Random(seed + 1000 * n_from + direction)
     span = grid_layer_span(tw, K, n_from)
-    hit = set()
+    products = []
     for _ in range(sample):
         coords = tuple(
             (k, *rng.choice(layer_coords(tw, k))) for k, _ in span
         )
         src_tag = (n_from, coords)
         prefix = rng.choice(prefixes)
-        tag, gamma = coset_normalize(
-            tw, K, prefix + word_from_tag(tw, K, src_tag)
-        )
+        products.append(prefix + word_from_tag(tw, K, src_tag))
+    hit = set()
+    for tag, gamma in _normalize_words(tw, K, products):
         if tag[0] != target:
             raise CrossCheckFailed("sampled product escapes the target cell")
         if _vmat(tw, weight.matrix(gamma), w_from) != w:

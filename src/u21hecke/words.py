@@ -18,16 +18,37 @@ No series is inverted, so the result does not depend on the precision
 window.  The mirrored shape k * shift^T * u (used when evaluating functions)
 comes from the inverted word.  The coset tag is (T, layer coordinates), and
 word_from_tag builds its canonical representative u * shift^T.
+
+nf_uak_batch gives the same read, and the residue of k, for many words at
+once.  A word of shifts, involutions and unipotent or diagonal atoms whose
+entries are exact monomials has a matrix of exact Laurent polynomials, and
+words with one signature (each atom without its residue coefficients)
+differ only in their coefficients.  Such a group is held as one uint16
+array of coefficient indices, and steps 1-3, the membership certificate and
+the residue read run on all of it by lookups in the tower's add, mul, neg,
+inv and frob tables.  A word of any other form is left to the scalar nf_uak
+(the batch returns None for it), and a word that fails a certificate raises
+the scalar route's error.  The scalar nf_uak serves single words (nf_kau,
+tag_of, evaluations) and is the batch's test oracle.
 """
 
+import numpy as np
+
 from ._kernel import INF
-from .errors import CrossCheckFailed, InsufficientPrecision
+from .errors import (
+    CrossCheckFailed,
+    InsufficientPrecision,
+    MembershipViolated,
+    RelationViolated,
+)
 from .fields import memo
 from .laurent import Series
 from .mat3 import Mat3, unitary_inverse
 from .unitary_group import (
+    _K_PATTERN,
     K0,
     K1,
+    GammaElem,
     atom_alpha,
     atom_d,
     atom_inv,
@@ -205,3 +226,305 @@ def word_from_tag(tower, K, tag):
             atoms.append(layer_atom(tower, k, (xi, ti), prime=prime))
     atoms.append(atom_alpha(t))
     return tuple(atoms)
+
+
+# ---------------------------------------------------------------------------
+# batched read
+
+
+def _monomial(trip):
+    """(degree, coefficient) of an exact monomial, (None, 0) of exact zero,
+    None for any other series."""
+    val, prec, co = trip
+    if prec < INF or len(co) > 1:
+        return None
+    return (val, co[0]) if co else (None, 0)
+
+
+def _atom_form(atom):
+    """(signature, coefficients) of an atom the batch carries, None for any
+    other: the signature is the atom without its residue coefficients (kind,
+    the degree of each monomial entry, None for an exact zero, or the alpha
+    exponent); the coefficients are those of its "n"/"np"/"d" entries."""
+    kind = atom[0]
+    if kind in ("a", "b"):
+        return atom, ()
+    if kind not in ("n", "np", "d"):
+        return None
+    terms = [_monomial(t) for t in atom[1:]]
+    if None in terms or (kind == "d" and (None, 0) in terms):
+        return None
+    return (kind,) + tuple(d for d, _ in terms), tuple(c for _, c in terms)
+
+
+def _union(a, b):
+    if a is None:
+        return b
+    if b is None:
+        return a
+    return (min(a[0], b[0]), max(a[1], b[1]))
+
+
+def _moved(span, s):
+    return None if span is None else (span[0] + s, span[1] + s)
+
+
+class _Block:
+    """N matrices of one word signature, whose entries are exact Laurent
+    polynomials.
+
+    e is a uint16 array of shape (9, D, N): e[i, d, r] is the table index of
+    the coefficient of t^(lo + d) in entry i (row major) of matrix r, so
+    every lookup runs over contiguous runs of N.  span[i] is a degree
+    interval outside which entry i vanishes in every matrix (None where it
+    vanishes everywhere); the array grows when an operation reaches a degree
+    outside [lo, lo + D)."""
+
+    def __init__(self, tower, e, lo, span):
+        self.tower = tower
+        self.e, self.lo, self.span = e, lo, list(span)
+
+    @classmethod
+    def identity(cls, tower, n):
+        e = np.zeros((9, 1, n), dtype=np.uint16)
+        e[0::4] = 1
+        return cls(tower, e, 0, [(0, 0) if i % 4 == 0 else None for i in range(9)])
+
+    def take(self, rows):
+        return _Block(self.tower, self.e[:, :, rows], self.lo, self.span)
+
+    def _fit(self, a, b):
+        """Grow the array to hold degrees a..b, with slack on a grown side."""
+        top = self.lo + self.e.shape[1] - 1
+        if a >= self.lo and b <= top:
+            return
+        lo = min(self.lo, a - 2)
+        hi = max(top, b + 2)
+        e = np.zeros((9, hi - lo + 1, self.e.shape[2]), dtype=np.uint16)
+        e[:, self.lo - lo : top - lo + 1] = self.e
+        self.e, self.lo = e, lo
+
+    def _hull(self, sl):
+        span = None
+        for i in range(9)[sl]:
+            span = _union(span, self.span[i])
+        return span
+
+    def coeff(self, i, deg):
+        """The coefficients of t^deg in entry i, one per matrix."""
+        d = deg - self.lo
+        if 0 <= d < self.e.shape[1]:
+            return self.e[i, d].astype(np.intp)
+        return np.zeros(self.e.shape[2], dtype=np.intp)
+
+    def val(self):
+        """(9, N) valuations of the entries, INF for a zero entry."""
+        nz = self.e != 0
+        return np.where(nz.any(axis=1), self.lo + nz.argmax(axis=1), INF)
+
+    def axpy(self, dst, src, c, s):
+        """Entries dst += (c t^s) * entries src, for two slices of the nine
+        entries taken in parallel and one coefficient index per matrix."""
+        span = self._hull(src)
+        if span is None:
+            return
+        a, b = span[0] + s, span[1] + s
+        self._fit(a, b)
+        tw, Q, e, lo = self.tower, np.intp(self.tower.Q), self.e, self.lo
+        prod = tw.mul.ravel().take(c * Q + e[src, span[0] - lo : span[1] - lo + 1])
+        out = e[dst, a - lo : b - lo + 1]
+        out[...] = tw.add.ravel().take(out * Q + prod)
+        for i, j in zip(range(9)[dst], range(9)[src]):
+            self.span[i] = _union(self.span[i], _moved(self.span[j], s))
+
+    def scale(self, sl, c, s):
+        """Entries sl times c t^s (times t^s alone when c is None)."""
+        span = self._hull(sl)
+        if span is None:
+            return
+        a, b = span[0] + s, span[1] + s
+        self._fit(a, b)
+        e, lo = self.e, self.lo
+        prod = e[sl, span[0] - lo : span[1] - lo + 1]
+        if c is None:
+            prod = prod.copy()
+        else:
+            prod = self.tower.mul.ravel().take(c * np.intp(self.tower.Q) + prod)
+        e[sl, span[0] - lo : span[1] - lo + 1] = 0
+        e[sl, a - lo : b - lo + 1] = prod
+        for i in range(9)[sl]:
+            self.span[i] = _moved(self.span[i], s)
+
+    def times_atom(self, form, coefs):
+        """Right multiplication by one atom of the signature, as times_atom
+        does it: column operations on all N matrices at once."""
+        kind, tw = form[0], self.tower
+        col = [slice(j, 9, 3) for j in range(3)]
+        if kind == "a":
+            self.scale(col[0], None, -form[1])
+            self.scale(col[2], None, form[1])
+        elif kind == "b":
+            perm = [2, 1, 0, 5, 4, 3, 8, 7, 6]
+            self.e = self.e[perm]
+            self.span = [self.span[i] for i in perm]
+        elif kind == "d":
+            for j in range(3):
+                self.scale(col[j], coefs[j], form[1 + j])
+        else:
+            (dx, dy), (cx, cy) = form[1:], coefs
+            mxb = tw.neg[tw.frob[cx]].astype(np.intp)
+            if kind == "n":
+                if dy is not None:
+                    self.axpy(col[2], col[0], cy, dy)
+                if dx is not None:
+                    self.axpy(col[2], col[1], mxb, dx)
+                    self.axpy(col[1], col[0], cx, dx)
+            else:
+                if dx is not None:
+                    self.axpy(col[0], col[1], cx, dx)
+                if dy is not None:
+                    self.axpy(col[0], col[2], cy, dy)
+                if dx is not None:
+                    self.axpy(col[1], col[2], mxb, dx)
+
+
+def _row_mins(val, lat, i):
+    """Row minimum of row i against the lattice and its pivot column, first
+    in the order 0, 2, 1, for every matrix at once (as _row_min)."""
+    best = np.full(val.shape[1], INF, dtype=np.int64)
+    pivot = np.full(val.shape[1], -1, dtype=np.int64)
+    for j in (0, 2, 1):
+        v = np.where(val[3 * i + j] < INF, val[3 * i + j] + lat[j] - lat[i], INF)
+        better = v < best
+        best = np.where(better, v, best)
+        pivot = np.where(better, j, pivot)
+    if (pivot < 0).any():
+        raise InsufficientPrecision("a zero window can hide the row minimum")
+    return best, pivot
+
+
+def _read_cell(blk, K, t, j):
+    """Tag coordinates (one tuple per matrix) and residues (a (9, N) array)
+    of a block whose matrices share the shift t and the pivot column j: the
+    read of nf_uak, then the residue read and unitarity check of
+    reduce_to_gamma, for all matrices at once."""
+    tw, lat, pat = blk.tower, _LATTICE[K], _K_PATTERN[K]
+    add, mul, neg, frob, inv = tw.add, tw.mul, tw.neg, tw.frob, tw.inv
+    rows = [slice(3 * i, 3 * i + 3) for i in range(3)]
+    coords = []
+    if t:
+        p, r = (0, 2) if t > 0 else (2, 0)
+        d = (-t if t > 0 else t + lat[2]) - lat[j]
+        c_inv = inv[blk.coeff(3 * p + j, d)].astype(np.intp)
+        for layer, prime in grid_layer_span(tw, K, t):
+            half = layer // 2
+            xi = np.zeros_like(c_inv)
+            if layer % 2 == 0:
+                xi = mul[blk.coeff(3 + j, half + d), c_inv].astype(np.intp)
+                if t < 0:
+                    xi = frob[neg[xi]].astype(np.intp)
+            ti = mul[blk.coeff(3 * r + j, layer + d), c_inv].astype(np.intp)
+            rel = add[mul[xi, frob[xi]], add[ti, frob[ti]]]
+            if rel.any():
+                raise RelationViolated(
+                    "unipotent parameters violate x*conj(x) + y + conj(y) = 0"
+                )
+            coords.append((layer, xi, ti))
+            # peel the layer atom off on the left: its inverse has x' = -x,
+            # y' = conj(y) and -conj(x') = conj(x)
+            nx = neg[xi].astype(np.intp)
+            cy = frob[ti].astype(np.intp)
+            cx = frob[xi].astype(np.intp)
+            if prime:
+                blk.axpy(rows[2], rows[0], cy, layer)
+                if layer % 2 == 0:
+                    blk.axpy(rows[2], rows[1], cx, half)
+                    blk.axpy(rows[1], rows[0], nx, half)
+            else:
+                if layer % 2 == 0:
+                    blk.axpy(rows[0], rows[1], nx, half)
+                blk.axpy(rows[0], rows[2], cy, layer)
+                if layer % 2 == 0:
+                    blk.axpy(rows[1], rows[2], cx, half)
+    # k = alpha^-t * remainder: row 0 of k is t^t times row 0, row 2 is
+    # t^-t times row 2, so entry (i, j) of k at degree P is entry (i, j) of
+    # the remainder at degree P - shift[i]
+    shift = (t, 0, -t)
+    need = np.array([pat[i][jj] - shift[i] for i in range(3) for jj in range(3)])
+    if (blk.val() < need[:, None]).any():
+        raise CrossCheckFailed("coset read left a factor outside the compact")
+    m = np.zeros((9, blk.e.shape[2]), dtype=np.intp)
+    for i in range(3):
+        for jj in range(3):
+            if pat[i][jj] + pat[jj][i] == 0:
+                m[3 * i + jj] = blk.coeff(3 * i + jj, int(need[3 * i + jj]))
+    # residue unitarity: m times its inverse J conj(m)^T J is the identity
+    g = m.reshape(3, 3, -1)
+    h = frob[m[::-1]].reshape(3, 3, -1).transpose(1, 0, 2)
+    terms = mul[g[:, :, None, :], h[None, :, :, :]]
+    prod = add[add[terms[:, 0], terms[:, 1]], terms[:, 2]]
+    if (prod != np.eye(3, dtype=prod.dtype)[:, :, None]).any():
+        raise MembershipViolated("reduction is not residue-unitary")
+    if not coords:
+        return [()] * m.shape[1], m
+    layers = [c[0] for c in coords]
+    xs = np.array([c[1] for c in coords]).T.tolist()
+    ys = np.array([c[2] for c in coords]).T.tolist()
+    return [tuple(zip(layers, x, y)) for x, y in zip(xs, ys)], m
+
+
+def nf_uak_batch(tower, K, words):
+    """The (tag, residue) that coset_normalize gives each word, read for
+    many words at once; None for a word the batch does not carry.
+
+    The batch carries words whose atoms are "a", "b", and "n", "np" or "d"
+    atoms with entries that are exact monomials or exact zero.  Their
+    matrices are exact Laurent polynomials.  Words are grouped by signature
+    (each atom without its residue coefficients), and each group is built
+    by the column operations of times_atom, for all its words at once.  The
+    read of nf_uak and the residue read of reduce_to_gamma then run on every
+    matrix of a group that shares the shift and the pivot column.  A matrix
+    that fails the unipotent relation, the membership of k in K or the
+    residue unitarity raises the scalar route's error (RelationViolated,
+    CrossCheckFailed, MembershipViolated); it is never routed around."""
+    out = [None] * len(words)
+    forms, groups = {}, {}
+    for n, word in enumerate(words):
+        sig, coefs = [], []
+        for atom in word:
+            # the words hold their atoms, so an id names one atom here
+            form = forms.get(id(atom), False)
+            if form is False:
+                form = forms[id(atom)] = _atom_form(atom)
+            if form is None:
+                break
+            sig.append(form[0])
+            coefs.extend(form[1])
+        else:
+            group = groups.setdefault(tuple(sig), ([], []))
+            group[0].append(n)
+            group[1].append(coefs)
+    lat = _LATTICE[K]
+    for sig, (idx, coefs) in groups.items():
+        blk = _Block.identity(tower, len(idx))
+        cs = np.array(coefs, dtype=np.intp).reshape(len(idx), -1).T
+        k = 0
+        for form in sig:
+            width = len(form) - 1 if form[0] in ("n", "np", "d") else 0
+            blk.times_atom(form, cs[k : k + width])
+            k += width
+        val = blk.val()
+        v0, j0 = _row_mins(val, lat, 0)
+        v2, j2 = _row_mins(val, lat, 2)
+        low = np.minimum(v2, 0)
+        t = np.where(v0 < low, -v0, low)
+        j = np.where(t > 0, j0, np.where(t < 0, j2, 0))
+        key = 3 * t + j
+        for kv in np.unique(key).tolist():
+            sub = np.flatnonzero(key == kv)
+            shift, pivot = divmod(kv, 3)
+            part = blk if len(sub) == len(idx) else blk.take(sub)
+            cells, m = _read_cell(part, K, shift, pivot)
+            for r, coords, row in zip(sub.tolist(), cells, m.T.tolist()):
+                out[idx[r]] = ((shift, coords), GammaElem(tower, K, row))
+    return out

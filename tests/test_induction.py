@@ -108,8 +108,8 @@ def test_basis_cap_and_depth_guard(tower, catalog):
 
 def _memo_run(tw):
     """Recursion, grid averaging and tag reads on a fresh tower; returns
-    the results, the largest memo table after each step, and the tower's
-    tables."""
+    the results, the largest memo table after each step, the tower and the
+    weight."""
     w = W.make_weight(tw, K0, W.TRIVIAL)
     out, largest = [], []
     for step in (
@@ -123,18 +123,56 @@ def _memo_run(tw):
         out.append(step())
         tables = [*tw._memo.values(), *w._memo.values()]
         largest.append(max(len(t) for t in tables))
-    return out, largest, tw._memo
+    return out, largest, tw, w
 
 
 def test_memo_eviction_leaves_results_unchanged(monkeypatch):
-    expected, _, _ = _memo_run(Tower(3, 1))
+    expected, _, _, _ = _memo_run(Tower(3, 1))
+    batched = []
+
+    def spy(tower, K, words):
+        read = words_batch(tower, K, words)
+        batched.append((list(words), read))
+        return read
+
+    words_batch = I.nf_uak_batch
+    monkeypatch.setattr(I, "nf_uak_batch", spy)
     monkeypatch.setattr(fields, "_MEMO_CAP", 3)
-    got, largest, tables = _memo_run(Tower(3, 1))
+    got, largest, tw, w = _memo_run(Tower(3, 1))
     assert got == expected
     assert largest == [3, 3, 3]
+    # the recursion step read its 243 products through the batch
+    assert sum(len(b[0]) for b in batched) >= 243
     # one bounded nf_uak table serves coset_normalize, tag_of and the
     # nf_kau reads of the grid averaging
-    assert len(tables[nf_uak.__wrapped__]) == 3
+    assert len(tw._memo[nf_uak.__wrapped__]) == 3
+    # batched results land in coset_normalize's own table: a scalar read of
+    # the last batched word is a hit returning the stored object
+    f = I.f_basis(w, -1)
+    pairs = [(word_from_tag(tw, K0, tag), v) for tag, v in f.data.items()]
+    batched.clear()
+    assert I.InducedFn.from_raw(w, pairs) == f
+    word, stored = batched[-1][0][-1], batched[-1][1][-1]
+    assert I.coset_normalize(tw, K0, word) is stored
+    assert len(tw._memo[I.coset_normalize.__wrapped__]) == 3
+
+
+def test_from_raw_reads_pairs_once(catalog):
+    """from_raw reads its pairs once, so a one-shot generator gives what the
+    list gives, on the scalar route (3 pairs) and the batch (81 pairs)."""
+    w = catalog[(K0, "steinberg")]
+    for n in (1, -1):
+        f = I.f_basis(w, n)
+        pairs = [(word_from_tag(w.tower, K0, t), v) for t, v in f.data.items()]
+        reads = [0]
+
+        def one_shot():
+            for pair in pairs:
+                reads[0] += 1
+                yield pair
+
+        assert I.InducedFn.from_raw(w, one_shot()) == I.InducedFn.from_raw(w, pairs)
+        assert reads[0] == len(pairs)
 
 
 def test_unipotent_relation_checked_once_per_layer_coordinate(monkeypatch):
@@ -250,15 +288,19 @@ def test_equality_never_merges_modules(catalog):
 
 def test_coset_normalize_inverts_no_series(monkeypatch):
     # the coset is read off the matrix of the word: no series is inverted,
-    # so neither the normal form nor the coset depends on the window
+    # so neither the normal form nor the coset depends on the window; the
+    # batch reads exact polynomials and inverts none either
     from u21hecke import _kernel
     from u21hecke.unitary_group import atom_alpha, atom_beta
 
     tw = Tower(3, 1)
     tz = tw.trace_zero_unit_idx()
     shallow = atom_n(tw, Series.zero(tw), Series.from_coeffs(tw, -3, [tz, tz]))
+    monomial = atom_n(tw, Series.zero(tw), Series.from_coeffs(tw, -3, [tz]))
     words = [(shallow,), (atom_beta(),), (atom_alpha(2), shallow),
              (shallow, atom_alpha(-1), atom_beta())]
+    batch = [w + (u,) for w in ((monomial,), (atom_alpha(2), monomial))
+             for u in layer_transversal(tw, 1, prime=True)]
     real = _kernel.TableCtx.ser_inv
     calls = []
 
@@ -271,7 +313,13 @@ def test_coset_normalize_inverts_no_series(monkeypatch):
         for word in words:
             I.nf_uak(tw, K, word)
             I.coset_normalize(tw, K, word)
+        read = I.nf_uak_batch(tw, K, batch)
+        assert None not in read
     assert calls == []
+    for K in BOTH:
+        assert I.nf_uak_batch(tw, K, batch) == [
+            I.coset_normalize(tw, K, w) for w in batch
+        ]
 
 
 def test_weight_mismatch_rejected(tower, catalog):
@@ -461,6 +509,27 @@ def test_translation_recursion_depth_three_exhaustive(tower, catalog):
     ev = I.translation_recursion_check(w, 2, 1)
     assert ev["mode"] == "exhaustive"
     assert ev["target_cosets"] == 19683
+
+
+def test_translation_recursion_q5(tower5):
+    """The recursion at q = 5: exhaustive where the target grid is within
+    the materialization cap, a certificate at K1 for 1 -> 2; the target
+    counts follow their closed forms in q."""
+    q = tower5.q
+    steps = [
+        (K0, 0, 1, q, "exhaustive"),
+        (K0, 1, 1, q**5, "exhaustive"),
+        (K0, 0, -1, q**4, "exhaustive"),
+        (K1, 0, 1, q**3, "exhaustive"),
+        (K1, 0, -1, q**4, "exhaustive"),
+        (K1, 1, 1, q**7, "certificate"),
+    ]
+    weights = {K: W.make_weight(tower5, K, W.TRIVIAL) for K in BOTH}
+    for K, n_from, direction, count, mode in steps:
+        ev = I.translation_recursion_check(weights[K], n_from, direction)
+        assert (ev["target_cosets"], ev["mode"]) == (count, mode)
+    assert q**7 > I.DEFAULT_TAG_CAP
+    assert ev["sampled"] == 64 and ev["distinct_hits"] > 32
 
 
 def test_equivariance_spots(tower, catalog):

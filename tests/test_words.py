@@ -6,19 +6,22 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from u21hecke import induction as I
-from u21hecke.errors import InsufficientPrecision
+from u21hecke import words as words_mod
+from u21hecke.errors import CrossCheckFailed, InsufficientPrecision
 from u21hecke.fields import Tower
 from u21hecke.laurent import Series
 from u21hecke.mat3 import EXACT_ONE, Mat3
 from u21hecke.unitary_group import (
     K0,
     K1,
+    GammaElem,
     atom_alpha,
     atom_beta,
     atom_d,
     atom_matrix,
     atom_n,
     atom_np,
+    beta_compact_word,
     iwahori_constants,
     layer_atom,
     layer_coords,
@@ -28,8 +31,10 @@ from u21hecke.unitary_group import (
     word_matrix,
 )
 from u21hecke.words import (
+    _atom_form,
     nf_kau,
     nf_uak,
+    nf_uak_batch,
     sort_unipotent_mix,
     tag_of,
     tag_of_nf,
@@ -272,3 +277,102 @@ def test_transport_residue_matches_generic_product():
         for atom in word_inverse(TW, word_from_tag(TW, K, tag)) + word:
             g = g * atom_matrix(TW, atom)
         assert gamma == reduce_to_gamma(TW, K, g)
+
+
+# ---------------------------------------------------------------------------
+# the batched read against the scalar oracle
+
+
+def oracle(tw, K, word):
+    """The scalar coset_normalize, bypassing its memo table (which the
+    batched reads of from_raw also fill)."""
+    return I.coset_normalize.__wrapped__(tw, K, word)
+
+
+def template_words(tw, K, pieces, picks):
+    """One word per pick: the pieces (a layer atom, an alpha power or the
+    compact's involution) with each layer atom's coordinates chosen by the
+    pick, so that many words share a signature."""
+    words = []
+    for pick in picks:
+        word = []
+        for n, (kind, a, b) in enumerate(pieces):
+            if kind == "layer":
+                coords = layer_coords(tw, a)
+                word.append(layer_atom(tw, a, coords[pick[n] % len(coords)], b))
+            elif kind == "alpha":
+                word.append(atom_alpha(a))
+            else:
+                word.extend(beta_compact_word(K))
+        words.append(tuple(word))
+    return words
+
+
+PIECE = st.one_of(
+    st.tuples(st.just("layer"), st.integers(-2, 5), st.booleans()),
+    st.tuples(st.just("alpha"), st.integers(-3, 3), st.just(None)),
+    st.tuples(st.just("beta"), st.none(), st.none()),
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    q5=st.booleans(),
+    K=st.sampled_from([K0, K1]),
+    pieces=st.lists(PIECE, min_size=1, max_size=6),
+    picks=st.lists(st.lists(st.integers(0, 124), min_size=6, max_size=6),
+                   min_size=1, max_size=40),
+)
+def test_batch_matches_scalar_read(tower5, q5, K, pieces, picks):
+    """Row for row, the batch gives the (tag, residue) of the scalar
+    coset_normalize, on words of layer atoms, alpha powers and the compact's
+    involution at q = 3 and q = 5."""
+    tw = tower5 if q5 else TW
+    words = template_words(tw, K, pieces, picks)
+    assert nf_uak_batch(tw, K, words) == [oracle(tw, K, w) for w in words]
+
+
+def test_batch_reads_every_grid_tag(tower5):
+    """Every canonical representative of test_tags_self_certify's cells
+    reads back its own tag, with the identity residue, through the batch."""
+    for tw, cells in ((TW, (0, 1, -1, 2, -2)), (tower5, (0, 1, -1))):
+        for K in (K0, K1):
+            one = GammaElem.identity(tw, K)
+            for n in cells:
+                tags = list(I.grid_tags(tw, K, n))
+                read = nf_uak_batch(tw, K, [word_from_tag(tw, K, t) for t in tags])
+                assert read == [(tag, one) for tag in tags]
+
+
+def test_batch_fallback_is_exact():
+    """Words with a pro-unipotent sample atom: the two diagonal atoms have
+    entries that are not monomials, so exactly their words fall back to the
+    scalar read, and every row of the mixed batch equals the scalar one."""
+    tw = Tower(3, 1)
+    for K in (K0, K1):
+        sample = I.pro_iwahori_sample(tw, K)
+        assert [_atom_form(a) is None for a in sample] == [False] * 4 + [True] * 2
+        bases = [word_from_tag(tw, K, t) for t in I.grid_tags(tw, K, -1)][:20]
+        words = [b + (a,) for b in bases for a in sample]
+        read = nf_uak_batch(tw, K, words)
+        assert [r is None for r in read] == [a[0] == "d" for _ in bases for a in sample]
+        assert sum(r is None for r in read) == 2 * len(bases)
+        assert I._normalize_words(tw, K, words) == [oracle(tw, K, w) for w in words]
+
+
+def test_batch_raises_on_a_corrupt_row(monkeypatch):
+    """A batch of reads that certify, plus one word read against a wrong
+    lattice: its closing factor leaves the compact, and the batch raises
+    CrossCheckFailed instead of routing the word to the scalar read."""
+    tw = Tower(3, 1)
+    good = [word_from_tag(tw, K0, t) for t in I.grid_tags(tw, K0, -1)]
+    bad = word_from_tag(tw, K0, list(I.grid_tags(tw, K0, 1))[-1])
+    assert nf_uak_batch(tw, K0, good + [bad])[-1] is not None
+    monkeypatch.setitem(words_mod._LATTICE, K0, words_mod._LATTICE[K1])
+    assert nf_uak_batch(tw, K0, good) == [oracle(tw, K0, w) for w in good]
+    with pytest.raises(CrossCheckFailed):
+        oracle(tw, K0, bad)
+    with pytest.raises(CrossCheckFailed):
+        nf_uak_batch(tw, K0, good + [bad])
+    with pytest.raises(CrossCheckFailed):
+        I._normalize_words(tw, K0, good + [bad])
