@@ -15,8 +15,9 @@ unipotent.  nf_uak reads those numbers straight off the entries of g:
      membership in K is the certificate of word = u * shift^T * k.
 
 No series is inverted, so the result does not depend on the precision
-window.  The mirrored shape k * shift^T * u (used when evaluating functions)
-comes from the inverted word.  The coset tag is (T, layer coordinates), and
+window.  The mirrored shape k * shift^T * u comes from the inverted word
+(nf_kau); function evaluation reads the coset of the inverted point the same
+way, without forming it.  The coset tag is (T, layer coordinates), and
 word_from_tag builds its canonical representative u * shift^T.
 
 nf_uak_batch gives the same read, and the residue of k, for many words at
@@ -28,8 +29,9 @@ array of coefficient indices, and steps 1-3, the membership certificate and
 the residue read run on all of it by lookups in the tower's add, mul, neg,
 inv and frob tables.  A word of any other form is left to the scalar nf_uak
 (the batch returns None for it), and a word that fails a certificate raises
-the scalar route's error.  The scalar nf_uak serves single words (nf_kau,
-tag_of, evaluations) and is the batch's test oracle.
+the scalar route's error.  The scalar nf_uak serves single words (tag_of,
+and the scalar coset_normalize of a word the batch does not carry or of a
+call with few misses) and is the batch's test oracle.
 """
 
 import numpy as np
@@ -170,7 +172,9 @@ def nf_kau(tower, K, word):
     """Mirrored normal form word = k * shift^T * u.
 
     Returns (k matrix, T, u atoms); computed from the normal form of the
-    inverted word by inverting it."""
+    inverted word by inverting it.  No production code calls it: the point
+    evaluations of induction read the coset of the inverted word directly,
+    and this form is their test oracle."""
     nf = nf_uak(tower, K, word_inverse(tower, tuple(word)))
     return (unitary_inverse(nf.k), -nf.t, word_inverse(tower, nf.u))
 

@@ -137,14 +137,24 @@ def test_memo_eviction_leaves_results_unchanged(monkeypatch):
 
     words_batch = I.nf_uak_batch
     monkeypatch.setattr(I, "nf_uak_batch", spy)
+    points = []
+
+    def grid_spy(self, heads, tails=((),), _orig=I.GridElement.values_at):
+        points.extend(x + t for x in heads for t in tails)
+        return _orig(self, heads, tails)
+
+    monkeypatch.setattr(I.GridElement, "values_at", grid_spy)
     monkeypatch.setattr(fields, "_MEMO_CAP", 3)
     got, largest, tw, w = _memo_run(Tower(3, 1))
     assert got == expected
     assert largest == [3, 3, 3]
     # the recursion step read its 243 products through the batch
     assert sum(len(b[0]) for b in batched) >= 243
-    # one bounded nf_uak table serves coset_normalize, tag_of and the
-    # nf_kau reads of the grid averaging
+    # the grid averaging read the inverses of all its points through the
+    # batch, into coset_normalize's table (bounded below); one bounded
+    # nf_uak table serves the scalar coset_normalize and tag_of
+    read = {word for b in batched for word in b[0]}
+    assert points and {word_inverse(tw, x) for x in points} <= read
     assert len(tw._memo[nf_uak.__wrapped__]) == 3
     # batched results land in coset_normalize's own table: a scalar read of
     # the last batched word is a hit returning the stored object
@@ -225,6 +235,13 @@ def test_eval_agreement_basis_vs_grid(tower, catalog):
                 pts.append(word_from_tag(tower, K, (0, ())))
                 for x in pts:
                     assert fb.eval_at(x) == fg.eval_at(x)
+                assert fb.values_at(pts) == fg.values_at(pts) == [
+                    fb.eval_at(x) for x in pts
+                ]
+                tails = [()] + [(a,) for a in I.pro_iwahori_sample(tower, K)]
+                assert fb.values_at(pts, tails) == [
+                    fg.eval_at(x + t) for x in pts for t in tails
+                ]
 
 
 def test_eval_off_support_is_zero(tower, catalog):
@@ -271,6 +288,10 @@ def test_invariance_checker_catches_doctored(tower, catalog):
     g = I.InducedFn(w, doctored)
     pts = [word_inverse(tower, word_from_tag(tower, K0, tag))]
     assert not I.is_pro_iwahori_invariant(g, points=pts)
+    # every point is checked, not only the first
+    clean = word_inverse(tower, word_from_tag(tower, K0, sorted(f.data)[-1]))
+    assert I.is_pro_iwahori_invariant(g, points=[clean])
+    assert not I.is_pro_iwahori_invariant(g, points=[clean] + pts)
     with pytest.raises(CrossCheckFailed):
         I.GridElement.from_induced(g)
 
@@ -423,6 +444,117 @@ def test_deep_s_identities_grid(tower, catalog):
             for n in range(0, 4):
                 out = I.op_Sminus_grid(I.f_grid(w, -n))
                 assert out.coeffs == {n + 1: 1}, (K, name, n)
+
+
+def test_deep_s_identities_grid_q5(tower5):
+    """The grid_q5 known answers at q = 5: S_K f_n = f_-n for n = 1..3 and
+    S_- f_-n = f_(n+1) for n = 0..2."""
+    for K in BOTH:
+        for kind, kw in ((W.TRIVIAL, {}), (W.STEINBERG, {}),
+                         (W.DET_TWIST, {"power": 1})):
+            w = W.make_weight(tower5, K, kind, **kw)
+            for n in range(1, 4):
+                out = I.op_SK_grid(I.f_grid(w, n))
+                assert out.coeffs == {-n: 1}, (K, w.label, n)
+            for n in range(0, 3):
+                out = I.op_Sminus_grid(I.f_grid(w, -n))
+                assert out.coeffs == {n + 1: 1}, (K, w.label, n)
+
+
+def _nf_kau_eval(elem, word):
+    """A grid element's value at the point of the word, read through the
+    mirrored normal form word = k alpha^T u: sigma(red k) coeff(-T)
+    grid_value(-T)."""
+    w = elem.weight
+    tw, K = w.tower, w.K
+    k_mat, t, _ = words.nf_kau(tw, K, tuple(word))
+    c = elem.coeffs.get(-t)
+    if not c:
+        return I._vzero(w.dim)
+    gamma = U.reduce_to_gamma(tw, K, k_mat)
+    return I._vscale(tw, c, I._vmat(tw, w.matrix(gamma), I.grid_value(w, -t)))
+
+
+def test_grid_values_match_nf_kau_read(monkeypatch):
+    """Every point the grid averaging evaluates, read by one batched coset
+    read of the inverted points, has the value the mirrored normal form
+    gives, and the batch falls back on none of them."""
+    seen, batched = [], []
+
+    def values_spy(self, heads, tails=((),), _orig=I.GridElement.values_at):
+        out = _orig(self, heads, tails)
+        seen.append(([x + t for x in heads for t in tails], out))
+        return out
+
+    def batch_spy(tower, K, words, _orig=I.nf_uak_batch):
+        read = _orig(tower, K, words)
+        batched.extend(read)
+        return read
+
+    monkeypatch.setattr(I.GridElement, "values_at", values_spy)
+    monkeypatch.setattr(I, "nf_uak_batch", batch_spy)
+    rng = random.Random(9)
+    for p in (3, 5):
+        tw = Tower(p, 1)
+        for K in BOTH:
+            for kind in (W.TRIVIAL, W.STEINBERG):
+                w = W.make_weight(tw, K, kind)
+                elem = I.GridElement(
+                    w, {n: rng.randrange(1, tw.Q) for n in range(-2, 3)}
+                )
+                seen.clear()
+                I.op_SK_grid(elem)
+                I.op_Sminus_grid(elem)
+                assert len(seen) == 2
+                for pts, values in seen:
+                    assert values == [_nf_kau_eval(elem, x) for x in pts]
+    assert batched and None not in batched
+
+
+def test_sampled_check_catches_a_dropped_suffix(monkeypatch, tower, catalog):
+    """Averaging over a transversal with one coset missing gives a
+    non-invariant image, which the sampled spot check of _op_grid sees."""
+    suffixes = I._sk_suffixes(tower, K1)
+    monkeypatch.setattr(I, "_sk_suffixes", lambda tw, K: suffixes[1:])
+    with pytest.raises(InvarianceViolated):
+        I.op_SK_grid(I.f_grid(catalog[(K1, "trivial")], 1))
+
+
+def test_op_grid_evaluates_every_sampled_point(monkeypatch, tower, catalog):
+    """_op_grid evaluates the window points and, for the first three window
+    shifts, 2 x (1 + 4) spot-check points, each once per suffix."""
+    counts, calls = [], []
+
+    def spy(self, heads, tails=((),), _orig=I.GridElement.values_at):
+        counts.append(len(heads) * len(tails))
+        calls.append((set(heads), list(tails)))
+        return _orig(self, heads, tails)
+
+    monkeypatch.setattr(I.GridElement, "values_at", spy)
+    alpha = U.atom_alpha
+    for K in BOTH:
+        w = catalog[(K, "steinberg")]
+        atoms = I.pro_iwahori_sample(tower, K)[:4]
+        bw = beta_compact_word(K)
+        for coeffs in ({0: 1}, {1: 1}, {-2: 1, 1: 2}):
+            elem = I.GridElement(w, coeffs)
+            shifts = sorted(elem.coeffs)
+            for op, window, suffixes in (
+                (I.op_SK_grid, I._sk_window(tower, K, shifts),
+                 I._sk_suffixes(tower, K)),
+                (I.op_Sminus_grid, I._sminus_window(tower, K, shifts),
+                 I._sminus_suffixes(tower, K)),
+            ):
+                counts.clear()
+                calls.clear()
+                op(elem)
+                expect = (len(window) + 10 * min(3, len(window))) * len(suffixes)
+                assert counts == [expect], (K, coeffs, op.__name__)
+                heads = {(alpha(-j),) for j in window}
+                for j in window[:3]:
+                    for y in ((alpha(-j),), bw + (alpha(-j),)):
+                        heads |= {y} | {y + (a,) for a in atoms}
+                assert calls == [(heads, suffixes)], (K, coeffs, op.__name__)
 
 
 def test_s_op_precondition_enforced(tower, catalog):
