@@ -37,9 +37,8 @@ def smul(tw, s, A):
 
 
 def matmul(tw, A, B):
-    """A (n,k) @ B (k,m): one lookup forms the (n, k, m) entry products,
-    then the inner axis is summed by pairwise halving, ceil(log2 k)
-    lookups."""
+    """A (n,k) @ B (k,m): one lookup forms the (k, n, m) entry products,
+    then sum_rows sums them over k."""
     A = np.asarray(A, dtype=np.uint16)
     B = np.asarray(B, dtype=np.uint16)
     n, k = A.shape
@@ -48,16 +47,22 @@ def matmul(tw, A, B):
         raise NotApplicable(
             "matmul of shapes %s and %s" % (A.shape, B.shape)
         )
+    return sum_rows(tw, tw.mul[A.T[:, :, None], B[:, None, :]])
+
+
+def sum_rows(tw, P):
+    """Sum of the array P over its first axis by pairwise halving,
+    ceil(log2 k) lookups for k rows; zeros when P has no rows."""
+    k = P.shape[0]
     if k == 0:
-        return np.zeros((n, m), dtype=np.uint16)
-    P = tw.mul[A[:, :, None], B[None, :, :]]
+        return zeros(P.shape[1:])
     while k > 1:
         h = k // 2
-        head = tw.add[P[:, :h], P[:, h : 2 * h]]
+        head = tw.add[P[:h], P[h : 2 * h]]
         if k % 2:
-            head[:, 0] = tw.add[head[:, 0], P[:, 2 * h]]
+            head[0] = tw.add[head[0], P[2 * h]]
         P, k = head, h
-    return P[:, 0]
+    return P[0]
 
 
 def matvec(tw, A, v):

@@ -14,6 +14,13 @@ whole cell at a time, and stored in that table; a word outside the batch's
 form, and every miss of a call with few misses, goes through the scalar
 coset_normalize.
 
+Values are transported the same way, a call at a time (_transport): the
+(residue, vector) rows of one call are grouped by the residue's key, and
+each distinct residue costs one Weight.matrix and one gfmat.matmul over all
+its vectors (in chunks bounded by _TRANSPORT_ENTRIES); the transported rows
+are then summed per coset (_merge) or per point as arrays.  op_T applies
+each stencil matrix to the stacked values of all tags at once.
+
 The canonical invariant functions f_n (supported on the n-th shift cell,
 pro-unipotent-invariant, one per shift) come in two forms: a materialized
 InducedFn over the full coordinate grid of the cell, and a coordinate form
@@ -179,30 +186,124 @@ def _normalize_words(tower, K, words):
     return out
 
 
+# Entry products per gfmat.matmul of the value transport (dim^2 per
+# vector), which bounds its arrays whatever the number of vectors.  Medians
+# of five on a 2-CPU host (CPython 3.11): on the 6,804 vectors (30 residues,
+# dim 27) of op_T(steinberg@K0, f_-1) at q = 3, a budget of 16,384 took
+# 0.092 s, 65,536 0.086 s and 524,288 0.097 s, with a traced peak of 0.96 MB
+# up to 65,536, 1.11 MB at 131,072 and 9.8 MB at 4096 vectors per product;
+# on the 4,375 vectors (742 residues, dim 125) of an op_SK_grid at q = 5,
+# 16,384 took 1.47 s, 65,536 0.99 s and 524,288 1.08 s.  _tuples converts
+# as many entries at a time: converting the whole merged array of that op_T
+# call at once raised from_raw's traced peak from 3.4 to 4.9 MB.
+_TRANSPORT_ENTRIES = 65536
+
+
+def _group(keys):
+    """An id for each hashable key, numbered in order of first appearance,
+    as an array, and the distinct keys in id order."""
+    index = {}
+    ids = [index.setdefault(key, len(index)) for key in keys]
+    return np.array(ids, dtype=np.intp), list(index)
+
+
+def _apply(tw, M, rows):
+    """Replace every row v of the (n, dim) array rows by M v, with one
+    gfmat.matmul per _TRANSPORT_ENTRIES // dim^2 rows."""
+    step = max(1, _TRANSPORT_ENTRIES // M.size)
+    for s in range(0, len(rows), step):
+        rows[s : s + step] = gfmat.matmul(tw, rows[s : s + step], M.T)
+
+
+def _transport(weight, gammas, vecs, inverse=False):
+    """sigma(gamma_i) v_i for every row i, or sigma(gamma_i^-1) v_i with
+    inverse, where vecs is an (n, dim) array; returns an (n, dim) array.
+
+    The rows are grouped by the residue's key, so each distinct residue
+    costs one Weight.matrix (after one inversion, with inverse) and its
+    rows are transported together by _apply."""
+    ids, _ = _group(gamma.key() for gamma in gammas)
+    # sorted by residue, the rows of each residue are one slice
+    order = np.argsort(ids, kind="stable")
+    rows = vecs[order]
+    start = 0
+    for end in np.cumsum(np.bincount(ids)).tolist():
+        gamma = gammas[order[start]]
+        M = weight.matrix(gamma.inverse() if inverse else gamma)
+        _apply(weight.tower, M, rows[start:end])
+        start = end
+    out = np.empty_like(rows)
+    out[order] = rows
+    return out
+
+
+def _stack(vecs, dim):
+    """The value tuples or arrays of a list as one (n, dim) array."""
+    return np.array(vecs, dtype=np.uint16).reshape(len(vecs), dim)
+
+
+def _tuples(rows):
+    """The rows of an (n, dim) array as value tuples of ints, converted
+    _TRANSPORT_ENTRIES entries at a time, so that no list of lists of the
+    whole array is held."""
+    step = max(1, _TRANSPORT_ENTRIES // rows.shape[1])
+    out = []
+    for s in range(0, len(rows), step):
+        out.extend(map(tuple, rows[s : s + step].tolist()))
+    return out
+
+
+def _merge(tw, ids, n, rows):
+    """Sums of the rows that share an id (0 <= id < n), as an (n, dim)
+    array: the r-th row of every id is added by one lookup, for each r up
+    to the largest number of rows on one id."""
+    out = np.zeros((n, rows.shape[1]), dtype=np.uint16)
+    counts = np.bincount(ids, minlength=n)
+    rank = np.empty(len(ids), dtype=np.intp)
+    rank[np.argsort(ids, kind="stable")] = np.arange(len(ids)) - np.repeat(
+        np.cumsum(counts) - counts, counts
+    )
+    by_rank = np.argsort(rank, kind="stable")
+    start = 0
+    for size in np.bincount(rank):
+        sel = by_rank[start : start + size]
+        start += size
+        at = ids[sel]
+        out[at] = tw.add[out[at], rows[sel]]
+    return out
+
+
 def _point_values(weight, heads, tails, stored):
     """Values at the points x t, x in heads and t in tails (x-major), of the
     function whose value at the representative of a tag is stored(tag),
-    None off the support.
+    None off the support; an (points, dim) array.
 
     The inverses t^-1 x^-1 of all points are read by one _normalize_words
     call: with (x t)^-1 = rep(tag) k and gamma = red(k), the value at x t is
     sigma(gamma^-1) stored(tag), and a point off the support costs only its
-    read.  Each head and each tail is inverted once, so the points that
-    share a tail share its inverse atoms, whose form the batch reads once."""
+    read.  The values of the supported points are transported by one
+    _transport call, so a residue shared by many points is inverted and
+    applied once.  Each head and each tail is inverted once, so the points
+    that share a tail share its inverse atoms, whose form the batch reads
+    once."""
     tw = weight.tower
     inv_tails = [word_inverse(tw, t) for t in tails]
     words = []
     for x in heads:
         inv_x = word_inverse(tw, x)
         words.extend(t + inv_x for t in inv_tails)
-    zero = _vzero(weight.dim)
-    out = []
-    for tag, gamma in _normalize_words(tw, weight.K, words):
+    out = np.zeros((len(words), weight.dim), dtype=np.uint16)
+    hit, gammas, vecs = [], [], []
+    for i, (tag, gamma) in enumerate(_normalize_words(tw, weight.K, words)):
         v = stored(tag)
-        if v is None:
-            out.append(zero)
-        else:
-            out.append(_vmat(tw, weight.matrix(gamma.inverse()), v))
+        if v is not None:
+            hit.append(i)
+            gammas.append(gamma)
+            vecs.append(v)
+    if hit:
+        out[hit] = _transport(
+            weight, gammas, _stack(vecs, weight.dim), inverse=True
+        )
     return out
 
 
@@ -233,22 +334,21 @@ class InducedFn:
 
         pairs is read once, and all its words are normalized by one
         _normalize_words call, so the words missing from coset_normalize's
-        memo table are read together by words.nf_uak_batch."""
+        memo table are read together by words.nf_uak_batch.  The values
+        are transported by one _transport call (one matrix product per
+        distinct residue) and summed per coset by _merge."""
         tw = weight.tower
-        K = weight.K
-        pairs = list(pairs)
-        normal = _normalize_words(tw, K, [word for word, _ in pairs])
-        data = {}
-        for (_, vec), (tag, gamma) in zip(pairs, normal):
-            v = _vmat(tw, weight.matrix(gamma), vec)
-            cur = data.get(tag)
-            if cur is not None:
-                v = _vadd(tw, cur, v)
-            if any(v):
-                data[tag] = v
-            elif cur is not None:
-                del data[tag]
-        return cls(weight, data)
+        words, vecs = [], []
+        for word, vec in pairs:
+            words.append(word)
+            vecs.append(vec)
+        normal = _normalize_words(tw, weight.K, words)
+        vals = _transport(
+            weight, [gamma for _, gamma in normal], _stack(vecs, weight.dim)
+        )
+        ids, tags = _group(tag for tag, _ in normal)
+        sums = _tuples(_merge(tw, ids, len(tags), vals))
+        return cls(weight, {t: v for t, v in zip(tags, sums) if any(v)})
 
     @classmethod
     def generator(cls, weight, word, vec):
@@ -325,12 +425,12 @@ class InducedFn:
 
     def values_at(self, heads, tails=((),)):
         """Values at the points x t, for x in heads and t in tails (x-major;
-        zero off the support), read together."""
+        zero off the support), read together; an (points, dim) array."""
         return _point_values(self.weight, heads, tails, self.data.get)
 
     def eval_at(self, word):
-        """Value at the point of the word (zero off the support)."""
-        return self.values_at([tuple(word)])[0]
+        """Value tuple at the point of the word (zero off the support)."""
+        return _tuples(self.values_at([tuple(word)]))[0]
 
     def __repr__(self):
         return "InducedFn(%s, tags=%d, shifts=%s)" % (
@@ -481,9 +581,10 @@ def is_pro_iwahori_invariant(f, atoms=None, points=None):
     if points is None:
         points = _invariance_points(f)
     tails = [()] + [(a,) for a in atoms]
-    values = f.values_at(points, tails)
-    step = len(tails)
-    return all(v == values[i - i % step] for i, v in enumerate(values))
+    values = f.values_at(points, tails).reshape(
+        len(points), len(tails), f.weight.dim
+    )
+    return bool((values == values[:, :1]).all())
 
 
 # ---------------------------------------------------------------------------
@@ -521,16 +622,21 @@ def _t_matrices(weight):
 
 def op_T(weight, f):
     """The spherical operator through its coset expansion, applied termwise
-    to the normalized generators of f by left translation."""
+    to the normalized generators of f by left translation.  Each stencil
+    matrix j sigma(g) is applied to the stacked values of all tags of f at
+    once (_apply), and the terms are normalized and merged by one
+    from_raw."""
     if f.weight is not weight:
         raise NotApplicable("operator weight differs from the function's")
     tw = weight.tower
     K = weight.K
+    bases = [word_from_tag(tw, K, tag) for tag in f.data]
+    vals = _stack(list(f.data.values()), weight.dim)
     pairs = []
-    for tag, v in f.data.items():
-        base = word_from_tag(tw, K, tag)
-        for suffix, M in _t_matrices(weight):
-            pairs.append((base + suffix, _vmat(tw, M, v)))
+    for suffix, M in _t_matrices(weight):
+        img = vals.copy()
+        _apply(tw, M, img)
+        pairs.extend(zip([b + suffix for b in bases], img))
     return InducedFn.from_raw(weight, pairs)
 
 
@@ -617,7 +723,7 @@ class GridElement:
 
     def values_at(self, heads, tails=((),)):
         """Values at the points x t, for x in heads and t in tails (x-major;
-        zero off the support), read together."""
+        zero off the support), read together; an (points, dim) array."""
         tw = self.weight.tower
         cell = {
             n: _vscale(tw, c, grid_value(self.weight, n))
@@ -628,7 +734,8 @@ class GridElement:
         )
 
     def eval_at(self, word):
-        return self.values_at([tuple(word)])[0]
+        """Value tuple at the point of the word (zero off the support)."""
+        return _tuples(self.values_at([tuple(word)]))[0]
 
     def add(self, other):
         if self.weight is not other.weight:
@@ -783,7 +890,8 @@ def _op_grid(elem, suffixes, window, opname):
     window, the image at x a must equal its value at x for the first four
     atoms a of pro_iwahori_sample.  The averages at all these points are
     evaluated by one values_at call, (|window| + 10 min(3, |window|))
-    |suffixes| points."""
+    |suffixes| points, and the values of each prefix are summed as one
+    array (gfmat.sum_rows)."""
     weight = elem.weight
     tw = weight.tower
     K = weight.K
@@ -794,14 +902,11 @@ def _op_grid(elem, suffixes, window, opname):
         for y in (x, bw + x):
             prefixes += [y] + [y + (a,) for a in atoms]
     values = elem.values_at(prefixes, suffixes)
-    n = len(suffixes)
-    sums = []
-    for i in range(len(prefixes)):
-        acc = _vzero(weight.dim)
-        for v in values[i * n : (i + 1) * n]:
-            if any(v):
-                acc = _vadd(tw, acc, v)
-        sums.append(acc)
+    # (suffix, prefix, dim): the sum over the suffixes is one sum_rows
+    by_suffix = values.reshape(
+        len(prefixes), len(suffixes), weight.dim
+    ).swapaxes(0, 1)
+    sums = _tuples(gfmat.sum_rows(tw, by_suffix))
     coeffs = {}
     for j, val in zip(window, sums):
         if any(val):
@@ -947,15 +1052,19 @@ def translation_recursion_check(
         src_tag = (n_from, coords)
         prefix = rng.choice(prefixes)
         products.append(prefix + word_from_tag(tw, K, src_tag))
-    hit = set()
-    for tag, gamma in _normalize_words(tw, K, products):
-        if tag[0] != target:
-            raise CrossCheckFailed("sampled product escapes the target cell")
-        if _vmat(tw, weight.matrix(gamma), w_from) != w:
-            raise CrossCheckFailed(
-                "sampled product transports off the canonical value"
-            )
-        hit.add(tag)
+    normal = _normalize_words(tw, K, products)
+    if any(tag[0] != target for tag, _ in normal):
+        raise CrossCheckFailed("sampled product escapes the target cell")
+    moved = _transport(
+        weight,
+        [gamma for _, gamma in normal],
+        _stack([w_from] * len(normal), weight.dim),
+    )
+    if (moved != np.array(w, dtype=np.uint16)).any():
+        raise CrossCheckFailed(
+            "sampled product transports off the canonical value"
+        )
+    hit = {tag for tag, _ in normal}
     evidence["mode"] = "certificate"
     evidence["sampled"] = sample
     evidence["distinct_hits"] = len(hit)
@@ -1096,11 +1205,13 @@ def constants(weight, check=True):
     else:
         d0 = 0
     bw = beta_compact_word(K)
-    acc = _vzero(weight.dim)
-    for u in layer_transversal(tw, n_K):
-        g = reduce_word(tw, K, (u,) + bw)
-        acc = _vadd(tw, acc, _vmat(tw, weight.matrix(g), v0))
-    if acc != _vscale(tw, d0, v0):
+    terms = layer_transversal(tw, n_K)
+    acc = gfmat.sum_rows(tw, _transport(
+        weight,
+        [reduce_word(tw, K, (u,) + bw) for u in terms],
+        _stack([v0] * len(terms), weight.dim),
+    ))
+    if tuple(acc.tolist()) != _vscale(tw, d0, v0):
         raise CrossCheckFailed("d[0] direct sum differs from the closed form")
 
     d = {0: d0}

@@ -35,6 +35,13 @@ _K_PATTERN = {
 }
 
 
+def require_compact(K):
+    """The one check on a compact argument: NotApplicable unless K is K0 or
+    K1."""
+    if K not in _K_PATTERN:
+        raise NotApplicable("unknown compact %r" % (K,))
+
+
 # ---------------------------------------------------------------------------
 # atoms
 
@@ -448,6 +455,7 @@ def iwahori_constants(tower, K):
     radical), the least k with the lower filtration group at depth k inside
     the pro-unipotent radical, and the residue size exponent of the
     depth-n_K upper layer."""
+    require_compact(K)
     lo, hi = -4, 5
 
     def scan(prime, pro_unipotent):

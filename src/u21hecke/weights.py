@@ -31,7 +31,6 @@ from .errors import (
 from .fields import Character, char_s, characters_of_torus, is_regular, memo
 from .laurent import Series
 from .unitary_group import (
-    K0,
     K1,
     GammaElem,
     atom_d,
@@ -40,6 +39,7 @@ from .unitary_group import (
     iwahori_constants,
     layer_transversal,
     reduce_to_gamma,
+    require_compact,
     torus_unit_atoms,
     word_matrix,
 )
@@ -469,8 +469,7 @@ def make_weight(tower, K, kind, chi=None, part=None, power=None):
     ps_sub_quotient (shifted compact, prime residue field, regular chi;
     part in {'sub', 'quotient'})."""
     tw = tower
-    if K not in (K0, K1):
-        raise NotApplicable("unknown compact %r" % (K,))
+    require_compact(K)
     if kind == TRIVIAL:
         return Weight(tw, K, kind, 1, _trivial_builder(tw))
     if kind == DET_TWIST:

@@ -60,6 +60,7 @@ from .unitary_group import (
     in_compact,
     iwahori_constants,
     layer_atom,
+    require_compact,
     word_inverse,
     word_matrix,
 )
@@ -139,6 +140,7 @@ def nf_uak(tower, K, word):
     e_j, x = conj(-g[1][j] / c) and the depth is read from row 0.  Each
     layer atom is removed on the left before the next layer is read (x is 0
     on odd layers); the remainder, shifted by alpha^-T, is k."""
+    require_compact(K)
     tw, lat = tower, _LATTICE[K]
     e = word_matrix(tw, word).e
     v0, j0 = _row_min(e, 0, lat)
@@ -491,6 +493,7 @@ def nf_uak_batch(tower, K, words):
     that fails the unipotent relation, the membership of k in K or the
     residue unitarity raises the scalar route's error (RelationViolated,
     CrossCheckFailed, MembershipViolated); it is never routed around."""
+    require_compact(K)
     out = [None] * len(words)
     forms, groups = {}, {}
     for n, word in enumerate(words):

@@ -15,6 +15,7 @@ from u21hecke.errors import (
 )
 from u21hecke._kernel import INF
 from u21hecke.fields import Tower
+from u21hecke.induction import grid_count
 from u21hecke.laurent import Series
 from u21hecke.mat3 import (
     Mat3,
@@ -46,6 +47,8 @@ from u21hecke.unitary_group import (
     torus_unit_atoms,
     word_matrix,
 )
+from u21hecke.weights import TRIVIAL, make_weight
+from u21hecke.words import nf_uak, nf_uak_batch
 
 # A tower of this module's own, so its window does not depend on test order.
 TW = Tower(3, 1)
@@ -324,3 +327,17 @@ def test_atom_operations_match_generic_products(word, m, atom):
     assert atom_times(TW, atom, m.e) == (g * m).e
     J = form_matrix(TW)
     assert unitary_inverse(m).e == (J * m.conj_transpose() * J).e
+
+
+@pytest.mark.parametrize("entry", [
+    lambda K: iwahori_constants(TW, K),
+    lambda K: nf_uak(TW, K, (atom_alpha(1),)),
+    lambda K: nf_uak_batch(TW, K, [(atom_alpha(1),)]),
+    lambda K: grid_count(TW, K, 1),
+    lambda K: make_weight(TW, K, TRIVIAL),
+], ids=["iwahori_constants", "nf_uak", "nf_uak_batch", "grid_count",
+        "make_weight"])
+def test_unknown_compact_is_typed(entry):
+    """An unknown compact fails with NotApplicable, not a lookup error."""
+    with pytest.raises(NotApplicable, match="unknown compact 'K2'"):
+        entry("K2")

@@ -2,6 +2,7 @@
 averaging operators, structure constants, translation recursion, spans."""
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -185,6 +186,67 @@ def test_from_raw_reads_pairs_once(catalog):
         assert reads[0] == len(pairs)
 
 
+def test_transport_one_matrix_per_residue(monkeypatch, catalog):
+    """op_T(steinberg@K0, f_-1) and op_SK_grid(f_grid(steinberg@K0, -1))
+    call gfmat.matvec never and Weight.matrix at most once per distinct
+    residue their coset reads return: 30 for the 6,804 terms of op_T.
+    Transporting those terms stays within a traced-memory bound set by
+    _TRANSPORT_ENTRIES."""
+    w = catalog[(K0, "steinberg")]
+    f, g = I.f_basis(w, -1), I.f_grid(w, -1)
+    ops = {"op_T": lambda: I.op_T(w, f), "op_SK_grid": lambda: I.op_SK_grid(g)}
+    expected = {name: op() for name, op in ops.items()}  # warm stencils
+    counts = {"matvec": 0, "matrix": 0}
+    residues, transported = set(), []
+
+    def matvec_spy(*args, _orig=gfmat.matvec):
+        counts["matvec"] += 1
+        return _orig(*args)
+
+    def matrix_spy(self, gamma, _orig=W.Weight.matrix):
+        counts["matrix"] += 1
+        return _orig(self, gamma)
+
+    def normalize_spy(tower, K, words, _orig=I._normalize_words):
+        out = _orig(tower, K, words)
+        residues.update(gamma.key() for _, gamma in out)
+        return out
+
+    def transport_spy(weight, gammas, vecs, inverse=False, _orig=I._transport):
+        transported.append((gammas, vecs.copy(), inverse))
+        return _orig(weight, gammas, vecs, inverse)
+
+    monkeypatch.setattr(gfmat, "matvec", matvec_spy)
+    monkeypatch.setattr(W.Weight, "matrix", matrix_spy)
+    monkeypatch.setattr(I, "_normalize_words", normalize_spy)
+    monkeypatch.setattr(I, "_transport", transport_spy)
+    for name, op in ops.items():
+        counts.update(matvec=0, matrix=0)
+        residues.clear()
+        transported.clear()
+        assert op() == expected[name]
+        assert counts["matvec"] == 0, name
+        assert 0 < counts["matrix"] <= len(residues), name
+        if name == "op_T":
+            assert len(residues) == 30
+            gammas, vecs, inverse = transported[-1]
+            assert len(gammas) == 6804
+    monkeypatch.undo()
+    want = I._transport(w, gammas, vecs.copy(), inverse)
+    for budget in (I._TRANSPORT_ENTRIES, 8 * w.dim**2):
+        monkeypatch.setattr(I, "_TRANSPORT_ENTRIES", budget)
+        tracemalloc.start()
+        try:
+            got = I._transport(w, gammas, vecs, inverse)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(got, want)
+        # the output, the rows sorted by residue, and per product the
+        # entry products (2 bytes each) and their index arrays (8 bytes)
+        assert peak < 2 * vecs.nbytes + 16 * budget + 2**19, budget
+
+
 def test_unipotent_relation_checked_once_per_layer_coordinate(monkeypatch):
     """Layer atoms are built once per tower and coordinate: over a recursion
     step on a fresh tower, the unipotent relation is checked at most once
@@ -235,11 +297,11 @@ def test_eval_agreement_basis_vs_grid(tower, catalog):
                 pts.append(word_from_tag(tower, K, (0, ())))
                 for x in pts:
                     assert fb.eval_at(x) == fg.eval_at(x)
-                assert fb.values_at(pts) == fg.values_at(pts) == [
-                    fb.eval_at(x) for x in pts
-                ]
+                assert (I._tuples(fb.values_at(pts))
+                        == I._tuples(fg.values_at(pts))
+                        == [fb.eval_at(x) for x in pts])
                 tails = [()] + [(a,) for a in I.pro_iwahori_sample(tower, K)]
-                assert fb.values_at(pts, tails) == [
+                assert I._tuples(fb.values_at(pts, tails)) == [
                     fg.eval_at(x + t) for x in pts for t in tails
                 ]
 
@@ -507,7 +569,9 @@ def test_grid_values_match_nf_kau_read(monkeypatch):
                 I.op_Sminus_grid(elem)
                 assert len(seen) == 2
                 for pts, values in seen:
-                    assert values == [_nf_kau_eval(elem, x) for x in pts]
+                    assert I._tuples(values) == [
+                        _nf_kau_eval(elem, x) for x in pts
+                    ]
     assert batched and None not in batched
 
 
