@@ -9,6 +9,7 @@ one set of tables serves both.
 Elements are table indices (0 = zero, 1 = one); all arithmetic is lookups.
 """
 
+import numbers
 from collections import OrderedDict
 from functools import wraps
 
@@ -176,6 +177,12 @@ class Tower:
     """Arithmetic tables for k_F < k_E = coefficient field GF(p^m)."""
 
     def __init__(self, p, f):
+        for name, v in (("p", p), ("f", f)):
+            if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+                raise NotApplicable("%s must be an int, got %r" % (name, v))
+        p, f = int(p), int(f)
+        if f < 1:
+            raise NotApplicable("f must be at least 1, got %d" % f)
         if p < 3 or any(p % r == 0 for r in range(2, int(p**0.5) + 1)):
             raise NotApplicable("p must be an odd prime, got %r" % (p,))
         self.p = p

@@ -9,16 +9,18 @@ partial averaging operators S_K and S_- act by concatenating generator words
 and re-normalizing; every landing coset membership is certified by the
 residue reduction.  The words of one operation are normalized together
 (InducedFn.from_raw, the values_at point reads, the support windows): those
-missing from coset_normalize's memo table are read by words.nf_uak_batch, a
-whole cell at a time, and stored in that table; a word outside the batch's
-form, and every miss of a call with few misses, goes through the scalar
-coset_normalize.
+missing from coset_normalize's memo table are read by words.nf_uak_batch,
+one read per distinct (shift, pivot) of the call, and stored in that table;
+a word outside the batch's form, and every miss of a call with few misses,
+goes through the scalar coset_normalize.  The point reads pass their
+inverted tails and inverted heads as a product, so each factor's atoms are
+read once.
 
-Values are transported the same way, a call at a time (_transport): the
-(residue, vector) rows of one call are grouped by the residue's key, and
-each distinct residue costs one Weight.matrix and one gfmat.matmul over all
-its vectors (in chunks bounded by _TRANSPORT_ENTRIES); the transported rows
-are then summed per coset (_merge) or per point as arrays.  op_T applies
+Values are transported the same way, a call at a time (_transport): each
+distinct (residue, vector) pair of one call is transported once, and each
+distinct residue costs one Weight.matrix and one gfmat.matmul over all its
+distinct vectors (in chunks bounded by _TRANSPORT_ENTRIES); the transported
+rows are then summed per coset (_merge) or per point as arrays.  op_T applies
 each stencil matrix to the stacked values of all tags at once.
 
 The canonical invariant functions f_n (supported on the n-th shift cell,
@@ -146,56 +148,71 @@ def coset_normalize(tower, K, word):
 # (the benchmark's tracer wraps it).
 _coset_table = coset_normalize.table
 
-# Fewer misses than this are read one word at a time, which is faster there.
-# Measured on recursion and op_T words with warm layer atoms (2-CPU host,
-# CPython 3.11): at q = 3, 24 words took 3.0-4.2 ms one by one against
-# 3.4-4.9 ms batched, and 32 words 4.0-5.5 ms against 3.9-5.5 ms; at q = 5
-# the batch is as fast from 16 words.
+# Fewer misses than this are read one word at a time.  Measured on
+# recursion and op_T words with warm layer atoms (2-CPU host, CPython 3.11,
+# quartiles of 15 samples) under the whole-call read: at q = 3, 16 words
+# took 3.4-3.6 ms one by one against 2.4-3.2 ms batched at K0, and 24 words
+# 4.1-5.0 ms against 3.5-4.3 ms at K1; at q = 5 the batch is as fast from 8
+# words at K0 and from 16 at K1.  The bound stays at 32, where the
+# per-signature read of the batch first matched the scalar read (24 words:
+# 3.0-4.2 ms one by one against 3.4-4.9 ms batched), so that the words each
+# call reads one by one are the same as before.
 _BATCH_MIN = 32
 # Misses per nf_uak_batch call, which bounds its arrays whatever the cell
-# size.  On the 19,683 words of the recursion step 2 -> 3 at q = 3, chunks of
-# 4096 took 0.32 s with a traced peak 1.9 MB above the stored results;
-# chunks of 512 took 0.87 s, and one chunk of 32768 took 0.32 s and 7.6 MB.
+# size.  On the 19,683 words of the recursion step 2 -> 3 at q = 3 (K0),
+# under the whole-call read (min of 7): chunks of 4096 took 0.25-0.30 s
+# with a traced peak 3.6 MB above the 13 MB of stored results; chunks of 512
+# took 0.32-0.48 s and 0.3 MB, and one chunk of 32768 0.23-0.30 s and
+# 21.6 MB.
 _BATCH_CHUNK = 4096
 
 
-def _normalize_words(tower, K, words):
-    """coset_normalize of every word, in order.
+def _normalize_words(tower, K, heads, tails=((),)):
+    """coset_normalize of the word h + t for every tail t and head h, in
+    tail-major order, so that a plain list of words (with the single empty
+    tail) comes back in its own order.
 
     Hits come from coset_normalize's memo table.  At _BATCH_MIN misses or
-    more, the misses are read by nf_uak_batch in chunks of _BATCH_CHUNK and
-    its results stored in that same table; a word the batch does not carry
-    goes to the scalar coset_normalize, as do all misses of a smaller
-    call."""
+    more, the misses are read by nf_uak_batch as (head, tail) index pairs,
+    in chunks of _BATCH_CHUNK, so each head is built once per chunk and each
+    tail applied by column operations; the results are stored in that same
+    table.  A word the batch does not carry goes to the scalar
+    coset_normalize, as do all misses of a smaller call."""
     table = _coset_table(tower)
+    words = [h + t for t in tails for h in heads]
     out = [table.get((K, w)) for w in words]
-    todo = [i for i, r in enumerate(out) if r is None]
+    todo = [n for n, r in enumerate(out) if r is None]
     if len(todo) < _BATCH_MIN:
-        for i in todo:
-            out[i] = coset_normalize(tower, K, words[i])
+        for n in todo:
+            out[n] = coset_normalize(tower, K, words[n])
         return out
+    nh = len(heads)
     for start in range(0, len(todo), _BATCH_CHUNK):
         chunk = todo[start : start + _BATCH_CHUNK]
-        read = nf_uak_batch(tower, K, [words[i] for i in chunk])
-        for i, r in zip(chunk, read):
+        pairs = [(n % nh, n // nh) for n in chunk]
+        for n, r in zip(chunk, nf_uak_batch(tower, K, heads, tails, pairs)):
             if r is None:
-                r = coset_normalize(tower, K, words[i])
+                r = coset_normalize(tower, K, words[n])
             else:
-                memo_store(table, (K, words[i]), r)
-            out[i] = r
+                memo_store(table, (K, words[n]), r)
+            out[n] = r
     return out
 
 
 # Entry products per gfmat.matmul of the value transport (dim^2 per
 # vector), which bounds its arrays whatever the number of vectors.  Medians
-# of five on a 2-CPU host (CPython 3.11): on the 6,804 vectors (30 residues,
-# dim 27) of op_T(steinberg@K0, f_-1) at q = 3, a budget of 16,384 took
-# 0.092 s, 65,536 0.086 s and 524,288 0.097 s, with a traced peak of 0.96 MB
-# up to 65,536, 1.11 MB at 131,072 and 9.8 MB at 4096 vectors per product;
-# on the 4,375 vectors (742 residues, dim 125) of an op_SK_grid at q = 5,
-# 16,384 took 1.47 s, 65,536 0.99 s and 524,288 1.08 s.  _tuples converts
-# as many entries at a time: converting the whole merged array of that op_T
-# call at once raised from_raw's traced peak from 3.4 to 4.9 MB.
+# of five on a 2-CPU host (CPython 3.11), taken when every row was
+# transported: on the 6,804 vectors (30 residues, dim 27) of
+# op_T(steinberg@K0, f_-1) at q = 3, a budget of 16,384 took 0.092 s, 65,536
+# 0.086 s and 524,288 0.097 s, with a traced peak of 0.96 MB up to 65,536,
+# 1.11 MB at 131,072 and 9.8 MB at 4096 vectors per product; on the 4,375
+# vectors (742 residues, dim 125) of an op_SK_grid at q = 5, 16,384 took
+# 1.47 s, 65,536 0.99 s and 524,288 1.08 s.  Now that each distinct
+# (residue, vector) is transported once, those calls carry 30 and 744
+# vectors, and take 5-6 ms and 0.23-0.26 s at each of the three budgets.
+# _tuples converts as many entries at a time: converting the whole merged
+# array of that op_T call at once raised from_raw's traced peak from 3.4 to
+# 4.9 MB.
 _TRANSPORT_ENTRIES = 65536
 
 
@@ -219,22 +236,30 @@ def _transport(weight, gammas, vecs, inverse=False):
     """sigma(gamma_i) v_i for every row i, or sigma(gamma_i^-1) v_i with
     inverse, where vecs is an (n, dim) array; returns an (n, dim) array.
 
-    The rows are grouped by the residue's key, so each distinct residue
-    costs one Weight.matrix (after one inversion, with inverse) and its
-    rows are transported together by _apply."""
-    ids, _ = _group(gamma.key() for gamma in gammas)
-    # sorted by residue, the rows of each residue are one slice
-    order = np.argsort(ids, kind="stable")
-    rows = vecs[order]
+    Each distinct (residue, row) pair is transported once.  The rows are
+    numbered by one np.unique over their bytes, and the pairs by one
+    np.unique over (residue id, row number), which sorts them by residue:
+    each distinct residue costs one Weight.matrix (after one inversion, with
+    inverse), its distinct rows are transported together by _apply, and the
+    results are scattered back through the inverse index."""
+    ids, keys = _group(gamma.key() for gamma in gammas)
+    rep = np.empty(len(keys), dtype=np.intp)
+    rep[ids] = np.arange(len(ids))
+    vecs = np.ascontiguousarray(vecs)
+    row_bytes = np.dtype((np.void, vecs.itemsize * vecs.shape[1]))
+    _, first, row = np.unique(
+        vecs.view(row_bytes).ravel(), return_index=True, return_inverse=True
+    )
+    n = len(first)
+    pairs, back = np.unique(ids * n + row.reshape(-1), return_inverse=True)
+    rows = vecs[first[pairs % n]]
     start = 0
-    for end in np.cumsum(np.bincount(ids)).tolist():
-        gamma = gammas[order[start]]
+    for r, end in enumerate(np.cumsum(np.bincount(pairs // n)).tolist()):
+        gamma = gammas[rep[r]]
         M = weight.matrix(gamma.inverse() if inverse else gamma)
         _apply(weight.tower, M, rows[start:end])
         start = end
-    out = np.empty_like(rows)
-    out[order] = rows
-    return out
+    return rows[back.reshape(-1)]
 
 
 def _stack(vecs, dim):
@@ -279,22 +304,23 @@ def _point_values(weight, heads, tails, stored):
     None off the support; an (points, dim) array.
 
     The inverses t^-1 x^-1 of all points are read by one _normalize_words
-    call: with (x t)^-1 = rep(tag) k and gamma = red(k), the value at x t is
-    sigma(gamma^-1) stored(tag), and a point off the support costs only its
-    read.  The values of the supported points are transported by one
-    _transport call, so a residue shared by many points is inverted and
-    applied once.  Each head and each tail is inverted once, so the points
-    that share a tail share its inverse atoms, whose form the batch reads
-    once."""
+    call, as the product of the inverted tails (its heads) and the inverted
+    heads (its tails): with (x t)^-1 = rep(tag) k and gamma = red(k), the
+    value at x t is sigma(gamma^-1) stored(tag), and a point off the support
+    costs only its read.  The batch builds each inverted tail once and
+    applies each inverted head to it by column operations.  The values of
+    the supported points are transported by one _transport call, so a
+    residue shared by many points is inverted and applied once."""
     tw = weight.tower
-    inv_tails = [word_inverse(tw, t) for t in tails]
-    words = []
-    for x in heads:
-        inv_x = word_inverse(tw, x)
-        words.extend(t + inv_x for t in inv_tails)
-    out = np.zeros((len(words), weight.dim), dtype=np.uint16)
+    normal = _normalize_words(
+        tw,
+        weight.K,
+        [word_inverse(tw, t) for t in tails],
+        [word_inverse(tw, x) for x in heads],
+    )
+    out = np.zeros((len(normal), weight.dim), dtype=np.uint16)
     hit, gammas, vecs = [], [], []
-    for i, (tag, gamma) in enumerate(_normalize_words(tw, weight.K, words)):
+    for i, (tag, gamma) in enumerate(normal):
         v = stored(tag)
         if v is not None:
             hit.append(i)

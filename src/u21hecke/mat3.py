@@ -1,11 +1,10 @@
 """3x3 matrices over the Laurent field, stored as row-major tuples of raw
 kernel triples for speed. Series objects only at the boundaries."""
 
-from ._kernel import INF
+from ._kernel import EXACT_ZERO, INF
 from .errors import IndeterminateMembership, InsufficientPrecision
 from .laurent import Series
 
-EXACT_ZERO = (INF, INF, ())
 EXACT_ONE = (0, INF, (1,))
 
 

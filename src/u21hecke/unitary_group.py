@@ -119,13 +119,15 @@ def atom_matrix(tower, atom):
 
 
 # Products with one atom factor.  Every entry is a canonical triple (leading
-# coefficient nonzero, exact tails stripped), so in the generic product
-# mat3_mul a factor of exact one returns the other factor, a factor t^k is
-# shift_trip by k, a factor of exact zero gives exact zero, and ser_add
-# returns the other summand of an exact zero.  The operations below skip
-# exactly those calls, so each result equals Mat3.__mul__ triple for triple,
+# coefficient nonzero, exact tails stripped), so in the generic product a
+# factor of exact one returns the other factor, a factor t^k is shift_trip by
+# k, a factor of exact zero (in the atom or in the other matrix) gives exact
+# zero, and ser_add returns the other summand of an exact zero.  The
+# operations below skip exactly those calls, as mat3_mul skips its
+# exact-zero products, so each result equals Mat3.__mul__ triple for triple,
 # with the same ser_mul calls for every other entry and the sums in
-# mat3_mul's order.  (ser_mul is symmetric in its two arguments, so the row
+# mat3_mul's order.  A zero known only to a finite precision is multiplied
+# as any series.  (ser_mul is symmetric in its two arguments, so the row
 # operations may pass the atom entry second.)
 
 
@@ -144,10 +146,14 @@ def _unipotent_data(ctx, atom):
 def _lower_op(ctx, a0, a1, a2, x, y, mxb):
     """(a0, a0 x + a1, a0 y + a1 mxb + a2): one row times an "n" matrix."""
     mul, add = ctx.ser_mul, ctx.ser_add
+    if not a0[2] and a0[1] >= INF:
+        x = y = None
+    if not a1[2] and a1[1] >= INF:
+        mxb = None
     b1 = a1 if x is None else add(mul(a0, x), a1)
     if y is None:
-        b2 = a2 if x is None else add(mul(a1, mxb), a2)
-    elif x is None:
+        b2 = a2 if mxb is None else add(mul(a1, mxb), a2)
+    elif mxb is None:
         b2 = add(mul(a0, y), a2)
     else:
         b2 = add(add(mul(a0, y), mul(a1, mxb)), a2)
@@ -157,21 +163,23 @@ def _lower_op(ctx, a0, a1, a2, x, y, mxb):
 def _upper_op(ctx, a0, a1, a2, x, y, mxb):
     """(a0 + a1 x + a2 y, a1 + a2 mxb, a2): one row times an "np" matrix."""
     mul, add = ctx.ser_mul, ctx.ser_add
-    if x is None:
-        b0 = a0 if y is None else add(a0, mul(a2, y))
-        return b0, a1, a2
-    b0 = add(a0, mul(a1, x))
+    if not a1[2] and a1[1] >= INF:
+        x = None
+    if not a2[2] and a2[1] >= INF:
+        y = mxb = None
+    b0 = a0 if x is None else add(a0, mul(a1, x))
     if y is not None:
         b0 = add(b0, mul(a2, y))
-    return b0, add(a1, mul(a2, mxb)), a2
+    return b0, a1 if mxb is None else add(a1, mul(a2, mxb)), a2
 
 
 def times_atom(tower, e, atom):
     """Entries of M * atom_matrix(atom), for M with row-major entries e, by
     column operations: "a" shifts the outer columns, "b" reverses them, "d"
-    scales them (9 ser_mul) and "n"/"np" add multiples of one column to the
-    others (at most 9 ser_mul, fewer when x or y is exact zero).  Equal
-    triple for triple to the generic product; see the comment above."""
+    scales them (at most 9 ser_mul) and "n"/"np" add multiples of one column
+    to the others (at most 9 ser_mul); a product with an exact-zero factor
+    is skipped.  Equal triple for triple to the generic product; see the
+    comment above."""
     kind = atom[0]
     if kind == "a":
         k = (-atom[1], 0, atom[1])
@@ -181,7 +189,10 @@ def times_atom(tower, e, atom):
     ctx = tower.ctx
     if kind == "d":
         mul, d = ctx.ser_mul, atom[1:]
-        return tuple(mul(e[i], d[i % 3]) for i in range(9))
+        return tuple(
+            mul(t, d[i % 3]) if t[2] or t[1] < INF else EXACT_ZERO
+            for i, t in enumerate(e)
+        )
     if kind == "n":
         op = _lower_op
     elif kind == "np":

@@ -24,14 +24,20 @@ nf_uak_batch gives the same read, and the residue of k, for many words at
 once.  A word of shifts, involutions and unipotent or diagonal atoms whose
 entries are exact monomials has a matrix of exact Laurent polynomials, and
 words with one signature (each atom without its residue coefficients)
-differ only in their coefficients.  Such a group is held as one uint16
-array of coefficient indices, and steps 1-3, the membership certificate and
-the residue read run on all of it by lookups in the tower's add, mul, neg,
-inv and frob tables.  A word of any other form is left to the scalar nf_uak
-(the batch returns None for it), and a word that fails a certificate raises
-the scalar route's error.  The scalar nf_uak serves single words (tag_of,
-and the scalar coset_normalize of a word the batch does not carry or of a
-call with few misses) and is the batch's test oracle.
+differ only in their coefficients.  The batch reads the words head + tail
+of a list of (head, tail) pairs; a plain list of words is the same with the
+single empty tail.  Each head signature group is built as one uint16 array
+of coefficient indices by column operations, and each tail's atoms are
+applied by column operations to the head columns its pairs use.  All of a
+call's matrices are then stacked into one array over their common degree
+range, and steps 1-3, the membership certificate and the residue read run
+once per distinct (shift, pivot column) on all of its matrices, by lookups
+in the tower's add, mul, neg, inv and frob tables.  A word of any other
+form is left to the scalar nf_uak (the batch returns None for it), and a
+word that fails a certificate raises the scalar route's error.  The scalar
+nf_uak serves single words (tag_of, and the scalar coset_normalize of a
+word the batch does not carry or of a call with few misses) and is the
+batch's test oracle.
 """
 
 import numpy as np
@@ -251,7 +257,13 @@ def _atom_form(atom):
     """(signature, coefficients) of an atom the batch carries, None for any
     other: the signature is the atom without its residue coefficients (kind,
     the degree of each monomial entry, None for an exact zero, or the alpha
-    exponent); the coefficients are those of its "n"/"np"/"d" entries."""
+    exponent); the coefficients are those of its "n"/"np"/"d" entries.
+
+    An "n"/"np" atom with x = 0 and y of even degree dy is given x = 0 t^(dy/2),
+    the degree x has on that layer, so the atoms of an even layer other than
+    the identity share one signature; the identity (x = y = 0) has signature
+    None and is dropped from its word.  Both are exact: a column operation by
+    the coefficient 0 adds nothing."""
     kind = atom[0]
     if kind in ("a", "b"):
         return atom, ()
@@ -260,7 +272,40 @@ def _atom_form(atom):
     terms = [_monomial(t) for t in atom[1:]]
     if None in terms or (kind == "d" and (None, 0) in terms):
         return None
+    if kind != "d" and terms[0][0] is None:
+        dy = terms[1][0]
+        if dy is None:
+            return None, ()
+        if dy % 2 == 0:
+            terms[0] = (dy // 2, 0)
     return (kind,) + tuple(d for d, _ in terms), tuple(c for _, c in terms)
+
+
+def _by_signature(words, idx, forms):
+    """The words at the indices idx that the batch carries, grouped by
+    signature: {signature: (indices, (coefficients, N) array)}.  forms
+    holds the atom forms of one batch call by id (the words hold their
+    atoms, so an id names one atom there)."""
+    groups = {}
+    for i in idx:
+        sig, coefs = [], []
+        for atom in words[i]:
+            form = forms.get(id(atom), False)
+            if form is False:
+                form = forms[id(atom)] = _atom_form(atom)
+            if form is None:
+                break
+            if form[0] is not None:
+                sig.append(form[0])
+                coefs.extend(form[1])
+        else:
+            group = groups.setdefault(tuple(sig), ([], []))
+            group[0].append(i)
+            group[1].append(coefs)
+    return {
+        sig: (ids, np.array(cs, dtype=np.intp).reshape(len(ids), -1).T)
+        for sig, (ids, cs) in groups.items()
+    }
 
 
 def _union(a, b):
@@ -276,8 +321,9 @@ def _moved(span, s):
 
 
 class _Block:
-    """N matrices of one word signature, whose entries are exact Laurent
-    polynomials.
+    """N matrices whose entries are exact Laurent polynomials: the words of
+    one signature while they are built, all the words of a batch call once
+    stacked.
 
     e is a uint16 array of shape (9, D, N): e[i, d, r] is the table index of
     the coefficient of t^(lo + d) in entry i (row major) of matrix r, so
@@ -295,6 +341,23 @@ class _Block:
         e = np.zeros((9, 1, n), dtype=np.uint16)
         e[0::4] = 1
         return cls(tower, e, 0, [(0, 0) if i % 4 == 0 else None for i in range(9)])
+
+    @classmethod
+    def stack(cls, tower, blocks):
+        """One block of the matrices of all the blocks, in order, over their
+        common degree range; a single block is returned as it is."""
+        if len(blocks) == 1:
+            return blocks[0]
+        lo = min(b.lo for b in blocks)
+        hi = max(b.lo + b.e.shape[1] for b in blocks)
+        e = np.zeros((9, hi - lo, sum(b.e.shape[2] for b in blocks)), dtype=np.uint16)
+        span, c = [None] * 9, 0
+        for b in blocks:
+            d, n = b.e.shape[1:]
+            e[:, b.lo - lo : b.lo - lo + d, c : c + n] = b.e
+            span = [_union(s, t) for s, t in zip(span, b.span)]
+            c += n
+        return cls(tower, e, lo, span)
 
     def take(self, rows):
         return _Block(self.tower, self.e[:, :, rows], self.lo, self.span)
@@ -393,6 +456,15 @@ class _Block:
                 if dx is not None:
                     self.axpy(col[1], col[2], mxb, dx)
 
+    def times_word(self, sig, cs):
+        """Right multiplication by the atoms of a word signature, with cs
+        the (coefficients, N) array of their coefficients."""
+        k = 0
+        for form in sig:
+            width = len(form) - 1 if form[0] in ("n", "np", "d") else 0
+            self.times_atom(form, cs[k : k + width])
+            k += width
+
 
 def _row_mins(val, lat, i):
     """Row minimum of row i against the lattice and its pivot column, first
@@ -479,59 +551,73 @@ def _read_cell(blk, K, t, j):
     return [tuple(zip(layers, x, y)) for x, y in zip(xs, ys)], m
 
 
-def nf_uak_batch(tower, K, words):
-    """The (tag, residue) that coset_normalize gives each word, read for
-    many words at once; None for a word the batch does not carry.
+def nf_uak_batch(tower, K, heads, tails=((),), pairs=None):
+    """The (tag, residue) that coset_normalize gives the word heads[i] +
+    tails[j], for each (i, j) of pairs, read for all of them at once; None
+    for a word the batch does not carry.  By default pairs reads every word
+    of heads with the single empty tail, so nf_uak_batch(tower, K, words)
+    reads a plain list of words.
 
     The batch carries words whose atoms are "a", "b", and "n", "np" or "d"
     atoms with entries that are exact monomials or exact zero.  Their
-    matrices are exact Laurent polynomials.  Words are grouped by signature
-    (each atom without its residue coefficients), and each group is built
-    by the column operations of times_atom, for all its words at once.  The
-    read of nf_uak and the residue read of reduce_to_gamma then run on every
-    matrix of a group that shares the shift and the pivot column.  A matrix
-    that fails the unipotent relation, the membership of k in K or the
-    residue unitarity raises the scalar route's error (RelationViolated,
+    matrices are exact Laurent polynomials.  The heads the pairs use are
+    grouped by signature (each atom without its residue coefficients); each
+    group is built by the column operations of times_atom, for all its heads
+    at once, and the groups are stacked into one block.  For each tail
+    signature, the head columns its pairs need are gathered from that block
+    and the tail's atoms applied to them by column operations; the results
+    are stacked again, so the row minima, the shift and the pivot are found
+    once for the whole call, and the read of nf_uak and the residue read of
+    reduce_to_gamma run once per distinct (shift, pivot).  A matrix that
+    fails the unipotent relation, the membership of k in K or the residue
+    unitarity raises the scalar route's error (RelationViolated,
     CrossCheckFailed, MembershipViolated); it is never routed around."""
     require_compact(K)
-    out = [None] * len(words)
-    forms, groups = {}, {}
-    for n, word in enumerate(words):
-        sig, coefs = [], []
-        for atom in word:
-            # the words hold their atoms, so an id names one atom here
-            form = forms.get(id(atom), False)
-            if form is False:
-                form = forms[id(atom)] = _atom_form(atom)
-            if form is None:
-                break
-            sig.append(form[0])
-            coefs.extend(form[1])
-        else:
-            group = groups.setdefault(tuple(sig), ([], []))
-            group[0].append(n)
-            group[1].append(coefs)
+    if pairs is None:
+        pairs = [(i, 0) for i in range(len(heads))]
+    out = [None] * len(pairs)
+    hi, ti = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+    forms = {}
+    # column of each carried head in the stacked head block, -1 elsewhere
+    col, blocks, n = np.full(len(heads), -1, dtype=np.intp), [], 0
+    for sig, (ids, cs) in _by_signature(heads, np.unique(hi).tolist(), forms).items():
+        col[ids] = np.arange(n, n + len(ids))
+        n += len(ids)
+        blk = _Block.identity(tower, len(ids))
+        blk.times_word(sig, cs)
+        blocks.append(blk)
+    if not blocks:
+        return out
+    head_blk = _Block.stack(tower, blocks)
+    hcol = col[hi]
+    rows, blocks = [], []
+    for sig, (ids, cs) in _by_signature(tails, np.unique(ti).tolist(), forms).items():
+        pos = np.full(len(tails), -1, dtype=np.intp)
+        pos[ids] = np.arange(len(ids))
+        tpos = pos[ti]
+        sel = np.flatnonzero((tpos >= 0) & (hcol >= 0))
+        if len(sel):
+            blk = head_blk.take(hcol[sel])
+            blk.times_word(sig, cs[:, tpos[sel]])
+            rows.append(sel)
+            blocks.append(blk)
+    if not blocks:
+        return out
+    blk = _Block.stack(tower, blocks)
+    rows = np.concatenate(rows)
     lat = _LATTICE[K]
-    for sig, (idx, coefs) in groups.items():
-        blk = _Block.identity(tower, len(idx))
-        cs = np.array(coefs, dtype=np.intp).reshape(len(idx), -1).T
-        k = 0
-        for form in sig:
-            width = len(form) - 1 if form[0] in ("n", "np", "d") else 0
-            blk.times_atom(form, cs[k : k + width])
-            k += width
-        val = blk.val()
-        v0, j0 = _row_mins(val, lat, 0)
-        v2, j2 = _row_mins(val, lat, 2)
-        low = np.minimum(v2, 0)
-        t = np.where(v0 < low, -v0, low)
-        j = np.where(t > 0, j0, np.where(t < 0, j2, 0))
-        key = 3 * t + j
-        for kv in np.unique(key).tolist():
-            sub = np.flatnonzero(key == kv)
-            shift, pivot = divmod(kv, 3)
-            part = blk if len(sub) == len(idx) else blk.take(sub)
-            cells, m = _read_cell(part, K, shift, pivot)
-            for r, coords, row in zip(sub.tolist(), cells, m.T.tolist()):
-                out[idx[r]] = ((shift, coords), GammaElem(tower, K, row))
+    val = blk.val()
+    v0, j0 = _row_mins(val, lat, 0)
+    v2, j2 = _row_mins(val, lat, 2)
+    low = np.minimum(v2, 0)
+    t = np.where(v0 < low, -v0, low)
+    j = np.where(t > 0, j0, np.where(t < 0, j2, 0))
+    key = 3 * t + j
+    for kv in np.unique(key).tolist():
+        sub = np.flatnonzero(key == kv)
+        shift, pivot = divmod(kv, 3)
+        part = blk if len(sub) == len(rows) else blk.take(sub)
+        cells, m = _read_cell(part, K, shift, pivot)
+        for r, coords, row in zip(rows[sub].tolist(), cells, m.T.tolist()):
+            out[r] = ((shift, coords), GammaElem(tower, K, row))
     return out

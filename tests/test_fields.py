@@ -84,6 +84,15 @@ def test_even_prime_rejected():
         Tower(9, 1)
 
 
+@pytest.mark.parametrize("p, f", [(3, -1), (3, 0), (3, 1.5), (3.0, 1),
+                                  ("3", 1), (3, True)])
+def test_tower_rejects_bad_arguments(p, f):
+    """p and f must be ints and f at least 1; anything else fails with
+    NotApplicable before a table is built."""
+    with pytest.raises(NotApplicable):
+        Tower(p, f)
+
+
 def test_huge_tower_rejected_before_tables():
     # q = 37 would need 1369 x 1369 field tables, above the cap of q^2 <= 1024
     with pytest.raises(NotApplicable):

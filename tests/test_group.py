@@ -329,6 +329,56 @@ def test_atom_operations_match_generic_products(word, m, atom):
     assert unitary_inverse(m).e == (J * m.conj_transpose() * J).e
 
 
+def unskipped_product(A, B):
+    """The generic product of two entry tuples with every ser_mul and
+    ser_add made, exact-zero factors included."""
+    ctx = TW.ctx
+    out = []
+    for i in range(3):
+        for j in range(3):
+            s = ctx.ser_mul(A[3 * i], B[j])
+            s = ctx.ser_add(s, ctx.ser_mul(A[3 * i + 1], B[3 + j]))
+            s = ctx.ser_add(s, ctx.ser_mul(A[3 * i + 2], B[6 + j]))
+            out.append(s)
+    return tuple(out)
+
+
+@settings(max_examples=150, deadline=None)
+@given(a=raw_matrix, b=raw_matrix, atom=raw_atom())
+def test_exact_zero_skips_match_unskipped_product(a, b, atom):
+    """mat3_mul and the atom operations skip every product with an
+    exact-zero factor; on entries that mix exact zeros, zero windows and
+    nonzero series their results equal the unskipped product triple for
+    triple."""
+    assert TW.ctx.mat3_mul(a.e, b.e) == unskipped_product(a.e, b.e)
+    g = atom_matrix(TW, atom).e
+    assert times_atom(TW, a.e, atom) == unskipped_product(a.e, g)
+    assert atom_times(TW, atom, a.e) == unskipped_product(g, a.e)
+
+
+def test_finite_precision_zero_is_multiplied(monkeypatch):
+    """Only exact zeros are skipped: a product whose factor is a zero known
+    to a finite precision still goes through ser_mul, and gives that
+    precision."""
+    one, zero = Series.const(TW, 1).trip, Series.zero(TW).trip
+    window = Series.zero_window(TW, 3).trip
+    a = (window, zero, zero, zero, one, zero, zero, zero, one)
+    b = (one, zero, zero, zero, one, zero, zero, zero, one)
+    calls = []
+    real = type(TW.ctx).ser_mul
+
+    def counted(self, x, y):
+        calls.append((x, y))
+        return real(self, x, y)
+
+    monkeypatch.setattr(type(TW.ctx), "ser_mul", counted)
+    out = TW.ctx.mat3_mul(a, b)
+    # the three products of two nonzero factors, and none other
+    assert sorted(calls) == sorted([(window, one), (one, one), (one, one)])
+    assert out == unskipped_product(a, b)
+    assert out[0] == window and out[1] == zero
+
+
 @pytest.mark.parametrize("entry", [
     lambda K: iwahori_constants(TW, K),
     lambda K: nf_uak(TW, K, (atom_alpha(1),)),

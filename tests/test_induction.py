@@ -131,9 +131,11 @@ def test_memo_eviction_leaves_results_unchanged(monkeypatch):
     expected, _, _, _ = _memo_run(Tower(3, 1))
     batched = []
 
-    def spy(tower, K, words):
-        read = words_batch(tower, K, words)
-        batched.append((list(words), read))
+    def spy(tower, K, heads, tails=((),), pairs=None):
+        read = words_batch(tower, K, heads, tails, pairs)
+        if pairs is None:
+            pairs = [(i, 0) for i in range(len(heads))]
+        batched.append(([heads[i] + tails[j] for i, j in pairs], read))
         return read
 
     words_batch = I.nf_uak_batch
@@ -207,8 +209,9 @@ def test_transport_one_matrix_per_residue(monkeypatch, catalog):
         counts["matrix"] += 1
         return _orig(self, gamma)
 
-    def normalize_spy(tower, K, words, _orig=I._normalize_words):
-        out = _orig(tower, K, words)
+    def normalize_spy(tower, K, heads, tails=((),),
+                      _orig=I._normalize_words):
+        out = _orig(tower, K, heads, tails)
         residues.update(gamma.key() for _, gamma in out)
         return out
 
@@ -548,8 +551,9 @@ def test_grid_values_match_nf_kau_read(monkeypatch):
         seen.append(([x + t for x in heads for t in tails], out))
         return out
 
-    def batch_spy(tower, K, words, _orig=I.nf_uak_batch):
-        read = _orig(tower, K, words)
+    def batch_spy(tower, K, heads, tails=((),), pairs=None,
+                  _orig=I.nf_uak_batch):
+        read = _orig(tower, K, heads, tails, pairs)
         batched.extend(read)
         return read
 

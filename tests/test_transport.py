@@ -118,3 +118,37 @@ def test_transport_dim_125_rows(tower5):
     for inverse in (False, True):
         got = I._transport(weight, gammas, vecs, inverse)
         assert np.array_equal(got, oracle(weight, gammas, vecs, inverse))
+
+
+def test_transport_multiplies_each_distinct_pair_once(q3_weights,
+                                                     monkeypatch):
+    """Nine rows holding four distinct (residue, vector) pairs: one vector
+    repeated on both residues counts once per residue, and the residues
+    come as distinct objects with equal keys.  _apply multiplies four rows,
+    Weight.matrix is called once per residue, and every row matches the
+    oracle, in both directions."""
+    multiplied = []
+
+    def apply_spy(tw, M, rows, _orig=I._apply):
+        multiplied.append(len(rows))
+        return _orig(tw, M, rows)
+
+    monkeypatch.setattr(I, "_apply", apply_spy)
+    for weight in q3_weights:
+        d = weight.dim
+        base = np.array([[1] * d, [2] * d, [1] * (d - 1) + [3]],
+                        dtype=np.uint16)
+        residues = [product(weight, [0, 2, 5]), product(weight, [1, 9])]
+        picks = [(0, 0), (0, 0), (0, 1), (1, 0), (1, 0), (1, 2), (0, 1),
+                 (1, 2), (0, 0)]
+        gammas, _ = rows_of(weight, residues, [r for r, _ in picks],
+                            np.random.default_rng(0))
+        vecs = base[[v for _, v in picks]]
+        for inverse in (False, True):
+            multiplied.clear()
+            with mock.patch.object(W.Weight, "matrix", autospec=True,
+                                   side_effect=W.Weight.matrix) as spy:
+                got = I._transport(weight, gammas, vecs, inverse)
+            assert np.array_equal(got, oracle(weight, gammas, vecs, inverse))
+            assert sum(multiplied) == 4
+            assert spy.call_count == 2

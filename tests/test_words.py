@@ -290,9 +290,11 @@ def oracle(tw, K, word):
 
 
 def template_words(tw, K, pieces, picks):
-    """One word per pick: the pieces (a layer atom, an alpha power or the
-    compact's involution) with each layer atom's coordinates chosen by the
-    pick, so that many words share a signature."""
+    """One word per pick: the pieces (a layer atom, a layer atom with x = 0,
+    so with coordinates (0, 0) or (0, y), an atom of pro_iwahori_sample, an
+    alpha power or the compact's involution) with each layer atom's
+    coordinates chosen by the pick, so that many words share a
+    signature."""
     words = []
     for pick in picks:
         word = []
@@ -300,6 +302,11 @@ def template_words(tw, K, pieces, picks):
             if kind == "layer":
                 coords = layer_coords(tw, a)
                 word.append(layer_atom(tw, a, coords[pick[n] % len(coords)], b))
+            elif kind == "zero":
+                coords = [c for c in layer_coords(tw, a) if c[0] == 0]
+                word.append(layer_atom(tw, a, coords[pick[n] % len(coords)], b))
+            elif kind == "sample":
+                word.append(I.pro_iwahori_sample(tw, K)[a])
             elif kind == "alpha":
                 word.append(atom_alpha(a))
             else:
@@ -374,5 +381,127 @@ def test_batch_raises_on_a_corrupt_row(monkeypatch):
         oracle(tw, K0, bad)
     with pytest.raises(CrossCheckFailed):
         nf_uak_batch(tw, K0, good + [bad])
+    with pytest.raises(CrossCheckFailed):
+        I._normalize_words(tw, K0, good + [bad])
+
+
+PRODUCT_PIECE = st.one_of(
+    PIECE,
+    st.tuples(st.just("zero"), st.integers(-2, 5), st.booleans()),
+    st.tuples(st.just("sample"), st.integers(0, 5), st.none()),
+)
+TEMPLATE = st.tuples(
+    st.lists(PRODUCT_PIECE, max_size=4),
+    st.lists(st.lists(st.integers(0, 124), min_size=6, max_size=6),
+             min_size=1, max_size=6),
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    q5=st.booleans(),
+    K=st.sampled_from([K0, K1]),
+    head_templates=st.lists(TEMPLATE, min_size=1, max_size=3),
+    tail_templates=st.lists(TEMPLATE, min_size=1, max_size=3),
+    data=st.data(),
+)
+def test_product_entry_matches_scalar_read(tower5, q5, K, head_templates,
+                                           tail_templates, data):
+    """Every (head, tail) pair the product entry reads gives the (tag,
+    residue) of the scalar coset_normalize of head + tail, on heads and
+    tails of several signatures each, with layer atoms of coordinates
+    (0, 0) and (0, y); exactly the words with a pro_iwahori_sample "d" atom
+    fall back (None)."""
+    tw = tower5 if q5 else TW
+    heads, tails = (
+        [w for pieces, picks in templates
+         for w in template_words(tw, K, pieces, picks)]
+        for templates in (head_templates, tail_templates)
+    )
+    pairs = data.draw(st.lists(
+        st.tuples(st.integers(0, len(heads) - 1),
+                  st.integers(0, len(tails) - 1)),
+        min_size=1, max_size=40), label="pairs")
+    read = nf_uak_batch(tw, K, heads, tails, pairs)
+    assert len(read) == len(pairs)
+    for (i, j), r in zip(pairs, read):
+        word = heads[i] + tails[j]
+        if any(_atom_form(a) is None for a in word):
+            assert r is None
+        else:
+            assert r == oracle(tw, K, word)
+
+
+def signature(word):
+    """The batch's signature of a word it carries."""
+    (sig,) = words_mod._by_signature([word], [0], {})
+    return sig
+
+
+def read_key(tw, K, word):
+    """The (shift, pivot) under which the batch reads a word, from its
+    scalar row minima."""
+    lat = words_mod._LATTICE[K]
+    e = word_matrix(tw, word).e
+    v0, j0 = words_mod._row_min(e, 0, lat)
+    v2, j2 = words_mod._row_min(e, 2, lat)
+    t = -v0 if v0 < min(v2, 0) else min(v2, 0)
+    return t, (j0 if t > 0 else j2 if t < 0 else 0)
+
+
+def test_one_cell_read_per_shift_and_pivot(monkeypatch):
+    """A call whose words have many signatures reads each distinct (shift,
+    pivot) of a chunk with exactly one _read_cell, although several
+    signatures share a (shift, pivot) there."""
+    tw = Tower(3, 1)
+    K = K0
+    words = [word_from_tag(tw, K, t) for n in (-1, 1, 2)
+             for t in I.grid_tags(tw, K, n)][::3]
+    words += [w + (atom_alpha(-1),) for w in words[:40]]
+    chunk = 64
+    monkeypatch.setattr(I, "_BATCH_CHUNK", chunk)
+    reads, starts = [], []
+
+    def read_spy(blk, K, t, j, _orig=words_mod._read_cell):
+        reads.append((t, j))
+        return _orig(blk, K, t, j)
+
+    def batch_spy(*args, _orig=I.nf_uak_batch, **kwargs):
+        starts.append(len(reads))
+        return _orig(*args, **kwargs)
+
+    monkeypatch.setattr(words_mod, "_read_cell", read_spy)
+    monkeypatch.setattr(I, "nf_uak_batch", batch_spy)
+    assert I._normalize_words(tw, K, words) == [oracle(tw, K, w) for w in words]
+    assert len(starts) == -(-len(words) // chunk)
+    shared = False
+    for c, (lo, hi) in enumerate(zip(starts, starts[1:] + [len(reads)])):
+        part = words[c * chunk : (c + 1) * chunk]
+        keys = {read_key(tw, K, w) for w in part}
+        assert sorted(reads[lo:hi]) == sorted(keys)
+        groups = {(read_key(tw, K, w), signature(w)) for w in part}
+        shared |= len(groups) > len(keys)
+    assert shared
+
+
+def test_corrupt_row_in_a_shared_read_raises():
+    """A word that is no group element, the representative of a cell -1 tag
+    times diag(t^-1, 1, 1), is read under the same (shift, pivot) as the
+    good cell -1 representatives of other signatures; its closing factor
+    leaves the compact, and the whole call raises CrossCheckFailed."""
+    tw = Tower(3, 1)
+    good = [word_from_tag(tw, K0, t) for t in I.grid_tags(tw, K0, -1)]
+    scale = ("d", Series.t_pow(tw, -1).trip, EXACT_ONE, EXACT_ONE)
+    bad = good[-1] + (scale,)
+    assert _atom_form(scale) is not None
+    assert {read_key(tw, K0, w) for w in good + [bad]} == {read_key(tw, K0, bad)}
+    assert len({signature(w) for w in good + [bad]}) > 2
+    assert nf_uak_batch(tw, K0, good) == [oracle(tw, K0, w) for w in good]
+    with pytest.raises(CrossCheckFailed):
+        oracle(tw, K0, bad)
+    with pytest.raises(CrossCheckFailed):
+        nf_uak_batch(tw, K0, good + [bad])
+    with pytest.raises(CrossCheckFailed):
+        nf_uak_batch(tw, K0, good, [(), (scale,)], [(0, 0), (80, 1), (3, 0)])
     with pytest.raises(CrossCheckFailed):
         I._normalize_words(tw, K0, good + [bad])
