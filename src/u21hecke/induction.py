@@ -5,16 +5,15 @@ coset tags: the module element sum_i [g_i, v_i] keeps, for every occupied
 coset g K, the tag of the canonical representative together with the value
 transported to it ([g k, v] = [g, sigma(k) v]).  Left translation, the
 spherical operator T (by its explicit two-sum coset expansion), and the two
-partial averaging operators S_K and S_- act by concatenating generator words
-and re-normalizing; every landing coset membership is certified by the
-residue reduction.  The words of one operation are normalized together
-(InducedFn.from_raw, the values_at point reads, the support windows): those
-missing from coset_normalize's memo table are read by words.nf_uak_batch,
-one read per distinct (shift, pivot) of the call, and stored in that table;
-a word outside the batch's form, and every miss of a call with few misses,
-goes through the scalar coset_normalize.  The point reads pass their
-inverted tails and inverted heads as a product, so each factor's atoms are
-read once.
+partial averaging operators S_K and S_- are sums of translates, each read as
+a product of two word lists by InducedFn._from_words: prefixes times tag
+representatives, or representatives times the stencil suffixes of T.  Every
+landing coset membership is certified by the residue reduction.  The words
+of one operation (a translate-sum, the values_at point reads, a support
+window) are normalized together: the misses of coset_normalize's memo table
+are read by words.nf_uak_batch, which reads each factor's atoms once, and
+stored in that table; a word outside the batch's form, and every miss of a
+call with few misses, goes through the scalar coset_normalize.
 
 Values are transported the same way, a call at a time (_transport): each
 distinct (residue, vector) pair of one call is transported once, and each
@@ -355,26 +354,28 @@ class InducedFn:
         return cls(weight, {})
 
     @classmethod
-    def from_raw(cls, weight, pairs):
-        """Normalize raw generators [word, value] and merge per coset.
-
-        pairs is read once, and all its words are normalized by one
-        _normalize_words call, so the words missing from coset_normalize's
-        memo table are read together by words.nf_uak_batch.  The values
-        are transported by one _transport call (one matrix product per
-        distinct residue) and summed per coset by _merge."""
+    def _from_words(cls, weight, heads, tails, vals):
+        """The sum of the generators [h + t, v] over every tail t and head
+        h, with their values as one (words, dim) array in the tail-major
+        order of _normalize_words, which reads all the words as a product.
+        The values are transported by one _transport call (one matrix
+        product per distinct residue) and summed per coset by _merge."""
         tw = weight.tower
+        normal = _normalize_words(tw, weight.K, heads, tails)
+        moved = _transport(weight, [gamma for _, gamma in normal], vals)
+        ids, tags = _group(tag for tag, _ in normal)
+        sums = _tuples(_merge(tw, ids, len(tags), moved))
+        return cls(weight, {t: v for t, v in zip(tags, sums) if any(v)})
+
+    @classmethod
+    def from_raw(cls, weight, pairs):
+        """Normalize raw generators [word, value], read once, and merge
+        per coset: the product of the words with the single empty tail."""
         words, vecs = [], []
         for word, vec in pairs:
             words.append(word)
             vecs.append(vec)
-        normal = _normalize_words(tw, weight.K, words)
-        vals = _transport(
-            weight, [gamma for _, gamma in normal], _stack(vecs, weight.dim)
-        )
-        ids, tags = _group(tag for tag, _ in normal)
-        sums = _tuples(_merge(tw, ids, len(tags), vals))
-        return cls(weight, {t: v for t, v in zip(tags, sums) if any(v)})
+        return cls._from_words(weight, words, ((),), _stack(vecs, weight.dim))
 
     @classmethod
     def generator(cls, weight, word, vec):
@@ -419,18 +420,23 @@ class InducedFn:
             self.weight, {tag: _vscale(tw, s, v) for tag, v in self.data.items()}
         )
 
-    def g_act(self, word):
-        """Left translation by the element of the word: g.[x, v] = [g x, v]."""
+    def translates(self, prefixes):
+        """The sum over the prefix words p of the left translates p . f,
+        read as the product of the prefixes (heads) and the representatives
+        of the tags of f (tails)."""
         tw = self.weight.tower
         K = self.weight.K
-        word = tuple(word)
-        return InducedFn.from_raw(
+        vals = _stack(list(self.data.values()), self.weight.dim)
+        return InducedFn._from_words(
             self.weight,
-            (
-                (word + word_from_tag(tw, K, tag), v)
-                for tag, v in self.data.items()
-            ),
+            prefixes,
+            [word_from_tag(tw, K, tag) for tag in self.data],
+            np.repeat(vals, len(prefixes), axis=0),
         )
+
+    def g_act(self, word):
+        """Left translation by the element of the word: g.[x, v] = [g x, v]."""
+        return self.translates([tuple(word)])
 
     def is_zero(self):
         return not self.data
@@ -647,23 +653,26 @@ def _t_matrices(weight):
 
 
 def op_T(weight, f):
-    """The spherical operator through its coset expansion, applied termwise
-    to the normalized generators of f by left translation.  Each stencil
-    matrix j sigma(g) is applied to the stacked values of all tags of f at
-    once (_apply), and the terms are normalized and merged by one
-    from_raw."""
+    """The spherical operator through its coset expansion: the product of
+    the tag representatives of f (heads) and the stencil suffixes (tails),
+    each suffix carrying its matrix j sigma(g) applied to the stacked values
+    of f at once (_apply)."""
     if f.weight is not weight:
         raise NotApplicable("operator weight differs from the function's")
     tw = weight.tower
     K = weight.K
-    bases = [word_from_tag(tw, K, tag) for tag in f.data]
     vals = _stack(list(f.data.values()), weight.dim)
-    pairs = []
-    for suffix, M in _t_matrices(weight):
-        img = vals.copy()
-        _apply(tw, M, img)
-        pairs.extend(zip([b + suffix for b in bases], img))
-    return InducedFn.from_raw(weight, pairs)
+    stencil = _t_matrices(weight)
+    images = []
+    for _, M in stencil:
+        images.append(vals.copy())
+        _apply(tw, M, images[-1])
+    return InducedFn._from_words(
+        weight,
+        [word_from_tag(tw, K, tag) for tag in f.data],
+        [suffix for suffix, _ in stencil],
+        np.concatenate(images),
+    )
 
 
 def op_T_sigma(weight, f):
@@ -679,53 +688,38 @@ def op_T_sigma(weight, f):
 # averaging operators, materialized route
 
 
-def _check_precondition(f, layers, opname):
-    tw = f.weight.tower
-    K = f.weight.K
+def _average(weight, f, layers, suffixes, opname):
+    """The translates of f summed over the suffixes, once f passes the
+    sampled invariance under the first atoms of the layers."""
+    if f.weight is not weight:
+        raise NotApplicable("operator weight differs from the function's")
+    tw = weight.tower
     atoms = [layer_transversal(tw, k, prime=prime)[1] for k, prime in layers]
     if not is_pro_iwahori_invariant(f, atoms=atoms):
         raise InvarianceViolated(
             "%s needs the sampled unipotent invariance of its input" % opname
         )
+    return f.translates(suffixes)
 
 
-def op_SK(weight, f, check=True):
+def op_SK(weight, f):
     """Averaging to the upper-invariants: sum over the first upper layer of
     u . beta_K . f.  Requires (sampled) lower-unipotent invariance."""
-    if f.weight is not weight:
-        raise NotApplicable("operator weight differs from the function's")
     tw = weight.tower
-    K = weight.K
-    n_K, m_K, _ = iwahori_constants(tw, K)
-    if check:
-        _check_precondition(f, [(m_K, True), (m_K + 1, True)], "op_SK")
-    bw = beta_compact_word(K)
-    pairs = []
-    for u in layer_transversal(tw, n_K):
-        prefix = (u,) + bw
-        for tag, v in f.data.items():
-            pairs.append((prefix + word_from_tag(tw, K, tag), v))
-    return InducedFn.from_raw(weight, pairs)
+    _, m_K, _ = iwahori_constants(tw, weight.K)
+    layers = [(m_K, True), (m_K + 1, True)]
+    return _average(weight, f, layers, _sk_suffixes(tw, weight.K), "op_SK")
 
 
 def op_Sminus(weight, f):
     """Averaging to the lower-invariants: sum over the first lower layer of
     u' . beta_K . alpha^-1 . f.  Requires (sampled) upper-unipotent
     invariance."""
-    if f.weight is not weight:
-        raise NotApplicable("operator weight differs from the function's")
     tw = weight.tower
-    K = weight.K
-    n_K, m_K, _ = iwahori_constants(tw, K)
-    _check_precondition(f, [(n_K, False), (n_K + 1, False)], "op_Sminus")
-    bw = beta_compact_word(K)
-    tail = bw + (atom_alpha(-1),)
-    pairs = []
-    for u in layer_transversal(tw, m_K, prime=True):
-        prefix = (u,) + tail
-        for tag, v in f.data.items():
-            pairs.append((prefix + word_from_tag(tw, K, tag), v))
-    return InducedFn.from_raw(weight, pairs)
+    n_K, _, _ = iwahori_constants(tw, weight.K)
+    layers = [(n_K, False), (n_K + 1, False)]
+    suffixes = _sminus_suffixes(tw, weight.K)
+    return _average(weight, f, layers, suffixes, "op_Sminus")
 
 
 # ---------------------------------------------------------------------------
@@ -850,6 +844,8 @@ def _match_grid_coefficient(weight, n, val):
 
 @memo
 def _sk_suffixes(tower, K):
+    """The words u beta_K, u in the first upper layer: the prefixes of
+    op_SK and the point tails of op_SK_grid, both read as products."""
     n_K, _, _ = iwahori_constants(tower, K)
     bw = beta_compact_word(K)
     return [(u,) + bw for u in layer_transversal(tower, n_K)]
@@ -857,6 +853,8 @@ def _sk_suffixes(tower, K):
 
 @memo
 def _sminus_suffixes(tower, K):
+    """The words u' beta_K alpha^-1, u' in the first lower layer, for both
+    routes of S_- as _sk_suffixes is for S_K."""
     _, m_K, _ = iwahori_constants(tower, K)
     tail = beta_compact_word(K) + (atom_alpha(-1),)
     return [(u,) + tail for u in layer_transversal(tower, m_K, prime=True)]
@@ -1031,12 +1029,7 @@ def translation_recursion_check(
         "target_cosets": cnt_target,
     }
     if cnt_target <= tag_cap:
-        f_from = f_basis(weight, n_from, tag_cap=tag_cap)
-        pairs = []
-        for prefix in prefixes:
-            for tag, v in f_from.data.items():
-                pairs.append((prefix + word_from_tag(tw, K, tag), v))
-        lhs = InducedFn.from_raw(weight, pairs)
+        lhs = f_basis(weight, n_from, tag_cap=tag_cap).translates(prefixes)
         if lhs != f_basis(weight, target, tag_cap=tag_cap):
             raise CrossCheckFailed(
                 "translation recursion %d -> %d failed exhaustively"

@@ -117,12 +117,17 @@ def torus_generator_atoms(tower):
 
 
 @memo
+def gamma_torus_generators(tower, K):
+    """The two reduced torus generators, which generate gamma_torus."""
+    return [reduce_atom(tower, K, a) for a in torus_generator_atoms(tower)]
+
+
+@memo
 def gamma_generators(tower, K):
     """A deterministic generating set of the reduced group: the two torus
     generators, the whole upper unipotent group, and the form involution
     (which conjugates upper to lower)."""
-    gens = [reduce_atom(tower, K, a) for a in torus_generator_atoms(tower)]
-    gens.extend(gamma_upper(tower, K))
+    gens = gamma_torus_generators(tower, K) + gamma_upper(tower, K)
     gens.append(gamma_beta(tower, K))
     return gens
 
@@ -309,13 +314,13 @@ class Weight:
 
     @memo
     def chi_of(self):
-        """Character of the torus on the invariant line."""
+        """Torus character on the invariant line, read on the generators."""
         tw = self.tower
         v0 = self.v0()
         p = int(np.nonzero(v0)[0][0])
         scale = tw.i_(int(v0[p]))
         vals = {}
-        for t in gamma_torus(tw, self.K):
+        for t in gamma_torus_generators(tw, self.K):
             y = self.act(t, v0)
             c = tw.m_(int(y[p]), scale)
             if not np.array_equal(y, tw.mul[c, v0]):
@@ -549,7 +554,8 @@ def spin(weight, seeds):
 
 
 def borel_eigenvectors(weight, chi):
-    """Rref basis of {v : u v = v for upper unipotent u, t v = chi(t) v}."""
+    """Rref basis of {v : u v = v, t v = chi(t) v}, over the upper unipotent
+    u and the two torus generators t."""
     tw = weight.tower
     inv = weight.u_invariants()
     r = inv.shape[0]
@@ -560,7 +566,7 @@ def borel_eigenvectors(weight, chi):
     for row in inv:
         checker.add(row)
     blocks = []
-    for t in gamma_torus(tw, weight.K):
+    for t in gamma_torus_generators(tw, weight.K):
         m = weight.matrix(t)
         # restriction of m to the invariant space, minus chi(t)
         val = chi.value(*t.torus_pair())
@@ -684,7 +690,7 @@ def gamma_lift_word(tower, K, gamma):
 def fingerprint_elements(tower, K):
     """Fixed deterministic element list used for trace fingerprints."""
     tw = tower
-    t1, t2 = (reduce_atom(tw, K, a) for a in torus_generator_atoms(tw))
+    t1, t2 = gamma_torus_generators(tw, K)
     u1 = gamma_upper(tw, K)[1]
     l1 = gamma_lower(tw, K)[1]
     b = gamma_beta(tw, K)

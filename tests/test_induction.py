@@ -188,6 +188,68 @@ def test_from_raw_reads_pairs_once(catalog):
         assert reads[0] == len(pairs)
 
 
+def test_translates_match_pairs_oracle(monkeypatch):
+    """Every translate-sum read as a product equals the sum of its plain
+    (word, value) pairs through from_raw, at both compacts with every memo
+    table bounded at 3 entries: op_T, op_SK, op_Sminus, an exhaustive
+    recursion step, g_act by a torus unit (a word the batch does not carry,
+    so its misses take the scalar route), an empty function, and a call
+    with fewer than _BATCH_MIN misses (no batch read)."""
+    tw = Tower(3, 1)
+    tw.default_window = 24
+    monkeypatch.setattr(fields, "_MEMO_CAP", 3)
+    reads = []
+
+    def spy(tower, K, heads, tails=((),), pairs=None, _orig=I.nf_uak_batch):
+        out = _orig(tower, K, heads, tails, pairs)
+        reads.append(out)
+        return out
+
+    monkeypatch.setattr(I, "nf_uak_batch", spy)
+
+    def oracle(f, prefixes):
+        K = f.weight.K
+        return I.InducedFn.from_raw(f.weight, [
+            (p + word_from_tag(tw, K, tag), v)
+            for p in prefixes for tag, v in f.data.items()
+        ])
+
+    rng = np.random.default_rng(5)
+    for K in BOTH:
+        w = W.make_weight(tw, K, W.STEINBERG)
+        f0, f1, fm1 = (I.f_basis(w, n) for n in (0, 1, -1))
+        # invariant, with values that differ between its two cells
+        mixed = f0.add(f1.scale(2))
+        t_pairs = [
+            (word_from_tag(tw, K, tag) + suffix, I._vmat(tw, M, v))
+            for suffix, M in I._t_matrices(w)
+            for tag, v in mixed.data.items()
+        ]
+        assert I.op_T(w, mixed) == I.InducedFn.from_raw(w, t_pairs)
+        assert I.op_SK(w, mixed) == oracle(mixed, I._sk_suffixes(tw, K))
+        assert I.op_Sminus(w, mixed) == oracle(
+            mixed, I._sminus_suffixes(tw, K)
+        )
+        prefixes = I.translation_prefixes(tw, K, 0, -1)
+        assert f0.translates(prefixes) == oracle(f0, prefixes) == fm1
+        rough = I.InducedFn(w, {
+            tag: tuple(int(x) for x in rng.integers(1, tw.Q, w.dim))
+            for tag in fm1.data
+        })
+        unit = next(a for a in I.pro_iwahori_sample(tw, K) if a[0] == "d")
+        reads.clear()
+        assert rough.g_act((unit,)) == oracle(rough, [(unit,)])
+        assert reads and all(r is None for read in reads for r in read)
+        assert rough.translates(prefixes[:3]) == oracle(rough, prefixes[:3])
+        zero = I.InducedFn.zero(w)
+        assert zero.translates(prefixes).is_zero()
+        assert I.op_T(w, zero).is_zero()
+        reads.clear()
+        assert len(f1.data) < I._BATCH_MIN
+        assert f1.translates(prefixes[1:2]) == oracle(f1, prefixes[1:2])
+        assert reads == []
+
+
 def test_transport_one_matrix_per_residue(monkeypatch, catalog):
     """op_T(steinberg@K0, f_-1) and op_SK_grid(f_grid(steinberg@K0, -1))
     call gfmat.matvec never and Weight.matrix at most once per distinct
@@ -644,12 +706,13 @@ def test_twisting_law(tower, catalog):
             f0, f1 = I.f_basis(w, 0), I.f_basis(w, 1)
             torus = [a for a in I.pro_iwahori_sample(tower, K) if a[0] == "d"]
             assert torus
+            suffixes = I._sk_suffixes(tower, K)
             for h in torus:
                 hw = (h,)
                 hs = bw + hw + word_inverse(tower, bw)
                 for f in (f0, f1):
-                    lhs = I.op_SK(w, f.g_act(hw), check=False)
-                    rhs = I.op_SK(w, f, check=False).g_act(hs)
+                    lhs = f.g_act(hw).translates(suffixes)
+                    rhs = f.translates(suffixes).g_act(hs)
                     assert lhs == rhs
 
 

@@ -1,6 +1,6 @@
 """Packaging metadata: every declared console script resolves, every name
-the benchmark's tracer wraps exists, and the package keeps its derived
-tables only in owned memo tables."""
+the benchmark's tracer wraps exists, the package keeps its derived tables
+only in owned memo tables, and no module imports a name it never uses."""
 
 import ast
 import importlib
@@ -10,6 +10,7 @@ from pathlib import Path
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 PACKAGE = PYPROJECT.parent / "src" / "u21hecke"
+TESTS = PYPROJECT.parent / "tests"
 
 
 def test_console_scripts_resolve():
@@ -73,4 +74,25 @@ def test_no_hand_rolled_caches():
                 if (isinstance(t, ast.Name) and "CACHE" in t.id
                         and value is not None and _dict_valued(value)):
                     found.append("%s:%d %s" % (path.name, node.lineno, t.id))
+    assert found == []
+
+
+def test_no_unused_imports():
+    """Every name imported in the package or the tests is used in its
+    module; an import marked "# noqa: F401" (a re-export, such as the names
+    the benchmark's tracer wraps) is exempt."""
+    found = []
+    for path in sorted([*PACKAGE.glob("*.py"), *TESTS.glob("*.py")]):
+        text = path.read_text()
+        lines = text.splitlines()
+        tree = ast.parse(text, str(path))
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in ast.walk(tree):
+            if (not isinstance(node, (ast.Import, ast.ImportFrom))
+                    or "# noqa: F401" in lines[node.end_lineno - 1]):
+                continue
+            for alias in node.names:
+                name = (alias.asname or alias.name).split(".")[0]
+                if name not in used:
+                    found.append("%s:%d %s" % (path.name, node.lineno, name))
     assert found == []

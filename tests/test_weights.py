@@ -104,6 +104,71 @@ def test_chi_of_frozen(tower):
     assert quo.chi_of() == chi
 
 
+def _torus_sweep_eigenvectors(wgt):
+    """borel_eigenvectors of every torus character, keyed by its exponents,
+    by the per-element sweep over the whole reduced torus: each element's
+    action restricted to the unipotent invariants is built once."""
+    tw = wgt.tower
+    inv = wgt.u_invariants()
+    r = inv.shape[0]
+    piv = [int(np.nonzero(b)[0][0]) for b in inv]
+    checker = gfmat.Basis(tw, wgt.dim)
+    for row in inv:
+        checker.add(row)
+    torus = W.gamma_torus(tw, wgt.K)
+    restricted = []
+    for t in torus:
+        images = gfmat.matmul(tw, inv, wgt.matrix(t).T)
+        assert not checker.reduce(images).any()
+        restricted.append(images[:, piv].T)
+    stacked = np.concatenate(restricted)
+    out = {}
+    for chi in characters_of_torus(tw):
+        diag = np.zeros((len(torus), r, r), dtype=np.uint16)
+        diag[:, np.arange(r), np.arange(r)] = np.array(
+            [chi.value(*t.torus_pair()) for t in torus], dtype=np.uint16
+        )[:, None]
+        ns = gfmat.nullspace(
+            tw, gfmat.sub(tw, stacked, diag.reshape(len(torus) * r, r))
+        )
+        out[(chi.i, chi.j)] = (
+            gfmat.row_space(tw, gfmat.matmul(tw, ns, inv)) if len(ns)
+            else np.zeros((0, wgt.dim), dtype=np.uint16)
+        )
+    return out
+
+
+@pytest.mark.parametrize("q", [3, 5])
+def test_torus_solved_on_generators_matches_sweep(q, tower, tower5):
+    """chi_of and borel_eigenvectors, which solve the torus conditions on the
+    two generators, agree with the per-element sweep over gamma_torus on the
+    catalog weights and one regular sub/quotient pair.  The sweep's chi_of
+    is the one character whose value is the line's eigenvalue at every
+    torus element, so chi_of agrees with it exactly when it satisfies all
+    those equations."""
+    tw = {3: tower, 5: tower5}[q]
+    chi_r = regular_chis(tw)[0]
+    weights = [
+        W.make_weight(tw, K1, W.PS_SUB_QUOTIENT, chi=chi_r, part=part)
+        for part in ("sub", "quotient")
+    ]
+    for K in BOTH:
+        weights.append(W.make_weight(tw, K, W.TRIVIAL))
+        weights.append(W.make_weight(tw, K, W.STEINBERG))
+        weights += [
+            W.make_weight(tw, K, W.DET_TWIST, power=k) for k in (1, 2, 3)
+        ]
+    for wgt in weights:
+        chi, v0 = wgt.chi_of(), wgt.v0()
+        for t in W.gamma_torus(tw, wgt.K):
+            c = chi.value(*t.torus_pair())
+            assert np.array_equal(wgt.act(t, v0), tw.mul[c, v0]), wgt.label
+        sweep = _torus_sweep_eigenvectors(wgt)
+        for psi in characters_of_torus(tw):
+            got = W.borel_eigenvectors(wgt, psi)
+            assert np.array_equal(got, sweep[(psi.i, psi.j)]), wgt.label
+
+
 def test_j_map(tower):
     for K in BOTH:
         triv = W.make_weight(tower, K, W.TRIVIAL)
