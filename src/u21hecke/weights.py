@@ -15,6 +15,16 @@ module calculus needs: unipotent invariants and coinvariants, the rank-one
 idempotent collapsing onto the invariant line, generator closures (spin),
 socle chains, fingerprints, and explicit intertwiners.
 
+Every solve runs on generators, never on a whole subgroup: the unipotent
+invariants, the lower coinvariants, the torus character and the Borel
+eigenlines on the certified generating sublists of the unipotent groups and
+the two torus generators, and spin, hom spaces and equivariance on
+gamma_generators.  A condition that is stable under products (fixing a
+vector, spanning a submodule, intertwining) holds on a finite group once it
+holds on a generating set.  The whole subgroups (gamma_upper, gamma_lower,
+gamma_torus) stay as inventories, as the source the generators are picked
+from, and as the tests' oracles.
+
 Vectors are numpy index arrays over the coefficient field; a weight acts
 through cached matrices, one per reduced-group element.
 """
@@ -122,12 +132,56 @@ def gamma_torus_generators(tower, K):
     return [reduce_atom(tower, K, a) for a in torus_generator_atoms(tower)]
 
 
+def generating_sublist(elems):
+    """A generating sublist of a finite group given as a list of elements,
+    chosen by one greedy pass: an element joins unless it is the identity or
+    already lies in the right-multiplication closure of the earlier picks.
+
+    Raises CrossCheckFailed unless the closure of the picks is exactly the
+    key set of the list, so generation is certified, not assumed."""
+    keys = {g.key() for g in elems}
+    ident = GammaElem.identity(elems[0].tower, elems[0].kind)
+    closure = {ident.key(): ident}
+    gens = []
+    for g in elems:
+        if g.key() in closure:
+            continue
+        gens.append(g)
+        # right products suffice: in a finite group every inverse is a
+        # positive power, so this closure is the generated subgroup
+        queue = list(closure.values())
+        while queue:
+            x = queue.pop()
+            for s in gens:
+                y = x * s
+                if y.key() not in closure:
+                    closure[y.key()] = y
+                    queue.append(y)
+    if closure.keys() != keys:
+        raise CrossCheckFailed("generator closure differs from the group")
+    return gens
+
+
+@memo
+def gamma_upper_generators(tower, K):
+    """A certified generating sublist of gamma_upper (generating_sublist)."""
+    return generating_sublist(gamma_upper(tower, K))
+
+
+@memo
+def gamma_lower_generators(tower, K):
+    """A certified generating sublist of gamma_lower (generating_sublist)."""
+    return generating_sublist(gamma_lower(tower, K))
+
+
 @memo
 def gamma_generators(tower, K):
     """A deterministic generating set of the reduced group: the two torus
-    generators, the whole upper unipotent group, and the form involution
-    (which conjugates upper to lower)."""
-    gens = gamma_torus_generators(tower, K) + gamma_upper(tower, K)
+    generators and the upper unipotent generators, which generate the Borel,
+    and the form involution.  Exact because the Borel and the involution
+    generate the reduced group (the Borel cosets are B and B*beta*u, by
+    borel_coset_reps)."""
+    gens = gamma_torus_generators(tower, K) + gamma_upper_generators(tower, K)
     gens.append(gamma_beta(tower, K))
     return gens
 
@@ -180,15 +234,6 @@ def classify_coset(tower, K, gamma):
 
 # ---------------------------------------------------------------------------
 # the weight class
-
-
-def _joint_row_space(tw, dim, blocks):
-    """Rref basis of the joint row space of the blocks, each folded into the
-    running basis in turn, so the blocks are never stacked whole."""
-    span = gfmat.zeros((0, dim))
-    for b in blocks:
-        span = gfmat.row_space(tw, np.concatenate([span, b], axis=0))
-    return span
 
 
 def _pow_idx(tower, x_idx, k):
@@ -248,26 +293,30 @@ class Weight:
 
     @memo
     def u_invariants(self):
-        """Rref basis (rows) of the upper-unipotent invariant subspace."""
+        """Rref basis (rows) of the upper-unipotent invariant subspace,
+        solved on gamma_upper_generators: the invariants of a group are the
+        joint kernel of sigma(s) - 1 over a generating set."""
         tw = self.tower
         ident = gfmat.eye(self.dim)
-        span = _joint_row_space(tw, self.dim, (
-            gfmat.sub(tw, self.matrix(u), ident)
-            for u in gamma_upper(tw, self.K)
-        ))
-        ns = gfmat.nullspace(tw, span)
+        ns = gfmat.nullspace(tw, np.concatenate([
+            gfmat.sub(tw, self.matrix(s), ident)
+            for s in gamma_upper_generators(tw, self.K)
+        ]))
         return gfmat.row_space(tw, ns) if ns.shape[0] else ns
 
     @memo
     def lower_coinvariant_span(self):
         """Rref basis of the span of (sigma(u') - 1)V over lower unipotents
-        (the kernel of the coinvariant projection)."""
+        (the kernel of the coinvariant projection), solved on
+        gamma_lower_generators: (gs - 1)v = (g - 1)(sv) + (s - 1)v, and
+        every element is a positive word in the generators of a finite
+        group, so the generators' images span the whole of it."""
         tw = self.tower
         ident = gfmat.eye(self.dim)
-        span = _joint_row_space(tw, self.dim, (
-            gfmat.sub(tw, self.matrix(u), ident).T
-            for u in gamma_lower(tw, self.K)
-        ))
+        span = gfmat.row_space(tw, np.concatenate([
+            gfmat.sub(tw, self.matrix(s), ident).T
+            for s in gamma_lower_generators(tw, self.K)
+        ]))
         basis = gfmat.Basis(tw, self.dim)
         for row in span:
             basis.add(row)

@@ -14,3 +14,8 @@ def tower():
 @pytest.fixture(scope="session")
 def tower5():
     return Tower(5, 1)
+
+
+@pytest.fixture(scope="session")
+def tower7():
+    return Tower(7, 1)

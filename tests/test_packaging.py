@@ -1,6 +1,7 @@
 """Packaging metadata: every declared console script resolves, every name
 the benchmark's tracer wraps exists, the package keeps its derived tables
-only in owned memo tables, and no module imports a name it never uses."""
+only in owned memo tables, no module imports a name it never uses, and no
+production solve sweeps a whole reduced subgroup."""
 
 import ast
 import importlib
@@ -95,4 +96,39 @@ def test_no_unused_imports():
                 name = (alias.asname or alias.name).split(".")[0]
                 if name not in used:
                     found.append("%s:%d %s" % (path.name, node.lineno, name))
+    assert found == []
+
+
+# The whole reduced subgroups, and the only functions that may use them: the
+# generator pickers, the Borel coset representatives (one per upper
+# unipotent) and the fingerprint element list.
+SUBGROUP_SWEEPS = {"gamma_upper", "gamma_lower", "gamma_torus"}
+SWEEP_USERS = {
+    "gamma_upper_generators",
+    "gamma_lower_generators",
+    "gamma_torus_generators",
+    "borel_coset_reps",
+    "fingerprint_elements",
+}
+
+
+def test_no_whole_subgroup_sweeps():
+    """In the package, gamma_upper, gamma_lower and gamma_torus are named
+    only inside the functions of SWEEP_USERS: every solve runs on
+    generators."""
+    found = []
+
+    def visit(node, owner, path):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        name = (node.id if isinstance(node, ast.Name)
+                else node.attr if isinstance(node, ast.Attribute) else None)
+        if name in SUBGROUP_SWEEPS and owner not in SWEEP_USERS:
+            found.append("%s:%d %s in %s" % (path.name, node.lineno, name,
+                                             owner))
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner, path)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(ast.parse(path.read_text(), str(path)), None, path)
     assert found == []

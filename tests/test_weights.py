@@ -7,8 +7,19 @@ from hypothesis import given, settings, strategies as st
 
 from u21hecke import gfmat
 from u21hecke import weights as W
-from u21hecke.errors import DegenerateWeight, InconclusiveLattice, NotApplicable
-from u21hecke.fields import Character, char_s, characters_of_torus, is_regular
+from u21hecke.errors import (
+    CrossCheckFailed,
+    DegenerateWeight,
+    InconclusiveLattice,
+    NotApplicable,
+)
+from u21hecke.fields import (
+    Character,
+    Tower,
+    char_s,
+    characters_of_torus,
+    is_regular,
+)
 from u21hecke.unitary_group import K0, K1, GammaElem
 
 BOTH = (K0, K1)
@@ -16,6 +27,16 @@ BOTH = (K0, K1)
 
 def regular_chis(tower):
     return [c for c in characters_of_torus(tower) if is_regular(c)]
+
+
+def sample_elements(tower, K):
+    """The two torus generators, the whole upper unipotent group and the
+    form involution: a wider element sample than gamma_generators."""
+    return (
+        W.gamma_torus_generators(tower, K)
+        + W.gamma_upper(tower, K)
+        + [W.gamma_beta(tower, K)]
+    )
 
 
 def test_inventories(tower):
@@ -33,7 +54,7 @@ def test_inventories(tower):
 def test_coset_classification(tower):
     for K in BOTH:
         reps, _ = W.borel_coset_reps(tower, K)
-        for g in W.gamma_generators(tower, K):
+        for g in sample_elements(tower, K):
             for x in reps:
                 y = x * g
                 idx, b = W.classify_coset(tower, K, y)
@@ -58,7 +79,7 @@ def test_action_is_homomorphism(tower, data):
     ps = W.make_weight(
         tower, K, W.PRINCIPAL_SERIES, chi=Character(tower, *chi)
     )
-    gens = W.gamma_generators(tower, K)
+    gens = sample_elements(tower, K)
     idx = data.draw(st.lists(st.integers(0, len(gens) - 1), min_size=2, max_size=4))
     prod = gens[idx[0]]
     for i in idx[1:]:
@@ -169,6 +190,100 @@ def test_torus_solved_on_generators_matches_sweep(q, tower, tower5):
             assert np.array_equal(got, sweep[(psi.i, psi.j)]), wgt.label
 
 
+def _closure(gens):
+    """Keys of the right-multiplication closure of gens, from the identity."""
+    ident = GammaElem.identity(gens[0].tower, gens[0].kind)
+    seen = {ident.key()}
+    frontier = [ident]
+    while frontier:
+        x = frontier.pop()
+        for s in gens:
+            y = x * s
+            if y.key() not in seen:
+                seen.add(y.key())
+                frontier.append(y)
+    return seen
+
+
+@pytest.mark.parametrize("q, f", [(3, 1), (5, 1), (7, 1), (3, 2)])
+def test_unipotent_generators_generate(q, f, tower, tower5, tower7):
+    """The greedy generating sublists of the unipotent groups generate them,
+    never pick the identity, and keep frozen counts: 3 at K0 and 1 at K1
+    for a prime residue field, 6 and 2 at q = 9."""
+    towers = {(3, 1): tower, (5, 1): tower5, (7, 1): tower7}
+    tw = towers.get((q, f)) or Tower(q, f)
+    counts = {K0: 3 * f, K1: f}
+    for K in BOTH:
+        for group, gens in (
+            (W.gamma_upper(tw, K), W.gamma_upper_generators(tw, K)),
+            (W.gamma_lower(tw, K), W.gamma_lower_generators(tw, K)),
+        ):
+            keys = {g.key() for g in group}
+            picked = {g.key() for g in gens}
+            assert len(gens) == counts[K]
+            assert picked <= keys
+            assert GammaElem.identity(tw, K).key() not in picked
+            assert _closure(gens) == keys
+
+
+def test_generating_sublist_rejects_a_non_group(tower):
+    """A list that is not closed (gamma_upper without one element) fails the
+    closure certificate."""
+    for K in BOTH:
+        group = W.gamma_upper(tower, K)
+        ident = GammaElem.identity(tower, K).key()
+        drop = next(i for i, g in enumerate(group) if g.key() != ident)
+        with pytest.raises(CrossCheckFailed):
+            W.generating_sublist(group[:drop] + group[drop + 1:])
+
+
+def _unipotent_sweep(wgt):
+    """u_invariants and the lower_coinvariant_span basis by the per-element
+    sweep over the whole unipotent groups, each element's block folded into
+    the running row space."""
+    tw = wgt.tower
+    ident = gfmat.eye(wgt.dim)
+    fixed = coinv = gfmat.zeros((0, wgt.dim))
+    for u in W.gamma_upper(tw, wgt.K):
+        block = gfmat.sub(tw, wgt.matrix(u), ident)
+        fixed = gfmat.row_space(tw, np.concatenate([fixed, block]))
+    for u in W.gamma_lower(tw, wgt.K):
+        block = gfmat.sub(tw, wgt.matrix(u), ident).T
+        coinv = gfmat.row_space(tw, np.concatenate([coinv, block]))
+    ns = gfmat.nullspace(tw, fixed)
+    return (gfmat.row_space(tw, ns) if len(ns) else ns), coinv
+
+
+@pytest.mark.parametrize("q", [3, 5])
+def test_unipotent_solved_on_generators_matches_sweep(q, tower, tower5):
+    """u_invariants and lower_coinvariant_span, which solve on the unipotent
+    generators, equal the per-element sweep over gamma_upper and gamma_lower
+    on the catalog weights at both compacts, the trivial principal series
+    (two-dimensional invariants) and one regular sub/quotient pair."""
+    tw = {3: tower, 5: tower5}[q]
+    chi_r = regular_chis(tw)[0]
+    weights = [
+        W.make_weight(tw, K1, W.PS_SUB_QUOTIENT, chi=chi_r, part=part)
+        for part in ("sub", "quotient")
+    ]
+    for K in BOTH:
+        weights.append(W.make_weight(tw, K, W.TRIVIAL))
+        weights.append(W.make_weight(tw, K, W.STEINBERG))
+        weights += [
+            W.make_weight(tw, K, W.DET_TWIST, power=k) for k in (1, 2, 3)
+        ]
+        weights.append(W.make_weight(
+            tw, K, W.PRINCIPAL_SERIES, chi=Character(tw, 0, 0)
+        ))
+    for wgt in weights:
+        inv, coinv = _unipotent_sweep(wgt)
+        assert np.array_equal(wgt.u_invariants(), inv), wgt.label
+        got = wgt.lower_coinvariant_span().matrix()
+        assert np.array_equal(got, coinv), wgt.label
+        if wgt.kind == W.PRINCIPAL_SERIES:
+            assert inv.shape[0] == 2
+
+
 def test_j_map(tower):
     for K in BOTH:
         triv = W.make_weight(tower, K, W.TRIVIAL)
@@ -186,19 +301,30 @@ def test_j_map(tower):
             ps0.j_matrix()
 
 
-def test_q5_steinberg_lines(tower5):
-    """The q = 5 mirror of the invariant-line, character and collapse checks
-    above, on the two Steinberg weights (dimensions q^3 and q)."""
-    for K, d in ((K0, 125), (K1, 5)):
-        st_w = W.make_weight(tower5, K, W.STEINBERG)
+def _check_steinberg_lines(tw):
+    """The invariant-line, character and collapse checks above, on the two
+    Steinberg weights (dimensions q^3 and q)."""
+    q = tw.q
+    for K, d in ((K0, q ** 3), (K1, q)):
+        st_w = W.make_weight(tw, K, W.STEINBERG)
         assert st_w.dim == d
         assert st_w.u_invariants().shape[0] == 1
-        assert st_w.chi_of() == Character(tower5, 0, 0)
+        assert st_w.chi_of() == Character(tw, 0, 0)
         j = st_w.j_matrix()
-        assert gfmat.rank(tower5, j) == 1
-        assert np.array_equal(gfmat.matmul(tower5, j, j), j)
+        assert gfmat.rank(tw, j) == 1
+        assert np.array_equal(gfmat.matmul(tw, j, j), j)
         v0 = st_w.v0()
-        assert np.array_equal(gfmat.matvec(tower5, j, v0), v0)
+        assert np.array_equal(gfmat.matvec(tw, j, v0), v0)
+
+
+def test_q5_steinberg_lines(tower5):
+    """The q = 5 mirror of the Steinberg line checks (dimensions 125, 5)."""
+    _check_steinberg_lines(tower5)
+
+
+def test_q7_steinberg_lines(tower7):
+    """The q = 7 mirror of the Steinberg line checks (dimensions 343, 7)."""
+    _check_steinberg_lines(tower7)
 
 
 def test_weight_s_identity(tower):
