@@ -26,10 +26,15 @@ The canonical invariant functions f_n (supported on the n-th shift cell,
 pro-unipotent-invariant, one per shift) come in two forms: a materialized
 InducedFn over the full coordinate grid of the cell, and a coordinate form
 (GridElement) that evaluates points lazily from the coset of their inverse.
-The grid form makes the averaging operators affordable at every shift: an
-invariant function supported on finitely many certified cells and vanishing
-at each cell point alpha^{-j} is identically zero, so reading the values at
-those points reconstructs the coordinates faithfully.
+The grid form makes T and the averaging operators affordable at every
+shift: an invariant function supported on finitely many certified cells and
+vanishing at each cell point alpha^{-j} is identically zero, so reading the
+values at those points reconstructs the coordinates faithfully.  The
+support window of each grid operator is certified by exact double-cell
+labels; the invariance of its image is spot-checked at sampled points.
+op_T_grid reads T through its adjoint stencil, certified once per compact,
+and is the route of the structure constants; the materialized op_T stays as
+the test oracle and the route of op_T_sigma and equivariance_spot_check.
 
 Deep shifts are reached by the translation recursion
     f_{n+1} = sum_{w} w . (alpha . f_n)
@@ -154,8 +159,9 @@ _coset_table = coset_normalize.table
 # 4.1-5.0 ms against 3.5-4.3 ms at K1; at q = 5 the batch is as fast from 8
 # words at K0 and from 16 at K1.  The bound stays at 32, where the
 # per-signature read of the batch first matched the scalar read (24 words:
-# 3.0-4.2 ms one by one against 3.4-4.9 ms batched), so that the words each
-# call reads one by one are the same as before.
+# 3.0-4.2 ms one by one against 3.4-4.9 ms batched): at 16, five alternating
+# benchmark pairs read battery_q3 and grid_q5 wall_s 2-3% higher (medians),
+# with no workload faster.
 _BATCH_MIN = 32
 # Misses per nf_uak_batch call, which bounds its arrays whatever the cell
 # size.  On the 19,683 words of the recursion step 2 -> 3 at q = 3 (K0),
@@ -653,10 +659,10 @@ def _t_matrices(weight):
 
 
 def op_T(weight, f):
-    """The spherical operator through its coset expansion: the product of
-    the tag representatives of f (heads) and the stencil suffixes (tails),
-    each suffix carrying its matrix j sigma(g) applied to the stacked values
-    of f at once (_apply)."""
+    """The spherical operator through its coset expansion, materialized:
+    the product of the tag representatives of f (heads) and the stencil
+    suffixes (tails), each suffix carrying its matrix j sigma(g) applied to
+    the stacked values of f at once (_apply).  The oracle of op_T_grid."""
     if f.weight is not weight:
         raise NotApplicable("operator weight differs from the function's")
     tw = weight.tower
@@ -882,66 +888,83 @@ def _sk_window(tower, K, shifts):
     return sorted(out)
 
 
+def _double_cell_window(tower, K, heads, tails=((),)):
+    """The cells +-l over the labels l of the double cells K (h + t) K, read
+    exactly by one _normalize_words call: a double cell of label l meets the
+    invariant grid only in the two cells +-l."""
+    out = set()
+    for (t, _), _ in _normalize_words(tower, K, heads, tails):
+        out.add(t)
+        out.add(-t)
+    return sorted(out)
+
+
 def _sminus_window(tower, K, shifts):
     """Certified support window of the lower averaging.  The output support
     lies in the product of each input cell closure with the basic double
     cell; splitting the latter over the delta transversal, each piece
-    K alpha^-n delta alpha K is a single double cell whose label is computed
-    exactly, and a double cell of label l meets the invariant grid only in
-    the two cells +-l."""
+    K alpha^-n delta alpha K is a single double cell (_double_cell_window)."""
     post = (atom_alpha(1),)
     words = [
         (atom_alpha(-n),) + d + post
         for n in shifts
         for d in _delta_words(tower, K)
     ]
-    out = set()
-    for (t, _), _ in _normalize_words(tower, K, words):
-        out.add(t)
-        out.add(-t)
-    return sorted(out)
+    return _double_cell_window(tower, K, words)
 
 
-def _op_grid(elem, suffixes, window, opname):
-    """Reconstruct the image of an averaging operator from its values at the
-    cell points alpha^-j of the certified window.
+def _read_grid(weight, window, evaluate, opname):
+    """Reconstruct the image of an operator on the grid form from its values
+    at the cell points alpha^-j of the certified window.
 
     Faithful because the image is invariant (averages over coset transversals
-    of the compact preserve invariance) and an invariant function supported
-    on the window cells vanishing at every cell point is identically zero.
-    The invariance of the image is spot-checked, not certified: at
-    x = alpha^-j and x = beta_K alpha^-j for the first three j of the
-    window, the image at x a must equal its value at x for the first four
-    atoms a of pro_iwahori_sample.  The averages at all these points are
-    evaluated by one values_at call, (|window| + 10 min(3, |window|))
-    |suffixes| points, and the values of each prefix are summed as one
-    array (gfmat.sum_rows)."""
-    weight = elem.weight
+    of the compact, and T, which commutes with left translation, preserve
+    invariance) and an invariant function supported on the window cells
+    vanishing at every cell point is identically zero.  The invariance of
+    the image is spot-checked, not certified: at x = alpha^-j and
+    x = beta_K alpha^-j for the first three j of the window, the image at
+    x a must equal its value at x for the first four atoms a of
+    pro_iwahori_sample.  evaluate(points) gives the image at all these
+    points, |window| + 10 min(3, |window|) of them, as one (points, dim)
+    array."""
     tw = weight.tower
     K = weight.K
     atoms = pro_iwahori_sample(tw, K)[:4]
     bw = beta_compact_word(K)
-    prefixes = [(atom_alpha(-j),) for j in window]
-    for x in prefixes[:3]:
+    points = [(atom_alpha(-j),) for j in window]
+    for x in points[:3]:
         for y in (x, bw + x):
-            prefixes += [y] + [y + (a,) for a in atoms]
-    values = elem.values_at(prefixes, suffixes)
-    # (suffix, prefix, dim): the sum over the suffixes is one sum_rows
-    by_suffix = values.reshape(
-        len(prefixes), len(suffixes), weight.dim
-    ).swapaxes(0, 1)
-    sums = _tuples(gfmat.sum_rows(tw, by_suffix))
+            points += [y] + [y + (a,) for a in atoms]
+    sums = _tuples(evaluate(points))
     coeffs = {}
     for j, val in zip(window, sums):
         if any(val):
             coeffs[j] = _match_grid_coefficient(weight, j, val)
     step = len(atoms) + 1
-    for start in range(len(window), len(prefixes), step):
+    for start in range(len(window), len(points), step):
         if any(v != sums[start] for v in sums[start + 1 : start + step]):
             raise InvarianceViolated(
                 "%s image failed the sampled invariance check" % opname
             )
     return GridElement(weight, coeffs)
+
+
+def _op_grid(elem, suffixes, window, opname):
+    """An averaging operator on the grid form, read back by _read_grid: the
+    averages at all its points are evaluated by one values_at call,
+    |points| |suffixes| words, and the values of each point are summed as
+    one array (gfmat.sum_rows)."""
+    weight = elem.weight
+
+    def evaluate(points):
+        values = elem.values_at(points, suffixes)
+        # (suffix, point, dim): the sum over the suffixes is one sum_rows
+        by_suffix = values.reshape(
+            len(points), len(suffixes), weight.dim
+        ).swapaxes(0, 1)
+        return gfmat.sum_rows(weight.tower, by_suffix)
+
+    return _read_grid(weight, window, evaluate, opname)
 
 
 def op_SK_grid(elem):
@@ -958,6 +981,94 @@ def op_Sminus_grid(elem):
     K = elem.weight.K
     window = _sminus_window(tw, K, sorted(elem.coeffs))
     return _op_grid(elem, _sminus_suffixes(tw, K), window, "op_Sminus")
+
+
+# ---------------------------------------------------------------------------
+# the spherical operator, grid route
+
+
+@memo
+def _t_adjoint(tower, K):
+    """The stencil of T read from the other side: (T F)(x) is the sum over
+    the suffixes s of sigma(r_s) j sigma(g_s') F(s^-1 x), where s' is the
+    suffix with s'K = s^-1 K, g_s' its stencil residue, and r_s = red(s s').
+
+    T[1, v] is x -> phi(x) v with phi(k x k') = sigma(k) phi(x) sigma(k')
+    and phi(s'^-1) = j sigma(g_s'), since [s', w] takes the value w at s'^-1;
+    by equivariance (T F)(x) = sum_s phi(s) F(s^-1 x), s running over the
+    cosets of the double coset.  With s^-1 = rep k1 and s' = rep k2,
+    s = k1^-1 k2 s'^-1, so phi(s) = sigma(gamma1^-1 gamma2) j sigma(g_s').
+    Every suffix is u alpha^-1 with u in the compact, so every s^-1 K is
+    the same coset alpha K and s' is one suffix for all s.
+
+    The words s^-1 and s are read by one _normalize_words call.  The
+    stencil is certified exactly: its cosets must be distinct, lie in the
+    cells +-1 and number grid_count(1) + grid_count(-1).  As every suffix
+    lies in the double coset and the double coset lies in the cells +-1,
+    the stencil is then the whole double coset.  Every s^-1 must land in a
+    stencil coset.  CrossCheckFailed otherwise.  Returns the list of
+    (s^-1, g_s', r_s)."""
+    stencil = _t_stencil(tower, K)
+    inverses = [word_inverse(tower, s) for s, _ in stencil]
+    n = len(stencil)
+    normal = _normalize_words(tower, K, inverses + [s for s, _ in stencil])
+    by_tag = {tag: (i, gamma) for i, (tag, gamma) in enumerate(normal[n:])}
+    cells = grid_count(tower, K, 1) + grid_count(tower, K, -1)
+    if (len(by_tag) != n or n != cells
+            or any(abs(tag[0]) != 1 for tag in by_tag)):
+        raise CrossCheckFailed("the stencil is not the double coset of T")
+    if any(tag not in by_tag for tag, _ in normal[:n]):
+        raise CrossCheckFailed("the inverted stencil leaves the stencil")
+    out = []
+    for inv, (tag, gamma1) in zip(inverses, normal[:n]):
+        i, gamma2 = by_tag[tag]
+        out.append((inv, stencil[i][1], gamma1.inverse() * gamma2))
+    return out
+
+
+def _t_window(tower, K, shifts):
+    """Certified support window of T.  The image of a function on cell n
+    lies in the double cells K rep(tag) s K = K alpha^n s K over the stencil
+    suffixes s (the layer atoms of rep(tag) lie in the compact), read as
+    the product of the heads alpha^n and the suffixes (_double_cell_window)."""
+    return _double_cell_window(
+        tower,
+        K,
+        [(atom_alpha(n),) for n in shifts],
+        [s for s, _ in _t_stencil(tower, K)],
+    )
+
+
+def op_T_grid(elem):
+    """The spherical operator on the grid form, read back by _read_grid
+    on its certified window (_t_window), with the sampled invariance spot
+    check.
+
+    The values F(s^-1 x) at every point x and adjoint word s^-1
+    (_t_adjoint) come from one values_at call; only the nonzero rows (an
+    exact skip) are moved, by sigma(g_s') (one _transport), then j (one
+    _apply) and sigma(r_s) (one more _transport), and summed per point
+    (_merge)."""
+    weight = elem.weight
+    tw = weight.tower
+    K = weight.K
+    adjoint = _t_adjoint(tw, K)
+
+    def evaluate(points):
+        values = elem.values_at([inv for inv, _, _ in adjoint], points)
+        live = np.flatnonzero(values.any(axis=1))
+        if not len(live):
+            return np.zeros((len(points), weight.dim), dtype=np.uint16)
+        suffix = live // len(points)
+        rows = _transport(
+            weight, [adjoint[s][1] for s in suffix], values[live]
+        )
+        _apply(tw, weight.j_matrix(), rows)
+        rows = _transport(weight, [adjoint[s][2] for s in suffix], rows)
+        return _merge(tw, live % len(points), len(points), rows)
+
+    window = _t_window(tw, K, sorted(elem.coeffs))
+    return _read_grid(weight, window, evaluate, "op_T")
 
 
 # ---------------------------------------------------------------------------
@@ -1166,28 +1277,30 @@ def _l_sum(tower, K, chi, exponent):
 def constants(weight, check=True):
     """Structure constants, every one cross-checked two ways:
 
-    lam and c are read off the exact two-sum expansions of T on the cells
-    0, +-1 and re-derived from the invariant functional (lam) and the
-    closed-form case split (c); c_minus and d[n] are brute-force character
-    sums over the layer classes, compared against the grid-form averaging
-    operators; d[0] is additionally evaluated as the direct matrix sum over
-    the first upper layer.  d is given for n <= CONSTANTS_N_TOP."""
+    lam and c are read by op_T_grid off T f_0 and T f_+-1 (certified
+    windows and stencil, sampled invariance spot check) and re-derived from
+    the invariant functional (lam) and the closed-form case split (c);
+    c_minus and d[n] are brute-force character sums over the layer classes,
+    compared against the grid-form averaging operators; d[0] is
+    additionally evaluated as the direct matrix sum over the first upper
+    layer.  d is given for n <= CONSTANTS_N_TOP.  Neither op_T nor f_basis
+    is called."""
     tw = weight.tower
     K = weight.K
     chi = weight.chi_of()
     n_K, _, t_K = iwahori_constants(tw, K)
 
-    g0 = GridElement.from_induced(op_T(weight, f_basis(weight, 0)))
+    g0 = op_T_grid(f_grid(weight, 0))
     if g0.coeffs.get(-1) != 1 or not set(g0.coeffs) <= {-1, 1}:
         raise CrossCheckFailed("T on the zero cell is not f_-1 + lam f_1")
     lam = g0.coeffs.get(1, 0)
 
-    g1 = GridElement.from_induced(op_T(weight, f_basis(weight, 1)))
+    g1 = op_T_grid(f_grid(weight, 1))
     if g1.coeffs.get(2) != 1 or not set(g1.coeffs) <= {1, 2}:
         raise CrossCheckFailed("T on cell 1 is not c f_1 + f_2")
     c = g1.coeffs.get(1, 0)
 
-    gm1 = GridElement.from_induced(op_T(weight, f_basis(weight, -1)))
+    gm1 = op_T_grid(f_grid(weight, -1))
     if gm1.coeffs.get(-2) != 1 or not set(gm1.coeffs) <= {-1, -2}:
         raise CrossCheckFailed("T on cell -1 is not c f_-1 + f_-2")
     if gm1.coeffs.get(-1, 0) != c:

@@ -35,10 +35,7 @@ from u21hecke.words import nf_uak, tag_of, word_from_tag
 BOTH = (K0, K1)
 
 
-@pytest.fixture(scope="module")
-def catalog(tower):
-    """One shared weight object per catalog entry, so per-weight caches of
-    basis functions and operator stencils are reused across tests."""
+def _catalog(tower):
     cat = {}
     for K in BOTH:
         cat[(K, "trivial")] = W.make_weight(tower, K, W.TRIVIAL)
@@ -48,6 +45,20 @@ def catalog(tower):
                 tower, K, W.DET_TWIST, power=k
             )
     return cat
+
+
+@pytest.fixture(scope="module")
+def catalog(tower):
+    """One shared weight object per catalog entry, so per-weight caches of
+    basis functions and operator stencils are reused across tests."""
+    return _catalog(tower)
+
+
+@pytest.fixture(scope="module")
+def catalog5(tower5):
+    """The catalog at q = 5, shared so that each weight builds its
+    matrices once."""
+    return _catalog(tower5)
 
 
 @pytest.fixture(scope="module")
@@ -516,7 +527,15 @@ FROZEN_CONSTANTS = {
 }
 
 
-def test_constants_battery_frozen(tower, catalog):
+def test_constants_battery_frozen(monkeypatch, tower, catalog):
+    """The frozen table, read with the materialized op_T and f_basis
+    raising: constants() reads lam and c from op_T_grid."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("materialized route called")
+
+    monkeypatch.setattr(I, "op_T", forbidden)
+    monkeypatch.setattr(I, "f_basis", forbidden)
     for K in BOTH:
         for name, (lam, c, cm, d0, dd) in FROZEN_CONSTANTS.items():
             hc = I.constants(catalog[(K, name)])
@@ -535,6 +554,40 @@ def test_deep_cell_eigenvalue_is_twist_invariant(tower, catalog):
             chib = int(w.matrix(W.gamma_beta(tower, K))[0, 0])
             assert hc.c == int(tower.mul[chib, hc.c_minus])
             assert hc.c == 2  # q - 1, independently of the twist
+
+
+FROZEN_CONSTANTS_Q5 = {
+    # label: (lam, c, c_minus, d0, d_deep)  -- identical at both compacts
+    "trivial": (1, 4, 4, 0, 4),
+    "steinberg": (0, 0, 4, 4, 4),
+    "det1": (4, 4, 1, 0, 1),
+    "det2": (1, 4, 4, 0, 4),
+    "det3": (4, 4, 1, 0, 1),
+}
+
+
+def test_constants_battery_frozen_q5(tower5, catalog5):
+    """The constants battery at q = 5, on the catalog at both compacts and
+    on three seeded regular K1 characters.  The deep-cell eigenvalue
+    follows its closed forms: chi(beta_K) c_minus = q - 1 for the
+    one-dimensional weights, and every constant of a regular weight is 0."""
+    q = tower5.q
+    for K in BOTH:
+        for name, (lam, c, cm, d0, dd) in FROZEN_CONSTANTS_Q5.items():
+            w = catalog5[(K, name)]
+            hc = I.constants(w)
+            assert (hc.lam, hc.c, hc.c_minus) == (lam, c, cm), (K, name)
+            assert hc.d == {0: d0, 1: dd, 2: dd, 3: dd}, (K, name)
+            if w.dim == 1:
+                chib = int(w.matrix(W.gamma_beta(tower5, K))[0, 0])
+                assert hc.c == int(tower5.mul[chib, hc.c_minus]) == q - 1
+    regs = [c for c in characters_of_torus(tower5) if is_regular(c)]
+    for chi in random.Random(5).sample(regs, 3):
+        for part in ("sub", "quotient"):
+            w = W.make_weight(tower5, K1, W.PS_SUB_QUOTIENT, chi=chi, part=part)
+            hc = I.constants(w)
+            assert (hc.lam, hc.c, hc.c_minus) == (0, 0, 0), (chi, part)
+            assert set(hc.d.values()) == {0}, (chi, part)
 
 
 def test_regular_constants_vanish(tower, regular_pairs):
@@ -573,13 +626,12 @@ def test_deep_s_identities_grid(tower, catalog):
                 assert out.coeffs == {n + 1: 1}, (K, name, n)
 
 
-def test_deep_s_identities_grid_q5(tower5):
+def test_deep_s_identities_grid_q5(catalog5):
     """The grid_q5 known answers at q = 5: S_K f_n = f_-n for n = 1..3 and
     S_- f_-n = f_(n+1) for n = 0..2."""
     for K in BOTH:
-        for kind, kw in ((W.TRIVIAL, {}), (W.STEINBERG, {}),
-                         (W.DET_TWIST, {"power": 1})):
-            w = W.make_weight(tower5, K, kind, **kw)
+        for name in ("trivial", "steinberg", "det1"):
+            w = catalog5[(K, name)]
             for n in range(1, 4):
                 out = I.op_SK_grid(I.f_grid(w, n))
                 assert out.coeffs == {-n: 1}, (K, w.label, n)
@@ -819,6 +871,80 @@ def test_t_mirror_identity(tower, catalog):
             if hc.c:
                 expect[-1] = hc.c
             assert g.coeffs == expect
+
+
+# ---------------------------------------------------------------------------
+# T on the grid form
+
+
+def test_op_T_grid_matches_materialized(tower, catalog):
+    """op_T_grid reads the same coefficients as the materialized op_T."""
+    for K in BOTH:
+        for name in ("trivial", "steinberg", "det1"):
+            w = catalog[(K, name)]
+            for n in (0, 1, -1):
+                oracle = I.GridElement.from_induced(I.op_T(w, I.f_basis(w, n)))
+                assert I.op_T_grid(I.f_grid(w, n)) == oracle, (K, name, n)
+            zero = I.GridElement(w, {})
+            assert I.op_T_grid(zero) == zero
+
+
+def test_t_windows_frozen(tower):
+    """The certified window of T on cell n: {+-1} for n = 0 and
+    {+-(|n|-1), +-|n|, +-(|n|+1)} for 1 <= |n| <= 4, at both compacts."""
+    for K in BOTH:
+        assert I._t_window(tower, K, [0]) == [-1, 1]
+        for n in range(1, 5):
+            expect = sorted({s * m for s in (1, -1) for m in (n - 1, n, n + 1)})
+            for shift in (n, -n):
+                assert I._t_window(tower, K, [shift]) == expect, (K, shift)
+
+
+def test_t_adjoint_lands_on_one_suffix(tower):
+    """Every inverted stencil suffix s^-1 lies in the coset alpha K, so the
+    adjoint stencil reads one stencil residue g_s' for all s."""
+    for K in BOTH:
+        adjoint = I._t_adjoint(tower, K)
+        assert len(adjoint) == len(I._t_stencil(tower, K))
+        assert len({g.key() for _, g, _ in adjoint}) == 1
+
+
+def test_op_T_grid_rejects_a_dropped_suffix(monkeypatch):
+    """A stencil with one coset missing at K1 makes op_T_grid raise, both
+    for a suffix of the first family and for the suffix every s^-1 lands
+    on: the stencil no longer covers the cells +-1."""
+    tw = Tower(3, 1)
+    stencil = I._t_stencil(tw, K1)
+    alpha_coset = I.coset_normalize(tw, K1, (U.atom_alpha(1),))[0]
+    matched = next(
+        i for i, (s, _) in enumerate(stencil)
+        if I.coset_normalize(tw, K1, s)[0] == alpha_coset
+    )
+    assert matched != 0
+    for drop in (0, matched):
+        tw = Tower(3, 1)
+        tw.default_window = 24
+        w = W.make_weight(tw, K1, W.TRIVIAL)
+        kept = stencil[:drop] + stencil[drop + 1:]
+        monkeypatch.setattr(I, "_t_stencil", lambda tower, K: kept)
+        with pytest.raises(CrossCheckFailed):
+            I.op_T_grid(I.f_grid(w, 1))
+
+
+def test_deep_t_identities_grid(tower, catalog):
+    """T f_n = c f_n + f_(n+1) and T f_-n = c f_-n + f_(-n-1) for
+    1 <= n <= 4, on the grid form, for the catalog at both compacts."""
+    for K in BOTH:
+        for name in FROZEN_CONSTANTS:
+            w = catalog[(K, name)]
+            c = I.constants(w).c
+            for n in range(1, 5):
+                for sign in (1, -1):
+                    out = I.op_T_grid(I.f_grid(w, sign * n))
+                    expect = {sign * (n + 1): 1}
+                    if c:
+                        expect[sign * n] = c
+                    assert out.coeffs == expect, (K, name, sign * n)
 
 
 # ---------------------------------------------------------------------------

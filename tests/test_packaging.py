@@ -1,7 +1,8 @@
 """Packaging metadata: every declared console script resolves, every name
 the benchmark's tracer wraps exists, the package keeps its derived tables
-only in owned memo tables, no module imports a name it never uses, and no
-production solve sweeps a whole reduced subgroup."""
+only in owned memo tables, no module imports a name it never uses, no
+production solve sweeps a whole reduced subgroup, and the materialized T
+stays an oracle."""
 
 import ast
 import importlib
@@ -112,10 +113,10 @@ SWEEP_USERS = {
 }
 
 
-def test_no_whole_subgroup_sweeps():
-    """In the package, gamma_upper, gamma_lower and gamma_torus are named
-    only inside the functions of SWEEP_USERS: every solve runs on
-    generators."""
+def _uses_outside(names, owners):
+    """Every use of a name of names in the package outside the functions of
+    owners (the innermost enclosing def counts), as "file:line name in
+    function"."""
     found = []
 
     def visit(node, owner, path):
@@ -123,7 +124,7 @@ def test_no_whole_subgroup_sweeps():
             owner = node.name
         name = (node.id if isinstance(node, ast.Name)
                 else node.attr if isinstance(node, ast.Attribute) else None)
-        if name in SUBGROUP_SWEEPS and owner not in SWEEP_USERS:
+        if name in names and owner not in owners:
             found.append("%s:%d %s in %s" % (path.name, node.lineno, name,
                                              owner))
         for child in ast.iter_child_nodes(node):
@@ -131,4 +132,18 @@ def test_no_whole_subgroup_sweeps():
 
     for path in sorted(PACKAGE.glob("*.py")):
         visit(ast.parse(path.read_text(), str(path)), None, path)
-    assert found == []
+    return found
+
+
+def test_no_whole_subgroup_sweeps():
+    """In the package, gamma_upper, gamma_lower and gamma_torus are named
+    only inside the functions of SWEEP_USERS: every solve runs on
+    generators."""
+    assert _uses_outside(SUBGROUP_SWEEPS, SWEEP_USERS) == []
+
+
+def test_materialized_T_is_an_oracle():
+    """In the package, the materialized op_T is called only by op_T_sigma
+    and equivariance_spot_check; the structure constants read T from
+    op_T_grid."""
+    assert _uses_outside({"op_T"}, {"op_T_sigma", "equivariance_spot_check"}) == []
