@@ -9,18 +9,21 @@ partial averaging operators S_K and S_- are sums of translates, each read as
 a product of two word lists by InducedFn._from_words: prefixes times tag
 representatives, or representatives times the stencil suffixes of T.  Every
 landing coset membership is certified by the residue reduction.  The words
-of one operation (a translate-sum, the values_at point reads, a support
-window) are normalized together: the misses of coset_normalize's memo table
-are read by words.nf_uak_batch, which reads each factor's atoms once, and
-stored in that table; a word outside the batch's form, and every miss of a
-call with few misses, goes through the scalar coset_normalize.
+of one operation are normalized together: the misses of coset_normalize's
+memo table are read by words.nf_uak_batch and stored in that table; a word
+outside the batch's form, and the misses of a small call, go through the
+scalar coset_normalize.
 
-Values are transported the same way, a call at a time (_transport): each
-distinct (residue, vector) pair of one call is transported once, and each
-distinct residue costs one Weight.matrix and one gfmat.matmul over all its
-distinct vectors (in chunks bounded by _TRANSPORT_ENTRIES); the transported
-rows are then summed per coset (_merge) or per point as arrays.  op_T applies
+Values are transported a call at a time (_transport): each distinct
+(residue, vector) pair is moved once, by one Weight.matrix and one
+gfmat.matmul per distinct residue (chunked by _TRANSPORT_ENTRIES), and the
+rows are summed per coset (_merge) or per point as arrays.  op_T applies
 each stencil matrix to the stacked values of all tags at once.
+
+The span of the compact translates of f_n (spin_K) lives on a fixed tag
+index, the orbit of the support under the lifts of gamma_generators, each
+certified to permute it; weights.closure, the loop of weights.spin, closes
+it, and its residue action reads coordinates at its rref pivots.
 
 The canonical invariant functions f_n (supported on the n-th shift cell,
 pro-unipotent-invariant, one per shift) come in two forms: a materialized
@@ -44,6 +47,7 @@ this certifies the operator identities far beyond the range where the raw
 two-sum expansion is computable.
 """
 
+import functools
 import itertools
 import random
 
@@ -77,10 +81,11 @@ from .weights import (
     STEINBERG,
     TRIVIAL,
     Weight,
+    closure,
     gamma_beta,
+    gamma_generators,
     gamma_lift_word,
     reduce_word,
-    torus_generator_atoms,
 )
 from .words import (
     grid_layer_span,
@@ -96,16 +101,11 @@ from .words import nf_kau  # noqa: F401
 
 DEFAULT_N_MAX = 5
 DEFAULT_TAG_CAP = 30000
-SPIN_BUDGET = 128
 CONSTANTS_N_TOP = 3
 
 
 # ---------------------------------------------------------------------------
 # value tuples
-
-
-def _vzero(dim):
-    return (0,) * dim
 
 
 def _vadd(tw, a, b):
@@ -237,9 +237,25 @@ def _apply(tw, M, rows):
         rows[s : s + step] = gfmat.matmul(tw, rows[s : s + step], M.T)
 
 
+def _residue_ids(gammas):
+    """The residues of a list numbered by key (_group): an id array, and the
+    distinct residues in id order."""
+    ids, keys = _group(gamma.key() for gamma in gammas)
+    rep = np.empty(len(keys), dtype=np.intp)
+    rep[ids] = np.arange(len(ids))
+    return ids, [gammas[r] for r in rep]
+
+
 def _transport(weight, gammas, vecs, inverse=False):
     """sigma(gamma_i) v_i for every row i, or sigma(gamma_i^-1) v_i with
-    inverse, where vecs is an (n, dim) array; returns an (n, dim) array.
+    inverse, where vecs is an (n, dim) array; returns an (n, dim) array."""
+    return _transport_ids(weight, *_residue_ids(gammas), vecs, inverse)
+
+
+def _transport_ids(weight, ids, residues, vecs, inverse=False):
+    """sigma(residues[ids[i]]) v_i for every row i of the (n, dim) array
+    vecs, or the inverse residues with inverse, where the residues are
+    distinct and each id occurs.
 
     Each distinct (residue, row) pair is transported once.  The rows are
     numbered by one np.unique over their bytes, and the pairs by one
@@ -247,9 +263,6 @@ def _transport(weight, gammas, vecs, inverse=False):
     each distinct residue costs one Weight.matrix (after one inversion, with
     inverse), its distinct rows are transported together by _apply, and the
     results are scattered back through the inverse index."""
-    ids, keys = _group(gamma.key() for gamma in gammas)
-    rep = np.empty(len(keys), dtype=np.intp)
-    rep[ids] = np.arange(len(ids))
     vecs = np.ascontiguousarray(vecs)
     row_bytes = np.dtype((np.void, vecs.itemsize * vecs.shape[1]))
     _, first, row = np.unique(
@@ -259,8 +272,7 @@ def _transport(weight, gammas, vecs, inverse=False):
     pairs, back = np.unique(ids * n + row.reshape(-1), return_inverse=True)
     rows = vecs[first[pairs % n]]
     start = 0
-    for r, end in enumerate(np.cumsum(np.bincount(pairs // n)).tolist()):
-        gamma = gammas[rep[r]]
+    for gamma, end in zip(residues, np.cumsum(np.bincount(pairs // n)).tolist()):
         M = weight.matrix(gamma.inverse() if inverse else gamma)
         _apply(weight.tower, M, rows[start:end])
         start = end
@@ -877,7 +889,7 @@ def _delta_words(tower, K):
     return [(u,) for u in layer_transversal(tower, m_K, prime=True)]
 
 
-def _sk_window(tower, K, shifts):
+def _sk_window(shifts):
     """Support window of the upper averaging: the input support times the
     compact stays inside the same double cells, whose invariant cells carry
     labels +-n."""
@@ -971,7 +983,7 @@ def op_SK_grid(elem):
     """Upper averaging on the grid form."""
     tw = elem.weight.tower
     K = elem.weight.K
-    window = _sk_window(tw, K, sorted(elem.coeffs))
+    window = _sk_window(sorted(elem.coeffs))
     return _op_grid(elem, _sk_suffixes(tw, K), window, "op_SK")
 
 
@@ -1371,168 +1383,139 @@ def constants(weight, check=True):
 # generated compact-translate span
 
 
-@memo
-def _k_generator_words(tower, K):
-    """Words generating the residue group: all nontrivial atoms of the first
-    upper and lower layers, torus generators, and the involution."""
-    n_K, m_K, _ = iwahori_constants(tower, K)
-    words = [(a,) for a in layer_transversal(tower, n_K)[1:]]
-    words += [(a,) for a in layer_transversal(tower, m_K - 1, prime=True)[1:]]
-    words += [(a,) for a in torus_generator_atoms(tower)]
-    words.append(beta_compact_word(K))
-    return words
+def _tag_orbit(tower, K, lifts, tags):
+    """Position of each tag of the orbit of tags under the lift words, in
+    order of discovery; each round reads the lifts times the representatives
+    of the tags found by the last one as one product (_normalize_words).
+    Raises ClosureBudgetExceeded once the orbit passes DEFAULT_TAG_CAP."""
+    index = {tag: i for i, tag in enumerate(tags)}
+    new = list(tags)
+    while new:
+        reps = [word_from_tag(tower, K, tag) for tag in new]
+        new = []
+        for tag, _ in _normalize_words(tower, K, lifts, reps):
+            if tag not in index:
+                index[tag] = len(index)
+                new.append(tag)
+        if len(index) > DEFAULT_TAG_CAP:
+            raise ClosureBudgetExceeded(
+                "translate orbit exceeded the tag cap %d" % DEFAULT_TAG_CAP
+            )
+    return index
 
 
-class _FnSpan:
-    """Incremental independence tracker for induced functions, with
-    combination tracking so membership coordinates come for free."""
+def _permutations(tower, K, index, words):
+    """Each word g as a permutation of the tag index, read by one product
+    call: g rep(tag_i) = rep(tag_to[i]) k_i, as the positions to and the
+    residues red(k_i) by _residue_ids.  Raises CrossCheckFailed unless every
+    word permutes the index."""
+    reps = [word_from_tag(tower, K, tag) for tag in index]
+    normal = _normalize_words(tower, K, words, reps)
+    out = []
+    for h in range(len(words)):
+        moves = normal[h :: len(words)]
+        to = np.array([index.get(tag, -1) for tag, _ in moves], dtype=np.intp)
+        if not np.array_equal(np.sort(to), np.arange(len(index))):
+            raise CrossCheckFailed("a translate does not permute the tag index")
+        out.append((to, *_residue_ids([gamma for _, gamma in moves])))
+    return out
 
-    def __init__(self, tw, dim, budget):
-        self.tw = tw
-        self.dim = dim
-        self.budget = budget
-        self.slots = {}
-        self.datas = []
-        self._basis = None
 
-    def _register(self, data):
-        fresh = False
-        for tag in data:
-            if tag not in self.slots:
-                self.slots[tag] = len(self.slots)
-                fresh = True
-        return fresh
-
-    def _vec(self, data, marker=None):
-        width = len(self.slots) * self.dim
-        v = np.zeros(width + self.budget, dtype=np.uint16)
-        for tag, val in data.items():
-            base = self.slots[tag] * self.dim
-            v[base : base + self.dim] = val
-        if marker is not None:
-            v[width + marker] = 1
-        return v
-
-    def _rebuild(self):
-        width = len(self.slots) * self.dim
-        self._basis = gfmat.Basis(self.tw, width + self.budget)
-        for i, d in enumerate(self.datas):
-            self._basis.add(self._vec(d, marker=i))
-
-    def try_add(self, fn):
-        if self._register(fn.data) or self._basis is None:
-            self._rebuild()
-        vec = self._vec(fn.data, marker=len(self.datas))
-        width = len(self.slots) * self.dim
-        r = self._basis.reduce(vec)
-        if not r[:width].any():
-            return False
-        self._basis.add(r)
-        self.datas.append(fn.data)
-        return True
-
-    def coords(self, fn):
-        """Coefficients expressing fn over the accepted members, or None."""
-        for tag in fn.data:
-            if tag not in self.slots:
-                return None
-        if self._basis is None:
-            return None
-        width = len(self.slots) * self.dim
-        r = self._basis.reduce(self._vec(fn.data))
-        if r[:width].any():
-            return None
-        neg = self.tw.neg
-        return np.array(
-            [int(neg[r[width + i]]) for i in range(len(self.datas))],
-            dtype=np.uint16,
-        )
+def _translate(weight, perm, block):
+    """The translates of the rows of block (functions on the tag index, an
+    (m, tags * dim) array) by a word permuting it (_permutations): the value
+    v at tag i moves to tag to[i] as sigma(red k_i) v, in one transport."""
+    to, ids, residues = perm
+    m, n, d = len(block), len(to), weight.dim
+    moved = _transport_ids(
+        weight, np.tile(ids, m), residues, block.reshape(m * n, d)
+    )
+    out = np.zeros((m, n, d), dtype=np.uint16)
+    out[:, to] = moved.reshape(m, n, d)
+    return out.reshape(m, n * d)
 
 
 class SpanModule:
-    """The compact-translate closure of an induced function, carrying the
+    """The span of the compact translates of an induced function, with the
     residue-group action as a Weight.
 
-    Well-defined on the residue group: the reduction kernel is normal in the
-    compact and fixes the seed (it sits inside the pro-unipotent radical),
-    hence fixes every translate."""
+    Functions are read as vectors on the fixed tag index of the span (the
+    value at tag i in entries i dim to (i + 1) dim).  The span is held by
+    its rref basis, so the coordinates of a member v are v at the pivots,
+    certified by v reducing to zero.  The action is well defined on the
+    residue group because the reduction kernel, normal in the compact,
+    fixes the seed and hence every translate."""
 
-    def __init__(self, source, basis_fns, words, weight, span):
-        self.source = source
-        self.basis_fns = basis_fns
-        self.words = words
+    def __init__(self, induced, index, basis, weight):
+        self._induced = induced
+        self._index = index
+        self._basis = basis
         self.weight = weight
-        self._span = span
+        self.dim = basis.dim
 
-    @property
-    def dim(self):
-        return len(self.basis_fns)
+    def _coords(self, fn):
+        if fn.weight is not self._induced:
+            raise NotApplicable("function lives in a different induced module")
+        v = _on_index(self._index, fn)
+        if v is None or self._basis.reduce(v).any():
+            return None
+        return v[self._basis.pivots()]
 
     def coords_of(self, fn):
-        c = self._span.coords(fn)
+        c = self._coords(fn)
         if c is None:
             raise CrossCheckFailed("function lies outside the spanned module")
         return c
 
     def contains(self, fn):
-        return self._span.coords(fn) is not None
+        return self._coords(fn) is not None
 
-    def element(self, coords):
-        """The induced function with the given span coordinates."""
-        out = InducedFn.zero(self.source.weight)
-        for c, b in zip(coords, self.basis_fns):
-            if c:
-                out = out.add(b.scale(int(c)))
-        return out
+
+def _on_index(index, fn):
+    """The values of fn as one vector on the tag index, or None if fn has a
+    tag outside it."""
+    if not fn.data.keys() <= index.keys():
+        return None
+    d = fn.weight.dim
+    v = np.zeros((len(index), d), dtype=np.uint16)
+    v[[index[tag] for tag in fn.data]] = _stack(list(fn.data.values()), d)
+    return v.reshape(-1)
 
 
 def spin_K(f):
-    """Close the compact translates of f under the generator words; returns
-    the SpanModule with its residue action."""
+    """The span of the compact translates of f, with its residue action.
+
+    The seed must be fixed by the kernel of the reduction to the residue
+    group, as every f_n is (it is pro-unipotent invariant).  Then the compact
+    translates of f are the closure of f under the lifts of gamma_generators
+    (gamma_lift_word), which generate the compact modulo that kernel.  The
+    tag index is the orbit of the support of f under the lifts (_tag_orbit);
+    each lift is certified to permute it, and the closure is weights.closure
+    over the lifts' translates.  The residue action of gamma lifts gamma,
+    translates the basis rows at once, certifies that the images stay in the
+    span (they reduce to zero) and reads their coordinates at the pivots."""
     if f.is_zero():
         raise NotApplicable("cannot spin the zero function")
     weight = f.weight
     tw = weight.tower
     K = weight.K
-    gens = _k_generator_words(tw, K)
-    span = _FnSpan(tw, weight.dim, SPIN_BUDGET + 1)
-    span.try_add(f)
-    basis_fns = [f]
-    words = [()]
-    head = 0
-    while head < len(basis_fns):
-        g = basis_fns[head]
-        path = words[head]
-        head += 1
-        for w in gens:
-            h = g.g_act(w)
-            if span.try_add(h):
-                basis_fns.append(h)
-                words.append(w + path)
-                if len(basis_fns) > SPIN_BUDGET:
-                    raise ClosureBudgetExceeded(
-                        "translate closure exceeded the budget %d"
-                        % SPIN_BUDGET
-                    )
+    lifts = [gamma_lift_word(tw, K, g) for g in gamma_generators(tw, K)]
+    index = _tag_orbit(tw, K, lifts, list(f.data))
+    actions = [
+        functools.partial(_translate, weight, perm)
+        for perm in _permutations(tw, K, index, lifts)
+    ]
+    basis = closure(tw, len(index) * weight.dim, [_on_index(index, f)], actions)
+    rows, pivots = basis.matrix(), basis.pivots()
 
     def builder(gamma):
         word = gamma_lift_word(tw, K, gamma)
-        cols = []
-        for b in basis_fns:
-            c = span.coords(b.g_act(word))
-            if c is None:
-                raise CrossCheckFailed(
-                    "residue action escapes the spanned module"
-                )
-            cols.append(c)
-        return np.stack(cols, axis=1)
+        (perm,) = _permutations(tw, K, index, [word])
+        images = _translate(weight, perm, rows)
+        if basis.reduce(images).any():
+            raise CrossCheckFailed("residue action escapes the spanned module")
+        return images[:, pivots].T
 
-    wt = Weight(
-        tw,
-        K,
-        "spanned",
-        len(basis_fns),
-        builder,
-        label="span_of_" + weight.label,
-    )
-    return SpanModule(f, basis_fns, words, wt, span)
+    wt = Weight(tw, K, "spanned", basis.dim, builder,
+                label="span_of_" + weight.label)
+    return SpanModule(weight, index, basis, wt)

@@ -12,27 +12,31 @@ Borel, the large quotient of the trivial principal series, and -- for the
 shifted compact at a regular character -- the two layers of the length-two
 principal series.  It also provides the linear-algebra services the induced
 module calculus needs: unipotent invariants and coinvariants, the rank-one
-idempotent collapsing onto the invariant line, generator closures (spin),
-socle chains, fingerprints, and explicit intertwiners.
+idempotent collapsing onto the invariant line, the one closure loop
+(closure, run by spin and induction.spin_K), socle chains, fingerprints, and
+explicit intertwiners.
 
 Every solve runs on generators, never on a whole subgroup: the unipotent
 invariants, the lower coinvariants, the torus character and the Borel
 eigenlines on the certified generating sublists of the unipotent groups and
-the two torus generators, and spin, hom spaces and equivariance on
-gamma_generators.  A condition that is stable under products (fixing a
-vector, spanning a submodule, intertwining) holds on a finite group once it
-holds on a generating set.  The whole subgroups (gamma_upper, gamma_lower,
-gamma_torus) stay as inventories, as the source the generators are picked
-from, and as the tests' oracles.
+the two torus generators; spin, induction.spin_K (through gamma_lift_word),
+hom spaces and equivariance on gamma_generators.  A condition stable under
+products (fixing a vector, spanning a submodule, intertwining) holds on a
+finite group once it holds on a generating set.  The whole subgroups
+(gamma_upper, gamma_lower, gamma_torus) stay as inventories, as the source
+the generators are picked from, and as the tests' oracles.
 
 Vectors are numpy index arrays over the coefficient field; a weight acts
 through cached matrices, one per reduced-group element.
 """
 
+import functools
+
 import numpy as np
 
 from . import gfmat
 from .errors import (
+    ClosureBudgetExceeded,
     CrossCheckFailed,
     DegenerateWeight,
     InconclusiveLattice,
@@ -581,25 +585,37 @@ def make_weight(tower, K, kind, chi=None, part=None, power=None):
 # spin, eigenvectors, socle chain
 
 
+def closure(tower, width, seeds, actions):
+    """Rref gfmat.Basis of the least space of width-vectors holding the
+    seeds and stable under each action, which maps an (m, width) block of
+    rows to their images.  Each round applies every action to the whole
+    frontier (the rows the last round added; the seeds themselves first),
+    reduces the images by Basis.reduce's 2-D path and adds the survivors.
+    Raises ClosureBudgetExceeded once the basis passes SPIN_BUDGET."""
+    basis = gfmat.Basis(tower, width)
+    block, round_actions = np.asarray(seeds, dtype=np.uint16), [np.copy]
+    while len(block):
+        frontier = []
+        for act in round_actions:
+            for row in basis.reduce(act(block)):
+                if row.any() and basis.add(row) is not None:
+                    frontier.append(row)
+                    if basis.dim > SPIN_BUDGET:
+                        raise ClosureBudgetExceeded("closure passed SPIN_BUDGET")
+        block = np.array(frontier, dtype=np.uint16).reshape(-1, width)
+        round_actions = actions
+    return basis
+
+
 def spin(weight, seeds):
-    """Rref basis of the submodule generated by the seed vectors: closure
-    under the deterministic generating set."""
+    """Rref basis of the submodule generated by the seed vectors: their
+    closure under gamma_generators, each applied to a block by one matmul."""
     tw = weight.tower
-    basis = gfmat.Basis(tw, weight.dim)
-    queue = []
-    for s in seeds:
-        if basis.add(s) is not None:
-            queue.append(np.array(s, dtype=np.uint16))
-    gens = gamma_generators(tw, weight.K)
-    while queue:
-        v = queue.pop()
-        for g in gens:
-            y = weight.act(g, v)
-            if basis.add(y) is not None:
-                queue.append(y)
-                if basis.dim > SPIN_BUDGET:
-                    raise CrossCheckFailed("spin exceeded its budget")
-    return basis.matrix()
+    actions = [
+        functools.partial(gfmat.matmul, tw, B=weight.matrix(g).T)
+        for g in gamma_generators(tw, weight.K)
+    ]
+    return closure(tw, weight.dim, seeds, actions).matrix()
 
 
 def borel_eigenvectors(weight, chi):

@@ -385,10 +385,10 @@ def test_eval_agreement_basis_vs_grid(tower, catalog):
 def test_eval_off_support_is_zero(tower, catalog):
     w = catalog[(K0, "trivial")]
     f1 = I.f_basis(w, 1)
-    assert f1.eval_at(()) == I._vzero(w.dim)
+    assert f1.eval_at(()) == (0,) * w.dim
     fm1 = I.f_basis(w, -1)
     x = word_inverse(tower, word_from_tag(tower, K0, next(iter(f1.data))))
-    assert fm1.eval_at(x) == I._vzero(w.dim)
+    assert fm1.eval_at(x) == (0,) * w.dim
 
 
 def test_g_act_composition(tower, catalog):
@@ -649,7 +649,7 @@ def _nf_kau_eval(elem, word):
     k_mat, t, _ = words.nf_kau(tw, K, tuple(word))
     c = elem.coeffs.get(-t)
     if not c:
-        return I._vzero(w.dim)
+        return (0,) * w.dim
     gamma = U.reduce_to_gamma(tw, K, k_mat)
     return I._vscale(tw, c, I._vmat(tw, w.matrix(gamma), I.grid_value(w, -t)))
 
@@ -722,7 +722,7 @@ def test_op_grid_evaluates_every_sampled_point(monkeypatch, tower, catalog):
             elem = I.GridElement(w, coeffs)
             shifts = sorted(elem.coeffs)
             for op, window, suffixes in (
-                (I.op_SK_grid, I._sk_window(tower, K, shifts),
+                (I.op_SK_grid, I._sk_window(shifts),
                  I._sk_suffixes(tower, K)),
                 (I.op_Sminus_grid, I._sminus_window(tower, K, shifts),
                  I._sminus_suffixes(tower, K)),
@@ -969,17 +969,40 @@ def test_degenerate_identities(tower, catalog):
 # spans of the translated basis vector
 
 
-def test_span_dimensions_and_disjoint_basis(tower, catalog):
+# Per tower: the catalog weights whose span is checked at each compact, and
+# whether the disjoint-support candidates are swept there.  The K0 Steinberg
+# weight at q >= 5 and the q = 7 K0 sweep are left out for time.
+SPAN_CASES = {
+    3: {K0: (("trivial", "steinberg", "det1"), True),
+        K1: (("trivial", "steinberg", "det1"), True)},
+    5: {K0: (("trivial", "det1"), True),
+        K1: (("trivial", "steinberg", "det1"), True)},
+    7: {K0: (("trivial",), False),
+        K1: (("trivial", "steinberg", "det1"), True)},
+}
+
+
+@pytest.mark.parametrize("q", sorted(SPAN_CASES))
+def test_span_dimensions_and_disjoint_basis(q, tower, catalog, tower5,
+                                            catalog5, tower7):
+    """spin_K(f_1) has dim 1 + q^t_K; where swept, the translates of f_1 by
+    the words u beta_K (u in the first upper layer) and f_1 itself have
+    disjoint supports and full-rank coordinates in the span."""
+    tw = {3: tower, 5: tower5, 7: tower7}[q]
+    cat = {3: catalog, 5: catalog5}.get(q) or _catalog(tw)
     for K in BOTH:
-        n_K, _, t_K = iwahori_constants(tower, K)
-        for name in ("trivial", "steinberg", "det1"):
-            w = catalog[(K, name)]
+        n_K, _, t_K = iwahori_constants(tw, K)
+        names, sweep = SPAN_CASES[q][K]
+        for name in names:
+            w = cat[(K, name)]
             f1 = I.f_basis(w, 1)
             span = I.spin_K(f1)
-            assert span.dim == 1 + 3 ** t_K
+            assert span.dim == 1 + q ** t_K, (K, name)
+            if not sweep:
+                continue
             bw = beta_compact_word(K)
             cands = [f1] + [
-                f1.g_act((u,) + bw) for u in layer_transversal(tower, n_K)
+                f1.g_act((u,) + bw) for u in layer_transversal(tw, n_K)
             ]
             assert len(cands) == span.dim
             sup = [frozenset(c.data) for c in cands]
@@ -987,7 +1010,57 @@ def test_span_dimensions_and_disjoint_basis(tower, catalog):
                 for j in range(i + 1, len(sup)):
                     assert not (sup[i] & sup[j])
             coords = np.stack([span.coords_of(c) for c in cands])
-            assert gfmat.rank(tower, coords) == span.dim
+            assert gfmat.rank(tw, coords) == span.dim
+
+
+def _first_layer_generator_words(tower, K):
+    """Words generating the residue group with more redundancy than
+    gamma_generators: every nontrivial atom of the first upper and lower
+    layers, the two torus generator atoms and the form involution."""
+    n_K, m_K, _ = iwahori_constants(tower, K)
+    words = [(a,) for a in layer_transversal(tower, n_K)[1:]]
+    words += [(a,) for a in layer_transversal(tower, m_K - 1, prime=True)[1:]]
+    words += [(a,) for a in W.torus_generator_atoms(tower)]
+    words.append(beta_compact_word(K))
+    return words
+
+
+def test_span_holds_first_layer_translates(tower, catalog):
+    """For every catalog weight at q = 3, the translate of f_1 by each word
+    of a wider generating list of the residue group (first-layer atoms,
+    torus generators, involution) lies in spin_K(f_1), whose closure runs
+    on the lifts of gamma_generators only.  With the dimensions of
+    test_span_dimensions_and_disjoint_basis this pins the span."""
+    for K in BOTH:
+        words = _first_layer_generator_words(tower, K)
+        for name in ("trivial", "steinberg", "det1", "det2", "det3"):
+            f1 = I.f_basis(catalog[(K, name)], 1)
+            span = I.spin_K(f1)
+            for word in words:
+                assert span.contains(f1.g_act(word)), (K, name, word)
+
+
+def test_closure_budget_is_typed(tower, catalog, monkeypatch):
+    """Past weights.SPIN_BUDGET the shared closure raises
+    ClosureBudgetExceeded, through both W.spin and I.spin_K."""
+    ps = W.make_weight(
+        tower, K0, W.PRINCIPAL_SERIES, chi=fields.Character(tower, 1, 0)
+    )
+    f1 = I.f_basis(catalog[(K0, "trivial")], 1)
+    monkeypatch.setattr(W, "SPIN_BUDGET", 3)
+    with pytest.raises(ClosureBudgetExceeded):
+        W.spin(ps, [gfmat.eye(ps.dim)[0]])
+    with pytest.raises(ClosureBudgetExceeded):
+        I.spin_K(f1)
+
+
+def test_spin_K_tag_cap(tower, catalog, monkeypatch):
+    """spin_K raises ClosureBudgetExceeded once the orbit of the seed's
+    tags passes DEFAULT_TAG_CAP."""
+    f1 = I.f_basis(catalog[(K0, "trivial")], 1)
+    monkeypatch.setattr(I, "DEFAULT_TAG_CAP", len(f1.data))
+    with pytest.raises(ClosureBudgetExceeded):
+        I.spin_K(f1)
 
 
 def test_span_intertwiner_with_ps(tower, catalog):
@@ -1015,6 +1088,9 @@ def test_span_rejects_outsiders(tower, catalog):
     assert not span.contains(I.f_basis(w, -2))
     with pytest.raises(CrossCheckFailed):
         span.coords_of(I.f_basis(w, -2))
+    # a function of another induced module is refused, not read by its tags
+    with pytest.raises(NotApplicable):
+        span.contains(I.f_basis(catalog[(K1, "det1")], 1))
 
 
 # ---------------------------------------------------------------------------
@@ -1118,7 +1194,7 @@ def test_property_grid_eval_matches_average(tower, data, catalog):
     assert val == I._vscale(tower, c, I.grid_value(w, n))
     # and at a cell it does not meet, zero
     val2 = g.eval_at((atom_alpha(-(n + 1)),))
-    assert val2 == I._vzero(w.dim)
+    assert val2 == (0,) * w.dim
 
 
 @settings(max_examples=15, deadline=None)

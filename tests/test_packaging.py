@@ -1,11 +1,12 @@
 """Packaging metadata: every declared console script resolves, every name
 the benchmark's tracer wraps exists, the package keeps its derived tables
 only in owned memo tables, no module imports a name it never uses, no
-production solve sweeps a whole reduced subgroup, and the materialized T
-stays an oracle."""
+production solve sweeps a whole reduced subgroup, the materialized T
+stays an oracle, and both spins run the one closure loop."""
 
 import ast
 import importlib
+import re
 import sys
 import tomllib
 from pathlib import Path
@@ -147,3 +148,16 @@ def test_materialized_T_is_an_oracle():
     and equivariance_spot_check; the structure constants read T from
     op_T_grid."""
     assert _uses_outside({"op_T"}, {"op_T_sigma", "equivariance_spot_check"}) == []
+
+
+def test_one_closure_loop():
+    """weights.SPIN_BUDGET is defined once (at module level) and read only
+    inside the shared closure loop, and spin_K closes under
+    gamma_generators, not under layer transversals of its own."""
+    budget = _uses_outside({"SPIN_BUDGET"}, {"closure"})
+    assert [re.sub(r":\d+", "", u) for u in budget] == [
+        "weights.py SPIN_BUDGET in None"
+    ]
+    uses = _uses_outside({"gamma_generators", "layer_transversal"}, set())
+    assert any(u.endswith("gamma_generators in spin_K") for u in uses)
+    assert not any(u.endswith("layer_transversal in spin_K") for u in uses)

@@ -367,6 +367,40 @@ def test_spin(tower):
     assert W.spin(ps, [eig[0]]).shape[0] == 2
 
 
+def _spin_one_vector_at_a_time(weight, seeds):
+    """Rref basis of the submodule generated by the seeds, closed by a queue
+    that applies each generator's matrix to one vector at a time."""
+    tw = weight.tower
+    basis = gfmat.Basis(tw, weight.dim)
+    queue = [np.array(s, dtype=np.uint16) for s in seeds
+             if basis.add(s) is not None]
+    gens = W.gamma_generators(tw, weight.K)
+    while queue:
+        v = queue.pop()
+        for g in gens:
+            y = weight.act(g, v)
+            if basis.add(y) is not None:
+                queue.append(y)
+    return basis.matrix()
+
+
+@pytest.mark.parametrize("q, K", [(3, K0), (3, K1), (5, K1)])
+def test_block_spin_matches_one_vector_loop(q, K, tower, tower5):
+    """W.spin, which acts on whole frontier blocks, returns the same rref
+    basis as a one-vector queue on every seed socle_chain spins (the lines
+    of the unipotent invariants and of every Borel eigenspace) of the
+    principal series of chi(1, 0)."""
+    tw = {3: tower, 5: tower5}[q]
+    ps = W.make_weight(tw, K, W.PRINCIPAL_SERIES, chi=Character(tw, 1, 0))
+    seeds = list(W._lines_of(tw, ps.u_invariants()))
+    for chi in characters_of_torus(tw):
+        seeds += W._lines_of(tw, W.borel_eigenvectors(ps, chi))
+    for s in seeds:
+        assert np.array_equal(
+            W.spin(ps, [s]), _spin_one_vector_at_a_time(ps, [s])
+        )
+
+
 def test_socle_chains(tower):
     for K in BOTH:
         assert [b.shape[0] for b in W.socle_chain(
