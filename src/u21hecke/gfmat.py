@@ -65,6 +65,62 @@ def sum_rows(tw, P):
     return P[0]
 
 
+# Key ranges up to this size (or twice the number of keys) are numbered
+# through a table of the range rather than by a sort.
+_DENSE_SPAN = 4096
+
+
+def _number(key, bound):
+    """The inverse of np.unique(key) for int64 keys in [0, bound), and the
+    first position of each id.  A small range is numbered by one table of
+    the range and a cumulative sum instead of a sort."""
+    n = len(key)
+    if bound > max(_DENSE_SPAN, 2 * n):
+        _, first, ids = np.unique(key, return_index=True, return_inverse=True)
+        return ids, first
+    seen = np.zeros(bound, dtype=np.intp)
+    seen[key] = 1
+    rank = np.cumsum(seen) - 1
+    ids = rank[key]
+    first = np.full(int(rank[-1]) + 1, n, dtype=np.intp)
+    np.minimum.at(first, ids, np.arange(n))
+    return ids, first
+
+
+def row_ids(a):
+    """Number the distinct rows of a 2-D array of nonnegative integers (table
+    indices): (ids, first), where rows i and j are equal exactly when
+    ids[i] == ids[j], the ids number the distinct rows in lexicographic order
+    (the inverse of np.unique(a, axis=0)), and first[k] is the first row of
+    id k.
+
+    The ids are refined over blocks of columns: the ids so far and the next
+    columns, each in the base max(column) + 1, are packed into one int64 key
+    as long as (number of ids) * (product of the bases) stays below 2^63,
+    and the keys are numbered by _number.  A table index of any Q <=
+    fields._MAX_Q fits ten bits, so every block holds a column for any row
+    count below 2^53; NotApplicable where rows * base reaches 2^63."""
+    a = np.asarray(a)
+    n, width = a.shape
+    ids = np.zeros(n, dtype=np.intp)
+    first = np.zeros(min(n, 1), dtype=np.intp)
+    if n == 0 or width == 0:
+        return ids, first
+    bases = (a.max(axis=0).astype(np.int64) + 1).tolist()
+    if n * max(bases) >= 2**63:
+        raise NotApplicable("row values too large to number in int64 keys")
+    col, count = 0, 1
+    while col < width:
+        key, bound = ids.astype(np.int64), count
+        while col < width and bound * bases[col] < 2**63:
+            key = key * bases[col] + a[:, col]
+            bound *= bases[col]
+            col += 1
+        ids, first = _number(key, bound)
+        count = len(first)
+    return ids, first
+
+
 def matvec(tw, A, v):
     v = np.asarray(v, dtype=np.uint16)
     return matmul(tw, A, v[:, None])[:, 0]

@@ -9,16 +9,19 @@ partial averaging operators S_K and S_- are sums of translates, each read as
 a product of two word lists by InducedFn._from_words: prefixes times tag
 representatives, or representatives times the stencil suffixes of T.  Every
 landing coset membership is certified by the residue reduction.  The words
-of one operation are normalized together: the misses of coset_normalize's
-memo table are read by words.nf_uak_batch and stored in that table; a word
-outside the batch's form, and the misses of a small call, go through the
-scalar coset_normalize.
+of one operation are normalized together, as one product read
+(_normalize_words): words.nf_uak_batch reads them as arrays, and the read
+is kept as one record of tag ids and residue ids over its distinct tags and
+residues (ProductRead), memoized per (K, heads, tails).  A word outside the
+batch's form, and every word of a small call, goes through the scalar
+coset_normalize, memoized per word, and is folded into the record.
 
-Values are transported a call at a time (_transport): each distinct
-(residue, vector) pair is moved once, by one Weight.matrix and one
-gfmat.matmul per distinct residue (chunked by _TRANSPORT_ENTRIES), and the
-rows are summed per coset (_merge) or per point as arrays.  op_T applies
-each stencil matrix to the stacked values of all tags at once.
+Values are transported a call at a time (_transport_ids, on the residue
+ids of a read): each distinct (residue, vector) pair is moved once, by one
+Weight.matrix and one gfmat.matmul per residue in use (chunked by
+_TRANSPORT_ENTRIES), and the rows are summed per coset (_merge, on the tag
+ids) or per point as arrays.  op_T applies each stencil matrix to the
+stacked values of all tags at once.
 
 The span of the compact translates of f_n (spin_K) lives on a fixed tag
 index, the orbit of the support under the lifts of gamma_generators, each
@@ -61,9 +64,10 @@ from .errors import (
     NotApplicable,
     PrecisionBudgetExceeded,
 )
-from .fields import memo, memo_store
+from .fields import memo
 from .laurent import Series
 from .unitary_group import (
+    GammaElem,
     atom_alpha,
     atom_d,
     beta_compact_word,
@@ -147,23 +151,18 @@ def coset_normalize(tower, K, word):
     return (tag_of_nf(tower, K, nf), reduce_to_gamma(tower, K, nf.k))
 
 
-# coset_normalize's own memo table, bound at import so that the batched
-# reads below store into it even where the name coset_normalize is rebound
-# (the benchmark's tracer wraps it).
-_coset_table = coset_normalize.table
-
-# Fewer misses than this are read one word at a time.  Measured on
-# recursion and op_T words with warm layer atoms (2-CPU host, CPython 3.11,
-# quartiles of 15 samples) under the whole-call read: at q = 3, 16 words
-# took 3.4-3.6 ms one by one against 2.4-3.2 ms batched at K0, and 24 words
-# 4.1-5.0 ms against 3.5-4.3 ms at K1; at q = 5 the batch is as fast from 8
-# words at K0 and from 16 at K1.  The bound stays at 32, where the
+# Calls with fewer words than this are read one word at a time.  Measured
+# on recursion and op_T words with warm layer atoms (2-CPU host, CPython
+# 3.11, quartiles of 15 samples) under the whole-call read: at q = 3, 16
+# words took 3.4-3.6 ms one by one against 2.4-3.2 ms batched at K0, and 24
+# words 4.1-5.0 ms against 3.5-4.3 ms at K1; at q = 5 the batch is as fast
+# from 8 words at K0 and from 16 at K1.  The bound stays at 32, where the
 # per-signature read of the batch first matched the scalar read (24 words:
-# 3.0-4.2 ms one by one against 3.4-4.9 ms batched): at 16, five alternating
-# benchmark pairs read battery_q3 and grid_q5 wall_s 2-3% higher (medians),
-# with no workload faster.
+# 3.0-4.2 ms one by one against 3.4-4.9 ms batched): at 16, five
+# alternating benchmark pairs read battery_q3 and grid_q5 wall_s 2-3%
+# higher (medians), with no workload faster.
 _BATCH_MIN = 32
-# Misses per nf_uak_batch call, which bounds its arrays whatever the cell
+# Words per nf_uak_batch call, which bounds its arrays whatever the cell
 # size.  On the 19,683 words of the recursion step 2 -> 3 at q = 3 (K0),
 # under the whole-call read (min of 7): chunks of 4096 took 0.25-0.30 s
 # with a traced peak 3.6 MB above the 13 MB of stored results; chunks of 512
@@ -172,36 +171,71 @@ _BATCH_MIN = 32
 _BATCH_CHUNK = 4096
 
 
-def _normalize_words(tower, K, heads, tails=((),)):
-    """coset_normalize of the word h + t for every tail t and head h, in
-    tail-major order, so that a plain list of words (with the single empty
-    tail) comes back in its own order.
+class ProductRead:
+    """The cosets of the words h + t of one product read, t over the tails
+    and h over the heads, in tail-major order (word n is heads[n % H] +
+    tails[n // H]): word n lies in the coset of tags[tag_ids[n]], with
+    residue residues[res_ids[n]], so that [word, v] normalizes to
+    [rep(tag), sigma(residue) v].  The tags are numbered in order of first
+    appearance, the residues (GammaElem) in lexicographic order of their
+    entries.  Read-only: the id arrays are not writeable, and the tags and
+    residues are tuples."""
 
-    Hits come from coset_normalize's memo table.  At _BATCH_MIN misses or
-    more, the misses are read by nf_uak_batch as (head, tail) index pairs,
-    in chunks of _BATCH_CHUNK, so each head is built once per chunk and each
-    tail applied by column operations; the results are stored in that same
-    table.  A word the batch does not carry goes to the scalar
-    coset_normalize, as do all misses of a smaller call."""
-    table = _coset_table(tower)
-    words = [h + t for t in tails for h in heads]
-    out = [table.get((K, w)) for w in words]
-    todo = [n for n, r in enumerate(out) if r is None]
-    if len(todo) < _BATCH_MIN:
-        for n in todo:
-            out[n] = coset_normalize(tower, K, words[n])
-        return out
-    nh = len(heads)
-    for start in range(0, len(todo), _BATCH_CHUNK):
-        chunk = todo[start : start + _BATCH_CHUNK]
-        pairs = [(n % nh, n // nh) for n in chunk]
-        for n, r in zip(chunk, nf_uak_batch(tower, K, heads, tails, pairs)):
-            if r is None:
-                r = coset_normalize(tower, K, words[n])
-            else:
-                memo_store(table, (K, words[n]), r)
-            out[n] = r
-    return out
+    __slots__ = ("tag_ids", "tags", "res_ids", "residues")
+
+    def __init__(self, tag_ids, tags, res_ids, residues):
+        for a in (tag_ids, res_ids):
+            a.flags.writeable = False
+        self.tag_ids, self.tags = tag_ids, tuple(tags)
+        self.res_ids, self.residues = res_ids, tuple(residues)
+
+
+def _normalize_words(tower, K, heads, tails=((),)):
+    """The product read (ProductRead) of the word lists heads and tails,
+    kept in one memo table keyed by (K, heads, tails) as tuples; a plain
+    list of words is the product with the single empty tail."""
+    return _product_read(tower, K, tuple(heads), tuple(tails))
+
+
+@memo
+def _product_read(tower, K, heads, tails):
+    """The ProductRead of _normalize_words.  A call of _BATCH_MIN words or
+    more is read by nf_uak_batch as (head, tail) index pairs, in chunks of
+    _BATCH_CHUNK words, so each head is built once per chunk and each tail
+    applied by column operations.  A word the batch does not carry, and
+    every word of a smaller call, goes through the scalar coset_normalize,
+    which keeps its own memo table per word.  The residues are numbered by
+    gfmat.row_ids over their entries."""
+    nh, n = len(heads), len(heads) * len(tails)
+    tag_ids = np.full(n, -1, dtype=np.intp)
+    rows = np.zeros((n, 9), dtype=np.uint16)
+    index = {}
+    if n >= _BATCH_MIN:
+        for start in range(0, n, _BATCH_CHUNK):
+            chunk = slice(start, min(n, start + _BATCH_CHUNK))
+            words = np.arange(chunk.start, chunk.stop)
+            pairs = np.stack([words % nh, words // nh], axis=1)
+            ids, tags, residues = nf_uak_batch(tower, K, heads, tails, pairs)
+            rows[chunk] = residues
+            # -1 (a word the batch does not carry) picks the appended -1
+            at = [index.setdefault(tag, len(index)) for tag in tags]
+            tag_ids[chunk] = np.array(at + [-1], dtype=np.intp)[ids]
+    for i in np.flatnonzero(tag_ids < 0).tolist():
+        tag, gamma = coset_normalize(tower, K, heads[i % nh] + tails[i // nh])
+        tag_ids[i] = index.setdefault(tag, len(index))
+        rows[i] = gamma.m
+    tags = list(index)
+    # renumber the tags in order of first appearance
+    order = np.argsort(np.unique(tag_ids, return_index=True)[1])
+    rank = np.empty(len(order), dtype=np.intp)
+    rank[order] = np.arange(len(order))
+    res_ids, first = gfmat.row_ids(rows)
+    return ProductRead(
+        rank[tag_ids],
+        [tags[i] for i in order.tolist()],
+        res_ids,
+        [GammaElem(tower, K, row) for row in rows[first].tolist()],
+    )
 
 
 # Entry products per gfmat.matmul of the value transport (dim^2 per
@@ -221,14 +255,6 @@ def _normalize_words(tower, K, heads, tails=((),)):
 _TRANSPORT_ENTRIES = 65536
 
 
-def _group(keys):
-    """An id for each hashable key, numbered in order of first appearance,
-    as an array, and the distinct keys in id order."""
-    index = {}
-    ids = [index.setdefault(key, len(index)) for key in keys]
-    return np.array(ids, dtype=np.intp), list(index)
-
-
 def _apply(tw, M, rows):
     """Replace every row v of the (n, dim) array rows by M v, with one
     gfmat.matmul per _TRANSPORT_ENTRIES // dim^2 rows."""
@@ -238,12 +264,12 @@ def _apply(tw, M, rows):
 
 
 def _residue_ids(gammas):
-    """The residues of a list numbered by key (_group): an id array, and the
-    distinct residues in id order."""
-    ids, keys = _group(gamma.key() for gamma in gammas)
-    rep = np.empty(len(keys), dtype=np.intp)
-    rep[ids] = np.arange(len(ids))
-    return ids, [gammas[r] for r in rep]
+    """The residues of a list of one compact numbered by their entries
+    (gfmat.row_ids): an id array, and the distinct residues in id order."""
+    ids, first = gfmat.row_ids(
+        np.array([gamma.m for gamma in gammas], dtype=np.uint16).reshape(-1, 9)
+    )
+    return ids, [gammas[i] for i in first.tolist()]
 
 
 def _transport(weight, gammas, vecs, inverse=False):
@@ -255,28 +281,31 @@ def _transport(weight, gammas, vecs, inverse=False):
 def _transport_ids(weight, ids, residues, vecs, inverse=False):
     """sigma(residues[ids[i]]) v_i for every row i of the (n, dim) array
     vecs, or the inverse residues with inverse, where the residues are
-    distinct and each id occurs.
+    distinct; a residue that no id names is skipped.
 
-    Each distinct (residue, row) pair is transported once.  The rows are
-    numbered by one np.unique over their bytes, and the pairs by one
-    np.unique over (residue id, row number), which sorts them by residue:
-    each distinct residue costs one Weight.matrix (after one inversion, with
-    inverse), its distinct rows are transported together by _apply, and the
-    results are scattered back through the inverse index."""
-    vecs = np.ascontiguousarray(vecs)
-    row_bytes = np.dtype((np.void, vecs.itemsize * vecs.shape[1]))
-    _, first, row = np.unique(
-        vecs.view(row_bytes).ravel(), return_index=True, return_inverse=True
-    )
-    n = len(first)
-    pairs, back = np.unique(ids * n + row.reshape(-1), return_inverse=True)
-    rows = vecs[first[pairs % n]]
+    Each distinct (residue, row) pair is transported once.  The pairs are
+    numbered by one gfmat.row_ids over the rows with their residue id in
+    front, whose lexicographic ids sort them by residue: each residue in use
+    costs one Weight.matrix (after one inversion, with inverse), its
+    distinct rows are transported together by _apply, and the results are
+    scattered back through the pair ids."""
+    vecs = np.asarray(vecs)
+    # the residue id in front, in the narrowest type that holds it
+    keyed = np.empty((len(vecs), 1 + vecs.shape[1]), dtype=np.promote_types(
+        vecs.dtype, np.min_scalar_type(len(residues))))
+    keyed[:, 0] = ids
+    keyed[:, 1:] = vecs
+    back, first = gfmat.row_ids(keyed)
+    rows = vecs[first]
+    counts = np.bincount(np.asarray(ids)[first])
     start = 0
-    for gamma, end in zip(residues, np.cumsum(np.bincount(pairs // n)).tolist()):
+    for r in np.flatnonzero(counts).tolist():
+        gamma = residues[r]
         M = weight.matrix(gamma.inverse() if inverse else gamma)
+        end = start + int(counts[r])
         _apply(weight.tower, M, rows[start:end])
         start = end
-    return rows[back.reshape(-1)]
+    return rows[back]
 
 
 def _stack(vecs, dim):
@@ -325,27 +354,29 @@ def _point_values(weight, heads, tails, stored):
     heads (its tails): with (x t)^-1 = rep(tag) k and gamma = red(k), the
     value at x t is sigma(gamma^-1) stored(tag), and a point off the support
     costs only its read.  The batch builds each inverted tail once and
-    applies each inverted head to it by column operations.  The values of
-    the supported points are transported by one _transport call, so a
-    residue shared by many points is inverted and applied once."""
+    applies each inverted head to it by column operations.  stored is
+    called once per distinct tag.  The values of the supported points are
+    transported by one _transport_ids call, so a residue shared by many
+    points is inverted and applied once."""
     tw = weight.tower
-    normal = _normalize_words(
+    read = _normalize_words(
         tw,
         weight.K,
         [word_inverse(tw, t) for t in tails],
         [word_inverse(tw, x) for x in heads],
     )
-    out = np.zeros((len(normal), weight.dim), dtype=np.uint16)
-    hit, gammas, vecs = [], [], []
-    for i, (tag, gamma) in enumerate(normal):
-        v = stored(tag)
-        if v is not None:
-            hit.append(i)
-            gammas.append(gamma)
-            vecs.append(v)
-    if hit:
-        out[hit] = _transport(
-            weight, gammas, _stack(vecs, weight.dim), inverse=True
+    out = np.zeros((len(read.tag_ids), weight.dim), dtype=np.uint16)
+    vals = [stored(tag) for tag in read.tags]
+    live = [i for i, v in enumerate(vals) if v is not None]
+    pos = np.full(len(vals), -1, dtype=np.intp)
+    pos[live] = np.arange(len(live))
+    at = pos[read.tag_ids]
+    hit = np.flatnonzero(at >= 0)
+    if len(hit):
+        vecs = _stack([vals[i] for i in live], weight.dim)
+        out[hit] = _transport_ids(
+            weight, read.res_ids[hit], read.residues, vecs[at[hit]],
+            inverse=True,
         )
     return out
 
@@ -376,14 +407,13 @@ class InducedFn:
         """The sum of the generators [h + t, v] over every tail t and head
         h, with their values as one (words, dim) array in the tail-major
         order of _normalize_words, which reads all the words as a product.
-        The values are transported by one _transport call (one matrix
+        The values are transported by one _transport_ids call (one matrix
         product per distinct residue) and summed per coset by _merge."""
         tw = weight.tower
-        normal = _normalize_words(tw, weight.K, heads, tails)
-        moved = _transport(weight, [gamma for _, gamma in normal], vals)
-        ids, tags = _group(tag for tag, _ in normal)
-        sums = _tuples(_merge(tw, ids, len(tags), moved))
-        return cls(weight, {t: v for t, v in zip(tags, sums) if any(v)})
+        read = _normalize_words(tw, weight.K, heads, tails)
+        moved = _transport_ids(weight, read.res_ids, read.residues, vals)
+        sums = _tuples(_merge(tw, read.tag_ids, len(read.tags), moved))
+        return cls(weight, {t: v for t, v in zip(read.tags, sums) if any(v)})
 
     @classmethod
     def from_raw(cls, weight, pairs):
@@ -904,11 +934,8 @@ def _double_cell_window(tower, K, heads, tails=((),)):
     """The cells +-l over the labels l of the double cells K (h + t) K, read
     exactly by one _normalize_words call: a double cell of label l meets the
     invariant grid only in the two cells +-l."""
-    out = set()
-    for (t, _), _ in _normalize_words(tower, K, heads, tails):
-        out.add(t)
-        out.add(-t)
-    return sorted(out)
+    read = _normalize_words(tower, K, heads, tails)
+    return sorted({s * t for t, _ in read.tags for s in (1, -1)})
 
 
 def _sminus_window(tower, K, shifts):
@@ -1023,7 +1050,11 @@ def _t_adjoint(tower, K):
     stencil = _t_stencil(tower, K)
     inverses = [word_inverse(tower, s) for s, _ in stencil]
     n = len(stencil)
-    normal = _normalize_words(tower, K, inverses + [s for s, _ in stencil])
+    read = _normalize_words(tower, K, inverses + [s for s, _ in stencil])
+    normal = [
+        (read.tags[t], read.residues[r])
+        for t, r in zip(read.tag_ids.tolist(), read.res_ids.tolist())
+    ]
     by_tag = {tag: (i, gamma) for i, (tag, gamma) in enumerate(normal[n:])}
     cells = grid_count(tower, K, 1) + grid_count(tower, K, -1)
     if (len(by_tag) != n or n != cells
@@ -1060,11 +1091,14 @@ def op_T_grid(elem):
     (_t_adjoint) come from one values_at call; only the nonzero rows (an
     exact skip) are moved, by sigma(g_s') (one _transport), then j (one
     _apply) and sigma(r_s) (one more _transport), and summed per point
-    (_merge)."""
+    (_merge).  The residues of the adjoint stencil are numbered once per
+    call (_residue_ids), and each transport reads its rows' ids."""
     weight = elem.weight
     tw = weight.tower
     K = weight.K
     adjoint = _t_adjoint(tw, K)
+    g_ids, g_res = _residue_ids([g for _, g, _ in adjoint])
+    r_ids, r_res = _residue_ids([r for _, _, r in adjoint])
 
     def evaluate(points):
         values = elem.values_at([inv for inv, _, _ in adjoint], points)
@@ -1072,11 +1106,9 @@ def op_T_grid(elem):
         if not len(live):
             return np.zeros((len(points), weight.dim), dtype=np.uint16)
         suffix = live // len(points)
-        rows = _transport(
-            weight, [adjoint[s][1] for s in suffix], values[live]
-        )
+        rows = _transport_ids(weight, g_ids[suffix], g_res, values[live])
         _apply(tw, weight.j_matrix(), rows)
-        rows = _transport(weight, [adjoint[s][2] for s in suffix], rows)
+        rows = _transport_ids(weight, r_ids[suffix], r_res, rows)
         return _merge(tw, live % len(points), len(points), rows)
 
     window = _t_window(tw, K, sorted(elem.coeffs))
@@ -1161,9 +1193,8 @@ def translation_recursion_check(
         evidence["mode"] = "exhaustive"
         return evidence
     # certificate mode
-    for tag, _ in _normalize_words(tw, K, prefixes):
-        if tag[0] != direction:
-            raise CrossCheckFailed("prefix escapes the first shift cell")
+    if any(t != direction for t, _ in _normalize_words(tw, K, prefixes).tags):
+        raise CrossCheckFailed("prefix escapes the first shift cell")
     # conjugation-shift identity: alpha^d a(k, c) alpha^-d == a(k+2, c)
     # exactly, for every coordinate of every source layer.  Granting this,
     # prefix + representative(src tag) rewrites verbatim into the canonical
@@ -1194,22 +1225,22 @@ def translation_recursion_check(
         src_tag = (n_from, coords)
         prefix = rng.choice(prefixes)
         products.append(prefix + word_from_tag(tw, K, src_tag))
-    normal = _normalize_words(tw, K, products)
-    if any(tag[0] != target for tag, _ in normal):
+    read = _normalize_words(tw, K, products)
+    if any(t != target for t, _ in read.tags):
         raise CrossCheckFailed("sampled product escapes the target cell")
-    moved = _transport(
+    moved = _transport_ids(
         weight,
-        [gamma for _, gamma in normal],
-        _stack([w_from] * len(normal), weight.dim),
+        read.res_ids,
+        read.residues,
+        _stack([w_from] * len(products), weight.dim),
     )
     if (moved != np.array(w, dtype=np.uint16)).any():
         raise CrossCheckFailed(
             "sampled product transports off the canonical value"
         )
-    hit = {tag for tag, _ in normal}
     evidence["mode"] = "certificate"
     evidence["sampled"] = sample
-    evidence["distinct_hits"] = len(hit)
+    evidence["distinct_hits"] = len(read.tags)
     return evidence
 
 
@@ -1393,7 +1424,7 @@ def _tag_orbit(tower, K, lifts, tags):
     while new:
         reps = [word_from_tag(tower, K, tag) for tag in new]
         new = []
-        for tag, _ in _normalize_words(tower, K, lifts, reps):
+        for tag in _normalize_words(tower, K, lifts, reps).tags:
             if tag not in index:
                 index[tag] = len(index)
                 new.append(tag)
@@ -1406,18 +1437,18 @@ def _tag_orbit(tower, K, lifts, tags):
 
 def _permutations(tower, K, index, words):
     """Each word g as a permutation of the tag index, read by one product
-    call: g rep(tag_i) = rep(tag_to[i]) k_i, as the positions to and the
-    residues red(k_i) by _residue_ids.  Raises CrossCheckFailed unless every
-    word permutes the index."""
+    call: g rep(tag_i) = rep(tag_to[i]) k_i, as the positions to, the ids
+    of the residues red(k_i) and the read's residue list.  Raises
+    CrossCheckFailed unless every word permutes the index."""
     reps = [word_from_tag(tower, K, tag) for tag in index]
-    normal = _normalize_words(tower, K, words, reps)
+    read = _normalize_words(tower, K, words, reps)
+    pos = np.array([index.get(tag, -1) for tag in read.tags], dtype=np.intp)
     out = []
     for h in range(len(words)):
-        moves = normal[h :: len(words)]
-        to = np.array([index.get(tag, -1) for tag, _ in moves], dtype=np.intp)
+        to = pos[read.tag_ids[h :: len(words)]]
         if not np.array_equal(np.sort(to), np.arange(len(index))):
             raise CrossCheckFailed("a translate does not permute the tag index")
-        out.append((to, *_residue_ids([gamma for _, gamma in moves])))
+        out.append((to, read.res_ids[h :: len(words)], read.residues))
     return out
 
 

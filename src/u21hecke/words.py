@@ -21,24 +21,27 @@ way, without forming it.  The coset tag is (T, layer coordinates), and
 word_from_tag builds its canonical representative u * shift^T.
 
 nf_uak_batch gives the same read, and the residue of k, for many words at
-once.  A word of shifts, involutions and unipotent or diagonal atoms whose
-entries are exact monomials has a matrix of exact Laurent polynomials, and
-words with one signature (each atom without its residue coefficients)
-differ only in their coefficients.  The batch reads the words head + tail
-of a list of (head, tail) pairs; a plain list of words is the same with the
-single empty tail.  Each head signature group is built as one uint16 array
-of coefficient indices by column operations, and each tail's atoms are
-applied by column operations to the head columns its pairs use.  All of a
-call's matrices are then stacked into one array over their common degree
-range, and steps 1-3, the membership certificate and the residue read run
-once per distinct (shift, pivot column) on all of its matrices, by lookups
-in the tower's add, mul, neg, inv and frob tables.  A word of any other
-form is left to the scalar nf_uak (the batch returns None for it), and a
-word that fails a certificate raises the scalar route's error.  The scalar
-nf_uak serves single words (tag_of, and the scalar coset_normalize of a
-word the batch does not carry or of a call with few misses) and is the
-batch's test oracle.
+once, as arrays.  A word of shifts, involutions and unipotent or diagonal
+atoms whose entries are exact monomials has a matrix of exact Laurent
+polynomials, and words with one signature (each atom without its residue
+coefficients) differ only in their coefficients.  The batch reads the words
+head + tail of a list of (head, tail) pairs; a plain list of words is the
+same with the single empty tail.  Each head signature group is built as one
+uint16 array of coefficient indices by column operations, and each tail's
+atoms are applied by column operations to the head columns its pairs use.
+All of a call's matrices are then stacked into one array over their common
+degree range, and steps 1-3, the membership certificate and the residue
+read run once per distinct (shift, pivot column) on all of its matrices, by
+lookups in the tower's add, mul, neg, inv and frob tables.  The result is a
+tag id per pair over the call's distinct tags (a tag tuple is built once
+per distinct coordinate row, numbered by gfmat.row_ids) and the (N, 9)
+residue rows.  A word of any other form gets the id -1, and a word that
+fails a certificate raises the scalar route's error.  The scalar nf_uak
+serves single words (tag_of, and the scalar coset_normalize of a word the
+batch does not carry or of a small call) and is the batch's test oracle.
 """
+
+import itertools
 
 import numpy as np
 
@@ -50,13 +53,13 @@ from .errors import (
     RelationViolated,
 )
 from .fields import memo
+from .gfmat import row_ids
 from .laurent import Series
 from .mat3 import Mat3, unitary_inverse
 from .unitary_group import (
     _K_PATTERN,
     K0,
     K1,
-    GammaElem,
     atom_alpha,
     atom_d,
     atom_inv,
@@ -482,19 +485,21 @@ def _row_mins(val, lat, i):
 
 
 def _read_cell(blk, K, t, j):
-    """Tag coordinates (one tuple per matrix) and residues (a (9, N) array)
-    of a block whose matrices share the shift t and the pivot column j: the
-    read of nf_uak, then the residue read and unitarity check of
-    reduce_to_gamma, for all matrices at once."""
+    """Tag coordinates and residues of a block whose matrices share the
+    shift t and the pivot column j: the read of nf_uak, then the residue
+    read and unitarity check of reduce_to_gamma, for all matrices at once.
+    Returns an (N, 2L) array, the (x, y) of each of the L layers of
+    grid_layer_span(t) in turn, and the (N, 9) residue rows."""
     tw, lat, pat = blk.tower, _LATTICE[K], _K_PATTERN[K]
     add, mul, neg, frob, inv = tw.add, tw.mul, tw.neg, tw.frob, tw.inv
     rows = [slice(3 * i, 3 * i + 3) for i in range(3)]
-    coords = []
+    span = grid_layer_span(tw, K, t)
+    coords = np.zeros((blk.e.shape[2], 2 * len(span)), dtype=np.intp)
     if t:
         p, r = (0, 2) if t > 0 else (2, 0)
         d = (-t if t > 0 else t + lat[2]) - lat[j]
         c_inv = inv[blk.coeff(3 * p + j, d)].astype(np.intp)
-        for layer, prime in grid_layer_span(tw, K, t):
+        for n, (layer, prime) in enumerate(span):
             half = layer // 2
             xi = np.zeros_like(c_inv)
             if layer % 2 == 0:
@@ -507,7 +512,8 @@ def _read_cell(blk, K, t, j):
                 raise RelationViolated(
                     "unipotent parameters violate x*conj(x) + y + conj(y) = 0"
                 )
-            coords.append((layer, xi, ti))
+            coords[:, 2 * n] = xi
+            coords[:, 2 * n + 1] = ti
             # peel the layer atom off on the left: its inverse has x' = -x,
             # y' = conj(y) and -conj(x') = conj(x)
             nx = neg[xi].astype(np.intp)
@@ -543,20 +549,19 @@ def _read_cell(blk, K, t, j):
     prod = add[add[terms[:, 0], terms[:, 1]], terms[:, 2]]
     if (prod != np.eye(3, dtype=prod.dtype)[:, :, None]).any():
         raise MembershipViolated("reduction is not residue-unitary")
-    if not coords:
-        return [()] * m.shape[1], m
-    layers = [c[0] for c in coords]
-    xs = np.array([c[1] for c in coords]).T.tolist()
-    ys = np.array([c[2] for c in coords]).T.tolist()
-    return [tuple(zip(layers, x, y)) for x, y in zip(xs, ys)], m
+    return coords, m.T
 
 
 def nf_uak_batch(tower, K, heads, tails=((),), pairs=None):
-    """The (tag, residue) that coset_normalize gives the word heads[i] +
-    tails[j], for each (i, j) of pairs, read for all of them at once; None
-    for a word the batch does not carry.  By default pairs reads every word
-    of heads with the single empty tail, so nf_uak_batch(tower, K, words)
-    reads a plain list of words.
+    """The tags and residues that coset_normalize gives the words heads[i] +
+    tails[j], for each (i, j) of pairs, read for all of them at once.  By
+    default pairs reads every word of heads with the single empty tail, so
+    nf_uak_batch(tower, K, words) reads a plain list of words.
+
+    Returns (ids, tags, residues): ids[r] is the position in tags, the list
+    of distinct tags, of the tag of pair r, or -1 where the batch does not
+    carry its word; residues is the (N, 9) uint16 array of the residue rows
+    (row-major GammaElem entries; zero where the word is not carried).
 
     The batch carries words whose atoms are "a", "b", and "n", "np" or "d"
     atoms with entries that are exact monomials or exact zero.  Their
@@ -568,32 +573,35 @@ def nf_uak_batch(tower, K, heads, tails=((),), pairs=None):
     and the tail's atoms applied to them by column operations; the results
     are stacked again, so the row minima, the shift and the pivot are found
     once for the whole call, and the read of nf_uak and the residue read of
-    reduce_to_gamma run once per distinct (shift, pivot).  A matrix that
-    fails the unipotent relation, the membership of k in K or the residue
-    unitarity raises the scalar route's error (RelationViolated,
-    CrossCheckFailed, MembershipViolated); it is never routed around."""
+    reduce_to_gamma run once per distinct (shift, pivot).  Within one such
+    read the coordinate rows are numbered by gfmat.row_ids, and a tag tuple
+    is built once per distinct row.  A matrix that fails the unipotent
+    relation, the membership of k in K or the residue unitarity raises the
+    scalar route's error (RelationViolated, CrossCheckFailed,
+    MembershipViolated); it is never routed around."""
     require_compact(K)
     if pairs is None:
         pairs = [(i, 0) for i in range(len(heads))]
-    out = [None] * len(pairs)
     hi, ti = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
-    forms = {}
+    ids = np.full(len(hi), -1, dtype=np.intp)
+    residues = np.zeros((len(hi), 9), dtype=np.uint16)
+    index, forms = {}, {}
     # column of each carried head in the stacked head block, -1 elsewhere
     col, blocks, n = np.full(len(heads), -1, dtype=np.intp), [], 0
-    for sig, (ids, cs) in _by_signature(heads, np.unique(hi).tolist(), forms).items():
-        col[ids] = np.arange(n, n + len(ids))
-        n += len(ids)
-        blk = _Block.identity(tower, len(ids))
+    for sig, (hs, cs) in _by_signature(heads, np.unique(hi).tolist(), forms).items():
+        col[hs] = np.arange(n, n + len(hs))
+        n += len(hs)
+        blk = _Block.identity(tower, len(hs))
         blk.times_word(sig, cs)
         blocks.append(blk)
     if not blocks:
-        return out
+        return ids, [], residues
     head_blk = _Block.stack(tower, blocks)
     hcol = col[hi]
     rows, blocks = [], []
-    for sig, (ids, cs) in _by_signature(tails, np.unique(ti).tolist(), forms).items():
+    for sig, (ts, cs) in _by_signature(tails, np.unique(ti).tolist(), forms).items():
         pos = np.full(len(tails), -1, dtype=np.intp)
-        pos[ids] = np.arange(len(ids))
+        pos[ts] = np.arange(len(ts))
         tpos = pos[ti]
         sel = np.flatnonzero((tpos >= 0) & (hcol >= 0))
         if len(sel):
@@ -602,7 +610,7 @@ def nf_uak_batch(tower, K, heads, tails=((),), pairs=None):
             rows.append(sel)
             blocks.append(blk)
     if not blocks:
-        return out
+        return ids, [], residues
     blk = _Block.stack(tower, blocks)
     rows = np.concatenate(rows)
     lat = _LATTICE[K]
@@ -617,7 +625,17 @@ def nf_uak_batch(tower, K, heads, tails=((),), pairs=None):
         sub = np.flatnonzero(key == kv)
         shift, pivot = divmod(kv, 3)
         part = blk if len(sub) == len(rows) else blk.take(sub)
-        cells, m = _read_cell(part, K, shift, pivot)
-        for r, coords, row in zip(rows[sub].tolist(), cells, m.T.tolist()):
-            out[r] = ((shift, coords), GammaElem(tower, K, row))
-    return out
+        coords, m = _read_cell(part, K, shift, pivot)
+        local, first = row_ids(coords)
+        # the tag of each distinct coordinate row, built column-wise
+        cols = coords[first].T.tolist()
+        layers = [
+            zip(itertools.repeat(layer), cols[2 * k], cols[2 * k + 1])
+            for k, (layer, _) in enumerate(grid_layer_span(tower, K, shift))
+        ]
+        tags = zip(itertools.repeat(shift), zip(*layers) if layers else [()])
+        # a tag can be read under two pivots, so the ids go through one index
+        at = [index.setdefault(tag, len(index)) for tag in tags]
+        ids[rows[sub]] = np.array(at, dtype=np.intp)[local]
+        residues[rows[sub]] = m
+    return ids, list(index), residues

@@ -232,3 +232,44 @@ def test_basis_matches_reference(tw, data):
         )
         assert basis.contains(w) == in_span == (not r.any())
         assert gfmat.in_row_space(tw, V, w) == in_span
+
+
+# ---------------------------------------------------------------------------
+# numbering distinct rows
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    Q=st.sampled_from([81, 1024]),
+    n=st.integers(0, 30),
+    width=st.integers(0, 14),
+    data=st.data(),
+)
+def test_row_ids_match_unique(Q, n, width, data):
+    """gfmat.row_ids gives the inverse and first indices of
+    np.unique(axis=0), on no rows, zero width, one column and rows of
+    table indices up to Q - 1 at Q = 81 and Q = 1024: at base 1024 an
+    int64 key holds six columns, so wide rows are refined over several
+    blocks.  Rows are drawn from a few distinct ones so that most of them
+    repeat."""
+    value = st.sampled_from([0, 1, Q - 1]) | st.integers(0, Q - 1)
+    distinct = data.draw(st.lists(
+        st.lists(value, min_size=width, max_size=width),
+        min_size=1, max_size=5), label="distinct rows")
+    picks = data.draw(st.lists(st.integers(0, len(distinct) - 1),
+                               min_size=n, max_size=n), label="picks")
+    a = np.array([distinct[i] for i in picks], dtype=np.uint16).reshape(n, width)
+    for arr in (a, a.astype(np.intp)):
+        ids, first = gfmat.row_ids(arr)
+        _, idx, inv = np.unique(arr, axis=0, return_index=True,
+                                return_inverse=True)
+        assert np.array_equal(ids, inv.reshape(-1))
+        assert np.array_equal(first, idx)
+
+
+def test_row_ids_refuse_keys_past_int64():
+    big = np.array([[2**62], [1]], dtype=np.int64)
+    with pytest.raises(NotApplicable):
+        gfmat.row_ids(big)
+    ids, first = gfmat.row_ids(big[:1])
+    assert ids.tolist() == [0] and first.tolist() == [0]

@@ -32,6 +32,8 @@ from u21hecke.unitary_group import (
 )
 from u21hecke.words import nf_uak, tag_of, word_from_tag
 
+from reads import expand, expand_batch
+
 BOTH = (K0, K1)
 
 
@@ -146,7 +148,8 @@ def test_memo_eviction_leaves_results_unchanged(monkeypatch):
         read = words_batch(tower, K, heads, tails, pairs)
         if pairs is None:
             pairs = [(i, 0) for i in range(len(heads))]
-        batched.append(([heads[i] + tails[j] for i, j in pairs], read))
+        batched.append(([heads[i] + tails[j] for i, j in pairs],
+                        expand_batch(tower, K, read)))
         return read
 
     words_batch = I.nf_uak_batch
@@ -165,20 +168,42 @@ def test_memo_eviction_leaves_results_unchanged(monkeypatch):
     # the recursion step read its 243 products through the batch
     assert sum(len(b[0]) for b in batched) >= 243
     # the grid averaging read the inverses of all its points through the
-    # batch, into coset_normalize's table (bounded below); one bounded
-    # nf_uak table serves the scalar coset_normalize and tag_of
+    # batch; one bounded nf_uak table serves the scalar coset_normalize and
+    # tag_of
     read = {word for b in batched for word in b[0]}
     assert points and {word_inverse(tw, x) for x in points} <= read
     assert len(tw._memo[nf_uak.__wrapped__]) == 3
-    # batched results land in coset_normalize's own table: a scalar read of
-    # the last batched word is a hit returning the stored object
+    # a repeated product read is one hit of the (bounded) product table,
+    # returning the same record without a batch read
     f = I.f_basis(w, -1)
     pairs = [(word_from_tag(tw, K0, tag), v) for tag, v in f.data.items()]
     batched.clear()
     assert I.InducedFn.from_raw(w, pairs) == f
-    word, stored = batched[-1][0][-1], batched[-1][1][-1]
-    assert I.coset_normalize(tw, K0, word) is stored
+    assert len(batched) == 1
+    stored = I._normalize_words(tw, K0, [word for word, _ in pairs])
+    assert I._normalize_words(tw, K0, [word for word, _ in pairs]) is stored
+    assert len(batched) == 1
+    assert expand(stored) == batched[0][1]
+    assert len(tw._memo[I._product_read.__wrapped__]) == 3
     assert len(tw._memo[I.coset_normalize.__wrapped__]) == 3
+
+
+def test_recursion_step_keeps_one_record():
+    """On a fresh q = 3 tower, the exhaustive step 2 -> 3 of trivial@K0
+    reads its 19,683 products as one product read: the product table holds
+    that record, one tag per word, while coset_normalize's per-word table
+    keeps only the few words of the small invariance reads."""
+    tw = Tower(3, 1)
+    tw.default_window = 24
+    w = W.make_weight(tw, K0, W.TRIVIAL)
+    I.translation_recursion_check(w, 2, 1)
+    assert len(tw._memo[I.coset_normalize.__wrapped__]) < 100
+    prefixes = I.translation_prefixes(tw, K0, 2, 1)
+    reps = [word_from_tag(tw, K0, tag) for tag in I.f_basis(w, 2).data]
+    records = tw._memo[I._product_read.__wrapped__]
+    read = records[(K0, tuple(prefixes), tuple(reps))]
+    assert len(read.tag_ids) == len(read.tags) == 19683
+    assert set(read.tags) == set(I.f_basis(w, 3).data)
 
 
 def test_from_raw_reads_pairs_once(catalog):
@@ -205,7 +230,7 @@ def test_translates_match_pairs_oracle(monkeypatch):
     table bounded at 3 entries: op_T, op_SK, op_Sminus, an exhaustive
     recursion step, g_act by a torus unit (a word the batch does not carry,
     so its misses take the scalar route), an empty function, and a call
-    with fewer than _BATCH_MIN misses (no batch read)."""
+    with fewer than _BATCH_MIN words (no batch read)."""
     tw = Tower(3, 1)
     tw.default_window = 24
     monkeypatch.setattr(fields, "_MEMO_CAP", 3)
@@ -250,7 +275,7 @@ def test_translates_match_pairs_oracle(monkeypatch):
         unit = next(a for a in I.pro_iwahori_sample(tw, K) if a[0] == "d")
         reads.clear()
         assert rough.g_act((unit,)) == oracle(rough, [(unit,)])
-        assert reads and all(r is None for read in reads for r in read)
+        assert reads and all((ids < 0).all() for ids, _, _ in reads)
         assert rough.translates(prefixes[:3]) == oracle(rough, prefixes[:3])
         zero = I.InducedFn.zero(w)
         assert zero.translates(prefixes).is_zero()
@@ -285,17 +310,18 @@ def test_transport_one_matrix_per_residue(monkeypatch, catalog):
     def normalize_spy(tower, K, heads, tails=((),),
                       _orig=I._normalize_words):
         out = _orig(tower, K, heads, tails)
-        residues.update(gamma.key() for _, gamma in out)
+        residues.update(gamma.key() for gamma in out.residues)
         return out
 
-    def transport_spy(weight, gammas, vecs, inverse=False, _orig=I._transport):
-        transported.append((gammas, vecs.copy(), inverse))
-        return _orig(weight, gammas, vecs, inverse)
+    def transport_spy(weight, ids, res, vecs, inverse=False,
+                      _orig=I._transport_ids):
+        transported.append((ids, res, vecs.copy(), inverse))
+        return _orig(weight, ids, res, vecs, inverse)
 
     monkeypatch.setattr(gfmat, "matvec", matvec_spy)
     monkeypatch.setattr(W.Weight, "matrix", matrix_spy)
     monkeypatch.setattr(I, "_normalize_words", normalize_spy)
-    monkeypatch.setattr(I, "_transport", transport_spy)
+    monkeypatch.setattr(I, "_transport_ids", transport_spy)
     for name, op in ops.items():
         counts.update(matvec=0, matrix=0)
         residues.clear()
@@ -305,15 +331,15 @@ def test_transport_one_matrix_per_residue(monkeypatch, catalog):
         assert 0 < counts["matrix"] <= len(residues), name
         if name == "op_T":
             assert len(residues) == 30
-            gammas, vecs, inverse = transported[-1]
-            assert len(gammas) == 6804
+            ids, res, vecs, inverse = transported[-1]
+            assert len(ids) == 6804 and len(res) == 30
     monkeypatch.undo()
-    want = I._transport(w, gammas, vecs.copy(), inverse)
+    want = I._transport_ids(w, ids, res, vecs.copy(), inverse)
     for budget in (I._TRANSPORT_ENTRIES, 8 * w.dim**2):
         monkeypatch.setattr(I, "_TRANSPORT_ENTRIES", budget)
         tracemalloc.start()
         try:
-            got = I._transport(w, gammas, vecs, inverse)
+            got = I._transport_ids(w, ids, res, vecs, inverse)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -472,11 +498,11 @@ def test_coset_normalize_inverts_no_series(monkeypatch):
         for word in words:
             I.nf_uak(tw, K, word)
             I.coset_normalize(tw, K, word)
-        read = I.nf_uak_batch(tw, K, batch)
-        assert None not in read
+        ids, _, _ = I.nf_uak_batch(tw, K, batch)
+        assert (ids >= 0).all()
     assert calls == []
     for K in BOTH:
-        assert I.nf_uak_batch(tw, K, batch) == [
+        assert expand_batch(tw, K, I.nf_uak_batch(tw, K, batch)) == [
             I.coset_normalize(tw, K, w) for w in batch
         ]
 
@@ -657,7 +683,7 @@ def _nf_kau_eval(elem, word):
 def test_grid_values_match_nf_kau_read(monkeypatch):
     """Every point the grid averaging evaluates, read by one batched coset
     read of the inverted points, has the value the mirrored normal form
-    gives, and the batch falls back on none of them."""
+    gives, and the batch falls back on none of them (no id is -1)."""
     seen, batched = [], []
 
     def values_spy(self, heads, tails=((),), _orig=I.GridElement.values_at):
@@ -668,7 +694,7 @@ def test_grid_values_match_nf_kau_read(monkeypatch):
     def batch_spy(tower, K, heads, tails=((),), pairs=None,
                   _orig=I.nf_uak_batch):
         read = _orig(tower, K, heads, tails, pairs)
-        batched.extend(read)
+        batched.append(read[0])
         return read
 
     monkeypatch.setattr(I.GridElement, "values_at", values_spy)
@@ -690,7 +716,7 @@ def test_grid_values_match_nf_kau_read(monkeypatch):
                     assert I._tuples(values) == [
                         _nf_kau_eval(elem, x) for x in pts
                     ]
-    assert batched and None not in batched
+    assert batched and all((ids >= 0).all() for ids in batched)
 
 
 def test_sampled_check_catches_a_dropped_suffix(monkeypatch, tower, catalog):

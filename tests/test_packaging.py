@@ -2,7 +2,8 @@
 the benchmark's tracer wraps exists, the package keeps its derived tables
 only in owned memo tables, no module imports a name it never uses, no
 production solve sweeps a whole reduced subgroup, the materialized T
-stays an oracle, and both spins run the one closure loop."""
+stays an oracle, both spins run the one closure loop, and the batched coset
+read has one production route."""
 
 import ast
 import importlib
@@ -161,3 +162,10 @@ def test_one_closure_loop():
     uses = _uses_outside({"gamma_generators", "layer_transversal"}, set())
     assert any(u.endswith("gamma_generators in spin_K") for u in uses)
     assert not any(u.endswith("layer_transversal in spin_K") for u in uses)
+
+
+def test_one_route_into_the_batch():
+    """In the package, nf_uak_batch is named only inside _product_read, the
+    memoized product read: every batched coset read is one record of the
+    product table."""
+    assert _uses_outside({"nf_uak_batch"}, {"_product_read"}) == []

@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -41,6 +42,7 @@ from u21hecke.words import (
     word_from_tag,
 )
 
+from reads import expand, expand_batch
 from test_group import old_k1_reading
 
 # A tower of this module's own, so its window does not depend on test order.
@@ -284,8 +286,7 @@ def test_transport_residue_matches_generic_product():
 
 
 def oracle(tw, K, word):
-    """The scalar coset_normalize, bypassing its memo table (which the
-    batched reads of from_raw also fill)."""
+    """The scalar coset_normalize, bypassing its memo table."""
     return I.coset_normalize.__wrapped__(tw, K, word)
 
 
@@ -336,7 +337,8 @@ def test_batch_matches_scalar_read(tower5, q5, K, pieces, picks):
     involution at q = 3 and q = 5."""
     tw = tower5 if q5 else TW
     words = template_words(tw, K, pieces, picks)
-    assert nf_uak_batch(tw, K, words) == [oracle(tw, K, w) for w in words]
+    read = expand_batch(tw, K, nf_uak_batch(tw, K, words))
+    assert read == [oracle(tw, K, w) for w in words]
 
 
 def test_batch_reads_every_grid_tag(tower5):
@@ -347,7 +349,8 @@ def test_batch_reads_every_grid_tag(tower5):
             one = GammaElem.identity(tw, K)
             for n in cells:
                 tags = list(I.grid_tags(tw, K, n))
-                read = nf_uak_batch(tw, K, [word_from_tag(tw, K, t) for t in tags])
+                words = [word_from_tag(tw, K, t) for t in tags]
+                read = expand_batch(tw, K, nf_uak_batch(tw, K, words))
                 assert read == [(tag, one) for tag in tags]
 
 
@@ -361,10 +364,11 @@ def test_batch_fallback_is_exact():
         assert [_atom_form(a) is None for a in sample] == [False] * 4 + [True] * 2
         bases = [word_from_tag(tw, K, t) for t in I.grid_tags(tw, K, -1)][:20]
         words = [b + (a,) for b in bases for a in sample]
-        read = nf_uak_batch(tw, K, words)
-        assert [r is None for r in read] == [a[0] == "d" for _ in bases for a in sample]
-        assert sum(r is None for r in read) == 2 * len(bases)
-        assert I._normalize_words(tw, K, words) == [oracle(tw, K, w) for w in words]
+        ids, _, _ = nf_uak_batch(tw, K, words)
+        assert (ids < 0).tolist() == [a[0] == "d" for _ in bases for a in sample]
+        assert (ids < 0).sum() == 2 * len(bases)
+        read = expand(I._normalize_words(tw, K, words))
+        assert read == [oracle(tw, K, w) for w in words]
 
 
 def test_batch_raises_on_a_corrupt_row(monkeypatch):
@@ -374,9 +378,10 @@ def test_batch_raises_on_a_corrupt_row(monkeypatch):
     tw = Tower(3, 1)
     good = [word_from_tag(tw, K0, t) for t in I.grid_tags(tw, K0, -1)]
     bad = word_from_tag(tw, K0, list(I.grid_tags(tw, K0, 1))[-1])
-    assert nf_uak_batch(tw, K0, good + [bad])[-1] is not None
+    assert nf_uak_batch(tw, K0, good + [bad])[0][-1] >= 0
     monkeypatch.setitem(words_mod._LATTICE, K0, words_mod._LATTICE[K1])
-    assert nf_uak_batch(tw, K0, good) == [oracle(tw, K0, w) for w in good]
+    read = expand_batch(tw, K0, nf_uak_batch(tw, K0, good))
+    assert read == [oracle(tw, K0, w) for w in good]
     with pytest.raises(CrossCheckFailed):
         oracle(tw, K0, bad)
     with pytest.raises(CrossCheckFailed):
@@ -422,7 +427,7 @@ def test_product_entry_matches_scalar_read(tower5, q5, K, head_templates,
         st.tuples(st.integers(0, len(heads) - 1),
                   st.integers(0, len(tails) - 1)),
         min_size=1, max_size=40), label="pairs")
-    read = nf_uak_batch(tw, K, heads, tails, pairs)
+    read = expand_batch(tw, K, nf_uak_batch(tw, K, heads, tails, pairs))
     assert len(read) == len(pairs)
     for (i, j), r in zip(pairs, read):
         word = heads[i] + tails[j]
@@ -430,6 +435,50 @@ def test_product_entry_matches_scalar_read(tower5, q5, K, head_templates,
             assert r is None
         else:
             assert r == oracle(tw, K, word)
+
+
+@pytest.mark.parametrize("chunk", [4096, 7])
+def test_product_read_matches_scalar_rows(monkeypatch, chunk):
+    """Row for row, a product read (the record of _normalize_words) gives
+    the (tag, residue) of the scalar coset_normalize: on heads times tails
+    with the pro_iwahori_sample atoms, whose two "d" atoms fall back to the
+    scalar read, on a call below _BATCH_MIN (no batch read) and, with
+    chunks of 7 words, over several batch calls.  The tags are distinct and
+    numbered in order of first appearance, the residues are distinct, the
+    record is read-only, and reading the product again returns it."""
+    tw = Tower(3, 1)
+    monkeypatch.setattr(I, "_BATCH_CHUNK", chunk)
+    calls = []
+
+    def batch_spy(*args, _orig=I.nf_uak_batch, **kwargs):
+        calls.append(args)
+        return _orig(*args, **kwargs)
+
+    monkeypatch.setattr(I, "nf_uak_batch", batch_spy)
+    for K in (K0, K1):
+        sample = I.pro_iwahori_sample(tw, K)
+        heads = [word_from_tag(tw, K, t) for t in I.grid_tags(tw, K, -1)][:12]
+        tails = [()] + [(a,) for a in sample]
+        for hs, ts in ((heads, tails), (heads[:3], tails[:4]), (heads, [()])):
+            calls.clear()
+            read = I._normalize_words(tw, K, hs, ts)
+            n = len(hs) * len(ts)
+            batches = 0 if n < I._BATCH_MIN else -(-n // chunk)
+            assert len(calls) == batches
+            words = [h + t for t in ts for h in hs]
+            assert expand(read) == [oracle(tw, K, w) for w in words]
+            assert len(set(read.tags)) == len(read.tags)
+            assert len({g.key() for g in read.residues}) == len(read.residues)
+            firsts = np.unique(read.tag_ids, return_index=True)[1]
+            assert (np.diff(firsts) > 0).all()
+            assert isinstance(read.tags, tuple)
+            assert isinstance(read.residues, tuple)
+            for ids in (read.tag_ids, read.res_ids):
+                assert not ids.flags.writeable
+                with pytest.raises(ValueError):
+                    ids[0] = 0
+            assert I._normalize_words(tw, K, hs, ts) is read
+            assert len(calls) == batches
 
 
 def signature(word):
@@ -472,7 +521,8 @@ def test_one_cell_read_per_shift_and_pivot(monkeypatch):
 
     monkeypatch.setattr(words_mod, "_read_cell", read_spy)
     monkeypatch.setattr(I, "nf_uak_batch", batch_spy)
-    assert I._normalize_words(tw, K, words) == [oracle(tw, K, w) for w in words]
+    read = expand(I._normalize_words(tw, K, words))
+    assert read == [oracle(tw, K, w) for w in words]
     assert len(starts) == -(-len(words) // chunk)
     shared = False
     for c, (lo, hi) in enumerate(zip(starts, starts[1:] + [len(reads)])):
@@ -496,7 +546,8 @@ def test_corrupt_row_in_a_shared_read_raises():
     assert _atom_form(scale) is not None
     assert {read_key(tw, K0, w) for w in good + [bad]} == {read_key(tw, K0, bad)}
     assert len({signature(w) for w in good + [bad]}) > 2
-    assert nf_uak_batch(tw, K0, good) == [oracle(tw, K0, w) for w in good]
+    read = expand_batch(tw, K0, nf_uak_batch(tw, K0, good))
+    assert read == [oracle(tw, K0, w) for w in good]
     with pytest.raises(CrossCheckFailed):
         oracle(tw, K0, bad)
     with pytest.raises(CrossCheckFailed):
