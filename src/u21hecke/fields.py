@@ -18,7 +18,8 @@ import numpy as np
 from ._kernel import TableCtx
 from .errors import InversionOfZero, NotApplicable
 
-# Entries per memo table; a full table drops its oldest entry.
+# Entries (or their total size) per memo table; a full table drops its
+# oldest entries.
 _MEMO_CAP = 150000
 _MISS = object()
 # Largest coefficient field size Q = q^2 that Tower builds tables for: each
@@ -27,41 +28,46 @@ _MISS = object()
 _MAX_Q = 1024
 
 
-def memo(fn):
+def memo(fn=None, *, size=None):
     """Memoize fn(owner, *args) in owner._memo, the dict a Tower or a Weight
     allocates in __init__, one table per function, keyed by the (hashable)
-    arguments after the owner.  A hit returns the stored object; a miss at
-    _MEMO_CAP entries drops the table's oldest entry before storing.
+    arguments after the owner.  A hit returns the stored object.
 
-    The memoized function's table(owner) is the owner's table itself, for a
-    caller that computes many entries at once and stores them with
-    memo_store."""
-
-    def table(owner):
-        out = owner._memo.get(fn)
-        if out is None:
-            out = owner._memo[fn] = OrderedDict()
-        return out
+    A table holds at most _MEMO_CAP entries, or with size (memo(size=...)),
+    entries whose size(out) sum to at most _MEMO_CAP, so that a table of
+    large records is bounded by what they hold.  A miss drops the table's
+    oldest entries until the new one fits; an entry larger than _MEMO_CAP
+    is returned and not stored."""
+    if fn is None:
+        return lambda fn: memo(fn, size=size)
+    weigh = size or (lambda out: 1)
 
     @wraps(fn)
     def cached(owner, *args):
-        tab = table(owner)
+        tab = owner._memo.get(fn)
+        if tab is None:
+            tab = owner._memo[fn] = _MemoTable()
         out = tab.get(args, _MISS)
         if out is _MISS:
             out = fn(owner, *args)
-            memo_store(tab, args, out)
+            n = weigh(out)
+            if n <= _MEMO_CAP:
+                while tab and tab.held + n > _MEMO_CAP:
+                    tab.held -= weigh(tab.popitem(last=False)[1])
+                tab[args] = out
+                tab.held += n
         return out
 
-    cached.table = table
     return cached
 
 
-def memo_store(table, args, out):
-    """Store out under args in a memo table, dropping the oldest entry of a
-    full one."""
-    if len(table) >= _MEMO_CAP:
-        table.popitem(last=False)
-    table[args] = out
+class _MemoTable(OrderedDict):
+    """The entries of one memo table in the order they were stored, and
+    held, the sum of their sizes."""
+
+    def __init__(self):
+        super().__init__()
+        self.held = 0
 
 
 def _prime_factors(n):

@@ -65,28 +65,6 @@ def sum_rows(tw, P):
     return P[0]
 
 
-# Key ranges up to this size (or twice the number of keys) are numbered
-# through a table of the range rather than by a sort.
-_DENSE_SPAN = 4096
-
-
-def _number(key, bound):
-    """The inverse of np.unique(key) for int64 keys in [0, bound), and the
-    first position of each id.  A small range is numbered by one table of
-    the range and a cumulative sum instead of a sort."""
-    n = len(key)
-    if bound > max(_DENSE_SPAN, 2 * n):
-        _, first, ids = np.unique(key, return_index=True, return_inverse=True)
-        return ids, first
-    seen = np.zeros(bound, dtype=np.intp)
-    seen[key] = 1
-    rank = np.cumsum(seen) - 1
-    ids = rank[key]
-    first = np.full(int(rank[-1]) + 1, n, dtype=np.intp)
-    np.minimum.at(first, ids, np.arange(n))
-    return ids, first
-
-
 def row_ids(a):
     """Number the distinct rows of a 2-D array of nonnegative integers (table
     indices): (ids, first), where rows i and j are equal exactly when
@@ -97,7 +75,7 @@ def row_ids(a):
     The ids are refined over blocks of columns: the ids so far and the next
     columns, each in the base max(column) + 1, are packed into one int64 key
     as long as (number of ids) * (product of the bases) stays below 2^63,
-    and the keys are numbered by _number.  A table index of any Q <=
+    and the keys are numbered by np.unique.  A table index of any Q <=
     fields._MAX_Q fits ten bits, so every block holds a column for any row
     count below 2^53; NotApplicable where rows * base reaches 2^63."""
     a = np.asarray(a)
@@ -116,7 +94,7 @@ def row_ids(a):
             key = key * bases[col] + a[:, col]
             bound *= bases[col]
             col += 1
-        ids, first = _number(key, bound)
+        _, first, ids = np.unique(key, return_index=True, return_inverse=True)
         count = len(first)
     return ids, first
 

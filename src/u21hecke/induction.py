@@ -12,9 +12,10 @@ landing coset membership is certified by the residue reduction.  The words
 of one operation are normalized together, as one product read
 (_normalize_words): words.nf_uak_batch reads them as arrays, and the read
 is kept as one record of tag ids and residue ids over its distinct tags and
-residues (ProductRead), memoized per (K, heads, tails).  A word outside the
-batch's form, and every word of a small call, goes through the scalar
-coset_normalize, memoized per word, and is folded into the record.
+residues (ProductRead), memoized per (K, heads, tails) in a table bounded
+by the words its records hold.  A word outside the batch's form, and every
+word of a small call, goes through the scalar coset_normalize, memoized per
+word, and is folded into the record.
 
 Values are transported a call at a time (_transport_ids, on the residue
 ids of a read): each distinct (residue, vector) pair is moved once, by one
@@ -179,7 +180,7 @@ class ProductRead:
     [rep(tag), sigma(residue) v].  The tags are numbered in order of first
     appearance, the residues (GammaElem) in lexicographic order of their
     entries.  Read-only: the id arrays are not writeable, and the tags and
-    residues are tuples."""
+    residues are tuples.  Its len is the number of words."""
 
     __slots__ = ("tag_ids", "tags", "res_ids", "residues")
 
@@ -189,15 +190,20 @@ class ProductRead:
         self.tag_ids, self.tags = tag_ids, tuple(tags)
         self.res_ids, self.residues = res_ids, tuple(residues)
 
+    def __len__(self):
+        return len(self.tag_ids)
+
 
 def _normalize_words(tower, K, heads, tails=((),)):
     """The product read (ProductRead) of the word lists heads and tails,
     kept in one memo table keyed by (K, heads, tails) as tuples; a plain
-    list of words is the product with the single empty tail."""
+    list of words is the product with the single empty tail.  The table
+    holds at most fields._MEMO_CAP words over all its records, the bound
+    coset_normalize's per-word table had, dropping its oldest records."""
     return _product_read(tower, K, tuple(heads), tuple(tails))
 
 
-@memo
+@memo(size=len)
 def _product_read(tower, K, heads, tails):
     """The ProductRead of _normalize_words.  A call of _BATCH_MIN words or
     more is read by nf_uak_batch as (head, tail) index pairs, in chunks of

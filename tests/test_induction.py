@@ -173,19 +173,55 @@ def test_memo_eviction_leaves_results_unchanged(monkeypatch):
     read = {word for b in batched for word in b[0]}
     assert points and {word_inverse(tw, x) for x in points} <= read
     assert len(tw._memo[nf_uak.__wrapped__]) == 3
-    # a repeated product read is one hit of the (bounded) product table,
-    # returning the same record without a batch read
+    # the product table holds at most 3 words over all its records
+    records = tw._memo[I._product_read.__wrapped__]
+    assert records.held == sum(map(len, records.values())) <= 3
+    assert len(tw._memo[I.coset_normalize.__wrapped__]) == 3
+
+
+def test_product_table_bounded_by_words(monkeypatch):
+    """The product table holds at most _MEMO_CAP words over all its
+    records: a repeated product read is one hit that returns the same
+    record without a batch read, a new record drops the oldest ones until
+    it fits, and a read of more than _MEMO_CAP words is returned unstored.
+    Every read still expands to what the batch returned."""
+    tw = Tower(3, 1)
+    tw.default_window = 24
+    w = W.make_weight(tw, K0, W.STEINBERG)
+    monkeypatch.setattr(fields, "_MEMO_CAP", 200)
+    batched = []
+
+    def spy(tower, K, heads, tails=((),), pairs=None, _orig=I.nf_uak_batch):
+        out = _orig(tower, K, heads, tails, pairs)
+        batched.append(expand_batch(tower, K, out))
+        return out
+
     f = I.f_basis(w, -1)
     pairs = [(word_from_tag(tw, K0, tag), v) for tag, v in f.data.items()]
-    batched.clear()
+    third = [word_from_tag(tw, K0, tag) for tag in I.f_basis(w, 2).data]
+    first, second = third[:81], third[81:162]
+    # start from an empty product table
+    del tw._memo[I._product_read.__wrapped__]
+    monkeypatch.setattr(I, "nf_uak_batch", spy)
+    records = lambda: tw._memo[I._product_read.__wrapped__]
     assert I.InducedFn.from_raw(w, pairs) == f
-    assert len(batched) == 1
     stored = I._normalize_words(tw, K0, [word for word, _ in pairs])
+    batched.clear()
     assert I._normalize_words(tw, K0, [word for word, _ in pairs]) is stored
-    assert len(batched) == 1
-    assert expand(stored) == batched[0][1]
-    assert len(tw._memo[I._product_read.__wrapped__]) == 3
-    assert len(tw._memo[I.coset_normalize.__wrapped__]) == 3
+    assert batched == []
+    assert len(stored) == 81 and len(records()) == 1
+    # 81 + 81 words fit, and a third record of 81 drops the oldest
+    one = I._normalize_words(tw, K0, first)
+    assert len(one) == 81 and expand(one) == batched[0]
+    assert records().held == 162
+    two = I._normalize_words(tw, K0, second)
+    assert len(two) == 81 and expand(two) == batched[1]
+    assert records().held == 162 and list(records().values()) == [one, two]
+    # 243 words are more than the table holds
+    big = I._normalize_words(tw, K0, third)
+    assert len(big) == 243 and expand(big) == batched[2]
+    assert records().held == sum(map(len, records().values())) == 162
+    assert I._normalize_words(tw, K0, third) is not big
 
 
 def test_recursion_step_keeps_one_record():
