@@ -353,6 +353,17 @@ class Character:
         k = (self.i * la + (t.q - 1) * self.j * v) % (t.Q - 1)
         return int(t.exp[k])
 
+    def values(self, a, b):
+        """value at index arrays a (units) and b (norm-one) of one shape:
+        zeta^(i log a + j log b), as b = xi^v has log b = (q - 1) v."""
+        t = self.tower
+        la, lb = t.log[a], t.log[b]
+        if (la < 0).any():
+            raise InversionOfZero("character at a = 0")
+        if ((lb < 0) | (lb % (t.q - 1) != 0)).any():
+            raise NotApplicable("second coordinate is not norm-one")
+        return t.exp[(self.i * la + self.j * lb) % (t.Q - 1)]
+
     def __mul__(self, other):
         return Character(self.tower, self.i + other.i, self.j + other.j)
 

@@ -18,10 +18,11 @@ word of a small call, goes through the scalar coset_normalize, memoized per
 word, and is folded into the record.
 
 Values are transported a call at a time (_transport_ids, on the residue
-ids of a read): each distinct (residue, vector) pair is moved once, by one
-Weight.matrix and one gfmat.matmul per residue in use (chunked by
-_TRANSPORT_ENTRIES), and the rows are summed per coset (_merge, on the tag
-ids) or per point as arrays.  op_T applies each stencil matrix to the
+ids of a read): each distinct (residue, vector) pair is moved once, by the
+weight's array action (Weight.apply) on the rows of the residues in use,
+in blocks bounded by _TRANSPORT_ENTRIES, with no matrix per residue; the
+rows are summed per coset (_merge, on the tag ids) or per point as
+arrays.  op_T, the oracle route, applies each stencil matrix to the
 stacked values of all tags at once.
 
 The span of the compact translates of f_n (spin_K) lives on a fixed tag
@@ -85,11 +86,12 @@ from .weights import (
     DET_TWIST,
     STEINBERG,
     TRIVIAL,
-    Weight,
+    BuiltWeight,
     closure,
     gamma_beta,
     gamma_generators,
     gamma_lift_word,
+    inverse_rows,
     reduce_word,
 )
 from .words import (
@@ -244,19 +246,19 @@ def _product_read(tower, K, heads, tails):
     )
 
 
-# Entry products per gfmat.matmul of the value transport (dim^2 per
-# vector), which bounds its arrays whatever the number of vectors.  Medians
-# of five on a 2-CPU host (CPython 3.11), taken when every row was
-# transported: on the 6,804 vectors (30 residues, dim 27) of
-# op_T(steinberg@K0, f_-1) at q = 3, a budget of 16,384 took 0.092 s, 65,536
-# 0.086 s and 524,288 0.097 s, with a traced peak of 0.96 MB up to 65,536,
-# 1.11 MB at 131,072 and 9.8 MB at 4096 vectors per product; on the 4,375
-# vectors (742 residues, dim 125) of an op_SK_grid at q = 5, 16,384 took
-# 1.47 s, 65,536 0.99 s and 524,288 1.08 s.  Now that each distinct
-# (residue, vector) is transported once, those calls carry 30 and 744
-# vectors, and take 5-6 ms and 0.23-0.26 s at each of the three budgets.
-# _tuples converts as many entries at a time: converting the whole merged
-# array of that op_T call at once raised from_raw's traced peak from 3.4 to
+# Entries per block of the value transport, which bounds its arrays
+# whatever the number of rows: _transport_ids passes the weight's action
+# _TRANSPORT_ENTRIES // (9 dim) rows at a time, as a principal series
+# classifies each residue of a block on its dim cosets, 9 entries each
+# (weights.classify_rows).  op_T's matrix products take
+# _TRANSPORT_ENTRIES // dim^2 vectors (_apply), and _tuples converts as
+# many entries at a time.  Medians of five on a 2-CPU host (CPython 3.11):
+# the 6,804 vectors (30 residues, dim 27) of op_T(steinberg@K0, f_-1) at
+# q = 3 took 2.3-2.4 ms at 16,384, 65,536 and 524,288, with a traced peak
+# of 0.78 MB at each; the 4,375 vectors (742 residues, dim 125) of an
+# op_SK_grid at q = 5 on shifts -2..2 took 0.085 s, 0.052 s and 0.066 s,
+# with peaks of 2.6, 3.9 and 18.1 MB.  Converting the whole merged array
+# of that op_T call at once raised from_raw's traced peak from 3.4 to
 # 4.9 MB.
 _TRANSPORT_ENTRIES = 65536
 
@@ -291,10 +293,11 @@ def _transport_ids(weight, ids, residues, vecs, inverse=False):
 
     Each distinct (residue, row) pair is transported once.  The pairs are
     numbered by one gfmat.row_ids over the rows with their residue id in
-    front, whose lexicographic ids sort them by residue: each residue in use
-    costs one Weight.matrix (after one inversion, with inverse), its
-    distinct rows are transported together by _apply, and the results are
-    scattered back through the pair ids."""
+    front, whose lexicographic ids sort them by residue.  The residues in
+    use are read as one (r, 9) array of rows, inverted by one gather
+    (weights.inverse_rows) with inverse, and the pairs go to the weight's
+    action (Weight.apply) in blocks of _TRANSPORT_ENTRIES // (9 dim) rows;
+    the results are scattered back through the pair ids."""
     vecs = np.asarray(vecs)
     # the residue id in front, in the narrowest type that holds it
     keyed = np.empty((len(vecs), 1 + vecs.shape[1]), dtype=np.promote_types(
@@ -303,15 +306,20 @@ def _transport_ids(weight, ids, residues, vecs, inverse=False):
     keyed[:, 1:] = vecs
     back, first = gfmat.row_ids(keyed)
     rows = vecs[first]
-    counts = np.bincount(np.asarray(ids)[first])
-    start = 0
-    for r in np.flatnonzero(counts).tolist():
-        gamma = residues[r]
-        M = weight.matrix(gamma.inverse() if inverse else gamma)
-        end = start + int(counts[r])
-        _apply(weight.tower, M, rows[start:end])
-        start = end
-    return rows[back]
+    used, res_of = np.unique(np.asarray(ids)[first], return_inverse=True)
+    gammas = np.array([residues[r].m for r in used.tolist()],
+                      dtype=np.uint16).reshape(-1, 9)
+    if inverse:
+        gammas = inverse_rows(weight.tower, gammas)
+    out = np.empty((len(rows), weight.dim), dtype=np.uint16)
+    step = max(1, _TRANSPORT_ENTRIES // (9 * weight.dim))
+    for s in range(0, len(rows), step):
+        block = slice(s, s + step)
+        # the pairs are sorted by residue, so a block's residues are a range
+        lo, hi = res_of[block][[0, -1]].tolist()
+        out[block] = weight.apply(gammas[lo : hi + 1], res_of[block] - lo,
+                                  rows[block])
+    return out[back]
 
 
 def _stack(vecs, dim):
@@ -350,27 +358,31 @@ def _merge(tw, ids, n, rows):
     return out
 
 
-def _point_values(weight, heads, tails, stored):
-    """Values at the points x t, x in heads and t in tails (x-major), of the
-    function whose value at the representative of a tag is stored(tag),
-    None off the support; an (points, dim) array.
+@memo(size=len)
+def _inverses(tower, words):
+    """The inverses of a tuple of words, memoized by the tuple in a table
+    bounded by the words it holds: the tails of the point reads (the suffix
+    lists of the grid averages, the sampled atoms of the invariance check)
+    are the same lists from call to call."""
+    return [word_inverse(tower, w) for w in words]
+
+
+def _point_values(weight, inv_tails, inv_heads, stored):
+    """Values at the points x t (x-major) of the function whose value at
+    the representative of a tag is stored(tag), None off the support, given
+    the inverted tails t^-1 and the inverted heads x^-1; an (points, dim)
+    array.
 
     The inverses t^-1 x^-1 of all points are read by one _normalize_words
-    call, as the product of the inverted tails (its heads) and the inverted
-    heads (its tails): with (x t)^-1 = rep(tag) k and gamma = red(k), the
-    value at x t is sigma(gamma^-1) stored(tag), and a point off the support
-    costs only its read.  The batch builds each inverted tail once and
-    applies each inverted head to it by column operations.  stored is
-    called once per distinct tag.  The values of the supported points are
-    transported by one _transport_ids call, so a residue shared by many
-    points is inverted and applied once."""
-    tw = weight.tower
-    read = _normalize_words(
-        tw,
-        weight.K,
-        [word_inverse(tw, t) for t in tails],
-        [word_inverse(tw, x) for x in heads],
-    )
+    call, as the product of inv_tails (its heads) and inv_heads (its
+    tails): with (x t)^-1 = rep(tag) k and gamma = red(k), the value at x t
+    is sigma(gamma^-1) stored(tag), and a point off the support costs only
+    its read.  The batch builds each inverted tail once and applies each
+    inverted head to it by column operations.  stored is called once per
+    distinct tag.  The values of the supported points are transported by
+    one _transport_ids call, so a residue shared by many points is inverted
+    and classified once."""
+    read = _normalize_words(weight.tower, weight.K, inv_tails, inv_heads)
     out = np.zeros((len(read.tag_ids), weight.dim), dtype=np.uint16)
     vals = [stored(tag) for tag in read.tags]
     live = [i for i, v in enumerate(vals) if v is not None]
@@ -512,7 +524,11 @@ class InducedFn:
     def values_at(self, heads, tails=((),)):
         """Values at the points x t, for x in heads and t in tails (x-major;
         zero off the support), read together; an (points, dim) array."""
-        return _point_values(self.weight, heads, tails, self.data.get)
+        tw = self.weight.tower
+        return _point_values(
+            self.weight, _inverses(tw, tuple(tails)),
+            [word_inverse(tw, x) for x in heads], self.data.get,
+        )
 
     def eval_at(self, word):
         """Value tuple at the point of the word (zero off the support)."""
@@ -799,12 +815,21 @@ class GridElement:
         """Values at the points x t, for x in heads and t in tails (x-major;
         zero off the support), read together; an (points, dim) array."""
         tw = self.weight.tower
+        return self.values_at_inverses(
+            _inverses(tw, tuple(tails)), [word_inverse(tw, x) for x in heads]
+        )
+
+    def values_at_inverses(self, inv_tails, inv_heads):
+        """values_at from the inverted words: the values at the points x t,
+        x-major, whose inverses are t^-1 in inv_tails and x^-1 in
+        inv_heads."""
+        tw = self.weight.tower
         cell = {
             n: _vscale(tw, c, grid_value(self.weight, n))
             for n, c in self.coeffs.items()
         }
         return _point_values(
-            self.weight, heads, tails, lambda tag: cell.get(tag[0])
+            self.weight, inv_tails, inv_heads, lambda tag: cell.get(tag[0])
         )
 
     def eval_at(self, word):
@@ -1052,7 +1077,7 @@ def _t_adjoint(tower, K):
     lies in the double coset and the double coset lies in the cells +-1,
     the stencil is then the whole double coset.  Every s^-1 must land in a
     stencil coset.  CrossCheckFailed otherwise.  Returns the list of
-    (s^-1, g_s', r_s)."""
+    (s, g_s', r_s)."""
     stencil = _t_stencil(tower, K)
     inverses = [word_inverse(tower, s) for s, _ in stencil]
     n = len(stencil)
@@ -1069,9 +1094,9 @@ def _t_adjoint(tower, K):
     if any(tag not in by_tag for tag, _ in normal[:n]):
         raise CrossCheckFailed("the inverted stencil leaves the stencil")
     out = []
-    for inv, (tag, gamma1) in zip(inverses, normal[:n]):
+    for (suffix, _), (tag, gamma1) in zip(stencil, normal[:n]):
         i, gamma2 = by_tag[tag]
-        out.append((inv, stencil[i][1], gamma1.inverse() * gamma2))
+        out.append((suffix, stencil[i][1], gamma1.inverse() * gamma2))
     return out
 
 
@@ -1088,32 +1113,50 @@ def _t_window(tower, K, shifts):
     )
 
 
+def _j_factors(weight):
+    """The factors (v0, ell) of the rank-one j = v0 ell^T: ell is the row
+    of j at the pivot of v0, scaled by the inverse of v0 there, and the
+    product v0 ell^T is certified to be j exactly (CrossCheckFailed)."""
+    tw = weight.tower
+    v0, j = weight.v0(), weight.j_matrix()
+    p = int(np.flatnonzero(v0)[0])
+    ell = tw.mul[tw.i_(int(v0[p])), j[p]]
+    if not np.array_equal(tw.mul[v0[:, None], ell[None, :]], j):
+        raise CrossCheckFailed("j is not v0 times a functional")
+    return v0, ell
+
+
 def op_T_grid(elem):
     """The spherical operator on the grid form, read back by _read_grid
     on its certified window (_t_window), with the sampled invariance spot
     check.
 
-    The values F(s^-1 x) at every point x and adjoint word s^-1
-    (_t_adjoint) come from one values_at call; only the nonzero rows (an
-    exact skip) are moved, by sigma(g_s') (one _transport), then j (one
-    _apply) and sigma(r_s) (one more _transport), and summed per point
-    (_merge).  The residues of the adjoint stencil are numbered once per
-    call (_residue_ids), and each transport reads its rows' ids."""
+    The values F(s^-1 x) at every point x and adjoint suffix s
+    (_t_adjoint) come from one values_at_inverses call, the product of the
+    inverted points and the suffixes s; only the nonzero rows (an exact
+    skip) are moved, by sigma(g_s') (one transport), then j, applied by its
+    factors as (v . ell) v0 (_j_factors, certified once per call), and
+    sigma(r_s) (one more transport), and summed per point (_merge).  The
+    residues of the adjoint stencil are numbered once per call
+    (_residue_ids), and each transport reads its rows' ids."""
     weight = elem.weight
     tw = weight.tower
     K = weight.K
     adjoint = _t_adjoint(tw, K)
     g_ids, g_res = _residue_ids([g for _, g, _ in adjoint])
     r_ids, r_res = _residue_ids([r for _, _, r in adjoint])
+    v0, ell = _j_factors(weight)
 
     def evaluate(points):
-        values = elem.values_at([inv for inv, _, _ in adjoint], points)
+        values = elem.values_at_inverses(
+            [word_inverse(tw, x) for x in points], [s for s, _, _ in adjoint]
+        )
         live = np.flatnonzero(values.any(axis=1))
         if not len(live):
             return np.zeros((len(points), weight.dim), dtype=np.uint16)
         suffix = live // len(points)
         rows = _transport_ids(weight, g_ids[suffix], g_res, values[live])
-        _apply(tw, weight.j_matrix(), rows)
+        rows = tw.mul[gfmat.matvec(tw, rows, ell)[:, None], v0]
         rows = _transport_ids(weight, r_ids[suffix], r_res, rows)
         return _merge(tw, live % len(points), len(points), rows)
 
@@ -1553,6 +1596,6 @@ def spin_K(f):
             raise CrossCheckFailed("residue action escapes the spanned module")
         return images[:, pivots].T
 
-    wt = Weight(tw, K, "spanned", basis.dim, builder,
-                label="span_of_" + weight.label)
+    wt = BuiltWeight(tw, K, "spanned", basis.dim, builder,
+                     label="span_of_" + weight.label)
     return SpanModule(weight, index, basis, wt)

@@ -262,6 +262,9 @@ def word_inverse(tower, word):
 
 
 _IDENTITY = (1, 0, 0, 0, 1, 0, 0, 0, 1)
+# Entry 3i + j of J * conj(m)^T * J (J the antidiagonal) is the conjugate of
+# entry 8 - i - 3j of m: the inverse of a residue element as one gather.
+INVERSE_ENTRIES = [8 - i - 3 * j for i in range(3) for j in range(3)]
 
 
 class GammaElem:
@@ -302,7 +305,7 @@ class GammaElem:
     def inverse(self):
         """J * conj(m)^T * J with J the antidiagonal: reverse both indices."""
         frob, a = self.tower.ctx.frob, self.m
-        out = tuple(frob[a[8 - i - 3 * j]] for i in range(3) for j in range(3))
+        out = tuple(frob[a[k]] for k in INVERSE_ENTRIES)
         return GammaElem(self.tower, self.kind, out)
 
     def det(self):

@@ -26,8 +26,12 @@ finite group once it holds on a generating set.  The whole subgroups
 (gamma_upper, gamma_lower, gamma_torus) stay as inventories, as the source
 the generators are picked from, and as the tests' oracles.
 
-Vectors are numpy index arrays over the coefficient field; a weight acts
-through cached matrices, one per reduced-group element.
+Vectors are numpy index arrays over the coefficient field.  A weight acts
+on many rows at once, given as residue rows (Weight.apply): a principal
+series by a gather and a scale over its Borel cosets (classify_rows, the
+array form of classify_coset), the layers and quotients through their base.
+Weight.matrix, the action on the identity rows, is cached per element for
+the solves that need a whole matrix.
 """
 
 import functools
@@ -45,6 +49,7 @@ from .errors import (
 from .fields import Character, char_s, characters_of_torus, is_regular, memo
 from .laurent import Series
 from .unitary_group import (
+    INVERSE_ENTRIES,
     K1,
     GammaElem,
     atom_d,
@@ -236,25 +241,106 @@ def classify_coset(tower, K, gamma):
     return idx, b
 
 
+def inverse_rows(tower, rows):
+    """The inverses of residue elements given as an (..., 9) array of rows
+    (GammaElem.m), by one gather (GammaElem.inverse)."""
+    return tower.frob[np.asarray(rows)[..., INVERSE_ENTRIES]]
+
+
+@memo
+def _flat_tables(tower):
+    """The addition and multiplication tables flattened to Q^2 entries, and
+    the negation table, as intp: x + y and x y are one take at x Q + y."""
+    return (tower.add.ravel().astype(np.intp),
+            tower.mul.ravel().astype(np.intp),
+            tower.neg.astype(np.intp))
+
+
+def _entry_products(tower, a, b, entries):
+    """Entries 3i + j of the products a * b of residue elements given entry
+    first, as (9, ...) intp arrays broadcast over the other axes: the sums
+    over l of a[3i + l] b[3l + j], as one (len(entries), ...) array."""
+    Q = tower.Q
+    add, mul, _ = _flat_tables(tower)
+    a = a * Q
+    out = []
+    for e in entries:
+        i, j = e - e % 3, e % 3
+        s = add.take(mul.take(a[i] + b[j]) * Q + mul.take(a[i + 1] + b[j + 3]))
+        out.append(add.take(s * Q + mul.take(a[i + 2] + b[j + 6])))
+    return np.stack(out)
+
+
+@memo
+def _coset_table(tower, K):
+    """The coset representatives and their inverses as (9, d) intp arrays,
+    entry first, and the integer codes of their labels (sorted) with the
+    index of each label's representative: the tables of classify_rows."""
+    reps, label_map = borel_coset_reps(tower, K)
+    rows = np.array([r.m for r in reps], dtype=np.intp)
+    codes = _label_codes(tower, np.array(list(label_map)).T)
+    order = np.argsort(codes)
+    at = np.array(list(label_map.values()), dtype=np.intp)
+    inv = inverse_rows(tower, rows).astype(np.intp)
+    return rows.T, inv.T, codes[order], at[order]
+
+
+def _label_codes(tower, labels):
+    """One int64 (x Q + y) Q + z per label (x, y, z) of a (3, ...) array."""
+    x, y, z = labels.astype(np.int64)
+    return (x * tower.Q + y) * tower.Q + z
+
+
+def classify_rows(tower, K, rows):
+    """classify_coset of reps[i] * gamma for every coset representative i
+    and every row gamma of an (n, 9) array of residue rows: (k, a, c), (n, d)
+    arrays with reps[i] * gamma = b * reps[k] and (a, c) the torus pair of
+    b.
+
+    All products reps[i] * gamma are formed at once over the flattened
+    residue tables; the bottom row of each is scaled to a leading one
+    (_coset_label) and looked up by its integer code in the d sorted codes
+    of the labels.  The Borel parts are one more product, with the inverse
+    representatives, of which only the torus pair and the three entries
+    below the diagonal are formed; these are certified to vanish.
+    CrossCheckFailed as classify_coset."""
+    tw = tower
+    reps, inv_reps, codes, at = _coset_table(tw, K)
+    g = np.asarray(rows, dtype=np.intp).T[:, :, None]
+    x = _entry_products(tw, reps[:, None, :], g, range(9))
+    bottom = x[6:]
+    lead = np.where(bottom[0] != 0, bottom[0],
+                    np.where(bottom[1] != 0, bottom[1], bottom[2]))
+    if not lead.all():
+        raise CrossCheckFailed("reduced element has a zero bottom row")
+    code = _label_codes(tw, tw.mul[tw.inv[lead], bottom])
+    pos = np.minimum(np.searchsorted(codes, code), len(codes) - 1)
+    if (codes[pos] != code).any():
+        raise CrossCheckFailed("unclassifiable Borel coset")
+    k = at[pos]
+    b = _entry_products(tw, x, inv_reps[:, k], (0, 4, 3, 6, 7))
+    if b[2:].any():
+        raise CrossCheckFailed(
+            "coset classification produced a non-Borel part")
+    return k, b[0], b[1]
+
+
 # ---------------------------------------------------------------------------
 # the weight class
-
-
-def _pow_idx(tower, x_idx, k):
-    """x^k for a unit index."""
-    if x_idx == 0:
-        raise CrossCheckFailed("power of the zero index")
-    return int(tower.exp[(int(tower.log[x_idx]) * int(k)) % (tower.Q - 1)])
 
 
 class Weight:
     """A finite-dimensional module of a reduced compact.
 
-    The action is provided as a builder gamma -> matrix and memoized by the
+    The action is one function of many rows, action(rows, ids, vecs): for
+    an (r, 9) array of residue rows (GammaElem.m), an index array ids into
+    it and an (n, dim) array vecs, the (n, dim) array of the
+    sigma(rows[ids[i]]) vecs[i], without changing its arguments (apply).
+    matrix(gamma) is the action on the identity rows, memoized by the
     element key.  Vectors are 1-d numpy index arrays; matrices act on the
     left (new = M @ v over the coefficient field)."""
 
-    def __init__(self, tower, K, kind, dim, builder, chi=None, part=None,
+    def __init__(self, tower, K, kind, dim, action, chi=None, part=None,
                  power=None, label=None):
         self.tower = tower
         self.K = K
@@ -264,18 +350,31 @@ class Weight:
         self.part = part
         self.power = power
         self.label = label or kind
-        self._builder = builder
+        self._action = action
         self._mats = {}
         self._memo = {}
 
     def __repr__(self):
         return "Weight(%s, %s, dim=%d)" % (self.label, self.K, self.dim)
 
+    def apply(self, rows, ids, vecs):
+        """sigma(rows[ids[i]]) vecs[i] for every row i of vecs (the action)."""
+        return self._action(rows, ids, vecs)
+
+    def act_rows(self, gamma, block):
+        """sigma(gamma) applied to every row of the (m, dim) array block."""
+        return self.apply(np.array([gamma.m], dtype=np.uint16),
+                          np.zeros(len(block), dtype=np.intp), block)
+
+    def _build(self, gamma):
+        # column j is sigma(gamma) e_j
+        return self.act_rows(gamma, gfmat.eye(self.dim)).T
+
     def matrix(self, gamma):
         key = gamma.key()
         m = self._mats.get(key)
         if m is None:
-            m = np.ascontiguousarray(self._builder(gamma), dtype=np.uint16)
+            m = np.ascontiguousarray(self._build(gamma), dtype=np.uint16)
             if m.shape != (self.dim, self.dim):
                 raise CrossCheckFailed("weight matrix has the wrong shape")
             m.setflags(write=False)
@@ -283,7 +382,7 @@ class Weight:
         return m
 
     def act(self, gamma, vec):
-        return gfmat.matvec(self.tower, self.matrix(gamma), vec)
+        return self.act_rows(gamma, np.asarray(vec, dtype=np.uint16)[None])[0]
 
     def trace(self, gamma):
         tw = self.tower
@@ -398,6 +497,25 @@ class Weight:
         return (self.dim, chi_key, traces)
 
 
+class BuiltWeight(Weight):
+    """A weight given by a builder gamma -> matrix instead of an action (the
+    spanned weight of induction.spin_K): matrix(gamma) is the builder's
+    matrix, and the action applies the matrix of each residue in use to its
+    rows by one product."""
+
+    def __init__(self, tower, K, kind, dim, builder, label=None):
+        super().__init__(tower, K, kind, dim, self._by_matrices, label=label)
+        self._build = builder
+
+    def _by_matrices(self, rows, ids, vecs):
+        out = np.empty((len(vecs), self.dim), dtype=np.uint16)
+        for r in np.unique(ids).tolist():
+            at = np.flatnonzero(ids == r)
+            m = self.matrix(GammaElem(self.tower, self.K, rows[r].tolist()))
+            out[at] = gfmat.matmul(self.tower, np.asarray(vecs)[at], m.T)
+        return out
+
+
 def weight_s(weight):
     """The conjugate weight: the catalog partner whose invariant line
     carries the conjugate torus character.
@@ -425,35 +543,55 @@ def weight_s(weight):
 # concrete weights
 
 
-def _trivial_builder(tower):
-    one = np.array([[1]], dtype=np.uint16)
-
-    def builder(gamma):
-        return one
-
-    return builder
+def _trivial_action(rows, ids, vecs):
+    return np.array(vecs, dtype=np.uint16)
 
 
-def _det_twist_builder(tower, k):
-    def builder(gamma):
-        d = gamma.det()
-        return np.array([[_pow_idx(tower, d, k)]], dtype=np.uint16)
+def _dets(tower, rows):
+    """det of each residue row of an (n, 9) array (GammaElem.det), by the
+    cofactor expansion along the first row."""
+    Q = tower.Q
+    add, mul, neg = _flat_tables(tower)
+    a = np.asarray(rows, dtype=np.intp).T
 
-    return builder
+    def times(x, y):
+        return mul.take(x * Q + y)
+
+    def minus(x, y):
+        return add.take(x * Q + neg.take(y))
+
+    def minor(i, j, u, v):
+        return minus(times(a[i], a[j]), times(a[u], a[v]))
+
+    d = minus(times(a[0], minor(4, 8, 5, 7)), times(a[1], minor(3, 8, 5, 6)))
+    return add.take(d * Q + times(a[2], minor(3, 7, 4, 6)))
 
 
-def _ps_builder(tower, K, chi):
-    reps, _ = borel_coset_reps(tower, K)
-    d = len(reps)
+def _det_twist_action(tower, k):
+    """gamma acts by det(gamma)^k."""
 
-    def builder(gamma):
-        m = np.zeros((d, d), dtype=np.uint16)
-        for i, x in enumerate(reps):
-            k, b = classify_coset(tower, K, x * gamma)
-            m[i, k] = chi.value(*b.torus_pair())
-        return m
+    def act(rows, ids, vecs):
+        det = _dets(tower, rows)
+        if not det.all():
+            raise CrossCheckFailed("power of the zero index")
+        scale = tower.exp[(tower.log[det] * k) % (tower.Q - 1)]
+        return tower.mul[scale[ids][:, None], vecs]
 
-    return builder
+    return act
+
+
+def _ps_action(tower, K, chi):
+    """The principal series of chi on the Borel cosets: with reps[i] gamma =
+    b reps[k] (classify_rows), sigma(gamma) e_k = chi(b) e_i, so the value
+    at i is v[k] scaled by chi(b) -- a gather and a scale per row."""
+
+    def act(rows, ids, vecs):
+        k, a, c = classify_rows(tower, K, rows)
+        at = k[ids]
+        return tower.mul[chi.values(a, c)[ids],
+                         np.take_along_axis(np.asarray(vecs), at, axis=1)]
+
+    return act
 
 
 class _SubSpec:
@@ -468,18 +606,14 @@ class _SubSpec:
         self.mat = self.basis.matrix()
         self.pivots = self.basis.pivots()
 
-    def builder(self):
+    def action(self, rows, ids, vecs):
+        """Lift the coordinates to the base, act there, certify that the
+        images stay in the subspace and read them at the rref pivots."""
         tw = self.base.tower
-
-        def build(gamma):
-            # row i of images is sigma(gamma) applied to basis row i
-            images = gfmat.matmul(tw, self.mat, self.base.matrix(gamma).T)
-            if self.basis.reduce(images).any():
-                raise CrossCheckFailed("vector escapes the subspace")
-            # rref rows: coordinates are read at the pivot positions
-            return images[:, self.pivots].T
-
-        return build
+        images = self.base.apply(rows, ids, gfmat.matmul(tw, vecs, self.mat))
+        if self.basis.reduce(images).any():
+            raise CrossCheckFailed("vector escapes the subspace")
+        return images[:, self.pivots]
 
 
 class _QuotientSpec:
@@ -494,13 +628,13 @@ class _QuotientSpec:
         piv = set(self.sub.pivots())
         self.free = [i for i in range(base.dim) if i not in piv]
 
-    def builder(self):
-        def build(gamma):
-            # sigma(gamma) e_f is the column f of its matrix
-            cols = self.base.matrix(gamma)[:, self.free]
-            return self.sub.reduce(cols.T)[:, self.free].T
-
-        return build
+    def action(self, rows, ids, vecs):
+        """Lift the coordinates onto the free (non-pivot) positions, act on
+        the base, reduce modulo the subspace and read the free positions."""
+        lifted = np.zeros((len(vecs), self.base.dim), dtype=np.uint16)
+        lifted[:, self.free] = vecs
+        images = self.base.apply(rows, ids, lifted)
+        return self.sub.reduce(images)[:, self.free]
 
 
 def _regular_ps_layers(tower, chi):
@@ -529,15 +663,15 @@ def make_weight(tower, K, kind, chi=None, part=None, power=None):
     tw = tower
     require_compact(K)
     if kind == TRIVIAL:
-        return Weight(tw, K, kind, 1, _trivial_builder(tw))
+        return Weight(tw, K, kind, 1, _trivial_action)
     if kind == DET_TWIST:
         k = power if power is not None else 1
         k = int(k) % (tw.q + 1)
         if k == 0:
-            return Weight(tw, K, TRIVIAL, 1, _trivial_builder(tw))
+            return Weight(tw, K, TRIVIAL, 1, _trivial_action)
         chi_k = Character(tw, -k * (tw.q - 1), k)
         return Weight(
-            tw, K, kind, 1, _det_twist_builder(tw, k),
+            tw, K, kind, 1, _det_twist_action(tw, k),
             chi=chi_k, power=k, label="det_twist^%d" % k,
         )
     if kind == PRINCIPAL_SERIES:
@@ -545,14 +679,14 @@ def make_weight(tower, K, kind, chi=None, part=None, power=None):
             raise NotApplicable("principal series needs a character")
         reps, _ = borel_coset_reps(tw, K)
         return Weight(
-            tw, K, kind, len(reps), _ps_builder(tw, K, chi),
+            tw, K, kind, len(reps), _ps_action(tw, K, chi),
             chi=chi, label="ps(%d,%d)" % (chi.i, chi.j),
         )
     if kind == STEINBERG:
         base = make_weight(tw, K, PRINCIPAL_SERIES, chi=Character(tw, 0, 0))
         ones = np.ones(base.dim, dtype=np.uint16)
         spec = _QuotientSpec(base, [ones])
-        return Weight(tw, K, kind, base.dim - 1, spec.builder())
+        return Weight(tw, K, kind, base.dim - 1, spec.action)
     if kind == PS_SUB_QUOTIENT:
         if K != K1:
             raise NotApplicable(
@@ -570,12 +704,12 @@ def make_weight(tower, K, kind, chi=None, part=None, power=None):
         if part == "sub":
             spec = _SubSpec(base, sub)
             return Weight(
-                tw, K, kind, sub.shape[0], spec.builder(),
+                tw, K, kind, sub.shape[0], spec.action,
                 chi=chi, part=part, label="ps_sub(%d,%d)" % (chi.i, chi.j),
             )
         spec = _QuotientSpec(base, sub)
         return Weight(
-            tw, K, kind, base.dim - sub.shape[0], spec.builder(),
+            tw, K, kind, base.dim - sub.shape[0], spec.action,
             chi=chi, part=part, label="ps_quot(%d,%d)" % (chi.i, chi.j),
         )
     raise NotApplicable("unknown weight kind %r" % (kind,))
@@ -609,10 +743,11 @@ def closure(tower, width, seeds, actions):
 
 def spin(weight, seeds):
     """Rref basis of the submodule generated by the seed vectors: their
-    closure under gamma_generators, each applied to a block by one matmul."""
+    closure under gamma_generators, each applied to a whole block by the
+    weight's action."""
     tw = weight.tower
     actions = [
-        functools.partial(gfmat.matmul, tw, B=weight.matrix(g).T)
+        functools.partial(weight.act_rows, g)
         for g in gamma_generators(tw, weight.K)
     ]
     return closure(tw, weight.dim, seeds, actions).matrix()
@@ -632,10 +767,9 @@ def borel_eigenvectors(weight, chi):
         checker.add(row)
     blocks = []
     for t in gamma_torus_generators(tw, weight.K):
-        m = weight.matrix(t)
-        # restriction of m to the invariant space, minus chi(t)
+        # restriction of t to the invariant space, minus chi(t)
         val = chi.value(*t.torus_pair())
-        images = gfmat.matmul(tw, inv, m.T)
+        images = weight.act_rows(t, inv)
         if checker.reduce(images).any():
             raise CrossCheckFailed(
                 "torus does not preserve the invariant space"
@@ -694,7 +828,7 @@ def sub_weight(base, rows, label=None):
     spec = _SubSpec(base, rows)
     return Weight(
         base.tower, base.K, "sub_of_" + base.kind, spec.mat.shape[0],
-        spec.builder(), label=label or ("sub_of_" + base.label),
+        spec.action, label=label or ("sub_of_" + base.label),
     )
 
 
@@ -704,7 +838,7 @@ def quotient_weight(base, rows, label=None):
     spec = _QuotientSpec(base, rows)
     return Weight(
         base.tower, base.K, "quotient_of_" + base.kind,
-        base.dim - spec.sub.dim, spec.builder(),
+        base.dim - spec.sub.dim, spec.action,
         label=label or ("quotient_of_" + base.label),
     )
 

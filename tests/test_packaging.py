@@ -2,8 +2,9 @@
 the benchmark's tracer wraps exists, the package keeps its derived tables
 only in owned memo tables, no module imports a name it never uses, no
 production solve sweeps a whole reduced subgroup, the materialized T
-stays an oracle, both spins run the one closure loop, and the batched coset
-read has one production route."""
+stays an oracle, both spins run the one closure loop, the batched coset
+read has one production route, and weights act through their array
+action."""
 
 import ast
 import importlib
@@ -169,3 +170,15 @@ def test_one_route_into_the_batch():
     memoized product read: every batched coset read is one record of the
     product table."""
     assert _uses_outside({"nf_uak_batch"}, {"_product_read"}) == []
+
+
+def test_weights_act_through_arrays():
+    """In the package, the scalar classify_coset is named only in
+    gamma_lift_word, so no weight builds sigma(gamma) one coset at a time
+    (they classify through weights.classify_rows), and _transport_ids never
+    calls Weight.matrix: it passes a read's residues to the weight's
+    action."""
+    assert _uses_outside({"classify_coset"}, {"gamma_lift_word"}) == []
+    uses = _uses_outside({"matrix", "apply"}, set())
+    assert not any(u.endswith("matrix in _transport_ids") for u in uses)
+    assert any(u.endswith("apply in _transport_ids") for u in uses)

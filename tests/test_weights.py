@@ -62,6 +62,62 @@ def test_coset_classification(tower):
                 assert (b * reps[idx]).key() == y.key()
 
 
+def _classify_rows_matches_scalar(tw, K, elems, columns=None):
+    """classify_rows of the elements against classify_coset of reps[i] g
+    for each element g and each representative index i of columns (all by
+    default)."""
+    reps, _ = W.borel_coset_reps(tw, K)
+    rows = np.array([g.m for g in elems], dtype=np.uint16)
+    k, a, c = W.classify_rows(tw, K, rows)
+    assert k.shape == a.shape == c.shape == (len(elems), len(reps))
+    for n, g in enumerate(elems):
+        for i in range(len(reps)) if columns is None else columns:
+            idx, b = W.classify_coset(tw, K, reps[i] * g)
+            assert (k[n, i], a[n, i], c[n, i]) == (idx,) + b.torus_pair()
+
+
+def test_classify_rows_on_the_whole_group(tower):
+    """At q = 3 the array classification agrees with classify_coset on every
+    element of the reduced group (torus x upper unipotent x coset
+    representative, each element once) at both compacts, and on every
+    coset representative times the first hundred of them."""
+    for K, order in ((K0, 24192), (K1, 384)):
+        reps, _ = W.borel_coset_reps(tower, K)
+        group = [
+            t * u * x
+            for t in W.gamma_torus(tower, K)
+            for u in W.gamma_upper(tower, K)
+            for x in reps
+        ]
+        assert len({g.key() for g in group}) == order
+        _classify_rows_matches_scalar(tower, K, group, columns=[0])
+        _classify_rows_matches_scalar(tower, K, group[:100])
+
+
+@pytest.mark.parametrize("p, f", [(5, 1), (7, 1), (3, 2)])
+def test_classify_rows_on_generator_products(p, f, tower5, tower7):
+    """At q = 5, 7 and 9 the array classification agrees with
+    classify_coset on gamma_generators and their pairwise products, at both
+    compacts and on every coset representative."""
+    tw = {(5, 1): tower5, (7, 1): tower7}.get((p, f)) or Tower(p, f)
+    for K in BOTH:
+        gens = W.gamma_generators(tw, K)
+        _classify_rows_matches_scalar(
+            tw, K, gens + [a * b for a in gens for b in gens]
+        )
+
+
+def test_classify_rows_rejects_a_non_element(tower):
+    """A row that is no reduced element fails the certified Borel part or
+    the label lookup, as the scalar classification does."""
+    for K in BOTH:
+        bad = np.array([[1, 1, 0, 0, 1, 0, 1, 0, 1]], dtype=np.uint16)
+        with pytest.raises(CrossCheckFailed):
+            W.classify_coset(tower, K, GammaElem(tower, K, bad[0].tolist()))
+        with pytest.raises(CrossCheckFailed):
+            W.classify_rows(tower, K, bad)
+
+
 def test_ps_dimensions(tower):
     chi0 = Character(tower, 0, 0)
     for K, d in ((K0, 28), (K1, 4)):
