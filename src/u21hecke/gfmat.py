@@ -175,6 +175,18 @@ def in_row_space(tw, basis, v):
     return rank(tw, stacked) == rank(tw, basis)
 
 
+def _clear(tw, v, rows):
+    """Clear, in place, the pivot p of each (p, row) of rows, in turn, in
+    every row of the 2-D array v, by subtracting v[:, p] times the row; the
+    rows are reduced, each 1 at its pivot and 0 at the pivots of the
+    others."""
+    for p, row in rows:
+        f = tw.neg[v[:, p]]
+        hit = np.flatnonzero(f)
+        if hit.size:
+            v[hit] = tw.add[v[hit], tw.mul[f[hit, None], row]]
+
+
 class Basis:
     """Incrementally maintained reduced row echelon basis of a row space."""
 
@@ -188,11 +200,7 @@ class Basis:
         tw = self.tw
         v = np.array(v, dtype=np.uint16, copy=True)
         if v.ndim == 2:
-            for p, row in self.rows:
-                f = tw.neg[v[:, p]]
-                hit = np.flatnonzero(f)
-                if hit.size:
-                    v[hit] = tw.add[v[hit], tw.mul[f[hit, None], row]]
+            _clear(tw, v, self.rows)
             return v
         for p, row in self.rows:
             c = v[p]
@@ -216,6 +224,32 @@ class Basis:
         self.rows.append((p, v))
         self.rows.sort(key=lambda t: t[0])
         return p
+
+    def extend(self, block):
+        """Insert every row of an (m, width) block: one reduction of the
+        whole block modulo the span and one rref of what is left, whose
+        rows are added at once (the old rows cleared at their pivots).
+        Returns the added rows, whose span modulo the old span is that of
+        the block."""
+        tw = self.tw
+        left = self.reduce(np.reshape(block, (-1, self.width)))
+        # the rref runs on the columns where something is left
+        cols = np.flatnonzero(left.any(axis=0))
+        R, piv = rref(tw, left[:, cols])
+        new = zeros((len(piv), self.width))
+        new[:, cols] = R[: len(piv)]
+        if not piv:
+            return new
+        piv = cols[piv].tolist()
+        if self.rows:
+            # the new rows vanish at the old pivots, so clearing their own
+            # pivots in the old rows keeps those rows reduced
+            old = self.matrix()
+            _clear(tw, old, zip(piv, new))
+            self.rows = [(p, row) for (p, _), row in zip(self.rows, old)]
+        self.rows.extend(zip(piv, new))
+        self.rows.sort(key=lambda t: t[0])
+        return new
 
     def contains(self, v):
         return not self.reduce(v).any()

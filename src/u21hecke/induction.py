@@ -98,6 +98,7 @@ from .words import (
     grid_layer_span,
     nf_uak,
     nf_uak_batch,
+    tag_from_coords,
     tag_of_nf,
     word_from_tag,
 )
@@ -406,8 +407,10 @@ def _point_values(weight, inv_tails, inv_heads, stored):
 class InducedFn:
     """Finitely supported equivariant function in normalized form.
 
-    data maps coset tags to nonzero value tuples; the element is
-    sum over tags of [rep(tag), value].  Instances are treated as
+    data maps coset tags (n, i), the shift cell n and the grid index i of
+    the coset in that cell (words.tag_from_coords), to nonzero value
+    tuples; the element is sum over tags of [rep(tag), value], with
+    rep = word_from_tag.  Instances are treated as
     immutable: all operations return new objects."""
 
     __slots__ = ("weight", "data")
@@ -554,16 +557,9 @@ def grid_count(tower, K, n):
 
 
 def grid_tags(tower, K, n):
-    """All canonical tags of shift cell n, in deterministic order."""
-    span = grid_layer_span(tower, K, n)
-    if not span:
-        yield (0, ())
-        return
-    lists = [
-        [(k, xi, ti) for (xi, ti) in layer_coords(tower, k)] for k, _ in span
-    ]
-    for combo in itertools.product(*lists):
-        yield (n, combo)
+    """All canonical tags of shift cell n, in grid order: (n, i) for i
+    below grid_count."""
+    return zip(itertools.repeat(n), range(grid_count(tower, K, n)))
 
 
 def grid_value(weight, n):
@@ -1271,7 +1267,7 @@ def translation_recursion_check(
         coords = tuple(
             (k, *rng.choice(layer_coords(tw, k))) for k, _ in span
         )
-        src_tag = (n_from, coords)
+        src_tag = tag_from_coords(tw, K, n_from, coords)
         prefix = rng.choice(prefixes)
         products.append(prefix + word_from_tag(tw, K, src_tag))
     read = _normalize_words(tw, K, products)

@@ -13,6 +13,8 @@ quotients over the residue field, and the scan that finds the unipotent
 depth constants of each compact.
 """
 
+import numpy as np
+
 from .errors import (
     CrossCheckFailed,
     InsufficientPrecision,
@@ -394,20 +396,43 @@ def in_iwahori_unipotent(tower, K, g):
 
 
 def layer_coords(tower, k):
-    """Deterministic coordinate list for the k-th filtration layer of the
-    upper unipotent subgroup: pairs (x, y0) of residue indices with
+    """Coordinate tuple of the k-th filtration layer of the upper unipotent
+    subgroup, in sorted order: pairs (x, y0) of residue indices with
     x * conj(x) + y0 + conj(y0) = 0 when k is even (y0 may be zero only with
-    x = 0), and (0, y0) with y0 of trace zero when k is odd."""
+    x = 0), and (0, y0) with y0 of trace zero when k is odd.  The position
+    of a pair in this tuple is its digit in a coset tag's grid index
+    (words.tag_from_coords), so the order is part of the tag."""
+    return _layer_coords(tower, k % 2)
+
+
+@memo
+def _layer_coords(tower, parity):
     tw = tower
-    if k % 2 == 0:
+    if parity == 0:
         out = []
         for xi in range(tw.Q):
             c = tw.n(tw.m_(xi, tw.c(xi)))
             for ti in range(tw.Q):
                 if tw.a(ti, tw.c(ti)) == c:
                     out.append((xi, ti))
-        return out
-    return [(0, ti) for ti in tw.trace_zero]
+        return tuple(out)
+    return tuple((0, ti) for ti in tw.trace_zero)
+
+
+def layer_positions(tower, k):
+    """The position in layer_coords(k) of every pair (x, y0) as an int64
+    array of Q^2 entries, indexed by x * Q + y0; -1 at a pair that is not a
+    layer coordinate."""
+    return _layer_positions(tower, k % 2)
+
+
+@memo
+def _layer_positions(tower, parity):
+    out = np.full(tower.Q * tower.Q, -1, dtype=np.int64)
+    for i, (xi, ti) in enumerate(_layer_coords(tower, parity)):
+        out[xi * tower.Q + ti] = i
+    out.flags.writeable = False
+    return out
 
 
 def layer_atom(tower, k, coords, prime=False):

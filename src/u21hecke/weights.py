@@ -509,7 +509,8 @@ class BuiltWeight(Weight):
 
     def _by_matrices(self, rows, ids, vecs):
         out = np.empty((len(vecs), self.dim), dtype=np.uint16)
-        for r in np.unique(ids).tolist():
+        # the ids are small: np.unique without return_* would import numpy.ma
+        for r in np.flatnonzero(np.bincount(ids)).tolist():
             at = np.flatnonzero(ids == r)
             m = self.matrix(GammaElem(self.tower, self.K, rows[r].tolist()))
             out[at] = gfmat.matmul(self.tower, np.asarray(vecs)[at], m.T)
@@ -723,20 +724,18 @@ def closure(tower, width, seeds, actions):
     """Rref gfmat.Basis of the least space of width-vectors holding the
     seeds and stable under each action, which maps an (m, width) block of
     rows to their images.  Each round applies every action to the whole
-    frontier (the rows the last round added; the seeds themselves first),
-    reduces the images by Basis.reduce's 2-D path and adds the survivors.
+    frontier (the rows the last round added; the seeds themselves first)
+    and inserts the images by Basis.extend, which reduces them as one block.
     Raises ClosureBudgetExceeded once the basis passes SPIN_BUDGET."""
     basis = gfmat.Basis(tower, width)
     block, round_actions = np.asarray(seeds, dtype=np.uint16), [np.copy]
     while len(block):
         frontier = []
         for act in round_actions:
-            for row in basis.reduce(act(block)):
-                if row.any() and basis.add(row) is not None:
-                    frontier.append(row)
-                    if basis.dim > SPIN_BUDGET:
-                        raise ClosureBudgetExceeded("closure passed SPIN_BUDGET")
-        block = np.array(frontier, dtype=np.uint16).reshape(-1, width)
+            frontier.append(basis.extend(act(block)))
+            if basis.dim > SPIN_BUDGET:
+                raise ClosureBudgetExceeded("closure passed SPIN_BUDGET")
+        block = np.concatenate(frontier)
         round_actions = actions
     return basis
 

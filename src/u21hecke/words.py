@@ -17,8 +17,14 @@ unipotent.  nf_uak reads those numbers straight off the entries of g:
 No series is inverted, so the result does not depend on the precision
 window.  The mirrored shape k * shift^T * u comes from the inverted word
 (nf_kau); function evaluation reads the coset of the inverted point the same
-way, without forming it.  The coset tag is (T, layer coordinates), and
-word_from_tag builds its canonical representative u * shift^T.
+way, without forming it.
+
+The coset tag is the pair (T, i) of two ints: the shift cell T and the grid
+index i of the layer coordinates, a mixed-radix number whose digits are the
+positions of the layers' (x, y) in their sorted layer_coords
+(tag_from_coords).  Grid order is therefore the order of the coordinates,
+and tag[0] is the cell.  tag_coords reads the coordinates back, and
+word_from_tag builds the canonical representative u * shift^T.
 
 nf_uak_batch gives the same read, and the residue of k, for many words at
 once, as arrays.  A word of shifts, involutions and unipotent or diagonal
@@ -32,16 +38,17 @@ atoms are applied by column operations to the head columns its pairs use.
 All of a call's matrices are then stacked into one array over their common
 degree range, and steps 1-3, the membership certificate and the residue
 read run once per distinct (shift, pivot column) on all of its matrices, by
-lookups in the tower's add, mul, neg, inv and frob tables.  The result is a
-tag id per pair over the call's distinct tags (a tag tuple is built once
-per distinct coordinate row, numbered by gfmat.row_ids) and the (N, 9)
-residue rows.  A word of any other form gets the id -1, and a word that
-fails a certificate raises the scalar route's error.  The scalar nf_uak
+lookups in the tower's add, mul, neg, inv and frob tables.  The
+coordinates become grid indices by table lookups and one int64 Horner pass
+per cell (_grid_indices), numbered by one np.unique.  The result is a tag
+id per pair over the call's distinct tags and the (N, 9) residue rows.  A
+word of any other form gets the id -1, and a word that fails a
+certificate raises the scalar route's error.  The scalar nf_uak
 serves single words (tag_of, and the scalar coset_normalize of a word the
 batch does not carry or of a small call) and is the batch's test oracle.
 """
 
-import itertools
+import math
 
 import numpy as np
 
@@ -50,10 +57,10 @@ from .errors import (
     CrossCheckFailed,
     InsufficientPrecision,
     MembershipViolated,
+    NotApplicable,
     RelationViolated,
 )
 from .fields import memo
-from .gfmat import row_ids
 from .laurent import Series
 from .mat3 import Mat3, unitary_inverse
 from .unitary_group import (
@@ -69,6 +76,8 @@ from .unitary_group import (
     in_compact,
     iwahori_constants,
     layer_atom,
+    layer_coords,
+    layer_positions,
     require_compact,
     word_inverse,
     word_matrix,
@@ -86,9 +95,10 @@ class NormalForm:
     """Certified factorization word = u * shift^T * k.
 
     t is the shift, k the closing factor (a Mat3 certified in the compact)
-    and coords the tag's (layer, x, depth) coordinates, zero layers
-    included.  u, the nonzero layer atoms, is rebuilt from the tag when
-    asked for rather than kept, since the nf_uak memo holds one
+    and coords the (layer, x, depth) coordinates over grid_layer_span(t),
+    zero layers included; the coset tag (t, i) encodes them by their grid
+    index (tag_of_nf).  u, the nonzero layer atoms, is rebuilt from coords
+    when asked for rather than kept, since the nf_uak memo holds one
     instance per normalized word."""
 
     __slots__ = ("tower", "K", "t", "k", "coords")
@@ -102,8 +112,8 @@ class NormalForm:
 
     @property
     def u(self):
-        """The representative word_from_tag(tag) without its shift."""
-        return word_from_tag(self.tower, self.K, (self.t, self.coords))[:-1]
+        """The layer atoms of word_from_tag(tag), built from coords."""
+        return _rep_word(self.tower, self.t, self.coords)[:-1]
 
     def __repr__(self):
         return "NormalForm(t=%d, |coords|=%d)" % (self.t, len(self.coords))
@@ -220,27 +230,82 @@ def sort_unipotent_mix(tower, atoms, lower_first=True):
 # coset tags
 
 
+# A grid index below this bound fits int64, where nf_uak_batch joins the
+# digits of a whole cell at once; a cell of more cosets is joined in Python
+# ints (_grid_indices).
+_INDEX_LIMIT = 2**63
+
+
+@memo
+def _cell_layers(tower, K, t):
+    """(layer, layer_coords(layer), layer_positions(layer)) for each layer
+    of grid_layer_span(t), in order."""
+    return tuple(
+        (layer, layer_coords(tower, layer), layer_positions(tower, layer))
+        for layer, _ in grid_layer_span(tower, K, t)
+    )
+
+
+def tag_from_coords(tower, K, t, coords):
+    """The coset tag (t, i) of the layer coordinates ((layer, x, y), ...)
+    of shift cell t, one per layer of grid_layer_span(t): i is the
+    mixed-radix number whose digits, most significant first, are the
+    positions of the pairs (x, y) in layer_coords(layer).  The layer
+    coordinates are sorted, so grid order is the lexicographic order of
+    the coordinates."""
+    layers = _cell_layers(tower, K, t)
+    if len(coords) != len(layers):
+        raise NotApplicable("cell %d has %d layers" % (t, len(layers)))
+    i, Q = 0, tower.Q
+    for (layer, cs, pos), (k, xi, ti) in zip(layers, coords):
+        digit = int(pos[xi * Q + ti]) if k == layer else -1
+        if digit < 0:
+            raise NotApplicable("(%d, %d, %d) is no coordinate of layer %d"
+                                % (k, xi, ti, layer))
+        i = i * len(cs) + digit
+    return (t, i)
+
+
+def tag_coords(tower, K, tag):
+    """The layer coordinates ((layer, x, y), ...) of a coset tag (t, i),
+    one per layer of grid_layer_span(t): the inverse of tag_from_coords."""
+    t, i = tag
+    out = []
+    for layer, cs, _ in reversed(_cell_layers(tower, K, t)):
+        i, digit = divmod(i, len(cs))
+        out.append((layer,) + cs[digit])
+    if i:
+        raise NotApplicable("tag %r lies outside the grid of its cell" % (tag,))
+    return tuple(out[::-1])
+
+
 def tag_of_nf(tower, K, nf):
     """Canonical coset tag of a normal form: the shift exponent together
-    with the layer coordinates that the stabilizer does not absorb (lower
-    layers for a positive shift, upper layers for a negative one)."""
-    return (nf.t, nf.coords)
+    with the grid index of the layer coordinates that the stabilizer does
+    not absorb (lower layers for a positive shift, upper layers for a
+    negative one)."""
+    return tag_from_coords(tower, K, nf.t, nf.coords)
 
 
 def tag_of(tower, K, word):
     return tag_of_nf(tower, K, nf_uak(tower, K, word))
 
 
-def word_from_tag(tower, K, tag):
-    """Canonical representative word of a coset tag."""
-    t, coords = tag
+def _rep_word(tower, t, coords):
+    """u * shift^t, with u the layer atoms of the nonzero coordinates."""
     prime = t >= 1
-    atoms = []
-    for (k, xi, ti) in coords:
-        if xi or ti:
-            atoms.append(layer_atom(tower, k, (xi, ti), prime=prime))
+    atoms = [
+        layer_atom(tower, k, (xi, ti), prime=prime)
+        for (k, xi, ti) in coords
+        if xi or ti
+    ]
     atoms.append(atom_alpha(t))
     return tuple(atoms)
+
+
+def word_from_tag(tower, K, tag):
+    """Canonical representative word of a coset tag."""
+    return _rep_word(tower, tag[0], tag_coords(tower, K, tag))
 
 
 # ---------------------------------------------------------------------------
@@ -552,6 +617,45 @@ def _read_cell(blk, K, t, j):
     return coords, m.T
 
 
+def _distinct(a):
+    """The distinct values of an array of nonnegative integers, in
+    increasing order, as a list.  (np.unique without return_index or
+    return_inverse calls np.ma.is_masked, whose first call imports
+    numpy.ma.)"""
+    return np.flatnonzero(np.bincount(a)).tolist()
+
+
+def _grid_indices(tower, K, t, coords):
+    """The grid index (tag_from_coords) of each row of the (N, 2L) array of
+    layer coordinates of shift cell t, numbered: (ids, indices), where row
+    r has the index indices[ids[r]] and indices lists the distinct indices
+    in increasing order.  Each layer's pairs become digits by one lookup in
+    its position table (layer_positions); _read_cell has checked the
+    unipotent relation, so every pair is a layer coordinate.  The digits
+    are joined by a Horner pass in int64; in a cell of more than
+    _INDEX_LIMIT cosets, where int64 would overflow, they are joined in
+    Python ints, once per distinct row of digits."""
+    Q, layers = tower.Q, _cell_layers(tower, K, t)
+    sizes = [len(cs) for _, cs, _ in layers]
+    digits = np.empty((len(coords), len(layers)), dtype=np.int64)
+    for n, (_, _, pos) in enumerate(layers):
+        digits[:, n] = pos[coords[:, 2 * n] * Q + coords[:, 2 * n + 1]]
+    if math.prod(sizes) <= _INDEX_LIMIT:
+        index = np.zeros(len(coords), dtype=np.int64)
+        for n, size in enumerate(sizes):
+            index = index * size + digits[:, n]
+        indices, ids = np.unique(index, return_inverse=True)
+        return ids, indices.tolist()
+    rows, ids = np.unique(digits, axis=0, return_inverse=True)
+    indices = []
+    for row in rows.tolist():
+        i = 0
+        for size, digit in zip(sizes, row):
+            i = i * size + digit
+        indices.append(i)
+    return ids.reshape(-1), indices
+
+
 def nf_uak_batch(tower, K, heads, tails=((),), pairs=None):
     """The tags and residues that coset_normalize gives the words heads[i] +
     tails[j], for each (i, j) of pairs, read for all of them at once.  By
@@ -574,8 +678,8 @@ def nf_uak_batch(tower, K, heads, tails=((),), pairs=None):
     are stacked again, so the row minima, the shift and the pivot are found
     once for the whole call, and the read of nf_uak and the residue read of
     reduce_to_gamma run once per distinct (shift, pivot).  Within one such
-    read the coordinate rows are numbered by gfmat.row_ids, and a tag tuple
-    is built once per distinct row.  A matrix that fails the unipotent
+    read the coordinates become grid indices (_grid_indices), and a tag
+    pair is built once per distinct index.  A matrix that fails the unipotent
     relation, the membership of k in K or the residue unitarity raises the
     scalar route's error (RelationViolated, CrossCheckFailed,
     MembershipViolated); it is never routed around."""
@@ -588,7 +692,7 @@ def nf_uak_batch(tower, K, heads, tails=((),), pairs=None):
     index, forms = {}, {}
     # column of each carried head in the stacked head block, -1 elsewhere
     col, blocks, n = np.full(len(heads), -1, dtype=np.intp), [], 0
-    for sig, (hs, cs) in _by_signature(heads, np.unique(hi).tolist(), forms).items():
+    for sig, (hs, cs) in _by_signature(heads, _distinct(hi), forms).items():
         col[hs] = np.arange(n, n + len(hs))
         n += len(hs)
         blk = _Block.identity(tower, len(hs))
@@ -599,7 +703,7 @@ def nf_uak_batch(tower, K, heads, tails=((),), pairs=None):
     head_blk = _Block.stack(tower, blocks)
     hcol = col[hi]
     rows, blocks = [], []
-    for sig, (ts, cs) in _by_signature(tails, np.unique(ti).tolist(), forms).items():
+    for sig, (ts, cs) in _by_signature(tails, _distinct(ti), forms).items():
         pos = np.full(len(tails), -1, dtype=np.intp)
         pos[ts] = np.arange(len(ts))
         tpos = pos[ti]
@@ -620,22 +724,15 @@ def nf_uak_batch(tower, K, heads, tails=((),), pairs=None):
     low = np.minimum(v2, 0)
     t = np.where(v0 < low, -v0, low)
     j = np.where(t > 0, j0, np.where(t < 0, j2, 0))
-    key = 3 * t + j
-    for kv in np.unique(key).tolist():
-        sub = np.flatnonzero(key == kv)
+    cells, cell_of = np.unique(3 * t + j, return_inverse=True)
+    for c, kv in enumerate(cells.tolist()):
+        sub = np.flatnonzero(cell_of == c)
         shift, pivot = divmod(kv, 3)
         part = blk if len(sub) == len(rows) else blk.take(sub)
         coords, m = _read_cell(part, K, shift, pivot)
-        local, first = row_ids(coords)
-        # the tag of each distinct coordinate row, built column-wise
-        cols = coords[first].T.tolist()
-        layers = [
-            zip(itertools.repeat(layer), cols[2 * k], cols[2 * k + 1])
-            for k, (layer, _) in enumerate(grid_layer_span(tower, K, shift))
-        ]
-        tags = zip(itertools.repeat(shift), zip(*layers) if layers else [()])
+        local, indices = _grid_indices(tower, K, shift, coords)
         # a tag can be read under two pivots, so the ids go through one index
-        at = [index.setdefault(tag, len(index)) for tag in tags]
+        at = [index.setdefault((shift, i), len(index)) for i in indices]
         ids[rows[sub]] = np.array(at, dtype=np.intp)[local]
         residues[rows[sub]] = m
     return ids, list(index), residues

@@ -234,6 +234,31 @@ def test_basis_matches_reference(tw, data):
         assert gfmat.in_row_space(tw, V, w) == in_span
 
 
+@on_towers
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_basis_extend_matches_reference(tw, data):
+    """Basis.extend inserts a block of rows as one reduction: after blocks
+    V_1, V_2, ... the basis is the rref of their stack, and each call
+    returns rows that are rref'd, vanish at the old pivots and span the
+    new part (old span plus them is the new span)."""
+    width = data.draw(st.integers(1, 6), label="width")
+    basis, seen = gfmat.Basis(tw, width), np.zeros((0, width), dtype=np.uint16)
+    for _ in range(data.draw(st.integers(1, 4), label="blocks")):
+        V = data.draw(matrices(tw, data.draw(st.integers(0, 4)), width), label="V")
+        old_piv = basis.pivots()
+        added = basis.extend(V)
+        seen = np.concatenate([seen, V])
+        R_ref, pivots_ref = ref_rref(tw, seen)
+        assert basis.pivots() == pivots_ref
+        assert np.array_equal(basis.matrix().reshape(-1, width),
+                              R_ref[: len(pivots_ref)])
+        assert len(added) == len(pivots_ref) - len(old_piv)
+        assert not added[:, old_piv].any()
+        assert np.array_equal(added, ref_rref(tw, added)[0])
+        assert all(basis.contains(row) for row in added)
+
+
 # ---------------------------------------------------------------------------
 # numbering distinct rows
 

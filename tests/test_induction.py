@@ -30,7 +30,13 @@ from u21hecke.unitary_group import (
     layer_transversal,
     word_inverse,
 )
-from u21hecke.words import nf_uak, tag_of, word_from_tag
+from u21hecke.words import (
+    nf_uak,
+    tag_coords,
+    tag_from_coords,
+    tag_of,
+    word_from_tag,
+)
 
 from reads import expand, expand_batch
 
@@ -436,7 +442,7 @@ def test_eval_agreement_basis_vs_grid(tower, catalog):
                 fg = I.f_grid(wt, n)
                 pts = I._invariance_points(fb)
                 # plus deliberately off-support points
-                pts.append(word_from_tag(tower, K, (0, ())))
+                pts.append(word_from_tag(tower, K, (0, 0)))
                 for x in pts:
                     assert fb.eval_at(x) == fg.eval_at(x)
                 assert (I._tuples(fb.values_at(pts))
@@ -446,6 +452,24 @@ def test_eval_agreement_basis_vs_grid(tower, catalog):
                 assert I._tuples(fb.values_at(pts, tails)) == [
                     fg.eval_at(x + t) for x in pts for t in tails
                 ]
+
+
+def test_invariance_points_follow_coordinate_order(tower, catalog):
+    """_invariance_points picks, in each cell of the support, the cosets
+    whose layer coordinates come first and in the middle in sorted order
+    (as when a tag held its coordinates), then the compact's involution
+    times the last pick."""
+    bw = beta_compact_word(K1)
+    w = catalog[(K1, "steinberg")]
+    f = I.f_basis(w, 2).add(I.f_basis(w, -1)).add(I.f_basis(w, 0))
+    want = []
+    for n in (-1, 0, 2):
+        olds = sorted(tag_coords(tower, K1, t) for t in f.data if t[0] == n)
+        for old in [olds[0]] + ([olds[len(olds) // 2]] if len(olds) > 1 else []):
+            tag = tag_from_coords(tower, K1, n, old)
+            want.append(word_inverse(tower, word_from_tag(tower, K1, tag)))
+        want.append(bw + want[-1])
+    assert I._invariance_points(f) == want
 
 
 def test_eval_off_support_is_zero(tower, catalog):

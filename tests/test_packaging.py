@@ -4,11 +4,13 @@ only in owned memo tables, no module imports a name it never uses, no
 production solve sweeps a whole reduced subgroup, the materialized T
 stays an oracle, both spins run the one closure loop, the batched coset
 read has one production route, and weights act through their array
-action."""
+action, and a product read does not import numpy.ma."""
 
 import ast
 import importlib
+import os
 import re
+import subprocess
 import sys
 import tomllib
 from pathlib import Path
@@ -43,6 +45,34 @@ def test_benchmark_tracer_targets_resolve():
         trace.install()
     finally:
         trace.uninstall()
+
+
+NO_MASKED_ARRAYS = """
+import sys
+import numpy as np
+from u21hecke import gfmat, induction as I, weights as W
+from u21hecke.fields import Tower
+tw = Tower(3, 1)
+words = [I.word_from_tag(tw, "K0", t) for t in I.grid_tags(tw, "K0", 2)][:64]
+read = I._normalize_words(tw, "K0", words)
+rows = np.array([g.m for g in read.residues], dtype=np.uint16)
+w = W.make_weight(tw, "K0", W.STEINBERG)
+w.apply(rows, read.res_ids, np.ones((len(read), w.dim), dtype=np.uint16))
+b = W.BuiltWeight(tw, "K0", "spanned", 2, lambda gamma: gfmat.eye(2))
+b.apply(rows, read.res_ids, np.ones((len(read), 2), dtype=np.uint16))
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_product_read_imports_no_masked_arrays():
+    """A q = 3 product read (batched) and Weight.apply, through an action
+    and through a builder, leave numpy.ma unimported: np.unique without
+    return_index or return_inverse imports it on its first call, inside
+    the first timed check of a benchmark pass."""
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run([sys.executable, "-c", NO_MASKED_ARRAYS], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["False"]
 
 
 def _dict_valued(node):

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from u21hecke import induction as I
 from u21hecke import words as words_mod
-from u21hecke.errors import CrossCheckFailed, InsufficientPrecision
+from u21hecke.errors import CrossCheckFailed, InsufficientPrecision, NotApplicable
 from u21hecke.fields import Tower
 from u21hecke.laurent import Series
 from u21hecke.mat3 import EXACT_ONE, Mat3
@@ -26,6 +26,7 @@ from u21hecke.unitary_group import (
     iwahori_constants,
     layer_atom,
     layer_coords,
+    layer_positions,
     reduce_to_gamma,
     torus_unit_atoms,
     word_inverse,
@@ -37,6 +38,8 @@ from u21hecke.words import (
     nf_uak,
     nf_uak_batch,
     sort_unipotent_mix,
+    tag_coords,
+    tag_from_coords,
     tag_of,
     tag_of_nf,
     word_from_tag,
@@ -91,8 +94,8 @@ def check_nf(K, word):
     assert tag_of(TW, K, rep) == tg
     # rep lies in the same double coset: rep^-1 * g has the trivial tag shape
     comb = word_inverse(TW, rep) + tuple(word)
-    t0, coords0 = tag_of(TW, K, comb)
-    assert t0 == 0 and coords0 == ()
+    tg0 = tag_of(TW, K, comb)
+    assert tg0[0] == 0 and tag_coords(TW, K, tg0) == ()
     k_mat, t_mirror, u = nf_kau(TW, K, word)
     lhs2 = k_mat * word_matrix(TW, (atom_alpha(t_mirror),) + tuple(u))
     assert lhs.eq_to_prec(lhs2, min_prec=1)
@@ -139,13 +142,15 @@ def test_tag_coords_shapes():
     nK, mK, _ = iwahori_constants(TW, "K0")
     # positive side: 2t - 1 layers of lower-unipotent data starting at mK
     tg = tag_of(TW, "K0", (atom_alpha(2),))
-    assert tg[0] == 2 and len(tg[1]) == 3
-    assert [c[0] for c in tg[1]] == [mK, mK + 1, mK + 2]
+    coords = tag_coords(TW, "K0", tg)
+    assert tg[0] == 2 and len(coords) == 3
+    assert [c[0] for c in coords] == [mK, mK + 1, mK + 2]
     # negative side: 2|t| layers of upper-unipotent data starting at nK
     tg2 = tag_of(TW, "K0", (atom_alpha(-2),))
-    assert tg2[0] == -2 and len(tg2[1]) == 4
-    assert [c[0] for c in tg2[1]] == [nK, nK + 1, nK + 2, nK + 3]
-    assert all(c[1:] == (0, 0) for c in tg2[1])
+    coords2 = tag_coords(TW, "K0", tg2)
+    assert tg2[0] == -2 and len(coords2) == 4
+    assert [c[0] for c in coords2] == [nK, nK + 1, nK + 2, nK + 3]
+    assert all(c[1:] == (0, 0) for c in coords2)
 
 
 def test_distinct_layer_data_gives_distinct_tags():
@@ -556,3 +561,105 @@ def test_corrupt_row_in_a_shared_read_raises():
         nf_uak_batch(tw, K0, good, [(), (scale,)], [(0, 0), (80, 1), (3, 0)])
     with pytest.raises(CrossCheckFailed):
         I._normalize_words(tw, K0, good + [bad])
+
+
+# ---------------------------------------------------------------------------
+# grid indices
+
+
+def brute_layer_coords(tw, k):
+    """Every pair (x, y) with x * conj(x) + y + conj(y) = 0, and x = 0 on
+    an odd layer, in increasing order."""
+    add, mul, frob = tw.add, tw.mul, tw.frob
+    return [
+        (x, y)
+        for x in range(tw.Q if k % 2 == 0 else 1)
+        for y in range(tw.Q)
+        if add[mul[x, frob[x]], add[y, frob[y]]] == 0
+    ]
+
+
+@pytest.mark.parametrize("fixture", ["tower", "tower5", "tower7"])
+def test_layer_coords_sorted_and_complete(fixture, request):
+    """layer_coords is one memoized tuple per layer parity, sorted (the
+    grid index relies on it), and equal to the brute-force enumeration of
+    the relation; layer_positions inverts it."""
+    tw = request.getfixturevalue(fixture)
+    for k in range(-3, 4):
+        cs = layer_coords(tw, k)
+        assert isinstance(cs, tuple) and cs is layer_coords(tw, k + 2)
+        assert list(cs) == sorted(cs) == brute_layer_coords(tw, k)
+        pos = layer_positions(tw, k)
+        assert [pos[x * tw.Q + y] for x, y in cs] == list(range(len(cs)))
+        assert (pos >= 0).sum() == len(cs)
+
+
+ENCODED_CELLS = [(3, n) for n in range(-3, 4)] + [(5, n) for n in range(-2, 3)]
+
+
+@pytest.mark.parametrize("K", [K0, K1])
+@pytest.mark.parametrize("q, n", ENCODED_CELLS)
+def test_grid_index_follows_coordinate_order(q, n, K, tower, tower5):
+    """The coordinate tuples of a cell, in the order of the product of its
+    layers' coordinates, strictly increase, and the i-th of them has the
+    grid index i: for every tag in the batch's encoding (_grid_indices),
+    and for every tag of a cell of at most 4096 (a spread sample of 4096
+    above that) in tag_from_coords, whose inverse tag_coords is."""
+    tw = tower if q == 3 else tower5
+    span = words_mod.grid_layer_span(tw, K, n)
+    grids = [np.array(layer_coords(tw, k), dtype=np.uint16) for k, _ in span]
+    count = I.grid_count(tw, K, n)
+    assert list(I.grid_tags(tw, K, n)) == [(n, i) for i in range(count)]
+    # row i: the x, y of each layer at the digits of i, in product order
+    digits = np.indices([len(g) for g in grids]).reshape(len(grids), count)
+    coords = np.zeros((count, 2 * len(grids)), dtype=np.uint16)
+    for c, (g, d) in enumerate(zip(grids, digits)):
+        coords[:, 2 * c : 2 * c + 2] = g[d]
+    if count > 1:
+        step = np.diff(coords.astype(np.int32), axis=0)
+        lead = step[np.arange(len(step)), (step != 0).argmax(axis=1)]
+        assert (lead > 0).all()
+    ids, indices = words_mod._grid_indices(tw, K, n, coords)
+    assert indices == list(range(count))
+    assert np.array_equal(ids, np.arange(count))
+    for i in sorted({*range(0, count, -(-count // 4096)), count - 1}):
+        old = tuple(
+            (k, int(coords[i, 2 * c]), int(coords[i, 2 * c + 1]))
+            for c, (k, _) in enumerate(span)
+        )
+        assert tag_coords(tw, K, (n, i)) == old
+        assert tag_from_coords(tw, K, n, old) == (n, i)
+    with pytest.raises(NotApplicable):
+        tag_coords(tw, K, (n, count))
+
+
+def test_grid_indices_past_int64():
+    """Cell -10 at q = 3 has 81^10 > 2^63 cosets: the batch numbers its
+    tags in exact Python ints, as tag_of does, for words drawn across the
+    whole grid (indices above and below 2^63)."""
+    tw = Tower(3, 1)
+    for K in (K0, K1):
+        count = I.grid_count(tw, K, -10)
+        assert count > words_mod._INDEX_LIMIT
+        rng = random.Random(1010)
+        tags = [(-10, rng.randrange(count)) for _ in range(6)]
+        tags += [(-10, 0), (-10, count - 1), (-10, 2**63 - 1), (-10, 2**63)]
+        words = [word_from_tag(tw, K, tag) for tag in tags]
+        ids, found, _ = nf_uak_batch(tw, K, words)
+        assert [found[i] for i in ids.tolist()] == tags
+        assert [tag_of(tw, K, w) for w in words] == tags
+
+
+def test_grid_index_fallback_matches_tag_of(monkeypatch):
+    """With the int64 limit forced down, every cell of more than one coset
+    is numbered by the Python-int fallback, and the batch still gives the
+    tags of tag_of."""
+    tw = Tower(3, 1)
+    monkeypatch.setattr(words_mod, "_INDEX_LIMIT", 1)
+    for K in (K0, K1):
+        words = [word_from_tag(tw, K, t) for n in (-2, -1, 0, 1, 2)
+                 for t in I.grid_tags(tw, K, n)][::37]
+        words += [w + (atom_beta(),) for w in words[:40]]
+        ids, tags, _ = nf_uak_batch(tw, K, words)
+        assert (ids >= 0).all()
+        assert [tags[i] for i in ids.tolist()] == [tag_of(tw, K, w) for w in words]
