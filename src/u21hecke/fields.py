@@ -7,6 +7,12 @@ modulo p^(2f) - 1 is 2f), so the coefficient field coincides with k_E and
 one set of tables serves both.
 
 Elements are table indices (0 = zero, 1 = one); all arithmetic is lookups.
+A scalar sum or product is one lookup in the Q x Q tables add and mul
+(Tower.a, Tower.m_); the sum or product of index arrays is one flat take
+over Q^2 entries (Tower.plus, Tower.times, Tower.plus_times), whose index
+x Q + y is formed in place in the narrowest unsigned type holding Q^2.
+In the package, every array lookup in add or mul goes through these three
+methods.
 """
 
 import numbers
@@ -204,6 +210,12 @@ class Tower:
         # the one precision default: inversion windows and shift budgets
         self.default_window = 16
         self._build_tables()
+        # x Q + y < Q^2 indexes the flat tables: uint16 up to Q = 256
+        self.index_dtype = np.uint16 if self.Q**2 <= 2**16 else np.uint32
+        self._add_flat = self.add.ravel()
+        self._mul_flat = self.mul.ravel()
+        # the products x y times Q, each the first index of a flat add entry
+        self._mul_q_flat = self._mul_flat.astype(self.index_dtype) * self.Q
         self.ctx = TableCtx(self.add, self.neg, self.mul, self.inv, self.frob)
         self._memo = {}
 
@@ -282,6 +294,36 @@ class Tower:
             int(i) for i in idxs[1:] if self.mul[i, self.frob[i]] == 1
         ]
         self.norm_one.sort(key=lambda i: int(np.mod(self.log[i], order)))
+
+    # ---- array arithmetic ----------------------------------------------
+    def _index(self, a, b):
+        """a Q + b for broadcast index arrays a and b in index_dtype, the
+        flat position of the table entry [a, b]: a scalar a is scaled in
+        Python, and b is added in place where a has the broadcast shape."""
+        dt = self.index_dtype
+        if np.ndim(a):
+            i = np.multiply(a, self.Q, dtype=dt, casting="unsafe")
+            if np.shape(b) == i.shape or np.broadcast(i, b).shape == i.shape:
+                return np.add(i, b, out=i, casting="unsafe")
+        else:
+            i = int(a) * self.Q
+        return np.add(i, b, dtype=dt, casting="unsafe")
+
+    def plus(self, a, b):
+        """The sums a + b of broadcast index arrays, as uint16."""
+        return self._add_flat.take(self._index(a, b))
+
+    def times(self, a, b):
+        """The products a b of broadcast index arrays, as uint16."""
+        return self._mul_flat.take(self._index(a, b))
+
+    def plus_times(self, x, c, y):
+        """x + c y for index arrays, with c and y broadcast and x
+        broadcastable to their shape: one take of (c y) Q from the
+        premultiplied product table, x added in place, one take from add."""
+        i = self._mul_q_flat.take(self._index(c, y))
+        np.add(i, x, out=i, casting="unsafe")
+        return self._add_flat.take(i)
 
     # ---- scalar helpers ------------------------------------------------
     def a(self, i, j):

@@ -2,9 +2,11 @@
 
 Matrices are numpy arrays of dtype uint16 whose entries are element indices
 of a Tower's coefficient field. Everything is exact (table lookups only),
-and each step is one whole-array lookup in the tower's tables: a product
-looks up every entry product at once and sums them by pairwise halving, and
-elimination clears a pivot column in all rows at once.
+and each step is one whole-array lookup through the tower's array methods
+(Tower.plus, Tower.times and Tower.plus_times, each one flat take): a
+product looks up every entry product at once and sums them by pairwise
+halving, and elimination clears a pivot column in all rows at once, one
+x + c y step.
 """
 
 import numpy as np
@@ -21,7 +23,7 @@ def eye(n):
 
 
 def add(tw, A, B):
-    return tw.add[A, B]
+    return tw.plus(A, B)
 
 
 def neg(tw, A):
@@ -29,11 +31,11 @@ def neg(tw, A):
 
 
 def sub(tw, A, B):
-    return tw.add[A, tw.neg[B]]
+    return tw.plus(A, tw.neg[B])
 
 
 def smul(tw, s, A):
-    return tw.mul[s, A]
+    return tw.times(s, A)
 
 
 def matmul(tw, A, B):
@@ -47,7 +49,7 @@ def matmul(tw, A, B):
         raise NotApplicable(
             "matmul of shapes %s and %s" % (A.shape, B.shape)
         )
-    return sum_rows(tw, tw.mul[A.T[:, :, None], B[:, None, :]])
+    return sum_rows(tw, tw.times(A.T[:, :, None], B[:, None, :]))
 
 
 def sum_rows(tw, P):
@@ -58,9 +60,9 @@ def sum_rows(tw, P):
         return zeros(P.shape[1:])
     while k > 1:
         h = k // 2
-        head = tw.add[P[:h], P[h : 2 * h]]
+        head = tw.plus(P[:h], P[h : 2 * h])
         if k % 2:
-            head[0] = tw.add[head[0], P[2 * h]]
+            head[0] = tw.plus(head[0], P[2 * h])
         P, k = head, h
     return P[0]
 
@@ -120,14 +122,13 @@ def rref(tw, A):
         if sel != row:
             R[[row, sel]] = R[[sel, row]]
         # columns left of col are zero in this row and all rows below it
-        R[row, col:] = tw.mul[tw.i_(int(R[row, col])), R[row, col:]]
+        R[row, col:] = tw.times(tw.i_(int(R[row, col])), R[row, col:])
         f = tw.neg[R[:, col]]
         f[row] = 0
         hit = np.flatnonzero(f)
         if hit.size:
-            R[hit, col:] = tw.add[
-                R[hit, col:], tw.mul[f[hit, None], R[row, col:]]
-            ]
+            R[hit, col:] = tw.plus_times(R[hit, col:], f[hit, None],
+                                         R[row, col:])
         pivots.append(col)
         row += 1
     return R, pivots
@@ -184,7 +185,7 @@ def _clear(tw, v, rows):
         f = tw.neg[v[:, p]]
         hit = np.flatnonzero(f)
         if hit.size:
-            v[hit] = tw.add[v[hit], tw.mul[f[hit, None], row]]
+            v[hit] = tw.plus_times(v[hit], f[hit, None], row)
 
 
 class Basis:
@@ -205,7 +206,7 @@ class Basis:
         for p, row in self.rows:
             c = v[p]
             if c:
-                v = tw.add[v, tw.mul[tw.neg[c], row]]
+                v = tw.plus_times(v, tw.neg[c], row)
         return v
 
     def add(self, v):
@@ -216,11 +217,11 @@ class Basis:
         if nz.size == 0:
             return None
         p = int(nz[0])
-        v = tw.mul[tw.i_(int(v[p])), v]
+        v = tw.times(tw.i_(int(v[p])), v)
         for i, (q, row) in enumerate(self.rows):
             c = row[p]
             if c:
-                self.rows[i] = (q, tw.add[row, tw.mul[tw.neg[c], v]])
+                self.rows[i] = (q, tw.plus_times(row, tw.neg[c], v))
         self.rows.append((p, v))
         self.rows.sort(key=lambda t: t[0])
         return p

@@ -117,8 +117,7 @@ CONSTANTS_N_TOP = 3
 
 
 def _vadd(tw, a, b):
-    add = tw.add
-    return tuple(int(add[x, y]) for x, y in zip(a, b))
+    return tuple(tw.a(x, y) for x, y in zip(a, b))
 
 
 def _vneg(tw, a):
@@ -129,13 +128,12 @@ def _vneg(tw, a):
 def _vscale(tw, s, a):
     if s == 1:
         return tuple(a)
-    mul = tw.mul
-    return tuple(int(mul[s, x]) for x in a)
+    return tuple(tw.m_(s, x) for x in a)
 
 
 def _vmat(tw, M, v):
     if len(v) == 1:
-        return (int(tw.mul[int(M[0, 0]), v[0]]),)
+        return (tw.m_(M[0, 0], v[0]),)
     return tuple(int(x) for x in gfmat.matvec(tw, M, np.asarray(v, dtype=np.uint16)))
 
 
@@ -213,12 +211,19 @@ def _product_read(tower, K, heads, tails):
     _BATCH_CHUNK words, so each head is built once per chunk and each tail
     applied by column operations.  A word the batch does not carry, and
     every word of a smaller call, goes through the scalar coset_normalize,
-    which keeps its own memo table per word.  The residues are numbered by
-    gfmat.row_ids over their entries."""
+    which keeps its own memo table per word.
+
+    The tags are numbered once, here: nf_uak_batch lists each read's tags
+    without numbering them, so one tag can be listed by several reads
+    (chunks, or pivots within a chunk).  One dict maps each listed tag to
+    its last place in the list, in one pass, and these places are ranked
+    in order of first appearance among the words.  The residues are
+    numbered by gfmat.row_ids over their entries."""
     nh, n = len(heads), len(heads) * len(tails)
-    tag_ids = np.full(n, -1, dtype=np.intp)
+    # the place of each word's tag in the list of listed tags
+    at = np.full(n, -1, dtype=np.intp)
     rows = np.zeros((n, 9), dtype=np.uint16)
-    index = {}
+    listed = []
     if n >= _BATCH_MIN:
         for start in range(0, n, _BATCH_CHUNK):
             chunk = slice(start, min(n, start + _BATCH_CHUNK))
@@ -226,22 +231,26 @@ def _product_read(tower, K, heads, tails):
             pairs = np.stack([words % nh, words // nh], axis=1)
             ids, tags, residues = nf_uak_batch(tower, K, heads, tails, pairs)
             rows[chunk] = residues
-            # -1 (a word the batch does not carry) picks the appended -1
-            at = [index.setdefault(tag, len(index)) for tag in tags]
-            tag_ids[chunk] = np.array(at + [-1], dtype=np.intp)[ids]
-    for i in np.flatnonzero(tag_ids < 0).tolist():
+            # -1 stays on a word the batch does not carry
+            at[chunk] = np.where(ids < 0, -1, ids + len(listed))
+            listed += tags
+    for i in np.flatnonzero(at < 0).tolist():
         tag, gamma = coset_normalize(tower, K, heads[i % nh] + tails[i // nh])
-        tag_ids[i] = index.setdefault(tag, len(index))
+        at[i] = len(listed)
+        listed.append(tag)
         rows[i] = gamma.m
-    tags = list(index)
-    # renumber the tags in order of first appearance
-    order = np.argsort(np.unique(tag_ids, return_index=True)[1])
+    last = dict(zip(listed, range(len(listed))))
+    place = np.fromiter(map(last.__getitem__, listed), np.intp, len(listed))
+    places, earliest, tag_ids = np.unique(place[at], return_index=True,
+                                          return_inverse=True)
+    # number the tags in order of first appearance
+    order = np.argsort(earliest)
     rank = np.empty(len(order), dtype=np.intp)
     rank[order] = np.arange(len(order))
     res_ids, first = gfmat.row_ids(rows)
     return ProductRead(
         rank[tag_ids],
-        [tags[i] for i in order.tolist()],
+        [listed[i] for i in places[order].tolist()],
         res_ids,
         [GammaElem(tower, K, row) for row in rows[first].tolist()],
     )
@@ -355,7 +364,7 @@ def _merge(tw, ids, n, rows):
         sel = by_rank[start : start + size]
         start += size
         at = ids[sel]
-        out[at] = tw.add[out[at], rows[sel]]
+        out[at] = tw.plus(out[at], rows[sel])
     return out
 
 
@@ -838,13 +847,13 @@ class GridElement:
         tw = self.weight.tower
         out = dict(self.coeffs)
         for n, c in other.coeffs.items():
-            out[n] = int(tw.add[out.get(n, 0), c])
+            out[n] = tw.a(out.get(n, 0), c)
         return GridElement(self.weight, out)
 
     def scale(self, s):
         tw = self.weight.tower
         return GridElement(
-            self.weight, {n: int(tw.mul[s, c]) for n, c in self.coeffs.items()}
+            self.weight, {n: tw.m_(s, c) for n, c in self.coeffs.items()}
         )
 
     def __eq__(self, other):
@@ -905,7 +914,7 @@ def _match_grid_coefficient(weight, n, val):
     tw = weight.tower
     w = grid_value(weight, n)
     p = next(i for i, x in enumerate(w) if x)
-    c = int(tw.mul[val[p], tw.i_(w[p])])
+    c = tw.m_(val[p], tw.i_(w[p]))
     if tuple(val) != _vscale(tw, c, w):
         raise CrossCheckFailed(
             "value at the shift-%d cell point is off the canonical line" % n
@@ -1116,8 +1125,8 @@ def _j_factors(weight):
     tw = weight.tower
     v0, j = weight.v0(), weight.j_matrix()
     p = int(np.flatnonzero(v0)[0])
-    ell = tw.mul[tw.i_(int(v0[p])), j[p]]
-    if not np.array_equal(tw.mul[v0[:, None], ell[None, :]], j):
+    ell = tw.times(tw.i_(int(v0[p])), j[p])
+    if not np.array_equal(tw.times(v0[:, None], ell[None, :]), j):
         raise CrossCheckFailed("j is not v0 times a functional")
     return v0, ell
 
@@ -1152,7 +1161,7 @@ def op_T_grid(elem):
             return np.zeros((len(points), weight.dim), dtype=np.uint16)
         suffix = live // len(points)
         rows = _transport_ids(weight, g_ids[suffix], g_res, values[live])
-        rows = tw.mul[gfmat.matvec(tw, rows, ell)[:, None], v0]
+        rows = tw.times(gfmat.matvec(tw, rows, ell)[:, None], v0)
         rows = _transport_ids(weight, r_ids[suffix], r_res, rows)
         return _merge(tw, live % len(points), len(points), rows)
 
@@ -1344,7 +1353,7 @@ class HeckeConstants:
 def _h_pair(tower, ti):
     """Residue pair (a, c) of the diagonal torus element attached to a
     nonzero parameter: (t, -conj(t)/t)."""
-    return (ti, int(tower.neg[tower.mul[tower.frob[ti], tower.i_(ti)]]))
+    return (ti, tower.n(tower.m_(tower.c(ti), tower.i_(ti))))
 
 
 def _l_sum(tower, K, chi, exponent):
@@ -1358,7 +1367,7 @@ def _l_sum(tower, K, chi, exponent):
         if ti == 0:
             raise CrossCheckFailed("nonidentity class with trivial torus part")
         a, c = _h_pair(tower, ti)
-        acc = int(tower.add[acc, chi.value(a, c)])
+        acc = tower.a(acc, chi.value(a, c))
     return acc
 
 
@@ -1404,7 +1413,7 @@ def constants(weight, check=True):
     # Both factors flip sign together under an odd determinant twist.
     if weight.dim == 1:
         chib = int(weight.matrix(gamma_beta(tw, K))[0, 0])
-        c_closed = int(tw.mul[chib, c_minus])
+        c_closed = tw.m_(chib, c_minus)
     else:
         c_closed = 0
     if c != c_closed:

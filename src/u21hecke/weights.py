@@ -247,41 +247,30 @@ def inverse_rows(tower, rows):
     return tower.frob[np.asarray(rows)[..., INVERSE_ENTRIES]]
 
 
-@memo
-def _flat_tables(tower):
-    """The addition and multiplication tables flattened to Q^2 entries, and
-    the negation table, as intp: x + y and x y are one take at x Q + y."""
-    return (tower.add.ravel().astype(np.intp),
-            tower.mul.ravel().astype(np.intp),
-            tower.neg.astype(np.intp))
-
-
 def _entry_products(tower, a, b, entries):
     """Entries 3i + j of the products a * b of residue elements given entry
-    first, as (9, ...) intp arrays broadcast over the other axes: the sums
-    over l of a[3i + l] b[3l + j], as one (len(entries), ...) array."""
-    Q = tower.Q
-    add, mul, _ = _flat_tables(tower)
-    a = a * Q
-    out = []
-    for e in entries:
-        i, j = e - e % 3, e % 3
-        s = add.take(mul.take(a[i] + b[j]) * Q + mul.take(a[i + 1] + b[j + 3]))
-        out.append(add.take(s * Q + mul.take(a[i + 2] + b[j + 6])))
-    return np.stack(out)
+    first, as (9, ...) index arrays broadcast over the other axes: the sums
+    over l of a[3i + l] b[3l + j], as one (len(entries), ...) array.  The
+    three terms of every entry are formed by one product and summed by
+    two sums."""
+    i, j = np.divmod(np.asarray(entries), 3)
+    rows = a.reshape((3, 3) + a.shape[1:])[i]
+    cols = b.reshape((3, 3) + b.shape[1:])[:, j]
+    terms = tower.times(rows, np.moveaxis(cols, 0, 1))
+    return tower.plus(tower.plus(terms[:, 0], terms[:, 1]), terms[:, 2])
 
 
 @memo
 def _coset_table(tower, K):
-    """The coset representatives and their inverses as (9, d) intp arrays,
+    """The coset representatives and their inverses as (9, d) uint16 arrays,
     entry first, and the integer codes of their labels (sorted) with the
     index of each label's representative: the tables of classify_rows."""
     reps, label_map = borel_coset_reps(tower, K)
-    rows = np.array([r.m for r in reps], dtype=np.intp)
+    rows = np.array([r.m for r in reps], dtype=np.uint16)
     codes = _label_codes(tower, np.array(list(label_map)).T)
     order = np.argsort(codes)
     at = np.array(list(label_map.values()), dtype=np.intp)
-    inv = inverse_rows(tower, rows).astype(np.intp)
+    inv = inverse_rows(tower, rows)
     return rows.T, inv.T, codes[order], at[order]
 
 
@@ -297,23 +286,23 @@ def classify_rows(tower, K, rows):
     arrays with reps[i] * gamma = b * reps[k] and (a, c) the torus pair of
     b.
 
-    All products reps[i] * gamma are formed at once over the flattened
-    residue tables; the bottom row of each is scaled to a leading one
-    (_coset_label) and looked up by its integer code in the d sorted codes
-    of the labels.  The Borel parts are one more product, with the inverse
-    representatives, of which only the torus pair and the three entries
-    below the diagonal are formed; these are certified to vanish.
+    All products reps[i] * gamma are formed at once through the tower's
+    array methods (_entry_products); the bottom row of each is scaled to a
+    leading one (_coset_label) and looked up by its integer code in the d
+    sorted codes of the labels.  The Borel parts are one more product, with
+    the inverse representatives, of which only the torus pair and the three
+    entries below the diagonal are formed; these are certified to vanish.
     CrossCheckFailed as classify_coset."""
     tw = tower
     reps, inv_reps, codes, at = _coset_table(tw, K)
-    g = np.asarray(rows, dtype=np.intp).T[:, :, None]
+    g = np.asarray(rows, dtype=np.uint16).T[:, :, None]
     x = _entry_products(tw, reps[:, None, :], g, range(9))
     bottom = x[6:]
     lead = np.where(bottom[0] != 0, bottom[0],
                     np.where(bottom[1] != 0, bottom[1], bottom[2]))
     if not lead.all():
         raise CrossCheckFailed("reduced element has a zero bottom row")
-    code = _label_codes(tw, tw.mul[tw.inv[lead], bottom])
+    code = _label_codes(tw, tw.times(tw.inv[lead], bottom))
     pos = np.minimum(np.searchsorted(codes, code), len(codes) - 1)
     if (codes[pos] != code).any():
         raise CrossCheckFailed("unclassifiable Borel coset")
@@ -455,8 +444,8 @@ class Weight:
         # functional ell(v) = (v reduced mod span)[c] / (resid)[c];
         # j = v0 * ell picks ell via the residual of each basis vector.
         scale = tw.i_(int(resid[c]))
-        ell = tw.mul[scale, span.reduce(gfmat.eye(self.dim))[:, c]]
-        j = tw.mul[v0[:, None], ell[None, :]]
+        ell = tw.times(scale, span.reduce(gfmat.eye(self.dim))[:, c])
+        j = tw.times(v0[:, None], ell[None, :])
         jj = gfmat.matmul(tw, j, j)
         if not np.array_equal(jj, j):
             raise CrossCheckFailed("collapse endomorphism is not idempotent")
@@ -475,7 +464,7 @@ class Weight:
         for t in gamma_torus_generators(tw, self.K):
             y = self.act(t, v0)
             c = tw.m_(int(y[p]), scale)
-            if not np.array_equal(y, tw.mul[c, v0]):
+            if not np.array_equal(y, tw.times(c, v0)):
                 raise DegenerateWeight("invariant line is not torus-stable")
             vals[t.torus_pair()] = c
         for chi in characters_of_torus(tw):
@@ -550,22 +539,15 @@ def _trivial_action(rows, ids, vecs):
 
 def _dets(tower, rows):
     """det of each residue row of an (n, 9) array (GammaElem.det), by the
-    cofactor expansion along the first row."""
-    Q = tower.Q
-    add, mul, neg = _flat_tables(tower)
-    a = np.asarray(rows, dtype=np.intp).T
-
-    def times(x, y):
-        return mul.take(x * Q + y)
-
-    def minus(x, y):
-        return add.take(x * Q + neg.take(y))
-
-    def minor(i, j, u, v):
-        return minus(times(a[i], a[j]), times(a[u], a[v]))
-
-    d = minus(times(a[0], minor(4, 8, 5, 7)), times(a[1], minor(3, 8, 5, 6)))
-    return add.take(d * Q + times(a[2], minor(3, 7, 4, 6)))
+    cofactor expansion along the first row: the three minors by one product
+    for each of their two terms, then the three cofactor terms by one
+    product."""
+    a = np.asarray(rows).T
+    neg = tower.neg
+    minors = tower.plus(tower.times(a[[4, 3, 3]], a[[8, 8, 7]]),
+                        neg[tower.times(a[[5, 5, 4]], a[[7, 6, 6]])])
+    t = tower.times(a[:3], minors)
+    return tower.plus(tower.plus(t[0], neg[t[1]]), t[2])
 
 
 def _det_twist_action(tower, k):
@@ -576,7 +558,7 @@ def _det_twist_action(tower, k):
         if not det.all():
             raise CrossCheckFailed("power of the zero index")
         scale = tower.exp[(tower.log[det] * k) % (tower.Q - 1)]
-        return tower.mul[scale[ids][:, None], vecs]
+        return tower.times(scale[ids][:, None], vecs)
 
     return act
 
@@ -589,8 +571,8 @@ def _ps_action(tower, K, chi):
     def act(rows, ids, vecs):
         k, a, c = classify_rows(tower, K, rows)
         at = k[ids]
-        return tower.mul[chi.values(a, c)[ids],
-                         np.take_along_axis(np.asarray(vecs), at, axis=1)]
+        return tower.times(chi.values(a, c)[ids],
+                           np.take_along_axis(np.asarray(vecs), at, axis=1))
 
     return act
 

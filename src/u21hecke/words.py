@@ -37,18 +37,22 @@ uint16 array of coefficient indices by column operations, and each tail's
 atoms are applied by column operations to the head columns its pairs use.
 All of a call's matrices are then stacked into one array over their common
 degree range, and steps 1-3, the membership certificate and the residue
-read run once per distinct (shift, pivot column) on all of its matrices, by
-lookups in the tower's add, mul, neg, inv and frob tables.  The
-coordinates become grid indices by table lookups and one int64 Horner pass
-per cell (_grid_indices), numbered by one np.unique.  The result is a tag
-id per pair over the call's distinct tags and the (N, 9) residue rows.  A
-word of any other form gets the id -1, and a word that fails a
-certificate raises the scalar route's error.  The scalar nf_uak
-serves single words (tag_of, and the scalar coset_normalize of a word the
-batch does not carry or of a small call) and is the batch's test oracle.
+read run once per distinct (shift, pivot column) on all of its matrices.
+Every sum and product there is one flat take through the tower's array
+methods (Tower.plus, times and plus_times, uint16 indices up to Q = 256),
+with gathers from its neg, inv and frob tables, and a column step whose
+coefficients are all 0 is skipped.  The coordinates become grid indices by
+table lookups and one int64 Horner pass per cell (_grid_indices), numbered
+by one np.unique.  The result is a tag id per pair into the list of each
+read's distinct tags, and the (N, 9) residue rows.  A word of any other
+form gets the id -1, and a word that fails a certificate raises the scalar
+route's error.  The scalar nf_uak serves single words (tag_of, and the
+scalar coset_normalize of a word the batch does not carry or of a small
+call) and is the batch's test oracle.
 """
 
 import math
+from itertools import repeat
 
 import numpy as np
 
@@ -351,7 +355,7 @@ def _atom_form(atom):
 
 def _by_signature(words, idx, forms):
     """The words at the indices idx that the batch carries, grouped by
-    signature: {signature: (indices, (coefficients, N) array)}.  forms
+    signature: {signature: (indices, (coefficients, N) uint16 array)}.  forms
     holds the atom forms of one batch call by id (the words hold their
     atoms, so an id names one atom there)."""
     groups = {}
@@ -371,7 +375,7 @@ def _by_signature(words, idx, forms):
             group[0].append(i)
             group[1].append(coefs)
     return {
-        sig: (ids, np.array(cs, dtype=np.intp).reshape(len(ids), -1).T)
+        sig: (ids, np.array(cs, dtype=np.uint16).reshape(len(ids), -1).T)
         for sig, (ids, cs) in groups.items()
     }
 
@@ -448,29 +452,40 @@ class _Block:
         return span
 
     def coeff(self, i, deg):
-        """The coefficients of t^deg in entry i, one per matrix."""
+        """The coefficients of t^deg in entry i, one per matrix (a view of
+        the array while deg is in its range)."""
         d = deg - self.lo
         if 0 <= d < self.e.shape[1]:
-            return self.e[i, d].astype(np.intp)
-        return np.zeros(self.e.shape[2], dtype=np.intp)
+            return self.e[i, d]
+        return np.zeros(self.e.shape[2], dtype=np.uint16)
 
-    def val(self):
-        """(9, N) valuations of the entries, INF for a zero entry."""
-        nz = self.e != 0
+    def val(self, sl):
+        """Valuations of the entries of a slice of the nine, one row per
+        entry and one column per matrix, INF for a zero entry."""
+        nz = self.e[sl] != 0
         return np.where(nz.any(axis=1), self.lo + nz.argmax(axis=1), INF)
+
+    def vanish_below(self, need):
+        """Does entry i vanish below degree need[i] in every matrix, for
+        each of the nine entries?  Reads the stored coefficients below
+        need[i], whatever the spans say."""
+        return not any(self.e[i, : max(0, n - self.lo)].any()
+                       for i, n in enumerate(need))
 
     def axpy(self, dst, src, c, s):
         """Entries dst += (c t^s) * entries src, for two slices of the nine
-        entries taken in parallel and one coefficient index per matrix."""
+        entries taken in parallel and one coefficient index per matrix.
+        Where every coefficient is 0 it returns at once: nothing is added,
+        and span stays a bound."""
         span = self._hull(src)
-        if span is None:
+        if span is None or not c.any():
             return
         a, b = span[0] + s, span[1] + s
         self._fit(a, b)
-        tw, Q, e, lo = self.tower, np.intp(self.tower.Q), self.e, self.lo
-        prod = tw.mul.ravel().take(c * Q + e[src, span[0] - lo : span[1] - lo + 1])
+        e, lo = self.e, self.lo
         out = e[dst, a - lo : b - lo + 1]
-        out[...] = tw.add.ravel().take(out * Q + prod)
+        out[...] = self.tower.plus_times(
+            out, c, e[src, span[0] - lo : span[1] - lo + 1])
         for i, j in zip(range(9)[dst], range(9)[src]):
             self.span[i] = _union(self.span[i], _moved(self.span[j], s))
 
@@ -483,10 +498,7 @@ class _Block:
         self._fit(a, b)
         e, lo = self.e, self.lo
         prod = e[sl, span[0] - lo : span[1] - lo + 1]
-        if c is None:
-            prod = prod.copy()
-        else:
-            prod = self.tower.mul.ravel().take(c * np.intp(self.tower.Q) + prod)
+        prod = prod.copy() if c is None else self.tower.times(c, prod)
         e[sl, span[0] - lo : span[1] - lo + 1] = 0
         e[sl, a - lo : b - lo + 1] = prod
         for i in range(9)[sl]:
@@ -509,7 +521,7 @@ class _Block:
                 self.scale(col[j], coefs[j], form[1 + j])
         else:
             (dx, dy), (cx, cy) = form[1:], coefs
-            mxb = tw.neg[tw.frob[cx]].astype(np.intp)
+            mxb = tw.neg[tw.frob[cx]]
             if kind == "n":
                 if dy is not None:
                     self.axpy(col[2], col[0], cy, dy)
@@ -536,11 +548,12 @@ class _Block:
 
 def _row_mins(val, lat, i):
     """Row minimum of row i against the lattice and its pivot column, first
-    in the order 0, 2, 1, for every matrix at once (as _row_min)."""
+    in the order 0, 2, 1, for every matrix at once (as _row_min); val holds
+    the (3, N) valuations of row i."""
     best = np.full(val.shape[1], INF, dtype=np.int64)
     pivot = np.full(val.shape[1], -1, dtype=np.int64)
     for j in (0, 2, 1):
-        v = np.where(val[3 * i + j] < INF, val[3 * i + j] + lat[j] - lat[i], INF)
+        v = np.where(val[j] < INF, val[j] + lat[j] - lat[i], INF)
         better = v < best
         best = np.where(better, v, best)
         pivot = np.where(better, j, pivot)
@@ -556,24 +569,24 @@ def _read_cell(blk, K, t, j):
     Returns an (N, 2L) array, the (x, y) of each of the L layers of
     grid_layer_span(t) in turn, and the (N, 9) residue rows."""
     tw, lat, pat = blk.tower, _LATTICE[K], _K_PATTERN[K]
-    add, mul, neg, frob, inv = tw.add, tw.mul, tw.neg, tw.frob, tw.inv
+    neg, frob = tw.neg, tw.frob
     rows = [slice(3 * i, 3 * i + 3) for i in range(3)]
     span = grid_layer_span(tw, K, t)
     coords = np.zeros((blk.e.shape[2], 2 * len(span)), dtype=np.intp)
     if t:
         p, r = (0, 2) if t > 0 else (2, 0)
         d = (-t if t > 0 else t + lat[2]) - lat[j]
-        c_inv = inv[blk.coeff(3 * p + j, d)].astype(np.intp)
+        c_inv = tw.inv[blk.coeff(3 * p + j, d)]
         for n, (layer, prime) in enumerate(span):
             half = layer // 2
             xi = np.zeros_like(c_inv)
             if layer % 2 == 0:
-                xi = mul[blk.coeff(3 + j, half + d), c_inv].astype(np.intp)
+                xi = tw.times(blk.coeff(3 + j, half + d), c_inv)
                 if t < 0:
-                    xi = frob[neg[xi]].astype(np.intp)
-            ti = mul[blk.coeff(3 * r + j, layer + d), c_inv].astype(np.intp)
-            rel = add[mul[xi, frob[xi]], add[ti, frob[ti]]]
-            if rel.any():
+                    xi = frob[neg[xi]]
+            ti = tw.times(blk.coeff(3 * r + j, layer + d), c_inv)
+            cx, cy = frob[xi], frob[ti]
+            if tw.plus_times(tw.plus(ti, cy), xi, cx).any():
                 raise RelationViolated(
                     "unipotent parameters violate x*conj(x) + y + conj(y) = 0"
                 )
@@ -581,9 +594,7 @@ def _read_cell(blk, K, t, j):
             coords[:, 2 * n + 1] = ti
             # peel the layer atom off on the left: its inverse has x' = -x,
             # y' = conj(y) and -conj(x') = conj(x)
-            nx = neg[xi].astype(np.intp)
-            cy = frob[ti].astype(np.intp)
-            cx = frob[xi].astype(np.intp)
+            nx = neg[xi]
             if prime:
                 blk.axpy(rows[2], rows[0], cy, layer)
                 if layer % 2 == 0:
@@ -599,19 +610,19 @@ def _read_cell(blk, K, t, j):
     # t^-t times row 2, so entry (i, j) of k at degree P is entry (i, j) of
     # the remainder at degree P - shift[i]
     shift = (t, 0, -t)
-    need = np.array([pat[i][jj] - shift[i] for i in range(3) for jj in range(3)])
-    if (blk.val() < need[:, None]).any():
+    need = [pat[i][jj] - shift[i] for i in range(3) for jj in range(3)]
+    if not blk.vanish_below(need):
         raise CrossCheckFailed("coset read left a factor outside the compact")
-    m = np.zeros((9, blk.e.shape[2]), dtype=np.intp)
+    m = np.zeros((9, blk.e.shape[2]), dtype=np.uint16)
     for i in range(3):
         for jj in range(3):
             if pat[i][jj] + pat[jj][i] == 0:
-                m[3 * i + jj] = blk.coeff(3 * i + jj, int(need[3 * i + jj]))
+                m[3 * i + jj] = blk.coeff(3 * i + jj, need[3 * i + jj])
     # residue unitarity: m times its inverse J conj(m)^T J is the identity
     g = m.reshape(3, 3, -1)
     h = frob[m[::-1]].reshape(3, 3, -1).transpose(1, 0, 2)
-    terms = mul[g[:, :, None, :], h[None, :, :, :]]
-    prod = add[add[terms[:, 0], terms[:, 1]], terms[:, 2]]
+    terms = tw.times(g[:, :, None, :], h[None, :, :, :])
+    prod = tw.plus(tw.plus(terms[:, 0], terms[:, 1]), terms[:, 2])
     if (prod != np.eye(3, dtype=prod.dtype)[:, :, None]).any():
         raise MembershipViolated("reduction is not residue-unitary")
     return coords, m.T
@@ -662,10 +673,13 @@ def nf_uak_batch(tower, K, heads, tails=((),), pairs=None):
     default pairs reads every word of heads with the single empty tail, so
     nf_uak_batch(tower, K, words) reads a plain list of words.
 
-    Returns (ids, tags, residues): ids[r] is the position in tags, the list
-    of distinct tags, of the tag of pair r, or -1 where the batch does not
-    carry its word; residues is the (N, 9) uint16 array of the residue rows
-    (row-major GammaElem entries; zero where the word is not carried).
+    Returns (ids, tags, residues): ids[r] is the position in the list tags
+    of the tag of pair r, or -1 where the batch does not carry its word;
+    tags lists the distinct tags of each read, read by read, so a tag read
+    under two pivots is listed once for each (the caller numbers them, as
+    _product_read does in one pass over all its chunks); residues is the
+    (N, 9) uint16 array of the residue rows (row-major GammaElem entries;
+    zero where the word is not carried).
 
     The batch carries words whose atoms are "a", "b", and "n", "np" or "d"
     atoms with entries that are exact monomials or exact zero.  Their
@@ -679,17 +693,17 @@ def nf_uak_batch(tower, K, heads, tails=((),), pairs=None):
     once for the whole call, and the read of nf_uak and the residue read of
     reduce_to_gamma run once per distinct (shift, pivot).  Within one such
     read the coordinates become grid indices (_grid_indices), and a tag
-    pair is built once per distinct index.  A matrix that fails the unipotent
-    relation, the membership of k in K or the residue unitarity raises the
-    scalar route's error (RelationViolated, CrossCheckFailed,
-    MembershipViolated); it is never routed around."""
+    pair is built once per distinct index, with no dict.  A matrix that
+    fails the unipotent relation, the membership of k in K or the residue
+    unitarity raises the scalar route's error (RelationViolated,
+    CrossCheckFailed, MembershipViolated); it is never routed around."""
     require_compact(K)
     if pairs is None:
         pairs = [(i, 0) for i in range(len(heads))]
     hi, ti = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
     ids = np.full(len(hi), -1, dtype=np.intp)
     residues = np.zeros((len(hi), 9), dtype=np.uint16)
-    index, forms = {}, {}
+    tags, forms = [], {}
     # column of each carried head in the stacked head block, -1 elsewhere
     col, blocks, n = np.full(len(heads), -1, dtype=np.intp), [], 0
     for sig, (hs, cs) in _by_signature(heads, _distinct(hi), forms).items():
@@ -718,9 +732,8 @@ def nf_uak_batch(tower, K, heads, tails=((),), pairs=None):
     blk = _Block.stack(tower, blocks)
     rows = np.concatenate(rows)
     lat = _LATTICE[K]
-    val = blk.val()
-    v0, j0 = _row_mins(val, lat, 0)
-    v2, j2 = _row_mins(val, lat, 2)
+    v0, j0 = _row_mins(blk.val(slice(0, 3)), lat, 0)
+    v2, j2 = _row_mins(blk.val(slice(6, 9)), lat, 2)
     low = np.minimum(v2, 0)
     t = np.where(v0 < low, -v0, low)
     j = np.where(t > 0, j0, np.where(t < 0, j2, 0))
@@ -731,8 +744,7 @@ def nf_uak_batch(tower, K, heads, tails=((),), pairs=None):
         part = blk if len(sub) == len(rows) else blk.take(sub)
         coords, m = _read_cell(part, K, shift, pivot)
         local, indices = _grid_indices(tower, K, shift, coords)
-        # a tag can be read under two pivots, so the ids go through one index
-        at = [index.setdefault((shift, i), len(index)) for i in indices]
-        ids[rows[sub]] = np.array(at, dtype=np.intp)[local]
+        ids[rows[sub]] = local + len(tags)
+        tags.extend(zip(repeat(shift), indices))
         residues[rows[sub]] = m
-    return ids, list(index), residues
+    return ids, tags, residues

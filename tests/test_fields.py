@@ -1,5 +1,6 @@
 """Residue-tower tables and torus characters."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -107,6 +108,42 @@ def test_tower_q5_generalizes(tower5):
     u = tower5.trace_zero_unit_idx()
     # x^2 for a trace-zero unit is a base-field unit
     assert tower5.in_base[tower5.m_(u, u)]
+
+
+# ---- array arithmetic ------------------------------------------------------
+
+
+@pytest.mark.parametrize("p, f, index_dtype", [
+    (3, 1, np.uint16), (5, 1, np.uint16), (7, 1, np.uint16),
+    (3, 2, np.uint16), (17, 1, np.uint32),
+], ids=["q3", "q5", "q7", "q9", "q17"])
+def test_array_methods_match_the_tables(p, f, index_dtype):
+    """Tower.plus, times and plus_times equal the Q x Q tables on all Q^2
+    index pairs, for uint16 and intp inputs and broadcast shapes; q = 17
+    (Q^2 > 2^16) forms its indices in uint32."""
+    tw = Tower(p, f)
+    Q = tw.Q
+    assert tw.index_dtype == index_dtype
+    grid = np.arange(Q)
+    for dtype in (np.uint16, np.intp):
+        a = np.repeat(grid, Q).astype(dtype)
+        b = np.tile(grid, Q).astype(dtype)
+        col, row = grid.astype(dtype)[:, None], grid.astype(dtype)[None, :]
+        for method, table in ((tw.plus, tw.add), (tw.times, tw.mul)):
+            for out in (method(a, b), method(col, row).ravel(),
+                        method(a.reshape(Q, Q), b.reshape(Q, Q)).ravel()):
+                assert out.dtype == np.uint16
+                assert np.array_equal(out, table.ravel())
+            # a scalar against an array, and two scalars
+            assert np.array_equal(method(Q - 1, row), table[Q - 1][None, :])
+            assert np.array_equal(method(col, 1), table[:, 1][:, None])
+            assert method(Q - 1, Q - 2) == table[Q - 1, Q - 2]
+        # x + c y over all (c, y) pairs, x broadcast along c
+        x = grid[::-1].astype(dtype)[:, None]
+        assert np.array_equal(tw.plus_times(x, col, row),
+                              tw.add[x, tw.mul[col, row]])
+        assert np.array_equal(tw.plus_times(b, a, b),
+                              tw.add[b, tw.mul[a, b]])
 
 
 # ---- torus characters ------------------------------------------------------

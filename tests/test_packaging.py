@@ -3,8 +3,9 @@ the benchmark's tracer wraps exists, the package keeps its derived tables
 only in owned memo tables, no module imports a name it never uses, no
 production solve sweeps a whole reduced subgroup, the materialized T
 stays an oracle, both spins run the one closure loop, the batched coset
-read has one production route, and weights act through their array
-action, and a product read does not import numpy.ma."""
+read has one production route, weights act through their array action,
+a product read does not import numpy.ma, and every array lookup in the
+field tables goes through the tower's array methods."""
 
 import ast
 import importlib
@@ -212,3 +213,30 @@ def test_weights_act_through_arrays():
     uses = _uses_outside({"matrix", "apply"}, set())
     assert not any(u.endswith("matrix in _transport_ids") for u in uses)
     assert any(u.endswith("apply in _transport_ids") for u in uses)
+
+
+def _field_table(node):
+    """Is node a field table add or mul: an attribute of that name (tw.add)
+    or a local name for one (add = tw.add)?"""
+    name = (node.attr if isinstance(node, ast.Attribute)
+            else node.id if isinstance(node, ast.Name) else None)
+    return name in ("add", "mul")
+
+
+def test_field_arrays_through_the_tower():
+    """Outside fields.py no add or mul table of a tower is subscripted with
+    a tuple (tw.add[A, B]) or flattened (tw.mul.ravel().take): every array
+    sum and product is one flat take through Tower.plus, times or
+    plus_times, and every scalar one goes through Tower.a or Tower.m_."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "fields.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.Subscript) and _field_table(node.value)
+                    and isinstance(node.slice, ast.Tuple)):
+                found.append("%s:%d subscript" % (path.name, node.lineno))
+            if (isinstance(node, ast.Attribute) and node.attr == "ravel"
+                    and _field_table(node.value)):
+                found.append("%s:%d ravel" % (path.name, node.lineno))
+    assert found == []

@@ -663,3 +663,111 @@ def test_grid_index_fallback_matches_tag_of(monkeypatch):
         ids, tags, _ = nf_uak_batch(tw, K, words)
         assert (ids >= 0).all()
         assert [tags[i] for i in ids.tolist()] == [tag_of(tw, K, w) for w in words]
+
+
+# ---- column operations of the batched read --------------------------------
+
+# The slices of the nine entries that the column operations pair: the three
+# columns and the three rows.
+ENTRY_SLICES = [slice(j, 9, 3) for j in range(3)] + [
+    slice(3 * i, 3 * i + 3) for i in range(3)
+]
+
+
+def random_block(tw, rng, n, depth, lo):
+    """A _Block of n matrices with random entries over depth degrees from
+    lo, each entry zero or nonzero on a random interval (its span)."""
+    e = rng.integers(0, tw.Q, (9, depth, n)).astype(np.uint16)
+    span = []
+    for i in range(9):
+        a, b = sorted(rng.integers(0, depth, 2).tolist())
+        if rng.random() < 0.2:
+            e[i] = 0
+            span.append(None)
+            continue
+        e[i, :a] = 0
+        e[i, b + 1 :] = 0
+        span.append((lo + a, lo + b))
+    return words_mod._Block(tw, e, lo, span)
+
+
+def block_terms(blk):
+    """{(entry, matrix): {degree: coefficient}} of the nonzero terms."""
+    out = {}
+    for i, d, r in zip(*np.nonzero(blk.e)):
+        terms = out.setdefault((int(i), int(r)), {})
+        terms[blk.lo + int(d)] = int(blk.e[i, d, r])
+    return out
+
+
+def spans_bound(blk):
+    return all(
+        blk.span[i] is not None and blk.span[i][0] <= deg <= blk.span[i][1]
+        for (i, _), terms in block_terms(blk).items() for deg in terms
+    )
+
+
+def coefficient_vector(tw, rng, n, zeros):
+    c = rng.integers(1, tw.Q, n).astype(np.uint16)
+    if zeros == "all":
+        c[:] = 0
+    elif zeros == "part":
+        c[rng.random(n) < 0.5] = 0
+    return c
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    q5=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 7),
+    depth=st.integers(1, 4),
+    lo=st.integers(-3, 3),
+    pair=st.sampled_from([(d, s) for d in range(6) for s in range(6)
+                          if d != s and (d < 3) == (s < 3)]),
+    s=st.integers(-3, 3),
+    zeros=st.sampled_from(["all", "part", "none"]),
+    intp=st.booleans(),
+)
+def test_block_column_operations_match_tables(tower5, q5, seed, n, depth, lo,
+                                              pair, s, zeros, intp):
+    """_Block.axpy and scale equal the same steps written term by term with
+    the Q x Q tables, for uint16 and intp coefficients none, some or all of
+    which are 0; the span stays a bound of every entry, and an axpy by all
+    zero coefficients leaves e, lo and span as they were."""
+    tw = tower5 if q5 else TW
+    rng = np.random.default_rng(seed)
+    blk = random_block(tw, rng, n, depth, lo)
+    dst, src = (ENTRY_SLICES[k] for k in pair)
+    c = coefficient_vector(tw, rng, n, zeros)
+    if intp:
+        c = c.astype(np.intp)
+    terms = block_terms(blk)
+    want = {k: dict(v) for k, v in terms.items()}
+    for i, j in zip(range(9)[dst], range(9)[src]):
+        for r in range(n):
+            for deg, x in terms.get((j, r), {}).items():
+                row = want.setdefault((i, r), {})
+                y = row.get(deg + s, 0)
+                row[deg + s] = int(tw.add[y, tw.mul[c[r], x]])
+    want = {k: {d: x for d, x in v.items() if x} for k, v in want.items()}
+    e, span = blk.e, list(blk.span)
+    blk.axpy(dst, src, c, s)
+    assert block_terms(blk) == {k: v for k, v in want.items() if v}
+    assert spans_bound(blk)
+    if zeros == "all":
+        assert blk.e is e and blk.lo == lo and blk.span == span
+    # scale the destination entries by c t^s, or by t^s alone
+    terms = block_terms(blk)
+    for scalar in (c, None):
+        want = {
+            (i, r): {d + s: x if scalar is None else int(tw.mul[scalar[r], x])
+                     for d, x in v.items()}
+            if i in range(9)[dst] else v
+            for (i, r), v in terms.items()
+        }
+        want = {k: {d: x for d, x in v.items() if x} for k, v in want.items()}
+        scaled = words_mod._Block(tw, blk.e.copy(), blk.lo, blk.span)
+        scaled.scale(dst, scalar, s)
+        assert block_terms(scaled) == {k: v for k, v in want.items() if v}
+        assert spans_bound(scaled)
