@@ -3,7 +3,8 @@
 A function induced from a weight of a maximal compact is stored on canonical
 coset tags: the module element sum_i [g_i, v_i] keeps, for every occupied
 coset g K, the tag of the canonical representative together with the value
-transported to it ([g k, v] = [g, sigma(k) v]).  Left translation, the
+transported to it ([g k, v] = [g, sigma(k) v]), as a tuple of tags and one
+read-only uint16 array of their values, row by row.  Left translation, the
 spherical operator T (by its explicit two-sum coset expansion), and the two
 partial averaging operators S_K and S_- are sums of translates, each read as
 a product of two word lists by InducedFn._from_words: prefixes times tag
@@ -13,9 +14,9 @@ of one operation are normalized together, as one product read
 (_normalize_words): words.nf_uak_batch reads them as arrays, and the read
 is kept as one record of tag ids and residue ids over its distinct tags and
 residues (ProductRead), memoized per (K, heads, tails) in a table bounded
-by the words its records hold.  A word outside the batch's form, and every
-word of a small call, goes through the scalar coset_normalize, memoized per
-word, and is folded into the record.
+by the words its records hold.  A word outside the batch's form goes
+through the scalar coset_normalize, memoized per word, and is folded into
+the record.
 
 Values are transported a call at a time (_transport_ids, on the residue
 ids of a read): each distinct (residue, vector) pair is moved once, by the
@@ -23,7 +24,7 @@ weight's array action (Weight.apply) on the rows of the residues in use,
 in blocks bounded by _TRANSPORT_ENTRIES, with no matrix per residue; the
 rows are summed per coset (_merge, on the tag ids) or per point as
 arrays.  op_T, the oracle route, applies each stencil matrix to the
-stacked values of all tags at once.
+values of all tags at once.
 
 The span of the compact translates of f_n (spin_K) lives on a fixed tag
 index, the orbit of the support under the lifts of gamma_generators, each
@@ -113,31 +114,6 @@ CONSTANTS_N_TOP = 3
 
 
 # ---------------------------------------------------------------------------
-# value tuples
-
-
-def _vadd(tw, a, b):
-    return tuple(tw.a(x, y) for x, y in zip(a, b))
-
-
-def _vneg(tw, a):
-    neg = tw.neg
-    return tuple(int(neg[x]) for x in a)
-
-
-def _vscale(tw, s, a):
-    if s == 1:
-        return tuple(a)
-    return tuple(tw.m_(s, x) for x in a)
-
-
-def _vmat(tw, M, v):
-    if len(v) == 1:
-        return (tw.m_(M[0, 0], v[0]),)
-    return tuple(int(x) for x in gfmat.matvec(tw, M, np.asarray(v, dtype=np.uint16)))
-
-
-# ---------------------------------------------------------------------------
 # coset normalization
 
 
@@ -153,17 +129,6 @@ def coset_normalize(tower, K, word):
     return (tag_of_nf(tower, K, nf), reduce_to_gamma(tower, K, nf.k))
 
 
-# Calls with fewer words than this are read one word at a time.  Measured
-# on recursion and op_T words with warm layer atoms (2-CPU host, CPython
-# 3.11, quartiles of 15 samples) under the whole-call read: at q = 3, 16
-# words took 3.4-3.6 ms one by one against 2.4-3.2 ms batched at K0, and 24
-# words 4.1-5.0 ms against 3.5-4.3 ms at K1; at q = 5 the batch is as fast
-# from 8 words at K0 and from 16 at K1.  The bound stays at 32, where the
-# per-signature read of the batch first matched the scalar read (24 words:
-# 3.0-4.2 ms one by one against 3.4-4.9 ms batched): at 16, five
-# alternating benchmark pairs read battery_q3 and grid_q5 wall_s 2-3%
-# higher (medians), with no workload faster.
-_BATCH_MIN = 32
 # Words per nf_uak_batch call, which bounds its arrays whatever the cell
 # size.  On the 19,683 words of the recursion step 2 -> 3 at q = 3 (K0),
 # under the whole-call read (min of 7): chunks of 4096 took 0.25-0.30 s
@@ -206,12 +171,11 @@ def _normalize_words(tower, K, heads, tails=((),)):
 
 @memo(size=len)
 def _product_read(tower, K, heads, tails):
-    """The ProductRead of _normalize_words.  A call of _BATCH_MIN words or
-    more is read by nf_uak_batch as (head, tail) index pairs, in chunks of
-    _BATCH_CHUNK words, so each head is built once per chunk and each tail
-    applied by column operations.  A word the batch does not carry, and
-    every word of a smaller call, goes through the scalar coset_normalize,
-    which keeps its own memo table per word.
+    """The ProductRead of _normalize_words.  Every call is read by
+    nf_uak_batch as (head, tail) index pairs, in chunks of _BATCH_CHUNK
+    words, so each head is built once per chunk and each tail applied by
+    column operations.  A word the batch does not carry goes through the
+    scalar coset_normalize, which keeps its own memo table per word.
 
     The tags are numbered once, here: nf_uak_batch lists each read's tags
     without numbering them, so one tag can be listed by several reads
@@ -224,16 +188,15 @@ def _product_read(tower, K, heads, tails):
     at = np.full(n, -1, dtype=np.intp)
     rows = np.zeros((n, 9), dtype=np.uint16)
     listed = []
-    if n >= _BATCH_MIN:
-        for start in range(0, n, _BATCH_CHUNK):
-            chunk = slice(start, min(n, start + _BATCH_CHUNK))
-            words = np.arange(chunk.start, chunk.stop)
-            pairs = np.stack([words % nh, words // nh], axis=1)
-            ids, tags, residues = nf_uak_batch(tower, K, heads, tails, pairs)
-            rows[chunk] = residues
-            # -1 stays on a word the batch does not carry
-            at[chunk] = np.where(ids < 0, -1, ids + len(listed))
-            listed += tags
+    for start in range(0, n, _BATCH_CHUNK):
+        chunk = slice(start, min(n, start + _BATCH_CHUNK))
+        words = np.arange(chunk.start, chunk.stop)
+        pairs = np.stack([words % nh, words // nh], axis=1)
+        ids, tags, residues = nf_uak_batch(tower, K, heads, tails, pairs)
+        rows[chunk] = residues
+        # -1 stays on a word the batch does not carry
+        at[chunk] = np.where(ids < 0, -1, ids + len(listed))
+        listed += tags
     for i in np.flatnonzero(at < 0).tolist():
         tag, gamma = coset_normalize(tower, K, heads[i % nh] + tails[i // nh])
         at[i] = len(listed)
@@ -260,16 +223,13 @@ def _product_read(tower, K, heads, tails):
 # whatever the number of rows: _transport_ids passes the weight's action
 # _TRANSPORT_ENTRIES // (9 dim) rows at a time, as a principal series
 # classifies each residue of a block on its dim cosets, 9 entries each
-# (weights.classify_rows).  op_T's matrix products take
-# _TRANSPORT_ENTRIES // dim^2 vectors (_apply), and _tuples converts as
-# many entries at a time.  Medians of five on a 2-CPU host (CPython 3.11):
-# the 6,804 vectors (30 residues, dim 27) of op_T(steinberg@K0, f_-1) at
-# q = 3 took 2.3-2.4 ms at 16,384, 65,536 and 524,288, with a traced peak
-# of 0.78 MB at each; the 4,375 vectors (742 residues, dim 125) of an
-# op_SK_grid at q = 5 on shifts -2..2 took 0.085 s, 0.052 s and 0.066 s,
-# with peaks of 2.6, 3.9 and 18.1 MB.  Converting the whole merged array
-# of that op_T call at once raised from_raw's traced peak from 3.4 to
-# 4.9 MB.
+# (weights.classify_rows), and op_T's matrix products take
+# _TRANSPORT_ENTRIES // dim^2 vectors (_apply).  Medians of five on a
+# 2-CPU host (CPython 3.11): the 6,804 vectors (30 residues, dim 27) of
+# op_T(steinberg@K0, f_-1) at q = 3 took 2.3-2.4 ms at 16,384, 65,536 and
+# 524,288, with a traced peak of 0.78 MB at each; the 4,375 vectors (742
+# residues, dim 125) of an op_SK_grid at q = 5 on shifts -2..2 took
+# 0.085 s, 0.052 s and 0.066 s, with peaks of 2.6, 3.9 and 18.1 MB.
 _TRANSPORT_ENTRIES = 65536
 
 
@@ -332,20 +292,11 @@ def _transport_ids(weight, ids, residues, vecs, inverse=False):
     return out[back]
 
 
-def _stack(vecs, dim):
-    """The value tuples or arrays of a list as one (n, dim) array."""
-    return np.array(vecs, dtype=np.uint16).reshape(len(vecs), dim)
-
-
-def _tuples(rows):
-    """The rows of an (n, dim) array as value tuples of ints, converted
-    _TRANSPORT_ENTRIES entries at a time, so that no list of lists of the
-    whole array is held."""
-    step = max(1, _TRANSPORT_ENTRIES // rows.shape[1])
-    out = []
-    for s in range(0, len(rows), step):
-        out.extend(map(tuple, rows[s : s + step].tolist()))
-    return out
+def _positions(index, tags):
+    """The position index[tag] of every tag of a sequence, -1 for a tag not
+    in the dict index, as an intp array."""
+    return np.fromiter(map(index.get, tags, itertools.repeat(-1)), np.intp,
+                       len(tags))
 
 
 def _merge(tw, ids, n, rows):
@@ -377,33 +328,29 @@ def _inverses(tower, words):
     return [word_inverse(tower, w) for w in words]
 
 
-def _point_values(weight, inv_tails, inv_heads, stored):
+def _point_values(weight, inv_tails, inv_heads, place, stored):
     """Values at the points x t (x-major) of the function whose value at
-    the representative of a tag is stored(tag), None off the support, given
-    the inverted tails t^-1 and the inverted heads x^-1; an (points, dim)
-    array.
+    the representative of a tag is the row place(tag) of the (m, dim) array
+    stored, with place(tag) = -1 off the support, given the inverted tails
+    t^-1 and the inverted heads x^-1; an (points, dim) array.
 
     The inverses t^-1 x^-1 of all points are read by one _normalize_words
     call, as the product of inv_tails (its heads) and inv_heads (its
     tails): with (x t)^-1 = rep(tag) k and gamma = red(k), the value at x t
-    is sigma(gamma^-1) stored(tag), and a point off the support costs only
-    its read.  The batch builds each inverted tail once and applies each
-    inverted head to it by column operations.  stored is called once per
-    distinct tag.  The values of the supported points are transported by
-    one _transport_ids call, so a residue shared by many points is inverted
-    and classified once."""
+    is sigma(gamma^-1) stored[place(tag)], and a point off the support
+    costs only its read.  The batch builds each inverted tail once and
+    applies each inverted head to it by column operations.  place is
+    called once per distinct tag.  The values of the supported points are
+    transported by one _transport_ids call, so a residue shared by many
+    points is inverted and classified once."""
     read = _normalize_words(weight.tower, weight.K, inv_tails, inv_heads)
     out = np.zeros((len(read.tag_ids), weight.dim), dtype=np.uint16)
-    vals = [stored(tag) for tag in read.tags]
-    live = [i for i, v in enumerate(vals) if v is not None]
-    pos = np.full(len(vals), -1, dtype=np.intp)
-    pos[live] = np.arange(len(live))
-    at = pos[read.tag_ids]
+    at = np.fromiter(map(place, read.tags), np.intp, len(read.tags))
+    at = at[read.tag_ids]
     hit = np.flatnonzero(at >= 0)
     if len(hit):
-        vecs = _stack([vals[i] for i in live], weight.dim)
         out[hit] = _transport_ids(
-            weight, read.res_ids[hit], read.residues, vecs[at[hit]],
+            weight, read.res_ids[hit], read.residues, stored[at[hit]],
             inverse=True,
         )
     return out
@@ -416,21 +363,27 @@ def _point_values(weight, inv_tails, inv_heads, stored):
 class InducedFn:
     """Finitely supported equivariant function in normalized form.
 
-    data maps coset tags (n, i), the shift cell n and the grid index i of
-    the coset in that cell (words.tag_from_coords), to nonzero value
-    tuples; the element is sum over tags of [rep(tag), value], with
-    rep = word_from_tag.  Instances are treated as
+    tags is a tuple of distinct coset tags (n, i), the shift cell n and the
+    grid index i of the coset in that cell (words.tag_from_coords), and
+    data the read-only (len(tags), dim) uint16 array of their values, row
+    by row; the element is sum over tags of [rep(tag), value], with
+    rep = word_from_tag.  Zero rows are dropped on construction, so the
+    tags are the support.  Equality does not depend on the order of the
+    tags, and the hash reads only the tag set.  Instances are treated as
     immutable: all operations return new objects."""
 
-    __slots__ = ("weight", "data")
+    __slots__ = ("weight", "tags", "data")
 
-    def __init__(self, weight, data):
-        self.weight = weight
-        self.data = data
+    def __init__(self, weight, tags, data):
+        live = data.any(axis=1)
+        if not live.all():
+            tags, data = itertools.compress(tags, live), data[live]
+        data.flags.writeable = False
+        self.weight, self.tags, self.data = weight, tuple(tags), data
 
     @classmethod
     def zero(cls, weight):
-        return cls(weight, {})
+        return cls(weight, (), np.zeros((0, weight.dim), dtype=np.uint16))
 
     @classmethod
     def _from_words(cls, weight, heads, tails, vals):
@@ -442,8 +395,8 @@ class InducedFn:
         tw = weight.tower
         read = _normalize_words(tw, weight.K, heads, tails)
         moved = _transport_ids(weight, read.res_ids, read.residues, vals)
-        sums = _tuples(_merge(tw, read.tag_ids, len(read.tags), moved))
-        return cls(weight, {t: v for t, v in zip(read.tags, sums) if any(v)})
+        return cls(weight, read.tags,
+                   _merge(tw, read.tag_ids, len(read.tags), moved))
 
     @classmethod
     def from_raw(cls, weight, pairs):
@@ -453,11 +406,12 @@ class InducedFn:
         for word, vec in pairs:
             words.append(word)
             vecs.append(vec)
-        return cls._from_words(weight, words, ((),), _stack(vecs, weight.dim))
+        vals = np.array(vecs, dtype=np.uint16).reshape(len(vecs), weight.dim)
+        return cls._from_words(weight, words, ((),), vals)
 
     @classmethod
     def generator(cls, weight, word, vec):
-        return cls.from_raw(weight, [(tuple(word), tuple(vec))])
+        return cls.from_raw(weight, [(tuple(word), vec)])
 
     # -- linear structure ----------------------------------------------------
 
@@ -466,26 +420,20 @@ class InducedFn:
             raise NotApplicable("operands live in different induced modules")
 
     def add(self, other):
+        """The tags of self, then the new tags of other, with the rows of
+        both summed per tag by one _merge."""
         self._require_same_module(other)
-        tw = self.weight.tower
-        data = dict(self.data)
-        for tag, v in other.data.items():
-            cur = data.get(tag)
-            if cur is None:
-                data[tag] = v
-            else:
-                s = _vadd(tw, cur, v)
-                if any(s):
-                    data[tag] = s
-                else:
-                    del data[tag]
-        return InducedFn(self.weight, data)
+        n = len(self.tags)
+        index = dict(zip(self.tags, range(n)))
+        ids = [index.setdefault(tag, len(index)) for tag in other.tags]
+        ids = np.concatenate([np.arange(n), np.array(ids, dtype=np.intp)])
+        rows = np.concatenate([self.data, other.data])
+        return InducedFn(self.weight, tuple(index),
+                         _merge(self.weight.tower, ids, len(index), rows))
 
     def neg(self):
-        tw = self.weight.tower
-        return InducedFn(
-            self.weight, {tag: _vneg(tw, v) for tag, v in self.data.items()}
-        )
+        return InducedFn(self.weight, self.tags,
+                         self.weight.tower.neg[self.data])
 
     def sub(self, other):
         return self.add(other.neg())
@@ -493,10 +441,8 @@ class InducedFn:
     def scale(self, s):
         if s == 0:
             return InducedFn.zero(self.weight)
-        tw = self.weight.tower
-        return InducedFn(
-            self.weight, {tag: _vscale(tw, s, v) for tag, v in self.data.items()}
-        )
+        return InducedFn(self.weight, self.tags,
+                         self.weight.tower.times(s, self.data))
 
     def translates(self, prefixes):
         """The sum over the prefix words p of the left translates p . f,
@@ -504,12 +450,11 @@ class InducedFn:
         of the tags of f (tails)."""
         tw = self.weight.tower
         K = self.weight.K
-        vals = _stack(list(self.data.values()), self.weight.dim)
         return InducedFn._from_words(
             self.weight,
             prefixes,
-            [word_from_tag(tw, K, tag) for tag in self.data],
-            np.repeat(vals, len(prefixes), axis=0),
+            [word_from_tag(tw, K, tag) for tag in self.tags],
+            np.repeat(self.data, len(prefixes), axis=0),
         )
 
     def g_act(self, word):
@@ -517,39 +462,49 @@ class InducedFn:
         return self.translates([tuple(word)])
 
     def is_zero(self):
-        return not self.data
+        return not self.tags
 
     def __eq__(self, other):
+        """Same module, same tag set, and the same row on every tag: the
+        tags of self are looked up among those of other, in one pass."""
         if not isinstance(other, InducedFn):
             return NotImplemented
-        return self.weight is other.weight and self.data == other.data
+        n = len(other.tags)
+        if self.weight is not other.weight or len(self.tags) != n:
+            return False
+        at = _positions(dict(zip(other.tags, range(n))), self.tags)
+        return bool((at >= 0).all()) and np.array_equal(self.data,
+                                                         other.data[at])
 
     def __hash__(self):
-        return hash((self.weight.K, frozenset(self.data.items())))
+        return hash((self.weight.K, frozenset(self.tags)))
 
     # -- inspection ------------------------------------------------------------
 
     def shifts(self):
         """Sorted list of occupied shift cells."""
-        return sorted({t for t, _ in self.data})
+        return sorted({tag[0] for tag in self.tags})
 
     def values_at(self, heads, tails=((),)):
         """Values at the points x t, for x in heads and t in tails (x-major;
         zero off the support), read together; an (points, dim) array."""
         tw = self.weight.tower
+        index = dict(zip(self.tags, range(len(self.tags))))
         return _point_values(
             self.weight, _inverses(tw, tuple(tails)),
-            [word_inverse(tw, x) for x in heads], self.data.get,
+            [word_inverse(tw, x) for x in heads],
+            lambda tag: index.get(tag, -1), self.data,
         )
 
     def eval_at(self, word):
-        """Value tuple at the point of the word (zero off the support)."""
-        return _tuples(self.values_at([tuple(word)]))[0]
+        """Value at the point of the word (zero off the support), a (dim,)
+        array."""
+        return self.values_at([tuple(word)])[0]
 
     def __repr__(self):
         return "InducedFn(%s, tags=%d, shifts=%s)" % (
             self.weight.label,
-            len(self.data),
+            len(self.tags),
             self.shifts(),
         )
 
@@ -572,18 +527,20 @@ def grid_tags(tower, K, n):
 
 
 def grid_value(weight, n):
-    """The canonical value at the cell point: v0 for n <= 0, the involution
-    translate of v0 for n >= 1."""
+    """The canonical value at the cell point, a read-only (dim,) array: v0
+    for n <= 0, the involution translate of v0 for n >= 1."""
     return _grid_value(weight, n >= 1)
 
 
 @memo
 def _grid_value(weight, positive):
-    v0 = tuple(int(x) for x in weight.v0())
-    if not positive:
-        return v0
-    tw = weight.tower
-    return _vmat(tw, weight.matrix(gamma_beta(tw, weight.K)), v0)
+    """The (dim,) array of grid_value, read-only: it is shared."""
+    v = weight.v0()
+    if positive:
+        tw = weight.tower
+        v = gfmat.matvec(tw, weight.matrix(gamma_beta(tw, weight.K)), v)
+    v.flags.writeable = False
+    return v
 
 
 def _depth_guard(tower, n, n_max):
@@ -604,9 +561,10 @@ def f_basis(weight, n, n_max=DEFAULT_N_MAX, tag_cap=DEFAULT_TAG_CAP):
 
     Every coordinate combination of the cell grid is one coset tag; all tags
     carry the same canonical value, so the function is assembled without any
-    normalization work.  The depth and cap checks run on every call; the
-    post-conditions (support exactness by construction, sampled
-    pro-unipotent invariance) on first build."""
+    normalization work, its values one read-only broadcast of that value.
+    The depth and cap checks run on every call; the post-conditions
+    (support exactness by construction, sampled pro-unipotent invariance)
+    on first build."""
     tw = weight.tower
     _depth_guard(tw, n, n_max)
     cnt = grid_count(tw, weight.K, n)
@@ -620,9 +578,9 @@ def f_basis(weight, n, n_max=DEFAULT_N_MAX, tag_cap=DEFAULT_TAG_CAP):
 
 @memo
 def _f_basis(weight, n):
+    tags = tuple(grid_tags(weight.tower, weight.K, n))
     w = grid_value(weight, n)
-    tags = grid_tags(weight.tower, weight.K, n)
-    f = InducedFn(weight, dict.fromkeys(tags, w))
+    f = InducedFn(weight, tags, np.broadcast_to(w, (len(tags), weight.dim)))
     if not is_pro_iwahori_invariant(f):
         raise InvarianceViolated(
             "canonical basis function of shift %d failed the sampled "
@@ -662,7 +620,7 @@ def _invariance_points(f):
     tw = f.weight.tower
     K = f.weight.K
     by_shift = {}
-    for tag in sorted(f.data):
+    for tag in sorted(f.tags):
         by_shift.setdefault(tag[0], []).append(tag)
     points = []
     bw = beta_compact_word(K)
@@ -736,15 +694,14 @@ def op_T(weight, f):
         raise NotApplicable("operator weight differs from the function's")
     tw = weight.tower
     K = weight.K
-    vals = _stack(list(f.data.values()), weight.dim)
     stencil = _t_matrices(weight)
     images = []
     for _, M in stencil:
-        images.append(vals.copy())
+        images.append(f.data.copy())
         _apply(tw, M, images[-1])
     return InducedFn._from_words(
         weight,
-        [word_from_tag(tw, K, tag) for tag in f.data],
+        [word_from_tag(tw, K, tag) for tag in f.tags],
         [suffix for suffix, _ in stencil],
         np.concatenate(images),
     )
@@ -828,18 +785,20 @@ class GridElement:
         """values_at from the inverted words: the values at the points x t,
         x-major, whose inverses are t^-1 in inv_tails and x^-1 in
         inv_heads."""
-        tw = self.weight.tower
-        cell = {
-            n: _vscale(tw, c, grid_value(self.weight, n))
-            for n, c in self.coeffs.items()
-        }
-        return _point_values(
-            self.weight, inv_tails, inv_heads, lambda tag: cell.get(tag[0])
-        )
+        weight = self.weight
+        cells = dict(zip(self.coeffs, range(len(self.coeffs))))
+        stored = np.array(
+            [weight.tower.times(c, grid_value(weight, n))
+             for n, c in self.coeffs.items()],
+            dtype=np.uint16,
+        ).reshape(len(cells), weight.dim)
+        return _point_values(weight, inv_tails, inv_heads,
+                             lambda tag: cells.get(tag[0], -1), stored)
 
     def eval_at(self, word):
-        """Value tuple at the point of the word (zero off the support)."""
-        return _tuples(self.values_at([tuple(word)]))[0]
+        """Value at the point of the word (zero off the support), a (dim,)
+        array."""
+        return self.values_at([tuple(word)])[0]
 
     def add(self, other):
         if self.weight is not other.weight:
@@ -880,25 +839,19 @@ class GridElement:
         canonical values up to one scalar per shift)."""
         weight = f.weight
         tw = weight.tower
-        K = weight.K
-        counts = {}
+        cells = np.array([tag[0] for tag in f.tags], dtype=np.intp)
         coeffs = {}
-        for tag, v in f.data.items():
-            t = tag[0]
-            counts[t] = counts.get(t, 0) + 1
-            if t not in coeffs:
-                coeffs[t] = _match_grid_coefficient(weight, t, v)
-        for t, c in coeffs.items():
-            if counts[t] != grid_count(tw, K, t):
+        for t in np.unique(cells).tolist():
+            rows = f.data[cells == t]
+            coeffs[t] = c = _match_grid_coefficient(weight, t, rows[0])
+            if len(rows) != grid_count(tw, weight.K, t):
                 raise CrossCheckFailed(
                     "shift %d support is not the full grid" % t
                 )
-            w = _vscale(tw, c, grid_value(weight, t))
-            for tag, v in f.data.items():
-                if tag[0] == t and v != w:
-                    raise CrossCheckFailed(
-                        "shift %d values are not constant on the grid" % t
-                    )
+            if (rows != tw.times(c, grid_value(weight, t))).any():
+                raise CrossCheckFailed(
+                    "shift %d values are not constant on the grid" % t
+                )
         return cls(weight, coeffs)
 
 
@@ -913,9 +866,9 @@ def _match_grid_coefficient(weight, n, val):
     value is off the canonical line."""
     tw = weight.tower
     w = grid_value(weight, n)
-    p = next(i for i, x in enumerate(w) if x)
-    c = tw.m_(val[p], tw.i_(w[p]))
-    if tuple(val) != _vscale(tw, c, w):
+    p = int(np.flatnonzero(w)[0])
+    c = tw.m_(int(val[p]), tw.i_(int(w[p])))
+    if not np.array_equal(val, tw.times(c, w)):
         raise CrossCheckFailed(
             "value at the shift-%d cell point is off the canonical line" % n
         )
@@ -1010,17 +963,17 @@ def _read_grid(weight, window, evaluate, opname):
     for x in points[:3]:
         for y in (x, bw + x):
             points += [y] + [y + (a,) for a in atoms]
-    sums = _tuples(evaluate(points))
+    sums = evaluate(points)
     coeffs = {}
     for j, val in zip(window, sums):
-        if any(val):
+        if val.any():
             coeffs[j] = _match_grid_coefficient(weight, j, val)
-    step = len(atoms) + 1
-    for start in range(len(window), len(points), step):
-        if any(v != sums[start] for v in sums[start + 1 : start + step]):
-            raise InvarianceViolated(
-                "%s image failed the sampled invariance check" % opname
-            )
+    # (spot-check point y, [y, y a over the atoms a], dim)
+    spots = sums[len(window):].reshape(-1, len(atoms) + 1, weight.dim)
+    if (spots != spots[:, :1]).any():
+        raise InvarianceViolated(
+            "%s image failed the sampled invariance check" % opname
+        )
     return GridElement(weight, coeffs)
 
 
@@ -1286,9 +1239,9 @@ def translation_recursion_check(
         weight,
         read.res_ids,
         read.residues,
-        _stack([w_from] * len(products), weight.dim),
+        np.broadcast_to(w_from, (len(products), weight.dim)),
     )
-    if (moved != np.array(w, dtype=np.uint16)).any():
+    if (moved != w).any():
         raise CrossCheckFailed(
             "sampled product transports off the canonical value"
         )
@@ -1420,11 +1373,11 @@ def constants(weight, check=True):
         raise CrossCheckFailed("deep-cell eigenvalue differs from closed form")
 
     # lam against the invariant functional: j sigma(beta_K) v0 = lam v0
-    v0 = tuple(int(x) for x in weight.v0())
+    v0 = weight.v0()
     jb = gfmat.matmul(
         tw, weight.j_matrix(), weight.matrix(gamma_beta(tw, K))
     )
-    if _vmat(tw, jb, v0) != _vscale(tw, lam, v0):
+    if not np.array_equal(gfmat.matvec(tw, jb, v0), tw.times(lam, v0)):
         raise CrossCheckFailed("lam differs from the invariant functional")
 
     # d[0]: closed form, direct matrix sum, and grid operator
@@ -1438,9 +1391,9 @@ def constants(weight, check=True):
     acc = gfmat.sum_rows(tw, _transport(
         weight,
         [reduce_word(tw, K, (u,) + bw) for u in terms],
-        _stack([v0] * len(terms), weight.dim),
+        np.broadcast_to(v0, (len(terms), weight.dim)),
     ))
-    if tuple(acc.tolist()) != _vscale(tw, d0, v0):
+    if not np.array_equal(acc, tw.times(d0, v0)):
         raise CrossCheckFailed("d[0] direct sum differs from the closed form")
 
     d = {0: d0}
@@ -1496,7 +1449,7 @@ def _permutations(tower, K, index, words):
     CrossCheckFailed unless every word permutes the index."""
     reps = [word_from_tag(tower, K, tag) for tag in index]
     read = _normalize_words(tower, K, words, reps)
-    pos = np.array([index.get(tag, -1) for tag in read.tags], dtype=np.intp)
+    pos = _positions(index, read.tags)
     out = []
     for h in range(len(words)):
         to = pos[read.tag_ids[h :: len(words)]]
@@ -1559,11 +1512,11 @@ class SpanModule:
 def _on_index(index, fn):
     """The values of fn as one vector on the tag index, or None if fn has a
     tag outside it."""
-    if not fn.data.keys() <= index.keys():
+    at = _positions(index, fn.tags)
+    if (at < 0).any():
         return None
-    d = fn.weight.dim
-    v = np.zeros((len(index), d), dtype=np.uint16)
-    v[[index[tag] for tag in fn.data]] = _stack(list(fn.data.values()), d)
+    v = np.zeros((len(index), fn.weight.dim), dtype=np.uint16)
+    v[at] = fn.data
     return v.reshape(-1)
 
 
@@ -1585,7 +1538,7 @@ def spin_K(f):
     tw = weight.tower
     K = weight.K
     lifts = [gamma_lift_word(tw, K, g) for g in gamma_generators(tw, K)]
-    index = _tag_orbit(tw, K, lifts, list(f.data))
+    index = _tag_orbit(tw, K, lifts, f.tags)
     actions = [
         functools.partial(_translate, weight, perm)
         for perm in _permutations(tw, K, index, lifts)

@@ -325,9 +325,10 @@ class Weight:
     an (r, 9) array of residue rows (GammaElem.m), an index array ids into
     it and an (n, dim) array vecs, the (n, dim) array of the
     sigma(rows[ids[i]]) vecs[i], without changing its arguments (apply).
-    matrix(gamma) is the action on the identity rows, memoized by the
-    element key.  Vectors are 1-d numpy index arrays; matrices act on the
-    left (new = M @ v over the coefficient field)."""
+    matrix(gamma) is the action on the identity rows, read-only, in a
+    fields.memo table keyed by the GammaElem.  Vectors are 1-d numpy index
+    arrays; matrices act on the left (new = M @ v over the coefficient
+    field)."""
 
     def __init__(self, tower, K, kind, dim, action, chi=None, part=None,
                  power=None, label=None):
@@ -340,7 +341,6 @@ class Weight:
         self.power = power
         self.label = label or kind
         self._action = action
-        self._mats = {}
         self._memo = {}
 
     def __repr__(self):
@@ -359,15 +359,12 @@ class Weight:
         # column j is sigma(gamma) e_j
         return self.act_rows(gamma, gfmat.eye(self.dim)).T
 
+    @memo
     def matrix(self, gamma):
-        key = gamma.key()
-        m = self._mats.get(key)
-        if m is None:
-            m = np.ascontiguousarray(self._build(gamma), dtype=np.uint16)
-            if m.shape != (self.dim, self.dim):
-                raise CrossCheckFailed("weight matrix has the wrong shape")
-            m.setflags(write=False)
-            self._mats[key] = m
+        m = np.ascontiguousarray(self._build(gamma), dtype=np.uint16)
+        if m.shape != (self.dim, self.dim):
+            raise CrossCheckFailed("weight matrix has the wrong shape")
+        m.setflags(write=False)
         return m
 
     def act(self, gamma, vec):

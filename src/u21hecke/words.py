@@ -47,8 +47,8 @@ by one np.unique.  The result is a tag id per pair into the list of each
 read's distinct tags, and the (N, 9) residue rows.  A word of any other
 form gets the id -1, and a word that fails a certificate raises the scalar
 route's error.  The scalar nf_uak serves single words (tag_of, and the
-scalar coset_normalize of a word the batch does not carry or of a small
-call) and is the batch's test oracle.
+scalar coset_normalize of a word the batch does not carry) and is the
+batch's test oracle.
 """
 
 import math

@@ -3,9 +3,10 @@ the benchmark's tracer wraps exists, the package keeps its derived tables
 only in owned memo tables, no module imports a name it never uses, no
 production solve sweeps a whole reduced subgroup, the materialized T
 stays an oracle, both spins run the one closure loop, the batched coset
-read has one production route, weights act through their array action,
-a product read does not import numpy.ma, and every array lookup in the
-field tables goes through the tower's array methods."""
+read has one production route and the scalar read one caller, weights act
+through their array action, a product read does not import numpy.ma, and
+every array lookup in the field tables goes through the tower's array
+methods."""
 
 import ast
 import importlib
@@ -201,6 +202,13 @@ def test_one_route_into_the_batch():
     memoized product read: every batched coset read is one record of the
     product table."""
     assert _uses_outside({"nf_uak_batch"}, {"_product_read"}) == []
+
+
+def test_one_caller_of_the_scalar_read():
+    """In the package, coset_normalize is named only inside _product_read:
+    the scalar coset read has one production caller, the fallback for the
+    words the batch does not carry."""
+    assert _uses_outside({"coset_normalize"}, {"_product_read"}) == []
 
 
 def test_weights_act_through_arrays():

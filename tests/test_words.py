@@ -447,10 +447,11 @@ def test_product_read_matches_scalar_rows(monkeypatch, chunk):
     """Row for row, a product read (the record of _normalize_words) gives
     the (tag, residue) of the scalar coset_normalize: on heads times tails
     with the pro_iwahori_sample atoms, whose two "d" atoms fall back to the
-    scalar read, on a call below _BATCH_MIN (no batch read) and, with
-    chunks of 7 words, over several batch calls.  The tags are distinct and
-    numbered in order of first appearance, the residues are distinct, the
-    record is read-only, and reading the product again returns it."""
+    scalar read, on a call of a few words, which the batch reads too, and,
+    with chunks of 7 words, over several batch calls.  The tags are
+    distinct and numbered in order of first appearance, the residues are
+    distinct, the record is read-only, and reading the product again
+    returns it."""
     tw = Tower(3, 1)
     monkeypatch.setattr(I, "_BATCH_CHUNK", chunk)
     calls = []
@@ -468,7 +469,7 @@ def test_product_read_matches_scalar_rows(monkeypatch, chunk):
             calls.clear()
             read = I._normalize_words(tw, K, hs, ts)
             n = len(hs) * len(ts)
-            batches = 0 if n < I._BATCH_MIN else -(-n // chunk)
+            batches = -(-n // chunk)
             assert len(calls) == batches
             words = [h + t for t in ts for h in hs]
             assert expand(read) == [oracle(tw, K, w) for w in words]
