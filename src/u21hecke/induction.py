@@ -40,10 +40,14 @@ shift: an invariant function supported on finitely many certified cells and
 vanishing at each cell point alpha^{-j} is identically zero, so reading the
 values at those points reconstructs the coordinates faithfully.  The
 support window of each grid operator is certified by exact double-cell
-labels; the invariance of its image is spot-checked at sampled points.
-op_T_grid reads T through its adjoint stencil, certified once per compact,
-and is the route of the structure constants; the materialized op_T stays as
-the test oracle and the route of op_T_sigma and equivariance_spot_check.
+labels.  Invariance is certified exactly, once per weight or compact: the
+canonical value of each f_n is fixed by the residue image of its coset's
+stabilizer (_grid_value), and the averaging suffixes and T's stencil are
+certified transversals (_suffixes_certified, _t_adjoint), so every image of
+an invariant function is invariant.  op_T_grid reads T through its adjoint
+stencil and is the route of the structure constants; the materialized op_T
+stays as the test oracle and the route of op_T_sigma and
+equivariance_spot_check.
 
 Deep shifts are reached by the translation recursion
     f_{n+1} = sum_{w} w . (alpha . f_n)
@@ -68,11 +72,9 @@ from .errors import (
     PrecisionBudgetExceeded,
 )
 from .fields import memo
-from .laurent import Series
 from .unitary_group import (
     GammaElem,
     atom_alpha,
-    atom_d,
     beta_compact_word,
     iwahori_constants,
     layer_atom,
@@ -92,6 +94,8 @@ from .weights import (
     gamma_beta,
     gamma_generators,
     gamma_lift_word,
+    gamma_lower_generators,
+    gamma_upper_generators,
     inverse_rows,
     reduce_word,
 )
@@ -323,8 +327,7 @@ def _merge(tw, ids, n, rows):
 def _inverses(tower, words):
     """The inverses of a tuple of words, memoized by the tuple in a table
     bounded by the words it holds: the tails of the point reads (the suffix
-    lists of the grid averages, the sampled atoms of the invariance check)
-    are the same lists from call to call."""
+    lists of the grid averages) are the same lists from call to call."""
     return [word_inverse(tower, w) for w in words]
 
 
@@ -534,11 +537,30 @@ def grid_value(weight, n):
 
 @memo
 def _grid_value(weight, positive):
-    """The (dim,) array of grid_value, read-only: it is shared."""
+    """The (dim,) array of grid_value, read-only: it is shared.  Certified
+    to make every f_n on its side of zero pro-unipotent invariant.
+
+    The tags of cell n are the orbit of the coset alpha^n K under the
+    pro-unipotent radical I1, so f_n is the sum over I1/Stab of the
+    translates u . [alpha^n, w], Stab the stabilizer of that coset.  Such
+    an orbit sum is I1-invariant iff [alpha^n, w] is Stab-invariant, that
+    is iff w is fixed by the residue image of alpha^-n Stab alpha^n: the
+    upper unipotent group for n <= 0, the lower one for n >= 1.  So w is
+    checked against the generators of that group (gamma_upper_generators,
+    gamma_lower_generators), in one transport; InvarianceViolated
+    otherwise."""
+    tw = weight.tower
     v = weight.v0()
+    gens = gamma_upper_generators(tw, weight.K)
     if positive:
-        tw = weight.tower
         v = gfmat.matvec(tw, weight.matrix(gamma_beta(tw, weight.K)), v)
+        gens = gamma_lower_generators(tw, weight.K)
+    if (_transport(weight, gens, np.broadcast_to(v, (len(gens), weight.dim)))
+            != v).any():
+        raise InvarianceViolated(
+            "the canonical value of the %s cells is not fixed by the "
+            "stabilizer of their cell point" % ("positive" if positive
+                                                else "nonpositive"))
     v.flags.writeable = False
     return v
 
@@ -562,9 +584,9 @@ def f_basis(weight, n, n_max=DEFAULT_N_MAX, tag_cap=DEFAULT_TAG_CAP):
     Every coordinate combination of the cell grid is one coset tag; all tags
     carry the same canonical value, so the function is assembled without any
     normalization work, its values one read-only broadcast of that value.
-    The depth and cap checks run on every call; the post-conditions
-    (support exactness by construction, sampled pro-unipotent invariance)
-    on first build."""
+    The depth and cap checks run on every call; the support is exact by
+    construction, and the invariance is certified on the value
+    (_grid_value)."""
     tw = weight.tower
     _depth_guard(tw, n, n_max)
     cnt = grid_count(tw, weight.K, n)
@@ -580,76 +602,13 @@ def f_basis(weight, n, n_max=DEFAULT_N_MAX, tag_cap=DEFAULT_TAG_CAP):
 def _f_basis(weight, n):
     tags = tuple(grid_tags(weight.tower, weight.K, n))
     w = grid_value(weight, n)
-    f = InducedFn(weight, tags, np.broadcast_to(w, (len(tags), weight.dim)))
-    if not is_pro_iwahori_invariant(f):
-        raise InvarianceViolated(
-            "canonical basis function of shift %d failed the sampled "
-            "invariance check" % n
-        )
-    return f
+    return InducedFn(weight, tags, np.broadcast_to(w, (len(tags), weight.dim)))
 
 
-# ---------------------------------------------------------------------------
-# sampled pro-unipotent invariance
-
-
-@memo
-def pro_iwahori_sample(tower, K):
-    """Deterministic sample of the pro-unipotent radical: one nontrivial atom
-    in each shallow layer on both sides, plus two depth-one torus units."""
-    n_K, m_K, _ = iwahori_constants(tower, K)
-    atoms = [
-        layer_transversal(tower, n_K)[1],
-        layer_transversal(tower, n_K + 1)[1],
-        layer_transversal(tower, m_K, prime=True)[1],
-        layer_transversal(tower, m_K + 1, prime=True)[1],
-    ]
-    one_t = Series.from_coeffs(tower, 0, (1, 1))
-    atoms.append(atom_d(tower, one_t, Series.const(tower, 1), one_t.conj().inverse()))
-    tz = int(tower.trace_zero[1])
-    num = Series.from_coeffs(tower, 0, (1, tz))
-    den = Series.from_coeffs(tower, 0, (1, int(tower.neg[tz])))
-    atoms.append(
-        atom_d(tower, Series.const(tower, 1), num * den.inverse(), Series.const(tower, 1))
-    )
-    return atoms
-
-
-def _invariance_points(f):
-    """Evaluation points hitting the support of f, deterministically chosen."""
-    tw = f.weight.tower
-    K = f.weight.K
-    by_shift = {}
-    for tag in sorted(f.tags):
-        by_shift.setdefault(tag[0], []).append(tag)
-    points = []
-    bw = beta_compact_word(K)
-    for t, tags in by_shift.items():
-        picks = [tags[0]]
-        if len(tags) > 1:
-            picks.append(tags[len(tags) // 2])
-        for tag in picks:
-            x = word_inverse(tw, word_from_tag(tw, K, tag))
-            points.append(x)
-        points.append(bw + points[-1])
-    return points
-
-
-def is_pro_iwahori_invariant(f, atoms=None, points=None):
-    """Sampled pointwise check that right pro-unipotent translation fixes f:
-    f(x a) = f(x) over the sample atoms and support-hitting points, all
-    evaluated by one values_at call."""
-    tw = f.weight.tower
-    K = f.weight.K
-    if atoms is None:
-        atoms = pro_iwahori_sample(tw, K)
-    if points is None:
-        points = _invariance_points(f)
-    tails = [()] + [(a,) for a in atoms]
-    values = f.values_at(points, tails).reshape(
-        len(points), len(tails), f.weight.dim
-    )
-    return bool((values == values[:, :1]).all())
+def is_pro_iwahori_invariant(f, atoms):
+    """Whether left translation by each atom fixes f, exactly: a . f == f
+    on the whole support."""
+    return all(f.translates([(a,)]) == f for a in atoms)
 
 
 # ---------------------------------------------------------------------------
@@ -721,22 +680,23 @@ def op_T_sigma(weight, f):
 
 
 def _average(weight, f, layers, suffixes, opname):
-    """The translates of f summed over the suffixes, once f passes the
-    sampled invariance under the first atoms of the layers."""
+    """The translates of f summed over the suffixes, once f is fixed by the
+    first atoms of the layers (is_pro_iwahori_invariant)."""
     if f.weight is not weight:
         raise NotApplicable("operator weight differs from the function's")
     tw = weight.tower
     atoms = [layer_transversal(tw, k, prime=prime)[1] for k, prime in layers]
-    if not is_pro_iwahori_invariant(f, atoms=atoms):
+    if not is_pro_iwahori_invariant(f, atoms):
         raise InvarianceViolated(
-            "%s needs the sampled unipotent invariance of its input" % opname
+            "%s needs the unipotent invariance of its input" % opname
         )
     return f.translates(suffixes)
 
 
 def op_SK(weight, f):
     """Averaging to the upper-invariants: sum over the first upper layer of
-    u . beta_K . f.  Requires (sampled) lower-unipotent invariance."""
+    u . beta_K . f.  Requires invariance under the first two lower layer
+    atoms, checked exactly."""
     tw = weight.tower
     _, m_K, _ = iwahori_constants(tw, weight.K)
     layers = [(m_K, True), (m_K + 1, True)]
@@ -745,8 +705,8 @@ def op_SK(weight, f):
 
 def op_Sminus(weight, f):
     """Averaging to the lower-invariants: sum over the first lower layer of
-    u' . beta_K . alpha^-1 . f.  Requires (sampled) upper-unipotent
-    invariance."""
+    u' . beta_K . alpha^-1 . f.  Requires invariance under the first two
+    upper layer atoms, checked exactly."""
     tw = weight.tower
     n_K, _, _ = iwahori_constants(tw, weight.K)
     layers = [(n_K, False), (n_K + 1, False)]
@@ -856,8 +816,10 @@ class GridElement:
 
 
 def f_grid(weight, n, n_max=DEFAULT_N_MAX):
-    """The canonical invariant function of shift cell n in grid form."""
+    """The canonical invariant function of shift cell n in grid form, its
+    invariance certified on the value (_grid_value)."""
     _depth_guard(weight.tower, n, n_max)
+    grid_value(weight, n)
     return GridElement(weight, {n: 1})
 
 
@@ -879,22 +841,43 @@ def _match_grid_coefficient(weight, n, val):
 # averaging operators, grid route
 
 
+def _suffixes_certified(tower, K, words, tail, cell, count, opname):
+    """words, once the words w + tail are certified to land in count
+    pairwise distinct cosets of the cell, read by one _normalize_words
+    call: so the words are a transversal of that many cosets, and none is
+    dropped or repeated.  CrossCheckFailed otherwise."""
+    read = _normalize_words(tower, K, words, [tail])
+    if (len(read) != count or len(read.tags) != count
+            or any(t != cell for t, _ in read.tags)):
+        raise CrossCheckFailed(
+            "the %s suffixes are not a transversal of %d cosets of cell %d"
+            % (opname, count, cell))
+    return words
+
+
 @memo
 def _sk_suffixes(tower, K):
     """The words u beta_K, u in the first upper layer: the prefixes of
-    op_SK and the point tails of op_SK_grid, both read as products."""
+    op_SK and the point tails of op_SK_grid, both read as products.
+    Certified once per compact: the words u beta_K alpha land in
+    layer_size(n_K) distinct cosets of cell -1."""
     n_K, _, _ = iwahori_constants(tower, K)
     bw = beta_compact_word(K)
-    return [(u,) + bw for u in layer_transversal(tower, n_K)]
+    words = [(u,) + bw for u in layer_transversal(tower, n_K)]
+    return _suffixes_certified(tower, K, words, (atom_alpha(1),), -1,
+                               layer_size(tower, n_K), "S_K")
 
 
 @memo
 def _sminus_suffixes(tower, K):
     """The words u' beta_K alpha^-1, u' in the first lower layer, for both
-    routes of S_- as _sk_suffixes is for S_K."""
+    routes of S_- as _sk_suffixes is for S_K.  Certified once per compact:
+    they land in distinct cosets that fill cell 1, grid_count(1) of them."""
     _, m_K, _ = iwahori_constants(tower, K)
     tail = beta_compact_word(K) + (atom_alpha(-1),)
-    return [(u,) + tail for u in layer_transversal(tower, m_K, prime=True)]
+    words = [(u,) + tail for u in layer_transversal(tower, m_K, prime=True)]
+    return _suffixes_certified(tower, K, words, (), 1,
+                               grid_count(tower, K, 1), "S_-")
 
 
 @memo
@@ -941,43 +924,26 @@ def _sminus_window(tower, K, shifts):
     return _double_cell_window(tower, K, words)
 
 
-def _read_grid(weight, window, evaluate, opname):
+def _read_grid(weight, window, evaluate):
     """Reconstruct the image of an operator on the grid form from its values
     at the cell points alpha^-j of the certified window.
 
-    Faithful because the image is invariant (averages over coset transversals
-    of the compact, and T, which commutes with left translation, preserve
-    invariance) and an invariant function supported on the window cells
-    vanishing at every cell point is identically zero.  The invariance of
-    the image is spot-checked, not certified: at x = alpha^-j and
-    x = beta_K alpha^-j for the first three j of the window, the image at
-    x a must equal its value at x for the first four atoms a of
-    pro_iwahori_sample.  evaluate(points) gives the image at all these
-    points, |window| + 10 min(3, |window|) of them, as one (points, dim)
-    array."""
-    tw = weight.tower
-    K = weight.K
-    atoms = pro_iwahori_sample(tw, K)[:4]
-    bw = beta_compact_word(K)
-    points = [(atom_alpha(-j),) for j in window]
-    for x in points[:3]:
-        for y in (x, bw + x):
-            points += [y] + [y + (a,) for a in atoms]
-    sums = evaluate(points)
+    Faithful because the image is invariant and an invariant function
+    supported on the window cells vanishing at every cell point is
+    identically zero.  The input is invariant, its values certified by
+    _grid_value, and each operator is G-equivariant, averaged over a
+    certified transversal (_suffixes_certified, and T's stencil in
+    _t_adjoint).  evaluate(points) gives the image at the |window| cell
+    points as one (points, dim) array."""
+    sums = evaluate([(atom_alpha(-j),) for j in window])
     coeffs = {}
     for j, val in zip(window, sums):
         if val.any():
             coeffs[j] = _match_grid_coefficient(weight, j, val)
-    # (spot-check point y, [y, y a over the atoms a], dim)
-    spots = sums[len(window):].reshape(-1, len(atoms) + 1, weight.dim)
-    if (spots != spots[:, :1]).any():
-        raise InvarianceViolated(
-            "%s image failed the sampled invariance check" % opname
-        )
     return GridElement(weight, coeffs)
 
 
-def _op_grid(elem, suffixes, window, opname):
+def _op_grid(elem, suffixes, window):
     """An averaging operator on the grid form, read back by _read_grid: the
     averages at all its points are evaluated by one values_at call,
     |points| |suffixes| words, and the values of each point are summed as
@@ -992,7 +958,7 @@ def _op_grid(elem, suffixes, window, opname):
         ).swapaxes(0, 1)
         return gfmat.sum_rows(weight.tower, by_suffix)
 
-    return _read_grid(weight, window, evaluate, opname)
+    return _read_grid(weight, window, evaluate)
 
 
 def op_SK_grid(elem):
@@ -1000,7 +966,7 @@ def op_SK_grid(elem):
     tw = elem.weight.tower
     K = elem.weight.K
     window = _sk_window(sorted(elem.coeffs))
-    return _op_grid(elem, _sk_suffixes(tw, K), window, "op_SK")
+    return _op_grid(elem, _sk_suffixes(tw, K), window)
 
 
 def op_Sminus_grid(elem):
@@ -1008,7 +974,7 @@ def op_Sminus_grid(elem):
     tw = elem.weight.tower
     K = elem.weight.K
     window = _sminus_window(tw, K, sorted(elem.coeffs))
-    return _op_grid(elem, _sminus_suffixes(tw, K), window, "op_Sminus")
+    return _op_grid(elem, _sminus_suffixes(tw, K), window)
 
 
 # ---------------------------------------------------------------------------
@@ -1086,8 +1052,7 @@ def _j_factors(weight):
 
 def op_T_grid(elem):
     """The spherical operator on the grid form, read back by _read_grid
-    on its certified window (_t_window), with the sampled invariance spot
-    check.
+    on its certified window (_t_window).
 
     The values F(s^-1 x) at every point x and adjoint suffix s
     (_t_adjoint) come from one values_at_inverses call, the product of the
@@ -1119,7 +1084,7 @@ def op_T_grid(elem):
         return _merge(tw, live % len(points), len(points), rows)
 
     window = _t_window(tw, K, sorted(elem.coeffs))
-    return _read_grid(weight, window, evaluate, "op_T")
+    return _read_grid(weight, window, evaluate)
 
 
 # ---------------------------------------------------------------------------
@@ -1328,8 +1293,8 @@ def constants(weight, check=True):
     """Structure constants, every one cross-checked two ways:
 
     lam and c are read by op_T_grid off T f_0 and T f_+-1 (certified
-    windows and stencil, sampled invariance spot check) and re-derived from
-    the invariant functional (lam) and the closed-form case split (c);
+    windows and stencil) and re-derived from the invariant functional (lam)
+    and the closed-form case split (c);
     c_minus and d[n] are brute-force character sums over the layer classes,
     compared against the grid-form averaging operators; d[0] is
     additionally evaluated as the direct matrix sum over the first upper

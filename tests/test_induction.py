@@ -32,13 +32,12 @@ from u21hecke.unitary_group import (
 )
 from u21hecke.words import (
     nf_uak,
-    tag_coords,
-    tag_from_coords,
     tag_of,
     word_from_tag,
 )
 
 from reads import expand, expand_batch
+from sample import pro_iwahori_sample
 
 BOTH = (K0, K1)
 
@@ -174,14 +173,18 @@ def test_memo_eviction_leaves_results_unchanged(monkeypatch):
     # the recursion step read its 243 products through the batch
     assert sum(len(b[0]) for b in batched) >= 243
     # the grid averaging read the inverses of all its points through the
-    # batch; one bounded nf_uak table serves the scalar coset_normalize and
-    # tag_of
+    # batch; one bounded nf_uak table serves tag_of
     read = {word for b in batched for word in b[0]}
     assert points and {word_inverse(tw, x) for x in points} <= read
     assert len(tw._memo[nf_uak.__wrapped__]) == 3
     # the product table holds at most 3 words over all its records
     records = tw._memo[I._product_read.__wrapped__]
     assert records.held == sum(map(len, records.values())) <= 3
+    # no word of the run fell back to the scalar coset_normalize, whose
+    # per-word table is bounded too
+    assert I.coset_normalize.__wrapped__ not in tw._memo
+    for tag in I.grid_tags(tw, K0, -1):
+        I.coset_normalize(tw, K0, word_from_tag(tw, K0, tag))
     assert len(tw._memo[I.coset_normalize.__wrapped__]) == 3
 
 
@@ -207,7 +210,7 @@ def test_product_table_bounded_by_words(monkeypatch):
     third = [word_from_tag(tw, K0, tag) for tag in I.f_basis(w, 2).tags]
     first, second = third[:81], third[81:162]
     # start from an empty product table
-    del tw._memo[I._product_read.__wrapped__]
+    tw._memo.pop(I._product_read.__wrapped__, None)
     monkeypatch.setattr(I, "nf_uak_batch", spy)
     records = lambda: tw._memo[I._product_read.__wrapped__]
     assert I.InducedFn.from_raw(w, pairs) == f
@@ -233,13 +236,13 @@ def test_product_table_bounded_by_words(monkeypatch):
 def test_recursion_step_keeps_one_record():
     """On a fresh q = 3 tower, the exhaustive step 2 -> 3 of trivial@K0
     reads its 19,683 products as one product read: the product table holds
-    that record, one tag per word, while coset_normalize's per-word table
-    keeps only the few words of the small invariance reads."""
+    that record, one tag per word, and no word falls back to the scalar
+    coset_normalize, whose per-word table is never made."""
     tw = Tower(3, 1)
     tw.default_window = 24
     w = W.make_weight(tw, K0, W.TRIVIAL)
     I.translation_recursion_check(w, 2, 1)
-    assert len(tw._memo[I.coset_normalize.__wrapped__]) < 100
+    assert I.coset_normalize.__wrapped__ not in tw._memo
     prefixes = I.translation_prefixes(tw, K0, 2, 1)
     reps = [word_from_tag(tw, K0, tag) for tag in I.f_basis(w, 2).tags]
     records = tw._memo[I._product_read.__wrapped__]
@@ -313,7 +316,7 @@ def test_translates_match_pairs_oracle(monkeypatch):
         assert f0.translates(prefixes) == oracle(f0, prefixes) == fm1
         rough = I.InducedFn(w, fm1.tags, rng.integers(
             1, tw.Q, (len(fm1.tags), w.dim)).astype(np.uint16))
-        unit = next(a for a in I.pro_iwahori_sample(tw, K) if a[0] == "d")
+        unit = next(a for a in pro_iwahori_sample(tw, K) if a[0] == "d")
         reads.clear()
         assert rough.g_act((unit,)) == oracle(rough, [(unit,)])
         assert reads and all((ids < 0).all() for ids, _, _ in reads)
@@ -496,44 +499,28 @@ def test_linear_structure_matches_dict_oracle(tower, catalog, data):
 
 
 def test_eval_agreement_basis_vs_grid(tower, catalog):
-    rng = random.Random(11)
     for K in BOTH:
         w = catalog[(K, "trivial")]
         ws = catalog[(K, "steinberg")]
+        bw = beta_compact_word(K)
         for n in (0, 1, -1):
             for wt in (w, ws):
                 fb = I.f_basis(wt, n)
                 fg = I.f_grid(wt, n)
-                pts = I._invariance_points(fb)
-                # plus deliberately off-support points
-                pts.append(word_from_tag(tower, K, (0, 0)))
+                # the first and the middle coset of the cell, the compact's
+                # involution times the latter, and an off-support point
+                pts = [word_inverse(tower, word_from_tag(tower, K, tag))
+                       for tag in (fb.tags[0], fb.tags[len(fb.tags) // 2])]
+                pts += [bw + pts[-1], word_from_tag(tower, K, (0, 0))]
                 for x in pts:
                     assert np.array_equal(fb.eval_at(x), fg.eval_at(x))
                 values = fb.values_at(pts)
                 assert np.array_equal(values, fg.values_at(pts))
                 assert np.array_equal(values, [fb.eval_at(x) for x in pts])
-                tails = [()] + [(a,) for a in I.pro_iwahori_sample(tower, K)]
+                tails = [()] + [(a,) for a in pro_iwahori_sample(tower, K)]
                 assert np.array_equal(fb.values_at(pts, tails), [
                     fg.eval_at(x + t) for x in pts for t in tails
                 ])
-
-
-def test_invariance_points_follow_coordinate_order(tower, catalog):
-    """_invariance_points picks, in each cell of the support, the cosets
-    whose layer coordinates come first and in the middle in sorted order
-    (as when a tag held its coordinates), then the compact's involution
-    times the last pick."""
-    bw = beta_compact_word(K1)
-    w = catalog[(K1, "steinberg")]
-    f = I.f_basis(w, 2).add(I.f_basis(w, -1)).add(I.f_basis(w, 0))
-    want = []
-    for n in (-1, 0, 2):
-        olds = sorted(tag_coords(tower, K1, t) for t in f.tags if t[0] == n)
-        for old in [olds[0]] + ([olds[len(olds) // 2]] if len(olds) > 1 else []):
-            tag = tag_from_coords(tower, K1, n, old)
-            want.append(word_inverse(tower, word_from_tag(tower, K1, tag)))
-        want.append(bw + want[-1])
-    assert I._invariance_points(f) == want
 
 
 def test_eval_off_support_is_zero(tower, catalog):
@@ -548,7 +535,7 @@ def test_eval_off_support_is_zero(tower, catalog):
 def test_g_act_composition(tower, catalog):
     w = catalog[(K1, "trivial")]
     f = I.f_basis(w, 0)
-    atoms = I.pro_iwahori_sample(tower, K1)
+    atoms = pro_iwahori_sample(tower, K1)
     bw = beta_compact_word(K1)
     w1 = bw + (atoms[0],)
     w2 = (atoms[4],) + bw
@@ -580,18 +567,18 @@ def _doctored(f, tag):
 
 
 def test_invariance_checker_catches_doctored(tower, catalog):
-    w = catalog[(K0, "trivial")]
-    f = I.f_basis(w, -1)
-    tag = sorted(f.tags)[0]
-    g = _doctored(f, tag)
-    pts = [word_inverse(tower, word_from_tag(tower, K0, tag))]
-    assert not I.is_pro_iwahori_invariant(g, points=pts)
-    # every point is checked, not only the first
-    clean = word_inverse(tower, word_from_tag(tower, K0, sorted(f.tags)[-1]))
-    assert I.is_pro_iwahori_invariant(g, points=[clean])
-    assert not I.is_pro_iwahori_invariant(g, points=[clean] + pts)
-    with pytest.raises(CrossCheckFailed):
-        I.GridElement.from_induced(g)
+    """The exact check sees every single-tag doctoring of f_-1 at K0 (81
+    tags) and of f_1 at K1 (27), and from_induced refuses each."""
+    for K, n, size in ((K0, -1, 81), (K1, 1, 27)):
+        f = I.f_basis(catalog[(K, "trivial")], n)
+        atoms = pro_iwahori_sample(tower, K)
+        assert len(f.tags) == size
+        assert I.is_pro_iwahori_invariant(f, atoms)
+        for tag in f.tags:
+            g = _doctored(f, tag)
+            assert not I.is_pro_iwahori_invariant(g, atoms), (K, tag)
+            with pytest.raises(CrossCheckFailed):
+                I.GridElement.from_induced(g)
 
 
 def test_equality_never_merges_modules(catalog):
@@ -603,6 +590,36 @@ def test_equality_never_merges_modules(catalog):
     assert I.f_basis(triv, 0) != I.f_basis(det1, 0)
     with pytest.raises(NotApplicable):
         I.f_basis(triv, 0).add(I.f_basis(det1, 0))
+
+
+def test_production_runs_make_no_scalar_coset_read(monkeypatch):
+    """On a fresh q = 3 tower (so no product read is memoized yet), the
+    constants battery, the exhaustive recursion steps and spin_K(f_1) of
+    the catalog each call the scalar coset_normalize 0 times: every word
+    they read is carried by the batch."""
+    calls = []
+
+    def spy(tower, K, word, _orig=I.coset_normalize):
+        calls.append(word)
+        return _orig(tower, K, word)
+
+    monkeypatch.setattr(I, "coset_normalize", spy)
+    tw = Tower(3, 1)
+    tw.default_window = 24
+    cat = _catalog(tw)
+    runs = {
+        "constants": lambda: [I.constants(w, check=True)
+                              for w in cat.values()],
+        "recursion": lambda: [
+            I.translation_recursion_check(cat[(K0, "trivial")], n, d)
+            for n, d in ((0, 1), (1, 1), (2, 1), (0, -1), (-1, -1))
+        ],
+        "spin_K": lambda: [I.spin_K(I.f_basis(w, 1)) for w in cat.values()],
+    }
+    for name, run in runs.items():
+        calls.clear()
+        run()
+        assert calls == [], name
 
 
 def test_coset_normalize_inverts_no_series(monkeypatch):
@@ -853,18 +870,71 @@ def test_grid_values_match_nf_kau_read(monkeypatch):
     assert batched and all((ids >= 0).all() for ids in batched)
 
 
-def test_sampled_check_catches_a_dropped_suffix(monkeypatch, tower, catalog):
-    """Averaging over a transversal with one coset missing gives a
-    non-invariant image, which the sampled spot check of _op_grid sees."""
-    suffixes = I._sk_suffixes(tower, K1)
-    monkeypatch.setattr(I, "_sk_suffixes", lambda tw, K: suffixes[1:])
-    with pytest.raises(InvarianceViolated):
-        I.op_SK_grid(I.f_grid(catalog[(K1, "trivial")], 1))
+@pytest.mark.parametrize("p", [3, 5])
+@pytest.mark.parametrize("fault", [
+    lambda atoms: atoms[1:],
+    lambda atoms: atoms[:1] + atoms[:-1],
+], ids=["dropped", "repeated"])
+def test_dropped_layer_atom_fails_the_suffix_certificates(monkeypatch, p,
+                                                          fault):
+    """With one atom missing from every layer transversal (or one atom in
+    place of another), the averaging suffixes are no transversal: on a
+    fresh tower (the certificates are memoized per compact) both grid
+    averages raise CrossCheckFailed, at both compacts."""
+    tw = Tower(p, 1)
+    monkeypatch.setattr(
+        I, "layer_transversal",
+        lambda tower, k, prime=False, _orig=I.layer_transversal:
+            fault(_orig(tower, k, prime=prime)),
+    )
+    for K in BOTH:
+        w = W.make_weight(tw, K, W.TRIVIAL)
+        with pytest.raises(CrossCheckFailed):
+            I.op_SK_grid(I.f_grid(w, 1))
+        with pytest.raises(CrossCheckFailed):
+            I.op_Sminus_grid(I.f_grid(w, 0))
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_untwisted_positive_value_fails_its_certificate(monkeypatch, tower,
+                                                        tower5, p):
+    """With gamma_beta read as the identity, the value of the positive cells
+    of the steinberg weight is v0, which the lower unipotent group moves:
+    on a fresh weight (the value is memoized per weight) f_basis and f_grid
+    of cell 1 raise InvarianceViolated, and cell 0 is still certified."""
+    tw = tower if p == 3 else tower5
+    monkeypatch.setattr(I, "gamma_beta",
+                        lambda tower, K: U.GammaElem.identity(tower, K))
+    for K in BOTH:
+        w = W.make_weight(tw, K, W.STEINBERG)
+        with pytest.raises(InvarianceViolated):
+            I.f_basis(w, 1)
+        with pytest.raises(InvarianceViolated):
+            I.f_grid(w, 1)
+        assert I.f_grid(w, 0) == I.GridElement(w, {0: 1})
+
+
+def test_grid_values_fixed_by_exactly_their_own_group(tower, tower5):
+    """The steinberg values are fixed by the unipotent group of their own
+    sign only (v0 by the upper one, sigma(beta_K) v0 by the lower one), so
+    the certificate of _grid_value tells the two apart; the one-dimensional
+    values are fixed by both."""
+    for tw in (tower, tower5):
+        for K in BOTH:
+            groups = (W.gamma_upper_generators(tw, K),
+                      W.gamma_lower_generators(tw, K))
+            for kind in (W.TRIVIAL, W.STEINBERG, W.DET_TWIST):
+                w = W.make_weight(tw, K, kind)
+                for n, own in ((0, 0), (1, 1)):
+                    v = I.grid_value(w, n)
+                    fixed = [not (I._transport(w, gens, np.broadcast_to(
+                        v, (len(gens), w.dim))) != v).any() for gens in groups]
+                    assert fixed[own], (K, w.label, n)
+                    assert fixed[1 - own] == (w.dim == 1), (K, w.label, n)
 
 
 def test_op_grid_evaluates_every_sampled_point(monkeypatch, tower, catalog):
-    """_op_grid evaluates the window points and, for the first three window
-    shifts, 2 x (1 + 4) spot-check points, each once per suffix."""
+    """_op_grid evaluates the window points only, each once per suffix."""
     counts, calls = [], []
 
     def spy(self, heads, tails=((),), _orig=I.GridElement.values_at):
@@ -876,8 +946,6 @@ def test_op_grid_evaluates_every_sampled_point(monkeypatch, tower, catalog):
     alpha = U.atom_alpha
     for K in BOTH:
         w = catalog[(K, "steinberg")]
-        atoms = I.pro_iwahori_sample(tower, K)[:4]
-        bw = beta_compact_word(K)
         for coeffs in ({0: 1}, {1: 1}, {-2: 1, 1: 2}):
             elem = I.GridElement(w, coeffs)
             shifts = sorted(elem.coeffs)
@@ -890,12 +958,9 @@ def test_op_grid_evaluates_every_sampled_point(monkeypatch, tower, catalog):
                 counts.clear()
                 calls.clear()
                 op(elem)
-                expect = (len(window) + 10 * min(3, len(window))) * len(suffixes)
+                expect = len(window) * len(suffixes)
                 assert counts == [expect], (K, coeffs, op.__name__)
                 heads = {(alpha(-j),) for j in window}
-                for j in window[:3]:
-                    for y in ((alpha(-j),), bw + (alpha(-j),)):
-                        heads |= {y} | {y + (a,) for a in atoms}
                 assert calls == [(heads, suffixes)], (K, coeffs, op.__name__)
 
 
@@ -913,7 +978,7 @@ def test_twisting_law(tower, catalog):
         for name in ("trivial", "steinberg", "det1"):
             w = catalog[(K, name)]
             f0, f1 = I.f_basis(w, 0), I.f_basis(w, 1)
-            torus = [a for a in I.pro_iwahori_sample(tower, K) if a[0] == "d"]
+            torus = [a for a in pro_iwahori_sample(tower, K) if a[0] == "d"]
             assert torus
             suffixes = I._sk_suffixes(tower, K)
             for h in torus:
@@ -930,9 +995,10 @@ def test_images_remain_invariant(tower, catalog):
         for name in ("trivial", "steinberg", "det1"):
             w = catalog[(K, name)]
             f0, f1 = I.f_basis(w, 0), I.f_basis(w, 1)
-            assert I.is_pro_iwahori_invariant(I.op_T(w, f0))
-            assert I.is_pro_iwahori_invariant(I.op_SK(w, f1))
-            assert I.is_pro_iwahori_invariant(I.op_Sminus(w, f0))
+            atoms = pro_iwahori_sample(tower, K)
+            assert I.is_pro_iwahori_invariant(I.op_T(w, f0), atoms)
+            assert I.is_pro_iwahori_invariant(I.op_SK(w, f1), atoms)
+            assert I.is_pro_iwahori_invariant(I.op_Sminus(w, f0), atoms)
 
 
 def test_t_sigma_variant(tower, catalog):
@@ -1364,7 +1430,7 @@ def test_property_normalization_invariance(tower, data, catalog):
     w = catalog[(K, "steinberg")]
     f1 = I.f_basis(w, 1)
     tag = data.draw(st.sampled_from(sorted(f1.tags)))
-    atoms = I.pro_iwahori_sample(tower, K)
+    atoms = pro_iwahori_sample(tower, K)
     k_word = tuple(
         data.draw(st.sampled_from(atoms))
         for _ in range(data.draw(st.integers(min_value=1, max_value=3)))

@@ -211,6 +211,17 @@ def test_one_caller_of_the_scalar_read():
     assert _uses_outside({"coset_normalize"}, {"_product_read"}) == []
 
 
+def test_invariance_is_certified_not_sampled():
+    """In the package, is_pro_iwahori_invariant is named only inside
+    _average, the input check of the materialized averages, and no
+    sampling helper of invariance (pro_iwahori_sample, _invariance_points)
+    is named or defined anywhere."""
+    assert _uses_outside({"is_pro_iwahori_invariant"}, {"_average"}) == []
+    sampled = ("pro_iwahori_sample", "_invariance_points")
+    assert [path.name for path in sorted(PACKAGE.glob("*.py"))
+            if any(name in path.read_text() for name in sampled)] == []
+
+
 def test_weights_act_through_arrays():
     """In the package, the scalar classify_coset is named only in
     gamma_lift_word, so no weight builds sigma(gamma) one coset at a time

@@ -46,6 +46,7 @@ from u21hecke.words import (
 )
 
 from reads import expand, expand_batch
+from sample import pro_iwahori_sample
 from test_group import old_k1_reading
 
 # A tower of this module's own, so its window does not depend on test order.
@@ -312,7 +313,7 @@ def template_words(tw, K, pieces, picks):
                 coords = [c for c in layer_coords(tw, a) if c[0] == 0]
                 word.append(layer_atom(tw, a, coords[pick[n] % len(coords)], b))
             elif kind == "sample":
-                word.append(I.pro_iwahori_sample(tw, K)[a])
+                word.append(pro_iwahori_sample(tw, K)[a])
             elif kind == "alpha":
                 word.append(atom_alpha(a))
             else:
@@ -365,7 +366,7 @@ def test_batch_fallback_is_exact():
     scalar read, and every row of the mixed batch equals the scalar one."""
     tw = Tower(3, 1)
     for K in (K0, K1):
-        sample = I.pro_iwahori_sample(tw, K)
+        sample = pro_iwahori_sample(tw, K)
         assert [_atom_form(a) is None for a in sample] == [False] * 4 + [True] * 2
         bases = [word_from_tag(tw, K, t) for t in I.grid_tags(tw, K, -1)][:20]
         words = [b + (a,) for b in bases for a in sample]
@@ -462,7 +463,7 @@ def test_product_read_matches_scalar_rows(monkeypatch, chunk):
 
     monkeypatch.setattr(I, "nf_uak_batch", batch_spy)
     for K in (K0, K1):
-        sample = I.pro_iwahori_sample(tw, K)
+        sample = pro_iwahori_sample(tw, K)
         heads = [word_from_tag(tw, K, t) for t in I.grid_tags(tw, K, -1)][:12]
         tails = [()] + [(a,) for a in sample]
         for hs, ts in ((heads, tails), (heads[:3], tails[:4]), (heads, [()])):
