@@ -47,7 +47,17 @@ certified transversals (_suffixes_certified, _t_adjoint), so every image of
 an invariant function is invariant.  op_T_grid reads T through its adjoint
 stencil and is the route of the structure constants; the materialized op_T
 stays as the test oracle and the route of op_T_sigma and
-equivariance_spot_check.
+equivariance_spot_check.  The idempotent j of the stencil has rank one,
+j = v0 ell^T (_j_factors, certified), so the adjoint stencil folds into two
+tables per weight, L_s = sigma(g_s')^T ell and R_s = sigma(r_s) v0
+(_t_tables), and (T F)(x) = sum_s (L_s . F(s^-1 x)) R_s is one product and
+one matrix product per call, with no transport.
+
+A word that lies in the compact lies in the coset K itself, tag (0, 0),
+whose representative alpha^0 is the identity, so its residue is the
+residue of its read (_residues_in_compact): the residues of T's stencil and
+of the direct d[0] sum come from one product read each, with no matrix of
+a word.
 
 Deep shifts are reached by the translation recursion
     f_{n+1} = sum_{w} w . (alpha . f_n)
@@ -97,7 +107,6 @@ from .weights import (
     gamma_lower_generators,
     gamma_upper_generators,
     inverse_rows,
-    reduce_word,
 )
 from .words import (
     grid_layer_span,
@@ -615,20 +624,34 @@ def is_pro_iwahori_invariant(f, atoms):
 # the spherical operator (explicit coset expansion)
 
 
+def _residues_in_compact(tower, K, words):
+    """The residue red(w) of every word w of a list that lies in the
+    compact, as a list of GammaElem in word order, from one
+    _normalize_words read.  A word w in K lies in the coset K itself, tag
+    (0, 0), whose representative alpha^0 is the identity, so the read
+    w = rep k has k = w and its residue is red(w).  CrossCheckFailed unless
+    every tag is (0, 0): a word outside K has no residue."""
+    read = _normalize_words(tower, K, words)
+    if any(tag != (0, 0) for tag in read.tags):
+        raise CrossCheckFailed("a word to reduce lies outside the compact")
+    return [read.residues[r] for r in read.res_ids.tolist()]
+
+
 @memo
 def _t_stencil(tower, K):
     """Suffix words and compact residues of the two-sum expansion of T[1, v]:
     the N_{n_K}/N_{n_K+2} sum of [u alpha^-1, j sigma(u)^-1 v] and the
-    N_{n_K+1}/N_{n_K+2} sum of [beta_K u alpha^-1, j sigma(beta_K) v]."""
+    N_{n_K+1}/N_{n_K+2} sum of [beta_K u alpha^-1, j sigma(beta_K) v].  The
+    residues of the inverses u^-1 and of beta_K come from one read
+    (_residues_in_compact)."""
     n_K, _, _ = iwahori_constants(tower, K)
     al = (atom_alpha(-1),)
-    items = []
-    for ua in layer_transversal(tower, n_K):
-        for ub in layer_transversal(tower, n_K + 1):
-            w = (ua, ub)
-            items.append((w + al, reduce_word(tower, K, word_inverse(tower, w))))
     bw = beta_compact_word(K)
-    gb = reduce_word(tower, K, bw)
+    firsts = [(ua, ub) for ua in layer_transversal(tower, n_K)
+              for ub in layer_transversal(tower, n_K + 1)]
+    *inverses, gb = _residues_in_compact(
+        tower, K, [word_inverse(tower, w) for w in firsts] + [bw])
+    items = [(w + al, g) for w, g in zip(firsts, inverses)]
     for ub in layer_transversal(tower, n_K + 1):
         items.append((bw + (ub,) + al, gb))
     return items
@@ -1001,7 +1024,9 @@ def _t_adjoint(tower, K):
     lies in the double coset and the double coset lies in the cells +-1,
     the stencil is then the whole double coset.  Every s^-1 must land in a
     stencil coset.  CrossCheckFailed otherwise.  Returns the list of
-    (s, g_s', r_s)."""
+    (s, g_s', r_s), which _t_tables folds into two tables per weight; at
+    q = 3 and 5 every g_s' is the same residue, and the r_s take q^3 + 1
+    values at K0 and q + 1 at K1."""
     stencil = _t_stencil(tower, K)
     inverses = [word_inverse(tower, s) for s, _ in stencil]
     n = len(stencil)
@@ -1050,40 +1075,56 @@ def _j_factors(weight):
     return v0, ell
 
 
+@memo
+def _t_tables(weight):
+    """The two tables of op_T_grid, one row per adjoint suffix s
+    (_t_adjoint), as read-only (suffixes, dim) arrays: L_s = sigma(g_s')^T
+    ell and R_s = sigma(r_s) v0, where j = v0 ell^T (_j_factors).  Then
+    sigma(r_s) j sigma(g_s') F = (L_s . F) R_s, so
+        (T F)(x) = sum_s (L_s . F(s^-1 x)) R_s.
+    L is one gfmat.matvec per distinct g_s' (one for every compact at q = 3
+    and 5), R one transport of v0 by the distinct r_s; both are spread to
+    the suffixes by their residue ids."""
+    tw = weight.tower
+    adjoint = _t_adjoint(tw, weight.K)
+    v0, ell = _j_factors(weight)
+    g_ids, g_res = _residue_ids([g for _, g, _ in adjoint])
+    r_ids, r_res = _residue_ids([r for _, _, r in adjoint])
+    ell_rows = np.array([gfmat.matvec(tw, weight.matrix(g).T, ell)
+                         for g in g_res], dtype=np.uint16)
+    v0_rows = _transport(weight, r_res,
+                         np.broadcast_to(v0, (len(r_res), weight.dim)))
+    tables = ell_rows[g_ids], v0_rows[r_ids]
+    for t in tables:
+        t.flags.writeable = False
+    return tables
+
+
 def op_T_grid(elem):
     """The spherical operator on the grid form, read back by _read_grid
     on its certified window (_t_window).
 
     The values F(s^-1 x) at every point x and adjoint suffix s
     (_t_adjoint) come from one values_at_inverses call, the product of the
-    inverted points and the suffixes s; only the nonzero rows (an exact
-    skip) are moved, by sigma(g_s') (one transport), then j, applied by its
-    factors as (v . ell) v0 (_j_factors, certified once per call), and
-    sigma(r_s) (one more transport), and summed per point (_merge).  The
-    residues of the adjoint stencil are numbered once per call
-    (_residue_ids), and each transport reads its rows' ids."""
+    inverted points and the suffixes s, as a (suffix, point, dim) array.
+    With the tables of the weight (_t_tables), the coefficients
+    c[s, x] = L_s . F(s^-1 x) are one product and one sum over dim
+    (gfmat.sum_rows), and the values (T F)(x) = sum_s c[s, x] R_s one
+    gfmat.matmul: no value is transported per call."""
     weight = elem.weight
     tw = weight.tower
-    K = weight.K
-    adjoint = _t_adjoint(tw, K)
-    g_ids, g_res = _residue_ids([g for _, g, _ in adjoint])
-    r_ids, r_res = _residue_ids([r for _, _, r in adjoint])
-    v0, ell = _j_factors(weight)
+    adjoint = _t_adjoint(tw, weight.K)
+    ell_rows, v0_rows = _t_tables(weight)
 
     def evaluate(points):
         values = elem.values_at_inverses(
             [word_inverse(tw, x) for x in points], [s for s, _, _ in adjoint]
-        )
-        live = np.flatnonzero(values.any(axis=1))
-        if not len(live):
-            return np.zeros((len(points), weight.dim), dtype=np.uint16)
-        suffix = live // len(points)
-        rows = _transport_ids(weight, g_ids[suffix], g_res, values[live])
-        rows = tw.times(gfmat.matvec(tw, rows, ell)[:, None], v0)
-        rows = _transport_ids(weight, r_ids[suffix], r_res, rows)
-        return _merge(tw, live % len(points), len(points), rows)
+        ).reshape(len(adjoint), len(points), weight.dim)
+        c = gfmat.sum_rows(tw, tw.times(ell_rows.T[:, :, None],
+                                        values.transpose(2, 0, 1)))
+        return gfmat.matmul(tw, c.T, v0_rows)
 
-    window = _t_window(tw, K, sorted(elem.coeffs))
+    window = _t_window(tw, weight.K, sorted(elem.coeffs))
     return _read_grid(weight, window, evaluate)
 
 
@@ -1297,13 +1338,15 @@ def constants(weight, check=True):
     and the closed-form case split (c);
     c_minus and d[n] are brute-force character sums over the layer classes,
     compared against the grid-form averaging operators; d[0] is
-    additionally evaluated as the direct matrix sum over the first upper
-    layer.  d is given for n <= CONSTANTS_N_TOP.  Neither op_T nor f_basis
-    is called."""
+    additionally evaluated as the direct sum of sigma(u beta_K) v0 over the
+    first upper layer, its residues read from one product read
+    (_residues_in_compact on the S_K suffixes).  d is given for
+    n <= CONSTANTS_N_TOP.  Neither op_T nor f_basis is called, and no
+    matrix of a word is formed."""
     tw = weight.tower
     K = weight.K
     chi = weight.chi_of()
-    n_K, _, t_K = iwahori_constants(tw, K)
+    _, _, t_K = iwahori_constants(tw, K)
 
     g0 = op_T_grid(f_grid(weight, 0))
     if g0.coeffs.get(-1) != 1 or not set(g0.coeffs) <= {-1, 1}:
@@ -1351,13 +1394,9 @@ def constants(weight, check=True):
         d0 = int(tw.neg[chi.value(*_h_pair(tw, frak_t))])
     else:
         d0 = 0
-    bw = beta_compact_word(K)
-    terms = layer_transversal(tw, n_K)
+    terms = _residues_in_compact(tw, K, _sk_suffixes(tw, K))
     acc = gfmat.sum_rows(tw, _transport(
-        weight,
-        [reduce_word(tw, K, (u,) + bw) for u in terms],
-        np.broadcast_to(v0, (len(terms), weight.dim)),
-    ))
+        weight, terms, np.broadcast_to(v0, (len(terms), weight.dim))))
     if not np.array_equal(acc, tw.times(d0, v0)):
         raise CrossCheckFailed("d[0] direct sum differs from the closed form")
 

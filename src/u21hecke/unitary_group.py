@@ -436,24 +436,19 @@ def _layer_positions(tower, parity):
 
 
 def layer_atom(tower, k, coords, prime=False):
-    """Exact-constant representative of a filtration-layer coset.  Built, and
-    its unipotent relation checked, once per coordinate and tower."""
-    return _layer_atom(tower, k, coords, bool(prime))
-
-
-@memo
-def _layer_atom(tower, k, coords, prime):
+    """Exact-constant representative of a filtration-layer coset: the atom
+    of layer_transversal(k, prime) at the position of coords
+    (layer_positions).  NotApplicable for an x coordinate on an odd layer,
+    RelationViolated (as atom_n) for any other pair off the layer."""
     xi, ti = coords
-    if k % 2 == 0:
-        x = Series.from_coeffs(tower, k // 2, (xi,)) if xi else Series.zero(tower)
-    else:
-        if xi:
-            raise NotApplicable("odd layers carry no x coordinate")
-        x = Series.zero(tower)
-    y = Series.from_coeffs(tower, k, (ti,)) if ti else Series.zero(tower)
-    if prime:
-        return atom_np(tower, x, y)
-    return atom_n(tower, x, y)
+    if k % 2 and xi:
+        raise NotApplicable("odd layers carry no x coordinate")
+    i = int(layer_positions(tower, k)[xi * tower.Q + ti])
+    if i < 0:
+        raise RelationViolated(
+            "unipotent parameters violate x*conj(x) + y + conj(y) = 0"
+        )
+    return layer_transversal(tower, k, prime)[i]
 
 
 def layer_size(tower, k):
@@ -461,8 +456,31 @@ def layer_size(tower, k):
 
 
 def layer_transversal(tower, k, prime=False):
-    """Coset representatives of the k-th layer modulo the (k+1)-st."""
-    return [layer_atom(tower, k, c, prime) for c in layer_coords(tower, k)]
+    """Coset representatives of the k-th layer modulo the (k+1)-st, one
+    atom per pair of layer_coords(k), in that order, as a tuple."""
+    return _layer_transversal(tower, k, bool(prime))
+
+
+@memo
+def _layer_transversal(tower, k, prime):
+    """The atoms of layer_transversal, built once per (k, prime) as the
+    tuples atom_n (atom_np with prime) makes of the exact monomials
+    x = xi t^(k/2) and y = ti t^k, after one check of the unipotent
+    relation x conj(x) + y + conj(y) = 0 on all the layer's pairs at once:
+    its only coefficient, at t^k, is xi conj(xi) + ti + conj(ti)."""
+    tw = tower
+    coords = layer_coords(tw, k)
+    xi, ti = np.array(coords, dtype=np.uint16).reshape(-1, 2).T
+    if tw.plus_times(tw.plus(ti, tw.frob[ti]), xi, tw.frob[xi]).any():
+        raise RelationViolated(
+            "unipotent parameters violate x*conj(x) + y + conj(y) = 0"
+        )
+    zero = (INF, INF, ())
+    kind = "np" if prime else "n"
+    return tuple(
+        (kind, (k // 2, INF, (x,)) if x else zero, (k, INF, (t,)) if t else zero)
+        for x, t in coords
+    )
 
 
 # ---------------------------------------------------------------------------

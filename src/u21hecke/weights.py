@@ -30,8 +30,12 @@ Vectors are numpy index arrays over the coefficient field.  A weight acts
 on many rows at once, given as residue rows (Weight.apply): a principal
 series by a gather and a scale over its Borel cosets (classify_rows, the
 array form of classify_coset), the layers and quotients through their base.
-Weight.matrix, the action on the identity rows, is cached per element for
-the solves that need a whole matrix.
+A principal series acting by one residue on a block of rows (act_rows)
+reads that residue's gather and scale from a table per weight, so it
+classifies each residue once.  Weight.matrix, the action on the identity
+rows, is cached per element for the solves that need a whole matrix, and
+the torus generators' action on the unipotent invariants once per weight
+for the Borel eigenlines of every character.
 """
 
 import functools
@@ -422,6 +426,28 @@ class Weight:
         return inv[0].copy()
 
     @memo
+    def _torus_on_invariants(self):
+        """(t, M_t) for each torus generator t, where M_t is the matrix of
+        t restricted to the rows of u_invariants (the images of the rows,
+        read at their pivots, transposed), certified to keep that space:
+        the part of borel_eigenvectors that no character changes."""
+        tw = self.tower
+        inv = self.u_invariants()
+        piv = [int(np.nonzero(b)[0][0]) for b in inv]
+        checker = gfmat.Basis(tw, self.dim)
+        for row in inv:
+            checker.add(row)
+        out = []
+        for t in gamma_torus_generators(tw, self.K):
+            images = self.act_rows(t, inv)
+            if checker.reduce(images).any():
+                raise CrossCheckFailed(
+                    "torus does not preserve the invariant space"
+                )
+            out.append((t, images[:, piv].T))
+        return out
+
+    @memo
     def j_matrix(self):
         """The rank-one idempotent: inverse of the composite of the
         invariant-line inclusion with the lower-coinvariant projection,
@@ -560,6 +586,29 @@ def _det_twist_action(tower, k):
     return act
 
 
+class _PrincipalSeries(Weight):
+    """A principal series (make_weight), acting on many residue rows by
+    _ps_action.  act_rows, one residue on a block of rows, reads that
+    residue's gather and scale from a memo table instead (_gather), so
+    spin and borel_eigenvectors, which act by the same few generators again
+    and again, classify each residue once per weight."""
+
+    @memo
+    def _gather(self, gamma):
+        """The columns k and the scales chi(b) of reps[i] gamma = b reps[k]
+        over the coset representatives i (classify_rows), read-only."""
+        k, a, c = classify_rows(self.tower, self.K,
+                                np.array([gamma.m], dtype=np.uint16))
+        at, scale = k[0], self.chi.values(a, c)[0]
+        at.flags.writeable = scale.flags.writeable = False
+        return at, scale
+
+    def act_rows(self, gamma, block):
+        """sigma(gamma) on every row of block: one gather and one scale."""
+        at, scale = self._gather(gamma)
+        return self.tower.times(scale, np.asarray(block)[:, at])
+
+
 def _ps_action(tower, K, chi):
     """The principal series of chi on the Borel cosets: with reps[i] gamma =
     b reps[k] (classify_rows), sigma(gamma) e_k = chi(b) e_i, so the value
@@ -658,7 +707,7 @@ def make_weight(tower, K, kind, chi=None, part=None, power=None):
         if chi is None:
             raise NotApplicable("principal series needs a character")
         reps, _ = borel_coset_reps(tw, K)
-        return Weight(
+        return _PrincipalSeries(
             tw, K, kind, len(reps), _ps_action(tw, K, chi),
             chi=chi, label="ps(%d,%d)" % (chi.i, chi.j),
         )
@@ -733,27 +782,18 @@ def spin(weight, seeds):
 
 def borel_eigenvectors(weight, chi):
     """Rref basis of {v : u v = v, t v = chi(t) v}, over the upper unipotent
-    u and the two torus generators t."""
+    u and the two torus generators t: the null space of the restrictions
+    of t - chi(t) to the invariants (Weight._torus_on_invariants)."""
     tw = weight.tower
     inv = weight.u_invariants()
     r = inv.shape[0]
     if r == 0:
         return inv
-    piv = [int(np.nonzero(b)[0][0]) for b in inv]
-    checker = gfmat.Basis(tw, weight.dim)
-    for row in inv:
-        checker.add(row)
-    blocks = []
-    for t in gamma_torus_generators(tw, weight.K):
-        # restriction of t to the invariant space, minus chi(t)
-        val = chi.value(*t.torus_pair())
-        images = weight.act_rows(t, inv)
-        if checker.reduce(images).any():
-            raise CrossCheckFailed(
-                "torus does not preserve the invariant space"
-            )
-        mres = images[:, piv].T
-        blocks.append(gfmat.sub(tw, mres, gfmat.smul(tw, val, gfmat.eye(r))))
+    blocks = [
+        gfmat.sub(tw, mres, gfmat.smul(tw, chi.value(*t.torus_pair()),
+                                       gfmat.eye(r)))
+        for t, mres in weight._torus_on_invariants()
+    ]
     ns = gfmat.nullspace(tw, np.concatenate(blocks, axis=0))
     if ns.shape[0] == 0:
         return np.zeros((0, weight.dim), dtype=np.uint16)

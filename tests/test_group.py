@@ -139,6 +139,34 @@ def test_layer_sizes():
         assert lhs == 0
 
 
+@pytest.mark.parametrize("tw", [TW, TW5], ids=["q3", "q5"])
+def test_layer_atoms_match_atom_n(tw):
+    """Each layer transversal, built once per (k, prime) from one array
+    check of the unipotent relation, holds the atoms atom_n (atom_np for
+    prime) makes of the monomials x = xi t^(k/2) and y = ti t^k, in the
+    order of layer_coords, for k in -4..5; layer_atom reads the same atom.
+    A pair off the layer raises what atom_n raises, and an x coordinate on
+    an odd layer NotApplicable."""
+    for k in range(-4, 6):
+        coords = layer_coords(tw, k)
+        for prime, make in ((False, atom_n), (True, atom_np)):
+            atoms = layer_transversal(tw, k, prime)
+            assert atoms is layer_transversal(tw, k, prime)
+            assert atoms == tuple(
+                make(tw, Series.from_coeffs(tw, k // 2, (xi,)),
+                     Series.from_coeffs(tw, k, (ti,)))
+                for xi, ti in coords
+            )
+            assert all(layer_atom(tw, k, c, prime) is a
+                       for c, a in zip(coords, atoms))
+    with pytest.raises(RelationViolated):
+        layer_atom(tw, 0, (1, 0))
+    with pytest.raises(RelationViolated):
+        layer_atom(tw, 1, (0, 1))
+    with pytest.raises(NotApplicable):
+        layer_atom(tw, 1, (1, 0))
+
+
 def test_weyl_atom_membership():
     b = atom_matrix(TW, atom_beta())
     assert in_compact(TW, "K0", b)

@@ -397,17 +397,25 @@ def test_transport_builds_no_matrix(monkeypatch, catalog):
 
 
 def test_unipotent_relation_checked_once_per_layer_coordinate(monkeypatch):
-    """Layer atoms are built once per tower and coordinate: over a recursion
-    step on a fresh tower, the unipotent relation is checked at most once
-    per distinct (layer, coordinates, side) that asks for a layer atom."""
-    checks, coords = [0], set()
+    """Layer atoms are built once per tower and layer: over a recursion
+    step on a fresh tower, every layer atom asked for comes from a layer
+    transversal built (and its unipotent relation checked, on all its
+    coordinates at once) exactly once per (layer, side), and no layer atom
+    goes through the scalar relation check of atom_n."""
+    checks, coords, builds = [0], set(), []
     check = U._check_unipotent_relation
+    build = U._layer_transversal.__wrapped__
 
     def counted(x, y):
         checks[0] += 1
         return check(x, y)
 
+    def built(tower, k, prime):
+        builds.append((k, prime))
+        return build(tower, k, prime)
+
     monkeypatch.setattr(U, "_check_unipotent_relation", counted)
+    monkeypatch.setattr(U, "_layer_transversal", fields.memo(built))
     for mod in (U, words, I):
         def spy(tower, k, c, prime=False, _orig=mod.layer_atom):
             coords.add((k, tuple(c), bool(prime)))
@@ -417,7 +425,9 @@ def test_unipotent_relation_checked_once_per_layer_coordinate(monkeypatch):
     tw = Tower(3, 1)
     tw.default_window = 24
     I.translation_recursion_check(W.make_weight(tw, K0, W.TRIVIAL), 1, 1)
-    assert 0 < checks[0] <= len(coords)
+    assert coords and checks[0] == 0
+    assert len(builds) == len(set(builds))
+    assert {(k, prime) for k, _, prime in coords} <= set(builds)
 
 
 def test_zero_and_linearity(tower, catalog):
@@ -1100,16 +1110,113 @@ def test_t_mirror_identity(tower, catalog):
 # T on the grid form
 
 
+def _t_matches_materialized(w):
+    """op_T_grid of f_0 and f_+-1, whose images fill the cells -2..2, and
+    of zero against the materialized op_T."""
+    for n in (0, 1, -1):
+        oracle = I.GridElement.from_induced(I.op_T(w, I.f_basis(w, n)))
+        assert I.op_T_grid(I.f_grid(w, n)) == oracle, (w, n)
+    zero = I.GridElement(w, {})
+    assert I.op_T_grid(zero) == zero
+
+
 def test_op_T_grid_matches_materialized(tower, catalog):
-    """op_T_grid reads the same coefficients as the materialized op_T."""
+    """op_T_grid reads the same coefficients as the materialized op_T on
+    cells -2..2, for every q = 3 catalog weight at both compacts."""
+    for w in catalog.values():
+        _t_matches_materialized(w)
+
+
+def test_op_T_grid_matches_materialized_q5(monkeypatch):
+    """The same at q = 5 for trivial, det1 and steinberg at K1 and trivial
+    at K0.  The memo cap is raised so that the K1 weights share the product
+    read of op_T on f_-1 (625 tags times 750 suffixes)."""
+    monkeypatch.setattr(fields, "_MEMO_CAP", 2**20)
+    tw = Tower(5, 1)
+    tw.default_window = 24
+    for K, kind, power in ((K1, W.TRIVIAL, None), (K1, W.DET_TWIST, 1),
+                           (K1, W.STEINBERG, None), (K0, W.TRIVIAL, None)):
+        _t_matches_materialized(W.make_weight(tw, K, kind, power=power))
+
+
+@pytest.mark.parametrize("p, counts", [
+    (3, {K0: (84, 1, 28), K1: (108, 1, 4)}),
+    (5, {K0: (630, 1, 126), K1: (750, 1, 6)}),
+])
+def test_t_adjoint_counts(p, counts):
+    """The adjoint stencil of T at both compacts: its suffixes, and the
+    distinct residues g_s' and r_s that _t_tables turns into rows (one
+    g_s'; q^3 + 1 residues r_s at K0 and q + 1 at K1)."""
+    tw = Tower(p, 1)
+    for K, (n, g, r) in counts.items():
+        adjoint = I._t_adjoint(tw, K)
+        assert len(adjoint) == n
+        assert len({gs.key() for _, gs, _ in adjoint}) == g
+        assert len({rs.key() for _, _, rs in adjoint}) == r
+
+
+def test_residues_in_compact_agree_with_reduce_word(tower):
+    """The batched residues of the stencil words (the inverses (ua ub)^-1
+    and beta_K) are their reduce_word residues, and a word outside the
+    compact, u beta_K alpha(1), raises CrossCheckFailed."""
     for K in BOTH:
-        for name in ("trivial", "steinberg", "det1"):
-            w = catalog[(K, name)]
-            for n in (0, 1, -1):
-                oracle = I.GridElement.from_induced(I.op_T(w, I.f_basis(w, n)))
-                assert I.op_T_grid(I.f_grid(w, n)) == oracle, (K, name, n)
-            zero = I.GridElement(w, {})
-            assert I.op_T_grid(zero) == zero
+        n_K, _, _ = iwahori_constants(tower, K)
+        words_in = [
+            word_inverse(tower, (ua, ub))
+            for ua in layer_transversal(tower, n_K)
+            for ub in layer_transversal(tower, n_K + 1)
+        ] + [beta_compact_word(K)]
+        assert I._residues_in_compact(tower, K, words_in) == [
+            W.reduce_word(tower, K, w) for w in words_in
+        ]
+        bw = beta_compact_word(K)
+        u = layer_transversal(tower, n_K)[1]
+        with pytest.raises(CrossCheckFailed):
+            I._residues_in_compact(tower, K, [(u,) + bw + (U.atom_alpha(1),)])
+
+
+def test_doctored_t_table_fails_constants(monkeypatch, tower):
+    """A T table with its first R row moved off sigma(r_s) v0 makes
+    constants() raise CrossCheckFailed, for fresh one-dimensional weights
+    at both compacts: the first suffix is alpha^-1, so the row carries the
+    value of T f_0 at the cell-1 point."""
+
+    def doctored(weight, _orig=I._t_tables):
+        ell_rows, v0_rows = _orig(weight)
+        v0_rows = v0_rows.copy()
+        v0_rows[0] = weight.tower.plus(v0_rows[0], weight.v0())
+        return ell_rows, v0_rows
+
+    monkeypatch.setattr(I, "_t_tables", doctored)
+    for K in BOTH:
+        for kind, power in ((W.TRIVIAL, None), (W.DET_TWIST, 1)):
+            w = W.make_weight(tower, K, kind, power=power)
+            with pytest.raises(CrossCheckFailed):
+                I.constants(w)
+
+
+def test_constants_make_no_word_matrix_call(monkeypatch):
+    """On a fresh q = 3 tower, once every catalog weight has its v0,
+    j_matrix and chi_of (the benchmark's set-up), constants() over the
+    catalog forms no matrix of a word: the residues of the stencil and of
+    the d[0] sum come from product reads (_residues_in_compact)."""
+    calls = []
+
+    def spy(tower, word, _orig=U.word_matrix):
+        calls.append(word)
+        return _orig(tower, word)
+
+    tw = Tower(3, 1)
+    tw.default_window = 24
+    cat = _catalog(tw)
+    for w in cat.values():
+        w.v0(), w.j_matrix(), w.chi_of()
+    for mod in (U, W, words, I):
+        if hasattr(mod, "word_matrix"):
+            monkeypatch.setattr(mod, "word_matrix", spy)
+    for w in cat.values():
+        I.constants(w, check=True)
+    assert calls == []
 
 
 def test_t_windows_frozen(tower):

@@ -480,6 +480,25 @@ def test_socle_chains(tower):
         assert W.hom_space(catq, ps).shape[0] == 0
 
 
+def test_chain_classifies_each_residue_once(monkeypatch, tower):
+    """One q = 3 K1 socle_chain of a regular principal series classifies
+    each residue once: every classify_rows call takes one residue row, and
+    no row comes twice (act_rows reads a memo table per weight; the same
+    chain made 209 one-row calls before it)."""
+    calls = []
+
+    def spy(tw, K, rows, _orig=W.classify_rows):
+        calls.append(tuple(map(tuple, np.asarray(rows).tolist())))
+        return _orig(tw, K, rows)
+
+    monkeypatch.setattr(W, "classify_rows", spy)
+    ps = W.make_weight(tower, K1, W.PRINCIPAL_SERIES,
+                       chi=regular_chis(tower)[0])
+    assert [b.shape[0] for b in W.socle_chain(ps)] == [2, 4]
+    assert calls and all(len(rows) == 1 for rows in calls)
+    assert len(set(calls)) == len(calls)
+
+
 def test_trivial_ps_splits(tower):
     """In defining characteristic the trivial-character series is split
     (the large quotient is also a submodule): the lattice is not a chain
