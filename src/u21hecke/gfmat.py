@@ -5,8 +5,9 @@ of a Tower's coefficient field. Everything is exact (table lookups only),
 and each step is one whole-array lookup through the tower's array methods
 (Tower.plus, Tower.times and Tower.plus_times, each one flat take): a
 product looks up every entry product at once and sums them by pairwise
-halving, and elimination clears a pivot column in all rows at once, one
-x + c y step.
+halving, elimination clears a pivot column in all rows at once, one
+x + c y step, and a block of rows is reduced modulo a basis by one product
+(_clear).
 """
 
 import numpy as np
@@ -176,16 +177,57 @@ def in_row_space(tw, basis, v):
     return rank(tw, stacked) == rank(tw, basis)
 
 
-def _clear(tw, v, rows):
-    """Clear, in place, the pivot p of each (p, row) of rows, in turn, in
-    every row of the 2-D array v, by subtracting v[:, p] times the row; the
-    rows are reduced, each 1 at its pivot and 0 at the pivots of the
-    others."""
-    for p, row in rows:
-        f = tw.neg[v[:, p]]
-        hit = np.flatnonzero(f)
-        if hit.size:
-            v[hit] = tw.plus_times(v[hit], f[hit, None], row)
+# The most entry products (pivots x rows x width) one step of _clear forms.
+_CLEAR_ENTRIES = 1 << 20
+# Up to this many pivots _clear takes one step per pivot: a product costs
+# about as much fixed Python time as four such steps.
+_LOOP_PIVOTS = 4
+
+
+def _clear(tw, v, pivots, B):
+    """v - v[:, pivots] B for a 2-D block v and reduced rows B, each 1 at its
+    pivot and 0 at the pivots of the others: every row of v with its pivot
+    entries cleared, as a new array.  This equals clearing the pivots one
+    row of B at a time (v minus v[:, p] times row p), since no such step
+    changes v at another pivot.
+
+    With at most _LOOP_PIVOTS pivots it takes those steps.  Otherwise only
+    the columns that can change are computed: the pivot columns of the
+    result are 0, and a column where the rows of B in use are 0 keeps v.
+    When at least half of the factors -v[:, pivots] on the rows and pivots
+    in use are nonzero this is one product, in chunks of rows whose
+    (pivots, rows, columns) entry products stay within _CLEAR_ENTRIES;
+    sparser factors are applied one pivot at a time, to the rows they
+    move, so that no product of a zero factor is formed."""
+    out = v.copy()
+    if len(pivots) <= _LOOP_PIVOTS:
+        for p, row in zip(pivots, B):
+            f = tw.neg[out[:, p]]
+            hit = np.flatnonzero(f)
+            if hit.size:
+                out[hit] = tw.plus_times(out[hit], f[hit, None], row)
+        return out
+    f = tw.neg[v[:, pivots]]
+    out[:, pivots] = 0
+    hit = np.flatnonzero(f.any(axis=0))
+    cols = B[hit].any(axis=0)
+    cols[pivots] = False
+    free = np.flatnonzero(cols)
+    if not len(free):
+        return out
+    rows = np.flatnonzero(f.any(axis=1))
+    f, B = f[:, hit], B[hit][:, free]
+    if 2 * np.count_nonzero(f) < len(rows) * len(hit):
+        for p in range(len(hit)):
+            r = np.flatnonzero(f[:, p])[:, None]
+            out[r, free] = tw.plus_times(out[r, free], f[r, p], B[p])
+        return out
+    step = max(1, _CLEAR_ENTRIES // (len(hit) * len(free)))
+    for lo in range(0, len(rows), step):
+        r = rows[lo : lo + step, None]
+        prod = sum_rows(tw, tw.times(f[r[:, 0]].T[:, :, None], B[:, None, :]))
+        out[r, free] = tw.plus(v[r, free], prod)
+    return out
 
 
 class Basis:
@@ -201,8 +243,7 @@ class Basis:
         tw = self.tw
         v = np.array(v, dtype=np.uint16, copy=True)
         if v.ndim == 2:
-            _clear(tw, v, self.rows)
-            return v
+            return _clear(tw, v, self.pivots(), self.matrix())
         for p, row in self.rows:
             c = v[p]
             if c:
@@ -245,8 +286,7 @@ class Basis:
         if self.rows:
             # the new rows vanish at the old pivots, so clearing their own
             # pivots in the old rows keeps those rows reduced
-            old = self.matrix()
-            _clear(tw, old, zip(piv, new))
+            old = _clear(tw, self.matrix(), piv, new)
             self.rows = [(p, row) for (p, _), row in zip(self.rows, old)]
         self.rows.extend(zip(piv, new))
         self.rows.sort(key=lambda t: t[0])

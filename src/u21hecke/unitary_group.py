@@ -5,12 +5,17 @@ Group elements are handled in two layers:
   * atoms -- short tuples tagging the standard generators: upper/lower
     unipotents, norm-compatible diagonals, powers of the diagonal shift
     element, and the form matrix itself (an involution in the group);
-  * Mat3 matrices -- for products, membership tests and reductions.
+  * Mat3 matrices -- for products of words, and the membership test and
+    residue reduction of one matrix (reduce_to_gamma).
 
 Also here: the two standard maximal compact subgroups (stabilizer of the
 standard lattice, and of a shifted lattice), reduction to their reductive
 quotients over the residue field, and the scan that finds the unipotent
-depth constants of each compact.
+depth constants of each compact.  The filtration layers are read as
+arrays, with no series: every entry of a layer atom is an exact monomial,
+so layer_residues decides membership on the entries' degrees and reads the
+residues of a whole layer as one (N, 9) array, which the scan and the
+reduced unipotent groups (weights.gamma_upper, gamma_lower) share.
 """
 
 import numpy as np
@@ -243,14 +248,10 @@ def atom_inv(tower, atom):
 
 
 def word_matrix(tower, word):
-    """Product of the atom matrices of a word: the first atom's matrix, then
-    one column operation (times_atom) per further atom."""
-    atoms = iter(word)
-    first = next(atoms, None)
-    if first is None:
-        return Mat3.identity(tower)
-    e = atom_matrix(tower, first).e
-    for atom in atoms:
+    """Product of the atom matrices of a word: the identity, then one column
+    operation (times_atom) per atom."""
+    e = Mat3.identity(tower).e
+    for atom in word:
         e = times_atom(tower, e, atom)
     return Mat3(tower, e)
 
@@ -361,6 +362,19 @@ def in_compact(tower, K, g):
     return decide_entry_val_ge(g, _K_PATTERN[K])
 
 
+def check_residue_unitarity(tower, m):
+    """MembershipViolated unless every residue element of m, a (9, N) array
+    of entries (entry first, row-major GammaElem entries), is unitary: m
+    times its inverse J conj(m)^T J (INVERSE_ENTRIES) is the identity, for
+    all N at once."""
+    g = m.reshape(3, 3, -1)
+    h = tower.frob[m[::-1]].reshape(3, 3, -1).transpose(1, 0, 2)
+    terms = tower.times(g[:, :, None, :], h[None, :, :, :])
+    prod = tower.plus(tower.plus(terms[:, 0], terms[:, 1]), terms[:, 2])
+    if (prod != np.eye(3, dtype=prod.dtype)[:, :, None]).any():
+        raise MembershipViolated("reduction is not residue-unitary")
+
+
 def reduce_to_gamma(tower, K, g):
     """Reduce a compact element to its residue quotient.
 
@@ -382,13 +396,6 @@ def reduce_to_gamma(tower, K, g):
     if not gamma.is_form_compatible():
         raise MembershipViolated("reduction is not residue-unitary")
     return gamma
-
-
-def in_iwahori_unipotent(tower, K, g):
-    """Membership in the pro-unipotent radical: in K with unipotent image."""
-    if not in_compact(tower, K, g):
-        return False
-    return reduce_to_gamma(tower, K, g).in_unipotent()
 
 
 # ---------------------------------------------------------------------------
@@ -487,20 +494,45 @@ def _layer_transversal(tower, k, prime):
 # depth constants of the compacts
 
 
-def _layer_inside(tower, K, k, prime, pro_unipotent):
-    for atom in layer_transversal(tower, k, prime):
-        g = atom_matrix(tower, atom)
-        try:
-            ok = (
-                in_iwahori_unipotent(tower, K, g)
-                if pro_unipotent
-                else in_compact(tower, K, g)
-            )
-        except MembershipViolated:
-            ok = False
-        if not ok:
-            return False
-    return True
+def layer_residues(tower, K, k, prime=False):
+    """The residues in K of the atoms of layer_transversal(k, prime), in
+    that order, as one read-only (N, 9) uint16 array of rows (GammaElem.m),
+    or None when some atom leaves K.  MembershipViolated where a residue
+    fails unitarity (check_residue_unitarity)."""
+    require_compact(K)
+    return _layer_residues(tower, K, k, bool(prime))
+
+
+@memo
+def _layer_residues(tower, K, k, prime):
+    """The read of layer_residues, off the exact monomial entries of the
+    layer atoms: n(x, y) has x = xi t^(k/2) at (0, 1), y = ti t^k at (0, 2)
+    and -conj(x) at (1, 2), np(x, y) the same at the transposed places, and
+    exact ones and zeros elsewhere.  An atom lies in K iff each nonzero
+    monomial has degree at least the pattern's (in_compact), and a residue
+    entry is the monomial's coefficient where its degree is the pattern's
+    and the pair (i, j), (j, i) sits at opposite depths (reduce_to_gamma),
+    zero elsewhere."""
+    tw, pat = tower, _K_PATTERN[K]
+    coords = np.array(layer_coords(tw, k), dtype=np.uint16).reshape(-1, 2)
+    xi, ti = coords.T
+    m = np.zeros((9, len(coords)), dtype=np.uint16)
+    m[0::4] = 1
+    for (i, j), deg, c in (
+        ((0, 1), k // 2, xi),
+        ((0, 2), k, ti),
+        ((1, 2), k // 2, tw.neg[tw.frob[xi]]),
+    ):
+        if prime:
+            i, j = j, i
+        if deg < pat[i][j] and c.any():
+            return None
+        if deg == pat[i][j] and pat[i][j] + pat[j][i] == 0:
+            m[3 * i + j] = c
+    check_residue_unitarity(tw, m)
+    rows = m.T.copy()
+    rows.flags.writeable = False
+    return rows
 
 
 @memo
@@ -511,23 +543,28 @@ def iwahori_constants(tower, K):
     group at depth k inside K (equivalently inside its pro-unipotent
     radical), the least k with the lower filtration group at depth k inside
     the pro-unipotent radical, and the residue size exponent of the
-    depth-n_K upper layer."""
+    depth-n_K upper layer.  Each layer is read by layer_residues."""
     require_compact(K)
     lo, hi = -4, 5
 
-    def scan(prime, pro_unipotent):
+    def scan(inside):
         best = None
         for k in range(hi, lo - 1, -1):
-            if _layer_inside(tower, K, k, prime, pro_unipotent):
-                best = k
-            else:
+            if not inside(k):
                 break
+            best = k
         if best is None:
             raise MembershipViolated("no unipotent layer inside %s" % K)
         return best
 
-    n_K = scan(False, False)
-    m_K = scan(True, True)
+    def lower_inside(k):
+        # in K with upper unitriangular residues (GammaElem.in_unipotent)
+        rows = layer_residues(tower, K, k, prime=True)
+        return (rows is not None and not rows[:, [3, 6, 7]].any()
+                and (rows[:, [0, 4, 8]] == 1).all())
+
+    n_K = scan(lambda k: layer_residues(tower, K, k) is not None)
+    m_K = scan(lower_inside)
     t_K = 3 if n_K % 2 == 0 else 1
     return (n_K, m_K, t_K)
 
@@ -577,22 +614,3 @@ def exchange(tower, uprime, u, verify=True):
         if (lhs - rhs).decide_zero(1) is False:
             raise CrossCheckFailed("exchange closed form failed to reassemble")
     return (n_new, d_new, np_new)
-
-
-def torus_unit_atoms(tower):
-    """Transversal of the unit torus modulo its pro-p part: one diagonal
-    atom diag(a, c, conj(a)^-1) per residue pair (a, c) with a invertible
-    and c of norm one."""
-    out = []
-    for a in range(1, tower.Q):
-        ainv_bar = tower.c(tower.i_(a))
-        for c in tower.norm_one:
-            out.append(
-                atom_d(
-                    tower,
-                    Series.const(tower, a),
-                    Series.const(tower, c),
-                    Series.const(tower, ainv_bar),
-                )
-            )
-    return out

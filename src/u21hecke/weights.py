@@ -24,7 +24,11 @@ hom spaces and equivariance on gamma_generators.  A condition stable under
 products (fixing a vector, spanning a submodule, intertwining) holds on a
 finite group once it holds on a generating set.  The whole subgroups
 (gamma_upper, gamma_lower, gamma_torus) stay as inventories, as the source
-the generators are picked from, and as the tests' oracles.
+the generators are picked from, and as the tests' oracles.  They are read
+as arrays, with no series: the unipotent groups from the layer residues of
+unitary_group.layer_residues, the torus from its residue pairs (a, c) as
+diag(a, c, conj(a)^-1).  Only gamma_beta and gamma_lift_word reduce a word
+through its matrix (reduce_word), one word each.
 
 Vectors are numpy index arrays over the coefficient field.  A weight acts
 on many rows at once, given as residue rows (Weight.apply): a principal
@@ -48,6 +52,7 @@ from .errors import (
     CrossCheckFailed,
     DegenerateWeight,
     InconclusiveLattice,
+    MembershipViolated,
     NotApplicable,
 )
 from .fields import Character, char_s, characters_of_torus, is_regular, memo
@@ -57,13 +62,13 @@ from .unitary_group import (
     K1,
     GammaElem,
     atom_d,
-    atom_matrix,
     beta_compact_word,
+    check_residue_unitarity,
     iwahori_constants,
+    layer_residues,
     layer_transversal,
     reduce_to_gamma,
     require_compact,
-    torus_unit_atoms,
     word_matrix,
 )
 
@@ -83,14 +88,19 @@ def reduce_word(tower, K, word):
     return reduce_to_gamma(tower, K, word_matrix(tower, word))
 
 
-def reduce_atom(tower, K, atom):
-    return reduce_to_gamma(tower, K, atom_matrix(tower, atom))
-
-
 @memo
 def gamma_beta(tower, K):
     """Image of the distinguished form involution in the residue quotient."""
     return reduce_word(tower, K, beta_compact_word(K))
+
+
+def _layer_elements(tower, K, k, prime=False):
+    """The residues of the atoms of layer_transversal(k, prime), read as one
+    array (layer_residues); MembershipViolated when some atom leaves K."""
+    rows = layer_residues(tower, K, k, prime)
+    if rows is None:
+        raise MembershipViolated("layer %d is not in the compact %s" % (k, K))
+    return [GammaElem(tower, K, r) for r in rows.tolist()]
 
 
 @memo
@@ -99,17 +109,14 @@ def gamma_upper(tower, K):
     the first filtration layer inside the compact; deeper layers reduce to
     the identity)."""
     n_K, _, _ = iwahori_constants(tower, K)
-    return [reduce_atom(tower, K, a) for a in layer_transversal(tower, n_K)]
+    return _layer_elements(tower, K, n_K)
 
 
 @memo
 def gamma_lower(tower, K):
     """The full reduced lower-unipotent subgroup."""
     _, m_K, _ = iwahori_constants(tower, K)
-    return [
-        reduce_atom(tower, K, a)
-        for a in layer_transversal(tower, m_K - 1, prime=True)
-    ]
+    return _layer_elements(tower, K, m_K - 1, prime=True)
 
 
 def torus_atom(tower, a_idx, c_idx):
@@ -122,27 +129,38 @@ def torus_atom(tower, a_idx, c_idx):
     )
 
 
+def _torus_elements(tower, K, a, c):
+    """The residues diag(a, c, conj(a)^-1) of the unit diagonal atoms
+    (torus_atom) of the residue pairs (a[r], c[r]), at either compact (the
+    diagonal sits at degree 0 in both patterns), checked unitary."""
+    m = np.zeros((9, len(a)), dtype=np.uint16)
+    m[0], m[4], m[8] = a, c, tower.frob[tower.inv[a]]
+    check_residue_unitarity(tower, m)
+    return [GammaElem(tower, K, r) for r in m.T.tolist()]
+
+
 @memo
 def gamma_torus(tower, K):
-    """The reduced torus: (q^2 - 1)(q + 1) elements, deterministic order."""
-    return [reduce_atom(tower, K, a) for a in torus_unit_atoms(tower)]
+    """The reduced torus: (q^2 - 1)(q + 1) elements, the first coordinate a
+    over the units in index order, then c over the norm-one circle."""
+    circle = np.array(tower.norm_one, dtype=np.uint16)
+    units = np.arange(1, tower.Q, dtype=np.uint16)
+    return _torus_elements(tower, K, np.repeat(units, len(circle)),
+                           np.tile(circle, len(units)))
 
 
-@memo
-def torus_generator_atoms(tower):
-    """Unit diagonal atoms of the two torus generators: a generator of the
+def torus_generator_pairs(tower):
+    """Residue pairs (a, c) of the two torus generators: a generator of the
     residue extension's units (first coordinate) and one of the norm-one
     circle (second coordinate)."""
-    return (
-        torus_atom(tower, int(tower.exp[1]), 1),
-        torus_atom(tower, 1, tower.norm_one[1]),
-    )
+    return ((int(tower.exp[1]), 1), (1, tower.norm_one[1]))
 
 
 @memo
 def gamma_torus_generators(tower, K):
     """The two reduced torus generators, which generate gamma_torus."""
-    return [reduce_atom(tower, K, a) for a in torus_generator_atoms(tower)]
+    a, c = np.array(torus_generator_pairs(tower), dtype=np.uint16).T
+    return _torus_elements(tower, K, a, c)
 
 
 def generating_sublist(elems):
@@ -866,8 +884,9 @@ def _upper_words(tower, K):
     """One-atom word of each reduced upper unipotent, by element key."""
     n_K, _, _ = iwahori_constants(tower, K)
     return {
-        reduce_atom(tower, K, a).key(): (a,)
-        for a in layer_transversal(tower, n_K)
+        g.key(): (a,)
+        for g, a in zip(_layer_elements(tower, K, n_K),
+                        layer_transversal(tower, n_K))
     }
 
 

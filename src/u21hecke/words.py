@@ -60,7 +60,6 @@ from ._kernel import INF
 from .errors import (
     CrossCheckFailed,
     InsufficientPrecision,
-    MembershipViolated,
     NotApplicable,
     RelationViolated,
 )
@@ -77,6 +76,7 @@ from .unitary_group import (
     atom_n,
     atom_np,
     atom_times,
+    check_residue_unitarity,
     in_compact,
     iwahori_constants,
     layer_atom,
@@ -325,11 +325,13 @@ def _monomial(trip):
     return (val, co[0]) if co else (None, 0)
 
 
-def _atom_form(atom):
+@memo
+def _atom_form(tower, atom):
     """(signature, coefficients) of an atom the batch carries, None for any
-    other: the signature is the atom without its residue coefficients (kind,
-    the degree of each monomial entry, None for an exact zero, or the alpha
-    exponent); the coefficients are those of its "n"/"np"/"d" entries.
+    other, derived once per tower and atom: the signature is the atom
+    without its residue coefficients (kind, the degree of each monomial
+    entry, None for an exact zero, or the alpha exponent); the coefficients
+    are those of its "n"/"np"/"d" entries.
 
     An "n"/"np" atom with x = 0 and y of even degree dy is given x = 0 t^(dy/2),
     the degree x has on that layer, so the atoms of an even layer other than
@@ -353,18 +355,14 @@ def _atom_form(atom):
     return (kind,) + tuple(d for d, _ in terms), tuple(c for _, c in terms)
 
 
-def _by_signature(words, idx, forms):
+def _by_signature(tower, words, idx):
     """The words at the indices idx that the batch carries, grouped by
-    signature: {signature: (indices, (coefficients, N) uint16 array)}.  forms
-    holds the atom forms of one batch call by id (the words hold their
-    atoms, so an id names one atom there)."""
+    signature: {signature: (indices, (coefficients, N) uint16 array)}."""
     groups = {}
     for i in idx:
         sig, coefs = [], []
         for atom in words[i]:
-            form = forms.get(id(atom), False)
-            if form is False:
-                form = forms[id(atom)] = _atom_form(atom)
+            form = _atom_form(tower, atom)
             if form is None:
                 break
             if form[0] is not None:
@@ -618,13 +616,7 @@ def _read_cell(blk, K, t, j):
         for jj in range(3):
             if pat[i][jj] + pat[jj][i] == 0:
                 m[3 * i + jj] = blk.coeff(3 * i + jj, need[3 * i + jj])
-    # residue unitarity: m times its inverse J conj(m)^T J is the identity
-    g = m.reshape(3, 3, -1)
-    h = frob[m[::-1]].reshape(3, 3, -1).transpose(1, 0, 2)
-    terms = tw.times(g[:, :, None, :], h[None, :, :, :])
-    prod = tw.plus(tw.plus(terms[:, 0], terms[:, 1]), terms[:, 2])
-    if (prod != np.eye(3, dtype=prod.dtype)[:, :, None]).any():
-        raise MembershipViolated("reduction is not residue-unitary")
+    check_residue_unitarity(tw, m)
     return coords, m.T
 
 
@@ -703,10 +695,10 @@ def nf_uak_batch(tower, K, heads, tails=((),), pairs=None):
     hi, ti = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
     ids = np.full(len(hi), -1, dtype=np.intp)
     residues = np.zeros((len(hi), 9), dtype=np.uint16)
-    tags, forms = [], {}
+    tags = []
     # column of each carried head in the stacked head block, -1 elsewhere
     col, blocks, n = np.full(len(heads), -1, dtype=np.intp), [], 0
-    for sig, (hs, cs) in _by_signature(heads, _distinct(hi), forms).items():
+    for sig, (hs, cs) in _by_signature(tower, heads, _distinct(hi)).items():
         col[hs] = np.arange(n, n + len(hs))
         n += len(hs)
         blk = _Block.identity(tower, len(hs))
@@ -717,7 +709,7 @@ def nf_uak_batch(tower, K, heads, tails=((),), pairs=None):
     head_blk = _Block.stack(tower, blocks)
     hcol = col[hi]
     rows, blocks = [], []
-    for sig, (ts, cs) in _by_signature(tails, _distinct(ti), forms).items():
+    for sig, (ts, cs) in _by_signature(tower, tails, _distinct(ti)).items():
         pos = np.full(len(tails), -1, dtype=np.intp)
         pos[ts] = np.arange(len(ts))
         tpos = pos[ti]

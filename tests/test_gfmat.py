@@ -259,6 +259,52 @@ def test_basis_extend_matches_reference(tw, data):
         assert all(basis.contains(row) for row in added)
 
 
+def row_loop_clear(tw, v, pivots, B):
+    """The reference clearing: each pivot in turn, in every row, by
+    subtracting v[:, p] times that basis row."""
+    v = v.copy()
+    for p, row in zip(pivots, B):
+        f = tw.neg[v[:, p]]
+        hit = np.flatnonzero(f)
+        if hit.size:
+            v[hit] = tw.plus_times(v[hit], f[hit, None], row)
+    return v
+
+
+CLEAR_TOWERS = {"GF9": Tower(3, 1), "GF25": Tower(5, 1)}
+
+
+@pytest.mark.parametrize("tw", list(CLEAR_TOWERS.values()),
+                         ids=list(CLEAR_TOWERS))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), entries=st.sampled_from([1, 7, 1 << 20]),
+       sparse=st.booleans())
+def test_clear_matches_row_loop(tw, data, entries, sparse):
+    """_clear, v - v[:, P] B as one product or (with mostly zero factors)
+    one pivot at a time, equals clearing the pivots of a reduced basis B
+    one row at a time, also when its chunks hold as few as one row (a
+    small entry budget)."""
+    width = data.draw(st.integers(1, 9), label="width")
+    n_gens = max(0, width - 2) if sparse else data.draw(st.integers(0, 8))
+    gens = data.draw(matrices(tw, n_gens, width), label="gens")
+    R, pivots = gfmat.rref(tw, gens)
+    B = R[: len(pivots)]
+    v = data.draw(matrices(tw, data.draw(st.integers(0, 6)), width), label="v")
+    if sparse and pivots:
+        # row i keeps only pivot i mod |P|: mostly zero factors
+        off = np.zeros(v.shape, dtype=bool)
+        off[:, pivots] = True
+        keep = [pivots[i % len(pivots)] for i in range(len(v))]
+        off[np.arange(len(v)), keep] = False
+        v[off] = 0
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gfmat, "_CLEAR_ENTRIES", entries)
+        out = gfmat._clear(tw, v, pivots, B)
+    assert out is not v
+    assert np.array_equal(out, row_loop_clear(tw, v, pivots, B))
+    assert not out[:, pivots].any()
+
+
 # ---------------------------------------------------------------------------
 # numbering distinct rows
 

@@ -36,7 +36,6 @@ from u21hecke.unitary_group import (
     atom_times,
     exchange,
     in_compact,
-    in_iwahori_unipotent,
     iwahori_constants,
     layer_atom,
     layer_coords,
@@ -44,11 +43,12 @@ from u21hecke.unitary_group import (
     layer_transversal,
     reduce_to_gamma,
     times_atom,
-    torus_unit_atoms,
     word_matrix,
 )
 from u21hecke.weights import TRIVIAL, make_weight
 from u21hecke.words import nf_uak, nf_uak_batch
+
+from scalar import in_iwahori_unipotent, torus_unit_atoms
 
 # A tower of this module's own, so its window does not depend on test order.
 TW = Tower(3, 1)

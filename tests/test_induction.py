@@ -1350,7 +1350,8 @@ def _first_layer_generator_words(tower, K):
     n_K, m_K, _ = iwahori_constants(tower, K)
     words = [(a,) for a in layer_transversal(tower, n_K)[1:]]
     words += [(a,) for a in layer_transversal(tower, m_K - 1, prime=True)[1:]]
-    words += [(a,) for a in W.torus_generator_atoms(tower)]
+    words += [(W.torus_atom(tower, a, c),)
+              for a, c in W.torus_generator_pairs(tower)]
     words.append(beta_compact_word(K))
     return words
 

@@ -2,7 +2,8 @@
 the benchmark's tracer wraps exists, the package keeps its derived tables
 only in owned memo tables, no module imports a name it never uses, no
 production solve sweeps a whole reduced subgroup, the materialized T
-stays an oracle, both spins run the one closure loop, the batched coset
+stays an oracle, the residue groups are read without the scalar per-atom
+route, both spins run the one closure loop, the batched coset
 read has one production route and the scalar read one caller, weights act
 through their array action, a product read does not import numpy.ma, and
 every array lookup in the field tables goes through the tower's array
@@ -220,6 +221,16 @@ def test_invariance_is_certified_not_sampled():
     sampled = ("pro_iwahori_sample", "_invariance_points")
     assert [path.name for path in sorted(PACKAGE.glob("*.py"))
             if any(name in path.read_text() for name in sampled)] == []
+
+
+def test_no_scalar_route_into_the_residue_groups():
+    """reduce_atom and in_iwahori_unipotent, the scalar per-atom route into
+    the residue groups, are named nowhere in the package: the layers and
+    the torus are read as arrays (unitary_group.layer_residues), and the
+    scalar route lives on in tests/scalar.py as their oracle."""
+    scalar = ("reduce_atom", "in_iwahori_unipotent")
+    assert [path.name for path in sorted(PACKAGE.glob("*.py"))
+            if any(name in path.read_text() for name in scalar)] == []
 
 
 def test_weights_act_through_arrays():

@@ -28,7 +28,6 @@ from u21hecke.unitary_group import (
     layer_coords,
     layer_positions,
     reduce_to_gamma,
-    torus_unit_atoms,
     word_inverse,
     word_matrix,
 )
@@ -47,6 +46,7 @@ from u21hecke.words import (
 
 from reads import expand, expand_batch
 from sample import pro_iwahori_sample
+from scalar import torus_unit_atoms
 from test_group import old_k1_reading
 
 # A tower of this module's own, so its window does not depend on test order.
@@ -367,7 +367,7 @@ def test_batch_fallback_is_exact():
     tw = Tower(3, 1)
     for K in (K0, K1):
         sample = pro_iwahori_sample(tw, K)
-        assert [_atom_form(a) is None for a in sample] == [False] * 4 + [True] * 2
+        assert [_atom_form(tw, a) is None for a in sample] == [False] * 4 + [True] * 2
         bases = [word_from_tag(tw, K, t) for t in I.grid_tags(tw, K, -1)][:20]
         words = [b + (a,) for b in bases for a in sample]
         ids, _, _ = nf_uak_batch(tw, K, words)
@@ -437,7 +437,7 @@ def test_product_entry_matches_scalar_read(tower5, q5, K, head_templates,
     assert len(read) == len(pairs)
     for (i, j), r in zip(pairs, read):
         word = heads[i] + tails[j]
-        if any(_atom_form(a) is None for a in word):
+        if any(_atom_form(tw, a) is None for a in word):
             assert r is None
         else:
             assert r == oracle(tw, K, word)
@@ -490,7 +490,7 @@ def test_product_read_matches_scalar_rows(monkeypatch, chunk):
 
 def signature(word):
     """The batch's signature of a word it carries."""
-    (sig,) = words_mod._by_signature([word], [0], {})
+    (sig,) = words_mod._by_signature(TW, [word], [0])
     return sig
 
 
@@ -550,7 +550,7 @@ def test_corrupt_row_in_a_shared_read_raises():
     good = [word_from_tag(tw, K0, t) for t in I.grid_tags(tw, K0, -1)]
     scale = ("d", Series.t_pow(tw, -1).trip, EXACT_ONE, EXACT_ONE)
     bad = good[-1] + (scale,)
-    assert _atom_form(scale) is not None
+    assert _atom_form(tw, scale) is not None
     assert {read_key(tw, K0, w) for w in good + [bad]} == {read_key(tw, K0, bad)}
     assert len({signature(w) for w in good + [bad]}) > 2
     read = expand_batch(tw, K0, nf_uak_batch(tw, K0, good))
