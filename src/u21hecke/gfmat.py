@@ -6,7 +6,8 @@ and each step is one whole-array lookup through the tower's array methods
 (Tower.plus, Tower.times and Tower.plus_times, each one flat take): a
 product looks up every entry product at once and sums them by pairwise
 halving, elimination clears a pivot column in all rows at once, one
-x + c y step, and a block of rows is reduced modulo a basis by one product
+x + c y step, and a block of rows is reduced modulo a basis by one product,
+or by one such step per pivot when few pivots or few factors are in use
 (_clear).
 """
 
@@ -177,56 +178,56 @@ def in_row_space(tw, basis, v):
     return rank(tw, stacked) == rank(tw, basis)
 
 
-# The most entry products (pivots x rows x width) one step of _clear forms.
+# The most entry products (pivots x rows x width) one step of _clear's
+# product forms.
 _CLEAR_ENTRIES = 1 << 20
-# Up to this many pivots _clear takes one step per pivot: a product costs
-# about as much fixed Python time as four such steps.
-_LOOP_PIVOTS = 4
+# _clear forms the product when more than _PRODUCT_PIVOTS pivots are in use
+# and at least 1/_SPARSE of their factors are nonzero, and takes one step
+# per pivot otherwise.  Both were set by timing the recorded _clear calls of
+# socle chains (K0 at q = 3 and 5, K1 at q = 5) and of spin_K at q = 5: on
+# blocks of a few rows a product costs more fixed time than a few steps,
+# and over mostly zero factors it forms many zero entry products.
+_PRODUCT_PIVOTS = 4
+_SPARSE = 16
 
 
 def _clear(tw, v, pivots, B):
-    """v - v[:, pivots] B for a 2-D block v and reduced rows B, each 1 at its
-    pivot and 0 at the pivots of the others: every row of v with its pivot
-    entries cleared, as a new array.  This equals clearing the pivots one
+    """v - v[:, pivots] B for a 2-D block v and reduced rows B (a sequence of
+    rows, each 1 at its pivot and 0 at the pivots of the others; only the
+    rows in use are stacked): every row of v with its pivot entries
+    cleared, as a new array.  This equals clearing the pivots one
     row of B at a time (v minus v[:, p] times row p), since no such step
     changes v at another pivot.
 
-    With at most _LOOP_PIVOTS pivots it takes those steps.  Otherwise only
-    the columns that can change are computed: the pivot columns of the
-    result are 0, and a column where the rows of B in use are 0 keeps v.
-    When at least half of the factors -v[:, pivots] on the rows and pivots
-    in use are nonzero this is one product, in chunks of rows whose
-    (pivots, rows, columns) entry products stay within _CLEAR_ENTRIES;
-    sparser factors are applied one pivot at a time, to the rows they
-    move, so that no product of a zero factor is formed."""
+    With few pivots in use, or sparse factors -v[:, pivots], it takes those
+    steps, each on the rows with a nonzero factor.  Otherwise it forms the
+    product on what can change: the rows with a nonzero factor and the
+    non-pivot columns where the rows of B in use are nonzero (the pivot
+    columns of the result are 0), in chunks of rows whose (pivots, rows,
+    columns) entry products stay within _CLEAR_ENTRIES."""
     out = v.copy()
-    if len(pivots) <= _LOOP_PIVOTS:
-        for p, row in zip(pivots, B):
-            f = tw.neg[out[:, p]]
-            hit = np.flatnonzero(f)
-            if hit.size:
-                out[hit] = tw.plus_times(out[hit], f[hit, None], row)
-        return out
     f = tw.neg[v[:, pivots]]
-    out[:, pivots] = 0
     hit = np.flatnonzero(f.any(axis=0))
-    cols = B[hit].any(axis=0)
-    cols[pivots] = False
-    free = np.flatnonzero(cols)
-    if not len(free):
-        return out
-    rows = np.flatnonzero(f.any(axis=1))
-    f, B = f[:, hit], B[hit][:, free]
-    if 2 * np.count_nonzero(f) < len(rows) * len(hit):
-        for p in range(len(hit)):
-            r = np.flatnonzero(f[:, p])[:, None]
-            out[r, free] = tw.plus_times(out[r, free], f[r, p], B[p])
-        return out
-    step = max(1, _CLEAR_ENTRIES // (len(hit) * len(free)))
-    for lo in range(0, len(rows), step):
-        r = rows[lo : lo + step, None]
-        prod = sum_rows(tw, tw.times(f[r[:, 0]].T[:, :, None], B[:, None, :]))
-        out[r, free] = tw.plus(v[r, free], prod)
+    if len(hit) > _PRODUCT_PIVOTS:
+        rows = np.flatnonzero(f.any(axis=1))
+        fr = f[np.ix_(rows, hit)]
+        if np.count_nonzero(fr) * _SPARSE >= fr.size:
+            out[:, pivots] = 0
+            B = np.stack([B[i] for i in hit])
+            cols = B.any(axis=0)
+            cols[pivots] = False
+            free = np.flatnonzero(cols)
+            B = B[:, free]
+            step = max(1, _CLEAR_ENTRIES // max(1, B.size))
+            for lo in range(0, len(rows), step):
+                prod = sum_rows(tw, tw.times(fr[lo : lo + step].T[:, :, None],
+                                             B[:, None, :]))
+                at = rows[lo : lo + step, None], free
+                out[at] = tw.plus(v[at], prod)
+            return out
+    for i in hit:
+        r = np.flatnonzero(f[:, i])
+        out[r] = tw.plus_times(out[r], f[r, i, None], B[i])
     return out
 
 
@@ -241,9 +242,10 @@ class Basis:
     def reduce(self, v):
         """v modulo the span; v is one vector or a matrix of row vectors."""
         tw = self.tw
-        v = np.array(v, dtype=np.uint16, copy=True)
+        v = np.asarray(v, dtype=np.uint16)
         if v.ndim == 2:
-            return _clear(tw, v, self.pivots(), self.matrix())
+            return _clear(tw, v, self.pivots(), [r for _, r in self.rows])
+        v = v.copy()
         for p, row in self.rows:
             c = v[p]
             if c:

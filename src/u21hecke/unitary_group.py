@@ -42,6 +42,24 @@ _K_PATTERN = {
 }
 
 
+# The entries the residue map of a compact reads, as (entry, degree) pairs:
+# entry 3i + j (row-major) at degree p[i][j], p the pattern, where the pair
+# (i, j), (j, i) sits at opposite depths, p[i][j] + p[j][i] == 0.  The
+# residue is 0 at every other entry (those pairs sum to a positive depth).
+# At K0 that is all nine entries at degree 0; at K1 the diagonal at degree
+# 0, (0, 2) at -1 and (2, 0) at +1, which is U(1,1) x U(1) embedded as in
+# GammaElem.
+RESIDUE_PLACES = {
+    K: tuple(
+        (3 * i + j, p[i][j])
+        for i in range(3)
+        for j in range(3)
+        if p[i][j] + p[j][i] == 0
+    )
+    for K, p in _K_PATTERN.items()
+}
+
+
 def require_compact(K):
     """The one check on a compact argument: NotApplicable unless K is K0 or
     K1."""
@@ -265,6 +283,11 @@ def word_inverse(tower, word):
 
 
 _IDENTITY = (1, 0, 0, 0, 1, 0, 0, 0, 1)
+# Row-major entries of a residue below its diagonal and on it: it lies in
+# the Borel when the first are 0, and in its unipotent radical when the
+# second are also 1.
+BELOW_DIAGONAL = [3, 6, 7]
+DIAGONAL = [0, 4, 8]
 # Entry 3i + j of J * conj(m)^T * J (J the antidiagonal) is the conjugate of
 # entry 8 - i - 3j of m: the inverse of a residue element as one gather.
 INVERSE_ENTRIES = [8 - i - 3 * j for i in range(3) for j in range(3)]
@@ -323,10 +346,10 @@ class GammaElem:
         return add[d][mul[a[2]][minor(3, 7, 4, 6)]]
 
     def in_borel(self):
-        return self.m[3] == self.m[6] == self.m[7] == 0
+        return not any(self.m[i] for i in BELOW_DIAGONAL)
 
     def in_unipotent(self):
-        return self.in_borel() and self.m[0] == self.m[4] == self.m[8] == 1
+        return self.in_borel() and all(self.m[i] == 1 for i in DIAGONAL)
 
     def torus_pair(self):
         """(first diagonal residue, middle diagonal residue) of a Borel
@@ -378,21 +401,14 @@ def check_residue_unitarity(tower, m):
 def reduce_to_gamma(tower, K, g):
     """Reduce a compact element to its residue quotient.
 
-    With p the valuation pattern of K, entry (i, j) of the image is the
-    coefficient of t^p[i][j] in g[i][j] where the pair (i, j), (j, i) sits
-    at opposite depths, p[i][j] + p[j][i] == 0, and 0 where the pair sums to
-    a positive depth (the residue map kills those entries).  At K0 that
-    reads all nine entries at degree 0; at K1 the diagonal at degree 0,
-    (0, 2) at -1 and (2, 0) at +1, which is U(1,1) x U(1) embedded as in
-    GammaElem."""
+    The image reads the coefficient of each entry of RESIDUE_PLACES[K] at
+    its degree, and is 0 elsewhere."""
     if not in_compact(tower, K, g):
         raise MembershipViolated("matrix is not in the compact %s" % K)
-    pat = _K_PATTERN[K]
-    gamma = GammaElem(tower, K, (
-        g.entry(i, j).coeff_at(pat[i][j]) if pat[i][j] + pat[j][i] == 0 else 0
-        for i in range(3)
-        for j in range(3)
-    ))
+    m = [0] * 9
+    for e, deg in RESIDUE_PLACES[K]:
+        m[e] = g.entry(e // 3, e % 3).coeff_at(deg)
+    gamma = GammaElem(tower, K, m)
     if not gamma.is_form_compatible():
         raise MembershipViolated("reduction is not residue-unitary")
     return gamma
@@ -510,14 +526,15 @@ def _layer_residues(tower, K, k, prime):
     and -conj(x) at (1, 2), np(x, y) the same at the transposed places, and
     exact ones and zeros elsewhere.  An atom lies in K iff each nonzero
     monomial has degree at least the pattern's (in_compact), and a residue
-    entry is the monomial's coefficient where its degree is the pattern's
-    and the pair (i, j), (j, i) sits at opposite depths (reduce_to_gamma),
-    zero elsewhere."""
+    entry is the monomial's coefficient where (entry, degree) is one of
+    RESIDUE_PLACES[K] (reduce_to_gamma), zero elsewhere; the diagonal's
+    exact ones sit at degree 0, a residue place at both compacts."""
     tw, pat = tower, _K_PATTERN[K]
+    places = set(RESIDUE_PLACES[K])
     coords = np.array(layer_coords(tw, k), dtype=np.uint16).reshape(-1, 2)
     xi, ti = coords.T
     m = np.zeros((9, len(coords)), dtype=np.uint16)
-    m[0::4] = 1
+    m[DIAGONAL] = 1
     for (i, j), deg, c in (
         ((0, 1), k // 2, xi),
         ((0, 2), k, ti),
@@ -527,7 +544,7 @@ def _layer_residues(tower, K, k, prime):
             i, j = j, i
         if deg < pat[i][j] and c.any():
             return None
-        if deg == pat[i][j] and pat[i][j] + pat[j][i] == 0:
+        if (3 * i + j, deg) in places:
             m[3 * i + j] = c
     check_residue_unitarity(tw, m)
     rows = m.T.copy()
@@ -560,8 +577,8 @@ def iwahori_constants(tower, K):
     def lower_inside(k):
         # in K with upper unitriangular residues (GammaElem.in_unipotent)
         rows = layer_residues(tower, K, k, prime=True)
-        return (rows is not None and not rows[:, [3, 6, 7]].any()
-                and (rows[:, [0, 4, 8]] == 1).all())
+        return (rows is not None and not rows[:, BELOW_DIAGONAL].any()
+                and (rows[:, DIAGONAL] == 1).all())
 
     n_K = scan(lambda k: layer_residues(tower, K, k) is not None)
     m_K = scan(lower_inside)

@@ -70,6 +70,7 @@ from .unitary_group import (
     _K_PATTERN,
     K0,
     K1,
+    RESIDUE_PLACES,
     atom_alpha,
     atom_d,
     atom_inv,
@@ -612,10 +613,8 @@ def _read_cell(blk, K, t, j):
     if not blk.vanish_below(need):
         raise CrossCheckFailed("coset read left a factor outside the compact")
     m = np.zeros((9, blk.e.shape[2]), dtype=np.uint16)
-    for i in range(3):
-        for jj in range(3):
-            if pat[i][jj] + pat[jj][i] == 0:
-                m[3 * i + jj] = blk.coeff(3 * i + jj, need[3 * i + jj])
+    for e, _ in RESIDUE_PLACES[K]:
+        m[e] = blk.coeff(e, need[e])
     check_residue_unitarity(tw, m)
     return coords, m.T
 

@@ -278,12 +278,16 @@ CLEAR_TOWERS = {"GF9": Tower(3, 1), "GF25": Tower(5, 1)}
                          ids=list(CLEAR_TOWERS))
 @settings(max_examples=150, deadline=None)
 @given(data=st.data(), entries=st.sampled_from([1, 7, 1 << 20]),
-       sparse=st.booleans())
-def test_clear_matches_row_loop(tw, data, entries, sparse):
-    """_clear, v - v[:, P] B as one product or (with mostly zero factors)
-    one pivot at a time, equals clearing the pivots of a reduced basis B
-    one row at a time, also when its chunks hold as few as one row (a
-    small entry budget)."""
+       pivots_min=st.sampled_from([0, 4]),
+       density=st.sampled_from([1, 16, 1 << 20]), sparse=st.booleans())
+def test_clear_matches_row_loop(tw, data, entries, pivots_min, density,
+                                sparse):
+    """_clear, v - v[:, P] B as one product or one pivot at a time, equals
+    clearing the pivots of a reduced basis B one row at a time, also when
+    its chunks hold as few as one row (a small entry budget).  Both paths
+    are reached on these small blocks by moving the switch: at 0 pivots
+    the product needs only one pivot in use, and the density cut _SPARSE
+    at 1 sends all but fully dense factors, at 2^20 none, to the steps."""
     width = data.draw(st.integers(1, 9), label="width")
     n_gens = max(0, width - 2) if sparse else data.draw(st.integers(0, 8))
     gens = data.draw(matrices(tw, n_gens, width), label="gens")
@@ -299,6 +303,8 @@ def test_clear_matches_row_loop(tw, data, entries, sparse):
         v[off] = 0
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(gfmat, "_CLEAR_ENTRIES", entries)
+        mp.setattr(gfmat, "_PRODUCT_PIVOTS", pivots_min)
+        mp.setattr(gfmat, "_SPARSE", density)
         out = gfmat._clear(tw, v, pivots, B)
     assert out is not v
     assert np.array_equal(out, row_loop_clear(tw, v, pivots, B))

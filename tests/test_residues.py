@@ -33,6 +33,14 @@ def scalar_layer(tower, K, k, prime):
     return rows
 
 
+def test_residue_places():
+    """The residue map reads all nine entries at degree 0 at K0, and at K1
+    the diagonal at degree 0, (0, 2) at -1 and (2, 0) at +1: U(1,1) x U(1)
+    embedded as in GammaElem."""
+    assert U.RESIDUE_PLACES[K0] == tuple((e, 0) for e in range(9))
+    assert U.RESIDUE_PLACES[K1] == ((0, 0), (2, -1), (4, 0), (6, 1), (8, 0))
+
+
 @pytest.mark.parametrize("q", list(TOWERS))
 def test_layer_residues_match_scalar_reduction(q):
     """For every layer k in -4..5, both sides and both compacts, the array
