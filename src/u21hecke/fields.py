@@ -435,7 +435,7 @@ class Character:
         return "Character(i=%d, j=%d)" % (self.i, self.j)
 
 
-def characters_of_torus(tower, K=None):
+def characters_of_torus(tower):
     """All characters of the reduced torus, deterministic order."""
     out = []
     for i in range(tower.Q - 1):
@@ -444,12 +444,12 @@ def characters_of_torus(tower, K=None):
     return out
 
 
-def char_s(chi, K=None):
+def char_s(chi):
     """Conjugate character: the hyperspecial/other involution sends the torus
     element with residues (a, b) to the one with residues (conj(a)^-1, b),
     hence exponents (i, j) -> (-q i, j). Independent of K."""
     return Character(chi.tower, -chi.tower.q * chi.i, chi.j)
 
 
-def is_regular(chi, K=None):
-    return char_s(chi, K) != chi
+def is_regular(chi):
+    return char_s(chi) != chi

@@ -9,6 +9,12 @@ halving, elimination clears a pivot column in all rows at once, one
 x + c y step, and a block of rows is reduced modulo a basis by one product,
 or by one such step per pivot when few pivots or few factors are in use
 (_clear).
+
+A row space is grown by one route: Basis.extend reduces a block of rows
+modulo the basis (one _clear), takes the rref of what is left and clears
+the new pivots in the old rows (one more _clear).  Basis.add is that with
+a one-row block, Basis.reduce and Basis.contains read a block or one vector
+through the same _clear, and membership is a reduction to zero.
 """
 
 import numpy as np
@@ -24,20 +30,8 @@ def eye(n):
     return np.eye(n, dtype=np.uint16)
 
 
-def add(tw, A, B):
-    return tw.plus(A, B)
-
-
-def neg(tw, A):
-    return tw.neg[A]
-
-
 def sub(tw, A, B):
     return tw.plus(A, tw.neg[B])
-
-
-def smul(tw, s, A):
-    return tw.times(s, A)
 
 
 def matmul(tw, A, B):
@@ -170,14 +164,6 @@ def inverse(tw, A):
     return R[:, n:].copy()
 
 
-def in_row_space(tw, basis, v):
-    """Is v a combination of the rows of basis (assumed rref'd or not)?"""
-    if basis.shape[0] == 0:
-        return not v.any()
-    stacked = np.concatenate([basis, v[None, :]], axis=0)
-    return rank(tw, stacked) == rank(tw, basis)
-
-
 # The most entry products (pivots x rows x width) one step of _clear's
 # product forms.
 _CLEAR_ENTRIES = 1 << 20
@@ -192,12 +178,11 @@ _SPARSE = 16
 
 
 def _clear(tw, v, pivots, B):
-    """v - v[:, pivots] B for a 2-D block v and reduced rows B (a sequence of
-    rows, each 1 at its pivot and 0 at the pivots of the others; only the
-    rows in use are stacked): every row of v with its pivot entries
-    cleared, as a new array.  This equals clearing the pivots one
-    row of B at a time (v minus v[:, p] times row p), since no such step
-    changes v at another pivot.
+    """v - v[:, pivots] B for a 2-D block v and the (len(pivots), width)
+    array B of reduced rows (each 1 at its pivot and 0 at the pivots of the
+    others): every row of v with its pivot entries cleared, as a new array.
+    This equals clearing the pivots one row of B at a time (v minus v[:, p]
+    times row p), since no such step changes v at another pivot.
 
     With few pivots in use, or sparse factors -v[:, pivots], it takes those
     steps, each on the rows with a nonzero factor.  Otherwise it forms the
@@ -213,7 +198,7 @@ def _clear(tw, v, pivots, B):
         fr = f[np.ix_(rows, hit)]
         if np.count_nonzero(fr) * _SPARSE >= fr.size:
             out[:, pivots] = 0
-            B = np.stack([B[i] for i in hit])
+            B = B[hit]
             cols = B.any(axis=0)
             cols[pivots] = False
             free = np.flatnonzero(cols)
@@ -232,42 +217,29 @@ def _clear(tw, v, pivots, B):
 
 
 class Basis:
-    """Incrementally maintained reduced row echelon basis of a row space."""
+    """The reduced row echelon basis of a growing row space: its rows,
+    sorted by pivot, and their pivots.  Rows enter by extend alone, a block
+    at a time (add is a one-row extend), and reduce clears the pivots of a
+    block or of one vector by one _clear, so the basis is the canonical
+    rref of everything inserted, whatever the order or the blocking."""
 
     def __init__(self, tw, width):
         self.tw = tw
         self.width = width
-        self.rows = []  # list of (pivot, np row), sorted by pivot
+        self._rows = zeros((0, width))
+        self._pivots = []
 
     def reduce(self, v):
         """v modulo the span; v is one vector or a matrix of row vectors."""
-        tw = self.tw
         v = np.asarray(v, dtype=np.uint16)
-        if v.ndim == 2:
-            return _clear(tw, v, self.pivots(), [r for _, r in self.rows])
-        v = v.copy()
-        for p, row in self.rows:
-            c = v[p]
-            if c:
-                v = tw.plus_times(v, tw.neg[c], row)
-        return v
+        out = _clear(self.tw, np.atleast_2d(v), self._pivots, self._rows)
+        return out.reshape(v.shape)
 
     def add(self, v):
-        """Insert v; returns the new pivot or None if already in the span."""
-        tw = self.tw
-        v = self.reduce(v)
-        nz = np.nonzero(v)[0]
-        if nz.size == 0:
-            return None
-        p = int(nz[0])
-        v = tw.times(tw.i_(int(v[p])), v)
-        for i, (q, row) in enumerate(self.rows):
-            c = row[p]
-            if c:
-                self.rows[i] = (q, tw.plus_times(row, tw.neg[c], v))
-        self.rows.append((p, v))
-        self.rows.sort(key=lambda t: t[0])
-        return p
+        """Insert one vector by a one-row extend; returns its pivot, or None
+        if it is already in the span."""
+        new = self.extend(np.asarray(v, dtype=np.uint16)[None])
+        return int(np.flatnonzero(new[0])[0]) if len(new) else None
 
     def extend(self, block):
         """Insert every row of an (m, width) block: one reduction of the
@@ -276,22 +248,20 @@ class Basis:
         Returns the added rows, whose span modulo the old span is that of
         the block."""
         tw = self.tw
-        left = self.reduce(np.reshape(block, (-1, self.width)))
+        left = self.reduce(np.reshape(block, (len(block), self.width)))
         # the rref runs on the columns where something is left
         cols = np.flatnonzero(left.any(axis=0))
         R, piv = rref(tw, left[:, cols])
         new = zeros((len(piv), self.width))
         new[:, cols] = R[: len(piv)]
-        if not piv:
-            return new
-        piv = cols[piv].tolist()
-        if self.rows:
+        if piv:
             # the new rows vanish at the old pivots, so clearing their own
             # pivots in the old rows keeps those rows reduced
-            old = _clear(tw, self.matrix(), piv, new)
-            self.rows = [(p, row) for (p, _), row in zip(self.rows, old)]
-        self.rows.extend(zip(piv, new))
-        self.rows.sort(key=lambda t: t[0])
+            pivots = self._pivots + cols[piv].tolist()
+            order = np.argsort(pivots)
+            old = _clear(tw, self._rows, pivots[len(self._pivots):], new)
+            self._rows = np.concatenate([old, new])[order]
+            self._pivots = [pivots[i] for i in order]
         return new
 
     def contains(self, v):
@@ -299,12 +269,10 @@ class Basis:
 
     @property
     def dim(self):
-        return len(self.rows)
+        return len(self._pivots)
 
     def matrix(self):
-        if not self.rows:
-            return np.zeros((0, self.width), dtype=np.uint16)
-        return np.stack([r for _, r in self.rows])
+        return self._rows.copy()
 
     def pivots(self):
-        return [p for p, _ in self.rows]
+        return list(self._pivots)

@@ -574,10 +574,11 @@ def _grid_value(weight, positive):
     return v
 
 
-def _depth_guard(tower, n, n_max):
-    if abs(n) > n_max:
+def _depth_guard(tower, n):
+    if abs(n) > DEFAULT_N_MAX:
         raise PrecisionBudgetExceeded(
-            "shift %d exceeds the configured budget n_max=%d" % (n, n_max)
+            "shift %d exceeds the configured budget DEFAULT_N_MAX=%d"
+            % (n, DEFAULT_N_MAX)
         )
     window = tower.default_window
     if 2 * abs(n) + 4 > window:
@@ -587,7 +588,7 @@ def _depth_guard(tower, n, n_max):
         )
 
 
-def f_basis(weight, n, n_max=DEFAULT_N_MAX, tag_cap=DEFAULT_TAG_CAP):
+def f_basis(weight, n, tag_cap=DEFAULT_TAG_CAP):
     """The canonical invariant function of shift cell n, materialized.
 
     Every coordinate combination of the cell grid is one coset tag; all tags
@@ -597,7 +598,7 @@ def f_basis(weight, n, n_max=DEFAULT_N_MAX, tag_cap=DEFAULT_TAG_CAP):
     construction, and the invariance is certified on the value
     (_grid_value)."""
     tw = weight.tower
-    _depth_guard(tw, n, n_max)
+    _depth_guard(tw, n)
     cnt = grid_count(tw, weight.K, n)
     if cnt > tag_cap:
         raise ClosureBudgetExceeded(
@@ -838,10 +839,10 @@ class GridElement:
         return cls(weight, coeffs)
 
 
-def f_grid(weight, n, n_max=DEFAULT_N_MAX):
+def f_grid(weight, n):
     """The canonical invariant function of shift cell n in grid form, its
     invariance certified on the value (_grid_value)."""
-    _depth_guard(weight.tower, n, n_max)
+    _depth_guard(weight.tower, n)
     grid_value(weight, n)
     return GridElement(weight, {n: 1})
 
@@ -1184,7 +1185,7 @@ def translation_recursion_check(
     tw = weight.tower
     K = weight.K
     target = n_from + direction
-    _depth_guard(tw, target, DEFAULT_N_MAX)
+    _depth_guard(tw, target)
     prefixes = translation_prefixes(tw, K, n_from, direction)
     cnt_from = grid_count(tw, K, n_from)
     cnt_target = grid_count(tw, K, target)

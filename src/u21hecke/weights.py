@@ -14,7 +14,10 @@ principal series.  It also provides the linear-algebra services the induced
 module calculus needs: unipotent invariants and coinvariants, the rank-one
 idempotent collapsing onto the invariant line, the one closure loop
 (closure, run by spin and induction.spin_K), socle chains, fingerprints, and
-explicit intertwiners.
+explicit intertwiners.  Every row space is a gfmat.Basis filled by block
+extends: one per subspace or quotient a weight is built on, and one per
+closure round, which stacks the images of the whole frontier under every
+action.
 
 Every solve runs on generators, never on a whole subgroup: the unipotent
 invariants, the lower coinvariants, the torus character and the Borel
@@ -424,13 +427,11 @@ class Weight:
         group, so the generators' images span the whole of it."""
         tw = self.tower
         ident = gfmat.eye(self.dim)
-        span = gfmat.row_space(tw, np.concatenate([
+        basis = gfmat.Basis(tw, self.dim)
+        basis.extend(np.concatenate([
             gfmat.sub(tw, self.matrix(s), ident).T
             for s in gamma_lower_generators(tw, self.K)
         ]))
-        basis = gfmat.Basis(tw, self.dim)
-        for row in span:
-            basis.add(row)
         return basis
 
     def v0(self):
@@ -451,10 +452,9 @@ class Weight:
         the part of borel_eigenvectors that no character changes."""
         tw = self.tower
         inv = self.u_invariants()
-        piv = [int(np.nonzero(b)[0][0]) for b in inv]
         checker = gfmat.Basis(tw, self.dim)
-        for row in inv:
-            checker.add(row)
+        checker.extend(inv)
+        piv = checker.pivots()
         out = []
         for t in gamma_torus_generators(tw, self.K):
             images = self.act_rows(t, inv)
@@ -646,10 +646,8 @@ class _SubSpec:
 
     def __init__(self, base, basis_rows):
         self.base = base
-        tw = base.tower
-        self.basis = gfmat.Basis(tw, base.dim)
-        for row in basis_rows:
-            self.basis.add(row)
+        self.basis = gfmat.Basis(base.tower, base.dim)
+        self.basis.extend(basis_rows)
         self.mat = self.basis.matrix()
         self.pivots = self.basis.pivots()
 
@@ -668,10 +666,8 @@ class _QuotientSpec:
 
     def __init__(self, base, sub_rows):
         self.base = base
-        tw = base.tower
-        self.sub = gfmat.Basis(tw, base.dim)
-        for row in sub_rows:
-            self.sub.add(row)
+        self.sub = gfmat.Basis(base.tower, base.dim)
+        self.sub.extend(sub_rows)
         piv = set(self.sub.pivots())
         self.free = [i for i in range(base.dim) if i not in piv]
 
@@ -769,20 +765,16 @@ def make_weight(tower, K, kind, chi=None, part=None, power=None):
 def closure(tower, width, seeds, actions):
     """Rref gfmat.Basis of the least space of width-vectors holding the
     seeds and stable under each action, which maps an (m, width) block of
-    rows to their images.  Each round applies every action to the whole
-    frontier (the rows the last round added; the seeds themselves first)
-    and inserts the images by Basis.extend, which reduces them as one block.
+    rows to their images.  The seeds are inserted first; then each round
+    applies every action to the frontier (the rows the last insertion
+    added) and inserts all their images, stacked, by one Basis.extend.
     Raises ClosureBudgetExceeded once the basis passes SPIN_BUDGET."""
     basis = gfmat.Basis(tower, width)
-    block, round_actions = np.asarray(seeds, dtype=np.uint16), [np.copy]
+    block = basis.extend(seeds)
     while len(block):
-        frontier = []
-        for act in round_actions:
-            frontier.append(basis.extend(act(block)))
-            if basis.dim > SPIN_BUDGET:
-                raise ClosureBudgetExceeded("closure passed SPIN_BUDGET")
-        block = np.concatenate(frontier)
-        round_actions = actions
+        if basis.dim > SPIN_BUDGET:
+            raise ClosureBudgetExceeded("closure passed SPIN_BUDGET")
+        block = basis.extend(np.concatenate([act(block) for act in actions]))
     return basis
 
 
@@ -808,8 +800,8 @@ def borel_eigenvectors(weight, chi):
     if r == 0:
         return inv
     blocks = [
-        gfmat.sub(tw, mres, gfmat.smul(tw, chi.value(*t.torus_pair()),
-                                       gfmat.eye(r)))
+        gfmat.sub(tw, mres, tw.times(chi.value(*t.torus_pair()),
+                                     gfmat.eye(r)))
         for t, mres in weight._torus_on_invariants()
     ]
     ns = gfmat.nullspace(tw, np.concatenate(blocks, axis=0))
@@ -828,7 +820,7 @@ def _lines_of(tw, rows):
     if r == 2:
         out = [rows[1]]
         for lam in range(tw.Q):
-            out.append(gfmat.add(tw, rows[0], gfmat.smul(tw, lam, rows[1])))
+            out.append(tw.plus_times(rows[0], lam, rows[1]))
         return out
     raise InconclusiveLattice(
         "eigenspace of dimension %d: line enumeration refused" % r
@@ -853,9 +845,10 @@ def socle_chain(weight):
     if len(set(dims)) != len(dims):
         raise InconclusiveLattice("incomparable submodules of equal dimension")
     for low, high in zip(chain, chain[1:]):
-        for row in low:
-            if not gfmat.in_row_space(tw, high, row):
-                raise InconclusiveLattice("submodules do not nest")
+        basis = gfmat.Basis(tw, weight.dim)
+        basis.extend(high)
+        if basis.reduce(low).any():
+            raise InconclusiveLattice("submodules do not nest")
     return chain
 
 
@@ -943,23 +936,18 @@ def hom_space(wsrc, wdst, gens=None):
     if gens is None:
         gens = gamma_generators(tw, wsrc.K)
     dd, ds = wdst.dim, wsrc.dim
-    n = dd * ds
-    rows = []
-    for g in gens:
-        a = wdst.matrix(g)
-        b = wsrc.matrix(g)
-        for i in range(dd):
-            for j in range(ds):
-                row = np.zeros(n, dtype=np.uint16)
-                for k in range(dd):
-                    row[k * ds + j] = tw.a(int(row[k * ds + j]), int(a[i, k]))
-                for k in range(ds):
-                    row[i * ds + k] = tw.a(
-                        int(row[i * ds + k]), tw.n(int(b[k, j]))
-                    )
-                rows.append(row)
-    ns = gfmat.nullspace(tw, np.stack(rows))
-    return ns
+    # row (i, j) of the equation dst(g) M - M src(g) = 0 on the entries
+    # M[k, l] at k ds + l is kron(dst(g), 1) - kron(1, src(g)^T); np.kron
+    # multiplies table indices as integers, which is exact here because one
+    # factor of every product is the identity's 0 or 1, the indices of the
+    # field's zero and one
+    ident_d, ident_s = gfmat.eye(dd), gfmat.eye(ds)
+    rows = [
+        gfmat.sub(tw, np.kron(wdst.matrix(g), ident_s),
+                  np.kron(ident_d, wsrc.matrix(g).T))
+        for g in gens
+    ]
+    return gfmat.nullspace(tw, np.concatenate(rows))
 
 
 def reciprocity_map_from_ps(weight, chi, w0):

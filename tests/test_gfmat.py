@@ -158,7 +158,7 @@ def test_rref_family_matches_reference(tw, data):
 @on_towers
 def test_rref_zero_rows_and_empty(tw):
     A = np.array([[0, 0, 0], [0, 2, 1], [0, 0, 0], [0, 0, 0]], dtype=np.uint16)
-    A[3] = gfmat.smul(tw, tw.gen, A[1])
+    A[3] = tw.times(tw.gen, A[1])
     R, pivots = gfmat.rref(tw, A)
     R_ref, pivots_ref = ref_rref(tw, A)
     assert pivots == pivots_ref == [1]
@@ -190,7 +190,7 @@ def test_inverse_matches_reference(tw, data):
 @on_towers
 def test_singular_inverse_is_typed(tw):
     A = np.array([[1, 2], [0, 0]], dtype=np.uint16)
-    A[1] = gfmat.smul(tw, tw.gen, A[0])
+    A[1] = tw.times(tw.gen, A[0])
     with pytest.raises(InversionOfZero):
         gfmat.inverse(tw, A)
     with pytest.raises(InversionOfZero):
@@ -220,6 +220,10 @@ def test_basis_matches_reference(tw, data):
     assert basis.dim == len(pivots_ref)
     assert basis.pivots() == pivots_ref
     assert np.array_equal(basis.matrix(), R_ref[: len(pivots_ref)])
+    # the same span inserted as one block
+    whole = gfmat.Basis(tw, width)
+    whole.extend(V)
+    assert np.array_equal(whole.matrix(), basis.matrix())
     # reduce on one vector and on a stack of row vectors agree row by row
     W = data.draw(matrices(tw, data.draw(st.integers(0, 4)), width), label="W")
     reduced = basis.reduce(W)
@@ -231,7 +235,7 @@ def test_basis_matches_reference(tw, data):
             pivots_ref
         )
         assert basis.contains(w) == in_span == (not r.any())
-        assert gfmat.in_row_space(tw, V, w) == in_span
+        assert whole.contains(w) == in_span
 
 
 @on_towers

@@ -109,20 +109,24 @@ def test_basis_sizes(tower, catalog):
         assert I.f_basis(w, 1) is I.f_basis(w, 1)
 
 
-def test_basis_cap_and_depth_guard(tower, catalog):
+def test_basis_cap_and_depth_guard(tower, catalog, monkeypatch):
     w = catalog[(K0, "trivial")]
     with pytest.raises(ClosureBudgetExceeded):
         I.f_basis(w, 3, tag_cap=10000)
     with pytest.raises(PrecisionBudgetExceeded):
         I.f_basis(w, 6)
+    # past the shift budget, the precision window still refuses the cell
+    monkeypatch.setattr(I, "DEFAULT_N_MAX", 12)
     with pytest.raises(PrecisionBudgetExceeded):
-        I.f_grid(w, 11, n_max=12)
+        I.f_grid(w, 11)
+    monkeypatch.undo()
     # a built cell is stored, but the cap and the depth budget still hold
     assert len(I.f_basis(w, 2).data) == 243
     with pytest.raises(ClosureBudgetExceeded):
         I.f_basis(w, 2, tag_cap=100)
+    monkeypatch.setattr(I, "DEFAULT_N_MAX", 1)
     with pytest.raises(PrecisionBudgetExceeded):
-        I.f_basis(w, 2, n_max=1)
+        I.f_basis(w, 2)
 
 
 def _memo_run(tw):
@@ -1464,11 +1468,13 @@ def test_regular_chain(tower, regular_pairs):
 
         # the quotient of the span by the image carries the partner trace
         sw = span.weight
-        basis = gfmat.row_space(tower, tmat)
+        image = gfmat.Basis(tower, sw.dim)
+        image.extend(tmat)
+        basis = image.matrix()
         for g in W.gamma_generators(tower, K1):
             for row in basis:
                 img = gfmat.matvec(tower, sw.matrix(g), row)
-                assert gfmat.in_row_space(tower, basis, img)
+                assert image.contains(img)
         cur = basis.copy()
         for i in range(sw.dim):
             e = np.zeros(sw.dim, dtype=np.uint16)

@@ -423,6 +423,35 @@ def test_spin(tower):
     assert W.spin(ps, [eig[0]]).shape[0] == 2
 
 
+def test_closure_extends_once_per_round(tower, monkeypatch):
+    """closure inserts a round's images under every action by one stacked
+    Basis.extend: after the seeds' call, each call gets the images of the
+    whole last frontier under all of gamma_generators, and only the last
+    call adds nothing."""
+    chi = regular_chis(tower)[0]
+    ps = W.make_weight(tower, K1, W.PRINCIPAL_SERIES, chi=chi)
+    gens = W.gamma_generators(tower, K1)
+    seed = gfmat.eye(ps.dim)[0]
+    calls = []
+    extend = gfmat.Basis.extend
+
+    def spy(self, block):
+        new = extend(self, block)
+        calls.append((len(block), len(new)))
+        return new
+
+    monkeypatch.setattr(gfmat.Basis, "extend", spy)
+    span = W.spin(ps, [seed])
+    monkeypatch.undo()
+    assert len(calls) >= 3
+    assert calls[0] == (1, 1)
+    for (_, added), (rows, _) in zip(calls, calls[1:]):
+        assert added > 0 and rows == len(gens) * added
+    assert calls[-1][1] == 0
+    assert sum(added for _, added in calls) == span.shape[0]
+    assert np.array_equal(span, _spin_one_vector_at_a_time(ps, [seed]))
+
+
 def _spin_one_vector_at_a_time(weight, seeds):
     """Rref basis of the submodule generated by the seeds, closed by a queue
     that applies each generator's matrix to one vector at a time."""
@@ -513,9 +542,9 @@ def test_trivial_ps_splits(tower):
         complement = None
         for line in W._lines_of(tower, ps0.u_invariants()):
             sp = W.spin(ps0, [line])
-            if 0 < sp.shape[0] < ps0.dim and not gfmat.in_row_space(
-                tower, sp, ones
-            ):
+            span = gfmat.Basis(tower, ps0.dim)
+            span.extend(sp)
+            if 0 < sp.shape[0] < ps0.dim and not span.contains(ones):
                 complement = sp
         assert complement is not None
         assert complement.shape[0] == ps0.dim - 1
@@ -577,3 +606,42 @@ def test_frobenius_reciprocity_dimensions(tower):
             direct = W.hom_space(ps, wgt).shape[0]
             eig = W.borel_eigenvectors(wgt, chi).shape[0]
             assert direct == eig
+
+
+def _hom_rows_by_entries(wsrc, wdst, g):
+    """The rows of dst(g) M - M src(g) = 0 on the row-major entries of M,
+    one scalar field operation at a time."""
+    tw = wsrc.tower
+    dd, ds = wdst.dim, wsrc.dim
+    a, b = wdst.matrix(g), wsrc.matrix(g)
+    rows = np.zeros((dd * ds, dd * ds), dtype=np.uint16)
+    for i in range(dd):
+        for j in range(ds):
+            for k in range(dd):
+                at = i * ds + j, k * ds + j
+                rows[at] = tw.a(int(rows[at]), int(a[i, k]))
+            for k in range(ds):
+                at = i * ds + j, i * ds + k
+                rows[at] = tw.a(int(rows[at]), tw.n(int(b[k, j])))
+    return rows
+
+
+def test_hom_space_matches_entry_loop(tower):
+    """hom_space, built by Kronecker products of the weight matrices, is the
+    null space of the same system built entry by entry."""
+    chi = regular_chis(tower)[0]
+    by_compact = {
+        K0: [W.make_weight(tower, K0, kind) for kind in (W.TRIVIAL, W.STEINBERG)],
+        K1: [W.make_weight(tower, K1, W.STEINBERG)] + [
+            W.make_weight(tower, K1, W.PS_SUB_QUOTIENT, chi=c, part=part)
+            for c in (chi, char_s(chi)) for part in ("sub", "quotient")
+        ],
+    }
+    for K, wgts in by_compact.items():
+        gens = W.gamma_generators(tower, K)
+        for wsrc in wgts:
+            for wdst in wgts:
+                system = np.concatenate(
+                    [_hom_rows_by_entries(wsrc, wdst, g) for g in gens])
+                assert np.array_equal(W.hom_space(wsrc, wdst),
+                                      gfmat.nullspace(tower, system))
