@@ -44,14 +44,20 @@ labels.  Invariance is certified exactly, once per weight or compact: the
 canonical value of each f_n is fixed by the residue image of its coset's
 stabilizer (_grid_value), and the averaging suffixes and T's stencil are
 certified transversals (_suffixes_certified, _t_adjoint), so every image of
-an invariant function is invariant.  op_T_grid reads T through its adjoint
-stencil and is the route of the structure constants; the materialized op_T
-stays as the test oracle and the route of op_T_sigma and
-equivariance_spot_check.  The idempotent j of the stencil has rank one,
-j = v0 ell^T (_j_factors, certified), so the adjoint stencil folds into two
-tables per weight, L_s = sigma(g_s')^T ell and R_s = sigma(r_s) v0
-(_t_tables), and (T F)(x) = sum_s (L_s . F(s^-1 x)) R_s is one product and
-one matrix product per call, with no transport.
+an invariant function is invariant.  Each grid operator takes a list of
+elements of one weight (op_T_grids, op_SK_grids, op_Sminus_grids; op_T_grid
+and the other one-element forms are lists of one) and evaluates all of them
+at one set of cell points (_read_grids): the words of a point read do not
+depend on the element, so every element's evaluation is the same product
+read, and a nonzero value outside an element's own window fails the call.
+T reads its windows and its points as one product (_t_rows).  op_T_grids
+reads T through its adjoint stencil and is the route of the structure
+constants; the materialized op_T stays as the test oracle and the route of
+op_T_sigma and equivariance_spot_check.  The idempotent j of the stencil
+has rank one, j = v0 ell^T (_j_factors, certified), so the adjoint stencil
+folds into two tables per weight, L_s = sigma(g_s')^T ell and
+R_s = sigma(r_s) v0 (_t_tables), and (T F)(x) = sum_s (L_s . F(s^-1 x)) R_s
+is one product and one matrix product per call, with no transport.
 
 A word that lies in the compact lies in the coset K itself, tag (0, 0),
 whose representative alpha^0 is the identity, so its residue is the
@@ -926,79 +932,120 @@ def _sk_window(shifts):
     return sorted(out)
 
 
-def _double_cell_window(tower, K, heads, tails=((),)):
-    """The cells +-l over the labels l of the double cells K (h + t) K, read
-    exactly by one _normalize_words call: a double cell of label l meets the
-    invariant grid only in the two cells +-l."""
-    read = _normalize_words(tower, K, heads, tails)
-    return sorted({s * t for t, _ in read.tags for s in (1, -1)})
+def _cells_of(tags):
+    """The cells +-l over the labels l of the double cells of the tags: a
+    double cell of label l meets the invariant grid only in the two cells
+    +-l."""
+    return sorted({s * t for t, _ in tags for s in (1, -1)})
 
 
 def _sminus_window(tower, K, shifts):
     """Certified support window of the lower averaging.  The output support
     lies in the product of each input cell closure with the basic double
     cell; splitting the latter over the delta transversal, each piece
-    K alpha^-n delta alpha K is a single double cell (_double_cell_window)."""
+    K alpha^-n delta alpha K is a single double cell, whose label is read
+    exactly by one _normalize_words call (_cells_of)."""
     post = (atom_alpha(1),)
     words = [
         (atom_alpha(-n),) + d + post
         for n in shifts
         for d in _delta_words(tower, K)
     ]
-    return _double_cell_window(tower, K, words)
+    return _cells_of(_normalize_words(tower, K, words).tags)
 
 
-def _read_grid(weight, window, evaluate):
-    """Reconstruct the image of an operator on the grid form from its values
-    at the cell points alpha^-j of the certified window.
+def _one_weight(elems):
+    """The weight of a list of grid elements; NotApplicable if the list is
+    empty or mixes induced modules, which never share a call."""
+    if not elems:
+        raise NotApplicable("no grid element to apply the operator to")
+    weight = elems[0].weight
+    if any(elem.weight is not weight for elem in elems):
+        raise NotApplicable("operands live in different induced modules")
+    return weight
 
-    Faithful because the image is invariant and an invariant function
+
+def _read_grids(weight, elems, windows, points, evaluate):
+    """Reconstruct the images of an operator on the grid forms elems, each
+    from its values at the cell points alpha^-j of its certified window.
+
+    Faithful because an image is invariant and an invariant function
     supported on the window cells vanishing at every cell point is
     identically zero.  The input is invariant, its values certified by
     _grid_value, and each operator is G-equivariant, averaged over a
     certified transversal (_suffixes_certified, and T's stencil in
-    _t_adjoint).  evaluate(points) gives the image at the |window| cell
-    points as one (points, dim) array."""
-    sums = evaluate([(atom_alpha(-j),) for j in window])
-    coeffs = {}
-    for j, val in zip(window, sums):
-        if val.any():
+    _t_adjoint).
+
+    All elements are evaluated at the same points, a list of j that covers
+    every window: evaluate(elem, heads) gives the image of elem at the
+    heads alpha^-j as one (points, dim) array, and its words do not depend
+    on the element, so every element's evaluation is the same product read
+    (_normalize_words).  Each element keeps the coefficients at the points
+    of its own window; a nonzero value at a point outside it raises
+    CrossCheckFailed."""
+    heads = [(atom_alpha(-j),) for j in points]
+    out = []
+    for elem, window in zip(elems, windows):
+        coeffs = {}
+        for j, val in zip(points, evaluate(elem, heads)):
+            if not val.any():
+                continue
+            if j not in window:
+                raise CrossCheckFailed(
+                    "the image is nonzero at the shift-%d cell point, "
+                    "outside its certified window" % j)
             coeffs[j] = _match_grid_coefficient(weight, j, val)
-    return GridElement(weight, coeffs)
+        out.append(GridElement(weight, coeffs))
+    return out
 
 
-def _op_grid(elem, suffixes, window):
-    """An averaging operator on the grid form, read back by _read_grid: the
-    averages at all its points are evaluated by one values_at call,
-    |points| |suffixes| words, and the values of each point are summed as
-    one array (gfmat.sum_rows)."""
-    weight = elem.weight
+def _op_grids(weight, elems, suffixes, windows):
+    """An averaging operator on the grid forms, read back by _read_grids at
+    the union of their windows: the averages at all its points are
+    evaluated by one values_at call per element, |points| |suffixes| words,
+    and the values of each point are summed as one array
+    (gfmat.sum_rows)."""
 
-    def evaluate(points):
-        values = elem.values_at(points, suffixes)
+    def evaluate(elem, heads):
+        values = elem.values_at(heads, suffixes)
         # (suffix, point, dim): the sum over the suffixes is one sum_rows
         by_suffix = values.reshape(
-            len(points), len(suffixes), weight.dim
+            len(heads), len(suffixes), weight.dim
         ).swapaxes(0, 1)
         return gfmat.sum_rows(weight.tower, by_suffix)
 
-    return _read_grid(weight, window, evaluate)
+    points = sorted(set().union(*windows))
+    return _read_grids(weight, elems, windows, points, evaluate)
+
+
+def op_SK_grids(elems):
+    """Upper averaging on a list of grid elements of one weight, read at
+    the union of their windows."""
+    weight = _one_weight(elems)
+    windows = [_sk_window(sorted(elem.coeffs)) for elem in elems]
+    return _op_grids(weight, elems, _sk_suffixes(weight.tower, weight.K),
+                     windows)
+
+
+def op_Sminus_grids(elems):
+    """Lower averaging on a list of grid elements of one weight, read at
+    the union of their windows."""
+    weight = _one_weight(elems)
+    tw, K = weight.tower, weight.K
+    windows = [_sminus_window(tw, K, sorted(elem.coeffs)) for elem in elems]
+    return _op_grids(weight, elems, _sminus_suffixes(tw, K), windows)
 
 
 def op_SK_grid(elem):
-    """Upper averaging on the grid form."""
-    tw = elem.weight.tower
-    K = elem.weight.K
-    window = _sk_window(sorted(elem.coeffs))
-    return _op_grid(elem, _sk_suffixes(tw, K), window)
+    """Upper averaging on the grid form: op_SK_grids of the list of one
+    element."""
+    return op_SK_grids([elem])[0]
 
 
 def op_Sminus_grid(elem):
-    """Lower averaging on the grid form."""
-    tw = elem.weight.tower
-    K = elem.weight.K
-    window = _sminus_window(tw, K, sorted(elem.coeffs))
-    return _op_grid(elem, _sminus_suffixes(tw, K), window)
+    """Lower averaging on the grid form: op_Sminus_grids of the list of one
+    element."""
+    return op_Sminus_grids([elem])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -1050,17 +1097,36 @@ def _t_adjoint(tower, K):
     return out
 
 
-def _t_window(tower, K, shifts):
+def _t_reach(shifts):
+    """R = 1 + max |n| over the shifts (1 for none): the image of T on the
+    cells n, |n| <= R - 1, lies in the cells -R..R."""
+    return 1 + max(map(abs, shifts), default=0)
+
+
+def _t_rows(tower, K, reach):
+    """The product read of the heads alpha^j, j = -reach..reach in that
+    order, and T's stencil suffixes s.  The words alpha^n s give the window
+    of T on cell n, |n| < reach (_t_window), and the words alpha^j s are the
+    inverses of the points s^-1 alpha^-j at which op_T_grids reads its
+    input."""
+    heads = [(atom_alpha(j),) for j in range(-reach, reach + 1)]
+    suffixes = [s for s, _ in _t_stencil(tower, K)]
+    return _normalize_words(tower, K, heads, suffixes)
+
+
+def _t_window(tower, K, shifts, reach=None):
     """Certified support window of T.  The image of a function on cell n
     lies in the double cells K rep(tag) s K = K alpha^n s K over the stencil
-    suffixes s (the layer atoms of rep(tag) lie in the compact), read as
-    the product of the heads alpha^n and the suffixes (_double_cell_window)."""
-    return _double_cell_window(
-        tower,
-        K,
-        [(atom_alpha(n),) for n in shifts],
-        [s for s, _ in _t_stencil(tower, K)],
-    )
+    suffixes s (the layer atoms of rep(tag) lie in the compact).  Their
+    labels are read off the rows alpha^n of _t_rows(tower, K, R), with
+    R = _t_reach(shifts) unless reach is given (_cells_of): op_T_grids
+    passes the R of all its elements, so that its windows and its values
+    come from one read."""
+    reach = _t_reach(shifts) if reach is None else reach
+    read = _t_rows(tower, K, reach)
+    rows = read.tag_ids.reshape(-1, 2 * reach + 1)
+    used = np.unique(rows[:, [n + reach for n in shifts]])
+    return _cells_of([read.tags[t] for t in used.tolist()])
 
 
 def _j_factors(weight):
@@ -1101,32 +1167,45 @@ def _t_tables(weight):
     return tables
 
 
-def op_T_grid(elem):
-    """The spherical operator on the grid form, read back by _read_grid
-    on its certified window (_t_window).
+def op_T_grids(elems):
+    """The spherical operator on a list of grid elements of one weight,
+    read back by _read_grids on their certified windows (_t_window).
 
-    The values F(s^-1 x) at every point x and adjoint suffix s
-    (_t_adjoint) come from one values_at_inverses call, the product of the
+    With R = _t_reach over all their shifts, the windows and the values
+    are one product read (_t_rows): the values F(s^-1 x) at the points
+    x = alpha^-j, j = -R..R, and the adjoint suffixes s (_t_adjoint) come
+    from one values_at_inverses call per element, the product of the
     inverted points and the suffixes s, as a (suffix, point, dim) array.
-    With the tables of the weight (_t_tables), the coefficients
+    A window beyond -R..R would widen R and read the points again.  With
+    the tables of the weight (_t_tables), the coefficients
     c[s, x] = L_s . F(s^-1 x) are one product and one sum over dim
     (gfmat.sum_rows), and the values (T F)(x) = sum_s c[s, x] R_s one
     gfmat.matmul: no value is transported per call."""
-    weight = elem.weight
-    tw = weight.tower
-    adjoint = _t_adjoint(tw, weight.K)
+    weight = _one_weight(elems)
+    tw, K = weight.tower, weight.K
+    adjoint = _t_adjoint(tw, K)
+    suffixes = [s for s, _, _ in adjoint]
     ell_rows, v0_rows = _t_tables(weight)
+    reach = _t_reach([n for elem in elems for n in elem.coeffs])
+    windows = [_t_window(tw, K, sorted(elem.coeffs), reach) for elem in elems]
+    reach = max([reach] + [abs(j) for window in windows for j in window])
 
-    def evaluate(points):
+    def evaluate(elem, heads):
         values = elem.values_at_inverses(
-            [word_inverse(tw, x) for x in points], [s for s, _, _ in adjoint]
-        ).reshape(len(adjoint), len(points), weight.dim)
+            [word_inverse(tw, x) for x in heads], suffixes
+        ).reshape(len(adjoint), len(heads), weight.dim)
         c = gfmat.sum_rows(tw, tw.times(ell_rows.T[:, :, None],
                                         values.transpose(2, 0, 1)))
         return gfmat.matmul(tw, c.T, v0_rows)
 
-    window = _t_window(tw, weight.K, sorted(elem.coeffs))
-    return _read_grid(weight, window, evaluate)
+    return _read_grids(weight, elems, windows, range(-reach, reach + 1),
+                       evaluate)
+
+
+def op_T_grid(elem):
+    """The spherical operator on the grid form: op_T_grids of the list of
+    one element."""
+    return op_T_grids([elem])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -1334,11 +1413,12 @@ def _l_sum(tower, K, chi, exponent):
 def constants(weight, check=True):
     """Structure constants, every one cross-checked two ways:
 
-    lam and c are read by op_T_grid off T f_0 and T f_+-1 (certified
-    windows and stencil) and re-derived from the invariant functional (lam)
-    and the closed-form case split (c);
+    lam and c are read off T f_0 and T f_+-1, one op_T_grids call
+    (certified windows and stencil), and re-derived from the invariant
+    functional (lam) and the closed-form case split (c);
     c_minus and d[n] are brute-force character sums over the layer classes,
-    compared against the grid-form averaging operators; d[0] is
+    compared against the grid-form averaging operators (S_- on f_1, and
+    S_K on f_0..f_-CONSTANTS_N_TOP as one op_SK_grids call); d[0] is
     additionally evaluated as the direct sum of sigma(u beta_K) v0 over the
     first upper layer, its residues read from one product read
     (_residues_in_compact on the S_K suffixes).  d is given for
@@ -1349,17 +1429,15 @@ def constants(weight, check=True):
     chi = weight.chi_of()
     _, _, t_K = iwahori_constants(tw, K)
 
-    g0 = op_T_grid(f_grid(weight, 0))
+    g0, g1, gm1 = op_T_grids([f_grid(weight, n) for n in (0, 1, -1)])
     if g0.coeffs.get(-1) != 1 or not set(g0.coeffs) <= {-1, 1}:
         raise CrossCheckFailed("T on the zero cell is not f_-1 + lam f_1")
     lam = g0.coeffs.get(1, 0)
 
-    g1 = op_T_grid(f_grid(weight, 1))
     if g1.coeffs.get(2) != 1 or not set(g1.coeffs) <= {1, 2}:
         raise CrossCheckFailed("T on cell 1 is not c f_1 + f_2")
     c = g1.coeffs.get(1, 0)
 
-    gm1 = op_T_grid(f_grid(weight, -1))
     if gm1.coeffs.get(-2) != 1 or not set(gm1.coeffs) <= {-1, -2}:
         raise CrossCheckFailed("T on cell -1 is not c f_-1 + f_-2")
     if gm1.coeffs.get(-1, 0) != c:
@@ -1412,8 +1490,9 @@ def constants(weight, check=True):
             raise CrossCheckFailed(
                 "grid lower averaging disagrees with c_minus"
             )
-        for n in range(0, CONSTANTS_N_TOP + 1):
-            sk = op_SK_grid(f_grid(weight, -n))
+        sks = op_SK_grids([f_grid(weight, -n)
+                           for n in range(CONSTANTS_N_TOP + 1)])
+        for n, sk in enumerate(sks):
             expect = {-n: d[n]} if d[n] else {}
             if sk.coeffs != expect:
                 raise CrossCheckFailed(

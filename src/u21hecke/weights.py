@@ -81,6 +81,11 @@ PRINCIPAL_SERIES = "principal_series"
 STEINBERG = "steinberg"
 PS_SUB_QUOTIENT = "ps_sub_quotient"
 SPIN_BUDGET = 4096
+# Entries of the dense system hom_space builds, len(gens) (dd ds)^2 for
+# weights of dims dd and ds: the largest pair in use, steinberg with itself
+# at q = 3 (dim 27, 6 generators at K0), has about 3.2 million, and the
+# same pair at q = 5 (dim 125) about 1.5 billion, 2.9 GB of uint16.
+HOM_ENTRIES = 2**24
 
 
 # ---------------------------------------------------------------------------
@@ -930,12 +935,18 @@ def fingerprint_elements(tower, K):
 def hom_space(wsrc, wdst, gens=None):
     """Rref basis of Hom(wsrc, wdst): matrices M with dst(g) M = M src(g).
 
-    Returned as rows of length dim_dst * dim_src (row-major M).  Intended
-    for small dimensions."""
+    Returned as rows of length dim_dst * dim_src (row-major M).  The system
+    is dense, len(gens) (dd ds)^2 entries, so NotApplicable above
+    HOM_ENTRIES, before anything is built."""
     tw = wsrc.tower
     if gens is None:
         gens = gamma_generators(tw, wsrc.K)
     dd, ds = wdst.dim, wsrc.dim
+    if len(gens) * (dd * ds) ** 2 > HOM_ENTRIES:
+        raise NotApplicable(
+            "hom_space of dims %d and %d needs %d entries, above "
+            "HOM_ENTRIES=%d" % (dd, ds, len(gens) * (dd * ds) ** 2,
+                                HOM_ENTRIES))
     # row (i, j) of the equation dst(g) M - M src(g) = 0 on the entries
     # M[k, l] at k ds + l is kron(dst(g), 1) - kron(1, src(g)^T); np.kron
     # multiplies table indices as integers, which is exact here because one

@@ -720,7 +720,7 @@ FROZEN_CONSTANTS = {
 
 def test_constants_battery_frozen(monkeypatch, tower, catalog):
     """The frozen table, read with the materialized op_T and f_basis
-    raising: constants() reads lam and c from op_T_grid."""
+    raising: constants() reads lam and c from op_T_grids."""
 
     def forbidden(*args, **kwargs):
         raise AssertionError("materialized route called")
@@ -1263,6 +1263,105 @@ def test_op_T_grid_rejects_a_dropped_suffix(monkeypatch):
         monkeypatch.setattr(I, "_t_stencil", lambda tower, K: kept)
         with pytest.raises(CrossCheckFailed):
             I.op_T_grid(I.f_grid(w, 1))
+
+
+GRID_OPS = (
+    (I.op_T_grids, I.op_T_grid),
+    (I.op_SK_grids, I.op_SK_grid),
+    (I.op_Sminus_grids, I.op_Sminus_grid),
+)
+
+
+def _list_forms_match(w):
+    """Each list form applied to f_0, f_+-1, f_-2 + 2 f_1 and zero at once
+    equals its one-element form on every element."""
+    elems = [I.f_grid(w, n) for n in (0, 1, -1)] + [
+        I.GridElement(w, {-2: 1, 1: 2}), I.GridElement(w, {})]
+    for grids, single in GRID_OPS:
+        assert grids(elems) == [single(e) for e in elems], (w, single)
+
+
+def test_list_forms_equal_single_forms(tower, catalog, catalog5):
+    """The list forms of T, S_K and S_- at q = 3 on trivial and steinberg
+    at both compacts, and at q = 5 at K1."""
+    for K in BOTH:
+        for name in ("trivial", "steinberg"):
+            _list_forms_match(catalog[(K, name)])
+    for name in ("trivial", "steinberg"):
+        _list_forms_match(catalog5[(K1, name)])
+
+
+def test_list_forms_refuse_empty_and_mixed_lists(catalog):
+    """An empty list, or one whose elements live in different induced
+    modules, raises NotApplicable in every list form."""
+    mixed = [I.f_grid(catalog[(K0, "trivial")], 0),
+             I.f_grid(catalog[(K0, "steinberg")], 0)]
+    for grids, _ in GRID_OPS:
+        for elems in ([], mixed):
+            with pytest.raises(NotApplicable):
+                grids(elems)
+
+
+def _batch_spy(monkeypatch):
+    """The (K, heads, tails) of every nf_uak_batch call, as a list that
+    fills while the spy is installed."""
+    calls = []
+
+    def spy(tower, K, heads, tails, pairs, _orig=I.nf_uak_batch):
+        calls.append((K, heads, tails))
+        return _orig(tower, K, heads, tails, pairs)
+
+    monkeypatch.setattr(I, "nf_uak_batch", spy)
+    return calls
+
+
+def test_constants_reads_per_compact(monkeypatch):
+    """On a fresh q = 3 tower, once the catalog is set up, one constants()
+    per compact makes at most 9 batched product reads there: T on f_0 and
+    f_+-1 and S_K on f_0..f_-3 are one read each."""
+    tw = Tower(3, 1)
+    tw.default_window = 24
+    cat = _catalog(tw)
+    for w in cat.values():
+        w.v0(), w.j_matrix(), w.chi_of()
+    calls = _batch_spy(monkeypatch)
+    for K in BOTH:
+        I.constants(cat[(K, "steinberg")], check=True)
+        assert 0 < len([c for c in calls if c[0] == K]) <= 9, K
+
+
+def test_op_T_grid_is_one_stencil_read(monkeypatch):
+    """On a fresh q = 3 tower, op_T_grid(f_1) reads the product of the
+    heads alpha^j and the stencil once, for j = -2..2: its window and its
+    values come from the same record."""
+    calls = _batch_spy(monkeypatch)
+    for K in BOTH:
+        tw = Tower(3, 1)
+        tw.default_window = 24
+        w = W.make_weight(tw, K, W.TRIVIAL)
+        stencil = tuple(s for s, _ in I._t_stencil(tw, K))
+        calls.clear()
+        I.op_T_grid(I.f_grid(w, 1))
+        reads = [heads for _, heads, tails in calls if tails == stencil]
+        assert reads == [tuple((U.atom_alpha(j),) for j in range(-2, 3))], K
+
+
+def test_a_cell_outside_a_window_fails_the_call(monkeypatch, catalog):
+    """An S_K window doctored to lose the cell -1 for f_-1, in a call whose
+    other element f_1 keeps it: the image of f_-1, d[1] f_-1 with
+    d[1] != 0, is read at that cell point and raises CrossCheckFailed."""
+    w = catalog[(K0, "trivial")]
+    elems = [I.f_grid(w, -1), I.f_grid(w, 1)]
+    d1 = I.constants(w).d[1]
+    assert d1
+    assert I.op_SK_grids(elems)[0].coeffs == {-1: d1}
+
+    def doctored(shifts, _orig=I._sk_window):
+        return [1] if shifts == [-1] else _orig(shifts)
+
+    monkeypatch.setattr(I, "_sk_window", doctored)
+    with pytest.raises(CrossCheckFailed):
+        I.op_SK_grids(elems)
 
 
 def test_deep_t_identities_grid(tower, catalog):

@@ -626,6 +626,21 @@ def _hom_rows_by_entries(wsrc, wdst, g):
     return rows
 
 
+def test_hom_space_refuses_a_system_above_its_bound(monkeypatch, tower5):
+    """hom_space of the q = 5 K0 steinberg weight with itself, a dense
+    system of 6 * 125^4 entries (2.9 GB), raises NotApplicable before any
+    matrix of a weight is formed."""
+    st = W.make_weight(tower5, K0, W.STEINBERG)
+    assert len(W.gamma_generators(tower5, K0)) * st.dim**4 > W.HOM_ENTRIES
+
+    def refuse(self, gamma):
+        raise AssertionError("hom_space formed a matrix")
+
+    monkeypatch.setattr(W.Weight, "matrix", refuse)
+    with pytest.raises(NotApplicable):
+        W.hom_space(st, st)
+
+
 def test_hom_space_matches_entry_loop(tower):
     """hom_space, built by Kronecker products of the weight matrices, is the
     null space of the same system built entry by entry."""
