@@ -207,7 +207,7 @@ class Tower:
                 "q^2 = %d is above the field-table cap %d" % (self.Q, _MAX_Q)
             )
         self.poly = _find_poly(p, self.m)
-        # the one precision default: inversion windows and shift budgets
+        # the inversion window of the scalar oracle (Series.inverse)
         self.default_window = 16
         self._build_tables()
         # x Q + y < Q^2 indexes the flat tables: uint16 up to Q = 256

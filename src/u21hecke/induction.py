@@ -11,12 +11,12 @@ a product of two word lists by InducedFn._from_words: prefixes times tag
 representatives, or representatives times the stencil suffixes of T.  Every
 landing coset membership is certified by the residue reduction.  The words
 of one operation are normalized together, as one product read
-(_normalize_words): words.nf_uak_batch reads them as arrays, and the read
-is kept as one record of tag ids and residue ids over its distinct tags and
-residues (ProductRead), memoized per (K, heads, tails) in a table bounded
-by the words its records hold.  A word outside the batch's form goes
-through the scalar coset_normalize, memoized per word, and is folded into
-the record.
+(words._normalize_words), the one production read of a coset: it is kept
+as one record of tag ids and residue ids, and a word of any form other
+than exact monomial atoms is refused.  The scalar coset_normalize, which
+reads a word through its Mat3 matrix of series, has no caller here: it
+serves the tests as the oracle of the product read, and the benchmark's
+tracer.
 
 Values are transported a call at a time (_transport_ids, on the residue
 ids of a read): each distinct (residue, vector) pair is moved once, by the
@@ -61,9 +61,9 @@ is one product and one matrix product per call, with no transport.
 
 A word that lies in the compact lies in the coset K itself, tag (0, 0),
 whose representative alpha^0 is the identity, so its residue is the
-residue of its read (_residues_in_compact): the residues of T's stencil and
-of the direct d[0] sum come from one product read each, with no matrix of
-a word.
+residue of its read (words._residues_in_compact): the residues of T's
+stencil and of the direct d[0] sum come from one product read each, with
+no matrix of a word.
 
 Deep shifts are reached by the translation recursion
     f_{n+1} = sum_{w} w . (alpha . f_n)
@@ -89,7 +89,6 @@ from .errors import (
 )
 from .fields import memo
 from .unitary_group import (
-    GammaElem,
     atom_alpha,
     beta_compact_word,
     iwahori_constants,
@@ -115,9 +114,10 @@ from .weights import (
     inverse_rows,
 )
 from .words import (
+    _normalize_words,
+    _residues_in_compact,
     grid_layer_span,
     nf_uak,
-    nf_uak_batch,
     tag_from_coords,
     tag_of_nf,
     word_from_tag,
@@ -143,99 +143,10 @@ def coset_normalize(tower, K, word):
     The normal form reads word = rep(tag) * k off the matrix of the word,
     with rep(tag) = word_from_tag(tag) and k certified in the compact;
     returns (tag, red(k)), so the generator [word, v] normalizes to
-    [rep(tag), sigma(red k) v]."""
+    [rep(tag), sigma(red k) v].  The scalar oracle of the product read
+    (words._product_read), for the tests and the benchmark's tracer."""
     nf = nf_uak(tower, K, word)
     return (tag_of_nf(tower, K, nf), reduce_to_gamma(tower, K, nf.k))
-
-
-# Words per nf_uak_batch call, which bounds its arrays whatever the cell
-# size.  On the 19,683 words of the recursion step 2 -> 3 at q = 3 (K0),
-# under the whole-call read (min of 7): chunks of 4096 took 0.25-0.30 s
-# with a traced peak 3.6 MB above the 13 MB of stored results; chunks of 512
-# took 0.32-0.48 s and 0.3 MB, and one chunk of 32768 0.23-0.30 s and
-# 21.6 MB.
-_BATCH_CHUNK = 4096
-
-
-class ProductRead:
-    """The cosets of the words h + t of one product read, t over the tails
-    and h over the heads, in tail-major order (word n is heads[n % H] +
-    tails[n // H]): word n lies in the coset of tags[tag_ids[n]], with
-    residue residues[res_ids[n]], so that [word, v] normalizes to
-    [rep(tag), sigma(residue) v].  The tags are numbered in order of first
-    appearance, the residues (GammaElem) in lexicographic order of their
-    entries.  Read-only: the id arrays are not writeable, and the tags and
-    residues are tuples.  Its len is the number of words."""
-
-    __slots__ = ("tag_ids", "tags", "res_ids", "residues")
-
-    def __init__(self, tag_ids, tags, res_ids, residues):
-        for a in (tag_ids, res_ids):
-            a.flags.writeable = False
-        self.tag_ids, self.tags = tag_ids, tuple(tags)
-        self.res_ids, self.residues = res_ids, tuple(residues)
-
-    def __len__(self):
-        return len(self.tag_ids)
-
-
-def _normalize_words(tower, K, heads, tails=((),)):
-    """The product read (ProductRead) of the word lists heads and tails,
-    kept in one memo table keyed by (K, heads, tails) as tuples; a plain
-    list of words is the product with the single empty tail.  The table
-    holds at most fields._MEMO_CAP words over all its records, the bound
-    coset_normalize's per-word table had, dropping its oldest records."""
-    return _product_read(tower, K, tuple(heads), tuple(tails))
-
-
-@memo(size=len)
-def _product_read(tower, K, heads, tails):
-    """The ProductRead of _normalize_words.  Every call is read by
-    nf_uak_batch as (head, tail) index pairs, in chunks of _BATCH_CHUNK
-    words, so each head is built once per chunk and each tail applied by
-    column operations.  A word the batch does not carry goes through the
-    scalar coset_normalize, which keeps its own memo table per word.
-
-    The tags are numbered once, here: nf_uak_batch lists each read's tags
-    without numbering them, so one tag can be listed by several reads
-    (chunks, or pivots within a chunk).  One dict maps each listed tag to
-    its last place in the list, in one pass, and these places are ranked
-    in order of first appearance among the words.  The residues are
-    numbered by gfmat.row_ids over their entries."""
-    nh, n = len(heads), len(heads) * len(tails)
-    # the place of each word's tag in the list of listed tags
-    at = np.full(n, -1, dtype=np.intp)
-    rows = np.zeros((n, 9), dtype=np.uint16)
-    listed = []
-    for start in range(0, n, _BATCH_CHUNK):
-        chunk = slice(start, min(n, start + _BATCH_CHUNK))
-        words = np.arange(chunk.start, chunk.stop)
-        pairs = np.stack([words % nh, words // nh], axis=1)
-        ids, tags, residues = nf_uak_batch(tower, K, heads, tails, pairs)
-        rows[chunk] = residues
-        # -1 stays on a word the batch does not carry
-        at[chunk] = np.where(ids < 0, -1, ids + len(listed))
-        listed += tags
-    for i in np.flatnonzero(at < 0).tolist():
-        tag, gamma = coset_normalize(tower, K, heads[i % nh] + tails[i // nh])
-        at[i] = len(listed)
-        listed.append(tag)
-        rows[i] = gamma.m
-    last = dict(zip(listed, range(len(listed))))
-    place = np.fromiter(map(last.__getitem__, listed), np.intp, len(listed))
-    places, earliest, tag_ids = np.unique(place[at], return_index=True,
-                                          return_inverse=True)
-    # number the tags in order of first appearance
-    order = np.argsort(earliest)
-    rank = np.empty(len(order), dtype=np.intp)
-    rank[order] = np.arange(len(order))
-    res_ids, first = gfmat.row_ids(rows)
-    return ProductRead(
-        rank[tag_ids],
-        [listed[i] for i in places[order].tolist()],
-        res_ids,
-        [GammaElem(tower, K, row) for row in rows[first].tolist()],
-    )
 
 
 # Entries per block of the value transport, which bounds its arrays
@@ -580,17 +491,11 @@ def _grid_value(weight, positive):
     return v
 
 
-def _depth_guard(tower, n):
+def _depth_guard(n):
     if abs(n) > DEFAULT_N_MAX:
         raise PrecisionBudgetExceeded(
             "shift %d exceeds the configured budget DEFAULT_N_MAX=%d"
             % (n, DEFAULT_N_MAX)
-        )
-    window = tower.default_window
-    if 2 * abs(n) + 4 > window:
-        raise PrecisionBudgetExceeded(
-            "shift %d needs precision %d > certified window %d"
-            % (n, 2 * abs(n) + 4, window)
         )
 
 
@@ -604,7 +509,7 @@ def f_basis(weight, n, tag_cap=DEFAULT_TAG_CAP):
     construction, and the invariance is certified on the value
     (_grid_value)."""
     tw = weight.tower
-    _depth_guard(tw, n)
+    _depth_guard(n)
     cnt = grid_count(tw, weight.K, n)
     if cnt > tag_cap:
         raise ClosureBudgetExceeded(
@@ -629,19 +534,6 @@ def is_pro_iwahori_invariant(f, atoms):
 
 # ---------------------------------------------------------------------------
 # the spherical operator (explicit coset expansion)
-
-
-def _residues_in_compact(tower, K, words):
-    """The residue red(w) of every word w of a list that lies in the
-    compact, as a list of GammaElem in word order, from one
-    _normalize_words read.  A word w in K lies in the coset K itself, tag
-    (0, 0), whose representative alpha^0 is the identity, so the read
-    w = rep k has k = w and its residue is red(w).  CrossCheckFailed unless
-    every tag is (0, 0): a word outside K has no residue."""
-    read = _normalize_words(tower, K, words)
-    if any(tag != (0, 0) for tag in read.tags):
-        raise CrossCheckFailed("a word to reduce lies outside the compact")
-    return [read.residues[r] for r in read.res_ids.tolist()]
 
 
 @memo
@@ -848,7 +740,7 @@ class GridElement:
 def f_grid(weight, n):
     """The canonical invariant function of shift cell n in grid form, its
     invariance certified on the value (_grid_value)."""
-    _depth_guard(weight.tower, n)
+    _depth_guard(n)
     grid_value(weight, n)
     return GridElement(weight, {n: 1})
 
@@ -1264,7 +1156,7 @@ def translation_recursion_check(
     tw = weight.tower
     K = weight.K
     target = n_from + direction
-    _depth_guard(tw, target)
+    _depth_guard(target)
     prefixes = translation_prefixes(tw, K, n_from, direction)
     cnt_from = grid_count(tw, K, n_from)
     cnt_target = grid_count(tw, K, target)

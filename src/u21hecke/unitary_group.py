@@ -5,8 +5,10 @@ Group elements are handled in two layers:
   * atoms -- short tuples tagging the standard generators: upper/lower
     unipotents, norm-compatible diagonals, powers of the diagonal shift
     element, and the form matrix itself (an involution in the group);
-  * Mat3 matrices -- for products of words, and the membership test and
-    residue reduction of one matrix (reduce_to_gamma).
+  * Mat3 matrices of Series entries -- for products of words, and the
+    membership test and residue reduction of one matrix (reduce_to_gamma),
+    which serve only the tests' scalar oracle, the certificate check of
+    induction.translation_recursion_check and the benchmark's tracer.
 
 Also here: the two standard maximal compact subgroups (stabilizer of the
 standard lattice, and of a shifted lattice), reduction to their reductive

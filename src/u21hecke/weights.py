@@ -30,8 +30,9 @@ finite group once it holds on a generating set.  The whole subgroups
 the generators are picked from, and as the tests' oracles.  They are read
 as arrays, with no series: the unipotent groups from the layer residues of
 unitary_group.layer_residues, the torus from its residue pairs (a, c) as
-diag(a, c, conj(a)^-1).  Only gamma_beta and gamma_lift_word reduce a word
-through its matrix (reduce_word), one word each.
+diag(a, c, conj(a)^-1).  gamma_beta and gamma_lift_word read the residue of
+a word by a product read (words._residues_in_compact); the Mat3 matrices of
+series serve only the scalar oracle, the certificate check and the tracer.
 
 Vectors are numpy index arrays over the coefficient field.  A weight acts
 on many rows at once, given as residue rows (Weight.apply): a principal
@@ -50,6 +51,7 @@ import functools
 import numpy as np
 
 from . import gfmat
+from ._kernel import INF
 from .errors import (
     ClosureBudgetExceeded,
     CrossCheckFailed,
@@ -57,23 +59,24 @@ from .errors import (
     InconclusiveLattice,
     MembershipViolated,
     NotApplicable,
+    RelationViolated,
 )
 from .fields import Character, char_s, characters_of_torus, is_regular, memo
-from .laurent import Series
 from .unitary_group import (
     INVERSE_ENTRIES,
     K1,
     GammaElem,
-    atom_d,
     beta_compact_word,
     check_residue_unitarity,
     iwahori_constants,
     layer_residues,
     layer_transversal,
-    reduce_to_gamma,
     require_compact,
-    word_matrix,
 )
+from .words import _residues_in_compact
+
+# Not used here: the benchmark's tracer (perfbench/tracer.py) wraps both.
+from .unitary_group import reduce_to_gamma, word_matrix  # noqa: F401
 
 TRIVIAL = "trivial"
 DET_TWIST = "det_twist"
@@ -92,14 +95,11 @@ HOM_ENTRIES = 2**24
 # reduced-group element inventories
 
 
-def reduce_word(tower, K, word):
-    return reduce_to_gamma(tower, K, word_matrix(tower, word))
-
-
 @memo
 def gamma_beta(tower, K):
-    """Image of the distinguished form involution in the residue quotient."""
-    return reduce_word(tower, K, beta_compact_word(K))
+    """Image of the distinguished form involution in the residue quotient,
+    read by one product read (words._residues_in_compact)."""
+    return _residues_in_compact(tower, K, [beta_compact_word(K)])[0]
 
 
 def _layer_elements(tower, K, k, prime=False):
@@ -128,13 +128,12 @@ def gamma_lower(tower, K):
 
 
 def torus_atom(tower, a_idx, c_idx):
-    """Unit diagonal atom with residue pair (a, c)."""
-    return atom_d(
-        tower,
-        Series.const(tower, a_idx),
-        Series.const(tower, c_idx),
-        Series.const(tower, tower.c(tower.i_(a_idx))),
-    )
+    """Unit diagonal atom diag(a, c, conj(a)^-1) of exact constants;
+    RelationViolated, as atom_d, unless a != 0 and c has norm one."""
+    a, c = int(a_idx), int(c_idx)
+    if a == 0 or tower.m_(c, tower.c(c)) != 1:
+        raise RelationViolated("diagonal entries violate unitarity")
+    return ("d",) + tuple((0, INF, (x,)) for x in (a, c, tower.c(tower.i_(a))))
 
 
 def _torus_elements(tower, K, a, c):
@@ -893,11 +892,12 @@ def gamma_lift_word(tower, K, gamma):
 
     Decomposes gamma as torus * upper * coset-rep and assembles the word
     from unit-diagonal, first-layer, and involution atoms.  The round trip
-    through the residue map is asserted, so a wrong lift cannot escape."""
+    through the residue map is certified by one product read of the word
+    (words._residues_in_compact), so a wrong lift cannot escape."""
     idx, b = classify_coset(tower, K, gamma)
     a_idx, c_idx = b.torus_pair()
     t_word = (torus_atom(tower, a_idx, c_idx),)
-    u_g = reduce_word(tower, K, t_word).inverse() * b
+    u_g = _torus_elements(tower, K, [a_idx], [c_idx])[0].inverse() * b
     if not u_g.in_unipotent():
         raise CrossCheckFailed("Borel part did not split as torus * unipotent")
     u_word = _upper_words(tower, K).get(u_g.key())
@@ -911,7 +911,7 @@ def gamma_lift_word(tower, K, gamma):
             layer_transversal(tower, n_K)[idx - 1],
         )
     word = t_word + u_word + rep_word
-    if reduce_word(tower, K, word).key() != gamma.key():
+    if _residues_in_compact(tower, K, [word]) != [gamma]:
         raise CrossCheckFailed("lifted word does not reduce to the element")
     return word
 

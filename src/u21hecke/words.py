@@ -46,9 +46,12 @@ table lookups and one int64 Horner pass per cell (_grid_indices), numbered
 by one np.unique.  The result is a tag id per pair into the list of each
 read's distinct tags, and the (N, 9) residue rows.  A word of any other
 form gets the id -1, and a word that fails a certificate raises the scalar
-route's error.  The scalar nf_uak serves single words (tag_of, and the
-scalar coset_normalize of a word the batch does not carry) and is the
-batch's test oracle.
+route's error.  The product read (_normalize_words, memoized by
+_product_read) numbers the batch's tags and residues, refuses a word it does
+not carry (NotApplicable), and is the one production read of a coset or
+residue (_residues_in_compact).  The scalar nf_uak reads a word's Mat3
+matrix of series; it, tag_of and induction.coset_normalize serve only the
+tests' oracle and the benchmark's tracer.
 """
 
 import math
@@ -56,6 +59,7 @@ from itertools import repeat
 
 import numpy as np
 
+from . import gfmat
 from ._kernel import INF
 from .errors import (
     CrossCheckFailed,
@@ -71,6 +75,7 @@ from .unitary_group import (
     K0,
     K1,
     RESIDUE_PLACES,
+    GammaElem,
     atom_alpha,
     atom_d,
     atom_inv,
@@ -739,3 +744,104 @@ def nf_uak_batch(tower, K, heads, tails=((),), pairs=None):
         tags.extend(zip(repeat(shift), indices))
         residues[rows[sub]] = m
     return ids, tags, residues
+
+
+# Words per nf_uak_batch call, which bounds its arrays whatever the cell
+# size.  On the 19,683 words of the recursion step 2 -> 3 at q = 3 (K0),
+# under the whole-call read (min of 7): chunks of 4096 took 0.25-0.30 s
+# with a traced peak 3.6 MB above the 13 MB of stored results; chunks of 512
+# took 0.32-0.48 s and 0.3 MB, and one chunk of 32768 0.23-0.30 s and
+# 21.6 MB.
+_BATCH_CHUNK = 4096
+
+
+class ProductRead:
+    """The cosets of the words h + t of one product read, t over the tails
+    and h over the heads, in tail-major order (word n is heads[n % H] +
+    tails[n // H]): word n lies in the coset of tags[tag_ids[n]], with
+    residue residues[res_ids[n]], so that [word, v] normalizes to
+    [rep(tag), sigma(residue) v].  The tags are numbered in order of first
+    appearance, the residues (GammaElem) in lexicographic order of their
+    entries.  Read-only: the id arrays are not writeable, and the tags and
+    residues are tuples.  Its len is the number of words."""
+
+    __slots__ = ("tag_ids", "tags", "res_ids", "residues")
+
+    def __init__(self, tag_ids, tags, res_ids, residues):
+        for a in (tag_ids, res_ids):
+            a.flags.writeable = False
+        self.tag_ids, self.tags = tag_ids, tuple(tags)
+        self.res_ids, self.residues = res_ids, tuple(residues)
+
+    def __len__(self):
+        return len(self.tag_ids)
+
+
+def _normalize_words(tower, K, heads, tails=((),)):
+    """The product read (ProductRead) of the word lists heads and tails,
+    kept in one memo table keyed by (K, heads, tails) as tuples; a plain
+    list of words is the product with the single empty tail.  The table
+    holds at most fields._MEMO_CAP words over all its records, dropping its
+    oldest records."""
+    return _product_read(tower, K, tuple(heads), tuple(tails))
+
+
+@memo(size=len)
+def _product_read(tower, K, heads, tails):
+    """The ProductRead of _normalize_words.  Every call is read by
+    nf_uak_batch as (head, tail) index pairs, in chunks of _BATCH_CHUNK
+    words, so each head is built once per chunk and each tail applied by
+    column operations.  NotApplicable for a word the batch does not carry:
+    it has no other production read.
+
+    The tags are numbered once, here: nf_uak_batch lists each read's tags
+    without numbering them, so one tag can be listed by several reads
+    (chunks, or pivots within a chunk).  One dict maps each listed tag to
+    its last place in the list, in one pass, and these places are ranked
+    in order of first appearance among the words.  The residues are
+    numbered by gfmat.row_ids over their entries."""
+    nh, n = len(heads), len(heads) * len(tails)
+    # the place of each word's tag in the list of listed tags
+    at = np.empty(n, dtype=np.intp)
+    rows = np.empty((n, 9), dtype=np.uint16)
+    listed = []
+    for start in range(0, n, _BATCH_CHUNK):
+        chunk = slice(start, min(n, start + _BATCH_CHUNK))
+        words = np.arange(chunk.start, chunk.stop)
+        pairs = np.stack([words % nh, words // nh], axis=1)
+        ids, tags, residues = nf_uak_batch(tower, K, heads, tails, pairs)
+        if (ids < 0).any():
+            raise NotApplicable(
+                "word %d of a product read is not a word of exact monomial "
+                "atoms" % (start + int(np.argmax(ids < 0))))
+        rows[chunk] = residues
+        at[chunk] = ids + len(listed)
+        listed += tags
+    last = dict(zip(listed, range(len(listed))))
+    place = np.fromiter(map(last.__getitem__, listed), np.intp, len(listed))
+    places, earliest, tag_ids = np.unique(place[at], return_index=True,
+                                          return_inverse=True)
+    # number the tags in order of first appearance
+    order = np.argsort(earliest)
+    rank = np.empty(len(order), dtype=np.intp)
+    rank[order] = np.arange(len(order))
+    res_ids, first = gfmat.row_ids(rows)
+    return ProductRead(
+        rank[tag_ids],
+        [listed[i] for i in places[order].tolist()],
+        res_ids,
+        [GammaElem(tower, K, row) for row in rows[first].tolist()],
+    )
+
+
+def _residues_in_compact(tower, K, words):
+    """The residue red(w) of every word w of a list that lies in the
+    compact, as a list of GammaElem in word order, from one
+    _normalize_words read.  A word w in K lies in the coset K itself, tag
+    (0, 0), whose representative alpha^0 is the identity, so the read
+    w = rep k has k = w and its residue is red(w).  CrossCheckFailed unless
+    every tag is (0, 0): a word outside K has no residue."""
+    read = _normalize_words(tower, K, words)
+    if any(tag != (0, 0) for tag in read.tags):
+        raise CrossCheckFailed("a word to reduce lies outside the compact")
+    return [read.residues[r] for r in read.res_ids.tolist()]

@@ -1,10 +1,17 @@
 """A deterministic sample of the pro-unipotent radical, for tests that
 translate by its atoms: the layer atoms the coset batch carries and two
-torus units whose entries are series, which it does not."""
+torus units whose entries are series, which it does not.  The product read
+refuses a word with a torus unit, so the units translate through the scalar
+coset_normalize (scalar_translate)."""
 
+import numpy as np
+
+from u21hecke import gfmat
+from u21hecke import induction as I
 from u21hecke.fields import memo
 from u21hecke.laurent import Series
 from u21hecke.unitary_group import atom_d, iwahori_constants, layer_transversal
+from u21hecke.words import word_from_tag
 
 
 @memo
@@ -27,3 +34,33 @@ def pro_iwahori_sample(tower, K):
         atom_d(tower, Series.const(tower, 1), num * den.inverse(), Series.const(tower, 1))
     )
     return atoms
+
+
+def layer_sample(tower, K):
+    """The atoms of pro_iwahori_sample that the coset batch carries: its
+    four layer atoms."""
+    return pro_iwahori_sample(tower, K)[:4]
+
+
+def scalar_translate(f, word):
+    """The left translate word . f, each tag read by the scalar
+    coset_normalize: the oracle of InducedFn.g_act, and the one read of a
+    word the product read refuses."""
+    w, tw = f.weight, f.weight.tower
+    tags, rows = [], []
+    for tag, v in zip(f.tags, f.data):
+        new, gamma = I.coset_normalize(
+            tw, w.K, tuple(word) + word_from_tag(tw, w.K, tag))
+        tags.append(new)
+        rows.append(gfmat.matvec(tw, w.matrix(gamma), v))
+    data = np.array(rows, dtype=np.uint16).reshape(len(rows), w.dim)
+    return I.InducedFn(w, tags, data)
+
+
+def sample_invariant(f):
+    """Whether every atom of pro_iwahori_sample fixes f: the layer atoms by
+    induction.is_pro_iwahori_invariant, the torus units by
+    scalar_translate."""
+    sample = pro_iwahori_sample(f.weight.tower, f.weight.K)
+    return I.is_pro_iwahori_invariant(f, sample[:4]) and all(
+        scalar_translate(f, (a,)) == f for a in sample[4:])

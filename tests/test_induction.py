@@ -1,6 +1,7 @@
 """Compactly induced functions: normalized storage, grid form, the two-sum
 averaging operators, structure constants, translation recursion, spans."""
 
+import itertools
 import random
 import tracemalloc
 
@@ -32,12 +33,18 @@ from u21hecke.unitary_group import (
 )
 from u21hecke.words import (
     nf_uak,
+    nf_uak_batch,
     tag_of,
     word_from_tag,
 )
 
 from reads import expand, expand_batch
-from sample import pro_iwahori_sample
+from sample import (
+    layer_sample,
+    pro_iwahori_sample,
+    sample_invariant,
+    scalar_translate,
+)
 
 BOTH = (K0, K1)
 
@@ -115,11 +122,6 @@ def test_basis_cap_and_depth_guard(tower, catalog, monkeypatch):
         I.f_basis(w, 3, tag_cap=10000)
     with pytest.raises(PrecisionBudgetExceeded):
         I.f_basis(w, 6)
-    # past the shift budget, the precision window still refuses the cell
-    monkeypatch.setattr(I, "DEFAULT_N_MAX", 12)
-    with pytest.raises(PrecisionBudgetExceeded):
-        I.f_grid(w, 11)
-    monkeypatch.undo()
     # a built cell is stored, but the cap and the depth budget still hold
     assert len(I.f_basis(w, 2).data) == 243
     with pytest.raises(ClosureBudgetExceeded):
@@ -161,8 +163,8 @@ def test_memo_eviction_leaves_results_unchanged(monkeypatch):
                         expand_batch(tower, K, read)))
         return read
 
-    words_batch = I.nf_uak_batch
-    monkeypatch.setattr(I, "nf_uak_batch", spy)
+    words_batch = words.nf_uak_batch
+    monkeypatch.setattr(words, "nf_uak_batch", spy)
     points = []
 
     def grid_spy(self, heads, tails=((),), _orig=I.GridElement.values_at):
@@ -182,10 +184,10 @@ def test_memo_eviction_leaves_results_unchanged(monkeypatch):
     assert points and {word_inverse(tw, x) for x in points} <= read
     assert len(tw._memo[nf_uak.__wrapped__]) == 3
     # the product table holds at most 3 words over all its records
-    records = tw._memo[I._product_read.__wrapped__]
+    records = tw._memo[words._product_read.__wrapped__]
     assert records.held == sum(map(len, records.values())) <= 3
-    # no word of the run fell back to the scalar coset_normalize, whose
-    # per-word table is bounded too
+    # the run made no scalar coset_normalize read; the oracle's per-word
+    # table is bounded too
     assert I.coset_normalize.__wrapped__ not in tw._memo
     for tag in I.grid_tags(tw, K0, -1):
         I.coset_normalize(tw, K0, word_from_tag(tw, K0, tag))
@@ -204,7 +206,8 @@ def test_product_table_bounded_by_words(monkeypatch):
     monkeypatch.setattr(fields, "_MEMO_CAP", 200)
     batched = []
 
-    def spy(tower, K, heads, tails=((),), pairs=None, _orig=I.nf_uak_batch):
+    def spy(tower, K, heads, tails=((),), pairs=None,
+            _orig=words.nf_uak_batch):
         out = _orig(tower, K, heads, tails, pairs)
         batched.append(expand_batch(tower, K, out))
         return out
@@ -214,34 +217,35 @@ def test_product_table_bounded_by_words(monkeypatch):
     third = [word_from_tag(tw, K0, tag) for tag in I.f_basis(w, 2).tags]
     first, second = third[:81], third[81:162]
     # start from an empty product table
-    tw._memo.pop(I._product_read.__wrapped__, None)
-    monkeypatch.setattr(I, "nf_uak_batch", spy)
-    records = lambda: tw._memo[I._product_read.__wrapped__]
+    tw._memo.pop(words._product_read.__wrapped__, None)
+    monkeypatch.setattr(words, "nf_uak_batch", spy)
+    records = lambda: tw._memo[words._product_read.__wrapped__]
     assert I.InducedFn.from_raw(w, pairs) == f
-    stored = I._normalize_words(tw, K0, [word for word, _ in pairs])
+    stored = words._normalize_words(tw, K0, [word for word, _ in pairs])
     batched.clear()
-    assert I._normalize_words(tw, K0, [word for word, _ in pairs]) is stored
+    again = words._normalize_words(tw, K0, [word for word, _ in pairs])
+    assert again is stored
     assert batched == []
     assert len(stored) == 81 and len(records()) == 1
     # 81 + 81 words fit, and a third record of 81 drops the oldest
-    one = I._normalize_words(tw, K0, first)
+    one = words._normalize_words(tw, K0, first)
     assert len(one) == 81 and expand(one) == batched[0]
     assert records().held == 162
-    two = I._normalize_words(tw, K0, second)
+    two = words._normalize_words(tw, K0, second)
     assert len(two) == 81 and expand(two) == batched[1]
     assert records().held == 162 and list(records().values()) == [one, two]
     # 243 words are more than the table holds
-    big = I._normalize_words(tw, K0, third)
+    big = words._normalize_words(tw, K0, third)
     assert len(big) == 243 and expand(big) == batched[2]
     assert records().held == sum(map(len, records().values())) == 162
-    assert I._normalize_words(tw, K0, third) is not big
+    assert words._normalize_words(tw, K0, third) is not big
 
 
 def test_recursion_step_keeps_one_record():
     """On a fresh q = 3 tower, the exhaustive step 2 -> 3 of trivial@K0
     reads its 19,683 products as one product read: the product table holds
-    that record, one tag per word, and no word falls back to the scalar
-    coset_normalize, whose per-word table is never made."""
+    that record, one tag per word, and the scalar coset_normalize's
+    per-word table is never made."""
     tw = Tower(3, 1)
     tw.default_window = 24
     w = W.make_weight(tw, K0, W.TRIVIAL)
@@ -249,7 +253,7 @@ def test_recursion_step_keeps_one_record():
     assert I.coset_normalize.__wrapped__ not in tw._memo
     prefixes = I.translation_prefixes(tw, K0, 2, 1)
     reps = [word_from_tag(tw, K0, tag) for tag in I.f_basis(w, 2).tags]
-    records = tw._memo[I._product_read.__wrapped__]
+    records = tw._memo[words._product_read.__wrapped__]
     read = records[(K0, tuple(prefixes), tuple(reps))]
     assert len(read.tag_ids) == len(read.tags) == 19683
     assert set(read.tags) == set(I.f_basis(w, 3).tags)
@@ -257,7 +261,7 @@ def test_recursion_step_keeps_one_record():
 
 def test_from_raw_reads_pairs_once(catalog):
     """from_raw reads its pairs once, so a one-shot generator gives what the
-    list gives, on the scalar route (3 pairs) and the batch (81 pairs)."""
+    list gives, on 3 pairs and on 81 pairs."""
     w = catalog[(K0, "steinberg")]
     for n in (1, -1):
         f = I.f_basis(w, n)
@@ -278,20 +282,22 @@ def test_translates_match_pairs_oracle(monkeypatch):
     """Every translate-sum read as a product equals the sum of its plain
     (word, value) pairs through from_raw, at both compacts with every memo
     table bounded at 3 entries: op_T, op_SK, op_Sminus, an exhaustive
-    recursion step, g_act by a torus unit (a word the batch does not carry,
-    so its misses take the scalar route), an empty function, and a call
-    with one prefix, which the batch reads like every other."""
+    recursion step, g_act by a torus generator atom, an empty function, and
+    a call with one prefix, which the batch reads like every other.  g_act
+    by a depth-one torus unit, a word the batch does not carry, is
+    refused."""
     tw = Tower(3, 1)
     tw.default_window = 24
     monkeypatch.setattr(fields, "_MEMO_CAP", 3)
     reads = []
 
-    def spy(tower, K, heads, tails=((),), pairs=None, _orig=I.nf_uak_batch):
+    def spy(tower, K, heads, tails=((),), pairs=None,
+            _orig=words.nf_uak_batch):
         out = _orig(tower, K, heads, tails, pairs)
         reads.append(out)
         return out
 
-    monkeypatch.setattr(I, "nf_uak_batch", spy)
+    monkeypatch.setattr(words, "nf_uak_batch", spy)
 
     def oracle(f, prefixes):
         K = f.weight.K
@@ -322,8 +328,11 @@ def test_translates_match_pairs_oracle(monkeypatch):
             1, tw.Q, (len(fm1.tags), w.dim)).astype(np.uint16))
         unit = next(a for a in pro_iwahori_sample(tw, K) if a[0] == "d")
         reads.clear()
-        assert rough.g_act((unit,)) == oracle(rough, [(unit,)])
+        with pytest.raises(NotApplicable):
+            rough.g_act((unit,))
         assert reads and all((ids < 0).all() for ids, _, _ in reads)
+        torus = (W.torus_atom(tw, *W.torus_generator_pairs(tw)[0]),)
+        assert rough.g_act(torus) == oracle(rough, [torus])
         assert rough.translates(prefixes[:3]) == oracle(rough, prefixes[:3])
         zero = I.InducedFn.zero(w)
         assert zero.translates(prefixes).is_zero()
@@ -531,7 +540,7 @@ def test_eval_agreement_basis_vs_grid(tower, catalog):
                 values = fb.values_at(pts)
                 assert np.array_equal(values, fg.values_at(pts))
                 assert np.array_equal(values, [fb.eval_at(x) for x in pts])
-                tails = [()] + [(a,) for a in pro_iwahori_sample(tower, K)]
+                tails = [()] + [(a,) for a in layer_sample(tower, K)]
                 assert np.array_equal(fb.values_at(pts, tails), [
                     fg.eval_at(x + t) for x in pts for t in tails
                 ])
@@ -549,10 +558,10 @@ def test_eval_off_support_is_zero(tower, catalog):
 def test_g_act_composition(tower, catalog):
     w = catalog[(K1, "trivial")]
     f = I.f_basis(w, 0)
-    atoms = pro_iwahori_sample(tower, K1)
+    atoms = layer_sample(tower, K1)
     bw = beta_compact_word(K1)
     w1 = bw + (atoms[0],)
-    w2 = (atoms[4],) + bw
+    w2 = (W.torus_atom(tower, *W.torus_generator_pairs(tower)[0]),) + bw
     lhs = f.g_act(w1).g_act(w2)
     rhs = f.g_act(w2 + w1)
     assert lhs == rhs
@@ -585,12 +594,11 @@ def test_invariance_checker_catches_doctored(tower, catalog):
     tags) and of f_1 at K1 (27), and from_induced refuses each."""
     for K, n, size in ((K0, -1, 81), (K1, 1, 27)):
         f = I.f_basis(catalog[(K, "trivial")], n)
-        atoms = pro_iwahori_sample(tower, K)
         assert len(f.tags) == size
-        assert I.is_pro_iwahori_invariant(f, atoms)
+        assert sample_invariant(f)
         for tag in f.tags:
             g = _doctored(f, tag)
-            assert not I.is_pro_iwahori_invariant(g, atoms), (K, tag)
+            assert not sample_invariant(g), (K, tag)
             with pytest.raises(CrossCheckFailed):
                 I.GridElement.from_induced(g)
 
@@ -606,34 +614,76 @@ def test_equality_never_merges_modules(catalog):
         I.f_basis(triv, 0).add(I.f_basis(det1, 0))
 
 
+def _regular_chain_pieces(tw, chi):
+    """The pieces of test_regular_chain for one K1 character: the socle
+    chain, the span of f_1 of the quotient layer, T on its generators, S_K
+    f_1, the orbit of f_-1 under the generator lifts and the span's residue
+    action on the fingerprint elements."""
+    W.socle_chain(W.make_weight(tw, K1, W.PRINCIPAL_SERIES, chi=chi))
+    quot = W.make_weight(tw, K1, W.PS_SUB_QUOTIENT, chi=chi, part="quotient")
+    span = I.spin_K(I.f_basis(quot, 1))
+    for v in np.eye(quot.dim, dtype=np.uint16).tolist():
+        span.coords_of(I.op_T(quot, I.InducedFn.generator(quot, (), v)))
+    fm1 = I.op_SK(quot, I.f_basis(quot, 1))
+    for g in W.gamma_generators(tw, K1):
+        span.coords_of(fm1.g_act(W.gamma_lift_word(tw, K1, g)))
+    for g in W.fingerprint_elements(tw, K1):
+        span.weight.matrix(g)
+
+
 def test_production_runs_make_no_scalar_coset_read(monkeypatch):
     """On a fresh q = 3 tower (so no product read is memoized yet), the
-    constants battery, the exhaustive recursion steps and spin_K(f_1) of
-    the catalog each call the scalar coset_normalize 0 times: every word
-    they read is carried by the batch."""
-    calls = []
+    catalog set-up (each weight's v0, j_matrix and chi_of), the constants
+    battery, the exhaustive recursion steps, spin_K of f_0, f_1 and f_-1
+    of the catalog and the regular-chain pieces of one K1 character each
+    call the scalar coset_normalize, the series products and inverses
+    (TableCtx.ser_mul, ser_inv) and the Mat3 constructor 0 times: every
+    word they read is carried by the batch, and every residue comes from a
+    product read."""
+    from u21hecke import _kernel
+    from u21hecke.mat3 import Mat3
 
-    def spy(tower, K, word, _orig=I.coset_normalize):
-        calls.append(word)
-        return _orig(tower, K, word)
+    calls = {}
 
-    monkeypatch.setattr(I, "coset_normalize", spy)
+    def spy(name, owner):
+        orig = owner.__dict__[name]
+
+        def counted(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return orig(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    spy("coset_normalize", I)
+    spy("ser_mul", _kernel.TableCtx)
+    spy("ser_inv", _kernel.TableCtx)
+    spy("__init__", Mat3)
     tw = Tower(3, 1)
     tw.default_window = 24
-    cat = _catalog(tw)
+    cat = {}
+    chi = next(c for c in characters_of_torus(tw) if is_regular(c))
+
+    def set_up():
+        cat.update(_catalog(tw))
+        for w in cat.values():
+            w.v0(), w.j_matrix(), w.chi_of()
+
     runs = {
+        "set-up": set_up,
         "constants": lambda: [I.constants(w, check=True)
                               for w in cat.values()],
         "recursion": lambda: [
             I.translation_recursion_check(cat[(K0, "trivial")], n, d)
             for n, d in ((0, 1), (1, 1), (2, 1), (0, -1), (-1, -1))
         ],
-        "spin_K": lambda: [I.spin_K(I.f_basis(w, 1)) for w in cat.values()],
+        "spin_K": lambda: [I.spin_K(I.f_basis(w, n))
+                           for w in cat.values() for n in (0, 1, -1)],
+        "regular chain": lambda: _regular_chain_pieces(tw, chi),
     }
     for name, run in runs.items():
         calls.clear()
         run()
-        assert calls == [], name
+        assert calls == {}, name
 
 
 def test_coset_normalize_inverts_no_series(monkeypatch):
@@ -663,11 +713,11 @@ def test_coset_normalize_inverts_no_series(monkeypatch):
         for word in words:
             I.nf_uak(tw, K, word)
             I.coset_normalize(tw, K, word)
-        ids, _, _ = I.nf_uak_batch(tw, K, batch)
+        ids, _, _ = nf_uak_batch(tw, K, batch)
         assert (ids >= 0).all()
     assert calls == []
     for K in BOTH:
-        assert expand_batch(tw, K, I.nf_uak_batch(tw, K, batch)) == [
+        assert expand_batch(tw, K, nf_uak_batch(tw, K, batch)) == [
             I.coset_normalize(tw, K, w) for w in batch
         ]
 
@@ -848,7 +898,7 @@ def _nf_kau_eval(elem, word):
 def test_grid_values_match_nf_kau_read(monkeypatch):
     """Every point the grid averaging evaluates, read by one batched coset
     read of the inverted points, has the value the mirrored normal form
-    gives, and the batch falls back on none of them (no id is -1)."""
+    gives, and the batch carries every one of them (no id is -1)."""
     seen, batched = [], []
 
     def values_spy(self, heads, tails=((),), _orig=I.GridElement.values_at):
@@ -857,13 +907,13 @@ def test_grid_values_match_nf_kau_read(monkeypatch):
         return out
 
     def batch_spy(tower, K, heads, tails=((),), pairs=None,
-                  _orig=I.nf_uak_batch):
+                  _orig=words.nf_uak_batch):
         read = _orig(tower, K, heads, tails, pairs)
         batched.append(read[0])
         return read
 
     monkeypatch.setattr(I.GridElement, "values_at", values_spy)
-    monkeypatch.setattr(I, "nf_uak_batch", batch_spy)
+    monkeypatch.setattr(words, "nf_uak_batch", batch_spy)
     rng = random.Random(9)
     for p in (3, 5):
         tw = Tower(p, 1)
@@ -999,8 +1049,8 @@ def test_twisting_law(tower, catalog):
                 hw = (h,)
                 hs = bw + hw + word_inverse(tower, bw)
                 for f in (f0, f1):
-                    lhs = f.g_act(hw).translates(suffixes)
-                    rhs = f.translates(suffixes).g_act(hs)
+                    lhs = scalar_translate(f, hw).translates(suffixes)
+                    rhs = scalar_translate(f.translates(suffixes), hs)
                     assert lhs == rhs
 
 
@@ -1009,10 +1059,9 @@ def test_images_remain_invariant(tower, catalog):
         for name in ("trivial", "steinberg", "det1"):
             w = catalog[(K, name)]
             f0, f1 = I.f_basis(w, 0), I.f_basis(w, 1)
-            atoms = pro_iwahori_sample(tower, K)
-            assert I.is_pro_iwahori_invariant(I.op_T(w, f0), atoms)
-            assert I.is_pro_iwahori_invariant(I.op_SK(w, f1), atoms)
-            assert I.is_pro_iwahori_invariant(I.op_Sminus(w, f0), atoms)
+            assert sample_invariant(I.op_T(w, f0))
+            assert sample_invariant(I.op_SK(w, f1))
+            assert sample_invariant(I.op_Sminus(w, f0))
 
 
 def test_t_sigma_variant(tower, catalog):
@@ -1159,24 +1208,25 @@ def test_t_adjoint_counts(p, counts):
         assert len({rs.key() for _, _, rs in adjoint}) == r
 
 
-def test_residues_in_compact_agree_with_reduce_word(tower):
+def test_residues_in_compact_agree_with_reduce_word(tower, tower5):
     """The batched residues of the stencil words (the inverses (ua ub)^-1
-    and beta_K) are their reduce_word residues, and a word outside the
-    compact, u beta_K alpha(1), raises CrossCheckFailed."""
-    for K in BOTH:
-        n_K, _, _ = iwahori_constants(tower, K)
+    and beta_K) are the reductions of their matrices, at q = 3 and q = 5,
+    and a word outside the compact, u beta_K alpha(1), raises
+    CrossCheckFailed."""
+    for tw, K in itertools.product((tower, tower5), BOTH):
+        n_K, _, _ = iwahori_constants(tw, K)
         words_in = [
-            word_inverse(tower, (ua, ub))
-            for ua in layer_transversal(tower, n_K)
-            for ub in layer_transversal(tower, n_K + 1)
+            word_inverse(tw, (ua, ub))
+            for ua in layer_transversal(tw, n_K)
+            for ub in layer_transversal(tw, n_K + 1)
         ] + [beta_compact_word(K)]
-        assert I._residues_in_compact(tower, K, words_in) == [
-            W.reduce_word(tower, K, w) for w in words_in
+        assert words._residues_in_compact(tw, K, words_in) == [
+            U.reduce_to_gamma(tw, K, U.word_matrix(tw, w)) for w in words_in
         ]
         bw = beta_compact_word(K)
-        u = layer_transversal(tower, n_K)[1]
+        u = layer_transversal(tw, n_K)[1]
         with pytest.raises(CrossCheckFailed):
-            I._residues_in_compact(tower, K, [(u,) + bw + (U.atom_alpha(1),)])
+            words._residues_in_compact(tw, K, [(u,) + bw + (U.atom_alpha(1),)])
 
 
 def test_doctored_t_table_fails_constants(monkeypatch, tower):
@@ -1307,11 +1357,11 @@ def _batch_spy(monkeypatch):
     fills while the spy is installed."""
     calls = []
 
-    def spy(tower, K, heads, tails, pairs, _orig=I.nf_uak_batch):
+    def spy(tower, K, heads, tails, pairs, _orig=words.nf_uak_batch):
         calls.append((K, heads, tails))
         return _orig(tower, K, heads, tails, pairs)
 
-    monkeypatch.setattr(I, "nf_uak_batch", spy)
+    monkeypatch.setattr(words, "nf_uak_batch", spy)
     return calls
 
 

@@ -4,7 +4,7 @@ only in owned memo tables, no module imports a name it never uses, no
 production solve sweeps a whole reduced subgroup, the materialized T
 stays an oracle, the residue groups are read without the scalar per-atom
 route, both spins run the one closure loop, the batched coset
-read has one production route and the scalar read one caller, weights act
+read has one production route and the scalar read no caller, weights act
 through their array action, a product read does not import numpy.ma, and
 every array lookup in the field tables goes through the tower's array
 methods."""
@@ -205,11 +205,11 @@ def test_one_route_into_the_batch():
     assert _uses_outside({"nf_uak_batch"}, {"_product_read"}) == []
 
 
-def test_one_caller_of_the_scalar_read():
-    """In the package, coset_normalize is named only inside _product_read:
-    the scalar coset read has one production caller, the fallback for the
-    words the batch does not carry."""
-    assert _uses_outside({"coset_normalize"}, {"_product_read"}) == []
+def test_no_caller_of_the_scalar_read():
+    """In the package, coset_normalize is named nowhere (outside its own
+    definition): the scalar coset read has no production caller, and a
+    word the batch does not carry is refused by the product read."""
+    assert _uses_outside({"coset_normalize"}, set()) == []
 
 
 def test_invariance_is_certified_not_sampled():

@@ -45,7 +45,7 @@ from u21hecke.words import (
 )
 
 from reads import expand, expand_batch
-from sample import pro_iwahori_sample
+from sample import layer_sample, pro_iwahori_sample
 from scalar import torus_unit_atoms
 from test_group import old_k1_reading
 
@@ -360,10 +360,12 @@ def test_batch_reads_every_grid_tag(tower5):
                 assert read == [(tag, one) for tag in tags]
 
 
-def test_batch_fallback_is_exact():
+def test_uncarried_words_are_refused():
     """Words with a pro-unipotent sample atom: the two diagonal atoms have
-    entries that are not monomials, so exactly their words fall back to the
-    scalar read, and every row of the mixed batch equals the scalar one."""
+    entries that are not monomials, so exactly their 2 x 20 words get the
+    id -1 from the batch, and the product read refuses them (NotApplicable)
+    while the scalar coset_normalize still reads them; the carried rows
+    equal the scalar ones."""
     tw = Tower(3, 1)
     for K in (K0, K1):
         sample = pro_iwahori_sample(tw, K)
@@ -373,8 +375,15 @@ def test_batch_fallback_is_exact():
         ids, _, _ = nf_uak_batch(tw, K, words)
         assert (ids < 0).tolist() == [a[0] == "d" for _ in bases for a in sample]
         assert (ids < 0).sum() == 2 * len(bases)
-        read = expand(I._normalize_words(tw, K, words))
-        assert read == [oracle(tw, K, w) for w in words]
+        refused = [w for w, i in zip(words, ids.tolist()) if i < 0]
+        for batch in (refused[:1], refused, words):
+            with pytest.raises(NotApplicable):
+                words_mod._normalize_words(tw, K, batch)
+        # the scalar read still reads them, into the cell of their base
+        assert {oracle(tw, K, w)[0][0] for w in refused} == {-1}
+        carried = [w for w, i in zip(words, ids.tolist()) if i >= 0]
+        read = expand(words_mod._normalize_words(tw, K, carried))
+        assert read == [oracle(tw, K, w) for w in carried]
 
 
 def test_batch_raises_on_a_corrupt_row(monkeypatch):
@@ -393,7 +402,7 @@ def test_batch_raises_on_a_corrupt_row(monkeypatch):
     with pytest.raises(CrossCheckFailed):
         nf_uak_batch(tw, K0, good + [bad])
     with pytest.raises(CrossCheckFailed):
-        I._normalize_words(tw, K0, good + [bad])
+        words_mod._normalize_words(tw, K0, good + [bad])
 
 
 PRODUCT_PIECE = st.one_of(
@@ -422,7 +431,7 @@ def test_product_entry_matches_scalar_read(tower5, q5, K, head_templates,
     residue) of the scalar coset_normalize of head + tail, on heads and
     tails of several signatures each, with layer atoms of coordinates
     (0, 0) and (0, y); exactly the words with a pro_iwahori_sample "d" atom
-    fall back (None)."""
+    are not carried (None)."""
     tw = tower5 if q5 else TW
     heads, tails = (
         [w for pieces, picks in templates
@@ -447,28 +456,27 @@ def test_product_entry_matches_scalar_read(tower5, q5, K, head_templates,
 def test_product_read_matches_scalar_rows(monkeypatch, chunk):
     """Row for row, a product read (the record of _normalize_words) gives
     the (tag, residue) of the scalar coset_normalize: on heads times tails
-    with the pro_iwahori_sample atoms, whose two "d" atoms fall back to the
-    scalar read, on a call of a few words, which the batch reads too, and,
-    with chunks of 7 words, over several batch calls.  The tags are
+    with the layer atoms of pro_iwahori_sample, on a call of a few words,
+    which the batch reads too, and, with chunks of 7 words, over several
+    batch calls.  The tags are
     distinct and numbered in order of first appearance, the residues are
     distinct, the record is read-only, and reading the product again
     returns it."""
     tw = Tower(3, 1)
-    monkeypatch.setattr(I, "_BATCH_CHUNK", chunk)
+    monkeypatch.setattr(words_mod, "_BATCH_CHUNK", chunk)
     calls = []
 
-    def batch_spy(*args, _orig=I.nf_uak_batch, **kwargs):
+    def batch_spy(*args, _orig=words_mod.nf_uak_batch, **kwargs):
         calls.append(args)
         return _orig(*args, **kwargs)
 
-    monkeypatch.setattr(I, "nf_uak_batch", batch_spy)
+    monkeypatch.setattr(words_mod, "nf_uak_batch", batch_spy)
     for K in (K0, K1):
-        sample = pro_iwahori_sample(tw, K)
         heads = [word_from_tag(tw, K, t) for t in I.grid_tags(tw, K, -1)][:12]
-        tails = [()] + [(a,) for a in sample]
+        tails = [()] + [(a,) for a in layer_sample(tw, K)]
         for hs, ts in ((heads, tails), (heads[:3], tails[:4]), (heads, [()])):
             calls.clear()
-            read = I._normalize_words(tw, K, hs, ts)
+            read = words_mod._normalize_words(tw, K, hs, ts)
             n = len(hs) * len(ts)
             batches = -(-n // chunk)
             assert len(calls) == batches
@@ -484,7 +492,7 @@ def test_product_read_matches_scalar_rows(monkeypatch, chunk):
                 assert not ids.flags.writeable
                 with pytest.raises(ValueError):
                     ids[0] = 0
-            assert I._normalize_words(tw, K, hs, ts) is read
+            assert words_mod._normalize_words(tw, K, hs, ts) is read
             assert len(calls) == batches
 
 
@@ -515,20 +523,20 @@ def test_one_cell_read_per_shift_and_pivot(monkeypatch):
              for t in I.grid_tags(tw, K, n)][::3]
     words += [w + (atom_alpha(-1),) for w in words[:40]]
     chunk = 64
-    monkeypatch.setattr(I, "_BATCH_CHUNK", chunk)
+    monkeypatch.setattr(words_mod, "_BATCH_CHUNK", chunk)
     reads, starts = [], []
 
     def read_spy(blk, K, t, j, _orig=words_mod._read_cell):
         reads.append((t, j))
         return _orig(blk, K, t, j)
 
-    def batch_spy(*args, _orig=I.nf_uak_batch, **kwargs):
+    def batch_spy(*args, _orig=words_mod.nf_uak_batch, **kwargs):
         starts.append(len(reads))
         return _orig(*args, **kwargs)
 
     monkeypatch.setattr(words_mod, "_read_cell", read_spy)
-    monkeypatch.setattr(I, "nf_uak_batch", batch_spy)
-    read = expand(I._normalize_words(tw, K, words))
+    monkeypatch.setattr(words_mod, "nf_uak_batch", batch_spy)
+    read = expand(words_mod._normalize_words(tw, K, words))
     assert read == [oracle(tw, K, w) for w in words]
     assert len(starts) == -(-len(words) // chunk)
     shared = False
@@ -562,7 +570,7 @@ def test_corrupt_row_in_a_shared_read_raises():
     with pytest.raises(CrossCheckFailed):
         nf_uak_batch(tw, K0, good, [(), (scale,)], [(0, 0), (80, 1), (3, 0)])
     with pytest.raises(CrossCheckFailed):
-        I._normalize_words(tw, K0, good + [bad])
+        words_mod._normalize_words(tw, K0, good + [bad])
 
 
 # ---------------------------------------------------------------------------
