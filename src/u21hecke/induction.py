@@ -23,8 +23,7 @@ ids of a read): each distinct (residue, vector) pair is moved once, by the
 weight's array action (Weight.apply) on the rows of the residues in use,
 in blocks bounded by _TRANSPORT_ENTRIES, with no matrix per residue; the
 rows are summed per coset (_merge, on the tag ids) or per point as
-arrays.  op_T, the oracle route, applies each stencil matrix to the
-values of all tags at once.
+arrays.
 
 The span of the compact translates of f_n (spin_K) lives on a fixed tag
 index, the orbit of the support under the lifts of gamma_generators, each
@@ -53,11 +52,14 @@ read, and a nonzero value outside an element's own window fails the call.
 T reads its windows and its points as one product (_t_rows).  op_T_grids
 reads T through its adjoint stencil and is the route of the structure
 constants; the materialized op_T stays as the test oracle and the route of
-op_T_sigma and equivariance_spot_check.  The idempotent j of the stencil
-has rank one, j = v0 ell^T (_j_factors, certified), so the adjoint stencil
-folds into two tables per weight, L_s = sigma(g_s')^T ell and
-R_s = sigma(r_s) v0 (_t_tables), and (T F)(x) = sum_s (L_s . F(s^-1 x)) R_s
-is one product and one matrix product per call, with no transport.
+op_T_sigma and equivariance_spot_check.  Both read T's rank-one
+idempotent j = v0 ell^T through its certified factors (Weight.j_factors),
+a stencil residue g as the row sigma(g)^T ell (_ell_rows).  op_T gives
+each word rep(tag) s the value (L_s . f(tag)) v0 (_t_stencil_rows), one
+product for all words.  The adjoint stencil folds into two tables per
+weight, L_s = sigma(g_s')^T ell and R_s = sigma(r_s) v0 (_t_tables), and
+(T F)(x) = sum_s (L_s . F(s^-1 x)) R_s is one product and one matrix
+product per call, with no transport.
 
 A word that lies in the compact lies in the coset K itself, tag (0, 0),
 whose representative alpha^0 is the identity, so its residue is the
@@ -149,26 +151,28 @@ def coset_normalize(tower, K, word):
     return (tag_of_nf(tower, K, nf), reduce_to_gamma(tower, K, nf.k))
 
 
-# Entries per block of the value transport, which bounds its arrays
-# whatever the number of rows: _transport_ids passes the weight's action
-# _TRANSPORT_ENTRIES // (9 dim) rows at a time, as a principal series
-# classifies each residue of a block on its dim cosets, 9 entries each
-# (weights.classify_rows), and op_T's matrix products take
-# _TRANSPORT_ENTRIES // dim^2 vectors (_apply).  Medians of five on a
-# 2-CPU host (CPython 3.11): the 6,804 vectors (30 residues, dim 27) of
-# op_T(steinberg@K0, f_-1) at q = 3 took 2.3-2.4 ms at 16,384, 65,536 and
-# 524,288, with a traced peak of 0.78 MB at each; the 4,375 vectors (742
-# residues, dim 125) of an op_SK_grid at q = 5 on shifts -2..2 took
-# 0.085 s, 0.052 s and 0.066 s, with peaks of 2.6, 3.9 and 18.1 MB.
+# Entries per block of the value transport and of op_T's coefficient
+# product (_apply), which bounds their arrays whatever the number of rows:
+# _transport_ids passes the weight's action _TRANSPORT_ENTRIES // (9 dim)
+# rows at a time, as a principal series classifies each residue of a block
+# on its dim cosets, 9 entries each (weights.classify_rows).  Medians of
+# five on a 2-CPU host (CPython 3.11), at 16,384, 65,536 and 524,288: in
+# op_T(steinberg@K0, f_-1) at q = 3, the transport (6,804 vectors, 30
+# residues, dim 27) took 1.1 ms at each, with a traced peak of 0.78 MB, and
+# the coefficients 0.84, 0.54 and 0.51 ms, with peaks of 0.2, 0.7 and 2.1
+# MB; an op_SK_grid at q = 5 on shifts -2..2 (4,375 vectors, 742 residues,
+# dim 125) took 0.085, 0.052 and 0.066 s, with peaks of 2.6, 3.9 and 18.1 MB.
 _TRANSPORT_ENTRIES = 65536
 
 
 def _apply(tw, M, rows):
-    """Replace every row v of the (n, dim) array rows by M v, with one
-    gfmat.matmul per _TRANSPORT_ENTRIES // dim^2 rows."""
+    """rows M^T, the products M v of the rows v of rows as an (n, m)
+    array, with one gfmat.matmul per _TRANSPORT_ENTRIES // M.size rows."""
     step = max(1, _TRANSPORT_ENTRIES // M.size)
+    out = np.empty((len(rows), len(M)), dtype=np.uint16)
     for s in range(0, len(rows), step):
-        rows[s : s + step] = gfmat.matmul(tw, rows[s : s + step], M.T)
+        out[s : s + step] = gfmat.matmul(tw, rows[s : s + step], M.T)
+    return out
 
 
 def _residue_ids(gammas):
@@ -556,35 +560,43 @@ def _t_stencil(tower, K):
     return items
 
 
-@memo
-def _t_matrices(weight):
+def _ell_rows(weight, gammas):
+    """sigma(g)^T ell for every residue g of a list, where j = v0 ell^T
+    (Weight.j_factors), as a read-only (n, dim) array: one gfmat.matvec per
+    distinct residue, spread to the list by their ids."""
     tw = weight.tower
-    j = weight.j_matrix()
-    return [
-        (suffix, gfmat.matmul(tw, j, weight.matrix(g)))
-        for suffix, g in _t_stencil(tw, weight.K)
-    ]
+    _, ell = weight.j_factors()
+    ids, distinct = _residue_ids(gammas)
+    rows = np.array([gfmat.matvec(tw, weight.matrix(g).T, ell)
+                     for g in distinct], dtype=np.uint16)[ids]
+    rows.flags.writeable = False
+    return rows
+
+
+@memo
+def _t_stencil_rows(weight):
+    """The table L of op_T, one row L_s = sigma(g_s)^T ell per stencil
+    suffix s with residue g_s (_t_stencil)."""
+    stencil = _t_stencil(weight.tower, weight.K)
+    return _ell_rows(weight, [g for _, g in stencil])
 
 
 def op_T(weight, f):
     """The spherical operator through its coset expansion, materialized:
     the product of the tag representatives of f (heads) and the stencil
-    suffixes (tails), each suffix carrying its matrix j sigma(g) applied to
-    the stacked values of f at once (_apply).  The oracle of op_T_grid."""
+    suffixes s (tails), the word rep(tag) s carrying j sigma(g_s) f(tag) =
+    (L_s . f(tag)) v0 (_t_stencil_rows), all coefficients one product
+    (_apply).  The oracle of op_T_grid."""
     if f.weight is not weight:
         raise NotApplicable("operator weight differs from the function's")
     tw = weight.tower
     K = weight.K
-    stencil = _t_matrices(weight)
-    images = []
-    for _, M in stencil:
-        images.append(f.data.copy())
-        _apply(tw, M, images[-1])
+    coeffs = _apply(tw, _t_stencil_rows(weight), f.data)
     return InducedFn._from_words(
         weight,
         [word_from_tag(tw, K, tag) for tag in f.tags],
-        [suffix for suffix, _ in stencil],
-        np.concatenate(images),
+        [suffix for suffix, _ in _t_stencil(tw, K)],
+        tw.times(coeffs.T.reshape(-1, 1), weight.j_factors()[0]),
     )
 
 
@@ -603,7 +615,8 @@ def op_T_sigma(weight, f):
 
 def _average(weight, f, layers, suffixes, opname):
     """The translates of f summed over the suffixes, once f is fixed by the
-    first atoms of the layers (is_pro_iwahori_invariant)."""
+    atom layer_transversal(k)[1] of each layer (is_pro_iwahori_invariant):
+    a necessary condition, not a certificate of the invariance."""
     if f.weight is not weight:
         raise NotApplicable("operator weight differs from the function's")
     tw = weight.tower
@@ -617,8 +630,8 @@ def _average(weight, f, layers, suffixes, opname):
 
 def op_SK(weight, f):
     """Averaging to the upper-invariants: sum over the first upper layer of
-    u . beta_K . f.  Requires invariance under the first two lower layer
-    atoms, checked exactly."""
+    u . beta_K . f.  Requires invariance under the lower layers m_K and
+    m_K + 1, checked on one atom of each only (_average)."""
     tw = weight.tower
     _, m_K, _ = iwahori_constants(tw, weight.K)
     layers = [(m_K, True), (m_K + 1, True)]
@@ -627,8 +640,8 @@ def op_SK(weight, f):
 
 def op_Sminus(weight, f):
     """Averaging to the lower-invariants: sum over the first lower layer of
-    u' . beta_K . alpha^-1 . f.  Requires invariance under the first two
-    upper layer atoms, checked exactly."""
+    u' . beta_K . alpha^-1 . f.  Requires invariance under the upper layers
+    n_K and n_K + 1, checked on one atom of each only (_average)."""
     tw = weight.tower
     n_K, _, _ = iwahori_constants(tw, weight.K)
     layers = [(n_K, False), (n_K + 1, False)]
@@ -1021,42 +1034,23 @@ def _t_window(tower, K, shifts, reach=None):
     return _cells_of([read.tags[t] for t in used.tolist()])
 
 
-def _j_factors(weight):
-    """The factors (v0, ell) of the rank-one j = v0 ell^T: ell is the row
-    of j at the pivot of v0, scaled by the inverse of v0 there, and the
-    product v0 ell^T is certified to be j exactly (CrossCheckFailed)."""
-    tw = weight.tower
-    v0, j = weight.v0(), weight.j_matrix()
-    p = int(np.flatnonzero(v0)[0])
-    ell = tw.times(tw.i_(int(v0[p])), j[p])
-    if not np.array_equal(tw.times(v0[:, None], ell[None, :]), j):
-        raise CrossCheckFailed("j is not v0 times a functional")
-    return v0, ell
-
-
 @memo
 def _t_tables(weight):
     """The two tables of op_T_grid, one row per adjoint suffix s
     (_t_adjoint), as read-only (suffixes, dim) arrays: L_s = sigma(g_s')^T
-    ell and R_s = sigma(r_s) v0, where j = v0 ell^T (_j_factors).  Then
-    sigma(r_s) j sigma(g_s') F = (L_s . F) R_s, so
+    ell and R_s = sigma(r_s) v0, where j = v0 ell^T (Weight.j_factors).
+    Then sigma(r_s) j sigma(g_s') F = (L_s . F) R_s, so
         (T F)(x) = sum_s (L_s . F(s^-1 x)) R_s.
-    L is one gfmat.matvec per distinct g_s' (one for every compact at q = 3
-    and 5), R one transport of v0 by the distinct r_s; both are spread to
-    the suffixes by their residue ids."""
+    L is _ell_rows of the g_s' (one distinct g_s' at q = 3 and 5), R one
+    transport of v0 by the distinct r_s, spread by their residue ids."""
     tw = weight.tower
     adjoint = _t_adjoint(tw, weight.K)
-    v0, ell = _j_factors(weight)
-    g_ids, g_res = _residue_ids([g for _, g, _ in adjoint])
+    v0, _ = weight.j_factors()
     r_ids, r_res = _residue_ids([r for _, _, r in adjoint])
-    ell_rows = np.array([gfmat.matvec(tw, weight.matrix(g).T, ell)
-                         for g in g_res], dtype=np.uint16)
-    v0_rows = _transport(weight, r_res,
-                         np.broadcast_to(v0, (len(r_res), weight.dim)))
-    tables = ell_rows[g_ids], v0_rows[r_ids]
-    for t in tables:
-        t.flags.writeable = False
-    return tables
+    v0_rows = _transport(weight, r_res, np.broadcast_to(
+        v0, (len(r_res), weight.dim)))[r_ids]
+    v0_rows.flags.writeable = False
+    return _ell_rows(weight, [g for _, g, _ in adjoint]), v0_rows
 
 
 def op_T_grids(elems):
@@ -1351,12 +1345,11 @@ def constants(weight, check=True):
     if c != c_closed:
         raise CrossCheckFailed("deep-cell eigenvalue differs from closed form")
 
-    # lam against the invariant functional: j sigma(beta_K) v0 = lam v0
-    v0 = weight.v0()
-    jb = gfmat.matmul(
-        tw, weight.j_matrix(), weight.matrix(gamma_beta(tw, K))
-    )
-    if not np.array_equal(gfmat.matvec(tw, jb, v0), tw.times(lam, v0)):
+    # lam against the invariant functional: j sigma(beta_K) v0 = lam v0,
+    # that is ell . sigma(beta_K) v0 = lam
+    v0, ell = weight.j_factors()
+    moved = gfmat.matvec(tw, weight.matrix(gamma_beta(tw, K)), v0)
+    if int(gfmat.sum_rows(tw, tw.times(ell, moved))) != lam:
         raise CrossCheckFailed("lam differs from the invariant functional")
 
     # d[0]: closed form, direct matrix sum, and grid operator

@@ -12,12 +12,12 @@ Borel, the large quotient of the trivial principal series, and -- for the
 shifted compact at a regular character -- the two layers of the length-two
 principal series.  It also provides the linear-algebra services the induced
 module calculus needs: unipotent invariants and coinvariants, the rank-one
-idempotent collapsing onto the invariant line, the one closure loop
-(closure, run by spin and induction.spin_K), socle chains, fingerprints, and
-explicit intertwiners.  Every row space is a gfmat.Basis filled by block
-extends: one per subspace or quotient a weight is built on, and one per
-closure round, which stacks the images of the whole frontier under every
-action.
+idempotent collapsing onto the invariant line (kept as its two factors),
+the one closure loop (closure, run by spin and induction.spin_K), socle
+chains, fingerprints, and explicit intertwiners.  Every row space is a gfmat.Basis
+filled by block extends: one per subspace or quotient a weight is built
+on, and one per closure round, which stacks the images of the whole
+frontier under every action.
 
 Every solve runs on generators, never on a whole subgroup: the unipotent
 invariants, the lower coinvariants, the torus character and the Borel
@@ -470,10 +470,13 @@ class Weight:
         return out
 
     @memo
-    def j_matrix(self):
-        """The rank-one idempotent: inverse of the composite of the
-        invariant-line inclusion with the lower-coinvariant projection,
-        viewed as an endomorphism killing the augmentation span."""
+    def j_factors(self):
+        """The read-only factors (v0, ell) of the rank-one idempotent
+        j = v0 ell^T: the inverse of the composite of the invariant-line
+        inclusion with the lower-coinvariant projection, viewed as an
+        endomorphism killing the augmentation span, so ell(v) = (v mod the
+        span)[c] / (v0 mod the span)[c].  Certified by ell . v0 == 1, which
+        is j j = j and j v0 = v0 for j = v0 ell^T (CrossCheckFailed)."""
         tw = self.tower
         v0 = self.v0()
         span = self.lower_coinvariant_span()
@@ -486,17 +489,19 @@ class Weight:
         if nz.size == 0:
             raise DegenerateWeight("invariant line dies in the coinvariants")
         c = int(nz[0])
-        # functional ell(v) = (v reduced mod span)[c] / (resid)[c];
-        # j = v0 * ell picks ell via the residual of each basis vector.
         scale = tw.i_(int(resid[c]))
         ell = tw.times(scale, span.reduce(gfmat.eye(self.dim))[:, c])
-        j = tw.times(v0[:, None], ell[None, :])
-        jj = gfmat.matmul(tw, j, j)
-        if not np.array_equal(jj, j):
-            raise CrossCheckFailed("collapse endomorphism is not idempotent")
-        if not np.array_equal(gfmat.matvec(tw, j, v0), v0):
-            raise CrossCheckFailed("collapse endomorphism moves the seed")
-        return j
+        if int(gfmat.sum_rows(tw, tw.times(ell, v0))) != 1:
+            raise CrossCheckFailed("collapse functional is not 1 on the seed")
+        v0.flags.writeable = ell.flags.writeable = False
+        return v0, ell
+
+    @memo
+    def j_matrix(self):
+        """The rank-one idempotent j = v0 ell^T as a (dim, dim) matrix, the
+        outer product of j_factors."""
+        v0, ell = self.j_factors()
+        return self.tower.times(v0[:, None], ell[None, :])
 
     @memo
     def chi_of(self):

@@ -278,6 +278,36 @@ def test_from_raw_reads_pairs_once(catalog):
         assert reads[0] == len(pairs)
 
 
+def _t_matrix_oracle(f):
+    """op_T of f from its plain (word, value) pairs through from_raw: for
+    every stencil suffix s with residue g (_t_stencil) and every tag, the
+    word rep(tag) s carries j sigma(g) f(tag), with j the matrix
+    Weight.j_matrix()."""
+    w = f.weight
+    tw, K = w.tower, w.K
+    j = w.j_matrix()
+    return I.InducedFn.from_raw(w, [
+        (word_from_tag(tw, K, tag) + suffix, v)
+        for suffix, g in I._t_stencil(tw, K)
+        for tag, v in zip(f.tags, gfmat.matmul(
+            tw, f.data, gfmat.matmul(tw, j, w.matrix(g)).T))
+    ])
+
+
+def test_op_T_matches_matrix_oracle(tower, catalog, regular_pairs):
+    """op_T equals the matrix oracle on a function with random values, off
+    the canonical line, on the cells 0 and +-1: for the 10 q = 3 catalog
+    weights and the sub and the quotient of one regular K1 character."""
+    rng = np.random.default_rng(11)
+    _, sub, quot = regular_pairs[0]
+    for w in [*catalog.values(), sub, quot]:
+        tags = [t for n in (0, 1, -1) for t in I.grid_tags(tower, w.K, n)]
+        f = I.InducedFn(w, tags, rng.integers(
+            1, tower.Q, (len(tags), w.dim)).astype(np.uint16))
+        assert len(f.shifts()) == 3
+        assert I.op_T(w, f) == _t_matrix_oracle(f), w.label
+
+
 def test_translates_match_pairs_oracle(monkeypatch):
     """Every translate-sum read as a product equals the sum of its plain
     (word, value) pairs through from_raw, at both compacts with every memo
@@ -312,12 +342,7 @@ def test_translates_match_pairs_oracle(monkeypatch):
         f0, f1, fm1 = (I.f_basis(w, n) for n in (0, 1, -1))
         # invariant, with values that differ between its two cells
         mixed = f0.add(f1.scale(2))
-        t_pairs = [
-            (word_from_tag(tw, K, tag) + suffix, gfmat.matvec(tw, M, v))
-            for suffix, M in I._t_matrices(w)
-            for tag, v in zip(mixed.tags, mixed.data)
-        ]
-        assert I.op_T(w, mixed) == I.InducedFn.from_raw(w, t_pairs)
+        assert I.op_T(w, mixed) == _t_matrix_oracle(mixed)
         assert I.op_SK(w, mixed) == oracle(mixed, I._sk_suffixes(tw, K))
         assert I.op_Sminus(w, mixed) == oracle(
             mixed, I._sminus_suffixes(tw, K)
