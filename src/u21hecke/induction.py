@@ -23,7 +23,8 @@ ids of a read): each distinct (residue, vector) pair is moved once, by the
 weight's array action (Weight.apply) on the rows of the residues in use,
 in blocks bounded by _TRANSPORT_ENTRIES, with no matrix per residue; the
 rows are summed per coset (_merge, on the tag ids) or per point as
-arrays.
+arrays.  A grid-operator call makes one such transport for all its
+elements (_cell_images).
 
 The span of the compact translates of f_n (spin_K) lives on a fixed tag
 index, the orbit of the support under the lifts of gamma_generators, each
@@ -45,12 +46,18 @@ stabilizer (_grid_value), and the averaging suffixes and T's stencil are
 certified transversals (_suffixes_certified, _t_adjoint), so every image of
 an invariant function is invariant.  Each grid operator takes a list of
 elements of one weight (op_T_grids, op_SK_grids, op_Sminus_grids; op_T_grid
-and the other one-element forms are lists of one) and evaluates all of them
-at one set of cell points (_read_grids): the words of a point read do not
-depend on the element, so every element's evaluation is the same product
-read, and a nonzero value outside an element's own window fails the call.
-T reads its windows and its points as one product (_t_rows).  op_T_grids
-reads T through its adjoint stencil and is the route of the structure
+and the other one-element forms are lists of one) and reads all their
+images at one set of cell points (_read_grids), and a nonzero value outside
+an element's own window fails the call.  The images are built from
+per-cell images (_cell_images): the words of a point read do not depend on
+the element, so one product read serves the call; the canonical value of
+each cell in use is transported once, over the words of that cell; each
+operator reduces the values of f_n to its image at the points, and the
+image of an element is sum_n c_n image_n, on (points, dim) arrays.  The
+one-element evaluations GridElement.values_at, values_at_inverses and
+eval_at are the same function with no reduction.  T reads its windows and
+its points as one product (_t_rows).  op_T_grids reads T through its
+adjoint stencil and is the route of the structure
 constants; the materialized op_T stays as the test oracle and the route of
 op_T_sigma and equivariance_spot_check.  Both read T's rank-one
 idempotent j = v0 ell^T through its certified factors (Weight.j_factors),
@@ -59,13 +66,15 @@ each word rep(tag) s the value (L_s . f(tag)) v0 (_t_stencil_rows), one
 product for all words.  The adjoint stencil folds into two tables per
 weight, L_s = sigma(g_s')^T ell and R_s = sigma(r_s) v0 (_t_tables), and
 (T F)(x) = sum_s (L_s . F(s^-1 x)) R_s is one product and one matrix
-product per call, with no transport.
+product per call, besides the one transport of the grid values.
 
 A word that lies in the compact lies in the coset K itself, tag (0, 0),
 whose representative alpha^0 is the identity, so its residue is the
-residue of its read (words._residues_in_compact): the residues of T's
-stencil and of the direct d[0] sum come from one product read each, with
-no matrix of a word.
+residue of its read (words._compact_residues), with no matrix of a word.
+Each certificate shares its product read with the residues it needs: T's
+stencil residues and its adjoint are one read (_t_read), and the residues
+of the direct d[0] sum and the certificate of the S_K suffixes are one
+read (_sk_read).
 
 Deep shifts are reached by the translation recursion
     f_{n+1} = sum_{w} w . (alpha . f_n)
@@ -116,8 +125,9 @@ from .weights import (
     inverse_rows,
 )
 from .words import (
+    _compact_residues,
+    _distinct,
     _normalize_words,
-    _residues_in_compact,
     grid_layer_span,
     nf_uak,
     tag_from_coords,
@@ -257,29 +267,32 @@ def _merge(tw, ids, n, rows):
 def _inverses(tower, words):
     """The inverses of a tuple of words, memoized by the tuple in a table
     bounded by the words it holds: the tails of the point reads (the suffix
-    lists of the grid averages) are the same lists from call to call."""
+    lists of the grid averages) are the same lists from call to call, and
+    T's stencil read (_t_read) inverts the same lists twice."""
     return [word_inverse(tower, w) for w in words]
 
 
-def _point_values(weight, inv_tails, inv_heads, place, stored):
-    """Values at the points x t (x-major) of the function whose value at
-    the representative of a tag is the row place(tag) of the (m, dim) array
-    stored, with place(tag) = -1 off the support, given the inverted tails
-    t^-1 and the inverted heads x^-1; an (points, dim) array.
+def _point_values(weight, inv_tails, inv_heads, index, stored):
+    """Values at the points x t (x-major) of a materialized function
+    (InducedFn.values_at), whose value at the representative of a tag is
+    the row index[tag] of the (m, dim) array stored, for the tags of the
+    dict index (the support), given the inverted tails t^-1 and the
+    inverted heads x^-1; an (points, dim) array.  The grid forms are
+    evaluated by _cell_images instead, which transports the canonical
+    value of each cell once for all the elements of a call.
 
     The inverses t^-1 x^-1 of all points are read by one _normalize_words
     call, as the product of inv_tails (its heads) and inv_heads (its
     tails): with (x t)^-1 = rep(tag) k and gamma = red(k), the value at x t
-    is sigma(gamma^-1) stored[place(tag)], and a point off the support
+    is sigma(gamma^-1) stored[index[tag]], and a point off the support
     costs only its read.  The batch builds each inverted tail once and
-    applies each inverted head to it by column operations.  place is
-    called once per distinct tag.  The values of the supported points are
+    applies each inverted head to it by column operations.  Each distinct
+    tag is looked up once (_positions).  The values of the supported points are
     transported by one _transport_ids call, so a residue shared by many
     points is inverted and classified once."""
     read = _normalize_words(weight.tower, weight.K, inv_tails, inv_heads)
     out = np.zeros((len(read.tag_ids), weight.dim), dtype=np.uint16)
-    at = np.fromiter(map(place, read.tags), np.intp, len(read.tags))
-    at = at[read.tag_ids]
+    at = _positions(index, read.tags)[read.tag_ids]
     hit = np.flatnonzero(at >= 0)
     if len(hit):
         out[hit] = _transport_ids(
@@ -422,11 +435,10 @@ class InducedFn:
         """Values at the points x t, for x in heads and t in tails (x-major;
         zero off the support), read together; an (points, dim) array."""
         tw = self.weight.tower
-        index = dict(zip(self.tags, range(len(self.tags))))
         return _point_values(
             self.weight, _inverses(tw, tuple(tails)),
             [word_inverse(tw, x) for x in heads],
-            lambda tag: index.get(tag, -1), self.data,
+            dict(zip(self.tags, range(len(self.tags)))), self.data,
         )
 
     def eval_at(self, word):
@@ -540,24 +552,45 @@ def is_pro_iwahori_invariant(f, atoms):
 # the spherical operator (explicit coset expansion)
 
 
+def _t_firsts(tower, K):
+    """The first family of T's stencil, the words u = (ua, ub) with ua and
+    ub in the layers n_K and n_K + 1."""
+    n_K, _, _ = iwahori_constants(tower, K)
+    return [(ua, ub) for ua in layer_transversal(tower, n_K)
+            for ub in layer_transversal(tower, n_K + 1)]
+
+
+def _t_read(tower, K, suffixes):
+    """The one product read of T's stencil, shared by _t_stencil and
+    _t_adjoint: the words of the compact whose residues the stencil
+    carries (the inverses u^-1 of the first family, then beta_K), then the
+    inverted suffixes s^-1, then the suffixes s, as one plain list.
+    Returns the read and the number of compact words; _t_adjoint passes
+    the suffixes of _t_stencil, so both read the same record, and both
+    take the inverses from the same _inverses records."""
+    compact = _inverses(tower, tuple(_t_firsts(tower, K)))
+    compact = compact + [beta_compact_word(K)]
+    inverses = _inverses(tower, tuple(suffixes))
+    return (_normalize_words(tower, K, compact + inverses + list(suffixes)),
+            len(compact))
+
+
 @memo
 def _t_stencil(tower, K):
     """Suffix words and compact residues of the two-sum expansion of T[1, v]:
     the N_{n_K}/N_{n_K+2} sum of [u alpha^-1, j sigma(u)^-1 v] and the
     N_{n_K+1}/N_{n_K+2} sum of [beta_K u alpha^-1, j sigma(beta_K) v].  The
-    residues of the inverses u^-1 and of beta_K come from one read
-    (_residues_in_compact)."""
+    residues of the inverses u^-1 and of beta_K come from T's one stencil
+    read (_t_read, _compact_residues)."""
     n_K, _, _ = iwahori_constants(tower, K)
     al = (atom_alpha(-1),)
     bw = beta_compact_word(K)
-    firsts = [(ua, ub) for ua in layer_transversal(tower, n_K)
-              for ub in layer_transversal(tower, n_K + 1)]
-    *inverses, gb = _residues_in_compact(
-        tower, K, [word_inverse(tower, w) for w in firsts] + [bw])
-    items = [(w + al, g) for w, g in zip(firsts, inverses)]
-    for ub in layer_transversal(tower, n_K + 1):
-        items.append((bw + (ub,) + al, gb))
-    return items
+    firsts = _t_firsts(tower, K)
+    suffixes = [u + al for u in firsts] + [
+        bw + (ub,) + al for ub in layer_transversal(tower, n_K + 1)]
+    read, m = _t_read(tower, K, suffixes)
+    *inverses, gb = _compact_residues(read, slice(0, m))
+    return list(zip(suffixes, inverses + [gb] * (len(suffixes) - m + 1)))
 
 
 def _ell_rows(weight, gammas):
@@ -659,7 +692,9 @@ class GridElement:
     Evaluation reads the coset of the inverted point, x^-1 = rep(tag) k with
     T = tag[0]: F(x) = sigma(red k)^-1 . coeff(T) . grid_value(T), the
     mirrored normal form x = k^-1 alpha^-T u^-1 without forming it; no
-    materialization.  values_at reads many points with one batched coset
+    materialization.  values_at, values_at_inverses and eval_at are the
+    one-element case of the list-form evaluation of the grid operators
+    (_cell_images), with no reduction: many points, one batched coset
     read."""
 
     __slots__ = ("weight", "coeffs")
@@ -680,15 +715,8 @@ class GridElement:
         """values_at from the inverted words: the values at the points x t,
         x-major, whose inverses are t^-1 in inv_tails and x^-1 in
         inv_heads."""
-        weight = self.weight
-        cells = dict(zip(self.coeffs, range(len(self.coeffs))))
-        stored = np.array(
-            [weight.tower.times(c, grid_value(weight, n))
-             for n, c in self.coeffs.items()],
-            dtype=np.uint16,
-        ).reshape(len(cells), weight.dim)
-        return _point_values(weight, inv_tails, inv_heads,
-                             lambda tag: cells.get(tag[0], -1), stored)
+        return _cell_images(self.weight, [self], inv_tails, inv_heads,
+                            lambda by_cell: by_cell)[0]
 
     def eval_at(self, word):
         """Value at the point of the word (zero off the support), a (dim,)
@@ -734,10 +762,13 @@ class GridElement:
         canonical values up to one scalar per shift)."""
         weight = f.weight
         tw = weight.tower
-        cells = np.array([tag[0] for tag in f.tags], dtype=np.intp)
+        # with return_inverse, np.unique does not import numpy.ma
+        cells, cell_of = np.unique(
+            np.array([tag[0] for tag in f.tags], dtype=np.intp),
+            return_inverse=True)
         coeffs = {}
-        for t in np.unique(cells).tolist():
-            rows = f.data[cells == t]
+        for i, t in enumerate(cells.tolist()):
+            rows = f.data[cell_of == i]
             coeffs[t] = c = _match_grid_coefficient(weight, t, rows[0])
             if len(rows) != grid_count(tw, weight.K, t):
                 raise CrossCheckFailed(
@@ -772,22 +803,73 @@ def _match_grid_coefficient(weight, n, val):
     return c
 
 
+def _cell_images(weight, elems, inv_tails, inv_heads, image):
+    """The images of the grid elements elems of one weight under a map
+    image that is linear in their values at the points x t (x-major),
+    whose inverses are t^-1 in inv_tails and x^-1 in inv_heads; a list of
+    arrays, one per element.
+
+    The inverses t^-1 x^-1 of all points are read by one _normalize_words
+    call, as the product of inv_tails (its heads) and inv_heads (its
+    tails), whatever the elements.  With (x t)^-1 = rep(tag) k and
+    gamma = red(k), f_n takes the value sigma(gamma^-1) grid_value(n) at
+    x t if the tag lies in cell n, and zero otherwise.  The canonical
+    values of the points whose cell is in the support of some element are
+    transported by one _transport_ids call, and split by cell into the
+    (cells, points, dim) array by_cell of the values of each f_n, the
+    cells of the supports in increasing order.  image(by_cell) reduces
+    each cell to the image of f_n, a (cells, ...) array, and the image of
+    an element is sum_n c_n image_n: the work per element is on the
+    images, not on the points."""
+    tw = weight.tower
+    read = _normalize_words(tw, weight.K, inv_tails, inv_heads)
+    cells = sorted(set().union(*(elem.coeffs for elem in elems)))
+    pos = dict(zip(cells, range(len(cells))))
+    at = np.fromiter((pos.get(n, -1) for n, _ in read.tags), np.intp,
+                     len(read.tags))[read.tag_ids]
+    hit = np.flatnonzero(at >= 0)
+    by_cell = np.zeros((len(cells), len(read), weight.dim), dtype=np.uint16)
+    if len(hit):
+        canon = np.array([grid_value(weight, n) for n in cells],
+                         dtype=np.uint16)
+        by_cell[at[hit], hit] = _transport_ids(
+            weight, read.res_ids[hit], read.residues, canon[at[hit]],
+            inverse=True,
+        )
+    images = image(by_cell)
+    out = []
+    for elem in elems:
+        acc = np.zeros(images.shape[1:], dtype=np.uint16)
+        for n, c in elem.coeffs.items():
+            acc = tw.plus_times(acc, c, images[pos[n]])
+        out.append(acc)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # averaging operators, grid route
 
 
-def _suffixes_certified(tower, K, words, tail, cell, count, opname):
-    """words, once the words w + tail are certified to land in count
-    pairwise distinct cosets of the cell, read by one _normalize_words
-    call: so the words are a transversal of that many cosets, and none is
-    dropped or repeated.  CrossCheckFailed otherwise."""
-    read = _normalize_words(tower, K, words, [tail])
-    if (len(read) != count or len(read.tags) != count
-            or any(t != cell for t, _ in read.tags)):
+def _suffixes_certified(read, part, cell, count, opname):
+    """Certify that the words of the slice part of a product read land in
+    count pairwise distinct cosets of the cell: so they are a transversal
+    of that many cosets, and none is dropped or repeated.  CrossCheckFailed
+    otherwise."""
+    tag_ids = read.tag_ids[part]
+    tags = [read.tags[t] for t in _distinct(tag_ids)]
+    if (len(tag_ids) != count or len(tags) != count
+            or any(t != cell for t, _ in tags)):
         raise CrossCheckFailed(
             "the %s suffixes are not a transversal of %d cosets of cell %d"
             % (opname, count, cell))
-    return words
+
+
+def _sk_read(tower, K, words):
+    """The one product read of the words u beta_K of _sk_suffixes with the
+    tails () and alpha: its first len(words) words lie in the compact and
+    give the residues of the d[0] sum of constants(), and the words
+    u beta_K alpha after them certify the suffixes."""
+    return _normalize_words(tower, K, words, [(), (atom_alpha(1),)])
 
 
 @memo
@@ -795,24 +877,27 @@ def _sk_suffixes(tower, K):
     """The words u beta_K, u in the first upper layer: the prefixes of
     op_SK and the point tails of op_SK_grid, both read as products.
     Certified once per compact: the words u beta_K alpha land in
-    layer_size(n_K) distinct cosets of cell -1."""
+    layer_size(n_K) distinct cosets of cell -1 (_sk_read)."""
     n_K, _, _ = iwahori_constants(tower, K)
     bw = beta_compact_word(K)
     words = [(u,) + bw for u in layer_transversal(tower, n_K)]
-    return _suffixes_certified(tower, K, words, (atom_alpha(1),), -1,
-                               layer_size(tower, n_K), "S_K")
+    _suffixes_certified(_sk_read(tower, K, words), slice(len(words), None),
+                        -1, layer_size(tower, n_K), "S_K")
+    return words
 
 
 @memo
 def _sminus_suffixes(tower, K):
     """The words u' beta_K alpha^-1, u' in the first lower layer, for both
-    routes of S_- as _sk_suffixes is for S_K.  Certified once per compact:
-    they land in distinct cosets that fill cell 1, grid_count(1) of them."""
+    routes of S_- as _sk_suffixes is for S_K.  Certified once per compact,
+    by one _normalize_words read: they land in distinct cosets that fill
+    cell 1, grid_count(1) of them."""
     _, m_K, _ = iwahori_constants(tower, K)
     tail = beta_compact_word(K) + (atom_alpha(-1),)
     words = [(u,) + tail for u in layer_transversal(tower, m_K, prime=True)]
-    return _suffixes_certified(tower, K, words, (), 1,
-                               grid_count(tower, K, 1), "S_-")
+    _suffixes_certified(_normalize_words(tower, K, words), slice(None), 1,
+                        grid_count(tower, K, 1), "S_-")
+    return words
 
 
 @memo
@@ -882,17 +967,16 @@ def _read_grids(weight, elems, windows, points, evaluate):
     _t_adjoint).
 
     All elements are evaluated at the same points, a list of j that covers
-    every window: evaluate(elem, heads) gives the image of elem at the
-    heads alpha^-j as one (points, dim) array, and its words do not depend
-    on the element, so every element's evaluation is the same product read
-    (_normalize_words).  Each element keeps the coefficients at the points
-    of its own window; a nonzero value at a point outside it raises
-    CrossCheckFailed."""
+    every window: evaluate(elems, heads) gives the images of all the
+    elements at the heads alpha^-j, one (points, dim) array each, from one
+    product read and one transport (_cell_images).  Each element keeps the
+    coefficients at the points of its own window; a nonzero value at a
+    point outside it raises CrossCheckFailed."""
     heads = [(atom_alpha(-j),) for j in points]
     out = []
-    for elem, window in zip(elems, windows):
+    for elem, window, values in zip(elems, windows, evaluate(elems, heads)):
         coeffs = {}
-        for j, val in zip(points, evaluate(elem, heads)):
+        for j, val in zip(points, values):
             if not val.any():
                 continue
             if j not in window:
@@ -906,18 +990,21 @@ def _read_grids(weight, elems, windows, points, evaluate):
 
 def _op_grids(weight, elems, suffixes, windows):
     """An averaging operator on the grid forms, read back by _read_grids at
-    the union of their windows: the averages at all its points are
-    evaluated by one values_at call per element, |points| |suffixes| words,
-    and the values of each point are summed as one array
-    (gfmat.sum_rows)."""
+    the union of their windows: the values at the |points| |suffixes|
+    points x t are one _cell_images call for all the elements, and the
+    image of each f_n at x is the sum of its values over the suffixes t,
+    one gfmat.sum_rows for all the cells."""
+    tw = weight.tower
 
-    def evaluate(elem, heads):
-        values = elem.values_at(heads, suffixes)
-        # (suffix, point, dim): the sum over the suffixes is one sum_rows
-        by_suffix = values.reshape(
-            len(heads), len(suffixes), weight.dim
-        ).swapaxes(0, 1)
-        return gfmat.sum_rows(weight.tower, by_suffix)
+    def evaluate(elems, heads):
+        def image(by_cell):
+            # (suffix, cell, point, dim): the sum over the suffixes
+            return gfmat.sum_rows(tw, by_cell.reshape(
+                len(by_cell), len(heads), len(suffixes), weight.dim
+            ).transpose(2, 0, 1, 3))
+
+        return _cell_images(weight, elems, _inverses(tw, tuple(suffixes)),
+                            [word_inverse(tw, x) for x in heads], image)
 
     points = sorted(set().union(*windows))
     return _read_grids(weight, elems, windows, points, evaluate)
@@ -971,22 +1058,22 @@ def _t_adjoint(tower, K):
     Every suffix is u alpha^-1 with u in the compact, so every s^-1 K is
     the same coset alpha K and s' is one suffix for all s.
 
-    The words s^-1 and s are read by one _normalize_words call.  The
-    stencil is certified exactly: its cosets must be distinct, lie in the
-    cells +-1 and number grid_count(1) + grid_count(-1).  As every suffix
-    lies in the double coset and the double coset lies in the cells +-1,
-    the stencil is then the whole double coset.  Every s^-1 must land in a
-    stencil coset.  CrossCheckFailed otherwise.  Returns the list of
-    (s, g_s', r_s), which _t_tables folds into two tables per weight; at
-    q = 3 and 5 every g_s' is the same residue, and the r_s take q^3 + 1
-    values at K0 and q + 1 at K1."""
+    The words s^-1 and s are read with the residues of _t_stencil, as one
+    product read (_t_read).  The stencil is certified exactly: its cosets
+    must be distinct, lie in the cells +-1 and number grid_count(1) +
+    grid_count(-1).  As every suffix lies in the double coset and the
+    double coset lies in the cells +-1, the stencil is then the whole
+    double coset.  Every s^-1 must land in a stencil coset.
+    CrossCheckFailed otherwise.  Returns the list of (s, g_s', r_s), which
+    _t_tables folds into two tables per weight; at q = 3 and 5 every g_s'
+    is the same residue, and the r_s take q^3 + 1 values at K0 and q + 1
+    at K1."""
     stencil = _t_stencil(tower, K)
-    inverses = [word_inverse(tower, s) for s, _ in stencil]
     n = len(stencil)
-    read = _normalize_words(tower, K, inverses + [s for s, _ in stencil])
+    read, m = _t_read(tower, K, [s for s, _ in stencil])
     normal = [
         (read.tags[t], read.residues[r])
-        for t, r in zip(read.tag_ids.tolist(), read.res_ids.tolist())
+        for t, r in zip(read.tag_ids[m:].tolist(), read.res_ids[m:].tolist())
     ]
     by_tag = {tag: (i, gamma) for i, (tag, gamma) in enumerate(normal[n:])}
     cells = grid_count(tower, K, 1) + grid_count(tower, K, -1)
@@ -1030,8 +1117,8 @@ def _t_window(tower, K, shifts, reach=None):
     reach = _t_reach(shifts) if reach is None else reach
     read = _t_rows(tower, K, reach)
     rows = read.tag_ids.reshape(-1, 2 * reach + 1)
-    used = np.unique(rows[:, [n + reach for n in shifts]])
-    return _cells_of([read.tags[t] for t in used.tolist()])
+    used = _distinct(rows[:, [n + reach for n in shifts]].ravel())
+    return _cells_of([read.tags[t] for t in used])
 
 
 @memo
@@ -1058,15 +1145,16 @@ def op_T_grids(elems):
     read back by _read_grids on their certified windows (_t_window).
 
     With R = _t_reach over all their shifts, the windows and the values
-    are one product read (_t_rows): the values F(s^-1 x) at the points
+    are one product read (_t_rows): the values f_n(s^-1 x) at the points
     x = alpha^-j, j = -R..R, and the adjoint suffixes s (_t_adjoint) come
-    from one values_at_inverses call per element, the product of the
-    inverted points and the suffixes s, as a (suffix, point, dim) array.
-    A window beyond -R..R would widen R and read the points again.  With
-    the tables of the weight (_t_tables), the coefficients
-    c[s, x] = L_s . F(s^-1 x) are one product and one sum over dim
-    (gfmat.sum_rows), and the values (T F)(x) = sum_s c[s, x] R_s one
-    gfmat.matmul: no value is transported per call."""
+    from one _cell_images call for all the elements, the product of the
+    inverted points and the suffixes s, as a (cell, suffix, point, dim)
+    array.  A window beyond -R..R would widen R and read the points again.
+    With the tables of the weight (_t_tables), the coefficients
+    c[n, s, x] = L_s . f_n(s^-1 x) are one product and one sum over dim
+    (gfmat.sum_rows), and the images (T f_n)(x) = sum_s c[n, s, x] R_s of
+    all the cells one gfmat.matmul; the values of a call are transported
+    once, by _cell_images."""
     weight = _one_weight(elems)
     tw, K = weight.tower, weight.K
     adjoint = _t_adjoint(tw, K)
@@ -1076,13 +1164,18 @@ def op_T_grids(elems):
     windows = [_t_window(tw, K, sorted(elem.coeffs), reach) for elem in elems]
     reach = max([reach] + [abs(j) for window in windows for j in window])
 
-    def evaluate(elem, heads):
-        values = elem.values_at_inverses(
-            [word_inverse(tw, x) for x in heads], suffixes
-        ).reshape(len(adjoint), len(heads), weight.dim)
-        c = gfmat.sum_rows(tw, tw.times(ell_rows.T[:, :, None],
-                                        values.transpose(2, 0, 1)))
-        return gfmat.matmul(tw, c.T, v0_rows)
+    def evaluate(elems, heads):
+        def image(by_cell):
+            k, n = len(by_cell), len(heads)
+            values = by_cell.reshape(k, len(suffixes), n, weight.dim)
+            c = gfmat.sum_rows(tw, tw.times(ell_rows.T[:, None, :, None],
+                                            values.transpose(3, 0, 1, 2)))
+            rows = c.transpose(0, 2, 1).reshape(k * n, len(suffixes))
+            return gfmat.matmul(tw, rows, v0_rows).reshape(k, n, weight.dim)
+
+        return _cell_images(weight, elems,
+                            [word_inverse(tw, x) for x in heads], suffixes,
+                            image)
 
     return _read_grids(weight, elems, windows, range(-reach, reach + 1),
                        evaluate)
@@ -1306,8 +1399,8 @@ def constants(weight, check=True):
     compared against the grid-form averaging operators (S_- on f_1, and
     S_K on f_0..f_-CONSTANTS_N_TOP as one op_SK_grids call); d[0] is
     additionally evaluated as the direct sum of sigma(u beta_K) v0 over the
-    first upper layer, its residues read from one product read
-    (_residues_in_compact on the S_K suffixes).  d is given for
+    first upper layer, its residues read from the product read that
+    certifies the S_K suffixes (_sk_read, _compact_residues).  d is given for
     n <= CONSTANTS_N_TOP.  Neither op_T nor f_basis is called, and no
     matrix of a word is formed."""
     tw = weight.tower
@@ -1358,7 +1451,8 @@ def constants(weight, check=True):
         d0 = int(tw.neg[chi.value(*_h_pair(tw, frak_t))])
     else:
         d0 = 0
-    terms = _residues_in_compact(tw, K, _sk_suffixes(tw, K))
+    words = _sk_suffixes(tw, K)
+    terms = _compact_residues(_sk_read(tw, K, words), slice(0, len(words)))
     acc = gfmat.sum_rows(tw, _transport(
         weight, terms, np.broadcast_to(v0, (len(terms), weight.dim))))
     if not np.array_equal(acc, tw.times(d0, v0)):

@@ -49,9 +49,10 @@ form gets the id -1, and a word that fails a certificate raises the scalar
 route's error.  The product read (_normalize_words, memoized by
 _product_read) numbers the batch's tags and residues, refuses a word it does
 not carry (NotApplicable), and is the one production read of a coset or
-residue (_residues_in_compact).  The scalar nf_uak reads a word's Mat3
-matrix of series; it, tag_of and induction.coset_normalize serve only the
-tests' oracle and the benchmark's tracer.
+residue (_residues_in_compact, or _compact_residues on a part of a read).
+The scalar nf_uak reads a word's Mat3 matrix of series; it, tag_of and
+induction.coset_normalize serve only the tests' oracle and the benchmark's
+tracer.
 """
 
 import math
@@ -837,11 +838,17 @@ def _product_read(tower, K, heads, tails):
 def _residues_in_compact(tower, K, words):
     """The residue red(w) of every word w of a list that lies in the
     compact, as a list of GammaElem in word order, from one
-    _normalize_words read.  A word w in K lies in the coset K itself, tag
-    (0, 0), whose representative alpha^0 is the identity, so the read
-    w = rep k has k = w and its residue is red(w).  CrossCheckFailed unless
-    every tag is (0, 0): a word outside K has no residue."""
-    read = _normalize_words(tower, K, words)
-    if any(tag != (0, 0) for tag in read.tags):
+    _normalize_words read (_compact_residues)."""
+    return _compact_residues(_normalize_words(tower, K, words), slice(None))
+
+
+def _compact_residues(read, part):
+    """The residues of the words of a slice part of a ProductRead, which
+    lie in the compact, as a list of GammaElem in word order.  A word w in
+    K lies in the coset K itself, tag (0, 0), whose representative alpha^0
+    is the identity, so the read w = rep k has k = w and its residue is
+    red(w).  CrossCheckFailed unless every tag of the part is (0, 0): a
+    word outside K has no residue."""
+    if any(read.tags[t] != (0, 0) for t in _distinct(read.tag_ids[part])):
         raise CrossCheckFailed("a word to reduce lies outside the compact")
-    return [read.residues[r] for r in read.res_ids.tolist()]
+    return [read.residues[r] for r in read.res_ids[part].tolist()]

@@ -165,13 +165,14 @@ def test_memo_eviction_leaves_results_unchanged(monkeypatch):
 
     words_batch = words.nf_uak_batch
     monkeypatch.setattr(words, "nf_uak_batch", spy)
-    points = []
+    inverses = []
 
-    def grid_spy(self, heads, tails=((),), _orig=I.GridElement.values_at):
-        points.extend(x + t for x in heads for t in tails)
-        return _orig(self, heads, tails)
+    def grid_spy(weight, elems, inv_tails, inv_heads, image,
+                 _orig=I._cell_images):
+        inverses.extend(t + x for x in inv_heads for t in inv_tails)
+        return _orig(weight, elems, inv_tails, inv_heads, image)
 
-    monkeypatch.setattr(I.GridElement, "values_at", grid_spy)
+    monkeypatch.setattr(I, "_cell_images", grid_spy)
     monkeypatch.setattr(fields, "_MEMO_CAP", 3)
     got, largest, tw, w = _memo_run(Tower(3, 1))
     assert got == expected
@@ -181,7 +182,7 @@ def test_memo_eviction_leaves_results_unchanged(monkeypatch):
     # the grid averaging read the inverses of all its points through the
     # batch; one bounded nf_uak table serves tag_of
     read = {word for b in batched for word in b[0]}
-    assert points and {word_inverse(tw, x) for x in points} <= read
+    assert inverses and set(inverses) <= read
     assert len(tw._memo[nf_uak.__wrapped__]) == 3
     # the product table holds at most 3 words over all its records
     records = tw._memo[words._product_read.__wrapped__]
@@ -926,9 +927,26 @@ def test_grid_values_match_nf_kau_read(monkeypatch):
     gives, and the batch carries every one of them (no id is -1)."""
     seen, batched = [], []
 
-    def values_spy(self, heads, tails=((),), _orig=I.GridElement.values_at):
-        out = _orig(self, heads, tails)
-        seen.append(([x + t for x in heads for t in tails], out))
+    def values_spy(weight, elems, inv_tails, inv_heads, image,
+                   _orig=I._cell_images):
+        # the values of each f_n at the points, as the operator reads them
+        by_cells = []
+
+        def keep(by_cell):
+            by_cells.append(by_cell)
+            return image(by_cell)
+
+        out = _orig(weight, elems, inv_tails, inv_heads, keep)
+        (by_cell,) = by_cells
+        tw = weight.tower
+        cells = sorted(set().union(*(elem.coeffs for elem in elems)))
+        points = [word_inverse(tw, t + x)
+                  for x in inv_heads for t in inv_tails]
+        for elem in elems:
+            values = np.zeros(by_cell.shape[1:], dtype=np.uint16)
+            for n, c in elem.coeffs.items():
+                values = tw.plus_times(values, c, by_cell[cells.index(n)])
+            seen.append((points, values))
         return out
 
     def batch_spy(tower, K, heads, tails=((),), pairs=None,
@@ -937,7 +955,7 @@ def test_grid_values_match_nf_kau_read(monkeypatch):
         batched.append(read[0])
         return read
 
-    monkeypatch.setattr(I.GridElement, "values_at", values_spy)
+    monkeypatch.setattr(I, "_cell_images", values_spy)
     monkeypatch.setattr(words, "nf_uak_batch", batch_spy)
     rng = random.Random(9)
     for p in (3, 5):
@@ -1023,15 +1041,17 @@ def test_grid_values_fixed_by_exactly_their_own_group(tower, tower5):
 
 
 def test_op_grid_evaluates_every_sampled_point(monkeypatch, tower, catalog):
-    """_op_grid evaluates the window points only, each once per suffix."""
+    """_op_grids evaluates the window points only, each once per suffix,
+    read through their inverses."""
     counts, calls = [], []
 
-    def spy(self, heads, tails=((),), _orig=I.GridElement.values_at):
-        counts.append(len(heads) * len(tails))
-        calls.append((set(heads), list(tails)))
-        return _orig(self, heads, tails)
+    def spy(weight, elems, inv_tails, inv_heads, image,
+            _orig=I._cell_images):
+        counts.append(len(inv_heads) * len(inv_tails))
+        calls.append((set(inv_heads), list(inv_tails)))
+        return _orig(weight, elems, inv_tails, inv_heads, image)
 
-    monkeypatch.setattr(I.GridElement, "values_at", spy)
+    monkeypatch.setattr(I, "_cell_images", spy)
     alpha = U.atom_alpha
     for K in BOTH:
         w = catalog[(K, "steinberg")]
@@ -1049,8 +1069,9 @@ def test_op_grid_evaluates_every_sampled_point(monkeypatch, tower, catalog):
                 op(elem)
                 expect = len(window) * len(suffixes)
                 assert counts == [expect], (K, coeffs, op.__name__)
-                heads = {(alpha(-j),) for j in window}
-                assert calls == [(heads, suffixes)], (K, coeffs, op.__name__)
+                heads = {word_inverse(tower, (alpha(-j),)) for j in window}
+                tails = [word_inverse(tower, t) for t in suffixes]
+                assert calls == [(heads, tails)], (K, coeffs, op.__name__)
 
 
 def test_s_op_precondition_enforced(tower, catalog):
@@ -1347,23 +1368,69 @@ GRID_OPS = (
 )
 
 
-def _list_forms_match(w):
-    """Each list form applied to f_0, f_+-1, f_-2 + 2 f_1 and zero at once
-    equals its one-element form on every element."""
-    elems = [I.f_grid(w, n) for n in (0, 1, -1)] + [
-        I.GridElement(w, {-2: 1, 1: 2}), I.GridElement(w, {})]
+def _list_forms_match(w, elems):
+    """Each list form applied to the elements at once equals its
+    one-element form on every element."""
     for grids, single in GRID_OPS:
         assert grids(elems) == [single(e) for e in elems], (w, single)
 
 
-def test_list_forms_equal_single_forms(tower, catalog, catalog5):
-    """The list forms of T, S_K and S_- at q = 3 on trivial and steinberg
-    at both compacts, and at q = 5 at K1."""
+def _fixed_elems(w):
+    """f_0, f_+-1, f_-2 + 2 f_1 and zero."""
+    return [I.f_grid(w, n) for n in (0, 1, -1)] + [
+        I.GridElement(w, {-2: 1, 1: 2}), I.GridElement(w, {})]
+
+
+def _random_elems(w, rng):
+    """Three elements with random nonzero coefficients on 2, 3 and 4 random
+    cells of -2..2 of at most 243 cosets each, so that the materialized
+    op_T of each takes well under a second: the cells -1..2 at K0, and
+    -1..1 at K1, where the last element has all three."""
+    tw = w.tower
+    cells = [n for n in range(-2, 3) if I.grid_count(tw, w.K, n) <= 243]
+    return [
+        I.GridElement(w, {n: rng.randrange(1, tw.Q)
+                          for n in rng.sample(cells, min(k, len(cells)))})
+        for k in (2, 3, 4)
+    ]
+
+
+def test_list_forms_equal_single_forms(monkeypatch, tower, catalog,
+                                       catalog5):
+    """The list forms of T, S_K and S_- equal their one-element forms, at
+    q = 3 on trivial and steinberg at both compacts (the fixed elements of
+    _fixed_elems and three random ones) and at q = 5 at K1 (the fixed
+    ones).  At q = 3 each image of T on a random element also equals the
+    materialized oracle, GridElement.from_induced(op_T(w, e.to_induced())),
+    and each list-form call transports its grid values once
+    (_transport_ids with inverse, from _cell_images)."""
+    rng = random.Random(28)
+    transports = []
+
+    def spy(weight, ids, residues, vecs, inverse=False,
+            _orig=I._transport_ids):
+        transports.append(inverse)
+        return _orig(weight, ids, residues, vecs, inverse)
+
     for K in BOTH:
         for name in ("trivial", "steinberg"):
-            _list_forms_match(catalog[(K, name)])
+            w = catalog[(K, name)]
+            elems = _random_elems(w, rng)
+            assert all(len(e.coeffs) >= 2 for e in elems), (K, name)
+            _list_forms_match(w, _fixed_elems(w) + elems)
+            assert I.op_T_grids(elems) == [
+                I.GridElement.from_induced(I.op_T(w, e.to_induced()))
+                for e in elems
+            ], (K, name)
+            with monkeypatch.context() as m:
+                m.setattr(I, "_transport_ids", spy)
+                for grids, _ in GRID_OPS:
+                    transports.clear()
+                    grids(elems)
+                    assert transports.count(True) == 1, (K, name, grids)
     for name in ("trivial", "steinberg"):
-        _list_forms_match(catalog5[(K1, name)])
+        w = catalog5[(K1, name)]
+        _list_forms_match(w, _fixed_elems(w))
 
 
 def test_list_forms_refuse_empty_and_mixed_lists(catalog):
@@ -1391,18 +1458,32 @@ def _batch_spy(monkeypatch):
 
 
 def test_constants_reads_per_compact(monkeypatch):
-    """On a fresh q = 3 tower, once the catalog is set up, one constants()
-    per compact makes at most 9 batched product reads there: T on f_0 and
-    f_+-1 and S_K on f_0..f_-3 are one read each."""
+    """On a fresh q = 3 tower, once the catalog is set up, constants() over
+    the catalog makes at most 7 batched product reads per compact (T on
+    f_0 and f_+-1 and S_K on f_0..f_-3 are one read each, T's stencil and
+    its adjoint share one, and so do the S_K certificate and the d[0]
+    sum; the other weights of a compact hit the same records), and each
+    of its three grid-operator calls transports its grid values once:
+    30 transports with inverse (_cell_images) in all."""
     tw = Tower(3, 1)
     tw.default_window = 24
     cat = _catalog(tw)
     for w in cat.values():
         w.v0(), w.j_matrix(), w.chi_of()
     calls = _batch_spy(monkeypatch)
+    transports = []
+
+    def spy(weight, ids, residues, vecs, inverse=False,
+            _orig=I._transport_ids):
+        transports.append(inverse)
+        return _orig(weight, ids, residues, vecs, inverse)
+
+    monkeypatch.setattr(I, "_transport_ids", spy)
+    for w in cat.values():
+        I.constants(w, check=True)
     for K in BOTH:
-        I.constants(cat[(K, "steinberg")], check=True)
-        assert 0 < len([c for c in calls if c[0] == K]) <= 9, K
+        assert 0 < len([c for c in calls if c[0] == K]) <= 7, K
+    assert transports.count(True) == 3 * len(cat) == 30
 
 
 def test_op_T_grid_is_one_stencil_read(monkeypatch):
