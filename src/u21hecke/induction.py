@@ -81,7 +81,11 @@ Deep shifts are reached by the translation recursion
 with w running over the shallow layer transversal being re-exposed by the
 shift; combined with the (machine-checked) translation equivariance of T,
 this certifies the operator identities far beyond the range where the raw
-two-sum expansion is computable.
+two-sum expansion is computable.  A step whose target cell is within the
+tag cap is checked exhaustively on one product read of the prefixes times
+the representatives of the source cell, with no function built: the
+products fill the target grid once each, and each distinct residue carries
+the source cell's value to the target's (translation_recursion_check).
 """
 
 import functools
@@ -1231,15 +1235,22 @@ def translation_recursion_check(
 ):
     """Certify f_{n_from+direction} = sum_prefix prefix . f_{n_from}.
 
-    Exhaustive (full normalized equality of InducedFn) whenever the target
-    grid is materializable.  Beyond the cap the identity is certified by the
-    transversal-product decomposition: (i) the coset counts match exactly,
-    (ii) the diagonal-shift conjugation carries every source-layer atom
-    exactly onto the same-coordinate atom two layers deeper, so each
-    prefix+representative word IS the canonical representative word of a
-    distinct target tag (a coordinate bijection), and (iii) sampled
-    prefix*representative products normalize onto the target grid with the
-    canonical value.  Returns an evidence dict."""
+    Exhaustive whenever the target grid is materializable: the products
+    prefix + rep(tag), over the prefixes and the tags of cell n_from, are
+    read as one product, and (i) every product lies in cell target, (ii)
+    they land in cnt_target distinct cosets, as many as there are products,
+    so they fill the target grid once each, and (iii) every distinct
+    residue of the read carries the canonical value w_from of cell n_from
+    to the value w of cell target.  Given (i) and (ii), (iii) is the
+    equality of the two sides as functions: the left side's value on each
+    target coset is sigma(residue) w_from.  Beyond the cap the identity is
+    certified by the transversal-product decomposition: (i) the coset
+    counts match exactly, (ii) the diagonal-shift conjugation carries every
+    source-layer atom exactly onto the same-coordinate atom two layers
+    deeper, so each prefix+representative word IS the canonical
+    representative word of a distinct target tag (a coordinate bijection),
+    and (iii) sampled prefix*representative products normalize onto the
+    target grid with the canonical value.  Returns an evidence dict."""
     tw = weight.tower
     K = weight.K
     target = n_from + direction
@@ -1255,13 +1266,25 @@ def translation_recursion_check(
         "prefixes": len(prefixes),
         "target_cosets": cnt_target,
     }
+    w = grid_value(weight, target)
+    w_from = grid_value(weight, n_from)
     if cnt_target <= tag_cap:
-        lhs = f_basis(weight, n_from, tag_cap=tag_cap).translates(prefixes)
-        if lhs != f_basis(weight, target, tag_cap=tag_cap):
+        reps = [word_from_tag(tw, K, tag) for tag in grid_tags(tw, K, n_from)]
+        read = _normalize_words(tw, K, prefixes, reps)
+        step = "translation recursion %d -> %d" % (n_from, target)
+        if {t for t, _ in read.tags} != {target}:
+            raise CrossCheckFailed("%s: a product escapes the target cell"
+                                   % step)
+        if len(read.tags) != cnt_target:
             raise CrossCheckFailed(
-                "translation recursion %d -> %d failed exhaustively"
-                % (n_from, target)
-            )
+                "%s: the products land in %d cosets, not the %d of the "
+                "target grid" % (step, len(read.tags), cnt_target))
+        moved = _transport(weight, read.residues, np.broadcast_to(
+            w_from, (len(read.residues), weight.dim)))
+        if (moved != w).any():
+            raise CrossCheckFailed(
+                "%s: a residue moves the canonical value off the target's"
+                % step)
         evidence["mode"] = "exhaustive"
         return evidence
     # certificate mode
@@ -1285,8 +1308,6 @@ def translation_recursion_check(
                     "conjugation does not shift layer %d onto layer %d"
                     % (k, k + 2)
                 )
-    w = grid_value(weight, target)
-    w_from = grid_value(weight, n_from)
     rng = random.Random(seed + 1000 * n_from + direction)
     span = grid_layer_span(tw, K, n_from)
     products = []

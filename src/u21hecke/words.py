@@ -42,12 +42,12 @@ Every sum and product there is one flat take through the tower's array
 methods (Tower.plus, times and plus_times, uint16 indices up to Q = 256),
 with gathers from its neg, inv and frob tables, and a column step whose
 coefficients are all 0 is skipped.  The coordinates become grid indices by
-table lookups and one int64 Horner pass per cell (_grid_indices), numbered
-by one np.unique.  The result is a tag id per pair into the list of each
-read's distinct tags, and the (N, 9) residue rows.  A word of any other
-form gets the id -1, and a word that fails a certificate raises the scalar
-route's error.  The product read (_normalize_words, memoized by
-_product_read) numbers the batch's tags and residues, refuses a word it does
+table lookups and one Horner pass per cell (_grid_indices).  The result is
+the shift and the grid index of each pair, and the (N, 9) residue rows.  A
+word of any other form gets the index -1, and a word that fails a
+certificate raises the scalar route's error.  The product read
+(_normalize_words, memoized by _product_read) numbers the batch's tags, by
+one np.lexsort over (shift, index), and its residues, refuses a word it does
 not carry (NotApplicable), and is the one production read of a coset or
 residue (_residues_in_compact, or _compact_residues on a part of a read).
 The scalar nf_uak reads a word's Mat3 matrix of series; it, tag_of and
@@ -56,7 +56,6 @@ tracer.
 """
 
 import math
-from itertools import repeat
 
 import numpy as np
 
@@ -242,8 +241,8 @@ def sort_unipotent_mix(tower, atoms, lower_first=True):
 
 
 # A grid index below this bound fits int64, where nf_uak_batch joins the
-# digits of a whole cell at once; a cell of more cosets is joined in Python
-# ints (_grid_indices).
+# digits of a whole cell at once; the indices of a cell of more cosets are
+# Python ints, in an object array (_grid_indices).
 _INDEX_LIMIT = 2**63
 
 
@@ -635,33 +634,19 @@ def _distinct(a):
 
 def _grid_indices(tower, K, t, coords):
     """The grid index (tag_from_coords) of each row of the (N, 2L) array of
-    layer coordinates of shift cell t, numbered: (ids, indices), where row
-    r has the index indices[ids[r]] and indices lists the distinct indices
-    in increasing order.  Each layer's pairs become digits by one lookup in
-    its position table (layer_positions); _read_cell has checked the
-    unipotent relation, so every pair is a layer coordinate.  The digits
-    are joined by a Horner pass in int64; in a cell of more than
-    _INDEX_LIMIT cosets, where int64 would overflow, they are joined in
-    Python ints, once per distinct row of digits."""
+    layer coordinates of shift cell t, as an (N,) array: int64, or object
+    dtype holding Python ints in a cell of more than _INDEX_LIMIT cosets,
+    where int64 would overflow.  Each layer's pairs become digits by one
+    lookup in its position table (layer_positions); _read_cell has checked
+    the unipotent relation, so every pair is a layer coordinate.  The
+    digits are joined by one Horner pass over the layers."""
     Q, layers = tower.Q, _cell_layers(tower, K, t)
     sizes = [len(cs) for _, cs, _ in layers]
-    digits = np.empty((len(coords), len(layers)), dtype=np.int64)
-    for n, (_, _, pos) in enumerate(layers):
-        digits[:, n] = pos[coords[:, 2 * n] * Q + coords[:, 2 * n + 1]]
-    if math.prod(sizes) <= _INDEX_LIMIT:
-        index = np.zeros(len(coords), dtype=np.int64)
-        for n, size in enumerate(sizes):
-            index = index * size + digits[:, n]
-        indices, ids = np.unique(index, return_inverse=True)
-        return ids, indices.tolist()
-    rows, ids = np.unique(digits, axis=0, return_inverse=True)
-    indices = []
-    for row in rows.tolist():
-        i = 0
-        for size, digit in zip(sizes, row):
-            i = i * size + digit
-        indices.append(i)
-    return ids.reshape(-1), indices
+    wide = math.prod(sizes) > _INDEX_LIMIT
+    index = np.zeros(len(coords), dtype=object if wide else np.int64)
+    for n, ((_, _, pos), size) in enumerate(zip(layers, sizes)):
+        index = index * size + pos[coords[:, 2 * n] * Q + coords[:, 2 * n + 1]]
+    return index
 
 
 def nf_uak_batch(tower, K, heads, tails=((),), pairs=None):
@@ -670,13 +655,14 @@ def nf_uak_batch(tower, K, heads, tails=((),), pairs=None):
     default pairs reads every word of heads with the single empty tail, so
     nf_uak_batch(tower, K, words) reads a plain list of words.
 
-    Returns (ids, tags, residues): ids[r] is the position in the list tags
-    of the tag of pair r, or -1 where the batch does not carry its word;
-    tags lists the distinct tags of each read, read by read, so a tag read
-    under two pivots is listed once for each (the caller numbers them, as
-    _product_read does in one pass over all its chunks); residues is the
-    (N, 9) uint16 array of the residue rows (row-major GammaElem entries;
-    zero where the word is not carried).
+    Returns (shifts, indices, residues), one row per pair: pair r lies in
+    the coset of tag (shifts[r], indices[r]), and residues is the (N, 9)
+    uint16 array of the residue rows (row-major GammaElem entries).  shifts
+    is int64; indices is int64, or object dtype holding Python ints when a
+    cell of the call has more than _INDEX_LIMIT cosets (_grid_indices).
+    Where the batch does not carry the word of a pair, its index is -1,
+    its shift 0 and its residue row zero.  The tags are not numbered here:
+    the caller numbers them over all its calls, as _product_read does.
 
     The batch carries words whose atoms are "a", "b", and "n", "np" or "d"
     atoms with entries that are exact monomials or exact zero.  Their
@@ -689,8 +675,7 @@ def nf_uak_batch(tower, K, heads, tails=((),), pairs=None):
     are stacked again, so the row minima, the shift and the pivot are found
     once for the whole call, and the read of nf_uak and the residue read of
     reduce_to_gamma run once per distinct (shift, pivot).  Within one such
-    read the coordinates become grid indices (_grid_indices), and a tag
-    pair is built once per distinct index, with no dict.  A matrix that
+    read the coordinates become grid indices (_grid_indices).  A matrix that
     fails the unipotent relation, the membership of k in K or the residue
     unitarity raises the scalar route's error (RelationViolated,
     CrossCheckFailed, MembershipViolated); it is never routed around."""
@@ -698,9 +683,9 @@ def nf_uak_batch(tower, K, heads, tails=((),), pairs=None):
     if pairs is None:
         pairs = [(i, 0) for i in range(len(heads))]
     hi, ti = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
-    ids = np.full(len(hi), -1, dtype=np.intp)
+    shifts = np.zeros(len(hi), dtype=np.int64)
+    indices = np.full(len(hi), -1, dtype=np.int64)
     residues = np.zeros((len(hi), 9), dtype=np.uint16)
-    tags = []
     # column of each carried head in the stacked head block, -1 elsewhere
     col, blocks, n = np.full(len(heads), -1, dtype=np.intp), [], 0
     for sig, (hs, cs) in _by_signature(tower, heads, _distinct(hi)).items():
@@ -710,7 +695,7 @@ def nf_uak_batch(tower, K, heads, tails=((),), pairs=None):
         blk.times_word(sig, cs)
         blocks.append(blk)
     if not blocks:
-        return ids, [], residues
+        return shifts, indices, residues
     head_blk = _Block.stack(tower, blocks)
     hcol = col[hi]
     rows, blocks = [], []
@@ -725,7 +710,7 @@ def nf_uak_batch(tower, K, heads, tails=((),), pairs=None):
             rows.append(sel)
             blocks.append(blk)
     if not blocks:
-        return ids, [], residues
+        return shifts, indices, residues
     blk = _Block.stack(tower, blocks)
     rows = np.concatenate(rows)
     lat = _LATTICE[K]
@@ -740,19 +725,21 @@ def nf_uak_batch(tower, K, heads, tails=((),), pairs=None):
         shift, pivot = divmod(kv, 3)
         part = blk if len(sub) == len(rows) else blk.take(sub)
         coords, m = _read_cell(part, K, shift, pivot)
-        local, indices = _grid_indices(tower, K, shift, coords)
-        ids[rows[sub]] = local + len(tags)
-        tags.extend(zip(repeat(shift), indices))
+        index = _grid_indices(tower, K, shift, coords)
+        if index.dtype != indices.dtype:
+            indices = indices.astype(object)
+        shifts[rows[sub]] = shift
+        indices[rows[sub]] = index
         residues[rows[sub]] = m
-    return ids, tags, residues
+    return shifts, indices, residues
 
 
 # Words per nf_uak_batch call, which bounds its arrays whatever the cell
-# size.  On the 19,683 words of the recursion step 2 -> 3 at q = 3 (K0),
-# under the whole-call read (min of 7): chunks of 4096 took 0.25-0.30 s
-# with a traced peak 3.6 MB above the 13 MB of stored results; chunks of 512
-# took 0.32-0.48 s and 0.3 MB, and one chunk of 32768 0.23-0.30 s and
-# 21.6 MB.
+# size.  On the 19,683 words of the recursion step 2 -> 3 at q = 3 (K0), one
+# product read (min of 7, CPython 3.11, numpy 2.4, one core of a shared
+# 2-CPU host): chunks of 4096 took 0.024 s with a traced peak 2.4 MB above
+# the 2.0 MB of the stored record; chunks of 512 took 0.050 s and 1.3 MB,
+# and one chunk of 32768 0.022 s and 16.7 MB.
 _BATCH_CHUNK = 4096
 
 
@@ -795,44 +782,53 @@ def _product_read(tower, K, heads, tails):
     column operations.  NotApplicable for a word the batch does not carry:
     it has no other production read.
 
-    The tags are numbered once, here: nf_uak_batch lists each read's tags
-    without numbering them, so one tag can be listed by several reads
-    (chunks, or pivots within a chunk).  One dict maps each listed tag to
-    its last place in the list, in one pass, and these places are ranked
-    in order of first appearance among the words.  The residues are
-    numbered by gfmat.row_ids over their entries."""
+    The tags are numbered once, here, from the shift and grid index of
+    every word (_first_appearance), and one tuple is built per distinct
+    tag.  The residues are numbered by gfmat.row_ids over their entries."""
     nh, n = len(heads), len(heads) * len(tails)
-    # the place of each word's tag in the list of listed tags
-    at = np.empty(n, dtype=np.intp)
+    shifts = np.empty(n, dtype=np.int64)
     rows = np.empty((n, 9), dtype=np.uint16)
-    listed = []
+    parts = [np.zeros(0, dtype=np.int64)]
     for start in range(0, n, _BATCH_CHUNK):
         chunk = slice(start, min(n, start + _BATCH_CHUNK))
         words = np.arange(chunk.start, chunk.stop)
         pairs = np.stack([words % nh, words // nh], axis=1)
-        ids, tags, residues = nf_uak_batch(tower, K, heads, tails, pairs)
-        if (ids < 0).any():
+        shifts[chunk], index, rows[chunk] = nf_uak_batch(tower, K, heads,
+                                                         tails, pairs)
+        if (index < 0).any():
             raise NotApplicable(
                 "word %d of a product read is not a word of exact monomial "
-                "atoms" % (start + int(np.argmax(ids < 0))))
-        rows[chunk] = residues
-        at[chunk] = ids + len(listed)
-        listed += tags
-    last = dict(zip(listed, range(len(listed))))
-    place = np.fromiter(map(last.__getitem__, listed), np.intp, len(listed))
-    places, earliest, tag_ids = np.unique(place[at], return_index=True,
-                                          return_inverse=True)
-    # number the tags in order of first appearance
-    order = np.argsort(earliest)
-    rank = np.empty(len(order), dtype=np.intp)
-    rank[order] = np.arange(len(order))
+                "atoms" % (start + int(np.argmax(index < 0))))
+        parts.append(index)
+    indices = np.concatenate(parts)
+    tag_ids, firsts = _first_appearance(shifts, indices)
     res_ids, first = gfmat.row_ids(rows)
     return ProductRead(
-        rank[tag_ids],
-        [listed[i] for i in places[order].tolist()],
+        tag_ids,
+        zip(shifts[firsts].tolist(), indices[firsts].tolist()),
         res_ids,
         [GammaElem(tower, K, row) for row in rows[first].tolist()],
     )
+
+
+def _first_appearance(shifts, indices):
+    """Number the pairs (shifts[r], indices[r]) in order of first
+    appearance: (ids, firsts), where pairs r and s are equal exactly when
+    ids[r] == ids[s], and firsts[k] is the first r of id k.  One np.lexsort
+    over (shift, index) brings equal pairs together, for int64 and for
+    object indices alike; it is stable, so each run of equal pairs starts
+    at its first r, and the runs are ranked by it."""
+    order = np.lexsort((indices, shifts))
+    s, i = shifts[order], indices[order]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = (s[1:] != s[:-1]) | (i[1:] != i[:-1])
+    firsts = order[new]
+    by_first = np.argsort(firsts)
+    rank = np.empty(len(firsts), dtype=np.intp)
+    rank[by_first] = np.arange(len(firsts))
+    ids = np.empty(len(order), dtype=np.intp)
+    ids[order] = rank[np.cumsum(new) - 1]
+    return ids, firsts[by_first]
 
 
 def _residues_in_compact(tower, K, words):

@@ -16,8 +16,9 @@ def expand(read):
 def expand_batch(tower, K, out):
     """The (tag, residue) of every pair of an nf_uak_batch result, None for
     a word the batch does not carry."""
-    ids, tags, residues = out
+    shifts, indices, residues = out
     return [
-        None if i < 0 else (tags[i], GammaElem(tower, K, row))
-        for i, row in zip(ids.tolist(), residues.tolist())
+        None if i < 0 else ((t, i), GammaElem(tower, K, row))
+        for t, i, row in zip(shifts.tolist(), indices.tolist(),
+                             residues.tolist())
     ]

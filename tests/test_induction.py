@@ -1,6 +1,7 @@
 """Compactly induced functions: normalized storage, grid form, the two-sum
 averaging operators, structure constants, translation recursion, spans."""
 
+import functools
 import itertools
 import random
 import tracemalloc
@@ -356,7 +357,7 @@ def test_translates_match_pairs_oracle(monkeypatch):
         reads.clear()
         with pytest.raises(NotApplicable):
             rough.g_act((unit,))
-        assert reads and all((ids < 0).all() for ids, _, _ in reads)
+        assert reads and all((index < 0).all() for _, index, _ in reads)
         torus = (W.torus_atom(tw, *W.torus_generator_pairs(tw)[0]),)
         assert rough.g_act(torus) == oracle(rough, [torus])
         assert rough.translates(prefixes[:3]) == oracle(rough, prefixes[:3])
@@ -739,8 +740,8 @@ def test_coset_normalize_inverts_no_series(monkeypatch):
         for word in words:
             I.nf_uak(tw, K, word)
             I.coset_normalize(tw, K, word)
-        ids, _, _ = nf_uak_batch(tw, K, batch)
-        assert (ids >= 0).all()
+        _, indices, _ = nf_uak_batch(tw, K, batch)
+        assert (indices >= 0).all()
     assert calls == []
     for K in BOTH:
         assert expand_batch(tw, K, nf_uak_batch(tw, K, batch)) == [
@@ -952,7 +953,7 @@ def test_grid_values_match_nf_kau_read(monkeypatch):
     def batch_spy(tower, K, heads, tails=((),), pairs=None,
                   _orig=words.nf_uak_batch):
         read = _orig(tower, K, heads, tails, pairs)
-        batched.append(read[0])
+        batched.append(read[1])
         return read
 
     monkeypatch.setattr(I, "_cell_images", values_spy)
@@ -974,7 +975,7 @@ def test_grid_values_match_nf_kau_read(monkeypatch):
                     assert np.array_equal(values, [
                         _nf_kau_eval(elem, x) for x in pts
                     ])
-    assert batched and all((ids >= 0).all() for ids in batched)
+    assert batched and all((index >= 0).all() for index in batched)
 
 
 @pytest.mark.parametrize("p", [3, 5])
@@ -1177,6 +1178,131 @@ def test_translation_recursion_q5(tower5):
         assert (ev["target_cosets"], ev["mode"]) == (count, mode)
     assert q**7 > I.DEFAULT_TAG_CAP
     assert ev["sampled"] == 64 and ev["distinct_hits"] > 32
+
+
+def _recursion_steps(tower, K):
+    """Every step (n_from, direction) within DEFAULT_N_MAX whose target
+    grid is within DEFAULT_TAG_CAP: the exhaustive steps."""
+    return [
+        (n, d) for d in (1, -1) for n in range(0, d * I.DEFAULT_N_MAX, d)
+        if I.grid_count(tower, K, n + d) <= I.DEFAULT_TAG_CAP
+    ]
+
+
+def test_exhaustive_recursion_matches_function_oracle(tower, catalog):
+    """On every exhaustive q = 3 step at both compacts, for trivial,
+    steinberg and det1, translation_recursion_check holds exactly when the
+    materialized functions agree: f_basis(w, n).translates(prefixes) ==
+    f_basis(w, n + direction).  Both verdicts occur: the step 0 -> 1
+    carries v0 onto cell 1, whose canonical value is sigma(beta) v0, so it
+    fails where sigma(beta) moves v0 (steinberg and det1)."""
+    verdicts = set()
+    for K in BOTH:
+        steps = _recursion_steps(tower, K)
+        deepest = {K0: 2, K1: 1}[K]
+        assert steps == [(n, 1) for n in range(deepest + 1)] + [(0, -1),
+                                                               (-1, -1)]
+        for label in ("trivial", "steinberg", "det1"):
+            w = catalog[(K, label)]
+            for n, d in steps:
+                prefixes = I.translation_prefixes(tower, K, n, d)
+                oracle = I.f_basis(w, n).translates(prefixes) == I.f_basis(
+                    w, n + d)
+                try:
+                    ev = I.translation_recursion_check(w, n, d)
+                    holds = ev["mode"] == "exhaustive"
+                except CrossCheckFailed:
+                    holds = False
+                assert holds == oracle, (K, label, n, d)
+                verdicts.add(holds)
+                moves = (I.grid_value(w, 1) != I.grid_value(w, 0)).any()
+                if (n, d) == (0, 1):
+                    assert holds != moves
+    assert verdicts == {True, False}
+
+
+def test_exhaustive_recursion_builds_no_function(monkeypatch, tower,
+                                                 catalog):
+    """The exhaustive steps build no InducedFn, and call neither f_basis
+    nor InducedFn.__eq__, whether they hold or fail (steinberg's step
+    0 -> 1)."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the exhaustive recursion built a function")
+
+    monkeypatch.setattr(I, "f_basis", refuse)
+    monkeypatch.setattr(I.InducedFn, "__init__", refuse)
+    monkeypatch.setattr(I.InducedFn, "__eq__", refuse)
+    for K in BOTH:
+        w = catalog[(K, "steinberg")]
+        for n, d in _recursion_steps(tower, K):
+            try:
+                ev = I.translation_recursion_check(w, n, d)
+            except CrossCheckFailed:
+                assert (n, d) == (0, 1)
+            else:
+                assert ev["mode"] == "exhaustive"
+
+
+def _moved_tag(weight, read):
+    """The read with its first tag moved to the next cell."""
+    (t, i), rest = read.tags[0], read.tags[1:]
+    return words.ProductRead(read.tag_ids, ((t + 1, i),) + rest,
+                             read.res_ids, read.residues)
+
+
+def _shared_tag(weight, read):
+    """The read with the words of its second tag moved onto its first, so
+    that the tags number one less than the words."""
+    ids = read.tag_ids.copy()
+    ids[ids == 1] = 0
+    ids[ids > 1] -= 1
+    return words.ProductRead(ids, read.tags[:1] + read.tags[2:],
+                             read.res_ids, read.residues)
+
+
+def _moving_residue(weight, read):
+    """The read with its first residue swapped for a generator of the
+    residue group that moves the canonical value of cell 0 off that of
+    cell -1."""
+    tw, K = weight.tower, weight.K
+    w_from, w = I.grid_value(weight, 0), I.grid_value(weight, -1)
+    bad = [g for g in W.gamma_generators(tw, K)
+           if (I._transport(weight, [g], w_from[None]) != w).any()]
+    assert bad
+    return words.ProductRead(read.tag_ids, read.tags, read.res_ids,
+                             bad[:1] + list(read.residues[1:]))
+
+
+@pytest.mark.parametrize("doctor, match", [
+    (_moved_tag, "escapes the target cell"),
+    (_shared_tag, "land in 80 cosets, not the 81"),
+    (_moving_residue, "a residue moves the canonical value"),
+], ids=["moved_tag", "shared_tag", "moving_residue"])
+def test_doctored_read_fails_the_exhaustive_recursion(monkeypatch, tower,
+                                                      catalog, doctor,
+                                                      match):
+    """The exhaustive step 0 -> -1 of steinberg at both compacts, with its
+    product read doctored: a tag moved to another cell, two words on one
+    tag, or a residue that moves the source value off the target's, each
+    raise CrossCheckFailed naming the check that fails.  The undoctored
+    read passes through the same patch."""
+    reads = []
+
+    def read(tower, K, heads, tails=((),), _orig=I._normalize_words):
+        out = _orig(tower, K, heads, tails)
+        reads.append(out)
+        return fault(out)
+
+    monkeypatch.setattr(I, "_normalize_words", read)
+    for K in BOTH:
+        w = catalog[(K, "steinberg")]
+        fault = lambda out: out
+        assert I.translation_recursion_check(w, 0, -1)["mode"] == (
+            "exhaustive")
+        fault = functools.partial(doctor, w)
+        with pytest.raises(CrossCheckFailed, match=match):
+            I.translation_recursion_check(w, 0, -1)
+    assert len(reads) == 4
 
 
 def test_equivariance_spots(tower, catalog):

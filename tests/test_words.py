@@ -372,16 +372,17 @@ def test_uncarried_words_are_refused():
         assert [_atom_form(tw, a) is None for a in sample] == [False] * 4 + [True] * 2
         bases = [word_from_tag(tw, K, t) for t in I.grid_tags(tw, K, -1)][:20]
         words = [b + (a,) for b in bases for a in sample]
-        ids, _, _ = nf_uak_batch(tw, K, words)
-        assert (ids < 0).tolist() == [a[0] == "d" for _ in bases for a in sample]
-        assert (ids < 0).sum() == 2 * len(bases)
-        refused = [w for w, i in zip(words, ids.tolist()) if i < 0]
+        _, indices, _ = nf_uak_batch(tw, K, words)
+        assert (indices < 0).tolist() == [a[0] == "d" for _ in bases
+                                          for a in sample]
+        assert (indices < 0).sum() == 2 * len(bases)
+        refused = [w for w, i in zip(words, indices.tolist()) if i < 0]
         for batch in (refused[:1], refused, words):
             with pytest.raises(NotApplicable):
                 words_mod._normalize_words(tw, K, batch)
         # the scalar read still reads them, into the cell of their base
         assert {oracle(tw, K, w)[0][0] for w in refused} == {-1}
-        carried = [w for w, i in zip(words, ids.tolist()) if i >= 0]
+        carried = [w for w, i in zip(words, indices.tolist()) if i >= 0]
         read = expand(words_mod._normalize_words(tw, K, carried))
         assert read == [oracle(tw, K, w) for w in carried]
 
@@ -393,7 +394,7 @@ def test_batch_raises_on_a_corrupt_row(monkeypatch):
     tw = Tower(3, 1)
     good = [word_from_tag(tw, K0, t) for t in I.grid_tags(tw, K0, -1)]
     bad = word_from_tag(tw, K0, list(I.grid_tags(tw, K0, 1))[-1])
-    assert nf_uak_batch(tw, K0, good + [bad])[0][-1] >= 0
+    assert nf_uak_batch(tw, K0, good + [bad])[1][-1] >= 0
     monkeypatch.setitem(words_mod._LATTICE, K0, words_mod._LATTICE[K1])
     read = expand_batch(tw, K0, nf_uak_batch(tw, K0, good))
     assert read == [oracle(tw, K0, w) for w in good]
@@ -629,9 +630,9 @@ def test_grid_index_follows_coordinate_order(q, n, K, tower, tower5):
         step = np.diff(coords.astype(np.int32), axis=0)
         lead = step[np.arange(len(step)), (step != 0).argmax(axis=1)]
         assert (lead > 0).all()
-    ids, indices = words_mod._grid_indices(tw, K, n, coords)
-    assert indices == list(range(count))
-    assert np.array_equal(ids, np.arange(count))
+    index = words_mod._grid_indices(tw, K, n, coords)
+    assert index.dtype == np.int64
+    assert np.array_equal(index, np.arange(count))
     for i in sorted({*range(0, count, -(-count // 4096)), count - 1}):
         old = tuple(
             (k, int(coords[i, 2 * c]), int(coords[i, 2 * c + 1]))
@@ -643,21 +644,55 @@ def test_grid_index_follows_coordinate_order(q, n, K, tower, tower5):
         tag_coords(tw, K, (n, count))
 
 
+def wide_cell_words(tw, K):
+    """The tags of cell -10 at q = 3, which has 81^10 > 2^63 cosets, drawn
+    across the whole grid (indices above and below 2^63), and their
+    representative words."""
+    count = I.grid_count(tw, K, -10)
+    assert count > words_mod._INDEX_LIMIT
+    rng = random.Random(1010)
+    tags = [(-10, rng.randrange(count)) for _ in range(6)]
+    tags += [(-10, 0), (-10, count - 1), (-10, 2**63 - 1), (-10, 2**63)]
+    return tags, [word_from_tag(tw, K, tag) for tag in tags]
+
+
 def test_grid_indices_past_int64():
-    """Cell -10 at q = 3 has 81^10 > 2^63 cosets: the batch numbers its
-    tags in exact Python ints, as tag_of does, for words drawn across the
-    whole grid (indices above and below 2^63)."""
+    """The batch gives the grid indices of cell -10 as exact Python ints,
+    as tag_of does."""
     tw = Tower(3, 1)
     for K in (K0, K1):
-        count = I.grid_count(tw, K, -10)
-        assert count > words_mod._INDEX_LIMIT
-        rng = random.Random(1010)
-        tags = [(-10, rng.randrange(count)) for _ in range(6)]
-        tags += [(-10, 0), (-10, count - 1), (-10, 2**63 - 1), (-10, 2**63)]
-        words = [word_from_tag(tw, K, tag) for tag in tags]
-        ids, found, _ = nf_uak_batch(tw, K, words)
-        assert [found[i] for i in ids.tolist()] == tags
+        tags, words = wide_cell_words(tw, K)
+        shifts, indices, _ = nf_uak_batch(tw, K, words)
+        assert indices.dtype == object
+        assert list(zip(shifts.tolist(), indices.tolist())) == tags
         assert [tag_of(tw, K, w) for w in words] == tags
+
+
+@pytest.mark.parametrize("chunk", [4096, 3])
+def test_product_read_numbers_wide_tags(monkeypatch, chunk):
+    """The product read numbers the tags of cell -10 (object indices) on
+    the one path of int64 ones: over batch calls of chunk words, on the
+    words of test_grid_indices_past_int64, some of them again in reverse
+    order, and one word of cell -1 (int64 indices) among them, the tags
+    are those of tag_of in order of first appearance, and the id of every
+    word names its tag.  An empty product is an empty record."""
+    tw = Tower(3, 1)
+    monkeypatch.setattr(words_mod, "_BATCH_CHUNK", chunk)
+    for K in (K0, K1):
+        _, wide = wide_cell_words(tw, K)
+        words = wide[:5] + [word_from_tag(tw, K, (-1, 5))] + wide[5:]
+        words += words[::-2]
+        read = words_mod._normalize_words(tw, K, words)
+        expected = [tag_of(tw, K, w) for w in words]
+        assert read.tags == tuple(dict.fromkeys(expected))
+        assert len(read.tags) == len(wide) + 1
+        assert [read.tags[t] for t in read.tag_ids.tolist()] == expected
+        assert expand(read) == [oracle(tw, K, w) for w in words]
+        for heads, tails in (([], [()]), (words, [])):
+            empty = words_mod._normalize_words(tw, K, heads, tails)
+            assert len(empty) == 0
+            assert empty.tags == () and empty.residues == ()
+            assert empty.tag_ids.shape == empty.res_ids.shape == (0,)
 
 
 def test_grid_index_fallback_matches_tag_of(monkeypatch):
@@ -670,9 +705,10 @@ def test_grid_index_fallback_matches_tag_of(monkeypatch):
         words = [word_from_tag(tw, K, t) for n in (-2, -1, 0, 1, 2)
                  for t in I.grid_tags(tw, K, n)][::37]
         words += [w + (atom_beta(),) for w in words[:40]]
-        ids, tags, _ = nf_uak_batch(tw, K, words)
-        assert (ids >= 0).all()
-        assert [tags[i] for i in ids.tolist()] == [tag_of(tw, K, w) for w in words]
+        shifts, indices, _ = nf_uak_batch(tw, K, words)
+        assert (indices >= 0).all()
+        assert list(zip(shifts.tolist(), indices.tolist())) == [
+            tag_of(tw, K, w) for w in words]
 
 
 # ---- column operations of the batched read --------------------------------
