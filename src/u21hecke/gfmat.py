@@ -13,8 +13,9 @@ or by one such step per pivot when few pivots or few factors are in use
 A row space is grown by one route: Basis.extend reduces a block of rows
 modulo the basis (one _clear), takes the rref of what is left and clears
 the new pivots in the old rows (one more _clear).  Basis.add is that with
-a one-row block, Basis.reduce and Basis.contains read a block or one vector
-through the same _clear, and membership is a reduction to zero.
+a one-row block, and Basis.reduce, contains and coords read a block or one
+vector through the same _clear: a member reduces to zero, and its
+coordinates are its entries at the pivots.
 """
 
 import numpy as np
@@ -266,6 +267,12 @@ class Basis:
 
     def contains(self, v):
         return not self.reduce(v).any()
+
+    def coords(self, v):
+        """The coordinates of v (one vector, or a matrix row by row), read
+        at the pivots once v is certified in the span; None if it is not."""
+        v = np.asarray(v, dtype=np.uint16)
+        return None if self.reduce(v).any() else v[..., self._pivots]
 
     @property
     def dim(self):

@@ -11,20 +11,20 @@ a product of two word lists by InducedFn._from_words: prefixes times tag
 representatives, or representatives times the stencil suffixes of T.  Every
 landing coset membership is certified by the residue reduction.  The words
 of one operation are normalized together, as one product read
-(words._normalize_words), the one production read of a coset: it is kept
-as one record of tag ids and residue ids, and a word of any form other
-than exact monomial atoms is refused.  The scalar coset_normalize, which
-reads a word through its Mat3 matrix of series, has no caller here: it
-serves the tests as the oracle of the product read, and the benchmark's
-tracer.
+(words._normalize_words), the one production read of a coset: it is kept as
+one record of tag ids, residue ids and the (r, 9) array of its distinct
+residue rows, and a word of any form other than exact monomial atoms is
+refused.  The scalar coset_normalize, which reads a word through its Mat3
+matrix of series, has no caller here: it serves the tests as the oracle of
+the product read, and the benchmark's tracer.
 
-Values are transported a call at a time (_transport_ids, on the residue
-ids of a read): each distinct (residue, vector) pair is moved once, by the
-weight's array action (Weight.apply) on the rows of the residues in use,
-in blocks bounded by _TRANSPORT_ENTRIES, with no matrix per residue; the
-rows are summed per coset (_merge, on the tag ids) or per point as
-arrays.  A grid-operator call makes one such transport for all its
-elements (_cell_images).
+Residues travel as such rows, the format of the weight's array action
+(Weight.apply).  Values are transported a call at a time (_transport_ids,
+on ids into an array of residue rows): each distinct (id, vector) pair is
+moved once, by Weight.apply, in blocks bounded by _TRANSPORT_ENTRIES, with
+no matrix per residue; the rows are summed per coset (_merge, on the tag
+ids) or per point as arrays.  A grid-operator call makes one such
+transport for all its elements (_cell_images).
 
 The span of the compact translates of f_n (spin_K) lives on a fixed tag
 index, the orbit of the support under the lifts of gamma_generators, each
@@ -57,16 +57,17 @@ image of an element is sum_n c_n image_n, on (points, dim) arrays.  The
 one-element evaluations GridElement.values_at, values_at_inverses and
 eval_at are the same function with no reduction.  T reads its windows and
 its points as one product (_t_rows).  op_T_grids reads T through its
-adjoint stencil and is the route of the structure
-constants; the materialized op_T stays as the test oracle and the route of
-op_T_sigma and equivariance_spot_check.  Both read T's rank-one
-idempotent j = v0 ell^T through its certified factors (Weight.j_factors),
-a stencil residue g as the row sigma(g)^T ell (_ell_rows).  op_T gives
-each word rep(tag) s the value (L_s . f(tag)) v0 (_t_stencil_rows), one
-product for all words.  The adjoint stencil folds into two tables per
-weight, L_s = sigma(g_s')^T ell and R_s = sigma(r_s) v0 (_t_tables), and
-(T F)(x) = sum_s (L_s . F(s^-1 x)) R_s is one product and one matrix
-product per call, besides the one transport of the grid values.
+adjoint stencil and is the route of the structure constants; the
+materialized op_T stays as the test oracle and the route of op_T_sigma
+and equivariance_spot_check.  Both read T's rank-one idempotent
+j = v0 ell^T through its certified factors (Weight.j_factors).  op_T gives
+each word rep(tag) s the value (L_s . f(tag)) v0, with L_s =
+sigma(g_s)^T ell for the stencil residue g_s (_t_stencil_rows), one
+product for all words.  The adjoint stencil names each suffix's partner s'
+and residue r_s (_t_adjoint); with the tables L_s' and R_s = sigma(r_s) v0
+of a weight (_t_tables), (T F)(x) = sum_s (L_s' . F(s^-1 x)) R_s is one
+product and one matrix product per call, besides the one transport of the
+grid values.
 
 A word that lies in the compact lies in the coset K itself, tag (0, 0),
 whose representative alpha^0 is the identity, so its residue is the
@@ -79,13 +80,15 @@ read (_sk_read).
 Deep shifts are reached by the translation recursion
     f_{n+1} = sum_{w} w . (alpha . f_n)
 with w running over the shallow layer transversal being re-exposed by the
-shift; combined with the (machine-checked) translation equivariance of T,
-this certifies the operator identities far beyond the range where the raw
-two-sum expansion is computable.  A step whose target cell is within the
-tag cap is checked exhaustively on one product read of the prefixes times
-the representatives of the source cell, with no function built: the
-products fill the target grid once each, and each distinct residue carries
-the source cell's value to the target's (translation_recursion_check).
+shift (alpha beta_K in place of alpha on the step 0 -> 1, which carries
+the value v0 of f_0 to the value sigma(beta_K) v0 of f_1); combined with
+the (machine-checked) translation equivariance of T, this certifies the
+operator identities far beyond the range where the raw two-sum expansion
+is computable.  A step whose target cell is within the tag cap is checked
+exhaustively on one product read of the prefixes times the representatives
+of the source cell, with no function built: the products fill the target
+grid once each, and each distinct residue carries the source cell's value
+to the target's (translation_recursion_check).
 """
 
 import functools
@@ -127,6 +130,7 @@ from .weights import (
     gamma_lower_generators,
     gamma_upper_generators,
     inverse_rows,
+    _entry_products,
 )
 from .words import (
     _compact_residues,
@@ -189,33 +193,16 @@ def _apply(tw, M, rows):
     return out
 
 
-def _residue_ids(gammas):
-    """The residues of a list of one compact numbered by their entries
-    (gfmat.row_ids): an id array, and the distinct residues in id order."""
-    ids, first = gfmat.row_ids(
-        np.array([gamma.m for gamma in gammas], dtype=np.uint16).reshape(-1, 9)
-    )
-    return ids, [gammas[i] for i in first.tolist()]
-
-
-def _transport(weight, gammas, vecs, inverse=False):
-    """sigma(gamma_i) v_i for every row i, or sigma(gamma_i^-1) v_i with
-    inverse, where vecs is an (n, dim) array; returns an (n, dim) array."""
-    return _transport_ids(weight, *_residue_ids(gammas), vecs, inverse)
-
-
 def _transport_ids(weight, ids, residues, vecs, inverse=False):
     """sigma(residues[ids[i]]) v_i for every row i of the (n, dim) array
-    vecs, or the inverse residues with inverse, where the residues are
-    distinct; a residue that no id names is skipped.
+    vecs, or the inverse residues with inverse, for any (r, 9) array of
+    residue rows (a read's ProductRead.residues among them).
 
-    Each distinct (residue, row) pair is transported once.  The pairs are
-    numbered by one gfmat.row_ids over the rows with their residue id in
-    front, whose lexicographic ids sort them by residue.  The residues in
-    use are read as one (r, 9) array of rows, inverted by one gather
-    (weights.inverse_rows) with inverse, and the pairs go to the weight's
-    action (Weight.apply) in blocks of _TRANSPORT_ENTRIES // (9 dim) rows;
-    the results are scattered back through the pair ids."""
+    Each distinct (id, row) pair is transported once: the pairs are
+    numbered by one gfmat.row_ids over the rows with their id in front,
+    which sorts them by id.  The rows in use, residues[used], are inverted
+    by one gather (weights.inverse_rows) with inverse, and the pairs go to
+    Weight.apply in blocks of _TRANSPORT_ENTRIES // (9 dim) rows."""
     vecs = np.asarray(vecs)
     # the residue id in front, in the narrowest type that holds it
     keyed = np.empty((len(vecs), 1 + vecs.shape[1]), dtype=np.promote_types(
@@ -225,8 +212,7 @@ def _transport_ids(weight, ids, residues, vecs, inverse=False):
     back, first = gfmat.row_ids(keyed)
     rows = vecs[first]
     used, res_of = np.unique(np.asarray(ids)[first], return_inverse=True)
-    gammas = np.array([residues[r].m for r in used.tolist()],
-                      dtype=np.uint16).reshape(-1, 9)
+    gammas = np.asarray(residues)[used]
     if inverse:
         gammas = inverse_rows(weight.tower, gammas)
     out = np.empty((len(rows), weight.dim), dtype=np.uint16)
@@ -501,8 +487,10 @@ def _grid_value(weight, positive):
     if positive:
         v = gfmat.matvec(tw, weight.matrix(gamma_beta(tw, weight.K)), v)
         gens = gamma_lower_generators(tw, weight.K)
-    if (_transport(weight, gens, np.broadcast_to(v, (len(gens), weight.dim)))
-            != v).any():
+    rows = np.array([g.m for g in gens], dtype=np.uint16)
+    moved = _transport_ids(weight, np.arange(len(rows)), rows,
+                           np.broadcast_to(v, (len(rows), weight.dim)))
+    if (moved != v).any():
         raise InvarianceViolated(
             "the canonical value of the %s cells is not fixed by the "
             "stabilizer of their cell point" % ("positive" if positive
@@ -583,9 +571,11 @@ def _t_read(tower, K, suffixes):
 def _t_stencil(tower, K):
     """Suffix words and compact residues of the two-sum expansion of T[1, v]:
     the N_{n_K}/N_{n_K+2} sum of [u alpha^-1, j sigma(u)^-1 v] and the
-    N_{n_K+1}/N_{n_K+2} sum of [beta_K u alpha^-1, j sigma(beta_K) v].  The
-    residues of the inverses u^-1 and of beta_K come from T's one stencil
-    read (_t_read, _compact_residues)."""
+    N_{n_K+1}/N_{n_K+2} sum of [beta_K u alpha^-1, j sigma(beta_K) v].
+    Returns the list of suffixes and the read-only (suffixes, 9) array of
+    their residue rows, those of the inverses u^-1, then beta_K's (row m - 1
+    of the compact words) for the second family, from T's one stencil read
+    (_t_read, _compact_residues)."""
     n_K, _, _ = iwahori_constants(tower, K)
     al = (atom_alpha(-1),)
     bw = beta_compact_word(K)
@@ -593,29 +583,32 @@ def _t_stencil(tower, K):
     suffixes = [u + al for u in firsts] + [
         bw + (ub,) + al for ub in layer_transversal(tower, n_K + 1)]
     read, m = _t_read(tower, K, suffixes)
-    *inverses, gb = _compact_residues(read, slice(0, m))
-    return list(zip(suffixes, inverses + [gb] * (len(suffixes) - m + 1)))
+    compact = _compact_residues(read, slice(0, m))
+    residues = compact[np.minimum(np.arange(len(suffixes)), m - 1)]
+    residues.flags.writeable = False
+    return suffixes, residues
 
 
-def _ell_rows(weight, gammas):
-    """sigma(g)^T ell for every residue g of a list, where j = v0 ell^T
-    (Weight.j_factors), as a read-only (n, dim) array: one gfmat.matvec per
-    distinct residue, spread to the list by their ids."""
-    tw = weight.tower
+def _ell_rows(weight, rows):
+    """sigma(g)^T ell for every residue row g of an (n, 9) array, where
+    j = v0 ell^T (Weight.j_factors), as a read-only (n, dim) array.  Entry
+    k is ell . sigma(g) e_k: one Weight.apply per distinct g moves the
+    identity rows, and one gfmat.matvec dots them with ell."""
+    ids, first = gfmat.row_ids(rows)
+    eye, at = gfmat.eye(weight.dim), np.zeros(weight.dim, dtype=np.intp)
     _, ell = weight.j_factors()
-    ids, distinct = _residue_ids(gammas)
-    rows = np.array([gfmat.matvec(tw, weight.matrix(g).T, ell)
-                     for g in distinct], dtype=np.uint16)[ids]
-    rows.flags.writeable = False
-    return rows
+    out = np.array([
+        gfmat.matvec(weight.tower, weight.apply(g[None], at, eye), ell)
+        for g in rows[first]], dtype=np.uint16)[ids]
+    out.flags.writeable = False
+    return out
 
 
 @memo
 def _t_stencil_rows(weight):
     """The table L of op_T, one row L_s = sigma(g_s)^T ell per stencil
     suffix s with residue g_s (_t_stencil)."""
-    stencil = _t_stencil(weight.tower, weight.K)
-    return _ell_rows(weight, [g for _, g in stencil])
+    return _ell_rows(weight, _t_stencil(weight.tower, weight.K)[1])
 
 
 def op_T(weight, f):
@@ -632,7 +625,7 @@ def op_T(weight, f):
     return InducedFn._from_words(
         weight,
         [word_from_tag(tw, K, tag) for tag in f.tags],
-        [suffix for suffix, _ in _t_stencil(tw, K)],
+        _t_stencil(tw, K)[0],
         tw.times(coeffs.T.reshape(-1, 1), weight.j_factors()[0]),
     )
 
@@ -1068,29 +1061,28 @@ def _t_adjoint(tower, K):
     grid_count(-1).  As every suffix lies in the double coset and the
     double coset lies in the cells +-1, the stencil is then the whole
     double coset.  Every s^-1 must land in a stencil coset.
-    CrossCheckFailed otherwise.  Returns the list of (s, g_s', r_s), which
-    _t_tables folds into two tables per weight; at q = 3 and 5 every g_s'
-    is the same residue, and the r_s take q^3 + 1 values at K0 and q + 1
-    at K1."""
-    stencil = _t_stencil(tower, K)
-    n = len(stencil)
-    read, m = _t_read(tower, K, [s for s, _ in stencil])
-    normal = [
-        (read.tags[t], read.residues[r])
-        for t, r in zip(read.tag_ids[m:].tolist(), read.res_ids[m:].tolist())
-    ]
-    by_tag = {tag: (i, gamma) for i, (tag, gamma) in enumerate(normal[n:])}
+    CrossCheckFailed otherwise.  Returns (partner, r), read-only: the index
+    in _t_stencil of each s', and the (suffixes, 9) rows r_s = gamma1^-1
+    gamma2, one array product (inverse_rows, _entry_products).  At q = 3
+    and 5 every s' is one suffix, and the r_s take q^3 + 1 values at K0 and
+    q + 1 at K1."""
+    suffixes, _ = _t_stencil(tower, K)
+    n = len(suffixes)
+    read, m = _t_read(tower, K, suffixes)
+    tags = [read.tags[t] for t in read.tag_ids[m:].tolist()]
+    by_tag = dict(zip(tags[n:], range(n)))
     cells = grid_count(tower, K, 1) + grid_count(tower, K, -1)
     if (len(by_tag) != n or n != cells
             or any(abs(tag[0]) != 1 for tag in by_tag)):
         raise CrossCheckFailed("the stencil is not the double coset of T")
-    if any(tag not in by_tag for tag, _ in normal[:n]):
+    partner = _positions(by_tag, tags[:n])
+    if (partner < 0).any():
         raise CrossCheckFailed("the inverted stencil leaves the stencil")
-    out = []
-    for (suffix, _), (tag, gamma1) in zip(stencil, normal[:n]):
-        i, gamma2 = by_tag[tag]
-        out.append((suffix, stencil[i][1], gamma1.inverse() * gamma2))
-    return out
+    gammas = read.residues[read.res_ids[m:]]
+    r = _entry_products(tower, inverse_rows(tower, gammas[:n]).T,
+                        gammas[n:][partner].T, range(9)).T
+    partner.flags.writeable = r.flags.writeable = False
+    return partner, r
 
 
 def _t_reach(shifts):
@@ -1106,8 +1098,7 @@ def _t_rows(tower, K, reach):
     inverses of the points s^-1 alpha^-j at which op_T_grids reads its
     input."""
     heads = [(atom_alpha(j),) for j in range(-reach, reach + 1)]
-    suffixes = [s for s, _ in _t_stencil(tower, K)]
-    return _normalize_words(tower, K, heads, suffixes)
+    return _normalize_words(tower, K, heads, _t_stencil(tower, K)[0])
 
 
 def _t_window(tower, K, shifts, reach=None):
@@ -1132,16 +1123,16 @@ def _t_tables(weight):
     ell and R_s = sigma(r_s) v0, where j = v0 ell^T (Weight.j_factors).
     Then sigma(r_s) j sigma(g_s') F = (L_s . F) R_s, so
         (T F)(x) = sum_s (L_s . F(s^-1 x)) R_s.
-    L is _ell_rows of the g_s' (one distinct g_s' at q = 3 and 5), R one
-    transport of v0 by the distinct r_s, spread by their residue ids."""
-    tw = weight.tower
-    adjoint = _t_adjoint(tw, weight.K)
-    v0, _ = weight.j_factors()
-    r_ids, r_res = _residue_ids([r for _, _, r in adjoint])
-    v0_rows = _transport(weight, r_res, np.broadcast_to(
-        v0, (len(r_res), weight.dim)))[r_ids]
+    L is _ell_rows of the g_s' alone (one distinct g_s' at q = 3 and 5, of
+    q^3 + 1 stencil residues at K0), R one transport of v0 by the distinct
+    r_s (gfmat.row_ids)."""
+    tw, K = weight.tower, weight.K
+    partner, r = _t_adjoint(tw, K)
+    ids, first = gfmat.row_ids(r)
+    v0_rows = _transport_ids(weight, ids, r[first], np.broadcast_to(
+        weight.j_factors()[0], (len(r), weight.dim)))
     v0_rows.flags.writeable = False
-    return _ell_rows(weight, [g for _, g, _ in adjoint]), v0_rows
+    return _ell_rows(weight, _t_stencil(tw, K)[1][partner]), v0_rows
 
 
 def op_T_grids(elems):
@@ -1161,8 +1152,7 @@ def op_T_grids(elems):
     once, by _cell_images."""
     weight = _one_weight(elems)
     tw, K = weight.tower, weight.K
-    adjoint = _t_adjoint(tw, K)
-    suffixes = [s for s, _, _ in adjoint]
+    suffixes, _ = _t_stencil(tw, K)
     ell_rows, v0_rows = _t_tables(weight)
     reach = _t_reach([n for elem in elems for n in elem.coeffs])
     windows = [_t_window(tw, K, sorted(elem.coeffs), reach) for elem in elems]
@@ -1202,7 +1192,9 @@ def translation_prefixes(tower, K, n_from, direction):
     Shifting by alpha^{+-1} pushes the occupied layers two deeper; the
     re-exposed shallow layers are recovered by their transversal, and the
     product transversal of a two-step filtration quotient is the product of
-    the layer transversals."""
+    the layer transversals.  The prefixes of the step 0 -> 1 end in beta_K,
+    which lies in the compact and carries the value v0 of f_0 to that of
+    f_1 (grid_value): p beta_K . [1, v0] = [p, sigma(beta_K) v0]."""
     n_K, m_K, _ = iwahori_constants(tower, K)
     if direction == 1:
         if n_from < 0:
@@ -1210,6 +1202,7 @@ def translation_prefixes(tower, K, n_from, direction):
         shift = (atom_alpha(1),)
         if n_from == 0:
             layers = [(m_K, True)]
+            shift += beta_compact_word(K)
         else:
             layers = [(m_K, True), (m_K + 1, True)]
     elif direction == -1:
@@ -1279,8 +1272,9 @@ def translation_recursion_check(
             raise CrossCheckFailed(
                 "%s: the products land in %d cosets, not the %d of the "
                 "target grid" % (step, len(read.tags), cnt_target))
-        moved = _transport(weight, read.residues, np.broadcast_to(
-            w_from, (len(read.residues), weight.dim)))
+        r = len(read.residues)
+        moved = _transport_ids(weight, np.arange(r), read.residues,
+                               np.broadcast_to(w_from, (r, weight.dim)))
         if (moved != w).any():
             raise CrossCheckFailed(
                 "%s: a residue moves the canonical value off the target's"
@@ -1321,12 +1315,8 @@ def translation_recursion_check(
     read = _normalize_words(tw, K, products)
     if any(t != target for t, _ in read.tags):
         raise CrossCheckFailed("sampled product escapes the target cell")
-    moved = _transport_ids(
-        weight,
-        read.res_ids,
-        read.residues,
-        np.broadcast_to(w_from, (len(products), weight.dim)),
-    )
+    moved = _transport_ids(weight, read.res_ids, read.residues,
+                           np.broadcast_to(w_from, (len(products), weight.dim)))
     if (moved != w).any():
         raise CrossCheckFailed(
             "sampled product transports off the canonical value"
@@ -1474,8 +1464,9 @@ def constants(weight, check=True):
         d0 = 0
     words = _sk_suffixes(tw, K)
     terms = _compact_residues(_sk_read(tw, K, words), slice(0, len(words)))
-    acc = gfmat.sum_rows(tw, _transport(
-        weight, terms, np.broadcast_to(v0, (len(terms), weight.dim))))
+    acc = gfmat.sum_rows(tw, _transport_ids(
+        weight, np.arange(len(terms)), terms,
+        np.broadcast_to(v0, (len(terms), weight.dim))))
     if not np.array_equal(acc, tw.times(d0, v0)):
         raise CrossCheckFailed("d[0] direct sum differs from the closed form")
 
@@ -1579,9 +1570,7 @@ class SpanModule:
         if fn.weight is not self._induced:
             raise NotApplicable("function lives in a different induced module")
         v = _on_index(self._index, fn)
-        if v is None or self._basis.reduce(v).any():
-            return None
-        return v[self._basis.pivots()]
+        return None if v is None else self._basis.coords(v)
 
     def coords_of(self, fn):
         c = self._coords(fn)
@@ -1628,15 +1617,15 @@ def spin_K(f):
         for perm in _permutations(tw, K, index, lifts)
     ]
     basis = closure(tw, len(index) * weight.dim, [_on_index(index, f)], actions)
-    rows, pivots = basis.matrix(), basis.pivots()
+    rows = basis.matrix()
 
     def builder(gamma):
         word = gamma_lift_word(tw, K, gamma)
         (perm,) = _permutations(tw, K, index, [word])
-        images = _translate(weight, perm, rows)
-        if basis.reduce(images).any():
+        coords = basis.coords(_translate(weight, perm, rows))
+        if coords is None:
             raise CrossCheckFailed("residue action escapes the spanned module")
-        return images[:, pivots].T
+        return coords.T
 
     wt = BuiltWeight(tw, K, "spanned", basis.dim, builder,
                      label="span_of_" + weight.label)

@@ -35,15 +35,18 @@ a word by a product read (words._residues_in_compact); the Mat3 matrices of
 series serve only the scalar oracle, the certificate check and the tracer.
 
 Vectors are numpy index arrays over the coefficient field.  A weight acts
-on many rows at once, given as residue rows (Weight.apply): a principal
-series by a gather and a scale over its Borel cosets (classify_rows, the
-array form of classify_coset), the layers and quotients through their base.
-A principal series acting by one residue on a block of rows (act_rows)
-reads that residue's gather and scale from a table per weight, so it
-classifies each residue once.  Weight.matrix, the action on the identity
-rows, is cached per element for the solves that need a whole matrix, and
-the torus generators' action on the unipotent invariants once per weight
-for the Borel eigenlines of every character.
+on many rows at once, given as residue rows (Weight.apply): an (r, 9)
+uint16 array, the format of a product read's residues
+(words.ProductRead.residues); a GammaElem is built only at the scalar
+boundaries (the inventories, gamma_beta, the key of Weight.matrix).  A
+principal series acts by a gather and a scale over its Borel cosets
+(classify_rows, the array form of classify_coset), and by one residue on
+a block of rows (act_rows) through that residue's gather and scale, read
+from a table per weight; the layers and quotients act through their base.
+Weight.matrix, the action on the identity rows, is cached per element for
+the solves that need a whole matrix, and the torus generators' action on
+the unipotent invariants once per weight for the Borel eigenlines of
+every character.
 """
 
 import functools
@@ -99,7 +102,8 @@ HOM_ENTRIES = 2**24
 def gamma_beta(tower, K):
     """Image of the distinguished form involution in the residue quotient,
     read by one product read (words._residues_in_compact)."""
-    return _residues_in_compact(tower, K, [beta_compact_word(K)])[0]
+    row = _residues_in_compact(tower, K, [beta_compact_word(K)])[0]
+    return GammaElem(tower, K, row.tolist())
 
 
 def _layer_elements(tower, K, k, prime=False):
@@ -458,15 +462,13 @@ class Weight:
         inv = self.u_invariants()
         checker = gfmat.Basis(tw, self.dim)
         checker.extend(inv)
-        piv = checker.pivots()
         out = []
         for t in gamma_torus_generators(tw, self.K):
-            images = self.act_rows(t, inv)
-            if checker.reduce(images).any():
-                raise CrossCheckFailed(
-                    "torus does not preserve the invariant space"
-                )
-            out.append((t, images[:, piv].T))
+            coords = checker.coords(self.act_rows(t, inv))
+            if coords is None:
+                raise CrossCheckFailed("torus does not preserve the "
+                                       "invariant space")
+            out.append((t, coords.T))
         return out
 
     @memo
@@ -658,16 +660,15 @@ class _SubSpec:
         self.basis = gfmat.Basis(base.tower, base.dim)
         self.basis.extend(basis_rows)
         self.mat = self.basis.matrix()
-        self.pivots = self.basis.pivots()
 
     def action(self, rows, ids, vecs):
-        """Lift the coordinates to the base, act there, certify that the
-        images stay in the subspace and read them at the rref pivots."""
-        tw = self.base.tower
-        images = self.base.apply(rows, ids, gfmat.matmul(tw, vecs, self.mat))
-        if self.basis.reduce(images).any():
+        """Lift the coordinates to the base, act there, and read the images
+        at the rref pivots, certified to stay in the subspace."""
+        lifted = gfmat.matmul(self.base.tower, vecs, self.mat)
+        coords = self.basis.coords(self.base.apply(rows, ids, lifted))
+        if coords is None:
             raise CrossCheckFailed("vector escapes the subspace")
-        return images[:, self.pivots]
+        return coords
 
 
 class _QuotientSpec:
@@ -916,7 +917,7 @@ def gamma_lift_word(tower, K, gamma):
             layer_transversal(tower, n_K)[idx - 1],
         )
     word = t_word + u_word + rep_word
-    if _residues_in_compact(tower, K, [word]) != [gamma]:
+    if tuple(_residues_in_compact(tower, K, [word])[0].tolist()) != gamma.m:
         raise CrossCheckFailed("lifted word does not reduce to the element")
     return word
 

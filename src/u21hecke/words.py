@@ -43,16 +43,17 @@ methods (Tower.plus, times and plus_times, uint16 indices up to Q = 256),
 with gathers from its neg, inv and frob tables, and a column step whose
 coefficients are all 0 is skipped.  The coordinates become grid indices by
 table lookups and one Horner pass per cell (_grid_indices).  The result is
-the shift and the grid index of each pair, and the (N, 9) residue rows.  A
-word of any other form gets the index -1, and a word that fails a
-certificate raises the scalar route's error.  The product read
-(_normalize_words, memoized by _product_read) numbers the batch's tags, by
-one np.lexsort over (shift, index), and its residues, refuses a word it does
-not carry (NotApplicable), and is the one production read of a coset or
-residue (_residues_in_compact, or _compact_residues on a part of a read).
-The scalar nf_uak reads a word's Mat3 matrix of series; it, tag_of and
-induction.coset_normalize serve only the tests' oracle and the benchmark's
-tracer.
+the shift and the grid index of each pair, and the (N, 9) residue rows, the
+residue matrices row-major: the one format of a residue from the batch to
+the weights' action (Weight.apply).  A word of any other form gets the
+index -1, and a word that fails a certificate raises the scalar route's
+error.  The product read (_normalize_words, memoized by _product_read)
+numbers the batch's tags, by one np.lexsort over (shift, index), and its
+residue rows, refuses a word it does not carry (NotApplicable), and is the
+one production read of a coset or residue (_residues_in_compact, or
+_compact_residues on a part of a read).  The scalar nf_uak reads a word's
+Mat3 matrix of series; it, tag_of and induction.coset_normalize serve only
+the tests' oracle and the benchmark's tracer.
 """
 
 import math
@@ -75,7 +76,6 @@ from .unitary_group import (
     K0,
     K1,
     RESIDUE_PLACES,
-    GammaElem,
     atom_alpha,
     atom_d,
     atom_inv,
@@ -657,7 +657,7 @@ def nf_uak_batch(tower, K, heads, tails=((),), pairs=None):
 
     Returns (shifts, indices, residues), one row per pair: pair r lies in
     the coset of tag (shifts[r], indices[r]), and residues is the (N, 9)
-    uint16 array of the residue rows (row-major GammaElem entries).  shifts
+    uint16 array of the residue rows (the residue matrix, row-major).  shifts
     is int64; indices is int64, or object dtype holding Python ints when a
     cell of the call has more than _INDEX_LIMIT cosets (_grid_indices).
     Where the batch does not carry the word of a pair, its index is -1,
@@ -749,17 +749,18 @@ class ProductRead:
     tails[n // H]): word n lies in the coset of tags[tag_ids[n]], with
     residue residues[res_ids[n]], so that [word, v] normalizes to
     [rep(tag), sigma(residue) v].  The tags are numbered in order of first
-    appearance, the residues (GammaElem) in lexicographic order of their
-    entries.  Read-only: the id arrays are not writeable, and the tags and
-    residues are tuples.  Its len is the number of words."""
+    appearance; residues is the (r, 9) uint16 array of the distinct residue
+    rows of nf_uak_batch, in lexicographic order, as Weight.apply takes
+    them.  Read-only: the arrays are not writeable, the tags a tuple.  Its
+    len is the number of words."""
 
     __slots__ = ("tag_ids", "tags", "res_ids", "residues")
 
     def __init__(self, tag_ids, tags, res_ids, residues):
-        for a in (tag_ids, res_ids):
+        for a in (tag_ids, res_ids, residues):
             a.flags.writeable = False
         self.tag_ids, self.tags = tag_ids, tuple(tags)
-        self.res_ids, self.residues = res_ids, tuple(residues)
+        self.res_ids, self.residues = res_ids, residues
 
     def __len__(self):
         return len(self.tag_ids)
@@ -784,7 +785,8 @@ def _product_read(tower, K, heads, tails):
 
     The tags are numbered once, here, from the shift and grid index of
     every word (_first_appearance), and one tuple is built per distinct
-    tag.  The residues are numbered by gfmat.row_ids over their entries."""
+    tag.  The residue rows are numbered by gfmat.row_ids, and the distinct
+    ones kept as one array."""
     nh, n = len(heads), len(heads) * len(tails)
     shifts = np.empty(n, dtype=np.int64)
     rows = np.empty((n, 9), dtype=np.uint16)
@@ -807,7 +809,7 @@ def _product_read(tower, K, heads, tails):
         tag_ids,
         zip(shifts[firsts].tolist(), indices[firsts].tolist()),
         res_ids,
-        [GammaElem(tower, K, row) for row in rows[first].tolist()],
+        rows[first],
     )
 
 
@@ -833,18 +835,17 @@ def _first_appearance(shifts, indices):
 
 def _residues_in_compact(tower, K, words):
     """The residue red(w) of every word w of a list that lies in the
-    compact, as a list of GammaElem in word order, from one
-    _normalize_words read (_compact_residues)."""
+    compact, as an (n, 9) array of rows, by _compact_residues of one read."""
     return _compact_residues(_normalize_words(tower, K, words), slice(None))
 
 
 def _compact_residues(read, part):
     """The residues of the words of a slice part of a ProductRead, which
-    lie in the compact, as a list of GammaElem in word order.  A word w in
-    K lies in the coset K itself, tag (0, 0), whose representative alpha^0
-    is the identity, so the read w = rep k has k = w and its residue is
-    red(w).  CrossCheckFailed unless every tag of the part is (0, 0): a
-    word outside K has no residue."""
+    lie in the compact, as an (n, 9) array of rows of read.residues in word
+    order.  A word w in K lies in the coset K itself, tag (0, 0), whose
+    representative alpha^0 is the identity, so the read w = rep k has k = w
+    and its residue is red(w).  CrossCheckFailed unless every tag of the
+    part is (0, 0): a word outside K has no residue."""
     if any(read.tags[t] != (0, 0) for t in _distinct(read.tag_ids[part])):
         raise CrossCheckFailed("a word to reduce lies outside the compact")
-    return [read.residues[r] for r in read.res_ids[part].tolist()]
+    return read.residues[read.res_ids[part]]

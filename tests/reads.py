@@ -1,14 +1,16 @@
 """The array results of the coset reads expanded into one (tag, residue)
 pair per word, the form the scalar coset_normalize returns, so that tests
-can compare them row for row."""
+can compare them row for row: each residue row is wrapped as the
+GammaElem of the oracle."""
 
 from u21hecke.unitary_group import GammaElem
 
 
-def expand(read):
-    """The (tag, residue) of every word of a ProductRead, in word order."""
+def expand(tower, K, read):
+    """The (tag, residue) of every word of a ProductRead of the compact K,
+    in word order."""
     return [
-        (read.tags[t], read.residues[r])
+        (read.tags[t], GammaElem(tower, K, read.residues[r].tolist()))
         for t, r in zip(read.tag_ids.tolist(), read.res_ids.tolist())
     ]
 

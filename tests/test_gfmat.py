@@ -263,6 +263,27 @@ def test_basis_extend_matches_reference(tw, data):
         assert all(basis.contains(row) for row in added)
 
 
+@on_towers
+def test_basis_coords_at_the_pivots(tw):
+    """Basis.coords reads a member at the pivots, one vector or one row per
+    row of a block, and the coordinates rebuild it from the basis rows;
+    a vector outside the span, alone or as one row of a block, gives None."""
+    rng = np.random.default_rng(7)
+    V = random_matrix(tw, rng, 3, 6)
+    basis = gfmat.Basis(tw, 6)
+    basis.extend(V)
+    M = basis.matrix()
+    C = random_matrix(tw, rng, 4, basis.dim)
+    members = gfmat.matmul(tw, C, M)
+    assert np.array_equal(basis.coords(members), C)
+    assert np.array_equal(basis.coords(members[0]), C[0])
+    outside = next(e for e in gfmat.eye(6) if not basis.contains(e))
+    assert basis.coords(outside) is None
+    assert basis.coords(np.concatenate([members, outside[None]])) is None
+    assert basis.coords(np.zeros((0, 6), dtype=np.uint16)).shape == (
+        0, basis.dim)
+
+
 def row_loop_clear(tw, v, pivots, B):
     """The reference clearing: each pivot in turn, in every row, by
     subtracting v[:, p] times that basis row."""

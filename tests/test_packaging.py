@@ -5,9 +5,10 @@ production solve sweeps a whole reduced subgroup, the materialized T
 stays an oracle, the residue groups are read without the scalar per-atom
 route, both spins run the one closure loop, the batched coset
 read has one production route and the scalar read no caller, weights act
-through their array action, a product read does not import numpy.ma, and
-every array lookup in the field tables goes through the tower's array
-methods."""
+through their array action, residues travel as one array of rows from
+the product read to the weights' action, a product read does not import
+numpy.ma, and every array lookup in the field tables goes through the
+tower's array methods."""
 
 import ast
 import importlib
@@ -17,6 +18,12 @@ import subprocess
 import sys
 import tomllib
 from pathlib import Path
+
+import numpy as np
+
+from u21hecke import words
+from u21hecke.fields import Tower
+from u21hecke.unitary_group import K0, beta_compact_word
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 PACKAGE = PYPROJECT.parent / "src" / "u21hecke"
@@ -58,7 +65,7 @@ from u21hecke.fields import Tower
 tw = Tower(3, 1)
 words = [I.word_from_tag(tw, "K0", t) for t in I.grid_tags(tw, "K0", 2)][:64]
 read = I._normalize_words(tw, "K0", words)
-rows = np.array([g.m for g in read.residues], dtype=np.uint16)
+rows = read.residues
 w = W.make_weight(tw, "K0", W.STEINBERG)
 w.apply(rows, read.res_ids, np.ones((len(read), w.dim), dtype=np.uint16))
 b = W.BuiltWeight(tw, "K0", "spanned", 2, lambda gamma: gfmat.eye(2))
@@ -248,6 +255,28 @@ def test_weights_act_through_arrays():
     uses = _uses_outside({"matrix", "apply"}, set())
     assert not any(u.endswith("matrix in _transport_ids") for u in uses)
     assert any(u.endswith("apply in _transport_ids") for u in uses)
+
+
+def test_residues_travel_as_rows():
+    """A residue has one format from the product read to the weights'
+    action: words.py names no GammaElem, no _transport or _residue_ids
+    (the wrappers that turned residue objects into rows) is defined in the
+    package, and ProductRead.residues is a read-only (r, 9) uint16 array,
+    the rows that Weight.apply takes."""
+    assert "GammaElem" not in (PACKAGE / "words.py").read_text()
+    defined = [
+        "%s:%d %s" % (path.name, node.lineno, node.name)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.FunctionDef)
+        and node.name in ("_transport", "_residue_ids")
+    ]
+    assert defined == []
+    tw = Tower(3, 1)
+    read = words._normalize_words(tw, K0, [(), beta_compact_word(K0)])
+    residues = read.residues
+    assert isinstance(residues, np.ndarray) and residues.dtype == np.uint16
+    assert residues.shape == (len(residues), 9) and not residues.flags.writeable
 
 
 def _field_table(node):

@@ -1,8 +1,10 @@
 """The batched value transport of induction: sigma(gamma) v for many
-(gamma, v) rows at once, through the weight's array action, against the
-one-row-at-a-time oracle gfmat.matvec(weight.matrix(gamma), v), and the
-action of every kind of weight against dense matrices built here from the
-scalar classify_coset."""
+(gamma, v) rows at once, the residues given as ids into one (r, 9) array
+of residue rows (induction._transport_ids), through the weight's array
+action, against the one-row-at-a-time oracle
+gfmat.matvec(weight.matrix(gamma), v), and the action of every kind of
+weight against dense matrices built here from the scalar
+classify_coset."""
 
 from unittest import mock
 
@@ -27,13 +29,13 @@ def q3_weights(tower):
             for K, kind, power in Q3_WEIGHTS]
 
 
-def oracle(weight, gammas, vecs, inverse):
+def oracle(weight, residues, picks, vecs, inverse):
     tw = weight.tower
     out = [
         gfmat.matvec(tw, weight.matrix(g.inverse() if inverse else g), v)
-        for g, v in zip(gammas, vecs)
+        for g, v in zip([residues[i] for i in picks], vecs)
     ]
-    return np.array(out, dtype=np.uint16).reshape(len(gammas), weight.dim)
+    return np.array(out, dtype=np.uint16).reshape(len(picks), weight.dim)
 
 
 def product(weight, picks):
@@ -46,11 +48,11 @@ def product(weight, picks):
 
 
 def rows_of(weight, residues, picks, rng):
-    """Rows on the picked residues, each a fresh GammaElem object, so rows
-    on one residue share its key but never its object; random vectors."""
-    gammas = [GammaElem(weight.tower, weight.K, residues[i].m) for i in picks]
+    """The picks as an id array into the residues' (r, 9) array of rows,
+    that array, and one random vector per pick."""
+    rows = np.array([g.m for g in residues], dtype=np.uint16).reshape(-1, 9)
     vecs = rng.integers(0, weight.tower.Q, (len(picks), weight.dim))
-    return gammas, vecs.astype(np.uint16)
+    return np.array(picks, dtype=np.intp), rows, vecs.astype(np.uint16)
 
 
 @settings(max_examples=40, deadline=None)
@@ -64,8 +66,8 @@ def test_transport_matches_per_row_oracle(q3_weights, data):
     picks = data.draw(st.lists(st.integers(0, len(residues) - 1),
                                max_size=12), label="rows")
     seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
-    gammas, vecs = rows_of(weight, residues, picks,
-                           np.random.default_rng(seed))
+    ids, rows, vecs = rows_of(weight, residues, picks,
+                              np.random.default_rng(seed))
     inverse = data.draw(st.booleans(), label="inverse")
     block = 9 * weight.dim
     # default blocks, one row per block, and blocks of 3 rows, which do not
@@ -73,29 +75,29 @@ def test_transport_matches_per_row_oracle(q3_weights, data):
     budget = data.draw(st.sampled_from([I._TRANSPORT_ENTRIES, 1, 3 * block]),
                        label="budget")
     with mock.patch.object(I, "_TRANSPORT_ENTRIES", budget):
-        got = I._transport(weight, gammas, vecs, inverse)
+        got = I._transport_ids(weight, ids, rows, vecs, inverse)
     assert got.dtype == np.uint16
-    assert np.array_equal(got, oracle(weight, gammas, vecs, inverse))
+    assert np.array_equal(got, oracle(weight, residues, picks, vecs, inverse))
 
 
 @pytest.mark.parametrize("budget", [None, 1, 3])
 def test_transport_chunks_split_one_group(q3_weights, budget):
-    """Seven rows on one residue (distinct objects with equal keys) and two
-    on another, in blocks of every row, of one row, and of three rows (which
-    do not divide seven); the transport builds no Weight.matrix."""
+    """Seven rows on one residue and two on another, in blocks of every
+    row, of one row, and of three rows (which do not divide seven); the
+    transport builds no Weight.matrix."""
     rng = np.random.default_rng(3)
+    picks = [0, 1, 0, 0, 1, 0, 0, 0, 0]
     for weight in q3_weights:
         residues = [product(weight, [0, 2, 5]), product(weight, [1, 9])]
-        gammas, vecs = rows_of(weight, residues, [0, 1, 0, 0, 1, 0, 0, 0, 0],
-                               rng)
+        ids, rows, vecs = rows_of(weight, residues, picks, rng)
         n = (I._TRANSPORT_ENTRIES if budget is None
              else budget * 9 * weight.dim)
         for inverse in (False, True):
-            want = oracle(weight, gammas, vecs, inverse)
+            want = oracle(weight, residues, picks, vecs, inverse)
             with mock.patch.object(I, "_TRANSPORT_ENTRIES", n), \
                     mock.patch.object(W.Weight, "matrix", autospec=True,
                                       side_effect=W.Weight.matrix) as spy:
-                got = I._transport(weight, gammas, vecs, inverse)
+                got = I._transport_ids(weight, ids, rows, vecs, inverse)
             assert np.array_equal(got, want)
             assert spy.call_count == 0
 
@@ -104,7 +106,9 @@ def test_transport_of_no_rows(q3_weights):
     for weight in q3_weights:
         empty = np.zeros((0, weight.dim), dtype=np.uint16)
         for inverse in (False, True):
-            got = I._transport(weight, [], empty, inverse)
+            got = I._transport_ids(weight, np.zeros(0, dtype=np.intp),
+                                   np.zeros((0, 9), dtype=np.uint16), empty,
+                                   inverse)
             assert got.shape == (0, weight.dim) and got.dtype == np.uint16
         assert I.InducedFn.from_raw(weight, []).is_zero()
 
@@ -116,22 +120,23 @@ def test_transport_dim_125_rows(tower5):
     weight = W.make_weight(tower5, K0, W.STEINBERG)
     assert weight.dim == 125
     residues = [product(weight, [0, 3]), product(weight, [2, 1, 4])]
-    gammas, vecs = rows_of(weight, residues, [0, 1, 0, 0, 0, 0],
-                           np.random.default_rng(5))
+    picks = [0, 1, 0, 0, 0, 0]
+    ids, rows, vecs = rows_of(weight, residues, picks,
+                              np.random.default_rng(5))
     assert I._TRANSPORT_ENTRIES // (9 * 125) == 58
     for budget in (I._TRANSPORT_ENTRIES, 4 * 9 * 125):
         for inverse in (False, True):
             with mock.patch.object(I, "_TRANSPORT_ENTRIES", budget):
-                got = I._transport(weight, gammas, vecs, inverse)
-            assert np.array_equal(got, oracle(weight, gammas, vecs, inverse))
+                got = I._transport_ids(weight, ids, rows, vecs, inverse)
+            assert np.array_equal(got, oracle(weight, residues, picks, vecs,
+                                              inverse))
 
 
 def test_transport_multiplies_each_distinct_pair_once(q3_weights,
                                                      monkeypatch):
     """Nine rows holding four distinct (residue, vector) pairs: one vector
-    repeated on both residues counts once per residue, and the residues
-    come as distinct objects with equal keys.  The weight's action moves
-    four rows, no Weight.matrix is built, and every row matches the
+    repeated on both residues counts once per residue.  The weight's action
+    moves four rows, no Weight.matrix is built, and every row matches the
     oracle, in both directions."""
     moved = []
 
@@ -147,15 +152,15 @@ def test_transport_multiplies_each_distinct_pair_once(q3_weights,
         residues = [product(weight, [0, 2, 5]), product(weight, [1, 9])]
         picks = [(0, 0), (0, 0), (0, 1), (1, 0), (1, 0), (1, 2), (0, 1),
                  (1, 2), (0, 0)]
-        gammas, _ = rows_of(weight, residues, [r for r, _ in picks],
-                            np.random.default_rng(0))
+        ids, rows, _ = rows_of(weight, residues, [r for r, _ in picks],
+                               np.random.default_rng(0))
         vecs = base[[v for _, v in picks]]
         for inverse in (False, True):
-            want = oracle(weight, gammas, vecs, inverse)
+            want = oracle(weight, residues, ids, vecs, inverse)
             moved.clear()
             with mock.patch.object(W.Weight, "matrix", autospec=True,
                                    side_effect=W.Weight.matrix) as spy:
-                got = I._transport(weight, gammas, vecs, inverse)
+                got = I._transport_ids(weight, ids, rows, vecs, inverse)
             assert np.array_equal(got, want)
             # a steinberg's action moves its rows once more on its base
             assert moved[0] == 4 and len(moved) <= 2
@@ -254,14 +259,15 @@ def test_action_matches_dense_scalar_oracle(kinds, data):
     picks = data.draw(st.lists(st.integers(0, len(residues) - 1),
                                min_size=1, max_size=8), label="rows")
     seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
-    gammas, vecs = rows_of(weight, residues, picks,
-                           np.random.default_rng(seed))
+    ids, rows, vecs = rows_of(weight, residues, picks,
+                              np.random.default_rng(seed))
     inverse = data.draw(st.booleans(), label="inverse")
     tw = weight.tower
     want = np.array([
         gfmat.matvec(tw, dense(g.inverse() if inverse else g), v)
-        for g, v in zip(gammas, vecs)
-    ], dtype=np.uint16).reshape(len(gammas), weight.dim)
-    assert np.array_equal(I._transport(weight, gammas, vecs, inverse), want)
+        for g, v in zip([residues[i] for i in picks], vecs)
+    ], dtype=np.uint16).reshape(len(picks), weight.dim)
+    assert np.array_equal(I._transport_ids(weight, ids, rows, vecs, inverse),
+                          want)
     for g in residues:
         assert np.array_equal(weight.matrix(g), dense(g)), weight.label

@@ -383,7 +383,7 @@ def test_uncarried_words_are_refused():
         # the scalar read still reads them, into the cell of their base
         assert {oracle(tw, K, w)[0][0] for w in refused} == {-1}
         carried = [w for w, i in zip(words, indices.tolist()) if i >= 0]
-        read = expand(words_mod._normalize_words(tw, K, carried))
+        read = expand(tw, K, words_mod._normalize_words(tw, K, carried))
         assert read == [oracle(tw, K, w) for w in carried]
 
 
@@ -459,10 +459,10 @@ def test_product_read_matches_scalar_rows(monkeypatch, chunk):
     the (tag, residue) of the scalar coset_normalize: on heads times tails
     with the layer atoms of pro_iwahori_sample, on a call of a few words,
     which the batch reads too, and, with chunks of 7 words, over several
-    batch calls.  The tags are
-    distinct and numbered in order of first appearance, the residues are
-    distinct, the record is read-only, and reading the product again
-    returns it."""
+    batch calls.  The tags are distinct and numbered in order of first
+    appearance, the residues are the distinct rows of one (r, 9) uint16
+    array, the record's arrays are read-only, and reading the product
+    again returns it."""
     tw = Tower(3, 1)
     monkeypatch.setattr(words_mod, "_BATCH_CHUNK", chunk)
     calls = []
@@ -482,17 +482,18 @@ def test_product_read_matches_scalar_rows(monkeypatch, chunk):
             batches = -(-n // chunk)
             assert len(calls) == batches
             words = [h + t for t in ts for h in hs]
-            assert expand(read) == [oracle(tw, K, w) for w in words]
+            assert expand(tw, K, read) == [oracle(tw, K, w) for w in words]
             assert len(set(read.tags)) == len(read.tags)
-            assert len({g.key() for g in read.residues}) == len(read.residues)
+            assert read.residues.shape == (len(read.residues), 9)
+            assert read.residues.dtype == np.uint16
+            assert len(np.unique(read.residues, axis=0)) == len(read.residues)
             firsts = np.unique(read.tag_ids, return_index=True)[1]
             assert (np.diff(firsts) > 0).all()
             assert isinstance(read.tags, tuple)
-            assert isinstance(read.residues, tuple)
-            for ids in (read.tag_ids, read.res_ids):
-                assert not ids.flags.writeable
+            for arr in (read.tag_ids, read.res_ids, read.residues):
+                assert not arr.flags.writeable
                 with pytest.raises(ValueError):
-                    ids[0] = 0
+                    arr[0] = 0
             assert words_mod._normalize_words(tw, K, hs, ts) is read
             assert len(calls) == batches
 
@@ -537,7 +538,7 @@ def test_one_cell_read_per_shift_and_pivot(monkeypatch):
 
     monkeypatch.setattr(words_mod, "_read_cell", read_spy)
     monkeypatch.setattr(words_mod, "nf_uak_batch", batch_spy)
-    read = expand(words_mod._normalize_words(tw, K, words))
+    read = expand(tw, K, words_mod._normalize_words(tw, K, words))
     assert read == [oracle(tw, K, w) for w in words]
     assert len(starts) == -(-len(words) // chunk)
     shared = False
@@ -687,11 +688,11 @@ def test_product_read_numbers_wide_tags(monkeypatch, chunk):
         assert read.tags == tuple(dict.fromkeys(expected))
         assert len(read.tags) == len(wide) + 1
         assert [read.tags[t] for t in read.tag_ids.tolist()] == expected
-        assert expand(read) == [oracle(tw, K, w) for w in words]
+        assert expand(tw, K, read) == [oracle(tw, K, w) for w in words]
         for heads, tails in (([], [()]), (words, [])):
             empty = words_mod._normalize_words(tw, K, heads, tails)
             assert len(empty) == 0
-            assert empty.tags == () and empty.residues == ()
+            assert empty.tags == () and empty.residues.shape == (0, 9)
             assert empty.tag_ids.shape == empty.res_ids.shape == (0,)
 
 
