@@ -332,7 +332,7 @@ class InducedFn:
         read = _normalize_words(tw, weight.K, heads, tails)
         moved = _transport_ids(weight, read.res_ids, read.residues, vals)
         return cls(weight, read.tags,
-                   _merge(tw, read.tag_ids, len(read.tags), moved))
+                   _merge(tw, read.tag_ids, len(read.tag_shifts), moved))
 
     @classmethod
     def from_raw(cls, weight, pairs):
@@ -822,8 +822,7 @@ def _cell_images(weight, elems, inv_tails, inv_heads, image):
     read = _normalize_words(tw, weight.K, inv_tails, inv_heads)
     cells = sorted(set().union(*(elem.coeffs for elem in elems)))
     pos = dict(zip(cells, range(len(cells))))
-    at = np.fromiter((pos.get(n, -1) for n, _ in read.tags), np.intp,
-                     len(read.tags))[read.tag_ids]
+    at = _positions(pos, read.tag_shifts.tolist())[read.tag_ids]
     hit = np.flatnonzero(at >= 0)
     by_cell = np.zeros((len(cells), len(read), weight.dim), dtype=np.uint16)
     if len(hit):
@@ -853,9 +852,9 @@ def _suffixes_certified(read, part, cell, count, opname):
     of that many cosets, and none is dropped or repeated.  CrossCheckFailed
     otherwise."""
     tag_ids = read.tag_ids[part]
-    tags = [read.tags[t] for t in _distinct(tag_ids)]
-    if (len(tag_ids) != count or len(tags) != count
-            or any(t != cell for t, _ in tags)):
+    cells = read.tag_shifts[_distinct(tag_ids)]
+    if (len(tag_ids) != count or len(cells) != count
+            or (cells != cell).any()):
         raise CrossCheckFailed(
             "the %s suffixes are not a transversal of %d cosets of cell %d"
             % (opname, count, cell))
@@ -919,11 +918,11 @@ def _sk_window(shifts):
     return sorted(out)
 
 
-def _cells_of(tags):
-    """The cells +-l over the labels l of the double cells of the tags: a
-    double cell of label l meets the invariant grid only in the two cells
-    +-l."""
-    return sorted({s * t for t, _ in tags for s in (1, -1)})
+def _cells_of(shifts):
+    """The cells +-l over the labels l of the double cells of tags in the
+    cells shifts (an array): a double cell of label l meets the invariant
+    grid only in the two cells +-l."""
+    return sorted({s * t for t in shifts.tolist() for s in (1, -1)})
 
 
 def _sminus_window(tower, K, shifts):
@@ -938,7 +937,7 @@ def _sminus_window(tower, K, shifts):
         for n in shifts
         for d in _delta_words(tower, K)
     ]
-    return _cells_of(_normalize_words(tower, K, words).tags)
+    return _cells_of(_normalize_words(tower, K, words).tag_shifts)
 
 
 def _one_weight(elems):
@@ -1069,7 +1068,8 @@ def _t_adjoint(tower, K):
     suffixes, _ = _t_stencil(tower, K)
     n = len(suffixes)
     read, m = _t_read(tower, K, suffixes)
-    tags = [read.tags[t] for t in read.tag_ids[m:].tolist()]
+    every = read.tags
+    tags = [every[t] for t in read.tag_ids[m:].tolist()]
     by_tag = dict(zip(tags[n:], range(n)))
     cells = grid_count(tower, K, 1) + grid_count(tower, K, -1)
     if (len(by_tag) != n or n != cells
@@ -1113,7 +1113,7 @@ def _t_window(tower, K, shifts, reach=None):
     read = _t_rows(tower, K, reach)
     rows = read.tag_ids.reshape(-1, 2 * reach + 1)
     used = _distinct(rows[:, [n + reach for n in shifts]].ravel())
-    return _cells_of([read.tags[t] for t in used])
+    return _cells_of(read.tag_shifts[used])
 
 
 @memo
@@ -1265,13 +1265,13 @@ def translation_recursion_check(
         reps = [word_from_tag(tw, K, tag) for tag in grid_tags(tw, K, n_from)]
         read = _normalize_words(tw, K, prefixes, reps)
         step = "translation recursion %d -> %d" % (n_from, target)
-        if {t for t, _ in read.tags} != {target}:
+        if (read.tag_shifts != target).any():
             raise CrossCheckFailed("%s: a product escapes the target cell"
                                    % step)
-        if len(read.tags) != cnt_target:
+        if len(read.tag_shifts) != cnt_target:
             raise CrossCheckFailed(
                 "%s: the products land in %d cosets, not the %d of the "
-                "target grid" % (step, len(read.tags), cnt_target))
+                "target grid" % (step, len(read.tag_shifts), cnt_target))
         r = len(read.residues)
         moved = _transport_ids(weight, np.arange(r), read.residues,
                                np.broadcast_to(w_from, (r, weight.dim)))
@@ -1282,7 +1282,7 @@ def translation_recursion_check(
         evidence["mode"] = "exhaustive"
         return evidence
     # certificate mode
-    if any(t != direction for t, _ in _normalize_words(tw, K, prefixes).tags):
+    if (_normalize_words(tw, K, prefixes).tag_shifts != direction).any():
         raise CrossCheckFailed("prefix escapes the first shift cell")
     # conjugation-shift identity: alpha^d a(k, c) alpha^-d == a(k+2, c)
     # exactly, for every coordinate of every source layer.  Granting this,
@@ -1313,7 +1313,7 @@ def translation_recursion_check(
         prefix = rng.choice(prefixes)
         products.append(prefix + word_from_tag(tw, K, src_tag))
     read = _normalize_words(tw, K, products)
-    if any(t != target for t, _ in read.tags):
+    if (read.tag_shifts != target).any():
         raise CrossCheckFailed("sampled product escapes the target cell")
     moved = _transport_ids(weight, read.res_ids, read.residues,
                            np.broadcast_to(w_from, (len(products), weight.dim)))
@@ -1323,7 +1323,7 @@ def translation_recursion_check(
         )
     evidence["mode"] = "certificate"
     evidence["sampled"] = sample
-    evidence["distinct_hits"] = len(read.tags)
+    evidence["distinct_hits"] = len(read.tag_shifts)
     return evidence
 
 

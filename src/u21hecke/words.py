@@ -31,25 +31,31 @@ once, as arrays.  A word of shifts, involutions and unipotent or diagonal
 atoms whose entries are exact monomials has a matrix of exact Laurent
 polynomials, and words with one signature (each atom without its residue
 coefficients) differ only in their coefficients.  The batch reads the words
-head + tail of a list of (head, tail) pairs; a plain list of words is the
-same with the single empty tail.  Each head signature group is built as one
-uint16 array of coefficient indices by column operations, and each tail's
-atoms are applied by column operations to the head columns its pairs use.
-All of a call's matrices are then stacked into one array over their common
-degree range, and steps 1-3, the membership certificate and the residue
-read run once per distinct (shift, pivot column) on all of its matrices.
-Every sum and product there is one flat take through the tower's array
-methods (Tower.plus, times and plus_times, uint16 indices up to Q = 256),
-with gathers from its neg, inv and frob tables, and a column step whose
-coefficients are all 0 is skipped.  The coordinates become grid indices by
-table lookups and one Horner pass per cell (_grid_indices).  The result is
-the shift and the grid index of each pair, and the (N, 9) residue rows, the
-residue matrices row-major: the one format of a residue from the batch to
-the weights' action (Weight.apply).  A word of any other form gets the
-index -1, and a word that fails a certificate raises the scalar route's
-error.  The product read (_normalize_words, memoized by _product_read)
-numbers the batch's tags, by one np.lexsort over (shift, index), and its
-residue rows, refuses a word it does not carry (NotApplicable), and is the
+head + tail of the (head, tail) pairs of two word lists, by default their
+whole product; a plain list of words is the product with the single empty
+tail.  One call is one pass: each list is grouped by signature once, and
+the pairs are read in chunks of _BATCH_CHUNK, in the order of their tails'
+groups.  Each head signature group is built as one uint16 array of
+coefficient indices by column operations, once for the call when the heads
+fit one chunk, and each tail's atoms are applied by column operations to
+the head columns its pairs use.  A chunk's matrices are then stacked into
+one array over their common degree range, and steps 1-3, the membership
+certificate and the residue read run once per distinct (shift, pivot
+column) on all of its matrices.  Every sum and product there is one flat
+take through the tower's array methods (Tower.plus, times and plus_times,
+uint16 indices up to Q = 256), with gathers from its neg, inv and frob
+tables, and a column step whose coefficients are all 0 is skipped.  The
+coordinates become grid indices by table lookups and one Horner pass per
+cell (_grid_indices).  The result is the shift and the grid index of each
+pair, and the (N, 9) residue rows, the residue matrices row-major: the one
+format of a residue from the batch to the weights' action (Weight.apply).
+The call's residue rows are numbered, and each distinct one is certified
+unitary once.  A word of any other form gets the index -1, and a word that
+fails a certificate raises the scalar route's error.  The product read
+(_normalize_words, memoized by _product_read) is one batch call; it numbers
+the batch's tags, by one np.lexsort over (shift, index), and keeps the
+distinct ones as two arrays, cells and grid indices, numbers its residue
+rows, refuses a word the batch does not carry (NotApplicable), and is the
 one production read of a coset or residue (_residues_in_compact, or
 _compact_residues on a part of a read).  The scalar nf_uak reads a word's
 Mat3 matrix of series; it, tag_of and induction.coset_normalize serve only
@@ -57,6 +63,7 @@ the tests' oracle and the benchmark's tracer.
 """
 
 import math
+from array import array
 
 import numpy as np
 
@@ -363,25 +370,47 @@ def _atom_form(tower, atom):
 
 def _by_signature(tower, words, idx):
     """The words at the indices idx that the batch carries, grouped by
-    signature: {signature: (indices, (coefficients, N) uint16 array)}."""
-    groups = {}
+    signature: {signature: (indices, (coefficients, N) uint16 array)}.
+    The coefficients gather in one flat uint16 buffer per group, so the
+    grouping of a long list holds no Python list per word, and the form of
+    each distinct atom is looked up once."""
+    groups, forms = {}, {}
     for i in idx:
         sig, coefs = [], []
         for atom in words[i]:
-            form = _atom_form(tower, atom)
+            form = forms.get(atom, forms)
+            if form is forms:
+                form = forms[atom] = _atom_form(tower, atom)
             if form is None:
                 break
             if form[0] is not None:
                 sig.append(form[0])
                 coefs.extend(form[1])
         else:
-            group = groups.setdefault(tuple(sig), ([], []))
+            group = groups.get(tuple(sig))
+            if group is None:
+                group = groups[tuple(sig)] = (array("q"), array("H"))
             group[0].append(i)
-            group[1].append(coefs)
+            group[1].extend(coefs)
     return {
-        sig: (ids, np.array(cs, dtype=np.uint16).reshape(len(ids), -1).T)
+        sig: (np.array(ids, dtype=np.intp),
+              np.array(cs, dtype=np.uint16).reshape(len(ids), -1).T)
         for sig, (ids, cs) in groups.items()
     }
+
+
+def _grouped(tower, words, idx):
+    """The grouping (_by_signature) of the words at the indices idx, as
+    (groups, group, col): groups lists (signature, coefficients) in turn,
+    and word i is column col[i] of group group[i], -1 for a word not
+    carried or not among idx."""
+    groups = _by_signature(tower, words, idx)
+    group = np.full(len(words), -1, dtype=np.intp)
+    col = np.full(len(words), -1, dtype=np.intp)
+    for g, (ids, _) in enumerate(groups.values()):
+        group[ids] = g
+        col[ids] = np.arange(len(ids))
+    return [(sig, cs) for sig, (_, cs) in groups.items()], group, col
 
 
 def _union(a, b):
@@ -465,9 +494,19 @@ class _Block:
 
     def val(self, sl):
         """Valuations of the entries of a slice of the nine, one row per
-        entry and one column per matrix, INF for a zero entry."""
-        nz = self.e[sl] != 0
-        return np.where(nz.any(axis=1), self.lo + nz.argmax(axis=1), INF)
+        entry and one column per matrix, INF for a zero entry.  Each
+        entry's degrees are scanned upward from the low end of its span
+        until every matrix has met a nonzero coefficient."""
+        rows = range(9)[sl]
+        out = np.full((len(rows), self.e.shape[2]), INF, dtype=np.int64)
+        for v, i in zip(out, rows):
+            if self.span[i] is None:
+                continue
+            for d in range(self.span[i][0], self.span[i][1] + 1):
+                v[(self.coeff(i, d) != 0) & (v == INF)] = d
+                if (v < INF).all():
+                    break
+        return out
 
     def vanish_below(self, need):
         """Does entry i vanish below degree need[i] in every matrix, for
@@ -569,9 +608,10 @@ def _row_mins(val, lat, i):
 def _read_cell(blk, K, t, j):
     """Tag coordinates and residues of a block whose matrices share the
     shift t and the pivot column j: the read of nf_uak, then the residue
-    read and unitarity check of reduce_to_gamma, for all matrices at once.
-    Returns an (N, 2L) array, the (x, y) of each of the L layers of
-    grid_layer_span(t) in turn, and the (N, 9) residue rows."""
+    read of reduce_to_gamma, for all matrices at once.  Returns an (N, 2L)
+    array, the (x, y) of each of the L layers of grid_layer_span(t) in
+    turn, and the (N, 9) residue rows, whose unitarity nf_uak_batch
+    certifies once per distinct row."""
     tw, lat, pat = blk.tower, _LATTICE[K], _K_PATTERN[K]
     neg, frob = tw.neg, tw.frob
     rows = [slice(3 * i, 3 * i + 3) for i in range(3)]
@@ -620,7 +660,6 @@ def _read_cell(blk, K, t, j):
     m = np.zeros((9, blk.e.shape[2]), dtype=np.uint16)
     for e, _ in RESIDUE_PLACES[K]:
         m[e] = blk.coeff(e, need[e])
-    check_residue_unitarity(tw, m)
     return coords, m.T
 
 
@@ -652,8 +691,9 @@ def _grid_indices(tower, K, t, coords):
 def nf_uak_batch(tower, K, heads, tails=((),), pairs=None):
     """The tags and residues that coset_normalize gives the words heads[i] +
     tails[j], for each (i, j) of pairs, read for all of them at once.  By
-    default pairs reads every word of heads with the single empty tail, so
-    nf_uak_batch(tower, K, words) reads a plain list of words.
+    default pairs is the whole product in tail-major order (pair n is
+    (n % H, n // H) for H heads), so nf_uak_batch(tower, K, words) reads a
+    plain list of words.
 
     Returns (shifts, indices, residues), one row per pair: pair r lies in
     the coset of tag (shifts[r], indices[r]), and residues is the (N, 9)
@@ -662,55 +702,125 @@ def nf_uak_batch(tower, K, heads, tails=((),), pairs=None):
     cell of the call has more than _INDEX_LIMIT cosets (_grid_indices).
     Where the batch does not carry the word of a pair, its index is -1,
     its shift 0 and its residue row zero.  The tags are not numbered here:
-    the caller numbers them over all its calls, as _product_read does.
+    the caller numbers them, as _product_read does.
 
     The batch carries words whose atoms are "a", "b", and "n", "np" or "d"
     atoms with entries that are exact monomials or exact zero.  Their
-    matrices are exact Laurent polynomials.  The heads the pairs use are
-    grouped by signature (each atom without its residue coefficients); each
-    group is built by the column operations of times_atom, for all its heads
-    at once, and the groups are stacked into one block.  For each tail
-    signature, the head columns its pairs need are gathered from that block
-    and the tail's atoms applied to them by column operations; the results
-    are stacked again, so the row minima, the shift and the pivot are found
-    once for the whole call, and the read of nf_uak and the residue read of
-    reduce_to_gamma run once per distinct (shift, pivot).  Within one such
-    read the coordinates become grid indices (_grid_indices).  A matrix that
-    fails the unipotent relation, the membership of k in K or the residue
-    unitarity raises the scalar route's error (RelationViolated,
-    CrossCheckFailed, MembershipViolated); it is never routed around."""
+    matrices are exact Laurent polynomials.  The heads and the tails the
+    pairs use are each grouped once by signature (each atom without its
+    residue coefficients, _grouped).  The pairs are then read in chunks of
+    _BATCH_CHUNK (_read_pairs), which bounds the arrays whatever the call's
+    size, taken in the order of their tails' groups so that a chunk applies
+    few tail signatures.  The head block, every head group built by the
+    column operations of times_atom and stacked, is built once for the call
+    when the heads in use fit one chunk, and otherwise once per chunk from
+    the heads the chunk uses; each chunk gathers its head columns from it.
+    A matrix that fails the unipotent relation or the membership of k in K
+    raises the scalar route's error (RelationViolated, CrossCheckFailed).
+    The residue rows of the carried pairs are numbered (gfmat.row_ids) and
+    each distinct row is certified unitary once; a call with a row that is
+    not raises MembershipViolated.  No failure is routed around."""
     require_compact(K)
+    nh = len(heads)
     if pairs is None:
-        pairs = [(i, 0) for i in range(len(heads))]
-    hi, ti = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
-    shifts = np.zeros(len(hi), dtype=np.int64)
-    indices = np.full(len(hi), -1, dtype=np.int64)
-    residues = np.zeros((len(hi), 9), dtype=np.uint16)
-    # column of each carried head in the stacked head block, -1 elsewhere
-    col, blocks, n = np.full(len(heads), -1, dtype=np.intp), [], 0
-    for sig, (hs, cs) in _by_signature(tower, heads, _distinct(hi)).items():
-        col[hs] = np.arange(n, n + len(hs))
-        n += len(hs)
-        blk = _Block.identity(tower, len(hs))
-        blk.times_word(sig, cs)
-        blocks.append(blk)
-    if not blocks:
-        return shifts, indices, residues
-    head_blk = _Block.stack(tower, blocks)
-    hcol = col[hi]
+        n = nh * len(tails)
+        used_heads = np.arange(nh if n else 0)
+        used_tails = range(len(tails) if n else 0)
+    else:
+        hi, ti = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+        n = len(hi)
+        used_heads = np.array(_distinct(hi), dtype=np.intp)
+        used_tails = _distinct(ti)
+    shifts = np.zeros(n, dtype=np.int64)
+    indices = np.full(n, -1, dtype=np.int64)
+    residues = np.zeros((n, 9), dtype=np.uint16)
+    head_groups = _grouped(tower, heads, used_heads)
+    tail_groups = _grouped(tower, tails, used_tails)
+    once = len(used_heads) <= _BATCH_CHUNK
+    if once:
+        head_blk, cols = _head_block(tower, head_groups, used_heads)
+        head_col = np.full(nh, -1, dtype=np.intp)
+        head_col[used_heads] = cols
+    if pairs is None:
+        by_group = np.argsort(tail_groups[1], kind="stable")
+    else:
+        by_group = np.argsort(tail_groups[1][ti], kind="stable")
+    for start in range(0, n, _BATCH_CHUNK):
+        r = np.arange(start, min(n, start + _BATCH_CHUNK))
+        if pairs is None:
+            t, h = by_group[r // nh], r % nh
+            at = t * nh + h
+        else:
+            at = by_group[r]
+            h, t = hi[at], ti[at]
+        if once:
+            blk, hcol = head_blk, head_col[h]
+        else:
+            used, pos = np.unique(h, return_inverse=True)
+            blk, cols = _head_block(tower, head_groups, used)
+            hcol = cols[pos]
+        shifts[at], index, residues[at] = _read_pairs(
+            K, blk, hcol, tail_groups, t)
+        if index.dtype != indices.dtype:
+            indices = indices.astype(object)
+        indices[at] = index
+    carried = indices >= 0
+    rows = residues if carried.all() else residues[carried]
+    _, first = gfmat.row_ids(rows)
+    check_residue_unitarity(tower, rows[first].T)
+    return shifts, indices, residues
+
+
+def _head_block(tower, head_groups, ids):
+    """The block of the heads ids (an array of head indices) of a grouping
+    (_grouped), each group built by the column operations of times_word
+    on the identity and the groups stacked, and the column of each id in
+    it, -1 for a head not carried (None for the block when none is)."""
+    groups, group, col = head_groups
+    cols = np.full(len(ids), -1, dtype=np.intp)
+    of = group[ids]
+    blocks, n = [], 0
+    for g, (sig, cs) in enumerate(groups):
+        sel = np.flatnonzero(of == g)
+        if len(sel):
+            cols[sel] = np.arange(n, n + len(sel))
+            n += len(sel)
+            blk = _Block.identity(tower, len(sel))
+            blk.times_word(sig, cs[:, col[ids[sel]]])
+            blocks.append(blk)
+    return (_Block.stack(tower, blocks) if blocks else None), cols
+
+
+def _read_pairs(K, head_blk, hcol, tail_groups, ti):
+    """The shifts, grid indices and residue rows (as nf_uak_batch returns
+    them) of one chunk of pairs: pair r is the head in column hcol[r] of
+    head_blk, -1 for a head not carried, times the tail ti[r] of the
+    grouping tail_groups (_grouped).  For each tail signature the head
+    columns of its pairs are gathered and the tail's atoms applied to them
+    by column operations; the results are stacked, so the row minima, the
+    shift and the pivot are found once for the chunk, and the read of
+    nf_uak and the residue read of reduce_to_gamma run once per distinct
+    (shift, pivot) (_read_cell).  Within one such read the coordinates
+    become grid indices (_grid_indices)."""
+    n = len(ti)
+    shifts = np.zeros(n, dtype=np.int64)
+    indices = np.full(n, -1, dtype=np.int64)
+    residues = np.zeros((n, 9), dtype=np.uint16)
+    groups, group, col = tail_groups
+    tg = np.where(hcol >= 0, group[ti], -1)
+    order = np.argsort(tg, kind="stable")
+    bounds = np.searchsorted(tg[order], np.arange(len(groups) + 1))
     rows, blocks = [], []
-    for sig, (ts, cs) in _by_signature(tower, tails, _distinct(ti)).items():
-        pos = np.full(len(tails), -1, dtype=np.intp)
-        pos[ts] = np.arange(len(ts))
-        tpos = pos[ti]
-        sel = np.flatnonzero((tpos >= 0) & (hcol >= 0))
+    for g, (sig, cs) in enumerate(groups):
+        sel = order[bounds[g] : bounds[g + 1]]
         if len(sel):
             blk = head_blk.take(hcol[sel])
-            blk.times_word(sig, cs[:, tpos[sel]])
+            blk.times_word(sig, cs[:, col[ti[sel]]])
             rows.append(sel)
             blocks.append(blk)
     if not blocks:
         return shifts, indices, residues
+    tower = head_blk.tower
     blk = _Block.stack(tower, blocks)
     rows = np.concatenate(rows)
     lat = _LATTICE[K]
@@ -734,33 +844,43 @@ def nf_uak_batch(tower, K, heads, tails=((),), pairs=None):
     return shifts, indices, residues
 
 
-# Words per nf_uak_batch call, which bounds its arrays whatever the cell
-# size.  On the 19,683 words of the recursion step 2 -> 3 at q = 3 (K0), one
-# product read (min of 7, CPython 3.11, numpy 2.4, one core of a shared
-# 2-CPU host): chunks of 4096 took 0.024 s with a traced peak 2.4 MB above
-# the 2.0 MB of the stored record; chunks of 512 took 0.050 s and 1.3 MB,
-# and one chunk of 32768 0.022 s and 16.7 MB.
+# Words per chunk of nf_uak_batch (_read_pairs), which bounds its arrays
+# whatever the call's size.  On the 19,683 words of the recursion step
+# 2 -> 3 at q = 3 (K0), one product read (min of 7, CPython 3.11, numpy
+# 2.4, one core of a shared 2-CPU host): chunks of 4096 took 0.021 s with
+# a traced peak 2.9 MB above the 0.6 MB of the stored record; chunks of
+# 512 took 0.037 s and 1.6 MB, and one chunk of 32768 0.023 s and 13.4 MB.
 _BATCH_CHUNK = 4096
 
 
 class ProductRead:
     """The cosets of the words h + t of one product read, t over the tails
     and h over the heads, in tail-major order (word n is heads[n % H] +
-    tails[n // H]): word n lies in the coset of tags[tag_ids[n]], with
-    residue residues[res_ids[n]], so that [word, v] normalizes to
-    [rep(tag), sigma(residue) v].  The tags are numbered in order of first
-    appearance; residues is the (r, 9) uint16 array of the distinct residue
-    rows of nf_uak_batch, in lexicographic order, as Weight.apply takes
-    them.  Read-only: the arrays are not writeable, the tags a tuple.  Its
-    len is the number of words."""
+    tails[n // H]): word n lies in the coset of the tag (tag_shifts[k],
+    tag_indices[k]), k = tag_ids[n], with residue residues[res_ids[n]], so
+    that [word, v] normalizes to [rep(tag), sigma(residue) v].  The tags
+    are numbered in order of first appearance and kept as two arrays, the
+    cells tag_shifts (int64) and the grid indices tag_indices (int64, or
+    object dtype as nf_uak_batch gives them); residues is the (r, 9) uint16
+    array of the distinct residue rows of nf_uak_batch, in lexicographic
+    order, as Weight.apply takes them.  Read-only: no array is writeable.
+    Its len is the number of words."""
 
-    __slots__ = ("tag_ids", "tags", "res_ids", "residues")
+    __slots__ = ("tag_ids", "tag_shifts", "tag_indices", "res_ids",
+                 "residues")
 
-    def __init__(self, tag_ids, tags, res_ids, residues):
-        for a in (tag_ids, res_ids, residues):
+    def __init__(self, tag_ids, tag_shifts, tag_indices, res_ids, residues):
+        for a in (tag_ids, tag_shifts, tag_indices, res_ids, residues):
             a.flags.writeable = False
-        self.tag_ids, self.tags = tag_ids, tuple(tags)
-        self.res_ids, self.residues = res_ids, residues
+        self.tag_ids, self.res_ids, self.residues = tag_ids, res_ids, residues
+        self.tag_shifts, self.tag_indices = tag_shifts, tag_indices
+
+    @property
+    def tags(self):
+        """The tuple of the tags (shift, index), built anew on each access
+        for the readers that key dicts by tag; a reader of cells reads
+        tag_shifts."""
+        return tuple(zip(self.tag_shifts.tolist(), self.tag_indices.tolist()))
 
     def __len__(self):
         return len(self.tag_ids)
@@ -777,49 +897,36 @@ def _normalize_words(tower, K, heads, tails=((),)):
 
 @memo(size=len)
 def _product_read(tower, K, heads, tails):
-    """The ProductRead of _normalize_words.  Every call is read by
-    nf_uak_batch as (head, tail) index pairs, in chunks of _BATCH_CHUNK
-    words, so each head is built once per chunk and each tail applied by
-    column operations.  NotApplicable for a word the batch does not carry:
-    it has no other production read.
+    """The ProductRead of _normalize_words, read by one nf_uak_batch call
+    over the whole product, which groups the heads and the tails once and
+    reads them in chunks.  NotApplicable for a word the batch does not
+    carry: it has no other production read.
 
     The tags are numbered once, here, from the shift and grid index of
-    every word (_first_appearance), and one tuple is built per distinct
-    tag.  The residue rows are numbered by gfmat.row_ids, and the distinct
-    ones kept as one array."""
-    nh, n = len(heads), len(heads) * len(tails)
-    shifts = np.empty(n, dtype=np.int64)
-    rows = np.empty((n, 9), dtype=np.uint16)
-    parts = [np.zeros(0, dtype=np.int64)]
-    for start in range(0, n, _BATCH_CHUNK):
-        chunk = slice(start, min(n, start + _BATCH_CHUNK))
-        words = np.arange(chunk.start, chunk.stop)
-        pairs = np.stack([words % nh, words // nh], axis=1)
-        shifts[chunk], index, rows[chunk] = nf_uak_batch(tower, K, heads,
-                                                         tails, pairs)
-        if (index < 0).any():
-            raise NotApplicable(
-                "word %d of a product read is not a word of exact monomial "
-                "atoms" % (start + int(np.argmax(index < 0))))
-        parts.append(index)
-    indices = np.concatenate(parts)
+    every word (_first_appearance), and the distinct ones kept as two
+    arrays.  The residue rows are numbered by gfmat.row_ids, and the
+    distinct ones kept as one array."""
+    shifts, indices, rows = nf_uak_batch(tower, K, heads, tails)
+    missing = indices < 0
+    if missing.any():
+        raise NotApplicable(
+            "word %d of a product read is not a word of exact monomial "
+            "atoms" % int(np.argmax(missing)))
     tag_ids, firsts = _first_appearance(shifts, indices)
     res_ids, first = gfmat.row_ids(rows)
-    return ProductRead(
-        tag_ids,
-        zip(shifts[firsts].tolist(), indices[firsts].tolist()),
-        res_ids,
-        rows[first],
-    )
+    return ProductRead(tag_ids, shifts[firsts], indices[firsts], res_ids,
+                       rows[first])
 
 
 def _first_appearance(shifts, indices):
     """Number the pairs (shifts[r], indices[r]) in order of first
     appearance: (ids, firsts), where pairs r and s are equal exactly when
-    ids[r] == ids[s], and firsts[k] is the first r of id k.  One np.lexsort
-    over (shift, index) brings equal pairs together, for int64 and for
-    object indices alike; it is stable, so each run of equal pairs starts
-    at its first r, and the runs are ranked by it."""
+    ids[r] == ids[s], and firsts[k] is the first r of id k, so that
+    shifts[firsts] and indices[firsts] are the distinct pairs in id order
+    (ProductRead.tag_shifts and tag_indices).  One np.lexsort over (shift,
+    index) brings equal pairs together, for int64 and for object indices
+    alike; it is stable, so each run of equal pairs starts at its first r,
+    and the runs are ranked by it."""
     order = np.lexsort((indices, shifts))
     s, i = shifts[order], indices[order]
     new = np.ones(len(order), dtype=bool)
@@ -846,6 +953,7 @@ def _compact_residues(read, part):
     representative alpha^0 is the identity, so the read w = rep k has k = w
     and its residue is red(w).  CrossCheckFailed unless every tag of the
     part is (0, 0): a word outside K has no residue."""
-    if any(read.tags[t] != (0, 0) for t in _distinct(read.tag_ids[part])):
+    used = _distinct(read.tag_ids[part])
+    if read.tag_shifts[used].any() or read.tag_indices[used].any():
         raise CrossCheckFailed("a word to reduce lies outside the compact")
     return read.residues[read.res_ids[part]]

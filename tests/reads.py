@@ -9,8 +9,9 @@ from u21hecke.unitary_group import GammaElem
 def expand(tower, K, read):
     """The (tag, residue) of every word of a ProductRead of the compact K,
     in word order."""
+    tags = read.tags
     return [
-        (read.tags[t], GammaElem(tower, K, read.residues[r].tolist()))
+        (tags[t], GammaElem(tower, K, read.residues[r].tolist()))
         for t, r in zip(read.tag_ids.tolist(), read.res_ids.tolist())
     ]
 

@@ -159,7 +159,8 @@ def test_memo_eviction_leaves_results_unchanged(monkeypatch):
     def spy(tower, K, heads, tails=((),), pairs=None):
         read = words_batch(tower, K, heads, tails, pairs)
         if pairs is None:
-            pairs = [(i, 0) for i in range(len(heads))]
+            pairs = [(i, j) for j in range(len(tails))
+                     for i in range(len(heads))]
         batched.append(([heads[i] + tails[j] for i, j in pairs],
                         expand_batch(tower, K, read)))
         return read
@@ -246,8 +247,8 @@ def test_product_table_bounded_by_words(monkeypatch):
 def test_recursion_step_keeps_one_record():
     """On a fresh q = 3 tower, the exhaustive step 2 -> 3 of trivial@K0
     reads its 19,683 products as one product read: the product table holds
-    that record, one tag per word, and the scalar coset_normalize's
-    per-word table is never made."""
+    that record, one tag per word, kept as two read-only arrays, and the
+    scalar coset_normalize's per-word table is never made."""
     tw = Tower(3, 1)
     tw.default_window = 24
     w = W.make_weight(tw, K0, W.TRIVIAL)
@@ -259,6 +260,12 @@ def test_recursion_step_keeps_one_record():
     read = records[(K0, tuple(prefixes), tuple(reps))]
     assert len(read.tag_ids) == len(read.tags) == 19683
     assert set(read.tags) == set(I.f_basis(w, 3).tags)
+    for arr in (read.tag_shifts, read.tag_indices):
+        assert arr.shape == (19683,) and not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0
+    tags = set(zip(read.tag_shifts.tolist(), read.tag_indices.tolist()))
+    assert len(tags) == 19683 and tags == set(I.f_basis(w, 3).tags)
 
 
 def test_from_raw_reads_pairs_once(catalog):
@@ -1236,8 +1243,9 @@ def test_exhaustive_recursion_builds_no_function(monkeypatch, tower,
 
 def _moved_tag(weight, read):
     """The read with its first tag moved to the next cell."""
-    (t, i), rest = read.tags[0], read.tags[1:]
-    return words.ProductRead(read.tag_ids, ((t + 1, i),) + rest,
+    shifts = read.tag_shifts.copy()
+    shifts[0] += 1
+    return words.ProductRead(read.tag_ids, shifts, read.tag_indices,
                              read.res_ids, read.residues)
 
 
@@ -1247,8 +1255,10 @@ def _shared_tag(weight, read):
     ids = read.tag_ids.copy()
     ids[ids == 1] = 0
     ids[ids > 1] -= 1
-    return words.ProductRead(ids, read.tags[:1] + read.tags[2:],
-                             read.res_ids, read.residues)
+    keep = np.arange(len(read.tag_shifts)) != 1
+    return words.ProductRead(ids, read.tag_shifts[keep],
+                             read.tag_indices[keep], read.res_ids,
+                             read.residues)
 
 
 def _moving_residue(weight, read):
@@ -1262,7 +1272,8 @@ def _moving_residue(weight, read):
     assert bad
     residues = read.residues.copy()
     residues[0] = bad[0].m
-    return words.ProductRead(read.tag_ids, read.tags, read.res_ids, residues)
+    return words.ProductRead(read.tag_ids, read.tag_shifts, read.tag_indices,
+                             read.res_ids, residues)
 
 
 @pytest.mark.parametrize("doctor, match", [
@@ -1576,7 +1587,8 @@ def _batch_spy(monkeypatch):
     fills while the spy is installed."""
     calls = []
 
-    def spy(tower, K, heads, tails, pairs, _orig=words.nf_uak_batch):
+    def spy(tower, K, heads, tails=((),), pairs=None,
+            _orig=words.nf_uak_batch):
         calls.append((K, heads, tails))
         return _orig(tower, K, heads, tails, pairs)
 

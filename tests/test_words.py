@@ -8,7 +8,13 @@ from hypothesis import given, settings, strategies as st
 
 from u21hecke import induction as I
 from u21hecke import words as words_mod
-from u21hecke.errors import CrossCheckFailed, InsufficientPrecision, NotApplicable
+from u21hecke._kernel import INF
+from u21hecke.errors import (
+    CrossCheckFailed,
+    InsufficientPrecision,
+    MembershipViolated,
+    NotApplicable,
+)
 from u21hecke.fields import Tower
 from u21hecke.laurent import Series
 from u21hecke.mat3 import EXACT_ONE, Mat3
@@ -458,29 +464,35 @@ def test_product_read_matches_scalar_rows(monkeypatch, chunk):
     """Row for row, a product read (the record of _normalize_words) gives
     the (tag, residue) of the scalar coset_normalize: on heads times tails
     with the layer atoms of pro_iwahori_sample, on a call of a few words,
-    which the batch reads too, and, with chunks of 7 words, over several
-    batch calls.  The tags are distinct and numbered in order of first
+    and, with chunks of 7 words, over several chunks.  Each read is one
+    batch call that groups the heads and the tails once each, whatever the
+    chunks.  The tags are distinct and numbered in order of first
     appearance, the residues are the distinct rows of one (r, 9) uint16
     array, the record's arrays are read-only, and reading the product
     again returns it."""
     tw = Tower(3, 1)
     monkeypatch.setattr(words_mod, "_BATCH_CHUNK", chunk)
-    calls = []
+    calls, grouped = [], []
 
     def batch_spy(*args, _orig=words_mod.nf_uak_batch, **kwargs):
         calls.append(args)
         return _orig(*args, **kwargs)
 
+    def group_spy(tower, words, idx, _orig=words_mod._by_signature):
+        grouped.append(words)
+        return _orig(tower, words, idx)
+
     monkeypatch.setattr(words_mod, "nf_uak_batch", batch_spy)
+    monkeypatch.setattr(words_mod, "_by_signature", group_spy)
     for K in (K0, K1):
         heads = [word_from_tag(tw, K, t) for t in I.grid_tags(tw, K, -1)][:12]
         tails = [()] + [(a,) for a in layer_sample(tw, K)]
         for hs, ts in ((heads, tails), (heads[:3], tails[:4]), (heads, [()])):
             calls.clear()
+            grouped.clear()
             read = words_mod._normalize_words(tw, K, hs, ts)
-            n = len(hs) * len(ts)
-            batches = -(-n // chunk)
-            assert len(calls) == batches
+            assert len(calls) == 1
+            assert grouped == [tuple(hs), tuple(ts)]
             words = [h + t for t in ts for h in hs]
             assert expand(tw, K, read) == [oracle(tw, K, w) for w in words]
             assert len(set(read.tags)) == len(read.tags)
@@ -490,12 +502,13 @@ def test_product_read_matches_scalar_rows(monkeypatch, chunk):
             firsts = np.unique(read.tag_ids, return_index=True)[1]
             assert (np.diff(firsts) > 0).all()
             assert isinstance(read.tags, tuple)
-            for arr in (read.tag_ids, read.res_ids, read.residues):
+            for arr in (read.tag_ids, read.tag_shifts, read.tag_indices,
+                        read.res_ids, read.residues):
                 assert not arr.flags.writeable
                 with pytest.raises(ValueError):
                     arr[0] = 0
             assert words_mod._normalize_words(tw, K, hs, ts) is read
-            assert len(calls) == batches
+            assert len(calls) == 1
 
 
 def signature(word):
@@ -517,8 +530,8 @@ def read_key(tw, K, word):
 
 def test_one_cell_read_per_shift_and_pivot(monkeypatch):
     """A call whose words have many signatures reads each distinct (shift,
-    pivot) of a chunk with exactly one _read_cell, although several
-    signatures share a (shift, pivot) there."""
+    pivot) of a chunk (_read_pairs) with exactly one _read_cell, although
+    several signatures share a (shift, pivot) there."""
     tw = Tower(3, 1)
     K = K0
     words = [word_from_tag(tw, K, t) for n in (-1, 1, 2)
@@ -532,12 +545,12 @@ def test_one_cell_read_per_shift_and_pivot(monkeypatch):
         reads.append((t, j))
         return _orig(blk, K, t, j)
 
-    def batch_spy(*args, _orig=words_mod.nf_uak_batch, **kwargs):
+    def chunk_spy(*args, _orig=words_mod._read_pairs):
         starts.append(len(reads))
-        return _orig(*args, **kwargs)
+        return _orig(*args)
 
     monkeypatch.setattr(words_mod, "_read_cell", read_spy)
-    monkeypatch.setattr(words_mod, "nf_uak_batch", batch_spy)
+    monkeypatch.setattr(words_mod, "_read_pairs", chunk_spy)
     read = expand(tw, K, words_mod._normalize_words(tw, K, words))
     assert read == [oracle(tw, K, w) for w in words]
     assert len(starts) == -(-len(words) // chunk)
@@ -573,6 +586,37 @@ def test_corrupt_row_in_a_shared_read_raises():
         nf_uak_batch(tw, K0, good, [(), (scale,)], [(0, 0), (80, 1), (3, 0)])
     with pytest.raises(CrossCheckFailed):
         words_mod._normalize_words(tw, K0, good + [bad])
+
+
+def test_residues_certified_once_per_distinct_row(monkeypatch):
+    """A batch call certifies the unitarity of each distinct residue row
+    once.  The word of one diagonal atom diag(2, 1, 1) of exact constants
+    lies in K0 and the batch carries it, but its residue is not unitary;
+    repeated among good words so that it straddles chunks of 7 words, it
+    makes the call raise MembershipViolated, directly and through the
+    product read, as the scalar reduce_to_gamma does."""
+    tw = Tower(3, 1)
+    monkeypatch.setattr(words_mod, "_BATCH_CHUNK", 7)
+    checked = []
+
+    def unitarity_spy(tower, m, _orig=words_mod.check_residue_unitarity):
+        checked.append(m.shape[1])
+        return _orig(tower, m)
+
+    monkeypatch.setattr(words_mod, "check_residue_unitarity", unitarity_spy)
+    good = [word_from_tag(tw, K0, t) for t in I.grid_tags(tw, K0, -1)]
+    read = words_mod._normalize_words(tw, K0, good)
+    assert checked == [len(read.residues)]
+    assert len(read.residues) < len(good)
+    bad = (("d", (0, INF, (2,)), (0, INF, (1,)), (0, INF, (1,))),)
+    assert _atom_form(tw, bad[0]) is not None
+    with pytest.raises(MembershipViolated):
+        reduce_to_gamma(tw, K0, word_matrix(tw, bad))
+    words = good[:6] + [bad, bad] + good[6:20] + [bad] + good[20:]
+    with pytest.raises(MembershipViolated):
+        nf_uak_batch(tw, K0, words)
+    with pytest.raises(MembershipViolated):
+        words_mod._normalize_words(tw, K0, words)
 
 
 # ---------------------------------------------------------------------------
@@ -685,9 +729,10 @@ def test_product_read_numbers_wide_tags(monkeypatch, chunk):
         words += words[::-2]
         read = words_mod._normalize_words(tw, K, words)
         expected = [tag_of(tw, K, w) for w in words]
-        assert read.tags == tuple(dict.fromkeys(expected))
-        assert len(read.tags) == len(wide) + 1
-        assert [read.tags[t] for t in read.tag_ids.tolist()] == expected
+        tags = read.tags
+        assert tags == tuple(dict.fromkeys(expected))
+        assert len(tags) == len(wide) + 1
+        assert [tags[t] for t in read.tag_ids.tolist()] == expected
         assert expand(tw, K, read) == [oracle(tw, K, w) for w in words]
         for heads, tails in (([], [()]), (words, [])):
             empty = words_mod._normalize_words(tw, K, heads, tails)
