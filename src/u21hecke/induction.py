@@ -282,7 +282,7 @@ def _point_values(weight, inv_tails, inv_heads, index, stored):
     points is inverted and classified once."""
     read = _normalize_words(weight.tower, weight.K, inv_tails, inv_heads)
     out = np.zeros((len(read.tag_ids), weight.dim), dtype=np.uint16)
-    at = _positions(index, read.tags)[read.tag_ids]
+    at = _positions(index, read.tag_tuple())[read.tag_ids]
     hit = np.flatnonzero(at >= 0)
     if len(hit):
         out[hit] = _transport_ids(
@@ -331,7 +331,7 @@ class InducedFn:
         tw = weight.tower
         read = _normalize_words(tw, weight.K, heads, tails)
         moved = _transport_ids(weight, read.res_ids, read.residues, vals)
-        return cls(weight, read.tags,
+        return cls(weight, read.tag_tuple(),
                    _merge(tw, read.tag_ids, len(read.tag_shifts), moved))
 
     @classmethod
@@ -1068,7 +1068,7 @@ def _t_adjoint(tower, K):
     suffixes, _ = _t_stencil(tower, K)
     n = len(suffixes)
     read, m = _t_read(tower, K, suffixes)
-    every = read.tags
+    every = read.tag_tuple()
     tags = [every[t] for t in read.tag_ids[m:].tolist()]
     by_tag = dict(zip(tags[n:], range(n)))
     cells = grid_count(tower, K, 1) + grid_count(tower, K, -1)
@@ -1506,7 +1506,7 @@ def _tag_orbit(tower, K, lifts, tags):
     while new:
         reps = [word_from_tag(tower, K, tag) for tag in new]
         new = []
-        for tag in _normalize_words(tower, K, lifts, reps).tags:
+        for tag in _normalize_words(tower, K, lifts, reps).tag_tuple():
             if tag not in index:
                 index[tag] = len(index)
                 new.append(tag)
@@ -1524,7 +1524,7 @@ def _permutations(tower, K, index, words):
     CrossCheckFailed unless every word permutes the index."""
     reps = [word_from_tag(tower, K, tag) for tag in index]
     read = _normalize_words(tower, K, words, reps)
-    pos = _positions(index, read.tags)
+    pos = _positions(index, read.tag_tuple())
     out = []
     for h in range(len(words)):
         to = pos[read.tag_ids[h :: len(words)]]

@@ -179,65 +179,29 @@ def generating_sublist(elems):
     chosen by one greedy pass: an element joins unless it is the identity or
     already lies in the right-multiplication closure of the earlier picks.
 
-    The closure is grown on the distinct residue rows of the list, sorted
-    by their integer codes (_row_codes): a pick's right multiplication is
-    one array product of all the rows (_entry_products), read as a map of
-    positions by a search of the codes, and each round applies the picks'
-    maps to the positions found by the last round.  Raises CrossCheckFailed
-    unless the closure of the picks is exactly the set of the list's
-    elements, so generation is certified, not assumed."""
-    tw = elems[0].tower
-    ident = GammaElem.identity(tw, elems[0].kind).m
-    rows = np.array([g.m for g in elems] + [ident], dtype=np.uint16)
-    codes = _row_codes(tw, rows)
-    if not (codes[:-1] == codes[-1]).any():
-        # the identity is no element of the list
-        raise CrossCheckFailed("generator closure differs from the group")
-    table, first, at = np.unique(codes, return_index=True,
-                                 return_inverse=True)
-    rows = rows[first]
-    closure = np.zeros(len(table), dtype=bool)
-    closure[at[-1]] = True
-    picks, maps = [], []
-    for i, pos in enumerate(at[:-1].tolist()):
-        if closure[pos]:
+    Raises CrossCheckFailed unless the closure of the picks is exactly the
+    key set of the list, so generation is certified, not assumed."""
+    keys = {g.key() for g in elems}
+    ident = GammaElem.identity(elems[0].tower, elems[0].kind)
+    closure = {ident.key(): ident}
+    gens = []
+    for g in elems:
+        if g.key() in closure:
             continue
-        picks.append(i)
-        prod = _entry_products(tw, rows.T, rows[pos][:, None], range(9)).T
-        maps.append(_positions_of(table, _row_codes(tw, prod)))
+        gens.append(g)
         # right products suffice: in a finite group every inverse is a
         # positive power, so this closure is the generated subgroup
-        frontier = np.flatnonzero(closure)
-        while len(frontier):
-            new = np.zeros(len(table), dtype=bool)
-            for m in maps:
-                new[m[frontier]] = True
-            new &= ~closure
-            closure |= new
-            frontier = np.flatnonzero(new)
-    if not closure.all():
+        queue = list(closure.values())
+        while queue:
+            x = queue.pop()
+            for s in gens:
+                y = x * s
+                if y.key() not in closure:
+                    closure[y.key()] = y
+                    queue.append(y)
+    if closure.keys() != keys:
         raise CrossCheckFailed("generator closure differs from the group")
-    return [elems[i] for i in picks]
-
-
-def _row_codes(tower, rows):
-    """One integer per residue row of an (n, 9) array, its entries as the
-    digits base Q, so equal codes are equal rows: int64 while Q^9 < 2^63,
-    Python ints in an object array beyond."""
-    dtype = np.int64 if tower.Q**9 < 2**63 else object
-    digits = np.array([tower.Q**k for k in range(9)], dtype=dtype)
-    return rows.astype(dtype) @ digits
-
-
-def _positions_of(table, codes):
-    """The position of each code in the sorted array table of distinct
-    codes; CrossCheckFailed when a code is not there: a product of the
-    list's rows outside them means the list is no group, and then no
-    closure can equal it."""
-    pos = np.minimum(np.searchsorted(table, codes), len(table) - 1)
-    if (table[pos] != codes).any():
-        raise CrossCheckFailed("generator closure differs from the group")
-    return pos
+    return gens
 
 
 @memo

@@ -31,32 +31,32 @@ once, as arrays.  A word of shifts, involutions and unipotent or diagonal
 atoms whose entries are exact monomials has a matrix of exact Laurent
 polynomials, and words with one signature (each atom without its residue
 coefficients) differ only in their coefficients.  The batch reads the words
-head + tail of the (head, tail) pairs of two word lists, by default their
-whole product; a plain list of words is the product with the single empty
-tail.  One call is one pass: each list is grouped by signature once, and
-the pairs are read in chunks of _BATCH_CHUNK, in the order of their tails'
-groups.  Each head signature group is built as one uint16 array of
-coefficient indices by column operations, once for the call when the heads
-fit one chunk, and each tail's atoms are applied by column operations to
-the head columns its pairs use.  A chunk's matrices are then stacked into
-one array over their common degree range, and steps 1-3, the membership
-certificate and the residue read run once per distinct (shift, pivot
-column) on all of its matrices.  Every sum and product there is one flat
-take through the tower's array methods (Tower.plus, times and plus_times,
-uint16 indices up to Q = 256), with gathers from its neg, inv and frob
-tables, and a column step whose coefficients are all 0 is skipped.  The
-coordinates become grid indices by table lookups and one Horner pass per
-cell (_grid_indices).  The result is the shift and the grid index of each
-pair, and the (N, 9) residue rows, the residue matrices row-major: the one
-format of a residue from the batch to the weights' action (Weight.apply).
-The call's residue rows are numbered, and each distinct one is certified
-unitary once.  A word of any other form gets the index -1, and a word that
-fails a certificate raises the scalar route's error.  The product read
-(_normalize_words, memoized by _product_read) is one batch call; it numbers
-the batch's tags, by one np.lexsort over (shift, index), and keeps the
-distinct ones as two arrays, cells and grid indices, numbers its residue
-rows, refuses a word the batch does not carry (NotApplicable), and is the
-one production read of a coset or residue (_residues_in_compact, or
+head + tail of the whole product of two word lists; a plain list of words
+is the product with the single empty tail.  One call is one pass: each list
+is grouped by signature once, and the words are read in chunks of
+_BATCH_CHUNK, in the order of their tails' groups.  Each head signature
+group is built as one uint16 array of coefficient indices by column
+operations, once for the chunks that use the same heads (all of them when
+the heads fit one chunk), and each tail's atoms are applied by column
+operations to the head columns its words use.  A chunk's matrices are then
+stacked into one array over their common degree range, and steps 1-3, the
+membership certificate and the residue read run once per distinct (shift,
+pivot column) on all of its matrices.  Every sum and product there is one
+flat take through the tower's array methods (Tower.plus, times and
+plus_times, uint16 indices up to Q = 256), with gathers from its neg, inv
+and frob tables, and a column step whose coefficients are all 0 is
+skipped.  The coordinates become grid indices by table lookups and one
+Horner pass per cell (_grid_indices).  The result is the shift and the grid
+index of each word, and its residue as an id into the distinct (r, 9)
+residue rows, the residue matrices row-major: the one format of a residue
+from the batch to the weights' action (Weight.apply).  The call numbers its residue rows once (gfmat.row_ids) and
+certifies each distinct one unitary once.  A word of any other form gets
+the index -1, and a word that fails a certificate raises the scalar route's
+error.  The product read (_normalize_words, memoized by _product_read) is
+one batch call; it numbers the batch's tags, by one np.lexsort over (shift,
+index), and keeps the distinct ones as two arrays, cells and grid indices,
+refuses a word the batch does not carry (NotApplicable), and is the one
+production read of a coset or residue (_residues_in_compact, or
 _compact_residues on a part of a read).  The scalar nf_uak reads a word's
 Mat3 matrix of series; it, tag_of and induction.coset_normalize serve only
 the tests' oracle and the benchmark's tracer.
@@ -368,16 +368,17 @@ def _atom_form(tower, atom):
     return (kind,) + tuple(d for d, _ in terms), tuple(c for _, c in terms)
 
 
-def _by_signature(tower, words, idx):
-    """The words at the indices idx that the batch carries, grouped by
-    signature: {signature: (indices, (coefficients, N) uint16 array)}.
-    The coefficients gather in one flat uint16 buffer per group, so the
-    grouping of a long list holds no Python list per word, and the form of
-    each distinct atom is looked up once."""
+def _grouped(tower, words):
+    """The words of a list that the batch carries, grouped by signature, as
+    (groups, group, col): groups lists (signature, (coefficients, N) uint16
+    array) in turn, and word i is column col[i] of group group[i], -1 for a
+    word not carried.  The coefficients gather in one flat uint16 buffer per
+    group, so the grouping of a long list holds no Python list per word, and
+    the form of each distinct atom is looked up once."""
     groups, forms = {}, {}
-    for i in idx:
+    for i, word in enumerate(words):
         sig, coefs = [], []
-        for atom in words[i]:
+        for atom in word:
             form = forms.get(atom, forms)
             if form is forms:
                 form = forms[atom] = _atom_form(tower, atom)
@@ -392,25 +393,16 @@ def _by_signature(tower, words, idx):
                 group = groups[tuple(sig)] = (array("q"), array("H"))
             group[0].append(i)
             group[1].extend(coefs)
-    return {
-        sig: (np.array(ids, dtype=np.intp),
-              np.array(cs, dtype=np.uint16).reshape(len(ids), -1).T)
-        for sig, (ids, cs) in groups.items()
-    }
-
-
-def _grouped(tower, words, idx):
-    """The grouping (_by_signature) of the words at the indices idx, as
-    (groups, group, col): groups lists (signature, coefficients) in turn,
-    and word i is column col[i] of group group[i], -1 for a word not
-    carried or not among idx."""
-    groups = _by_signature(tower, words, idx)
     group = np.full(len(words), -1, dtype=np.intp)
     col = np.full(len(words), -1, dtype=np.intp)
-    for g, (ids, _) in enumerate(groups.values()):
+    out = []
+    for g, (sig, (ids, cs)) in enumerate(groups.items()):
+        ids = np.array(ids, dtype=np.intp)
         group[ids] = g
         col[ids] = np.arange(len(ids))
-    return [(sig, cs) for sig, (_, cs) in groups.items()], group, col
+        cs = np.array(cs, dtype=np.uint16).reshape(len(ids), -1).T
+        out.append((sig, cs))
+    return out, group, col
 
 
 def _union(a, b):
@@ -688,87 +680,71 @@ def _grid_indices(tower, K, t, coords):
     return index
 
 
-def nf_uak_batch(tower, K, heads, tails=((),), pairs=None):
-    """The tags and residues that coset_normalize gives the words heads[i] +
-    tails[j], for each (i, j) of pairs, read for all of them at once.  By
-    default pairs is the whole product in tail-major order (pair n is
-    (n % H, n // H) for H heads), so nf_uak_batch(tower, K, words) reads a
-    plain list of words.
+def nf_uak_batch(tower, K, heads, tails=((),)):
+    """The tags and residues that coset_normalize gives the words of the
+    product of two word lists, read for all of them at once: word n is
+    heads[n % H] + tails[n // H] for H heads (tail-major), so
+    nf_uak_batch(tower, K, words) reads a plain list of words.
 
-    Returns (shifts, indices, residues), one row per pair: pair r lies in
-    the coset of tag (shifts[r], indices[r]), and residues is the (N, 9)
-    uint16 array of the residue rows (the residue matrix, row-major).  shifts
-    is int64; indices is int64, or object dtype holding Python ints when a
-    cell of the call has more than _INDEX_LIMIT cosets (_grid_indices).
-    Where the batch does not carry the word of a pair, its index is -1,
-    its shift 0 and its residue row zero.  The tags are not numbered here:
-    the caller numbers them, as _product_read does.
+    Returns (shifts, indices, res_ids, residues), one entry per word of the
+    first three: word n lies in the coset of tag (shifts[n], indices[n]),
+    and its residue is residues[res_ids[n]], where residues is the (r, 9)
+    uint16 array of the distinct residue rows (the residue matrices,
+    row-major) in lexicographic order (gfmat.row_ids).  shifts is int64;
+    indices is int64, or object dtype holding Python ints when a cell of the
+    call has more than _INDEX_LIMIT cosets (_grid_indices).  Where the batch
+    does not carry a word, its index and its res_id are -1 and its shift 0.
+    The tags are not numbered here: the caller numbers them, as
+    _product_read does.
 
     The batch carries words whose atoms are "a", "b", and "n", "np" or "d"
     atoms with entries that are exact monomials or exact zero.  Their
-    matrices are exact Laurent polynomials.  The heads and the tails the
-    pairs use are each grouped once by signature (each atom without its
-    residue coefficients, _grouped).  The pairs are then read in chunks of
-    _BATCH_CHUNK (_read_pairs), which bounds the arrays whatever the call's
+    matrices are exact Laurent polynomials.  The heads and the tails are
+    each grouped once by signature (each atom without its residue
+    coefficients, _grouped).  The words are then read in chunks of
+    _BATCH_CHUNK (_read_chunk), which bounds the arrays whatever the call's
     size, taken in the order of their tails' groups so that a chunk applies
     few tail signatures.  The head block, every head group built by the
-    column operations of times_atom and stacked, is built once for the call
-    when the heads in use fit one chunk, and otherwise once per chunk from
-    the heads the chunk uses; each chunk gathers its head columns from it.
-    A matrix that fails the unipotent relation or the membership of k in K
-    raises the scalar route's error (RelationViolated, CrossCheckFailed).
-    The residue rows of the carried pairs are numbered (gfmat.row_ids) and
-    each distinct row is certified unitary once; a call with a row that is
-    not raises MembershipViolated.  No failure is routed around."""
+    column operations of times_atom and stacked, is built from the heads a
+    chunk uses and kept while the next chunks use the same heads, as every
+    chunk does when the heads fit one chunk; each chunk gathers its head
+    columns from it.  A matrix that fails the unipotent relation or the
+    membership of k in K raises the scalar route's error (RelationViolated,
+    CrossCheckFailed).  The residue rows of the carried words are numbered
+    once, and each distinct row is certified unitary once; a call with a
+    row that is not raises MembershipViolated.  No failure is routed
+    around."""
     require_compact(K)
     nh = len(heads)
-    if pairs is None:
-        n = nh * len(tails)
-        used_heads = np.arange(nh if n else 0)
-        used_tails = range(len(tails) if n else 0)
-    else:
-        hi, ti = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
-        n = len(hi)
-        used_heads = np.array(_distinct(hi), dtype=np.intp)
-        used_tails = _distinct(ti)
+    n = nh * len(tails)
     shifts = np.zeros(n, dtype=np.int64)
     indices = np.full(n, -1, dtype=np.int64)
-    residues = np.zeros((n, 9), dtype=np.uint16)
-    head_groups = _grouped(tower, heads, used_heads)
-    tail_groups = _grouped(tower, tails, used_tails)
-    once = len(used_heads) <= _BATCH_CHUNK
-    if once:
-        head_blk, cols = _head_block(tower, head_groups, used_heads)
-        head_col = np.full(nh, -1, dtype=np.intp)
-        head_col[used_heads] = cols
-    if pairs is None:
-        by_group = np.argsort(tail_groups[1], kind="stable")
-    else:
-        by_group = np.argsort(tail_groups[1][ti], kind="stable")
+    rows = np.zeros((n, 9), dtype=np.uint16)
+    head_groups = _grouped(tower, heads)
+    tail_groups = _grouped(tower, tails)
+    by_group = np.argsort(tail_groups[1], kind="stable")
+    built = None
     for start in range(0, n, _BATCH_CHUNK):
         r = np.arange(start, min(n, start + _BATCH_CHUNK))
-        if pairs is None:
-            t, h = by_group[r // nh], r % nh
-            at = t * nh + h
-        else:
-            at = by_group[r]
-            h, t = hi[at], ti[at]
-        if once:
-            blk, hcol = head_blk, head_col[h]
-        else:
-            used, pos = np.unique(h, return_inverse=True)
+        t, h = by_group[r // nh], r % nh
+        used, pos = np.unique(h, return_inverse=True)
+        if built is None or not np.array_equal(used, built):
+            built = used
             blk, cols = _head_block(tower, head_groups, used)
-            hcol = cols[pos]
-        shifts[at], index, residues[at] = _read_pairs(
-            K, blk, hcol, tail_groups, t)
+        at = t * nh + h
+        shifts[at], index, rows[at] = _read_chunk(
+            K, blk, cols[pos], tail_groups, t)
         if index.dtype != indices.dtype:
             indices = indices.astype(object)
         indices[at] = index
     carried = indices >= 0
-    rows = residues if carried.all() else residues[carried]
-    _, first = gfmat.row_ids(rows)
-    check_residue_unitarity(tower, rows[first].T)
-    return shifts, indices, residues
+    if not carried.all():
+        rows = rows[carried]
+    res_ids = np.full(n, -1, dtype=np.intp)
+    res_ids[carried], first = gfmat.row_ids(rows)
+    residues = rows[first]
+    check_residue_unitarity(tower, residues.T)
+    return shifts, indices, res_ids, residues
 
 
 def _head_block(tower, head_groups, ids):
@@ -791,17 +767,17 @@ def _head_block(tower, head_groups, ids):
     return (_Block.stack(tower, blocks) if blocks else None), cols
 
 
-def _read_pairs(K, head_blk, hcol, tail_groups, ti):
-    """The shifts, grid indices and residue rows (as nf_uak_batch returns
-    them) of one chunk of pairs: pair r is the head in column hcol[r] of
-    head_blk, -1 for a head not carried, times the tail ti[r] of the
-    grouping tail_groups (_grouped).  For each tail signature the head
-    columns of its pairs are gathered and the tail's atoms applied to them
-    by column operations; the results are stacked, so the row minima, the
-    shift and the pivot are found once for the chunk, and the read of
-    nf_uak and the residue read of reduce_to_gamma run once per distinct
-    (shift, pivot) (_read_cell).  Within one such read the coordinates
-    become grid indices (_grid_indices)."""
+def _read_chunk(K, head_blk, hcol, tail_groups, ti):
+    """The shifts, grid indices and residue rows of one chunk of
+    nf_uak_batch's words, a zero row for a word not carried: word r is the
+    head in column hcol[r] of head_blk, -1 for a head not carried, times
+    the tail ti[r] of the grouping tail_groups (_grouped).  For each tail
+    signature the head columns of its words are gathered and the tail's
+    atoms applied to them by column operations; the results are stacked,
+    so the row minima, the shift and the pivot are found once for the
+    chunk, and the read of nf_uak and the residue read of reduce_to_gamma
+    run once per distinct (shift, pivot) (_read_cell).  Within one such
+    read the coordinates become grid indices (_grid_indices)."""
     n = len(ti)
     shifts = np.zeros(n, dtype=np.int64)
     indices = np.full(n, -1, dtype=np.int64)
@@ -844,12 +820,12 @@ def _read_pairs(K, head_blk, hcol, tail_groups, ti):
     return shifts, indices, residues
 
 
-# Words per chunk of nf_uak_batch (_read_pairs), which bounds its arrays
+# Words per chunk of nf_uak_batch (_read_chunk), which bounds its arrays
 # whatever the call's size.  On the 19,683 words of the recursion step
 # 2 -> 3 at q = 3 (K0), one product read (min of 7, CPython 3.11, numpy
-# 2.4, one core of a shared 2-CPU host): chunks of 4096 took 0.021 s with
+# 2.4, one core of a shared 2-CPU host): chunks of 4096 took 0.023 s with
 # a traced peak 2.9 MB above the 0.6 MB of the stored record; chunks of
-# 512 took 0.037 s and 1.6 MB, and one chunk of 32768 0.023 s and 13.4 MB.
+# 512 took 0.046 s and 1.3 MB, and one chunk of 32768 0.025 s and 13.6 MB.
 _BATCH_CHUNK = 4096
 
 
@@ -875,9 +851,8 @@ class ProductRead:
         self.tag_ids, self.res_ids, self.residues = tag_ids, res_ids, residues
         self.tag_shifts, self.tag_indices = tag_shifts, tag_indices
 
-    @property
-    def tags(self):
-        """The tuple of the tags (shift, index), built anew on each access
+    def tag_tuple(self):
+        """The tuple of the tags (shift, index), built anew on each call,
         for the readers that key dicts by tag; a reader of cells reads
         tag_shifts."""
         return tuple(zip(self.tag_shifts.tolist(), self.tag_indices.tolist()))
@@ -898,24 +873,22 @@ def _normalize_words(tower, K, heads, tails=((),)):
 @memo(size=len)
 def _product_read(tower, K, heads, tails):
     """The ProductRead of _normalize_words, read by one nf_uak_batch call
-    over the whole product, which groups the heads and the tails once and
-    reads them in chunks.  NotApplicable for a word the batch does not
-    carry: it has no other production read.
+    over the whole product, which groups the heads and the tails once,
+    reads them in chunks, and numbers the residue rows.  NotApplicable for
+    a word the batch does not carry: it has no other production read.
 
     The tags are numbered once, here, from the shift and grid index of
     every word (_first_appearance), and the distinct ones kept as two
-    arrays.  The residue rows are numbered by gfmat.row_ids, and the
-    distinct ones kept as one array."""
-    shifts, indices, rows = nf_uak_batch(tower, K, heads, tails)
+    arrays."""
+    shifts, indices, res_ids, residues = nf_uak_batch(tower, K, heads, tails)
     missing = indices < 0
     if missing.any():
         raise NotApplicable(
             "word %d of a product read is not a word of exact monomial "
             "atoms" % int(np.argmax(missing)))
     tag_ids, firsts = _first_appearance(shifts, indices)
-    res_ids, first = gfmat.row_ids(rows)
     return ProductRead(tag_ids, shifts[firsts], indices[firsts], res_ids,
-                       rows[first])
+                       residues)
 
 
 def _first_appearance(shifts, indices):

@@ -9,7 +9,7 @@ from u21hecke.unitary_group import GammaElem
 def expand(tower, K, read):
     """The (tag, residue) of every word of a ProductRead of the compact K,
     in word order."""
-    tags = read.tags
+    tags = read.tag_tuple()
     return [
         (tags[t], GammaElem(tower, K, read.residues[r].tolist()))
         for t, r in zip(read.tag_ids.tolist(), read.res_ids.tolist())
@@ -19,9 +19,10 @@ def expand(tower, K, read):
 def expand_batch(tower, K, out):
     """The (tag, residue) of every pair of an nf_uak_batch result, None for
     a word the batch does not carry."""
-    shifts, indices, residues = out
+    shifts, indices, res_ids, residues = out
+    rows = residues.tolist()
     return [
-        None if i < 0 else ((t, i), GammaElem(tower, K, row))
-        for t, i, row in zip(shifts.tolist(), indices.tolist(),
-                             residues.tolist())
+        None if i < 0 else ((t, i), GammaElem(tower, K, rows[r]))
+        for t, i, r in zip(shifts.tolist(), indices.tolist(),
+                           res_ids.tolist())
     ]

@@ -156,12 +156,9 @@ def test_memo_eviction_leaves_results_unchanged(monkeypatch):
     expected, _, _, _ = _memo_run(Tower(3, 1))
     batched = []
 
-    def spy(tower, K, heads, tails=((),), pairs=None):
-        read = words_batch(tower, K, heads, tails, pairs)
-        if pairs is None:
-            pairs = [(i, j) for j in range(len(tails))
-                     for i in range(len(heads))]
-        batched.append(([heads[i] + tails[j] for i, j in pairs],
+    def spy(tower, K, heads, tails=((),)):
+        read = words_batch(tower, K, heads, tails)
+        batched.append(([h + t for t in tails for h in heads],
                         expand_batch(tower, K, read)))
         return read
 
@@ -209,9 +206,9 @@ def test_product_table_bounded_by_words(monkeypatch):
     monkeypatch.setattr(fields, "_MEMO_CAP", 200)
     batched = []
 
-    def spy(tower, K, heads, tails=((),), pairs=None,
+    def spy(tower, K, heads, tails=((),),
             _orig=words.nf_uak_batch):
-        out = _orig(tower, K, heads, tails, pairs)
+        out = _orig(tower, K, heads, tails)
         batched.append(expand_batch(tower, K, out))
         return out
 
@@ -258,8 +255,8 @@ def test_recursion_step_keeps_one_record():
     reps = [word_from_tag(tw, K0, tag) for tag in I.f_basis(w, 2).tags]
     records = tw._memo[words._product_read.__wrapped__]
     read = records[(K0, tuple(prefixes), tuple(reps))]
-    assert len(read.tag_ids) == len(read.tags) == 19683
-    assert set(read.tags) == set(I.f_basis(w, 3).tags)
+    assert len(read.tag_ids) == len(read.tag_tuple()) == 19683
+    assert set(read.tag_tuple()) == set(I.f_basis(w, 3).tags)
     for arr in (read.tag_shifts, read.tag_indices):
         assert arr.shape == (19683,) and not arr.flags.writeable
         with pytest.raises(ValueError):
@@ -330,9 +327,9 @@ def test_translates_match_pairs_oracle(monkeypatch):
     monkeypatch.setattr(fields, "_MEMO_CAP", 3)
     reads = []
 
-    def spy(tower, K, heads, tails=((),), pairs=None,
+    def spy(tower, K, heads, tails=((),),
             _orig=words.nf_uak_batch):
-        out = _orig(tower, K, heads, tails, pairs)
+        out = _orig(tower, K, heads, tails)
         reads.append(out)
         return out
 
@@ -364,7 +361,7 @@ def test_translates_match_pairs_oracle(monkeypatch):
         reads.clear()
         with pytest.raises(NotApplicable):
             rough.g_act((unit,))
-        assert reads and all((index < 0).all() for _, index, _ in reads)
+        assert reads and all((index < 0).all() for _, index, _, _ in reads)
         torus = (W.torus_atom(tw, *W.torus_generator_pairs(tw)[0]),)
         assert rough.g_act(torus) == oracle(rough, [torus])
         assert rough.translates(prefixes[:3]) == oracle(rough, prefixes[:3])
@@ -747,7 +744,7 @@ def test_coset_normalize_inverts_no_series(monkeypatch):
         for word in words:
             I.nf_uak(tw, K, word)
             I.coset_normalize(tw, K, word)
-        _, indices, _ = nf_uak_batch(tw, K, batch)
+        _, indices, _, _ = nf_uak_batch(tw, K, batch)
         assert (indices >= 0).all()
     assert calls == []
     for K in BOTH:
@@ -957,9 +954,9 @@ def test_grid_values_match_nf_kau_read(monkeypatch):
             seen.append((points, values))
         return out
 
-    def batch_spy(tower, K, heads, tails=((),), pairs=None,
+    def batch_spy(tower, K, heads, tails=((),),
                   _orig=words.nf_uak_batch):
-        read = _orig(tower, K, heads, tails, pairs)
+        read = _orig(tower, K, heads, tails)
         batched.append(read[1])
         return read
 
@@ -1587,10 +1584,10 @@ def _batch_spy(monkeypatch):
     fills while the spy is installed."""
     calls = []
 
-    def spy(tower, K, heads, tails=((),), pairs=None,
+    def spy(tower, K, heads, tails=((),),
             _orig=words.nf_uak_batch):
         calls.append((K, heads, tails))
-        return _orig(tower, K, heads, tails, pairs)
+        return _orig(tower, K, heads, tails)
 
     monkeypatch.setattr(words, "nf_uak_batch", spy)
     return calls

@@ -378,7 +378,7 @@ def test_uncarried_words_are_refused():
         assert [_atom_form(tw, a) is None for a in sample] == [False] * 4 + [True] * 2
         bases = [word_from_tag(tw, K, t) for t in I.grid_tags(tw, K, -1)][:20]
         words = [b + (a,) for b in bases for a in sample]
-        _, indices, _ = nf_uak_batch(tw, K, words)
+        _, indices, _, _ = nf_uak_batch(tw, K, words)
         assert (indices < 0).tolist() == [a[0] == "d" for _ in bases
                                           for a in sample]
         assert (indices < 0).sum() == 2 * len(bases)
@@ -434,25 +434,26 @@ TEMPLATE = st.tuples(
 )
 def test_product_entry_matches_scalar_read(tower5, q5, K, head_templates,
                                            tail_templates, data):
-    """Every (head, tail) pair the product entry reads gives the (tag,
-    residue) of the scalar coset_normalize of head + tail, on heads and
-    tails of several signatures each, with layer atoms of coordinates
-    (0, 0) and (0, y); exactly the words with a pro_iwahori_sample "d" atom
-    are not carried (None)."""
+    """Every word head + tail of the product of sublists of the heads and
+    the tails gives the (tag, residue) of the scalar coset_normalize, on
+    heads and tails of several signatures each, with layer atoms of
+    coordinates (0, 0) and (0, y); exactly the words with a
+    pro_iwahori_sample "d" atom are not carried (None)."""
     tw = tower5 if q5 else TW
     heads, tails = (
         [w for pieces, picks in templates
          for w in template_words(tw, K, pieces, picks)]
         for templates in (head_templates, tail_templates)
     )
-    pairs = data.draw(st.lists(
-        st.tuples(st.integers(0, len(heads) - 1),
-                  st.integers(0, len(tails) - 1)),
-        min_size=1, max_size=40), label="pairs")
-    read = expand_batch(tw, K, nf_uak_batch(tw, K, heads, tails, pairs))
-    assert len(read) == len(pairs)
-    for (i, j), r in zip(pairs, read):
-        word = heads[i] + tails[j]
+    hs, ts = (
+        data.draw(st.lists(st.sampled_from(words), min_size=1, max_size=8),
+                  label=label)
+        for words, label in ((heads, "heads"), (tails, "tails"))
+    )
+    read = expand_batch(tw, K, nf_uak_batch(tw, K, hs, ts))
+    words = [h + t for t in ts for h in hs]
+    assert len(read) == len(words)
+    for word, r in zip(words, read):
         if any(_atom_form(tw, a) is None for a in word):
             assert r is None
         else:
@@ -466,42 +467,49 @@ def test_product_read_matches_scalar_rows(monkeypatch, chunk):
     with the layer atoms of pro_iwahori_sample, on a call of a few words,
     and, with chunks of 7 words, over several chunks.  Each read is one
     batch call that groups the heads and the tails once each, whatever the
-    chunks.  The tags are distinct and numbered in order of first
-    appearance, the residues are the distinct rows of one (r, 9) uint16
-    array, the record's arrays are read-only, and reading the product
-    again returns it."""
+    chunks, and builds its head block once when the heads fit one chunk.
+    The tags are distinct and numbered in order of first appearance, the
+    residues are the distinct rows of one (r, 9) uint16 array, the record's
+    arrays are read-only, and reading the product again returns it."""
     tw = Tower(3, 1)
     monkeypatch.setattr(words_mod, "_BATCH_CHUNK", chunk)
-    calls, grouped = [], []
+    calls, grouped, built = [], [], []
 
     def batch_spy(*args, _orig=words_mod.nf_uak_batch, **kwargs):
         calls.append(args)
         return _orig(*args, **kwargs)
 
-    def group_spy(tower, words, idx, _orig=words_mod._by_signature):
+    def group_spy(tower, words, _orig=words_mod._grouped):
         grouped.append(words)
-        return _orig(tower, words, idx)
+        return _orig(tower, words)
+
+    def block_spy(*args, _orig=words_mod._head_block):
+        built.append(args)
+        return _orig(*args)
 
     monkeypatch.setattr(words_mod, "nf_uak_batch", batch_spy)
-    monkeypatch.setattr(words_mod, "_by_signature", group_spy)
+    monkeypatch.setattr(words_mod, "_grouped", group_spy)
+    monkeypatch.setattr(words_mod, "_head_block", block_spy)
     for K in (K0, K1):
         heads = [word_from_tag(tw, K, t) for t in I.grid_tags(tw, K, -1)][:12]
         tails = [()] + [(a,) for a in layer_sample(tw, K)]
         for hs, ts in ((heads, tails), (heads[:3], tails[:4]), (heads, [()])):
             calls.clear()
             grouped.clear()
+            built.clear()
             read = words_mod._normalize_words(tw, K, hs, ts)
             assert len(calls) == 1
             assert grouped == [tuple(hs), tuple(ts)]
+            assert len(built) == 1 or len(hs) > chunk
             words = [h + t for t in ts for h in hs]
             assert expand(tw, K, read) == [oracle(tw, K, w) for w in words]
-            assert len(set(read.tags)) == len(read.tags)
+            assert len(set(read.tag_tuple())) == len(read.tag_tuple())
             assert read.residues.shape == (len(read.residues), 9)
             assert read.residues.dtype == np.uint16
             assert len(np.unique(read.residues, axis=0)) == len(read.residues)
             firsts = np.unique(read.tag_ids, return_index=True)[1]
             assert (np.diff(firsts) > 0).all()
-            assert isinstance(read.tags, tuple)
+            assert isinstance(read.tag_tuple(), tuple)
             for arr in (read.tag_ids, read.tag_shifts, read.tag_indices,
                         read.res_ids, read.residues):
                 assert not arr.flags.writeable
@@ -513,7 +521,7 @@ def test_product_read_matches_scalar_rows(monkeypatch, chunk):
 
 def signature(word):
     """The batch's signature of a word it carries."""
-    (sig,) = words_mod._by_signature(TW, [word], [0])
+    ((sig, _),), _, _ = words_mod._grouped(TW, [word])
     return sig
 
 
@@ -530,7 +538,7 @@ def read_key(tw, K, word):
 
 def test_one_cell_read_per_shift_and_pivot(monkeypatch):
     """A call whose words have many signatures reads each distinct (shift,
-    pivot) of a chunk (_read_pairs) with exactly one _read_cell, although
+    pivot) of a chunk (_read_chunk) with exactly one _read_cell, although
     several signatures share a (shift, pivot) there."""
     tw = Tower(3, 1)
     K = K0
@@ -545,12 +553,12 @@ def test_one_cell_read_per_shift_and_pivot(monkeypatch):
         reads.append((t, j))
         return _orig(blk, K, t, j)
 
-    def chunk_spy(*args, _orig=words_mod._read_pairs):
+    def chunk_spy(*args, _orig=words_mod._read_chunk):
         starts.append(len(reads))
         return _orig(*args)
 
     monkeypatch.setattr(words_mod, "_read_cell", read_spy)
-    monkeypatch.setattr(words_mod, "_read_pairs", chunk_spy)
+    monkeypatch.setattr(words_mod, "_read_chunk", chunk_spy)
     read = expand(tw, K, words_mod._normalize_words(tw, K, words))
     assert read == [oracle(tw, K, w) for w in words]
     assert len(starts) == -(-len(words) // chunk)
@@ -583,7 +591,7 @@ def test_corrupt_row_in_a_shared_read_raises():
     with pytest.raises(CrossCheckFailed):
         nf_uak_batch(tw, K0, good + [bad])
     with pytest.raises(CrossCheckFailed):
-        nf_uak_batch(tw, K0, good, [(), (scale,)], [(0, 0), (80, 1), (3, 0)])
+        nf_uak_batch(tw, K0, good, [(), (scale,)])
     with pytest.raises(CrossCheckFailed):
         words_mod._normalize_words(tw, K0, good + [bad])
 
@@ -707,7 +715,7 @@ def test_grid_indices_past_int64():
     tw = Tower(3, 1)
     for K in (K0, K1):
         tags, words = wide_cell_words(tw, K)
-        shifts, indices, _ = nf_uak_batch(tw, K, words)
+        shifts, indices, _, _ = nf_uak_batch(tw, K, words)
         assert indices.dtype == object
         assert list(zip(shifts.tolist(), indices.tolist())) == tags
         assert [tag_of(tw, K, w) for w in words] == tags
@@ -729,7 +737,7 @@ def test_product_read_numbers_wide_tags(monkeypatch, chunk):
         words += words[::-2]
         read = words_mod._normalize_words(tw, K, words)
         expected = [tag_of(tw, K, w) for w in words]
-        tags = read.tags
+        tags = read.tag_tuple()
         assert tags == tuple(dict.fromkeys(expected))
         assert len(tags) == len(wide) + 1
         assert [tags[t] for t in read.tag_ids.tolist()] == expected
@@ -737,7 +745,7 @@ def test_product_read_numbers_wide_tags(monkeypatch, chunk):
         for heads, tails in (([], [()]), (words, [])):
             empty = words_mod._normalize_words(tw, K, heads, tails)
             assert len(empty) == 0
-            assert empty.tags == () and empty.residues.shape == (0, 9)
+            assert empty.tag_tuple() == () and empty.residues.shape == (0, 9)
             assert empty.tag_ids.shape == empty.res_ids.shape == (0,)
 
 
@@ -751,7 +759,7 @@ def test_grid_index_fallback_matches_tag_of(monkeypatch):
         words = [word_from_tag(tw, K, t) for n in (-2, -1, 0, 1, 2)
                  for t in I.grid_tags(tw, K, n)][::37]
         words += [w + (atom_beta(),) for w in words[:40]]
-        shifts, indices, _ = nf_uak_batch(tw, K, words)
+        shifts, indices, _, _ = nf_uak_batch(tw, K, words)
         assert (indices >= 0).all()
         assert list(zip(shifts.tolist(), indices.tolist())) == [
             tag_of(tw, K, w) for w in words]
